@@ -27,7 +27,6 @@ import (
 
 	"afraid/internal/disk"
 	"afraid/internal/exp"
-	"afraid/internal/parity"
 	"afraid/internal/tier"
 )
 
@@ -270,33 +269,6 @@ func BenchmarkAblationGranularity(b *testing.B) {
 }
 
 // --- substrate microbenchmarks ---
-
-// BenchmarkXOR8K measures the parity kernel on a stripe-unit block.
-func BenchmarkXOR8K(b *testing.B) {
-	dst := make([]byte, 8<<10)
-	src := make([]byte, 8<<10)
-	b.SetBytes(8 << 10)
-	for i := 0; i < b.N; i++ {
-		parity.XOR(dst, src)
-	}
-}
-
-// BenchmarkPQ8K measures the RAID 6 P+Q encode over a 4-data stripe.
-func BenchmarkPQ8K(b *testing.B) {
-	blocks := make([][]byte, 4)
-	for i := range blocks {
-		blocks[i] = make([]byte, 8<<10)
-		for j := range blocks[i] {
-			blocks[i][j] = byte(i*j + 7)
-		}
-	}
-	p := make([]byte, 8<<10)
-	q := make([]byte, 8<<10)
-	b.SetBytes(4 * 8 << 10)
-	for i := 0; i < b.N; i++ {
-		parity.ComputePQ(p, q, blocks...)
-	}
-}
 
 // BenchmarkDiskServiceTime measures the mechanical disk model.
 func BenchmarkDiskServiceTime(b *testing.B) {

@@ -1,6 +1,10 @@
 package bufpool
 
-import "testing"
+import (
+	"testing"
+
+	"afraid/internal/testutil"
+)
 
 func TestGetLengthAndClass(t *testing.T) {
 	for _, n := range []int{1, 511, 512, 513, 4096, 8192, 8193, 1 << 20} {
@@ -65,7 +69,7 @@ func TestRoundTripReuse(t *testing.T) {
 }
 
 func TestSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector adds allocations; assertion only holds in normal builds")
 	}
 	// Warm the class, then Get/Put must not allocate.

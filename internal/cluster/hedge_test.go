@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"afraid/internal/testutil"
 )
 
 // latNode wraps a Node with jittered per-op latency — the statistical
@@ -132,7 +134,7 @@ func TestHedgedReadBoundsBrownoutTail(t *testing.T) {
 	// XOR) far more than a plain node read; widen the ratio there. The
 	// absolute bound below holds either way.
 	ratio := time.Duration(2)
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		ratio = 5
 	}
 	if hedgedP99 > ratio*healthyP99 {

@@ -11,7 +11,6 @@ import (
 
 	"afraid/internal/bufpool"
 	"afraid/internal/layout"
-	"afraid/internal/parity"
 )
 
 // End-to-end block checksums. With Options.Checksums every member disk
@@ -210,7 +209,7 @@ func (s *Store) formatChecksums() error {
 	var fresh [layout.ChecksumSlotSize]byte
 	encodeSlot(fresh[:], zero)
 	for i, d := range s.devs {
-		if i == s.dead || i == s.dead2 {
+		if s.failed.has(i) {
 			continue
 		}
 		if _, err := d.ReadAt(trailer, s.geo.DiskSize); err != nil {
@@ -249,7 +248,7 @@ func (s *Store) absorbMismatch(err error) (retry bool, out error) {
 	s.meta.Lock()
 	s.stats.ChecksumDetected++
 	s.meta.Unlock()
-	if rerr := s.repairUnitLocked(ce.Stripe, ce.Disk); rerr != nil {
+	if rerr := s.repairUnit(ce.Stripe, ce.Disk); rerr != nil {
 		if errors.Is(rerr, ErrDataLoss) {
 			s.meta.Lock()
 			s.stats.ChecksumLost++
@@ -306,214 +305,23 @@ func (s *Store) preflightChecksums(sp layout.StripeSpan) error {
 	return nil
 }
 
-// repairUnitLocked rewrites one corrupt unit from redundancy. Caller
-// holds the stripe lock; the unit is re-verified first, so a retry
-// that lost a race with another repair (CheckParity workers drop the
-// lock between check and repair) is a no-op.
-func (s *Store) repairUnitLocked(stripe int64, disk int) error {
-	if err := s.verifyUnit(disk, stripe); err == nil {
-		return nil
-	} else if !errors.Is(err, ErrChecksumMismatch) {
-		return err
-	}
-	if s.geo.Level == layout.RAID6 {
-		return s.repairUnit6(stripe, disk)
-	}
-	return s.repairUnit5(stripe, disk)
-}
-
-// repairUnit5 is the RAID 5 / RAID 0 unit repair. Any second problem in
-// the stripe — a dead member, a stale (dirty) parity, a nested
-// mismatch — exhausts the single redundancy and the unit is reported
-// lost.
-func (s *Store) repairUnit5(stripe int64, disk int) error {
-	s.meta.Lock()
-	dead := s.dead
-	dirty := s.marks.IsMarked(stripe)
-	pol := s.effectivePolicy(stripe)
-	s.meta.Unlock()
-	if s.geo.Level == layout.RAID0 || pol == PolicyNeverRedundant {
-		return csumLossError(stripe, disk)
-	}
-	off := s.geo.DiskOffset(stripe)
-	role, dataIdx := s.geo.RoleOf(stripe, disk)
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-
-	if role == layout.Parity {
-		// Recompute parity from the data units — valid for dirty stripes
-		// too (the mark stays; the scrubber recomputes again and clears
-		// it). A dead data member makes the recompute impossible.
-		if dead >= 0 {
-			return csumLossError(stripe, disk)
-		}
-		if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
-			if errors.Is(err, ErrChecksumMismatch) {
-				return csumLossError(stripe, disk)
-			}
-			return err
-		}
-		pt := time.Now()
-		parity.Compute(sb.p, sb.units...)
-		s.observeParity(pt)
-		return s.devWrite(disk, sb.p, off)
-	}
-
-	if dirty || dead >= 0 {
-		return csumLossError(stripe, disk)
-	}
-	if err := s.readStripeUnits(sb, stripe, disk, -1); err != nil {
-		if errors.Is(err, ErrChecksumMismatch) {
-			return csumLossError(stripe, disk)
-		}
-		return err
-	}
-	if err := s.devRead(s.geo.ParityDisk(stripe), sb.p, off); err != nil {
-		if errors.Is(err, ErrChecksumMismatch) {
-			return csumLossError(stripe, disk)
-		}
-		return err
-	}
-	pt := time.Now()
-	parity.Reconstruct(sb.units[dataIdx], sb.p, sb.survivors(dataIdx)...)
-	s.observeParity(pt)
-	return s.devWrite(disk, sb.units[dataIdx], off)
-}
-
-// repairUnit6 is the RAID 6 unit repair: the corrupt unit joins the
-// missing set, nested mismatches met while reconstructing join it too
-// (or disqualify a parity), and materialize6 decides whether the fresh
-// parities still cover the set. Up to two missing data units plus both
-// parities are repairable on a clean stripe.
-func (s *Store) repairUnit6(stripe int64, disk int) error {
-	s.meta.Lock()
-	dead := s.deadSet()
-	dirty := s.marks.IsMarked(stripe)
-	s.meta.Unlock()
-	pFresh, qFresh := s.parityFresh(dirty)
-	pDisk := s.geo.ParityDisk(stripe)
-	qDisk := s.geo.QDisk(stripe)
-	off := s.geo.DiskOffset(stripe)
-
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-
-	badData := map[int]bool{}
-	pBad, qBad := false, false
-	switch disk {
-	case pDisk:
-		pBad = true
-	case qDisk:
-		qBad = true
-	default:
-		badData[disk] = true
-	}
-
-	for tries := 0; tries <= s.geo.Disks; tries++ {
-		missing := append([]int(nil), dead...)
-		for d := range badData {
-			if !containsInt(missing, d) {
-				missing = append(missing, d)
-			}
-		}
-		dataMissing := 0
-		for _, d := range missing {
-			if r, _ := s.geo.RoleOf(stripe, d); r == layout.Data {
-				dataMissing++
-			}
-		}
-		if dataMissing > 2 {
-			return csumLossError(stripe, disk)
-		}
-		ok, err := s.materialize6(sb, stripe, missing, pFresh && !pBad, qFresh && !qBad)
-		if err != nil {
-			var ce *ChecksumError
-			if !errors.As(err, &ce) {
-				return err
-			}
-			switch ce.Disk {
-			case pDisk:
-				pBad = true
-			case qDisk:
-				qBad = true
-			default:
-				badData[ce.Disk] = true
-			}
-			continue
-		}
-		if !ok {
-			return csumLossError(stripe, disk)
-		}
-		// Rewrite everything the reconstruction proved corrupt. Live
-		// disks only: dead members are RepairDisk's job.
-		for d := range badData {
-			if containsInt(dead, d) {
-				continue
-			}
-			_, idx := s.geo.RoleOf(stripe, d)
-			if err := s.devWrite(d, sb.units[idx], off); err != nil {
-				return err
-			}
-		}
-		if pBad || qBad {
-			// All data units are in hand (materialize6 reconstructed the
-			// missing ones), so both parities can be recomputed; write
-			// back the corrupt one(s). On a dirty stripe the mark stays
-			// and the scrubber refreshes them again — harmless.
-			pt := time.Now()
-			parity.ComputePQ(sb.p, sb.q, sb.units...)
-			s.observeParity(pt)
-			if pBad && !containsInt(dead, pDisk) {
-				if err := s.devWrite(pDisk, sb.p, off); err != nil {
-					return err
-				}
-			}
-			if qBad && !containsInt(dead, qDisk) {
-				if err := s.devWrite(qDisk, sb.q, off); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return csumLossError(stripe, disk)
-}
-
 // resyncParity rebuilds a stripe's parity from its at-rest data units.
 // The write-span retry loop calls it after a mismatch repair: the
 // interrupted attempt's delta read-modify-write may have applied its
 // parity delta on some parity disks but not others before the corrupt
-// unit surfaced, and repairUnitLocked recomputes only the corrupt
+// unit surfaced, and repairUnit recomputes only the corrupt
 // element — leaving the untouched parity holding a delta for data that
 // never landed, under a perfectly valid checksum. Rebuilding from data
 // restores the invariant the retried delta update relies on: at-rest
 // parity encodes at-rest data. Dirty stripes are skipped (their parity
-// is stale by design and the scrubber rebuilds it), as are degraded
-// arrays (their write paths store full stripe images, which retry
-// idempotently). Caller holds the stripe lock.
+// is stale by design and the scrubber rebuilds it), as are stripes that
+// keep no parity, and degraded arrays (their write paths store full
+// stripe images, which retry idempotently). Caller holds the stripe lock.
 func (s *Store) resyncParity(stripe int64) error {
-	if s.geo.Level == layout.RAID0 {
+	if st := s.stripeState(stripe); st.failed.n > 0 || st.dirty || st.fresh == 0 {
 		return nil
 	}
-	s.meta.Lock()
-	dead := s.deadSet()
-	dirty := s.marks.IsMarked(stripe)
-	s.meta.Unlock()
-	if len(dead) > 0 || dirty {
-		return nil
-	}
-	if s.geo.Level == layout.RAID6 {
-		return s.rebuildParity6(stripe)
-	}
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
-		return err
-	}
-	pt := time.Now()
-	parity.Compute(sb.p, sb.units...)
-	s.observeParity(pt)
-	return s.devWrite(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
+	return s.rebuildParity(stripe)
 }
 
 // quarantineStripe records a dirty stripe whose scrub hit unrecoverable
@@ -564,13 +372,4 @@ func (s *Store) QuarantinedStripes() []int64 {
 
 func sortInt64s(a []int64) {
 	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"afraid/internal/layout"
 	"afraid/internal/nvram"
-	"afraid/internal/parity"
 )
 
 // Failer is implemented by devices that can be switched into a
@@ -22,8 +20,8 @@ type Failer interface {
 
 // FailDisk injects a fail-stop failure of disk i. Subsequent reads of
 // its units are served degraded (for clean stripes) and writes maintain
-// parity synchronously. Only one failure can be outstanding (two on
-// RAID 6 layouts).
+// parity synchronously. The store absorbs one failure per parity unit
+// of its layout (a RAID 0 store tracks one, every unit of which is lost).
 func (s *Store) FailDisk(i int) error {
 	if i < 0 || i >= len(s.devs) {
 		return fmt.Errorf("core: disk %d out of range", i)
@@ -33,13 +31,7 @@ func (s *Store) FailDisk(i int) error {
 	if s.closed {
 		return ErrClosed
 	}
-	switch {
-	case s.dead < 0 || s.dead == i:
-		s.dead = i
-	case s.geo.Level == layout.RAID6 && (s.dead2 < 0 || s.dead2 == i):
-		// RAID 6 absorbs a second failure.
-		s.dead2 = i
-	default:
+	if !s.failed.has(i) && !s.failed.add(i, s.maxFailed()) {
 		return ErrTooManyFailures
 	}
 	if f, ok := s.devs[i].(Failer); ok {
@@ -104,7 +96,7 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 		s.meta.Unlock()
 		return report, ErrClosed
 	}
-	if s.dead != i && s.dead2 != i {
+	if !s.failed.has(i) {
 		s.meta.Unlock()
 		return report, fmt.Errorf("core: disk %d is not a failed disk", i)
 	}
@@ -115,7 +107,6 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	// Publish the sweep so concurrent degraded writes mirror already-
 	// repaired stripes onto the replacement (see repairTarget).
 	s.repDisk, s.repDev, s.repDone = i, replacement, nvram.NewBitmap(s.geo.Stripes())
-	mode := s.opts.Mode
 	s.meta.Unlock()
 
 	clearRepair := func() {
@@ -128,7 +119,6 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	// its stripe under that stripe's lock. Stripes complete out of
 	// order, which is why repDone is a bitmap; each worker collects its
 	// own damage list and the parts are merged and sorted afterwards.
-	unit := s.geo.StripeUnit
 	stripes := s.geo.Stripes()
 	workers := s.scrubWorkers()
 	if int64(workers) > stripes {
@@ -160,17 +150,10 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 				lk.Lock()
 				// A survivor failing checksum verification mid-repair is
 				// itself repaired from whatever redundancy remains and the
-				// stripe retried; the damage list is truncated to this
-				// worker's mark so an abandoned attempt cannot double-report.
-				mark := len(part.Lost)
+				// stripe retried.
 				var err error
 				for tries := 0; ; tries++ {
-					part.Lost = part.Lost[:mark]
-					if s.geo.Level == layout.RAID6 {
-						err = s.repairStripe6(stripe, i, replacement, part)
-					} else {
-						err = s.repairStripe(stripe, i, replacement, unit, mode, part)
-					}
+					err = s.repairStripe(stripe, i, replacement)
 					if err == nil || tries >= s.spanRetryBudget() {
 						break
 					}
@@ -180,10 +163,10 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 					}
 				}
 				if err != nil && errors.Is(err, ErrDataLoss) {
-					// Corruption plus the dead disk exceed the stripe's
-					// redundancy: salvage what is readable, zero and report
-					// the rest, like a dirty stripe's lost data unit.
-					part.Lost = part.Lost[:mark]
+					// The fresh parities cannot cover what is missing — the
+					// stripe was unredundant at failure time, or corruption
+					// plus the dead disks exceed its redundancy: salvage what
+					// is readable, zero and report the rest.
 					err = s.salvageStripe(stripe, i, replacement, part)
 				}
 				if err == nil {
@@ -229,11 +212,7 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	}
 	s.meta.Lock()
 	s.devs[i] = replacement
-	if s.dead == i {
-		s.dead, s.dead2 = s.dead2, -1
-	} else {
-		s.dead2 = -1
-	}
+	s.failed.remove(i)
 	s.repDisk, s.repDev, s.repDone = -1, nil, nil
 	s.stats.DamagedStripes += uint64(len(report.Lost))
 	s.stats.DamageBytes += report.Bytes()
@@ -245,110 +224,11 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	return report, err
 }
 
-// repairStripe reconstructs one stripe unit onto the replacement.
-// Caller holds the stripe lock.
-func (s *Store) repairStripe(stripe int64, dead int, replacement BlockDevice, unit int64, mode Mode, report *DamageReport) error {
-	off := s.geo.DiskOffset(stripe)
-	s.meta.Lock()
-	dirty := mode != Raid0 && s.marks.IsMarked(stripe)
-	pol := s.effectivePolicy(stripe)
-	s.meta.Unlock()
-
-	role, dataIdx := s.geo.RoleOf(stripe, dead)
-
-	noParity := mode == Raid0 || pol == PolicyNeverRedundant
-
-	if noParity && role == layout.Data {
-		// Unprotected storage: contents gone, zero-fill and report.
-		sb := s.getStripeBuf()
-		defer s.putStripeBuf(sb)
-		clear(sb.p)
-		if _, err := replacement.WriteAt(sb.p, off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, sb.p); err != nil {
-			return err
-		}
-		report.Lost = append(report.Lost, DamagedRange{
-			Offset: stripe*s.geo.StripeDataBytes() + int64(dataIdx)*unit,
-			Length: unit,
-			Stripe: stripe,
-		})
-		return nil
-	}
-
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-
-	switch {
-	case role == layout.Parity:
-		// Recompute parity from the data units (valid whether or not
-		// the stripe was dirty), clearing any mark.
-		if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
-			return fmt.Errorf("core: repair: %w", err)
-		}
-		parity.Compute(sb.p, sb.units...)
-		if _, err := replacement.WriteAt(sb.p, off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, sb.p); err != nil {
-			return err
-		}
-		s.clearMark(stripe)
-		s.bumpRecovered()
-		return nil
-
-	case !dirty:
-		// Clean stripe, lost data unit: exact reconstruction.
-		if err := s.readStripeUnits(sb, stripe, dead, -1); err != nil {
-			return fmt.Errorf("core: repair: %w", err)
-		}
-		if err := s.devRead(s.geo.ParityDisk(stripe), sb.p, off); err != nil {
-			return err
-		}
-		lost := sb.units[dataIdx]
-		parity.Reconstruct(lost, sb.p, sb.survivors(dataIdx)...)
-		if _, err := replacement.WriteAt(lost, off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, lost); err != nil {
-			return err
-		}
-		s.bumpRecovered()
-		return nil
-
-	default:
-		// Dirty stripe, lost data unit: unrecoverable. Zero-fill,
-		// recompute parity over the zeroed stripe, report the loss.
-		if err := s.readStripeUnits(sb, stripe, dead, -1); err != nil {
-			return fmt.Errorf("core: repair: %w", err)
-		}
-		clear(sb.units[dataIdx])
-		if _, err := replacement.WriteAt(sb.units[dataIdx], off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, sb.units[dataIdx]); err != nil {
-			return err
-		}
-		parity.Compute(sb.p, sb.units...)
-		if err := s.devWrite(s.geo.ParityDisk(stripe), sb.p, off); err != nil {
-			return err
-		}
-		s.clearMark(stripe)
-		report.Lost = append(report.Lost, DamagedRange{
-			Offset: stripe*s.geo.StripeDataBytes() + int64(dataIdx)*unit,
-			Length: unit,
-			Stripe: stripe,
-		})
-		return nil
-	}
-}
-
 // clearMark unconditionally unmarks a stripe (on parity-bearing
 // layouts).
 func (s *Store) clearMark(stripe int64) {
 	s.meta.Lock()
-	if s.geo.Level != layout.RAID0 {
+	if s.allPar != 0 {
 		s.marks.Unmark(stripe)
 	}
 	s.dropQuarantine(stripe)
@@ -362,22 +242,21 @@ func (s *Store) bumpRecovered() {
 	s.meta.Unlock()
 }
 
-// salvageStripe handles a repair-sweep stripe where detected checksum
-// corruption plus the dead disk exceed the stripe's redundancy. Every
-// data unit that cannot be read back verified — a corrupt survivor, or
-// the target's unreconstructable unit — is zeroed and reported lost,
-// then the parities are recomputed over the zeroed image so later
-// reads and repairs see a consistent stripe (zeroes where data was
-// lost) instead of garbage behind a stale parity. Caller holds the
-// stripe lock.
+// salvageStripe handles a repair-sweep stripe whose missing data the
+// fresh parities cannot cover: it was unredundant when the disk failed,
+// or detected checksum corruption plus the dead disks exceed its
+// redundancy. Every data unit that cannot be read back verified — a
+// dead disk's, or a corrupt survivor's — is zeroed and reported lost,
+// then the parities are recomputed over the zeroed image onto every
+// reachable disk, so later reads and repairs see a consistent stripe
+// (zeroes where data was lost) instead of garbage behind a stale
+// parity; with all of them rewritten the stripe is fully redundant again
+// and its mark is cleared. A never-redundant stripe has no parity to
+// keep consistent, so only the target's unit is written. Caller holds
+// the stripe lock.
 func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice, report *DamageReport) error {
 	unit := s.geo.StripeUnit
-	off := s.geo.DiskOffset(stripe)
-	s.meta.Lock()
-	dead := s.deadSet()
-	s.meta.Unlock()
-	isDead := func(d int) bool { return containsInt(dead, d) }
-
+	st := s.stripeState(stripe)
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
 	lose := func(i int) {
@@ -388,21 +267,21 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 			Stripe: stripe,
 		})
 	}
-	for i := range sb.units {
+	for i, u := range sb.units {
 		d := s.geo.DataDisk(stripe, i)
-		if isDead(d) {
+		if st.failed.has(d) {
 			lose(i)
 			if d == target {
-				if _, err := replacement.WriteAt(sb.units[i], off); err != nil {
-					return err
-				}
-				if err := s.putChecksumTo(replacement, stripe, sb.units[i]); err != nil {
+				if err := s.writeUnitTo(replacement, stripe, u); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		err := s.devRead(d, sb.units[i], off)
+		if st.pol == PolicyNeverRedundant {
+			continue
+		}
+		err := s.devRead(d, u, s.geo.DiskOffset(stripe))
 		if err == nil {
 			continue
 		}
@@ -412,46 +291,32 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 		// Corrupt beyond repair: zero it in place (installing a fresh
 		// slot) so the stripe converges instead of erroring forever.
 		lose(i)
-		if werr := s.devWrite(d, sb.units[i], off); werr != nil {
+		if werr := s.devWrite(d, u, s.geo.DiskOffset(stripe)); werr != nil {
 			return werr
 		}
 	}
-
-	writeParity := func(d int, buf []byte) (bool, error) {
-		switch {
-		case d == target:
-			if _, err := replacement.WriteAt(buf, off); err != nil {
-				return false, err
-			}
-			return true, s.putChecksumTo(replacement, stripe, buf)
-		case isDead(d):
-			return false, nil
-		default:
-			return true, s.devWrite(d, buf, off)
-		}
-	}
-	pDisk := s.geo.ParityDisk(stripe)
-	if s.geo.Level == layout.RAID6 {
-		parity.ComputePQ(sb.p, sb.q, sb.units...)
-		pOK, err := writeParity(pDisk, sb.p)
-		if err != nil {
-			return err
-		}
-		qOK, err := writeParity(s.geo.QDisk(stripe), sb.q)
-		if err != nil {
-			return err
-		}
-		if pOK && qOK {
-			s.clearMark(stripe)
-		}
+	if st.pol == PolicyNeverRedundant {
 		return nil
 	}
-	parity.Compute(sb.p, sb.units...)
-	pOK, err := writeParity(pDisk, sb.p)
-	if err != nil {
-		return err
+	s.encode(sb)
+	written := 0
+	for j, par := range sb.par {
+		d := s.parityDisk(stripe, j)
+		var err error
+		switch {
+		case d == target:
+			err = s.writeUnitTo(replacement, stripe, par)
+		case st.failed.has(d):
+			continue // a second dead disk; its own repair recomputes it
+		default:
+			err = s.devWrite(d, par, s.geo.DiskOffset(stripe))
+		}
+		if err != nil {
+			return err
+		}
+		written++
 	}
-	if pOK {
+	if written == len(sb.par) {
 		s.clearMark(stripe)
 	}
 	return nil

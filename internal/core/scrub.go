@@ -8,9 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"afraid/internal/layout"
-	"afraid/internal/parity"
 )
 
 // maxInlineScrub bounds how many stripes a single write is ever held
@@ -151,7 +148,7 @@ func (s *Store) scrubPass() {
 // policy exists to yield to.
 func (s *Store) scrubOne(forced bool, gen *uint64) (bool, error) {
 	s.meta.Lock()
-	if s.dead >= 0 || s.dead2 >= 0 {
+	if s.failed.n > 0 {
 		// Cannot rebuild parity with a missing disk; RepairDisk will.
 		s.meta.Unlock()
 		return false, nil
@@ -186,11 +183,7 @@ func (s *Store) scrubOne(forced bool, gen *uint64) (bool, error) {
 
 	var rerr error
 	for tries := 0; ; tries++ {
-		if s.geo.Level == layout.RAID6 {
-			rerr = s.rebuildParity6(stripe)
-		} else {
-			rerr = s.rebuildParity(stripe)
-		}
+		rerr = s.rebuildParity(stripe)
 		// A unit that fails checksum verification mid-rebuild is repaired
 		// from redundancy and the rebuild retried; rebuilding parity over
 		// the corrupt bytes would bless them forever.
@@ -258,24 +251,6 @@ func (s *Store) nextUnclaimed() (int64, bool) {
 	}
 }
 
-// rebuildParity recomputes and writes one stripe's parity from its data
-// units, read concurrently from their disks into a pooled stripe
-// arena. Caller holds the stripe lock.
-func (s *Store) rebuildParity(stripe int64) error {
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
-		return fmt.Errorf("core: scrub: %w", err)
-	}
-	pt := time.Now()
-	parity.Compute(sb.p, sb.units...)
-	s.observeParity(pt)
-	if err := s.devWrite(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe)); err != nil {
-		return fmt.Errorf("core: scrub: %w", err)
-	}
-	return nil
-}
-
 // Flush synchronously rebuilds parity for every dirty stripe — the
 // whole-array parity point. After a successful Flush the store is fully
 // redundant.
@@ -303,10 +278,7 @@ func (s *Store) FlushContext(ctx context.Context) error {
 			s.meta.Unlock()
 			return ErrClosed
 		}
-		dead := s.dead
-		if s.dead2 >= 0 {
-			dead = s.dead2
-		}
+		failed := s.failed
 		n := s.marks.Count()
 		q := int64(len(s.quarantine))
 		s.meta.Unlock()
@@ -319,8 +291,8 @@ func (s *Store) FlushContext(ctx context.Context) error {
 			}
 			return nil
 		}
-		if dead >= 0 {
-			return fmt.Errorf("core: cannot flush with disk %d failed: %w", dead, ErrTooManyFailures)
+		if failed.n > 0 {
+			return fmt.Errorf("core: cannot flush with disk %d failed: %w", failed.list()[failed.n-1], ErrTooManyFailures)
 		}
 		// gen is nil: Flush must drain regardless of foreground I/O, or
 		// concurrent writers could starve it forever.
@@ -486,10 +458,7 @@ func (s *Store) parityPointStripe(stripe int64) error {
 	s.meta.Lock()
 	dirty := s.marks.IsMarked(stripe)
 	quarantined := s.quarantine[stripe]
-	dead := s.dead
-	if s.dead2 >= 0 {
-		dead = s.dead2
-	}
+	failed := s.failed
 	s.meta.Unlock()
 	if !dirty {
 		return nil
@@ -497,8 +466,8 @@ func (s *Store) parityPointStripe(stripe int64) error {
 	if quarantined {
 		return fmt.Errorf("core: stripe %d held dirty by unrecoverable checksum corruption: %w", stripe, ErrDataLoss)
 	}
-	if dead >= 0 {
-		return fmt.Errorf("core: cannot make stripe %d redundant with disk %d failed: %w", stripe, dead, ErrTooManyFailures)
+	if failed.n > 0 {
+		return fmt.Errorf("core: cannot make stripe %d redundant with disk %d failed: %w", stripe, failed.list()[failed.n-1], ErrTooManyFailures)
 	}
 	lk := s.stripeLock(stripe)
 	lk.Lock()
@@ -511,11 +480,7 @@ func (s *Store) parityPointStripe(stripe int64) error {
 	}
 	var err error
 	for tries := 0; ; tries++ {
-		if s.geo.Level == layout.RAID6 {
-			err = s.rebuildParity6(stripe)
-		} else {
-			err = s.rebuildParity(stripe)
-		}
+		err = s.rebuildParity(stripe)
 		if err == nil || tries >= s.spanRetryBudget() {
 			break
 		}
@@ -552,7 +517,6 @@ func (s *Store) CheckParity() ([]int64, error) {
 	if int64(workers) > stripes {
 		workers = int(stripes)
 	}
-	raid6 := s.geo.Level == layout.RAID6
 	var (
 		cur      atomic.Int64
 		wg       sync.WaitGroup
@@ -580,11 +544,7 @@ func (s *Store) CheckParity() ([]int64, error) {
 				var consistent bool
 				var err error
 				for tries := 0; ; tries++ {
-					if raid6 {
-						consistent, err = s.checkStripe6(sb, stripe)
-					} else {
-						consistent, err = s.checkStripe(sb, stripe)
-					}
+					consistent, err = s.checkStripe(sb, stripe)
 					if err == nil || tries >= s.spanRetryBudget() {
 						break
 					}
@@ -623,19 +583,4 @@ func (s *Store) CheckParity() ([]int64, error) {
 	}
 	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 	return bad, nil
-}
-
-// checkStripe verifies one stripe's parity under its stripe lock.
-func (s *Store) checkStripe(sb *stripeBuf, stripe int64) (bool, error) {
-	lk := s.stripeLock(stripe)
-	lk.Lock()
-	err := s.readStripeUnits(sb, stripe, -1, -1)
-	if err == nil {
-		err = s.devRead(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
-	}
-	lk.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return parity.Check(sb.p, sb.units...), nil
 }

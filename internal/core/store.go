@@ -153,11 +153,15 @@ type Store struct {
 	opts Options
 	nv   NVRAM
 
+	// The stripe engine's constants (stripe.go), fixed at Open.
+	code     parity.Code // the erasure code: m = geo.Level.ParityUnits() parities
+	allPar   paritySet   // every parity of the code
+	deferred paritySet   // parities a mark declares stale, and deferring writes skip
+
 	meta     sync.Mutex // guards everything below
 	marks    *nvram.Bitmap
 	policy   []StripePolicy
-	dead     int // index of first failed disk, -1 if none
-	dead2    int // second failed disk (RAID 6 only), -1 if none
+	failed   failedSet // failed member disks, in failure order
 	lastIO   time.Time
 	closed   bool
 	stats    Stats
@@ -255,8 +259,6 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		devs:       devs,
 		opts:       opts,
 		nv:         nv,
-		dead:       -1,
-		dead2:      -1,
 		repDisk:    -1,
 		lastIO:     time.Now(),
 		claimed:    make(map[int64]bool),
@@ -266,6 +268,15 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		kick:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		policy:     make([]StripePolicy, geo.Stripes()),
+	}
+	// A mark defers the code's last parity — the only one on RAID 5, Q on
+	// RAID 6 — or all of them with DeferBothParities.
+	m := lvl.ParityUnits()
+	s.code = parity.Code(m)
+	s.allPar = paritySet(1)<<m - 1
+	s.deferred = s.allPar
+	if m > 1 && !opts.DeferBothParities {
+		s.deferred = 1 << (m - 1)
 	}
 	s.gcCond = sync.NewCond(&s.meta)
 	// I/O workers serve the per-disk unit reads fanned out by stripe
@@ -289,13 +300,8 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		if _, err := d.ReadAt(probe, 0); err == nil {
 			continue
 		}
-		switch {
-		case s.dead < 0:
-			s.dead = i
-		case lvl == layout.RAID6 && s.dead2 < 0:
-			s.dead2 = i
-		default:
-			return nil, fmt.Errorf("core: devices %d and %d both failed: %w", s.dead, i, ErrTooManyFailures)
+		if !s.failed.add(i, s.maxFailed()) {
+			return nil, fmt.Errorf("core: devices %v and %d all failed: %w", s.failed.list(), i, ErrTooManyFailures)
 		}
 	}
 	if opts.Checksums {
@@ -434,14 +440,7 @@ func (s *Store) DirtyStripes() int64 {
 func (s *Store) DeadDisks() []int {
 	s.meta.Lock()
 	defer s.meta.Unlock()
-	var out []int
-	if s.dead >= 0 {
-		out = append(out, s.dead)
-	}
-	if s.dead2 >= 0 {
-		out = append(out, s.dead2)
-	}
-	return out
+	return append([]int(nil), s.failed.list()...)
 }
 
 // DirtyList returns the stripes currently marked unredundant — the
@@ -461,6 +460,11 @@ func (s *Store) Stats() Stats {
 	st.DirtyStripes = s.marks.Count()
 	return st
 }
+
+// maxFailed is how many member failures the store absorbs before
+// refusing more: one per parity unit. A RAID 0 store still tracks a
+// single failed member so that its loss can be reported and repaired.
+func (s *Store) maxFailed() int { return max(int(s.code), 1) }
 
 // stripeLock returns the lock covering a stripe.
 func (s *Store) stripeLock(stripe int64) *sync.Mutex {
@@ -500,7 +504,7 @@ func (s *Store) effectivePolicy(stripe int64) StripePolicy {
 		return p
 	}
 	switch s.opts.Mode {
-	case Raid5:
+	case Raid5, Raid6:
 		return PolicyAlwaysRedundant
 	case Raid0:
 		return PolicyNeverRedundant
@@ -571,11 +575,7 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 		t1 := time.Now()
 		var err error
 		for tries := 0; ; tries++ {
-			if s.geo.Level == layout.RAID6 {
-				err = s.readSpan6(p, off, sp)
-			} else {
-				err = s.readSpan(p, off, sp)
-			}
+			err = s.readSpan(p, off, sp)
 			// A member reporting fail-stop failure mid-span moves the
 			// store to degraded mode; retry the span, now reconstructing
 			// around the dead disk. absorbFailure refuses once the
@@ -613,76 +613,6 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 	return len(p), nil
 }
 
-// readSpan reads one stripe's extents, reconstructing around a failed
-// disk when possible. Caller holds the stripe lock.
-func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
-	s.meta.Lock()
-	dead := s.dead
-	dirty := s.marks.IsMarked(sp.Stripe)
-	pol := s.effectivePolicy(sp.Stripe)
-	s.meta.Unlock()
-
-	for _, e := range sp.Extents {
-		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if e.Disk != dead {
-			if err := s.devRead(e.Disk, dst, e.DiskOff); err != nil {
-				return err
-			}
-			continue
-		}
-		// The extent lives on the failed disk.
-		if dirty || pol == PolicyNeverRedundant {
-			return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
-		}
-		if err := s.degradedReadExtent(dst, sp.Stripe, e); err != nil {
-			return err
-		}
-		s.meta.Lock()
-		s.stats.DegradedReads++
-		s.meta.Unlock()
-	}
-	return nil
-}
-
-// degradedReadExtent reconstructs a lost extent from parity plus the
-// surviving data units. The survivor reads target distinct disks, so
-// they are fanned out to the I/O workers and overlap; the parity read
-// is done inline by this goroutine. Caller holds the stripe lock.
-func (s *Store) degradedReadExtent(dst []byte, stripe int64, e layout.Extent) error {
-	n := len(dst)
-	off := s.geo.DiskOffset(stripe) + e.UnitOff
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	for i := range sb.errs {
-		sb.errs[i] = nil
-	}
-	dd := s.geo.DataDisks()
-	for i := 0; i < dd; i++ {
-		if i == e.DataIdx {
-			continue
-		}
-		s.devReadAsync(s.geo.DataDisk(stripe, i), sb.units[i][:n], off, &sb.errs[i], &sb.wg)
-	}
-	p := sb.p[:n]
-	perr := s.devRead(s.geo.ParityDisk(stripe), p, off)
-	sb.wg.Wait()
-	if perr != nil {
-		return perr
-	}
-	sb.gather = sb.gather[:0]
-	for i := 0; i < dd; i++ {
-		if i == e.DataIdx {
-			continue
-		}
-		if sb.errs[i] != nil {
-			return sb.errs[i]
-		}
-		sb.gather = append(sb.gather, sb.units[i][:n])
-	}
-	parity.Reconstruct(dst, p, sb.gather...)
-	return nil
-}
-
 // WriteAt implements io.WriterAt over the client address space.
 func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 	return s.WriteContext(context.Background(), p, off)
@@ -716,11 +646,7 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 		t1 := time.Now()
 		var err error
 		for tries := 0; ; tries++ {
-			if s.geo.Level == layout.RAID6 {
-				err = s.writeSpan6(p, off, sp)
-			} else {
-				err = s.writeSpan(p, off, sp)
-			}
+			err = s.writeSpan(p, off, sp)
 			// See ReadContext: absorb a fail-stop member (or repair a
 			// unit that failed checksum verification) and retry the span
 			// under the appropriate protocol.
@@ -769,228 +695,6 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	s.kickScrub()
 	s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, nil)
 	return len(p), nil
-}
-
-// writeSpan applies one stripe's worth of a write under the stripe lock.
-func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
-	s.meta.Lock()
-	dead := s.dead
-	pol := s.effectivePolicy(sp.Stripe)
-	s.meta.Unlock()
-
-	if dead >= 0 && pol != PolicyNeverRedundant {
-		// Degraded operation: with a disk already gone, deferring
-		// parity would turn the next failure into certain loss, so the
-		// array maintains parity synchronously (and through it the
-		// contents of the dead unit).
-		return s.writeSpanDegraded(p, base, sp)
-	}
-
-	switch pol {
-	case PolicyNeverRedundant:
-		return s.writeSpanData(p, base, sp, dead)
-	case PolicyAlwaysRedundant:
-		return s.writeSpanRaid5(p, base, sp)
-	default: // AFRAID
-		// Verify the old contents under partial extents *before* marking:
-		// a corruption found after our own mark would be misread as
-		// dirty-stripe loss (see preflightChecksums).
-		if err := s.preflightChecksums(sp); err != nil {
-			return err
-		}
-		if err := s.markStripe(sp.Stripe); err != nil {
-			return err
-		}
-		return s.writeSpanData(p, base, sp, -1)
-	}
-}
-
-// writeSpanData writes only the data extents. A dead disk makes writes
-// to its units unrecoverable, matching RAID 0 semantics.
-func (s *Store) writeSpanData(p []byte, base int64, sp layout.StripeSpan, dead int) error {
-	for _, e := range sp.Extents {
-		if e.Disk == dead {
-			return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
-		}
-		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if err := s.devWrite(e.Disk, src, e.DiskOff); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeSpanRaid5 performs the synchronous small-update protocol:
-// read old data and old parity, xor-update, write data and parity.
-func (s *Store) writeSpanRaid5(p []byte, base int64, sp layout.StripeSpan) error {
-	stripe := sp.Stripe
-	pDisk := s.geo.ParityDisk(stripe)
-	for _, e := range sp.Extents {
-		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if err := s.rmwExtent(stripe, pDisk, e, src); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rmwExtent is one extent's read-modify-write. The old-data and
-// old-parity reads target different disks, so one is handed to the I/O
-// workers while this goroutine does the other; scratch comes from the
-// stripe-buffer pool, so steady-state RAID 5 writes allocate nothing.
-func (s *Store) rmwExtent(stripe int64, pDisk int, e layout.Extent, src []byte) error {
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	old := sb.units[0][:e.Len]
-	sb.errs[0] = nil
-	s.devReadAsync(e.Disk, old, e.DiskOff, &sb.errs[0], &sb.wg)
-	par := sb.p[:e.Len]
-	pOff := s.geo.DiskOffset(stripe) + e.UnitOff
-	perr := s.devRead(pDisk, par, pOff)
-	sb.wg.Wait()
-	if perr != nil {
-		return perr
-	}
-	if sb.errs[0] != nil {
-		return sb.errs[0]
-	}
-	pt := time.Now()
-	parity.Update(par, old, src)
-	s.observeParity(pt)
-	if err := s.devWrite(e.Disk, src, e.DiskOff); err != nil {
-		return err
-	}
-	return s.devWrite(pDisk, par, pOff)
-}
-
-// writeSpanDegraded rewrites the whole stripe image around a failed
-// disk: reconstruct, apply the new data, recompute parity, write the
-// surviving units. Caller holds the stripe lock.
-func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan) error {
-	stripe := sp.Stripe
-	s.meta.Lock()
-	dead := s.dead
-	dirty := s.marks.IsMarked(stripe)
-	s.meta.Unlock()
-
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	if err := s.loadStripeImageInto(sb, stripe, dead, dirty); err != nil {
-		return err
-	}
-	// Apply the new data in memory.
-	for _, e := range sp.Extents {
-		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		copy(sb.units[e.DataIdx][e.UnitOff:], src)
-	}
-	return s.storeStripeImage(stripe, sb, dead, dirty)
-}
-
-// loadStripeImageInto reads all data units of a stripe into sb,
-// reconstructing the dead one from parity when the stripe is clean. A
-// dirty stripe's dead data unit is unrecoverable and is surfaced as
-// ErrDataLoss.
-func (s *Store) loadStripeImageInto(sb *stripeBuf, stripe int64, dead int, dirty bool) error {
-	deadIdx := -1
-	if dead >= 0 {
-		for i := range sb.units {
-			if s.geo.DataDisk(stripe, i) == dead {
-				deadIdx = i
-				break
-			}
-		}
-	}
-	if deadIdx >= 0 && dirty {
-		return fmt.Errorf("%w: stripe %d", ErrDataLoss, stripe)
-	}
-	if err := s.readStripeUnits(sb, stripe, dead, -1); err != nil {
-		return err
-	}
-	if deadIdx >= 0 {
-		pDisk := s.geo.ParityDisk(stripe)
-		if pDisk == dead {
-			return fmt.Errorf("core: internal: dead disk is both data and parity")
-		}
-		if err := s.devRead(pDisk, sb.p, s.geo.DiskOffset(stripe)); err != nil {
-			return err
-		}
-		parity.Reconstruct(sb.units[deadIdx], sb.p, sb.survivors(deadIdx)...)
-	}
-	return nil
-}
-
-// storeStripeImage writes back a full stripe image (data plus parity),
-// skipping the dead disk's unit; parity then encodes it. When a repair
-// sweep has already rebuilt this stripe onto an in-progress replacement,
-// the dead disk's unit is mirrored there too, so the replacement does
-// not hold stale data when RepairDisk swaps it in.
-func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, dead int, wasDirty bool) error {
-	off := s.geo.DiskOffset(stripe)
-	rd := s.repairTarget(stripe, dead)
-	for i, u := range sb.units {
-		d := s.geo.DataDisk(stripe, i)
-		if d == dead {
-			if rd != nil {
-				if _, err := rd.WriteAt(u, off); err != nil {
-					return fmt.Errorf("core: repair mirror write: %w", err)
-				}
-				if err := s.putChecksumTo(rd, stripe, u); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := s.devWrite(d, u, off); err != nil {
-			return err
-		}
-	}
-	pDisk := s.geo.ParityDisk(stripe)
-	pt := time.Now()
-	parity.Compute(sb.p, sb.units...)
-	s.observeParity(pt)
-	if pDisk == dead {
-		if rd != nil {
-			if _, err := rd.WriteAt(sb.p, off); err != nil {
-				return fmt.Errorf("core: repair mirror parity write: %w", err)
-			}
-			if err := s.putChecksumTo(rd, stripe, sb.p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := s.devWrite(pDisk, sb.p, off); err != nil {
-		return err
-	}
-	if wasDirty {
-		s.meta.Lock()
-		s.marks.Unmark(stripe)
-		s.dropQuarantine(stripe)
-		err := s.commitMarks()
-		s.meta.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// repairTarget returns the replacement device a degraded write to the
-// stripe must mirror disk d's unit onto: non-nil exactly when RepairDisk
-// is rebuilding disk d and its sweep has already rebuilt this stripe.
-// The answer cannot go stale within the span: a sweep worker sets the
-// stripe's done bit only while holding that stripe's lock, which the
-// caller already holds.
-func (s *Store) repairTarget(stripe int64, d int) BlockDevice {
-	if d < 0 {
-		return nil
-	}
-	s.meta.Lock()
-	defer s.meta.Unlock()
-	if s.repDisk == d && s.repDone != nil && s.repDone.IsMarked(stripe) {
-		return s.repDev
-	}
-	return nil
 }
 
 // checkRange validates a client range.

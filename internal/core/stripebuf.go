@@ -4,22 +4,23 @@ import (
 	"sync"
 )
 
-// stripeBuf is the per-rebuild scratch arena: one data-unit buffer per
-// data disk, P and Q parity buffers, a gather slice for assembling
-// variadic survivor lists without allocating, and the error slots +
-// WaitGroup used by the concurrent unit-read fan-out. Buffers are
-// recycled through the store's sync.Pool, so steady-state scrubbing,
-// parity points, and degraded reads allocate nothing.
+// stripeBuf is the per-stripe scratch arena: one unit buffer per data
+// disk and per parity, a view slice for handing byte ranges of them to
+// the erasure code without allocating, and the error slots + WaitGroup
+// used by the concurrent unit-read fan-out. Arenas are recycled through
+// the store's sync.Pool, so steady-state scrubbing, parity points,
+// synchronous writes and degraded reads allocate nothing.
 //
-// Unit buffers come back with arbitrary contents; every user either
-// fills them from disk, reconstructs into them (a full overwrite), or
-// explicitly zeroes them (the unrecoverable-stripe repair path).
+// Buffers come back with arbitrary contents; every user either fills
+// them from disk, reconstructs into them (a full overwrite of the range
+// it then reads), or explicitly zeroes them (the salvage path).
 type stripeBuf struct {
-	units  [][]byte // data units, indexed by data index within the stripe
-	p, q   []byte   // parity scratch (q doubles as scratch on RAID 5 paths)
-	gather [][]byte // scratch for survivor/operand lists
-	errs   []error  // one slot per fanned-out read
-	wg     sync.WaitGroup
+	all   [][]byte // every unit of the stripe: data units by data index, then parity j at DataDisks()+j
+	units [][]byte // all[:DataDisks()]
+	par   [][]byte // all[DataDisks():]
+	view  [][]byte // scratch: byte-range views of all, nil where a parity is not in use
+	errs  []error  // one slot per fanned-out read, indexed like all
+	wg    sync.WaitGroup
 }
 
 // getStripeBuf returns a stripe arena sized for the store's geometry.
@@ -28,25 +29,20 @@ func (s *Store) getStripeBuf() *stripeBuf {
 		return v.(*stripeBuf)
 	}
 	dd := s.geo.DataDisks()
-	unit := s.geo.StripeUnit
 	sb := &stripeBuf{
-		units:  make([][]byte, dd),
-		p:      make([]byte, unit),
-		q:      make([]byte, unit),
-		gather: make([][]byte, 0, dd+1),
-		errs:   make([]error, dd+2),
+		all:  make([][]byte, s.geo.Disks),
+		view: make([][]byte, s.geo.Disks),
+		errs: make([]error, s.geo.Disks),
 	}
-	for i := range sb.units {
-		sb.units[i] = make([]byte, unit)
+	for i := range sb.all {
+		sb.all[i] = make([]byte, s.geo.StripeUnit)
 	}
+	sb.units, sb.par = sb.all[:dd], sb.all[dd:]
 	return sb
 }
 
 // putStripeBuf recycles an arena. The caller must not touch it after.
-func (s *Store) putStripeBuf(sb *stripeBuf) {
-	sb.gather = sb.gather[:0]
-	s.sbPool.Put(sb)
-}
+func (s *Store) putStripeBuf(sb *stripeBuf) { s.sbPool.Put(sb) }
 
 // ioReq is one device-unit read executed by the store's I/O workers.
 // Completion is signalled through wg; the result lands in *errp, made
@@ -86,51 +82,4 @@ func (s *Store) devReadAsync(disk int, buf []byte, off int64, errp *error, wg *s
 		*errp = s.devRead(disk, buf, off)
 		wg.Done()
 	}
-}
-
-// readStripeUnits fills sb.units[i] from the stripe's data disks,
-// fanning the per-disk reads out to the I/O workers — they target
-// distinct devices, so they overlap. Disks skipA/skipB (-1 for none)
-// are left untouched (their unit buffers keep arbitrary contents). One
-// read is kept back and done inline so the calling goroutine
-// contributes instead of blocking. Returns the first error in data-
-// index order.
-func (s *Store) readStripeUnits(sb *stripeBuf, stripe int64, skipA, skipB int) error {
-	off := s.geo.DiskOffset(stripe)
-	for i := range sb.errs {
-		sb.errs[i] = nil
-	}
-	inline := -1
-	for i := range sb.units {
-		d := s.geo.DataDisk(stripe, i)
-		if d == skipA || d == skipB {
-			continue
-		}
-		if inline < 0 {
-			inline = i
-			continue
-		}
-		s.devReadAsync(d, sb.units[i], off, &sb.errs[i], &sb.wg)
-	}
-	if inline >= 0 {
-		sb.errs[inline] = s.devRead(s.geo.DataDisk(stripe, inline), sb.units[inline], off)
-	}
-	sb.wg.Wait()
-	for i := range sb.units {
-		if err := sb.errs[i]; err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// survivors gathers sb.units excluding data index skip into sb.gather.
-func (sb *stripeBuf) survivors(skip int) [][]byte {
-	sb.gather = sb.gather[:0]
-	for i, u := range sb.units {
-		if i != skip {
-			sb.gather = append(sb.gather, u)
-		}
-	}
-	return sb.gather
 }

@@ -2,7 +2,6 @@ package parity
 
 import (
 	"bytes"
-	"fmt"
 
 	"afraid/internal/bufpool"
 )
@@ -146,81 +145,6 @@ func ComputePQ(p, q []byte, blocks ...[]byte) {
 	copy(q, blocks[0])
 	for i := 1; i < len(blocks); i++ {
 		foldPQ(p, q, blocks[i], gfPow(i))
-	}
-}
-
-// ReconstructOnePQ recovers data block idx from P (or Q if P is lost)
-// plus survivors. If useQ is false it uses P exactly like RAID 5; if
-// true it uses Q: d_idx = (Q - sum_{j!=idx} g^j d_j) / g^idx.
-func ReconstructOnePQ(dst []byte, idx int, useQ bool, pq []byte, survivors map[int][]byte) {
-	if len(dst) != len(pq) {
-		panic("parity: ReconstructOnePQ dst/parity length mismatch")
-	}
-	for _, b := range survivors {
-		if len(b) != len(dst) {
-			panic("parity: ReconstructOnePQ survivor length mismatch")
-		}
-	}
-	if !useQ {
-		copy(dst, pq)
-		for _, b := range survivors {
-			XOR(dst, b)
-		}
-		return
-	}
-	copy(dst, pq)
-	for j, b := range survivors {
-		mulInto(dst, b, gfPow(j))
-	}
-	row := &gfMulTab[gfInv(gfPow(idx))]
-	for i, v := range dst {
-		dst[i] = row[v]
-	}
-}
-
-// ReconstructTwoPQ recovers two missing data blocks x and y (x != y)
-// given both P and Q and the surviving data blocks, writing results into
-// dx and dy. Standard RAID 6 double-erasure decode:
-//
-//	Pxy = P ^ sum(survivors)            (= dx ^ dy)
-//	Qxy = Q ^ sum(g^j survivors_j)      (= g^x dx ^ g^y dy)
-//	dx  = (g^(y-x) Pxy ^ g^(-x) Qxy) / (g^(y-x) ^ 1)
-//	dy  = Pxy ^ dx
-func ReconstructTwoPQ(dx, dy []byte, x, y int, p, q []byte, survivors map[int][]byte) {
-	if x == y {
-		panic(fmt.Sprintf("parity: ReconstructTwoPQ with x == y == %d", x))
-	}
-	n := len(p)
-	if len(q) != n || len(dx) != n || len(dy) != n {
-		panic("parity: ReconstructTwoPQ length mismatch")
-	}
-	for _, b := range survivors {
-		if len(b) != n {
-			panic("parity: ReconstructTwoPQ survivor length mismatch")
-		}
-	}
-	pxy := bufpool.Get(n)
-	qxy := bufpool.Get(n)
-	defer bufpool.Put(pxy)
-	defer bufpool.Put(qxy)
-	copy(pxy, p)
-	copy(qxy, q)
-	for j, b := range survivors {
-		foldPQ(pxy, qxy, b, gfPow(j))
-	}
-	// a = g^(y-x), b = g^(-x)
-	a := gfPow(y - x)
-	binv := gfPow(-x)
-	denom := a ^ 1
-	rowA := &gfMulTab[a]
-	rowB := &gfMulTab[binv]
-	rowD := &gfMulTab[gfInv(denom)]
-	dx = dx[:n]
-	dy = dy[:n]
-	for i := 0; i < n; i++ {
-		v := rowD[rowA[pxy[i]]^rowB[qxy[i]]]
-		dx[i] = v
-		dy[i] = pxy[i] ^ v
 	}
 }
 

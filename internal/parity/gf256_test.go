@@ -75,66 +75,167 @@ func randomBlocks(seed uint64, width, blockLen int) [][]byte {
 	return blocks
 }
 
-func TestPQSingleReconstruction(t *testing.T) {
-	prop := func(seed uint64, wv uint8) bool {
-		width := int(wv%6) + 2
-		blocks := randomBlocks(seed, width, 48)
-		p := make([]byte, 48)
-		q := make([]byte, 48)
-		ComputePQ(p, q, blocks...)
-		for lost := 0; lost < width; lost++ {
-			survivors := map[int][]byte{}
-			for i, b := range blocks {
-				if i != lost {
-					survivors[i] = b
-				}
-			}
-			gotP := make([]byte, 48)
-			ReconstructOnePQ(gotP, lost, false, p, survivors)
-			if !bytes.Equal(gotP, blocks[lost]) {
-				return false
-			}
-			gotQ := make([]byte, 48)
-			ReconstructOnePQ(gotQ, lost, true, q, survivors)
-			if !bytes.Equal(gotQ, blocks[lost]) {
-				return false
+// gfMulRef is bit-serial multiplication mod 0x11d: the byte-wise
+// reference the solver is checked against, sharing no table or kernel
+// with the code under test.
+func gfMulRef(a, b byte) byte {
+	var p byte
+	for ; b != 0; b >>= 1 {
+		if b&1 != 0 {
+			p ^= a
+		}
+		carry := a&0x80 != 0
+		a <<= 1
+		if carry {
+			a ^= 0x1d
+		}
+	}
+	return p
+}
+
+// solveRef is the naive byte-at-a-time erasure solver: the syndromes of
+// the missing units are accumulated from the survivors with gfMulRef,
+// and inverses are found by exhaustive search.
+func solveRef(data [][]byte, missing []int, p, q []byte) {
+	pow := func(n int) byte {
+		v := byte(1)
+		for ; n > 0; n-- {
+			v = gfMulRef(v, 2)
+		}
+		return v
+	}
+	inv := func(a byte) byte {
+		for b := 1; b < 256; b++ {
+			if gfMulRef(a, byte(b)) == 1 {
+				return byte(b)
 			}
 		}
-		return true
+		panic("no inverse")
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	gone := func(i int) bool {
+		for _, m := range missing {
+			if m == i {
+				return true
+			}
+		}
+		return false
+	}
+	for pos := range data[missing[0]] {
+		var ps, qs byte // syndromes: what the missing units contribute to P and Q
+		if p != nil {
+			ps = p[pos]
+		}
+		if q != nil {
+			qs = q[pos]
+		}
+		for i, b := range data {
+			if !gone(i) {
+				ps ^= b[pos]
+				qs ^= gfMulRef(pow(i), b[pos])
+			}
+		}
+		switch {
+		case len(missing) == 1 && p != nil:
+			data[missing[0]][pos] = ps
+		case len(missing) == 1:
+			data[missing[0]][pos] = gfMulRef(qs, inv(pow(missing[0])))
+		default:
+			// dx ^ dy = ps, g^x dx ^ g^y dy = qs
+			x, y := missing[0], missing[1]
+			dx := gfMulRef(qs^gfMulRef(pow(y), ps), inv(pow(x)^pow(y)))
+			data[x][pos], data[y][pos] = dx, ps^dx
+		}
 	}
 }
 
-func TestPQDoubleReconstruction(t *testing.T) {
-	prop := func(seed uint64, wv uint8) bool {
-		width := int(wv%5) + 3 // 3..7 data blocks
-		blocks := randomBlocks(seed, width, 40)
-		p := make([]byte, 40)
-		q := make([]byte, 40)
-		ComputePQ(p, q, blocks...)
-		for x := 0; x < width; x++ {
-			for y := x + 1; y < width; y++ {
-				survivors := map[int][]byte{}
-				for i, b := range blocks {
-					if i != x && i != y {
-						survivors[i] = b
-					}
-				}
-				dx := make([]byte, 40)
-				dy := make([]byte, 40)
-				ReconstructTwoPQ(dx, dy, x, y, p, q, survivors)
-				if !bytes.Equal(dx, blocks[x]) || !bytes.Equal(dy, blocks[y]) {
-					return false
+// TestSolveMatchesReference is the differential test of the slice-
+// indexed solve entry point: every single erasure from P alone and from
+// Q alone, and every (x,y) pair in both orders, at k = 4 and 8, must
+// match the naive reference and the original data. The length is odd so
+// the SIMD kernels exercise their tails; the noasm build runs the same
+// table over the generic kernels.
+func TestSolveMatchesReference(t *testing.T) {
+	const n = 4099
+	for _, k := range []int{4, 8} {
+		orig := randomBlocks(uint64(k), k, n)
+		p, q := make([]byte, n), make([]byte, n)
+		Code(2).Encode([][]byte{p, q}, orig)
+		try := func(code Code, missing []int, par [][]byte) {
+			t.Helper()
+			got, want := cloneBlocks(orig), cloneBlocks(orig)
+			for _, m := range missing {
+				fill(got[m], 0xdead) // the solver must overwrite, not fold into, its outputs
+			}
+			if !code.Solve(got, missing, par) {
+				t.Fatalf("k=%d missing=%v: Solve refused a solvable set", k, missing)
+			}
+			var rp, rq []byte
+			if len(par) > 0 {
+				rp = par[0]
+			}
+			if len(par) > 1 {
+				rq = par[1]
+			}
+			solveRef(want, missing, rp, rq)
+			for i := range orig {
+				if !bytes.Equal(got[i], want[i]) || !bytes.Equal(got[i], orig[i]) {
+					t.Fatalf("k=%d missing=%v: unit %d diverges from the reference", k, missing, i)
 				}
 			}
 		}
-		return true
+		for x := 0; x < k; x++ {
+			try(Code(1), []int{x}, [][]byte{p})
+			try(Code(2), []int{x}, [][]byte{p, q})
+			try(Code(2), []int{x}, [][]byte{nil, q})
+			for y := 0; y < k; y++ {
+				if x != y {
+					try(Code(2), []int{x, y}, [][]byte{p, q})
+				}
+			}
+		}
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+}
+
+// Solve must refuse, and leave its operands alone, when the available
+// parities cannot cover the missing set.
+func TestSolveRefusesUncoveredSets(t *testing.T) {
+	orig := randomBlocks(3, 4, 64)
+	p, q := make([]byte, 64), make([]byte, 64)
+	ComputePQ(p, q, orig...)
+	for _, tc := range []struct {
+		code    Code
+		missing []int
+		par     [][]byte
+	}{
+		{Code(0), []int{1}, nil},
+		{Code(1), []int{1}, [][]byte{nil}},
+		{Code(1), []int{0, 1}, [][]byte{p}},
+		{Code(1), []int{1}, [][]byte{nil, q}}, // a single-parity code has no Q to use
+		{Code(2), []int{0, 1}, [][]byte{p, nil}},
+		{Code(2), []int{0, 1}, [][]byte{nil, q}},
+		{Code(2), []int{0, 1, 2}, [][]byte{p, q}},
+	} {
+		got := cloneBlocks(orig)
+		if tc.code.Solve(got, tc.missing, tc.par) {
+			t.Fatalf("Code(%d) solved missing=%v with an uncovering parity set", tc.code, tc.missing)
+		}
+		for i := range orig {
+			if !bytes.Equal(got[i], orig[i]) {
+				t.Fatalf("Code(%d) missing=%v: refused solve modified unit %d", tc.code, tc.missing, i)
+			}
+		}
 	}
+	if !Code(0).Solve(orig, nil, nil) {
+		t.Fatal("nothing missing must always solve")
+	}
+}
+
+func cloneBlocks(blocks [][]byte) [][]byte {
+	out := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		out[i] = append([]byte(nil), b...)
+	}
+	return out
 }
 
 func TestCheckPQDetectsCorruption(t *testing.T) {
@@ -163,11 +264,12 @@ func TestPQMatchesXORForP(t *testing.T) {
 	}
 }
 
-func TestReconstructTwoSameIndexPanics(t *testing.T) {
+func TestSolveSameIndexPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("x == y did not panic")
 		}
 	}()
-	ReconstructTwoPQ(make([]byte, 4), make([]byte, 4), 2, 2, make([]byte, 4), make([]byte, 4), nil)
+	blocks := randomBlocks(1, 4, 4)
+	Code(2).Solve(blocks, []int{2, 2}, [][]byte{make([]byte, 4), make([]byte, 4)})
 }

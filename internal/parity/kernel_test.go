@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"afraid/internal/testutil"
 )
 
 // xorNaive is the reference byte-at-a-time fold the word-wise kernels
@@ -183,10 +185,10 @@ func TestUpdateQMatchesDeltaForm(t *testing.T) {
 }
 
 // TestHotKernelsAllocFree asserts the steady-state data path allocates
-// nothing: Check, CheckPQ, UpdateQ, and ReconstructTwoPQ after the
-// buffer pool has warmed.
+// nothing: Check, CheckPQ, UpdateQ, and Code.Solve (one and two
+// erasures) after the buffer pool has warmed.
 func TestHotKernelsAllocFree(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector adds allocations; assertion only holds in normal builds")
 	}
 	n := 8 << 10
@@ -222,16 +224,22 @@ func TestHotKernelsAllocFree(t *testing.T) {
 		t.Errorf("UpdateQ allocates %v per op", a)
 	}
 
-	dx := make([]byte, n)
-	dy := make([]byte, n)
-	surv := map[int][]byte{2: blocks[2], 3: blocks[3]}
-	if a := testing.AllocsPerRun(20, func() {
-		ReconstructTwoPQ(dx, dy, 0, 1, p, q, surv)
-	}); a > 0 {
-		t.Errorf("ReconstructTwoPQ allocates %v per op", a)
+	work := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		work[i] = append([]byte(nil), b...)
 	}
-	if !bytes.Equal(dx, blocks[0]) || !bytes.Equal(dy, blocks[1]) {
-		t.Error("ReconstructTwoPQ wrong answer")
+	par := [][]byte{p, q}
+	for _, missing := range [][]int{{1}, {0, 1}} {
+		if a := testing.AllocsPerRun(20, func() {
+			if !Code(2).Solve(work, missing, par) {
+				t.Fatal("Solve refused a solvable set")
+			}
+		}); a > 0 {
+			t.Errorf("Solve%v allocates %v per op", missing, a)
+		}
+	}
+	if !bytes.Equal(work[0], blocks[0]) || !bytes.Equal(work[1], blocks[1]) {
+		t.Error("Solve wrong answer")
 	}
 }
 

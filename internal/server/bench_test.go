@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/testutil"
 )
 
 // BenchmarkServerThroughput is the serving-path baseline: 4 KB random
@@ -185,7 +186,7 @@ func BenchmarkServerRead(b *testing.B) {
 // trip the bound. Gated off under -race, whose instrumented sync.Pool
 // allocates on every Get/Put.
 func TestReadResponsePathAllocBytes(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector adds bookkeeping allocations")
 	}
 	srv, c := startReadBench(t)
