@@ -8,6 +8,7 @@ import (
 
 	"afraid/internal/bufpool"
 	"afraid/internal/layout"
+	"afraid/internal/nvram"
 	"afraid/internal/parity"
 )
 
@@ -144,7 +145,7 @@ func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp
 	// Record the exposure before mutating remote state: a crash between
 	// here and the unmark below re-runs as a parity rebuild (or an
 	// honest loss report if the absent node is lost for good).
-	if err := v.markStripe(st); err != nil {
+	if err := v.eng.Mark(st); err != nil {
 		return err
 	}
 
@@ -192,11 +193,11 @@ func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp
 		return err
 	}
 
-	// Phase 4: the stripe is redundant again. Settle the marks.
+	// Phase 4: the stripe is redundant again. Settle the marks — the stale
+	// maps first, so no image shows the stripe clean beside a stale map
+	// that still trusts the absent unit (see composeMarks).
 	bNode := v.geo.DataDisk(st, bIdx)
 	v.meta.Lock()
-	defer v.meta.Unlock()
-	v.dirty.Unmark(st)
 	v.nodes[pNode].stale.Unmark(st) // parity unit just rewritten
 	if bReachable {
 		v.nodes[bNode].stale.Unmark(st) // full unit just rewritten
@@ -206,37 +207,41 @@ func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp
 		v.nodes[bNode].stale.Mark(st)
 	}
 	v.stats.DegradedWrites++
-	return v.persistMarksLocked()
+	v.meta.Unlock()
+	v.eng.Clear(st)
+	return v.eng.Commit()
 }
 
-// unmarkStripe clears a stripe's dirty bit and persists.
-func (v *Volume) unmarkStripe(stripe int64) error {
-	v.meta.Lock()
-	defer v.meta.Unlock()
-	if v.dirty.Unmark(stripe) {
-		return v.persistMarksLocked()
-	}
-	return nil
-}
-
-// drainStripe makes one stripe redundant: read every data unit, XOR,
-// write the parity unit, clear the dirty bit. Returns skipped=true when
-// a node the stripe needs is unavailable — the stripe stays marked and
-// a later drain (after heal) retries.
-func (v *Volume) drainStripe(ctx context.Context, st int64) (drained, skipped bool, err error) {
+// drainStripe is the volume's half of the deferred-redundancy engine:
+// make one stripe redundant — read every data unit, XOR, write the
+// parity unit — and the engine clears its dirty bit. It skips when a
+// node the stripe needs is unavailable: the stripe stays marked and a
+// later drain (after heal) retries.
+func (v *Volume) drainStripe(ctx context.Context, c nvram.Claim) (nvram.Outcome, error) {
+	st := c.Unit
 	lk := v.stripeLock(st)
 	lk.Lock()
 	defer lk.Unlock()
-	h := v.health(st)
-	if !h.dirty {
-		return false, false, nil
+	if !c.Proceed() {
+		return nvram.Skip, nil
 	}
-	if len(h.badIdx) > 0 || !h.parityWrit {
-		return false, true, nil
+	if h := v.health(st); len(h.badIdx) > 0 || !h.parityWrit {
+		return nvram.Skip, nil
 	}
 	t0 := time.Now()
-	n := v.geo.DataDisks()
-	units := make([][]byte, n)
+	if err := v.rebuildParityUnit(ctx, st); err != nil {
+		return nvram.Skip, ignoreNodeDown(err)
+	}
+	v.ob.drain.Observe(time.Since(t0))
+	return nvram.Done, nil
+}
+
+// rebuildParityUnit recomputes a stripe's parity unit from its data
+// units and writes it, leaving the stripe redundant and its parity unit
+// no longer stale; clearing the dirty bit is the caller's. Caller holds
+// the stripe lock and has checked the nodes involved are available.
+func (v *Volume) rebuildParityUnit(ctx context.Context, st int64) error {
+	units := make([][]byte, v.geo.DataDisks())
 	for idx := range units {
 		units[idx] = bufpool.Get(int(v.geo.StripeUnit))
 	}
@@ -248,19 +253,15 @@ func (v *Volume) drainStripe(ctx context.Context, st int64) (drained, skipped bo
 		bufpool.Put(pbuf)
 	}()
 	if err := v.readUnits(ctx, st, units); err != nil {
-		return false, true, ignoreNodeDown(err)
+		return err
 	}
 	parity.Compute(pbuf, units...)
 	pNode := v.geo.ParityDisk(st)
 	if err := v.nodeWrite(ctx, pNode, pbuf, v.geo.DiskOffset(st)); err != nil {
-		return false, true, ignoreNodeDown(err)
+		return err
 	}
 	v.meta.Lock()
-	v.dirty.Unmark(st)
-	v.nodes[pNode].stale.Unmark(st) // just rewritten
-	v.stats.ParityDrains++
-	err = v.persistMarksLocked()
+	v.nodes[pNode].stale.Unmark(st)
 	v.meta.Unlock()
-	v.ob.drain.Observe(time.Since(t0))
-	return true, false, err
+	return nil
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
+
+	"afraid/internal/nvram"
 )
 
 // ignoreNodeDown absorbs a node failure observed during background
@@ -16,50 +16,6 @@ func ignoreNodeDown(err error) error {
 		return nil
 	}
 	return err
-}
-
-// drainLoop is the volume's background parity engine: when the volume
-// has been quiet for DrainIdle, or whenever the dirty backlog breaches
-// MaxDirty, it walks the dirty stripes and rebuilds their parity units.
-func (v *Volume) drainLoop() {
-	defer v.wg.Done()
-	period := v.opts.DrainIdle / 2
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-v.stop:
-			return
-		case <-v.kick:
-		case <-t.C:
-		}
-		v.drainPass()
-	}
-}
-
-// drainPass drains the current dirty set once, yielding to foreground
-// traffic unless the unredundancy window has been breached.
-func (v *Volume) drainPass() {
-	for _, st := range v.DirtyList() {
-		select {
-		case <-v.stop:
-			return
-		default:
-		}
-		v.meta.Lock()
-		quiet := time.Since(v.lastIO) >= v.opts.DrainIdle
-		over := v.dirty.Count() > v.opts.MaxDirty
-		v.meta.Unlock()
-		if !quiet && !over {
-			return // fresh foreground I/O; back off until idle again
-		}
-		if _, _, err := v.drainStripe(context.Background(), st); err != nil {
-			return
-		}
-	}
 }
 
 // Flush drains every dirty stripe (Workers at a time) and then flushes
@@ -74,57 +30,22 @@ func (v *Volume) Flush(ctx context.Context) error {
 	if closed {
 		return ErrClosed
 	}
-	for {
-		list := v.DirtyList()
-		if len(list) == 0 {
-			break
-		}
-		drained, skipped, err := v.drainMany(ctx, list)
-		if err != nil {
-			return err
-		}
-		if drained == 0 {
-			if skipped > 0 {
-				return fmt.Errorf("%w: %d stripes", ErrDegraded, skipped)
-			}
-			break
-		}
+	res, err := v.eng.DrainAll(ctx)
+	if err != nil {
+		return err
+	}
+	if err := degraded(res); err != nil {
+		return err
 	}
 	return v.flushNodes(ctx)
 }
 
-// drainMany drains the listed stripes with bounded concurrency.
-func (v *Volume) drainMany(ctx context.Context, list []int64) (drained, skipped int64, err error) {
-	sem := make(chan struct{}, v.opts.Workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, st := range list {
-		if err := ctx.Err(); err != nil {
-			wg.Wait()
-			return drained, skipped, err
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(st int64) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ok, skip, err := v.drainStripe(ctx, st)
-			mu.Lock()
-			defer mu.Unlock()
-			if ok {
-				drained++
-			}
-			if skip {
-				skipped++
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}(st)
+// degraded reports the stripes a requested drain had to skip.
+func degraded(res nvram.DrainResult) error {
+	if res.Skipped > 0 {
+		return fmt.Errorf("%w: %d stripes", ErrDegraded, res.Skipped)
 	}
-	wg.Wait()
-	return drained, skipped, firstErr
+	return nil
 }
 
 // flushNodes asks each reachable node to settle its own store.
@@ -157,17 +78,9 @@ func (v *Volume) ParityPoint(ctx context.Context, off, length int64) error {
 		return nil
 	}
 	sdb := v.geo.StripeDataBytes()
-	first, last := off/sdb, (off+length-1)/sdb
-	list := make([]int64, 0, last-first+1)
-	for st := first; st <= last; st++ {
-		list = append(list, st)
-	}
-	_, skipped, err := v.drainMany(ctx, list)
+	res, err := v.eng.DrainRange(ctx, off/sdb, (off+length-1)/sdb+1)
 	if err != nil {
 		return err
 	}
-	if skipped > 0 {
-		return fmt.Errorf("%w: %d stripes", ErrDegraded, skipped)
-	}
-	return nil
+	return degraded(res)
 }

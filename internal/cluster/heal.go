@@ -82,11 +82,7 @@ func (v *Volume) healNode(ctx context.Context, i int, full bool) (HealReport, er
 		v.healStripe(ctx, i, st, full, &rep)
 	}
 	// Stripes left dirty (parity-role backlog, loss survivors) are the
-	// drain's problem now.
-	select {
-	case v.kick <- struct{}{}:
-	default:
-	}
+	// drain's problem now; its next poll finds them.
 	v.meta.Lock()
 	if m.state == StateUp {
 		m.consecFails = 0 // clean sweep: the node earned its record back
@@ -154,8 +150,8 @@ func (v *Volume) healStripe(ctx context.Context, i int, st int64, full bool, rep
 	m := v.nodes[i]
 	up := m.state == StateUp && m.node != nil
 	stale := m.stale.IsMarked(st)
-	dirty := v.dirty.IsMarked(st)
 	v.meta.Unlock()
+	dirty := v.eng.IsMarked(st)
 	if !up {
 		rep.Remaining++ // node died again mid-sweep
 		return
@@ -168,7 +164,12 @@ func (v *Volume) healStripe(ctx context.Context, i int, st int64, full bool, rep
 		}
 		// A suspect parity unit is healed by recomputation, which also
 		// drains the stripe if it was dirty.
-		if v.recomputeParity(ctx, st) != nil {
+		if h := v.health(st); len(h.badIdx) > 0 || v.rebuildParityUnit(ctx, st) != nil {
+			rep.Remaining++
+			return
+		}
+		v.eng.Clear(st)
+		if v.eng.Commit() != nil {
 			rep.Remaining++
 			return
 		}
@@ -198,8 +199,8 @@ func (v *Volume) healStripe(ctx context.Context, i int, st int64, full bool, rep
 		v.meta.Lock()
 		m.stale.Unmark(st)
 		v.stats.HealedStripes++
-		v.persistMarksLocked()
 		v.meta.Unlock()
+		v.eng.Commit() // best effort; an image that still calls the unit stale costs a re-heal
 		rep.Healed++
 		v.ob.heal.Observe(time.Since(t0))
 	}
@@ -210,49 +211,6 @@ func (v *Volume) bumpHealed(t0 time.Time) {
 	v.stats.HealedStripes++
 	v.meta.Unlock()
 	v.ob.heal.Observe(time.Since(t0))
-}
-
-// recomputeParity reads every data unit of a clean-or-dirty stripe,
-// recomputes parity, and writes it to the parity node, clearing the
-// dirty and parity-stale bits. Caller holds the stripe lock.
-func (v *Volume) recomputeParity(ctx context.Context, st int64) error {
-	n := v.geo.DataDisks()
-	v.meta.Lock()
-	ok := true
-	for idx := 0; idx < n; idx++ {
-		if !v.availLocked(v.geo.DataDisk(st, idx), st) {
-			ok = false
-		}
-	}
-	v.meta.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: stripe %d data incomplete", ErrNodeDown, st)
-	}
-	units := make([][]byte, n)
-	for idx := range units {
-		units[idx] = bufpool.Get(int(v.geo.StripeUnit))
-	}
-	pbuf := bufpool.Get(int(v.geo.StripeUnit))
-	defer func() {
-		for _, b := range units {
-			bufpool.Put(b)
-		}
-		bufpool.Put(pbuf)
-	}()
-	if err := v.readUnits(ctx, st, units); err != nil {
-		return err
-	}
-	parity.Compute(pbuf, units...)
-	pNode := v.geo.ParityDisk(st)
-	if err := v.nodeWrite(ctx, pNode, pbuf, v.geo.DiskOffset(st)); err != nil {
-		return err
-	}
-	v.meta.Lock()
-	v.dirty.Unmark(st)
-	v.nodes[pNode].stale.Unmark(st)
-	err := v.persistMarksLocked()
-	v.meta.Unlock()
-	return err
 }
 
 // rebuildUnit reconstructs data unit dIdx of a clean stripe from the

@@ -8,28 +8,28 @@ import (
 )
 
 // marksMagic heads the volume's persisted marking memory: the dirty map
-// plus one stale map per node, the cluster's whole recovery state.
+// plus one stale map per node, the cluster's whole recovery state. The
+// dirty map is the engine's (internal/nvram); this file only wraps the
+// stale maps around it, so both ride in one image. With no NVRAM
+// configured the marks are memory-only (a volume-host crash then costs
+// a full parity rebuild, exactly like running an array without NVRAM).
 const marksMagic = "AFCLMK1\n"
 
-// persistMarksLocked serialises the dirty and stale maps into the
-// configured NVRAM. Callers hold meta. With no NVRAM configured the
-// marks are memory-only (a volume-host crash then costs a full parity
-// rebuild, exactly like running an array without NVRAM).
-func (v *Volume) persistMarksLocked() error {
-	if v.opts.NV == nil {
-		return nil
-	}
-	blob := make([]byte, 0, 64)
+// composeMarks is the engine's image hook: called outside every lock
+// with the dirty map it just snapshotted, it appends the stale maps as
+// they are now — never older than the dirty map beside them, which is
+// why every site changes its stale bits before it clears a dirty one.
+func (v *Volume) composeMarks(dirty []byte) []byte {
+	blob := make([]byte, 0, len(marksMagic)+4+(len(v.nodes)+1)*(4+len(dirty)))
 	blob = append(blob, marksMagic...)
 	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(v.nodes)))
-	blob = appendBlob(blob, v.dirty.Serialize())
+	blob = appendBlob(blob, dirty)
+	v.meta.Lock()
+	defer v.meta.Unlock()
 	for _, m := range v.nodes {
 		blob = appendBlob(blob, m.stale.Serialize())
 	}
-	if err := v.opts.NV.Store(blob); err != nil {
-		return fmt.Errorf("cluster: persist marks: %w", err)
-	}
-	return nil
+	return blob
 }
 
 func appendBlob(dst, b []byte) []byte {
@@ -49,77 +49,45 @@ func takeBlob(src []byte) (blob, rest []byte, err error) {
 	return src[:n], src[n:], nil
 }
 
-// recoverMarks restores the marking memory from NVRAM at Open. An
-// absent image means a fresh volume. An unusable one (bad magic, wrong
-// shape) triggers the paper's NVRAM-loss recovery, cluster-wide: every
-// stripe is marked for parity rebuild and the event is flagged in
-// Stats.Recovered. The data on reachable nodes is trusted — what is
-// lost is the knowledge of which parity units lag it.
-func (v *Volume) recoverMarks() error {
-	if v.opts.NV == nil {
-		return nil
-	}
-	img, err := v.opts.NV.Load()
-	if err != nil {
-		return fmt.Errorf("cluster: load marks: %w", err)
-	}
-	if len(img) == 0 {
-		return nil // fresh marking memory
-	}
-	dirty, stales, perr := parseMarks(img, len(v.nodes), v.geo.Stripes())
-	if perr != nil {
-		v.logf("cluster: marking memory unusable (%v); recovering with full parity rebuild", perr)
-		v.meta.Lock()
-		markAll(v.dirty)
-		v.stats.Recovered = true
-		v.meta.Unlock()
-		return nil
-	}
-	v.meta.Lock()
-	v.dirty = dirty
-	for i, m := range v.nodes {
-		m.stale = stales[i]
-	}
-	if c := dirty.Count(); c > v.stats.DirtyHighWater {
-		v.stats.DirtyHighWater = c
-	}
-	v.meta.Unlock()
-	return nil
-}
-
-func parseMarks(img []byte, nodes int, stripes int64) (*nvram.Bitmap, []*nvram.Bitmap, error) {
+// parseMarks is the engine's load hook, run once at Open: it hands the
+// dirty map back to the engine and installs the stale maps — all of
+// them or, when any part of the image is unusable, none.
+func (v *Volume) parseMarks(img []byte) (dirty []byte, err error) {
+	defer func() {
+		if err != nil {
+			v.logf("cluster: marking memory unusable (%v); recovering with full parity rebuild", err)
+		}
+	}()
 	if len(img) < len(marksMagic)+4 || string(img[:len(marksMagic)]) != marksMagic {
-		return nil, nil, fmt.Errorf("bad magic")
+		return nil, fmt.Errorf("bad magic")
 	}
 	rest := img[len(marksMagic):]
-	n := binary.LittleEndian.Uint32(rest)
+	if n := binary.LittleEndian.Uint32(rest); int(n) != len(v.nodes) {
+		return nil, fmt.Errorf("image for %d nodes, volume has %d", n, len(v.nodes))
+	}
 	rest = rest[4:]
-	if int(n) != nodes {
-		return nil, nil, fmt.Errorf("image for %d nodes, volume has %d", n, nodes)
-	}
-	blob, rest, err := takeBlob(rest)
-	if err != nil {
-		return nil, nil, err
-	}
-	dirty, err := nvram.Deserialize(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	if dirty.Stripes() != stripes {
-		return nil, nil, fmt.Errorf("dirty map for %d stripes, volume has %d", dirty.Stripes(), stripes)
-	}
-	stales := make([]*nvram.Bitmap, nodes)
-	for i := 0; i < nodes; i++ {
-		blob, rest, err = takeBlob(rest)
-		if err != nil {
-			return nil, nil, err
+	// The dirty map is parsed here as well as by the engine, so that a bad
+	// one rejects the stale maps with it.
+	maps := make([]*nvram.Bitmap, 1+len(v.nodes))
+	for i := range maps {
+		var blob []byte
+		if blob, rest, err = takeBlob(rest); err != nil {
+			return nil, err
 		}
-		if stales[i], err = nvram.Deserialize(blob); err != nil {
-			return nil, nil, err
+		if i == 0 {
+			dirty = blob
 		}
-		if stales[i].Stripes() != stripes {
-			return nil, nil, fmt.Errorf("stale map %d wrong size", i)
+		if maps[i], err = nvram.Deserialize(blob); err != nil {
+			return nil, err
+		}
+		if got := maps[i].Stripes(); got != v.geo.Stripes() {
+			return nil, fmt.Errorf("map %d for %d stripes, volume has %d", i, got, v.geo.Stripes())
 		}
 	}
-	return dirty, stales, nil
+	v.meta.Lock()
+	for i, m := range v.nodes {
+		m.stale = maps[1+i]
+	}
+	v.meta.Unlock()
+	return dirty, nil
 }

@@ -113,10 +113,11 @@ func (v *Volume) nodeWrite(ctx context.Context, i int, p []byte, off int64) erro
 	if err != nil {
 		st := off / v.geo.StripeUnit
 		v.meta.Lock()
-		if v.nodes[i].stale.Mark(st) {
-			v.persistMarksLocked() // best effort; the bits survive in memory
-		}
+		changed := v.nodes[i].stale.Mark(st)
 		v.meta.Unlock()
+		if changed {
+			v.eng.Commit() // best effort; the bits survive in memory
+		}
 	}
 	return v.classify(ctx, i, gen, err)
 }

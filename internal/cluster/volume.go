@@ -185,18 +185,23 @@ type Volume struct {
 	geo  layout.Geometry
 	opts Options
 
+	// eng is the deferred-redundancy engine (internal/nvram), the one
+	// internal/core runs its stripes on: the dirty map (one unit per
+	// stripe) with its group-committed image, the idle and MaxDirty
+	// triggers, the inline valve and the drains, all calling drainStripe.
+	// Its calls that store an image (Mark, Commit, the drains) take meta
+	// to compose the stale maps in, so never make them holding meta.
+	eng *nvram.Engine
+
 	meta   sync.Mutex // guards nodes' mutable state and everything below
 	nodes  []*member
-	dirty  *nvram.Bitmap
-	stats  Stats
-	lastIO time.Time
+	stats  Stats // the drain and exposure fields are filled from eng by Stats()
 	closed bool
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
 	ob *volObs
 
-	kick chan struct{} // write-path handoff to drainLoop (capacity 1)
 	stop chan struct{}
 	wg   sync.WaitGroup
 
@@ -261,24 +266,37 @@ func Open(members []Member, opts Options) (*Volume, error) {
 		return nil, err
 	}
 	v := &Volume{
-		geo:    geo,
-		opts:   opts,
-		nodes:  nodes,
-		lastIO: time.Now(),
-		ob:     newVolObs(len(members)),
-		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
+		geo:   geo,
+		opts:  opts,
+		nodes: nodes,
+		ob:    newVolObs(len(members)),
+		stop:  make(chan struct{}),
 	}
 	v.bgCtx, v.bgCancel = context.WithCancel(context.Background())
 	if v.opts.RetryBudget == 0 {
 		v.opts.RetryBudget = len(members) + 1
 	}
-	v.dirty = nvram.NewBitmap(geo.Stripes())
 	for _, m := range nodes {
 		m.stale = nvram.NewBitmap(geo.Stripes())
 	}
-	if err := v.recoverMarks(); err != nil {
-		return nil, err
+	// The marking memory. An unusable image triggers the paper's
+	// NVRAM-loss recovery, cluster-wide: every stripe is marked for parity
+	// rebuild and the event is flagged in Stats.Recovered. The data on
+	// reachable nodes is trusted — what is lost is the knowledge of which
+	// parity units lag it.
+	var err error
+	v.eng, err = nvram.NewEngine(nvram.Config{
+		Units:         geo.Stripes(),
+		NV:            opts.NV,
+		Compose:       v.composeMarks,
+		Parse:         v.parseMarks,
+		Idle:          opts.DrainIdle,
+		Threshold:     opts.MaxDirty,
+		Workers:       opts.Workers,
+		MakeRedundant: v.drainStripe,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	// A member down at open with no persisted record of what it missed
 	// is fully suspect: everything on it must be healed before trusted.
@@ -293,13 +311,14 @@ func Open(members []Member, opts Options) (*Volume, error) {
 			suspect = true
 		}
 	}
-	if suspect {
-		v.persistMarksLocked()
-	}
 	v.meta.Unlock()
+	if suspect {
+		if err := v.eng.Commit(); err != nil {
+			return nil, err
+		}
+	}
 	if !opts.DisableDrain {
-		v.wg.Add(1)
-		go v.drainLoop()
+		v.eng.Start()
 	}
 	if opts.ProbeInterval > 0 {
 		v.wg.Add(1)
@@ -325,6 +344,7 @@ func (v *Volume) Close() error {
 	}
 	v.closed = true
 	v.meta.Unlock()
+	v.eng.Stop()
 	close(v.stop)
 	v.bgCancel()
 	v.wg.Wait()
@@ -350,26 +370,20 @@ func (v *Volume) Capacity() int64 { return v.geo.Capacity() }
 func (v *Volume) Geometry() layout.Geometry { return v.geo }
 
 // DirtyStripes returns the number of cluster-unredundant stripes.
-func (v *Volume) DirtyStripes() int64 {
-	v.meta.Lock()
-	defer v.meta.Unlock()
-	return v.dirty.Count()
-}
+func (v *Volume) DirtyStripes() int64 { return v.eng.Count() }
 
 // DirtyList enumerates the unredundant stripes — the cluster-wide
 // exposure set a chaos harness samples at failure time.
-func (v *Volume) DirtyList() []int64 {
-	v.meta.Lock()
-	defer v.meta.Unlock()
-	return v.dirty.Marked()
-}
+func (v *Volume) DirtyList() []int64 { return v.eng.Marked() }
 
 // Stats returns a snapshot of the activity counters.
 func (v *Volume) Stats() Stats {
 	v.meta.Lock()
-	defer v.meta.Unlock()
 	st := v.stats
-	st.DirtyStripes = v.dirty.Count()
+	v.meta.Unlock()
+	es := v.eng.Stats()
+	st.DirtyStripes, st.DirtyHighWater, st.Recovered = es.Marked, es.HighWater, es.Recovered
+	st.ParityDrains, st.InlineDrains = es.Drained, es.Inline
 	return st
 }
 
@@ -404,13 +418,6 @@ func (v *Volume) stripeLock(stripe int64) *sync.Mutex {
 	return &v.locks[stripe%int64(len(v.locks))]
 }
 
-// touch records foreground activity for drain idle detection.
-func (v *Volume) touch() {
-	v.meta.Lock()
-	v.lastIO = time.Now()
-	v.meta.Unlock()
-}
-
 // checkRange validates a client range without computing off+length,
 // which overflows for off near MaxInt64 (same hardening as
 // core.checkRange — layout.Split panics on wrapped ranges).
@@ -439,21 +446,6 @@ func (v *Volume) Locate(addr int64) (stripe int64, node int, nodeOff int64, err 
 	return loc.Stripe, loc.Disk, loc.DiskOff, nil
 }
 
-// markStripe marks a stripe cluster-unredundant and persists the map.
-// Mark-before-write ordering is what makes the loss contract auditable:
-// a node lost mid-write finds the stripe already in the exposure set.
-func (v *Volume) markStripe(stripe int64) error {
-	v.meta.Lock()
-	defer v.meta.Unlock()
-	if v.dirty.Mark(stripe) {
-		if c := v.dirty.Count(); c > v.stats.DirtyHighWater {
-			v.stats.DirtyHighWater = c
-		}
-		return v.persistMarksLocked()
-	}
-	return nil
-}
-
 // stripeHealth is a per-stripe availability snapshot.
 type stripeHealth struct {
 	badIdx     []int // data indices whose node can't serve this stripe
@@ -472,9 +464,9 @@ func (v *Volume) availLocked(n int, st int64) bool {
 // health snapshots a stripe's availability. Callers hold the stripe
 // lock, so the dirty bit cannot move underneath them.
 func (v *Volume) health(st int64) stripeHealth {
+	h := stripeHealth{dirty: v.eng.IsMarked(st)}
 	v.meta.Lock()
 	defer v.meta.Unlock()
-	var h stripeHealth
 	for idx := 0; idx < v.geo.DataDisks(); idx++ {
 		if !v.availLocked(v.geo.DataDisk(st, idx), st) {
 			h.badIdx = append(h.badIdx, idx)
@@ -484,7 +476,6 @@ func (v *Volume) health(st int64) stripeHealth {
 	h.parityRead = v.availLocked(pn, st)
 	pm := v.nodes[pn]
 	h.parityWrit = pm.state == StateUp && pm.node != nil
-	h.dirty = v.dirty.IsMarked(st)
 	return h
 }
 
@@ -503,7 +494,7 @@ func (v *Volume) ReadContext(ctx context.Context, p []byte, off int64) (int, err
 	if len(p) == 0 {
 		return 0, nil
 	}
-	v.touch()
+	v.eng.Touch()
 	t0 := time.Now()
 	for _, sp := range v.geo.Split(off, int64(len(p))) {
 		if err := ctx.Err(); err != nil {
@@ -586,7 +577,7 @@ func (v *Volume) WriteContext(ctx context.Context, p []byte, off int64) (int, er
 	if len(p) == 0 {
 		return 0, nil
 	}
-	v.touch()
+	v.eng.Touch()
 	t0 := time.Now()
 	for _, sp := range v.geo.Split(off, int64(len(p))) {
 		if err := ctx.Err(); err != nil {
@@ -605,7 +596,7 @@ func (v *Volume) WriteContext(ctx context.Context, p []byte, off int64) (int, er
 	v.stats.Writes++
 	v.stats.BytesWritten += int64(len(p))
 	v.meta.Unlock()
-	v.kickDrain()
+	v.eng.Kick()
 	return len(p), nil
 }
 
@@ -614,10 +605,12 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 	st := sp.Stripe
 	h := v.health(st)
 	if len(h.badIdx) == 0 {
-		// Every data node reachable: the AFRAID deferred path. Mark
-		// first, then write — a crash between the two costs a spurious
-		// parity rebuild, never an unrecorded exposure.
-		if err := v.markStripe(st); err != nil {
+		// Every data node reachable: the AFRAID deferred path. Mark first
+		// (durably), then write — a crash between the two costs a spurious
+		// parity rebuild, never an unrecorded exposure, and a node lost
+		// mid-write finds the stripe already in the exposure set, which is
+		// what makes the loss contract auditable.
+		if err := v.eng.Mark(st); err != nil {
 			return err
 		}
 		return v.writeExtents(ctx, sp, p, base)
@@ -678,40 +671,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// kickDrain wakes the drain loop and, past twice the dirty bound,
-// drains a few stripes inline so a write burst cannot push the
-// unredundancy window arbitrarily wide (the valve internal/core grew in
-// PR 2, cluster-sized).
-func (v *Volume) kickDrain() {
-	v.meta.Lock()
-	dirty := v.dirty.Count()
-	v.meta.Unlock()
-	if dirty > v.opts.MaxDirty {
-		select {
-		case v.kick <- struct{}{}:
-		default:
-		}
-	}
-	if dirty <= 2*v.opts.MaxDirty {
-		return
-	}
-	const maxInline = 4
-	drained := 0
-	for _, st := range v.DirtyList() {
-		if drained >= maxInline {
-			break
-		}
-		ok, _, err := v.drainStripe(context.Background(), st)
-		if err != nil {
-			return
-		}
-		if ok {
-			drained++
-			v.meta.Lock()
-			v.stats.InlineDrains++
-			v.meta.Unlock()
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 	"time"
 
@@ -262,18 +261,22 @@ func (s *Store) absorbMismatch(err error) (retry bool, out error) {
 	return true, nil
 }
 
-// absorbMismatchIn is absorbMismatch for callers that do not already
-// hold the stripe lock (the CheckParity workers release it inside
-// checkStripe).
-func (s *Store) absorbMismatchIn(err error) (bool, error) {
-	var ce *ChecksumError
-	if !errors.As(err, &ce) {
-		return false, err
+// repairing runs op on a stripe whose lock the caller holds and, for as
+// long as op trips over a unit that fails checksum verification, repairs
+// that unit from redundancy and runs op again — so no rebuild, repair or
+// audit ever works over (and blesses) corrupt bytes. It returns op's
+// error, or the repair's when redundancy could not cover the corruption.
+func (s *Store) repairing(op func() error) error {
+	for tries := 0; ; tries++ {
+		err := op()
+		if err == nil || tries >= s.spanRetryBudget() {
+			return err
+		}
+		var retry bool
+		if retry, err = s.absorbMismatch(err); !retry {
+			return err
+		}
 	}
-	lk := s.stripeLock(ce.Stripe)
-	lk.Lock()
-	defer lk.Unlock()
-	return s.absorbMismatch(err)
 }
 
 // spanRetryBudget bounds the absorb-and-retry loops around span
@@ -324,52 +327,7 @@ func (s *Store) resyncParity(stripe int64) error {
 	return s.rebuildParity(stripe)
 }
 
-// quarantineStripe records a dirty stripe whose scrub hit unrecoverable
-// corruption. It stays marked (its parity must not be rebuilt over the
-// corrupt unit) but the drain machinery skips it, so Flush can
-// terminate — with a loss report — instead of spinning on a stripe it
-// can never clean. Any fresh mark or unmark drops the quarantine: an
-// overwrite may have replaced the corrupt unit.
-func (s *Store) quarantineStripe(stripe int64) {
-	s.meta.Lock()
-	s.quarantine[stripe] = true
-	s.meta.Unlock()
-}
-
-// dropQuarantine clears a stripe's quarantine. Caller holds meta.
-func (s *Store) dropQuarantine(stripe int64) {
-	if len(s.quarantine) != 0 {
-		delete(s.quarantine, stripe)
-	}
-}
-
-// quarantineError reports the quarantined stripes as data loss.
-// Caller does not hold meta.
-func (s *Store) quarantineError() error {
-	s.meta.Lock()
-	list := make([]int64, 0, len(s.quarantine))
-	for st := range s.quarantine {
-		list = append(list, st)
-	}
-	s.meta.Unlock()
-	sortInt64s(list)
-	return fmt.Errorf("%w: %d stripe(s) %v held dirty by unrecoverable checksum corruption", ErrDataLoss, len(list), list)
-}
-
 // QuarantinedStripes returns the stripes held dirty by unrecoverable
-// checksum corruption, ascending. They read as ErrDataLoss until
-// overwritten.
-func (s *Store) QuarantinedStripes() []int64 {
-	s.meta.Lock()
-	out := make([]int64, 0, len(s.quarantine))
-	for st := range s.quarantine {
-		out = append(out, st)
-	}
-	s.meta.Unlock()
-	sortInt64s(out)
-	return out
-}
-
-func sortInt64s(a []int64) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
+// checksum corruption, ascending: scrubOne put them on hold in the
+// engine. They read as ErrDataLoss until overwritten.
+func (s *Store) QuarantinedStripes() []int64 { return s.eng.Held() }

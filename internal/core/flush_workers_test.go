@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -294,5 +295,45 @@ func TestRepairReportSorted(t *testing.T) {
 	// The array must be fully redundant after repair.
 	if bad, err := s.CheckParity(); err != nil || len(bad) != 0 {
 		t.Fatalf("after repair: bad=%v err=%v", bad, err)
+	}
+}
+
+// TestParityPointSharesTheScrubPath pins the two places ParityPoint used
+// to diverge from every other drain, back when it had its own copy of
+// the rebuild: a member fail-stop first seen by a parity point demotes
+// the disk and reports the degraded array as Flush does, and each
+// stripe it makes redundant is timed into scrub_stripe.
+func TestParityPointSharesTheScrubPath(t *testing.T) {
+	s, devs := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit, DisableScrubber: true, ScrubWorkers: 2})
+	defer s.Close()
+	span := s.geo.StripeDataBytes()
+	const k = 6
+	for st := int64(0); st < 2*k; st++ {
+		if _, err := s.WriteAt(pattern(testUnit, byte(st)), st*span); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrubbed := func() uint64 { return s.Obs().Histogram("scrub_stripe").Snapshot().Count }
+	before := scrubbed()
+	if err := s.ParityPoint(0, k*span); err != nil {
+		t.Fatal(err)
+	}
+	if got := scrubbed() - before; got != k {
+		t.Fatalf("ParityPoint over %d dirty stripes grew scrub_stripe by %d", k, got)
+	}
+
+	devs[2].(*MemDevice).Fail() // the device dies; the store has not noticed yet
+	err := s.ParityPoint(k*span, k*span)
+	if !errors.Is(err, ErrTooManyFailures) {
+		t.Fatalf("ParityPoint on a dying member = %v, want an ErrTooManyFailures-class error like Flush", err)
+	}
+	if dead := s.DeadDisks(); len(dead) != 1 || dead[0] != 2 {
+		t.Fatalf("DeadDisks = %v after the parity point hit the failure, want [2]", dead)
+	}
+	if ferr := s.Flush(); !errors.Is(ferr, ErrTooManyFailures) {
+		t.Fatalf("Flush = %v", ferr)
+	}
+	if got := s.DirtyStripes(); got != k {
+		t.Fatalf("DirtyStripes = %d, want the %d the degraded array could not scrub", got, k)
 	}
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"afraid/internal/nvram"
 )
@@ -109,93 +109,43 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	s.repDisk, s.repDev, s.repDone = i, replacement, nvram.NewBitmap(s.geo.Stripes())
 	s.meta.Unlock()
 
-	clearRepair := func() {
+	// The sweep: scrub workers stride a shared cursor, each rebuilding its
+	// stripe under that stripe's lock. Stripes complete out of order, which
+	// is why repDone is a bitmap and the damage list is sorted afterwards.
+	var mu sync.Mutex // guards report while the sweep runs
+	err := nvram.ForEach(context.Background(), s.scrubWorkers(), 0, s.geo.Stripes(), func(stripe int64) error {
+		lk := s.stripeLock(stripe)
+		lk.Lock()
+		defer lk.Unlock()
+		// A survivor failing checksum verification mid-repair is itself
+		// repaired from whatever redundancy remains and the stripe retried.
+		err := s.repairing(func() error { return s.repairStripe(stripe, i, replacement) })
+		if errors.Is(err, ErrDataLoss) {
+			// The fresh parities cannot cover what is missing — the stripe
+			// was unredundant at failure time, or corruption plus the dead
+			// disks exceed its redundancy: salvage what is readable, zero
+			// and report the rest.
+			var part DamageReport
+			err = s.salvageStripe(stripe, i, replacement, &part)
+			mu.Lock()
+			report.Lost = append(report.Lost, part.Lost...)
+			mu.Unlock()
+		}
+		if err == nil {
+			// Set the done bit while still holding the stripe lock, so a
+			// writer acquiring it next observes the bit and mirrors its
+			// update onto the replacement.
+			s.meta.Lock()
+			s.repDone.Mark(stripe)
+			s.meta.Unlock()
+		}
+		return err
+	})
+	if err != nil {
 		s.meta.Lock()
 		s.repDisk, s.repDev, s.repDone = -1, nil, nil
 		s.meta.Unlock()
-	}
-
-	// The sweep: scrub workers stride an atomic cursor, each rebuilding
-	// its stripe under that stripe's lock. Stripes complete out of
-	// order, which is why repDone is a bitmap; each worker collects its
-	// own damage list and the parts are merged and sorted afterwards.
-	stripes := s.geo.Stripes()
-	workers := s.scrubWorkers()
-	if int64(workers) > stripes {
-		workers = int(stripes)
-	}
-	var (
-		cur      atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	parts := make([]DamageReport, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(part *DamageReport) {
-			defer wg.Done()
-			for {
-				stripe := cur.Add(1) - 1
-				if stripe >= stripes {
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-				lk := s.stripeLock(stripe)
-				lk.Lock()
-				// A survivor failing checksum verification mid-repair is
-				// itself repaired from whatever redundancy remains and the
-				// stripe retried.
-				var err error
-				for tries := 0; ; tries++ {
-					err = s.repairStripe(stripe, i, replacement)
-					if err == nil || tries >= s.spanRetryBudget() {
-						break
-					}
-					var retry bool
-					if retry, err = s.absorbMismatch(err); !retry {
-						break
-					}
-				}
-				if err != nil && errors.Is(err, ErrDataLoss) {
-					// The fresh parities cannot cover what is missing — the
-					// stripe was unredundant at failure time, or corruption
-					// plus the dead disks exceed its redundancy: salvage what
-					// is readable, zero and report the rest.
-					err = s.salvageStripe(stripe, i, replacement, part)
-				}
-				if err == nil {
-					// Set the done bit while still holding the stripe lock,
-					// so a writer acquiring it next observes the bit and
-					// mirrors its update onto the replacement.
-					s.meta.Lock()
-					s.repDone.Mark(stripe)
-					s.meta.Unlock()
-				}
-				lk.Unlock()
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}(&parts[w])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		clearRepair()
-		return report, firstErr
-	}
-	for _, p := range parts {
-		report.Lost = append(report.Lost, p.Lost...)
+		return DamageReport{}, err
 	}
 	sort.Slice(report.Lost, func(a, b int) bool {
 		return report.Lost[a].Offset < report.Lost[b].Offset
@@ -216,8 +166,9 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	s.repDisk, s.repDev, s.repDone = -1, nil, nil
 	s.stats.DamagedStripes += uint64(len(report.Lost))
 	s.stats.DamageBytes += report.Bytes()
-	err := s.commitMarks()
 	s.meta.Unlock()
+	// The sweep cleared marks in memory only; one image covers them all.
+	err = s.eng.Commit()
 	for k := range s.locks {
 		s.locks[k].Unlock()
 	}
@@ -225,14 +176,12 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 }
 
 // clearMark unconditionally unmarks a stripe (on parity-bearing
-// layouts).
+// layouts) and lifts its quarantine. RepairDisk commits the marking
+// memory once, after the sweep.
 func (s *Store) clearMark(stripe int64) {
-	s.meta.Lock()
 	if s.allPar != 0 {
-		s.marks.Unmark(stripe)
+		s.eng.Clear(stripe)
 	}
-	s.dropQuarantine(stripe)
-	s.meta.Unlock()
 }
 
 // bumpRecovered counts an exactly-reconstructed stripe.

@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"afraid/internal/nvram"
+	"afraid/internal/testutil"
 )
 
 // slowDev wraps a device with a switchable per-read delay, so a test
@@ -47,18 +50,18 @@ func openSlow(t *testing.T, opts Options) (*Store, []*slowDev) {
 func markBacklog(t *testing.T, s *Store) int64 {
 	t.Helper()
 	stripes := s.geo.Stripes()
-	s.meta.Lock()
 	for st := int64(0); st < stripes; st++ {
-		s.marks.Mark(st)
+		if err := s.eng.Mark(st); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.meta.Unlock()
 	return stripes
 }
 
 // TestKickScrubBoundsInlineRebuilds is the regression test for the
 // pressure-valve stall: with the dirty backlog far over threshold, one
 // foreground write used to be held rebuilding the entire backlog
-// inline. The valve must now rebuild at most maxInlineScrub stripes
+// inline. The valve must now rebuild at most nvram.MaxInline stripes
 // and return.
 func TestKickScrubBoundsInlineRebuilds(t *testing.T) {
 	const th = 8
@@ -87,17 +90,17 @@ func TestKickScrubBoundsInlineRebuilds(t *testing.T) {
 		t.Fatalf("write under backlog took %v (unbounded cost ~%v): inline scrub pass is not bounded", elapsed, unbounded)
 	}
 	if dirty := s.DirtyStripes(); dirty <= 2*th {
-		t.Fatalf("backlog drained to %d stripes inline; the valve should have stopped at %d rebuilds", dirty, maxInlineScrub)
+		t.Fatalf("backlog drained to %d stripes inline; the valve should have stopped at %d rebuilds", dirty, nvram.MaxInline)
 	}
-	if got := s.Stats().InlineScrubs; got != maxInlineScrub {
-		t.Fatalf("InlineScrubs = %d, want %d", got, maxInlineScrub)
+	if got := s.Stats().InlineScrubs; got != nvram.MaxInline {
+		t.Fatalf("InlineScrubs = %d, want %d", got, nvram.MaxInline)
 	}
 }
 
 // TestKickScrubHandsBacklogToScrubber verifies the second half of the
-// valve: what the bounded inline pass doesn't rebuild, the kick channel
-// hands to scrubLoop. ScrubIdle is an hour, so the loop's poll ticker
-// (ScrubIdle/4) cannot be what drains the backlog promptly.
+// valve: what the bounded inline pass doesn't rebuild, the kick hands to
+// the scrubber goroutine. ScrubIdle is an hour, so the loop's poll
+// ticker (ScrubIdle/4) cannot be what drains the backlog promptly.
 func TestKickScrubHandsBacklogToScrubber(t *testing.T) {
 	const th = 8
 	s, _ := openSlow(t, Options{Mode: Afraid, DirtyThreshold: th, ScrubIdle: time.Hour})
@@ -109,7 +112,7 @@ func TestKickScrubHandsBacklogToScrubber(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for s.DirtyStripes() > th {
 		if time.Now().After(deadline) {
-			t.Fatalf("backlog stuck at %d dirty stripes: kick did not reach scrubLoop", s.DirtyStripes())
+			t.Fatalf("backlog stuck at %d dirty stripes: kick did not reach the scrubber", s.DirtyStripes())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -119,46 +122,41 @@ func TestKickScrubHandsBacklogToScrubber(t *testing.T) {
 }
 
 // TestIdleScrubPreemptedByForegroundWrite is the deterministic
-// regression test for the idle-sample race: a write landing between
-// scrubLoop's idle check and scrubOne must not have its fresh mark
-// consumed as idle scrubbing. scrubOne re-checks the scrub generation
-// under the stripe lock.
+// regression test for the idle-sample race: a write landing between the
+// scrubber's idle check and the rebuild must not have its fresh mark
+// consumed as idle scrubbing. The engine re-checks the foreground
+// generation under the stripe lock (Claim.Proceed). There is no scrubber
+// goroutine: the test runs the episodes itself, and holds stripe 0's
+// lock so the first is parked exactly between its sample and that
+// re-check.
 func TestIdleScrubPreemptedByForegroundWrite(t *testing.T) {
-	s, _ := openSlow(t, Options{Mode: Afraid, DisableScrubber: true, ScrubIdle: time.Hour})
+	s, _ := openSlow(t, Options{Mode: Afraid, DisableScrubber: true, ScrubIdle: time.Nanosecond})
 	buf := make([]byte, 512)
 	if _, err := s.WriteAt(buf, 0); err != nil { // dirties stripe 0
 		t.Fatal(err)
 	}
 
 	// The idle path samples the generation...
-	s.meta.Lock()
-	gen := s.scrubGen
-	s.meta.Unlock()
-	// ...and a foreground write lands before scrubOne runs.
-	if _, err := s.WriteAt(buf, s.geo.StripeDataBytes()); err != nil {
-		t.Fatal(err)
-	}
-
-	built, err := s.scrubOne(false, &gen)
+	lk := s.stripeLock(0)
+	lk.Lock()
+	polled := make(chan struct{})
+	go func() { s.eng.Poll(); close(polled) }()
+	testutil.Eventually(t, "the idle episode to claim stripe 0", func() bool { return s.Stats().IdleEpisodes == 1 })
+	// ...and a foreground write lands before the rebuild gets its lock.
+	_, err := s.WriteAt(buf, s.geo.StripeDataBytes())
+	lk.Unlock()
+	<-polled
 	if err != nil {
 		t.Fatal(err)
-	}
-	if built {
-		t.Fatal("idle scrub consumed a stripe despite fresh foreground I/O")
 	}
 	if st := s.Stats(); st.ScrubPreempts != 1 || st.ScrubbedStripes != 0 || st.DirtyStripes != 2 {
 		t.Fatalf("stats after preempt = %+v, want 1 preempt, 0 scrubbed, 2 dirty", st)
 	}
 
 	// With a current generation the rebuild proceeds.
-	s.meta.Lock()
-	gen = s.scrubGen
-	s.meta.Unlock()
-	if built, err = s.scrubOne(false, &gen); err != nil || !built {
-		t.Fatalf("current-generation scrub: built=%v err=%v", built, err)
-	}
-	if st := s.Stats(); st.ScrubbedStripes != 1 || st.DirtyStripes != 1 {
-		t.Fatalf("stats after scrub = %+v, want 1 scrubbed, 1 dirty", st)
+	s.eng.Poll()
+	if st := s.Stats(); st.ScrubbedStripes != 2 || st.DirtyStripes != 0 || st.ScrubPreempts != 1 {
+		t.Fatalf("stats after scrub = %+v, want 2 scrubbed, 0 dirty", st)
 	}
 }
 

@@ -151,29 +151,23 @@ type Store struct {
 	geo  layout.Geometry
 	devs []BlockDevice
 	opts Options
-	nv   NVRAM
 
 	// The stripe engine's constants (stripe.go), fixed at Open.
 	code     parity.Code // the erasure code: m = geo.Level.ParityUnits() parities
 	allPar   paritySet   // every parity of the code
 	deferred paritySet   // parities a mark declares stale, and deferring writes skip
 
-	meta     sync.Mutex // guards everything below
-	marks    *nvram.Bitmap
-	policy   []StripePolicy
-	failed   failedSet // failed member disks, in failure order
-	lastIO   time.Time
-	closed   bool
-	stats    Stats
-	scrubGen uint64         // bumped on foreground I/O to preempt scrub runs
-	claimed  map[int64]bool // stripes a drain worker is rebuilding right now
+	// eng is the deferred-redundancy engine: the marking memory (one unit
+	// per stripe) with its NVRAM group commit, the idle and pressure
+	// triggers, the drains, and the quarantine — stripes its scrubOne
+	// callback put on hold. It has its own lock, taken after meta if both.
+	eng *nvram.Engine
 
-	// quarantine holds dirty stripes whose scrub found unrecoverable
-	// checksum corruption: they must stay marked (rebuilding parity
-	// would bless the corrupt unit) but the drain machinery skips them
-	// so Flush terminates with a loss report instead of livelocking.
-	// Invariant: quarantine ⊆ marked; any mark/unmark drops the entry.
-	quarantine map[int64]bool
+	meta   sync.Mutex // guards everything below
+	policy []StripePolicy
+	failed failedSet // failed member disks, in failure order
+	closed bool
+	stats  Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
 
 	// In-progress repair (RepairDisk): stripes marked in repDone have
 	// already been rebuilt onto repDev, so degraded foreground writes
@@ -185,23 +179,12 @@ type Store struct {
 	repDev  BlockDevice
 	repDone *nvram.Bitmap
 
-	// Group-commit state for NVRAM persists (guarded by meta). A
-	// persist in flight releases meta, so concurrent markers pile
-	// their changes into the bitmap and the next leader's snapshot
-	// covers them all with one NVRAM write.
-	gcCond    *sync.Cond
-	gcRunning bool
-	gcSeq     uint64 // highest change generation made durable
-	gcDirty   uint64 // latest change generation applied to marks
-	gcErr     error  // outcome of the persist that reached gcSeq
-
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
 	sbPool sync.Pool  // *stripeBuf arena (stripebuf.go)
 	ioCh   chan ioReq // unbuffered hand-off to the I/O workers
 
 	ob   *storeObs
-	kick chan struct{} // pressure-valve handoff to scrubLoop (capacity 1)
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -255,19 +238,14 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		geo:        geo,
-		devs:       devs,
-		opts:       opts,
-		nv:         nv,
-		repDisk:    -1,
-		lastIO:     time.Now(),
-		claimed:    make(map[int64]bool),
-		quarantine: make(map[int64]bool),
-		ioCh:       make(chan ioReq),
-		ob:         newStoreObs(),
-		kick:       make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		policy:     make([]StripePolicy, geo.Stripes()),
+		geo:     geo,
+		devs:    devs,
+		opts:    opts,
+		repDisk: -1,
+		ioCh:    make(chan ioReq),
+		ob:      newStoreObs(),
+		stop:    make(chan struct{}),
+		policy:  make([]StripePolicy, geo.Stripes()),
 	}
 	// A mark defers the code's last parity — the only one on RAID 5, Q on
 	// RAID 6 — or all of them with DeferBothParities.
@@ -278,7 +256,6 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	if m > 1 && !opts.DeferBothParities {
 		s.deferred = 1 << (m - 1)
 	}
-	s.gcCond = sync.NewCond(&s.meta)
 	// I/O workers serve the per-disk unit reads fanned out by stripe
 	// rebuilds, degraded reads, and parity checks. Enough for every
 	// drain worker to have a whole stripe's reads in flight at once.
@@ -309,92 +286,25 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("core: formatting checksum trailers: %w", err)
 		}
 	}
-	if err := s.recoverNVRAM(); err != nil {
-		return nil, err
+	// The marking memory: a corrupt or mismatched image comes back with
+	// every stripe marked (Stats.NVRAMRecovered).
+	var err error
+	s.eng, err = nvram.NewEngine(nvram.Config{
+		Units:         geo.Stripes(),
+		NV:            nv,
+		Idle:          opts.ScrubIdle,
+		Threshold:     int64(opts.DirtyThreshold),
+		Workers:       s.scrubWorkers(),
+		MakeRedundant: s.scrubOne,
+		Episode:       s.ob.scrubEpisode.Observe,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if !opts.DisableScrubber && (opts.Mode == Afraid || opts.Mode == Afraid6) {
-		s.wg.Add(1)
-		go s.scrubLoop()
+		s.eng.Start()
 	}
 	return s, nil
-}
-
-// recoverNVRAM loads the marking memory, falling back to a full-array
-// rebuild when the image is unusable.
-func (s *Store) recoverNVRAM() error {
-	stripes := s.geo.Stripes()
-	if s.nv == nil {
-		s.marks = nvram.NewBitmap(stripes)
-		return nil
-	}
-	img, err := s.nv.Load()
-	if err != nil {
-		return fmt.Errorf("core: loading NVRAM: %w", err)
-	}
-	if img == nil {
-		s.marks = nvram.NewBitmap(stripes)
-		return nil
-	}
-	bm, err := nvram.Deserialize(img)
-	if err == nil && bm.Stripes() == stripes {
-		s.marks = bm
-		return nil
-	}
-	// The paper's marking-memory failure recovery: rebuild parity for
-	// the whole array.
-	s.marks = nvram.NewBitmap(stripes)
-	for st := int64(0); st < stripes; st++ {
-		s.marks.Mark(st)
-	}
-	s.stats.NVRAMRecovered = true
-	s.stats.DirtyHighWater = stripes
-	return s.persistMarks()
-}
-
-// persistMarks stores the bitmap to NVRAM. Callers hold meta. Only
-// Open-time recovery uses it directly; every steady-state persist goes
-// through commitMarks so images always reach NVRAM in generation order.
-func (s *Store) persistMarks() error {
-	if s.nv == nil {
-		return nil
-	}
-	return s.nv.Store(s.marks.Serialize())
-}
-
-// commitMarks makes the caller's bitmap change durable via group
-// commit. The change (already applied to s.marks) is assigned a
-// generation; the call returns once a persist whose snapshot included
-// that generation has completed. One caller at a time leads — it
-// snapshots the bitmap, releases meta for the NVRAM write, and wakes
-// the others — so N concurrent markers cost ~1 NVRAM write instead of
-// N. The mark-before-write invariant is preserved: success means a
-// covering image reached NVRAM before the caller proceeds to its data
-// write. Callers hold meta; meta is released and reacquired inside.
-func (s *Store) commitMarks() error {
-	if s.nv == nil {
-		return nil
-	}
-	s.gcDirty++
-	want := s.gcDirty
-	for s.gcSeq < want {
-		if s.gcRunning {
-			s.gcCond.Wait()
-			continue
-		}
-		s.gcRunning = true
-		goal := s.gcDirty // snapshot covers every generation through goal
-		img := s.marks.Serialize()
-		s.meta.Unlock()
-		err := s.nv.Store(img)
-		s.meta.Lock()
-		s.gcRunning = false
-		s.gcSeq, s.gcErr = goal, err
-		s.stats.NVRAMPersists++
-		s.gcCond.Broadcast()
-	}
-	// gcErr is the outcome of the persist that reached (or passed) our
-	// generation; a later successful persist also covers our change.
-	return s.gcErr
 }
 
 // Close stops the scrubber and closes the devices. Dirty stripes stay
@@ -408,6 +318,7 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.meta.Unlock()
+	s.eng.Stop()
 	close(s.stop)
 	s.wg.Wait()
 	var first error
@@ -429,11 +340,7 @@ func (s *Store) Mode() Mode { return s.opts.Mode }
 func (s *Store) Geometry() layout.Geometry { return s.geo }
 
 // DirtyStripes returns the number of unredundant stripes.
-func (s *Store) DirtyStripes() int64 {
-	s.meta.Lock()
-	defer s.meta.Unlock()
-	return s.marks.Count()
-}
+func (s *Store) DirtyStripes() int64 { return s.eng.Count() }
 
 // DeadDisks returns the indices of the currently failed member disks,
 // in failure order. Empty when the array is healthy.
@@ -446,18 +353,18 @@ func (s *Store) DeadDisks() []int {
 // DirtyList returns the stripes currently marked unredundant — the
 // paper's exposure set, enumerated. A crash harness samples it at
 // failure time to bound which stripes may legally lose data.
-func (s *Store) DirtyList() []int64 {
-	s.meta.Lock()
-	defer s.meta.Unlock()
-	return s.marks.Marked()
-}
+func (s *Store) DirtyList() []int64 { return s.eng.Marked() }
 
 // Stats returns a snapshot of activity counters.
 func (s *Store) Stats() Stats {
 	s.meta.Lock()
-	defer s.meta.Unlock()
 	st := s.stats
-	st.DirtyStripes = s.marks.Count()
+	s.meta.Unlock()
+	es := s.eng.Stats()
+	st.DirtyStripes, st.DirtyHighWater = es.Marked, es.HighWater
+	st.ScrubbedStripes, st.ForcedScrubs, st.InlineScrubs = es.Drained, es.Forced, es.Inline
+	st.IdleEpisodes, st.ForcedEpisodes, st.ScrubPreempts = es.IdleEpisodes, es.ForcedEpisodes, es.Preempts
+	st.NVRAMPersists, st.NVRAMRecovered = es.Persists, es.Recovered
 	return st
 }
 
@@ -486,15 +393,6 @@ func (s *Store) scrubWorkers() int {
 		w = 1
 	}
 	return w
-}
-
-// touch records foreground activity for idle detection and scrub
-// preemption. Callers hold meta or accept the small race on lastIO.
-func (s *Store) touch() {
-	s.meta.Lock()
-	s.lastIO = time.Now()
-	s.scrubGen++
-	s.meta.Unlock()
 }
 
 // effectivePolicy resolves a stripe's redundancy behaviour.
@@ -558,7 +456,7 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 	if len(p) == 0 {
 		return 0, nil
 	}
-	s.touch()
+	s.eng.Touch()
 	start := time.Now()
 	var lockWait, dev time.Duration
 	spp := spanPool.Get().(*[]layout.StripeSpan)
@@ -629,7 +527,7 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	if len(p) == 0 {
 		return 0, nil
 	}
-	s.touch()
+	s.eng.Touch()
 	start := time.Now()
 	var lockWait, dev time.Duration
 	spp := spanPool.Get().(*[]layout.StripeSpan)
@@ -692,7 +590,7 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	s.stats.Writes++
 	s.stats.BytesWritten += int64(len(p))
 	s.meta.Unlock()
-	s.kickScrub()
+	s.eng.Kick()
 	s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, nil)
 	return len(p), nil
 }

@@ -309,7 +309,7 @@ func TestDirtyThresholdForcesScrub(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.WriteAt(pattern(100, byte(i)), int64(i)*sb)
 	}
-	// kickScrub runs inline when far over threshold; the backlog must
+	// the valve rebuilds inline when far over threshold; the backlog must
 	// be bounded near the threshold despite ScrubIdle never elapsing.
 	if got := s.DirtyStripes(); got > 2*int64(opts.DirtyThreshold)+1 {
 		t.Fatalf("dirty = %d, threshold policy not bounding backlog", got)

@@ -82,8 +82,9 @@ type stripeState struct {
 
 func (s *Store) stripeState(stripe int64) stripeState {
 	s.meta.Lock()
-	st := stripeState{failed: s.failed, pol: s.effectivePolicy(stripe), dirty: s.marks.IsMarked(stripe)}
+	st := stripeState{failed: s.failed, pol: s.effectivePolicy(stripe)}
 	s.meta.Unlock()
+	st.dirty = s.eng.IsMarked(stripe)
 	st.fresh = s.freshParities(st.pol, st.dirty)
 	return st
 }
@@ -305,7 +306,10 @@ func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 				return err
 			}
 		}
-		if err := s.markStripe(sp.Stripe); err != nil {
+		// The mark is durable before the data moves. A fresh write may also
+		// overwrite the corrupt unit that put the stripe in quarantine, so
+		// marking lifts that and lets the scrubber try again.
+		if err := s.eng.Mark(sp.Stripe); err != nil {
 			return err
 		}
 	}
@@ -320,26 +324,6 @@ func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 		}
 	}
 	return nil
-}
-
-// markStripe marks a stripe dirty, persists the map, and tracks the
-// dirty-count high-water mark (the widest the unredundancy window ever
-// got — the paper's exposure metric).
-func (s *Store) markStripe(stripe int64) error {
-	s.meta.Lock()
-	changed := s.marks.Mark(stripe)
-	// A fresh write may overwrite the corrupt unit that put the stripe
-	// in quarantine; let the scrubber try again.
-	s.dropQuarantine(stripe)
-	var err error
-	if changed {
-		if c := s.marks.Count(); c > s.stats.DirtyHighWater {
-			s.stats.DirtyHighWater = c
-		}
-		err = s.commitMarks()
-	}
-	s.meta.Unlock()
-	return err
 }
 
 // rmwExtent writes one extent and delta-updates the parities in sync:
@@ -456,12 +440,8 @@ func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, failed failedSet, 
 		}
 	}
 	if wasDirty && parWritten == len(sb.par) {
-		s.meta.Lock()
-		s.marks.Unmark(stripe)
-		s.dropQuarantine(stripe)
-		err := s.commitMarks()
-		s.meta.Unlock()
-		return err
+		s.eng.Clear(stripe)
+		return s.eng.Commit()
 	}
 	return nil
 }
@@ -511,18 +491,6 @@ func (s *Store) rebuildParity(stripe int64) error {
 		}
 	}
 	return nil
-}
-
-// checkStripe verifies one stripe's parities under its stripe lock.
-func (s *Store) checkStripe(sb *stripeBuf, stripe int64) (bool, error) {
-	lk := s.stripeLock(stripe)
-	lk.Lock()
-	err := s.readUnits(sb, stripe, failedSet{}, s.allPar, 0, s.geo.StripeUnit)
-	lk.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return s.code.Check(sb.par, sb.units), nil
 }
 
 // repairStripe reconstructs the target disk's unit of one stripe onto

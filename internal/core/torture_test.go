@@ -137,11 +137,7 @@ func (ts *tortureState) markLossOnFailure(failed int) {
 		return
 	}
 	geo := ts.s.Geometry()
-	s := ts.s
-	s.meta.Lock()
-	dirty := s.marks.Marked()
-	s.meta.Unlock()
-	for _, stripe := range dirty {
+	for _, stripe := range ts.s.DirtyList() {
 		var missing []int64
 		for d := range ts.dead {
 			if off := ts.diskUnitOffset(stripe, d); off >= 0 {
@@ -232,10 +228,7 @@ func (ts *tortureState) maybeFlip(i int) {
 	}
 	geo := ts.s.Geometry()
 	stripe := int64(ts.rng.intn(int(geo.Stripes())))
-	ts.s.meta.Lock()
-	dirty := ts.s.marks.IsMarked(stripe)
-	ts.s.meta.Unlock()
-	if dirty {
+	if ts.s.eng.IsMarked(stripe) {
 		return
 	}
 	d := ts.rng.intn(len(ts.devs))

@@ -1,0 +1,705 @@
+package nvram
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// The deferred-redundancy engine is the paper's mechanism, once, for
+// every layer that defers redundancy (DESIGN.md, "Deferred-redundancy
+// engine"). A unit — a stripe of a disk array, a stripe of a cluster
+// volume — is marked in the marking memory *before* its data is written
+// without redundancy, is made redundant again when the client has been
+// idle for a while or too many units are exposed, and only then is
+// unmarked: clean → marked (durable before Mark returns) → claimed
+// (inside one callback at a time) → clean, or → held. The engine owns the
+// bitmap and its durability, the triggers, the claims and holds, the
+// drains and the exposure counters; the client supplies where the image
+// is kept (Persister) and how one unit is made redundant (MakeRedundant).
+
+// Persister keeps the marking-memory image across crashes. Store must be
+// durable before it returns (the paper's marking memory is
+// battery-backed RAM; a file plus fsync is the software equivalent).
+type Persister interface {
+	// Load returns the last stored image, or an empty one when none was.
+	Load() ([]byte, error)
+	// Store replaces the image.
+	Store([]byte) error
+}
+
+// Outcome is a MakeRedundant callback's verdict on one unit.
+type Outcome int
+
+const (
+	// Done: the unit is redundant. The engine unmarks it and commits —
+	// unless a Mark arrived after Proceed, which stands.
+	Done Outcome = iota
+	// Skip: the unit stays marked and a later pass retries it (a member
+	// failed, a node is down, Proceed said no).
+	Skip
+	// Hold: the unit stays marked and no drain retries it until it is
+	// marked again — making it redundant now would seal in damage.
+	Hold
+)
+
+// Config is what a client tells the engine. None of it is a user-facing
+// knob: clients fill it from their own options.
+type Config struct {
+	Units int64     // size of the marking memory
+	NV    Persister // nil keeps the marks in memory only
+
+	// Compose and Parse let a client carry state of its own in the image
+	// around the engine's bitmap. Compose runs outside the engine's lock,
+	// after the bitmap was snapshotted: client state changed before a
+	// Clear or Commit call is therefore in every image that shows it. A
+	// Parse error makes the image unusable.
+	Compose func(bitmap []byte) []byte
+	Parse   func(img []byte) (bitmap []byte, err error)
+
+	Idle      time.Duration // quiet time before background work starts
+	Threshold int64         // backlog that forces work under load; 0 = never
+	Workers   int           // drain-all / drain-range concurrency
+
+	// MakeRedundant makes c.Unit redundant. It takes the client's own lock
+	// for the unit, asks c.Proceed(), and only on true does the work. An
+	// error stops the drain that issued the call.
+	MakeRedundant func(ctx context.Context, c Claim) (Outcome, error)
+	// Episode, when set, is told how long each background episode (a run
+	// of units made redundant back to back) lasted.
+	Episode func(time.Duration)
+}
+
+// MaxInline bounds how many units one foreground write is ever held
+// hostage making redundant. The valve still applies back-pressure — a
+// flood of writers each pays for a few rebuilds — but one victim request
+// can no longer stall indefinitely while its peers keep re-dirtying
+// units; the rest of the backlog belongs to the background loop.
+const MaxInline = 4
+
+// EngineStats are the engine's exposure and activity counters.
+type EngineStats struct {
+	Marked    int64 // units unredundant now
+	HighWater int64 // most units ever unredundant at once: the widest exposure window
+
+	Drained uint64 // units the engine made redundant and unmarked
+	Forced  uint64 // of those, under threshold pressure (background or inline)
+	Inline  uint64 // callbacks run inline by the write-path valve
+
+	IdleEpisodes   uint64 // background episodes begun on idle detection
+	ForcedEpisodes uint64 // background episodes begun over the threshold
+	Preempts       uint64 // idle work abandoned to fresh foreground I/O
+
+	Persists  uint64 // images stored (group commit batches changes)
+	Recovered bool   // the image was unusable at open: everything was marked
+}
+
+// claimState is what happened to a claimed unit while it was claimed.
+type claimState uint8
+
+const (
+	claimRunning   claimState = iota
+	claimRemarked             // Mark arrived after Proceed: the unit's mark outlives this rebuild
+	claimPreempted            // Proceed refused: foreground I/O since the idle sample
+	claimGone                 // Proceed refused: someone else already unmarked the unit
+)
+
+// Engine is one marking memory and the machinery that empties it.
+type Engine struct {
+	cfg Config
+
+	mu       sync.Mutex // guards everything below; never held across a client call or a Store
+	marks    *Bitmap
+	hold     map[int64]bool       // Invariant: hold ⊆ marked; any mark/unmark drops the entry
+	claims   map[int64]claimState // units inside (or on their way into) a callback
+	released *sync.Cond           // a claim was dropped
+	lastIO   time.Time
+	gen      uint64 // bumped on foreground I/O to preempt idle work
+	stats    EngineStats
+
+	// Group commit. A store in flight releases mu, so concurrent markers
+	// pile their changes into the bitmap and the next leader's snapshot
+	// covers them all with one NVRAM write.
+	committed *sync.Cond
+	storing   bool
+	durable   uint64 // highest change generation an image has reached NVRAM with
+	latest    uint64 // latest change generation applied to marks
+	storeErr  error  // outcome of the store that reached durable
+
+	wake chan struct{} // nudges the background loop (capacity 1: more pending kicks add nothing)
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+// NewEngine loads the marking memory. An unusable image — garbage, the
+// wrong size, rejected by Parse — triggers the paper's marking-memory
+// failure recovery: every unit is marked, EngineStats.Recovered is set
+// and the all-marked image is stored. The background loop does not run
+// until Start.
+func NewEngine(cfg Config) (*Engine, error) {
+	e := &Engine{
+		cfg:    cfg,
+		marks:  NewBitmap(cfg.Units),
+		hold:   make(map[int64]bool),
+		claims: make(map[int64]claimState),
+		lastIO: time.Now(),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+	}
+	e.released = sync.NewCond(&e.mu)
+	e.committed = sync.NewCond(&e.mu)
+	if cfg.NV == nil {
+		return e, nil
+	}
+	img, err := cfg.NV.Load()
+	if err != nil {
+		return nil, fmt.Errorf("nvram: loading marking memory: %w", err)
+	}
+	if len(img) == 0 {
+		return e, nil
+	}
+	if cfg.Parse != nil {
+		img, err = cfg.Parse(img)
+	}
+	if err == nil {
+		var bm *Bitmap
+		if bm, err = Deserialize(img); err == nil && bm.Stripes() == cfg.Units {
+			e.marks = bm
+			e.stats.HighWater = bm.Count()
+			return e, nil
+		}
+	}
+	for u := int64(0); u < cfg.Units; u++ {
+		e.marks.Mark(u)
+	}
+	e.stats.Recovered = true
+	e.stats.HighWater = cfg.Units
+	return e, e.Commit()
+}
+
+// Start launches the background loop: every Idle/4, and whenever woken,
+// it makes units redundant while the client is idle or over Threshold.
+func (e *Engine) Start() {
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		t := time.NewTicker(max(e.cfg.Idle/4, time.Millisecond))
+		defer t.Stop()
+		for {
+			select {
+			case <-e.stop:
+				return
+			case <-t.C:
+			case <-e.wake:
+			}
+			e.Poll()
+		}
+	}()
+}
+
+// Stop ends the background loop and waits for it. Marks stay as they
+// are; drains already running finish their current unit.
+func (e *Engine) Stop() {
+	close(e.stop)
+	e.wg.Wait()
+}
+
+// Touch records foreground I/O: it restarts the idle clock and preempts
+// idle work that has not yet passed Proceed.
+func (e *Engine) Touch() {
+	e.mu.Lock()
+	e.lastIO = time.Now()
+	e.gen++
+	e.mu.Unlock()
+}
+
+// Mark records that unit is about to lose its redundancy and returns
+// once an image showing the mark is in NVRAM — the caller's data write
+// comes after. Marking a marked unit stores nothing. Either way a hold
+// on the unit ends (the write may replace what made it undrainable) and
+// a rebuild in flight will not unmark it.
+func (e *Engine) Mark(unit int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	changed := e.marks.Mark(unit)
+	delete(e.hold, unit)
+	if st, ok := e.claims[unit]; ok && st == claimRunning {
+		e.claims[unit] = claimRemarked
+	}
+	if !changed {
+		return nil
+	}
+	if c := e.marks.Count(); c > e.stats.HighWater {
+		e.stats.HighWater = c
+	}
+	return e.commit()
+}
+
+// Clear unmarks a unit the client made redundant by its own means (a
+// degraded write that stored the whole stripe, a repair). The change is
+// in memory only — an image that still shows the mark merely costs a
+// spurious rebuild — until the next Commit. It reports whether the unit
+// was marked.
+func (e *Engine) Clear(unit int64) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.unmark(unit)
+}
+
+func (e *Engine) unmark(unit int64) bool {
+	delete(e.hold, unit)
+	return e.marks.Unmark(unit)
+}
+
+// Commit returns once an image at least as new as every change made
+// before the call is in NVRAM.
+func (e *Engine) Commit() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.commit()
+}
+
+// commit is the group commit. The caller's change (already applied) is
+// assigned a generation; the call returns once a store whose snapshot
+// included that generation has completed. One caller at a time leads —
+// it snapshots the bitmap, releases mu for the NVRAM write, and wakes
+// the others — so N concurrent markers cost ~1 store instead of N, and
+// images reach NVRAM in generation order. Caller holds mu; it is
+// released and reacquired inside.
+func (e *Engine) commit() error {
+	if e.cfg.NV == nil {
+		return nil
+	}
+	e.latest++
+	want := e.latest
+	for e.durable < want {
+		if e.storing {
+			e.committed.Wait()
+			continue
+		}
+		e.storing = true
+		goal := e.latest // the snapshot covers every generation through goal
+		img := e.marks.Serialize()
+		e.mu.Unlock()
+		if e.cfg.Compose != nil {
+			img = e.cfg.Compose(img)
+		}
+		err := e.cfg.NV.Store(img)
+		if err != nil {
+			err = fmt.Errorf("nvram: storing marking memory: %w", err)
+		}
+		e.mu.Lock()
+		e.storing = false
+		e.durable, e.storeErr = goal, err
+		e.stats.Persists++
+		e.committed.Broadcast()
+	}
+	// storeErr is the outcome of the store that reached (or passed) our
+	// generation; a later successful store also covers our change.
+	return e.storeErr
+}
+
+// IsMarked reports whether unit is unredundant.
+func (e *Engine) IsMarked(unit int64) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.marks.IsMarked(unit)
+}
+
+// Count returns the number of unredundant units.
+func (e *Engine) Count() int64 { return e.Stats().Marked }
+
+// Marked lists the unredundant units, ascending — the exposure set.
+func (e *Engine) Marked() []int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.marks.Marked()
+}
+
+// Held lists the units no drain will retry until they are marked again,
+// ascending.
+func (e *Engine) Held() []int64 { return e.heldIn(0, e.cfg.Units) }
+
+func (e *Engine) heldIn(lo, hi int64) []int64 {
+	e.mu.Lock()
+	out := make([]int64, 0, len(e.hold))
+	for u := range e.hold {
+		if lo <= u && u < hi {
+			out = append(out, u)
+		}
+	}
+	e.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Stats returns a snapshot of the counters.
+func (e *Engine) Stats() EngineStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := e.stats
+	st.Marked = e.marks.Count()
+	return st
+}
+
+// Claim is the engine's hand-off of one unit to MakeRedundant.
+type Claim struct {
+	Unit int64
+
+	e      *Engine
+	idle   bool   // background work begun because the client was idle: yields to foreground I/O
+	gen    uint64 // the foreground generation when it was decided on
+	forced bool   // begun over Threshold, in the background or inline
+}
+
+// Proceed reports whether the rebuild should go ahead. Call it holding
+// the client's lock for the unit: it is false when the unit is no longer
+// marked, and — for idle work only — when foreground I/O has arrived
+// since the engine sampled the idle clock. Without that re-check a write
+// landing between the sample and the lock would have its fresh mark
+// consumed as "idle" work, competing with the very I/O the idle policy
+// exists to yield to. Forced and requested drains skip it: they must
+// make progress under sustained writes, or the backlog (and a Flush
+// behind it) could be starved forever.
+func (c Claim) Proceed() bool {
+	e := c.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case !e.marks.IsMarked(c.Unit):
+		e.claims[c.Unit] = claimGone
+	case c.idle && e.gen != c.gen:
+		e.claims[c.Unit] = claimPreempted
+		e.stats.Preempts++
+	default:
+		// Writers of this unit are behind the client's lock now, so marks
+		// made up to here are covered by the rebuild that follows.
+		e.claims[c.Unit] = claimRunning
+		return true
+	}
+	return false
+}
+
+// backlog is what the triggers count: marked units a drain could still
+// make redundant. Held units are marked but undrainable; they must not
+// keep an episode spinning or the valve open. Caller holds mu.
+func (e *Engine) backlog() int64 { return e.marks.Count() - int64(len(e.hold)) }
+
+// claimNext claims the lowest marked unit in [lo, hi) that is neither
+// held nor claimed. The claim keeps concurrent drainers off each other's
+// units — without it every worker would pick the same first mark and
+// serialize on the client's lock. Caller holds mu.
+func (e *Engine) claimNext(lo, hi int64) (int64, bool) {
+	for {
+		u, ok := e.marks.scan(lo, hi)
+		if !ok {
+			return 0, false
+		}
+		if _, busy := e.claims[u]; !busy && !e.hold[u] {
+			e.claims[u] = claimRunning
+			return u, true
+		}
+		lo = u + 1
+	}
+}
+
+// settled is how a claim ended, for the drain that made it.
+type settled int
+
+const (
+	moved  settled = iota // progress: the unit is redundant, or gone, or re-marked, or newly held
+	passed                // Skip: the unit stays marked and the drain goes on to the next
+	halted                // preempted, or the callback failed: the drain stops
+)
+
+// run hands one claimed unit to the callback, then settles the claim.
+func (e *Engine) run(ctx context.Context, c Claim) (settled, error) {
+	out, err := e.cfg.MakeRedundant(ctx, c)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := e.claims[c.Unit]
+	delete(e.claims, c.Unit)
+	e.released.Broadcast()
+	switch {
+	case err != nil || st == claimPreempted:
+		return halted, err
+	case st == claimGone:
+		return moved, nil // the client cleared the unit itself meanwhile
+	case out == Skip:
+		return passed, nil
+	case st == claimRemarked:
+		// A write landed once the callback let go of the unit: its mark
+		// stands, for a later pass, and may have replaced what a Hold saw.
+		return moved, nil
+	case out == Hold:
+		e.hold[c.Unit] = true
+		return moved, nil
+	}
+	if !e.unmark(c.Unit) {
+		return moved, nil
+	}
+	e.stats.Drained++
+	if c.forced {
+		e.stats.Forced++
+	}
+	return moved, e.commit()
+}
+
+// Poll runs one background episode, as the loop does on every tick and
+// wake: make units redundant, lowest first, while the client stays idle
+// or over Threshold. A unit whose callback says Skip is walked past — its
+// trouble is its own (a node its stripe needs is gone) and must not
+// shield the marked units above it from the drain. The walk goes round
+// again for units marked behind it, and the episode ends when a whole
+// walk settles nothing, the idle window closes, foreground I/O preempts
+// an idle rebuild, or the callback fails.
+func (e *Engine) Poll() {
+	var started time.Time
+	built, from, progressed := 0, int64(0), false
+	for {
+		select {
+		case <-e.stop:
+			return
+		default:
+		}
+		e.mu.Lock()
+		n := e.backlog()
+		forced := e.cfg.Threshold > 0 && n > e.cfg.Threshold
+		c := Claim{e: e, idle: !forced, gen: e.gen, forced: forced}
+		ok := n > 0 && (forced || time.Since(e.lastIO) >= e.cfg.Idle)
+		if ok {
+			if c.Unit, ok = e.claimNext(from, e.cfg.Units); !ok && progressed {
+				progressed = false
+				c.Unit, ok = e.claimNext(0, e.cfg.Units)
+			}
+		}
+		if ok && started.IsZero() {
+			started = time.Now()
+			if forced {
+				e.stats.ForcedEpisodes++
+			} else {
+				e.stats.IdleEpisodes++
+			}
+		}
+		e.mu.Unlock()
+		if !ok {
+			break
+		}
+		how, _ := e.run(context.Background(), c)
+		if how == halted {
+			break
+		}
+		from = c.Unit + 1
+		if how == moved {
+			built++
+			progressed = true
+		}
+	}
+	if built > 0 && e.cfg.Episode != nil {
+		e.cfg.Episode(time.Since(started))
+	}
+}
+
+// Kick is the write path's pressure valve, called after a foreground
+// write: past Threshold it wakes the background loop, and past twice
+// Threshold it makes up to MaxInline units redundant in the caller's
+// context, like the paper's policy of starting parity updates under
+// load. Units whose callback says Skip are walked past, as in Poll. It
+// allocates nothing and looks at one mark per callback, however long the
+// backlog.
+func (e *Engine) Kick() {
+	th := e.cfg.Threshold
+	if th <= 0 {
+		return
+	}
+	e.mu.Lock()
+	n := e.backlog()
+	e.mu.Unlock()
+	if n <= th {
+		return
+	}
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
+	if n <= 2*th {
+		return
+	}
+	for from, built := int64(0), 0; built < MaxInline; {
+		c := Claim{e: e, forced: true}
+		e.mu.Lock()
+		ok := e.backlog() > th
+		if ok {
+			c.Unit, ok = e.claimNext(from, e.cfg.Units)
+		}
+		e.mu.Unlock()
+		if !ok {
+			return
+		}
+		how, _ := e.run(context.Background(), c)
+		if how == halted {
+			return
+		}
+		from = c.Unit + 1
+		if how == moved {
+			built++
+			e.mu.Lock()
+			e.stats.Inline++
+			e.mu.Unlock()
+		}
+	}
+}
+
+// DrainResult says what a requested drain had to leave marked.
+type DrainResult struct {
+	Skipped int64   // units whose callback said Skip on the last sweep
+	Held    []int64 // held units in scope, ascending
+}
+
+// DrainAll makes every marked unit redundant — the whole-array parity
+// point — Workers at a time. Units re-marked by concurrent writers get
+// another sweep; it returns when nothing drainable is left, or when a
+// sweep made no unit redundant and the callback skipped some (the
+// caller knows why: a failed member, a down node).
+func (e *Engine) DrainAll(ctx context.Context) (DrainResult, error) {
+	for {
+		done, res, err := e.sweep(ctx, 0, e.cfg.Units)
+		if err != nil {
+			return res, err
+		}
+		e.mu.Lock()
+		left := e.backlog()
+		e.mu.Unlock()
+		if left == 0 || (done == 0 && res.Skipped > 0) {
+			return res, nil
+		}
+	}
+}
+
+// DrainRange makes the units of [lo, hi) that are marked now redundant,
+// and returns once they are (or are reported in the result).
+func (e *Engine) DrainRange(ctx context.Context, lo, hi int64) (DrainResult, error) {
+	_, res, err := e.sweep(ctx, lo, hi)
+	return res, err
+}
+
+// sweep visits every marked unit of [lo, hi) once, in ascending order,
+// with up to Workers callbacks in flight. A unit another drainer has
+// claimed is set aside, so that the workers pass it and stay busy, and
+// is taken last: the sweep then waits for the claim's release (or ctx's
+// end) and looks again, so it never returns nil past a unit it did not
+// see settled.
+func (e *Engine) sweep(ctx context.Context, lo, hi int64) (done int64, res DrainResult, err error) {
+	defer context.AfterFunc(ctx, func() {
+		e.mu.Lock()
+		e.released.Broadcast()
+		e.mu.Unlock()
+	})()
+	from := lo
+	var busy []int64
+	next := func() (int64, bool) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		for {
+			u, ok := e.marks.scan(from, hi)
+			if !ok {
+				break
+			}
+			from = u + 1
+			if _, taken := e.claims[u]; taken {
+				busy = append(busy, u)
+			} else if !e.hold[u] {
+				e.claims[u] = claimRunning
+				return u, true
+			}
+		}
+		for len(busy) > 0 && ctx.Err() == nil {
+			u := busy[0]
+			if _, taken := e.claims[u]; taken {
+				e.released.Wait()
+				continue
+			}
+			busy = busy[1:]
+			if e.marks.IsMarked(u) && !e.hold[u] {
+				e.claims[u] = claimRunning
+				return u, true
+			}
+		}
+		return 0, false
+	}
+	err = pool(ctx, int(min(int64(e.cfg.Workers), hi-lo)), next, func(u int64) error {
+		how, err := e.run(ctx, Claim{e: e, Unit: u})
+		e.mu.Lock()
+		if how == moved {
+			done++
+		} else {
+			res.Skipped++
+		}
+		e.mu.Unlock()
+		return err
+	})
+	if err == nil && len(busy) > 0 {
+		err = ctx.Err() // cancelled while waiting on another drainer's claim
+	}
+	res.Held = e.heldIn(lo, hi)
+	return done, res, err
+}
+
+// ForEach runs do(i) for every i in [lo, hi) on up to workers goroutines
+// striding a shared cursor; with one worker (or one item) it runs on the
+// caller's goroutine and spawns nothing. The first error, do's or ctx's,
+// stops every worker before its next item and is returned.
+func ForEach(ctx context.Context, workers int, lo, hi int64, do func(i int64) error) error {
+	var cur atomic.Int64
+	cur.Store(lo)
+	next := func() (int64, bool) {
+		i := cur.Add(1) - 1
+		return i, i < hi
+	}
+	return pool(ctx, int(min(int64(workers), hi-lo)), next, do)
+}
+
+// pool is the one worker pool the drains and sweeps share: each worker
+// pulls its next item from next until it reports none left.
+func pool(ctx context.Context, workers int, next func() (int64, bool), do func(int64) error) error {
+	var (
+		once   sync.Once
+		failed atomic.Bool
+		first  error
+	)
+	work := func() {
+		for !failed.Load() {
+			// ctx is checked before next, which may claim: a claimed item is
+			// always run.
+			err := ctx.Err()
+			if err == nil {
+				i, ok := next()
+				if !ok {
+					return
+				}
+				err = do(i)
+			}
+			if err != nil {
+				once.Do(func() { first = err })
+				failed.Store(true)
+			}
+		}
+	}
+	if workers <= 1 {
+		work()
+		return first
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
+	return first
+}

@@ -421,8 +421,8 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	s.st.bytesWritten.Add(int64(len(p)))
 	s.lastOp.Store(time.Now().UnixNano())
 	// Hard pressure: the migrator is behind; pay one demotion inline
-	// (the analogue of the back tier's kickScrub valve) so dirty bytes
-	// cannot grow without bound.
+	// (the analogue of the back tier's nvram.Engine.Kick valve) so dirty
+	// bytes cannot grow without bound.
 	if s.dirtyBytesNow() > 2*s.opts.MaxDirtyBytes {
 		s.demoteOne(ctx)
 	} else if s.mig != nil && s.dirtyBytesNow() > s.opts.MaxDirtyBytes {
