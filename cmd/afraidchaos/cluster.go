@@ -97,6 +97,7 @@ type clusterResult struct {
 
 	failovers, hedged, hedgeWins, retries, autoHeals, quarantines uint64
 	resets, truncations, refused                                  uint64
+	fullStripes                                                   uint64 // full-stripe writes after the fill
 }
 
 // exercised reports whether the episode actually hit its fault class's
@@ -167,6 +168,7 @@ func runCluster(seed int64, episodes, ops int, classFlag string, verbose, failFa
 		agg.resets += res.resets
 		agg.truncations += res.truncations
 		agg.refused += res.refused
+		agg.fullStripes += res.fullStripes
 		agg.lossBytes += res.lossBytes
 		if verbose || len(res.violations) > 0 {
 			fmt.Printf("seed=%-6d %-9s failovers=%d hedges=%d/%d retries=%d heals=%d quar=%d loss=%d viol=%d\n",
@@ -195,8 +197,8 @@ func runCluster(seed int64, episodes, ops int, classFlag string, verbose, failFa
 	}
 	fmt.Printf("\ncluster: %d failovers, %d/%d hedge wins, %d retries, %d auto-heals, %d quarantines\n",
 		agg.failovers, agg.hedgeWins, agg.hedged, agg.retries, agg.autoHeals, agg.quarantines)
-	fmt.Printf("cluster: %d resets, %d truncations, %d refused dials, %d reported-loss bytes\n",
-		agg.resets, agg.truncations, agg.refused, agg.lossBytes)
+	fmt.Printf("cluster: %d resets, %d truncations, %d refused dials, %d reported-loss bytes, %d full-stripe writes\n",
+		agg.resets, agg.truncations, agg.refused, agg.lossBytes, agg.fullStripes)
 
 	if len(violations) > 0 {
 		fmt.Printf("\n%d VIOLATION(S):\n", len(violations))
@@ -215,6 +217,10 @@ func runCluster(seed int64, episodes, ops int, classFlag string, verbose, failFa
 			gaps++
 		}
 	}
+	if agg.fullStripes == 0 {
+		fmt.Printf("coverage gap: %d episodes, no full-stripe write once the faults began\n", episodes)
+		gaps++
+	}
 	if gaps > 0 {
 		return 1
 	}
@@ -231,6 +237,10 @@ func runClusterEpisode(epSeed int64, class, ops int) (*clusterResult, error) {
 		nData    = nNodes - 1
 		unit     = int64(8 << 10)
 		nodeSize = 32 * unit // 32 stripes per node
+		// The share of writes that cover a whole stripe. A stripe with the
+		// victim in it takes the degraded protocol, so most of them are not
+		// full-stripe writes.
+		aligned = 0.25
 	)
 	if ops <= 0 {
 		ops = 40
@@ -302,6 +312,7 @@ func runClusterEpisode(epSeed int64, class, ops int) (*clusterResult, error) {
 	if err := v.Flush(ctx); err != nil {
 		return nil, fmt.Errorf("fill flush: %w", err)
 	}
+	filled := v.Obs().Counters()["write.full_stripe"] // the fill is nothing but full stripes
 
 	victim := rng.Intn(nNodes)
 	touched := make(map[int64]bool)  // stripes written after the fill flush
@@ -310,10 +321,16 @@ func runClusterEpisode(epSeed int64, class, ops int) (*clusterResult, error) {
 		res.violations = append(res.violations, fmt.Sprintf(format, a...))
 	}
 
-	wbuf := make([]byte, unit)
+	wbuf := make([]byte, stripeBytes)
 	rbuf := make([]byte, unit)
 	writeOne := func() {
-		off := rng.Int63n(capacity/unit) * unit
+		// One unit, or — a share of the time — the whole stripe, which the
+		// volume writes with its parity while every node answers and under
+		// the degraded protocol once one does not.
+		off, wbuf := rng.Int63n(capacity/unit)*unit, wbuf[:unit]
+		if rng.Float64() < aligned {
+			off, wbuf = off/stripeBytes*stripeBytes, wbuf[:stripeBytes]
+		}
 		st := off / stripeBytes
 		rng.Read(wbuf)
 		_, err := v.WriteAt(wbuf, off)
@@ -509,5 +526,6 @@ func runClusterEpisode(epSeed int64, class, ops int) (*clusterResult, error) {
 	res.resets = uint64(ps.Resets)
 	res.truncations = uint64(ps.Truncations)
 	res.refused = uint64(ps.Refused)
+	res.fullStripes = v.Obs().Counters()["write.full_stripe"] - filled
 	return res, nil
 }

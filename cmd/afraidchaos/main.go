@@ -12,7 +12,11 @@
 // Every schedule is derived from the episode's seed, so a violation is
 // reproducible from the printed repro line alone.
 //
-// Usage:
+// A share of every workload's ops covers whole stripes, stripe-aligned,
+// so the store's full-stripe write and in-place degraded read run under
+// the same faults; a run in which a parity-keeping policy (or the tier's
+// back store, or the cluster volume) wrote no full stripe fails as a
+// coverage gap, violations or not.
 //
 // With -tier the schedules instead target the hybrid tier
 // (internal/tier): a mirrored write-back front over an AFRAID back
@@ -112,14 +116,14 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\n%-8s %9s %9s %6s %9s %6s %11s %9s %6s %9s %6s\n",
+	fmt.Printf("\n%-8s %9s %9s %6s %9s %6s %11s %9s %6s %9s %6s %11s\n",
 		"policy", "episodes", "survived", "lost", "violated", "crash", "lost-bytes", "repaired",
-		"flips", "csum-fix", "csum-lost")
+		"flips", "csum-fix", "csum-lost", "full-stripe")
 	for _, m := range modes {
 		t := tallies[m]
-		fmt.Printf("%-8v %9d %9d %6d %9d %6d %11d %9d %6d %9d %6d\n",
+		fmt.Printf("%-8v %9d %9d %6d %9d %6d %11d %9d %6d %9d %6d %11d\n",
 			m, t.episodes, t.survived, t.lost, t.violated, t.crashed, t.lostBytes, t.recovered,
-			t.flips, t.csumRepaired, t.csumLost)
+			t.flips, t.csumRepaired, t.csumLost, t.fullStripe)
 	}
 
 	if len(violations) > 0 {
@@ -127,6 +131,19 @@ func main() {
 		for _, v := range violations {
 			fmt.Println(" ", v)
 		}
+		os.Exit(1)
+	}
+	// Coverage gate, as for the cluster's fault classes: a policy that
+	// keeps parity and wrote no full stripe all run left the full-stripe
+	// write untested; fail loudly rather than report a vacuous pass.
+	gaps := 0
+	for _, m := range modes {
+		if t := tallies[m]; m != core.Raid0 && t.episodes > 0 && t.fullStripe == 0 {
+			fmt.Printf("coverage gap: %d %v episodes, no full-stripe write in any\n", t.episodes, m)
+			gaps++
+		}
+	}
+	if gaps > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("\nno invariant violations")
@@ -141,6 +158,7 @@ func runTier(seed int64, episodes, ops int, verbose, failFast bool) int {
 	var t struct {
 		survived, violated, crashed  int
 		promotes, demotes, frontHits uint64
+		fullStripe                   uint64
 		mapRecovered, copyFailed     int
 	}
 	for i := 0; i < episodes; i++ {
@@ -169,6 +187,7 @@ func runTier(seed int64, episodes, ops int, verbose, failFast bool) int {
 		t.promotes += res.Promotes
 		t.demotes += res.Demotes
 		t.frontHits += res.FrontHits
+		t.fullStripe += res.FullStripeWrites
 		if verbose || len(res.Violations) > 0 {
 			fmt.Printf("seed=%-6d tier acked=%d failed=%d promotes=%d demotes=%d hits=%d crash=%v maploss=%v copyfail=%v\n",
 				epSeed, res.AckedWrites, res.FailedWrites, res.Promotes, res.Demotes,
@@ -184,12 +203,17 @@ func runTier(seed int64, episodes, ops int, verbose, failFast bool) int {
 	}
 	fmt.Printf("\ntier: %d episodes, %d survived, %d violated, %d crashed, %d map-loss recoveries, %d copy fail-stops\n",
 		episodes, t.survived, t.violated, t.crashed, t.mapRecovered, t.copyFailed)
-	fmt.Printf("tier: %d promotes, %d demotes, %d front hits\n", t.promotes, t.demotes, t.frontHits)
+	fmt.Printf("tier: %d promotes, %d demotes, %d front hits, %d back-store full-stripe writes\n",
+		t.promotes, t.demotes, t.frontHits, t.fullStripe)
 	if len(violations) > 0 {
 		fmt.Printf("\n%d VIOLATION(S):\n", len(violations))
 		for _, v := range violations {
 			fmt.Println(" ", v)
 		}
+		return 1
+	}
+	if t.fullStripe == 0 {
+		fmt.Printf("coverage gap: %d tier episodes, no full-stripe write reached the back store\n", episodes)
 		return 1
 	}
 	fmt.Println("\nno invariant violations")
@@ -249,6 +273,7 @@ type tally struct {
 	flips                              int
 	csumDetected, csumRepaired         uint64
 	csumLost                           uint64
+	fullStripe                         uint64
 }
 
 func (t *tally) note(r *fault.Result) {
@@ -270,6 +295,7 @@ func (t *tally) note(r *fault.Result) {
 	t.csumDetected += r.ChecksumsDetected
 	t.csumRepaired += r.ChecksumsRepaired
 	t.csumLost += r.ChecksumsLost
+	t.fullStripe += r.FullStripeWrites
 }
 
 func describe(r *fault.Result) string {

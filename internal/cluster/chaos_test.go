@@ -42,6 +42,7 @@ func TestChaosNodeFailStopLossContract(t *testing.T) {
 
 	capacity := v.Capacity()
 	sdb := v.Geometry().StripeDataBytes()
+	filled := fullStripeWrites(v) // the fill is nothing but full stripes
 	victim := rng.Intn(nNodes)
 	// Fail-stop after a random number of node ops: lands mid-workload,
 	// possibly mid-span, deterministically for a given seed.
@@ -68,6 +69,11 @@ func TestChaosNodeFailStopLossContract(t *testing.T) {
 		if rem := sdb - off%sdb; n > rem {
 			n = rem
 		}
+		if i%5 == 4 {
+			// A whole stripe: written with its parity while every node of
+			// it answers, under the degraded protocol afterwards.
+			off, n = off/sdb*sdb, sdb
+		}
 		buf := make([]byte, n)
 		rng.Read(buf)
 		_, err := v.WriteAt(buf, off)
@@ -89,6 +95,9 @@ func TestChaosNodeFailStopLossContract(t *testing.T) {
 	}
 	if allowed == nil {
 		t.Fatalf("victim %d never went down: CrashAfterOps too high for workload", victim)
+	}
+	if fullStripeWrites(v) == filled {
+		t.Fatalf("seed %d: the workload made no full-stripe write before the victim went down", seed)
 	}
 	t.Logf("seed %d: victim %d, allowed-loss set %d stripes, %d dirty now",
 		seed, victim, len(allowed), v.DirtyStripes())

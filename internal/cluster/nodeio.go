@@ -30,6 +30,7 @@ type volObs struct {
 	retriesExhausted *obs.Counter
 	quarantines      *obs.Counter
 	autoHeals        *obs.Counter
+	fullStripe       *obs.Counter // spans written by writeFullStripe
 }
 
 func newVolObs(n int) *volObs {
@@ -52,6 +53,7 @@ func newVolObs(n int) *volObs {
 	ob.retriesExhausted = ob.reg.Counter("span.retries_exhausted")
 	ob.quarantines = ob.reg.Counter("node.quarantines")
 	ob.autoHeals = ob.reg.Counter("node.auto_heals")
+	ob.fullStripe = ob.reg.Counter("write.full_stripe")
 	return ob
 }
 

@@ -8,9 +8,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"afraid/internal/bufpool"
 	"afraid/internal/core"
 	"afraid/internal/layout"
 	"afraid/internal/nvram"
+	"afraid/internal/parity"
 )
 
 // Options configures a Volume.
@@ -348,7 +350,9 @@ func (v *Volume) Close() error {
 	close(v.stop)
 	v.bgCancel()
 	v.wg.Wait()
-	var first error
+	// Full-stripe writes clear their marks in memory only; a clean
+	// shutdown should not cost the next Open their rebuilds.
+	first := v.eng.Sync()
 	v.meta.Lock()
 	defer v.meta.Unlock()
 	for _, m := range v.nodes {
@@ -564,7 +568,9 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 
 // WriteContext writes p at off. With every data node of a stripe
 // reachable, the write is AFRAID-deferred: data lands immediately, the
-// stripe is marked unredundant, parity follows in the background. With
+// stripe is marked unredundant, parity follows in the background —
+// unless the write carries the stripe's whole data image, whose parity
+// is computed from the bytes in hand and written with them. With
 // a data node down, the stripe switches to the synchronous degraded
 // protocol — deferring there would turn the *already spent* redundancy
 // into certain loss on the next failure, which would break the paper's
@@ -604,6 +610,9 @@ func (v *Volume) WriteContext(ctx context.Context, p []byte, off int64) (int, er
 func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error {
 	st := sp.Stripe
 	h := v.health(st)
+	if len(h.badIdx) == 0 && h.parityWrit && sp.FullStripe(v.geo) {
+		return v.writeFullStripe(ctx, p, base, sp)
+	}
 	if len(h.badIdx) == 0 {
 		// Every data node reachable: the AFRAID deferred path. Mark first
 		// (durably), then write — a crash between the two costs a spurious
@@ -613,7 +622,7 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 		if err := v.eng.Mark(st); err != nil {
 			return err
 		}
-		return v.writeExtents(ctx, sp, p, base)
+		return v.writeExtents(ctx, sp, p, base, nil)
 	}
 	if len(h.badIdx) > 1 {
 		return fmt.Errorf("%w: stripe %d", ErrTooManyNodes, st)
@@ -634,7 +643,7 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 		}
 		// Stripe already in the exposure set; updating its live units
 		// deepens nothing. Keep deferring.
-		return v.writeExtents(ctx, sp, p, base)
+		return v.writeExtents(ctx, sp, p, base, nil)
 	}
 	if !h.parityWrit {
 		// Synchronous parity needed (data node absent) but the parity
@@ -644,21 +653,62 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 	return v.writeSpanDegraded(ctx, p, base, sp, bIdx, coversB, h.dirty)
 }
 
-// writeExtents writes the span's extents to their home nodes,
-// fanning out one goroutine per extent (distinct nodes by layout).
-func (v *Volume) writeExtents(ctx context.Context, sp layout.StripeSpan, p []byte, base int64) error {
-	if len(sp.Extents) == 1 {
+// writeFullStripe writes a span that carries every data unit of a stripe
+// whole, all of whose nodes are reachable: the parity unit is computed
+// from the caller's buffer and written beside the data units, so the
+// stripe ends redundant — the cluster's counterpart of core's full-stripe
+// write, with the same protocol. The mark is durable before the first
+// byte moves, so a volume host that dies mid-write finds the stripe in
+// its exposure set; it is cleared, in memory, once every unit has landed
+// (the image catches up at its next store). A node that fails under the
+// write leaves the stripe marked and its own unit stale, and the span's
+// retry takes the degraded protocol. Caller holds the stripe lock.
+func (v *Volume) writeFullStripe(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error {
+	st := sp.Stripe
+	if err := v.eng.Mark(st); err != nil {
+		return err
+	}
+	units := make([][]byte, len(sp.Extents))
+	for _, e := range sp.Extents {
+		units[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
+	}
+	pbuf := bufpool.Get(int(v.geo.StripeUnit))
+	defer bufpool.Put(pbuf)
+	parity.Compute(pbuf, units...)
+	if err := v.writeExtents(ctx, sp, p, base, pbuf); err != nil {
+		return err
+	}
+	// The stale map before the dirty one, as everywhere (composeMarks).
+	v.meta.Lock()
+	v.nodes[v.geo.ParityDisk(st)].stale.Unmark(st)
+	v.meta.Unlock()
+	v.eng.Clear(st)
+	v.ob.fullStripe.Inc()
+	return nil
+}
+
+// writeExtents writes the span's extents to their home nodes — and par,
+// when not nil, to the stripe's parity node — fanning out one goroutine
+// per unit (distinct nodes by layout).
+func (v *Volume) writeExtents(ctx context.Context, sp layout.StripeSpan, p []byte, base int64, par []byte) error {
+	if len(sp.Extents) == 1 && par == nil {
 		e := sp.Extents[0]
 		return v.nodeWrite(ctx, e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff)
 	}
-	errs := make([]error, len(sp.Extents))
+	errs := make([]error, len(sp.Extents)+1)
 	var wg sync.WaitGroup
-	for i, e := range sp.Extents {
+	write := func(i, node int, b []byte, off int64) {
 		wg.Add(1)
-		go func(i int, e layout.Extent) {
+		go func() {
 			defer wg.Done()
-			errs[i] = v.nodeWrite(ctx, e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff)
-		}(i, e)
+			errs[i] = v.nodeWrite(ctx, node, b, off)
+		}()
+	}
+	for i, e := range sp.Extents {
+		write(i, e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff)
+	}
+	if par != nil {
+		write(len(sp.Extents), v.geo.ParityDisk(sp.Stripe), par, v.geo.DiskOffset(sp.Stripe))
 	}
 	wg.Wait()
 	return firstError(errs)

@@ -9,7 +9,8 @@ import (
 
 // TestIOPathAllocs pins the foreground I/O path's allocation behavior:
 // after warm-up, full-span reads and writes — with and without
-// checksums — run without heap allocation, and so do full-span reads
+// checksums, the writes deferring parity (AFRAID) or not (RAID 5, RAID
+// 6) — run without heap allocation, and so do full-span reads
 // reconstructed around one failed disk (AFRAID, RAID 6) or two (RAID 6).
 // The pooled pieces this guards: span slices (SplitAppend + spanPool),
 // checksum slot buffers (slotPool), unit scratch (bufpool), and for the
@@ -26,6 +27,9 @@ func TestIOPathAllocs(t *testing.T) {
 		fail []int // disks failed after the warm-up writes; reads are then degraded
 	}{
 		{Raid0, nil},
+		{Afraid, nil}, // the full-stripe write: marks once, encodes from the caller's buffer
+		{Raid5, nil},
+		{Raid6, nil},
 		{Afraid, []int{1}},
 		{Raid6, []int{1}},
 		{Raid6, []int{1, 4}},

@@ -235,7 +235,8 @@ func (s *Store) formatChecksums() error {
 // absorbMismatch is the span loops' counterpart of absorbFailure for
 // checksum failures: when err identifies a corrupt unit, repair it in
 // place from redundancy. It returns retry=true when the repair
-// succeeded and the caller should re-run the span; otherwise the error
+// succeeded (or a member failed under it and was absorbed as
+// absorbFailure would) and the caller should re-run the span; otherwise the error
 // to surface (the original err when it was not a checksum failure, a
 // loss error when redundancy could not cover the corruption). Caller
 // holds the corrupt stripe's lock.
@@ -244,10 +245,17 @@ func (s *Store) absorbMismatch(err error) (retry bool, out error) {
 	if !errors.As(err, &ce) {
 		return false, err
 	}
+	rerr := s.repairUnit(ce.Stripe, ce.Disk)
+	if rerr != nil && s.absorbFailure(rerr) {
+		// A member fail-stopped under the repair. The caller's retry works
+		// around it and meets the corrupt unit again, which then is
+		// repaired beside the dead member, or reported lost, and counted.
+		return true, nil
+	}
 	s.meta.Lock()
 	s.stats.ChecksumDetected++
 	s.meta.Unlock()
-	if rerr := s.repairUnit(ce.Stripe, ce.Disk); rerr != nil {
+	if rerr != nil {
 		if errors.Is(rerr, ErrDataLoss) {
 			s.meta.Lock()
 			s.stats.ChecksumLost++
@@ -293,19 +301,32 @@ func (s *Store) spanRetryBudget() int { return len(s.devs) + 2 }
 // (the overwrite installs a fresh slot), and modes that keep P fresh
 // while dirty (Afraid6 deferring only Q) repair fine post-mark.
 func (s *Store) preflightChecksums(sp layout.StripeSpan) error {
-	if !s.opts.Checksums {
+	if !s.preflights(sp) {
 		return nil
 	}
-	unit := s.geo.StripeUnit
 	for _, e := range sp.Extents {
-		if e.UnitOff == 0 && e.Len == unit {
-			continue
-		}
-		if err := s.verifyUnit(e.Disk, sp.Stripe); err != nil {
-			return err
+		if e.Len < s.geo.StripeUnit {
+			if err := s.verifyUnit(e.Disk, sp.Stripe); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// preflights reports whether a deferring write of the span has old
+// contents to verify before it marks (preflightChecksums): the request-
+// level mark leaves such a span to mark itself, in that order.
+func (s *Store) preflights(sp layout.StripeSpan) bool {
+	if !s.opts.Checksums || s.syncParities(PolicyDefault) != 0 {
+		return false
+	}
+	for _, e := range sp.Extents {
+		if e.Len < s.geo.StripeUnit {
+			return true
+		}
+	}
+	return false
 }
 
 // resyncParity rebuilds a stripe's parity from its at-rest data units.

@@ -234,6 +234,34 @@ func TestChecksumRaid6DoubleTamper(t *testing.T) {
 	}
 }
 
+// A member that fail-stops under a unit repair is absorbed like one that
+// fail-stops under the span itself: the retry works around it and repairs
+// the corrupt unit beside it (RAID 6), or reports the double loss (RAID 5).
+func TestChecksumRepairMeetsFailStop(t *testing.T) {
+	for _, mode := range []Mode{Raid6, Raid5} {
+		s, devs := openCsum(t, Options{Mode: mode, DisableScrubber: true})
+		data := pattern(testUnit, 23)
+		if _, err := s.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		flipByte(t, devs[s.geo.DataDisk(0, 0)], s.geo.DiskOffset(0)+1)
+		dead := s.geo.DataDisk(0, 1) // not under the read: the repair is the first to meet it
+		devs[dead].(*MemDevice).Fail()
+		got := make([]byte, len(data))
+		_, err := s.ReadAt(got, 0)
+		if dd := s.DeadDisks(); len(dd) != 1 || dd[0] != dead {
+			t.Fatalf("%v: dead disks %v after a member failed under a unit repair, want [%d] (read: %v)", mode, dd, dead, err)
+		}
+		switch {
+		case mode == Raid6 && (err != nil || !bytes.Equal(got, data)):
+			t.Fatalf("raid6: corrupt unit beside a dead member not repaired: %v", err)
+		case mode == Raid5 && !errors.Is(err, ErrDataLoss):
+			t.Fatalf("raid5: corrupt unit beside a dead member read as %v, want ErrDataLoss", err)
+		}
+		s.Close()
+	}
+}
+
 // Afraid6 defers only Q, so a dirty stripe still repairs single
 // corruption through its fresh P — the paper's partial-redundancy
 // point extended to integrity.

@@ -222,7 +222,7 @@ func (m *MemNVRAM) Load() ([]byte, error) {
 func (m *MemNVRAM) Store(img []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.img = append(m.img[:0:0], img...)
+	m.img = append(m.img[:0], img...) // Load hands out copies, so the old image's memory is free to take the new
 	return nil
 }
 

@@ -20,6 +20,7 @@ type storeObs struct {
 	scrubStripe  *obs.Histogram // one stripe rebuild (lock wait included)
 	scrubEpisode *obs.Histogram // one scrub episode (a run of rebuilds)
 	csumVerify   *obs.Histogram // one checksummed unit read (slot I/O + CRC)
+	fullStripe   *obs.Counter   // spans written by writeFullStripe
 	trace        *obs.Ring
 }
 
@@ -34,6 +35,7 @@ func newStoreObs() *storeObs {
 		scrubStripe:  r.Histogram("scrub_stripe"),
 		scrubEpisode: r.Histogram("scrub_episode"),
 		csumVerify:   r.Histogram("checksum_verify"),
+		fullStripe:   r.Counter("full_stripe_writes"),
 		trace:        r.Ring("ops", 512),
 	}
 }

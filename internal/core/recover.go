@@ -247,7 +247,7 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 	if st.pol == PolicyNeverRedundant {
 		return nil
 	}
-	s.encode(sb)
+	s.encode(sb, sb.units)
 	written := 0
 	for j, par := range sb.par {
 		d := s.parityDisk(stripe, j)

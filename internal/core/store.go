@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"afraid/internal/layout"
@@ -181,8 +182,9 @@ type Store struct {
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
-	sbPool sync.Pool  // *stripeBuf arena (stripebuf.go)
-	ioCh   chan ioReq // unbuffered hand-off to the I/O workers
+	sbPool sync.Pool    // *stripeBuf arena (stripebuf.go)
+	ioCh   chan ioReq   // unbuffered hand-off to the I/O workers
+	unitNs atomic.Int64 // what the last timed unit I/O took (doTimed, readExtents): decides whether hand-offs pay
 
 	ob   *storeObs
 	stop chan struct{}
@@ -256,9 +258,12 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	if m > 1 && !opts.DeferBothParities {
 		s.deferred = 1 << (m - 1)
 	}
-	// I/O workers serve the per-disk unit reads fanned out by stripe
-	// rebuilds, degraded reads, and parity checks. Enough for every
-	// drain worker to have a whole stripe's reads in flight at once.
+	// I/O workers serve the per-disk unit I/Os fanned out by stripe
+	// rebuilds, reads, full-stripe writes and parity checks. Enough for
+	// every drain worker to have a whole stripe's reads in flight at once.
+	// They are used while the members serve units slowly enough
+	// (overlapWorth); until it has timed one the store assumes so.
+	s.unitNs.Store(int64(overlapWorth))
 	ioN := len(devs) * s.scrubWorkers()
 	if ioN > 32 {
 		ioN = 32
@@ -321,7 +326,9 @@ func (s *Store) Close() error {
 	s.eng.Stop()
 	close(s.stop)
 	s.wg.Wait()
-	var first error
+	// Full-stripe writes clear their marks in memory only; a clean
+	// shutdown should not cost the next Open their rebuilds.
+	first := s.eng.Sync()
 	for _, d := range s.devs {
 		if err := d.Close(); err != nil && first == nil {
 			first = err
@@ -533,6 +540,12 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	spp := spanPool.Get().(*[]layout.StripeSpan)
 	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
 	defer func() { *spp = spans; spanPool.Put(spp) }()
+	if len(spans) > 1 {
+		if err := s.premark(spans); err != nil {
+			s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, err)
+			return 0, err
+		}
+	}
 	for _, sp := range spans {
 		if err := ctx.Err(); err != nil {
 			s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, err)
@@ -593,6 +606,36 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	s.eng.Kick()
 	s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, nil)
 	return len(p), nil
+}
+
+// premark makes the marks of a write that spans several stripes durable
+// in one NVRAM store instead of one per stripe. It is a batching of
+// stores only: each span still marks its stripe under the stripe lock
+// (writeSpan), which costs nothing while the mark stands and restores it
+// if a drain made the stripe redundant in between. It marks ahead what
+// writeSpan would mark without reading anything first: the stripes whose
+// policy defers, bar the spans that verify old contents before they mark
+// (preflights), and nothing with a member failed, when no write defers.
+func (s *Store) premark(spans []layout.StripeSpan) error {
+	ahead := func(sp layout.StripeSpan) bool { // caller holds meta
+		return s.failed.n == 0 && s.effectivePolicy(sp.Stripe) == PolicyDefault && !s.preflights(sp)
+	}
+	for i := 0; i < len(spans); i++ {
+		s.meta.Lock()
+		j := i
+		for j < len(spans) && ahead(spans[j]) {
+			j++
+		}
+		s.meta.Unlock()
+		if j > i {
+			// Spans are consecutive stripes, so the run is a range.
+			if err := s.eng.MarkRange(spans[i].Stripe, spans[j-1].Stripe+1); err != nil {
+				return err
+			}
+			i = j
+		}
+	}
+	return nil
 }
 
 // checkRange validates a client range.

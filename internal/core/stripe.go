@@ -145,42 +145,53 @@ func (s *Store) unitDisk(stripe int64, k int) int {
 	return s.geo.DataDisk(stripe, k)
 }
 
-// encode computes every parity of the arena's data image. All parity
+// encode computes every parity of a data image — the arena's units, or
+// views of a caller's buffer — into the arena's parity units. All parity
 // arithmetic in the store runs through encode, reconstruct and
 // rmwExtent, which time it into the parity_compute histogram.
-func (s *Store) encode(sb *stripeBuf) {
+func (s *Store) encode(sb *stripeBuf, data [][]byte) {
 	pt := time.Now()
-	s.code.Encode(sb.par, sb.units)
+	s.code.Encode(sb.par, data)
 	s.observeParity(pt)
 }
 
 // readUnits reads unit bytes [lo,hi) of the stripe into the arena: every
-// data unit whose disk is not in skip, and the parities in want. The
-// reads target distinct disks, so they are fanned out to the I/O
-// workers and overlap; one is kept back and done inline so the calling
-// goroutine contributes instead of blocking. Skipped buffers keep
-// arbitrary contents. Returns the first error in arena order.
+// data unit whose disk is not in skip, and the parities in want. Skipped
+// buffers keep arbitrary contents.
 func (s *Store) readUnits(sb *stripeBuf, stripe int64, skip failedSet, want paritySet, lo, hi int64) error {
+	sb.window(want, lo, hi)
+	return s.unitIO(false, sb, stripe, skip, lo)
+}
+
+// unitIO reads or writes, at unit offset lo of the stripe, the bytes
+// every view names, except data units on the disks in skip. The units
+// live on distinct disks, so the operations are fanned out to the I/O
+// workers and overlap — a whole stripe moves in about one device service
+// time; one is kept back and done inline so the calling goroutine
+// contributes instead of blocking. Every one is attempted even after one
+// fails. Returns the first error in arena order.
+func (s *Store) unitIO(write bool, sb *stripeBuf, stripe int64, skip failedSet, lo int64) error {
 	off := s.geo.DiskOffset(stripe) + lo
 	dd := len(sb.units)
 	clear(sb.errs)
-	inline := -1
-	for k, u := range sb.all {
-		if k >= dd && !want.has(k-dd) {
+	inline := ioReq{disk: -1}
+	for k, u := range sb.view {
+		if u == nil {
 			continue
 		}
 		d := s.unitDisk(stripe, k)
 		if k < dd && skip.has(d) {
 			continue
 		}
-		if inline < 0 {
-			inline = k
+		req := ioReq{write: write, disk: d, buf: u, off: off, errp: &sb.errs[k], wg: &sb.wg}
+		if inline.disk < 0 {
+			inline = req
 			continue
 		}
-		s.devReadAsync(d, u[lo:hi], off, &sb.errs[k], &sb.wg)
+		s.devAsync(req)
 	}
-	if inline >= 0 {
-		sb.errs[inline] = s.devRead(s.unitDisk(stripe, inline), sb.all[inline][lo:hi], off)
+	if inline.disk >= 0 {
+		s.doTimed(inline)
 	}
 	sb.wg.Wait()
 	for _, err := range sb.errs {
@@ -192,9 +203,10 @@ func (s *Store) readUnits(sb *stripeBuf, stripe int64, skip failedSet, want pari
 }
 
 // reconstruct loads unit bytes [lo,hi) of every data unit of the stripe
-// into sb.units: survivors are read, and the data units on missing
-// disks (at most as many as there are parities) are solved from the
-// fresh parities that are not missing themselves. When those cannot
+// into sb.units — or straight into sb.dst[k], for the units the caller
+// names a destination for: survivors are read, and the data units on
+// missing disks (at most as many as there are parities) are solved from
+// the fresh parities that are not missing themselves. When those cannot
 // cover the missing units — the data-loss case — it returns ErrDataLoss
 // before any I/O. It reports the parities the solve used: by
 // construction they encode the loaded image exactly, which no other
@@ -221,17 +233,12 @@ func (s *Store) reconstruct(sb *stripeBuf, stripe int64, missing failedSet, fres
 			need--
 		}
 	}
-	if err := s.readUnits(sb, stripe, missing, used, lo, hi); err != nil {
+	sb.window(used, lo, hi)
+	if err := s.unitIO(false, sb, stripe, missing, lo); err != nil {
 		return 0, err
 	}
 	if len(lost) == 0 {
 		return 0, nil
-	}
-	for k, u := range sb.all {
-		sb.view[k] = nil
-		if k < dd || used.has(k-dd) {
-			sb.view[k] = u[lo:hi]
-		}
 	}
 	pt := time.Now()
 	ok := s.code.Solve(sb.view[:dd], lost, sb.view[dd:])
@@ -246,46 +253,96 @@ func (s *Store) reconstruct(sb *stripeBuf, stripe int64, missing failedSet, fres
 // disks when the fresh parities allow. Caller holds the stripe lock.
 func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	st := s.stripeState(sp.Stripe)
-	var (
-		sb     *stripeBuf
-		lo, hi int64 // unit range the arena holds reconstructed
-		err    error
-	)
+	// Only the byte range of the extents on failed disks is solved, so a
+	// small degraded read moves a small range of every survivor, not
+	// whole units.
+	lo, hi := s.geo.StripeUnit, int64(0)
+	for _, e := range sp.Extents {
+		if st.failed.has(e.Disk) {
+			lo, hi = min(lo, e.UnitOff), max(hi, e.UnitOff+e.Len)
+		}
+	}
+	if lo >= hi {
+		return s.readExtents(p, base, sp)
+	}
+	// The solve reads that range of every survivor, so each survivor moves
+	// once: an extent that is exactly the range is read — or solved —
+	// where the caller wants it, one inside the range is copied out of the
+	// arena, and only one that reaches past it is read on its own.
+	sb := s.getStripeBuf()
+	defer s.putStripeBuf(sb)
+	for _, e := range sp.Extents {
+		if e.UnitOff == lo && e.UnitOff+e.Len == hi {
+			sb.dst[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
+		}
+	}
+	if _, err := s.reconstruct(sb, sp.Stripe, st.failed, st.fresh, lo, hi); err != nil {
+		return err
+	}
+	s.meta.Lock()
+	s.stats.DegradedReads++
+	s.meta.Unlock()
 	for _, e := range sp.Extents {
 		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if !st.failed.has(e.Disk) {
-			if err = s.devRead(e.Disk, dst, e.DiskOff); err != nil {
-				break
+		switch {
+		case sb.dst[e.DataIdx] != nil:
+		case lo <= e.UnitOff && e.UnitOff+e.Len <= hi:
+			copy(dst, sb.units[e.DataIdx][e.UnitOff:])
+		default:
+			if err := s.devRead(e.Disk, dst, e.DiskOff); err != nil {
+				return err
 			}
-			continue
 		}
-		if sb == nil {
-			sb = s.getStripeBuf()
-		}
-		if e.UnitOff < lo || e.UnitOff+e.Len > hi {
-			// Only the extent's byte range is solved, so a small degraded
-			// read moves a small range of every survivor, not whole units.
-			lo, hi = e.UnitOff, e.UnitOff+e.Len
-			if _, err = s.reconstruct(sb, sp.Stripe, st.failed, st.fresh, lo, hi); err != nil {
-				break
+	}
+	return nil
+}
+
+// readExtents reads a healthy span's extents where the caller wants
+// them. They are on distinct disks, so on members slow enough for it to
+// pay several overlap like any other unit I/O of a stripe (unitIO): a
+// read of a whole stripe costs about one device service time.
+func (s *Store) readExtents(p []byte, base int64, sp layout.StripeSpan) error {
+	if e := sp.Extents[0]; len(sp.Extents) == 1 {
+		return s.devRead(e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff)
+	}
+	if !s.overlaps() {
+		// One after another — and timed, so that members that turn slow
+		// are noticed by a store that only reads.
+		t := time.Now()
+		for _, e := range sp.Extents {
+			if err := s.devRead(e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff); err != nil {
+				return err
 			}
-			s.meta.Lock()
-			s.stats.DegradedReads++
-			s.meta.Unlock()
 		}
-		copy(dst, sb.units[e.DataIdx][e.UnitOff:])
+		s.unitNs.Store(int64(time.Since(t)) / int64(len(sp.Extents)))
+		return nil
 	}
-	if sb != nil {
-		s.putStripeBuf(sb)
+	sb := s.getStripeBuf()
+	defer s.putStripeBuf(sb)
+	clear(sb.errs)
+	req := func(e layout.Extent) ioReq {
+		return ioReq{disk: e.Disk, buf: p[e.ArrOff-base : e.ArrOff-base+e.Len], off: e.DiskOff, errp: &sb.errs[e.DataIdx], wg: &sb.wg}
 	}
-	return err
+	for _, e := range sp.Extents[1:] {
+		s.devAsync(req(e))
+	}
+	s.doTimed(req(sp.Extents[0]))
+	sb.wg.Wait()
+	for _, err := range sb.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeSpan applies one stripe's worth of a write under the stripe
-// lock. Healthy stripes take the read-modify-write over the policy's
-// sync set; when that leaves parities deferred the stripe is marked
-// first, and with an empty sync set (AFRAID, RAID 0) the write is the
-// bare data write.
+// lock. A span that carries the stripe's whole data image is a
+// full-stripe write in every organisation that keeps parity. Otherwise
+// healthy stripes take the read-modify-write over the policy's sync set;
+// when that leaves parities deferred the stripe is marked first, and
+// with an empty sync set (AFRAID, RAID 0) the write is the bare data
+// write.
 func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	st := s.stripeState(sp.Stripe)
 	if st.failed.n > 0 && st.pol != PolicyNeverRedundant {
@@ -295,16 +352,17 @@ func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 		// them the contents of the dead units).
 		return s.writeSpanDegraded(p, base, sp, st)
 	}
+	if st.failed.n == 0 && st.pol != PolicyNeverRedundant && sp.FullStripe(s.geo) {
+		return s.writeFullStripe(p, base, sp, st)
+	}
 	sync := s.syncParities(st.pol)
 	if st.pol == PolicyDefault {
-		if sync == 0 {
-			// No parity stays fresh across the mark, so verify the old
-			// contents under partial extents *before* marking: a corruption
-			// found after our own mark would be misread as dirty-stripe
-			// loss (see preflightChecksums).
-			if err := s.preflightChecksums(sp); err != nil {
-				return err
-			}
+		// When no parity stays fresh across the mark, verify the old
+		// contents under partial extents *before* marking: a corruption
+		// found after our own mark would be misread as dirty-stripe loss
+		// (see preflightChecksums).
+		if err := s.preflightChecksums(sp); err != nil {
+			return err
 		}
 		// The mark is durable before the data moves. A fresh write may also
 		// overwrite the corrupt unit that put the stripe in quarantine, so
@@ -326,6 +384,41 @@ func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	return nil
 }
 
+// writeFullStripe writes a span that carries every data unit of a
+// healthy stripe whole. Its parities are a function of the bytes in hand,
+// so there is no small-update penalty to defer: they are encoded straight
+// from views of the caller's buffer, and the data and parity units go to
+// their disks together. Nothing is read, so no old contents are verified
+// first. A deferring policy still makes the mark durable before the first
+// byte moves — interrupted, the write leaves the stripe marked, as any
+// other would — and the stripe ends redundant whatever it was before: the
+// mark is cleared in memory when the last unit has landed, and the NVRAM
+// image catches up at its next store (a mark left there by a crash costs
+// one spurious rebuild). Caller holds the stripe lock.
+func (s *Store) writeFullStripe(p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
+	if st.pol == PolicyDefault {
+		if err := s.eng.Mark(sp.Stripe); err != nil {
+			return err
+		}
+	}
+	sb := s.getStripeBuf()
+	defer s.putStripeBuf(sb)
+	for _, e := range sp.Extents {
+		sb.view[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
+	}
+	dd := len(sb.units)
+	copy(sb.view[dd:], sb.par)
+	s.encode(sb, sb.view[:dd])
+	if err := s.unitIO(true, sb, sp.Stripe, failedSet{}, 0); err != nil {
+		return err
+	}
+	s.ob.fullStripe.Inc()
+	if st.pol == PolicyDefault || st.dirty {
+		s.eng.Clear(sp.Stripe)
+	}
+	return nil
+}
+
 // rmwExtent writes one extent and delta-updates the parities in sync:
 // read the old data and old parity ranges, fold old^new into each
 // parity, write the parities and then the data. The ranges live on
@@ -343,11 +436,11 @@ func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync parity
 	errs := sb.errs[:1+len(sb.par)]
 	clear(errs)
 	old := sb.units[0][:e.Len]
-	s.devReadAsync(e.Disk, old, e.DiskOff, &errs[0], &sb.wg)
+	s.devAsync(ioReq{disk: e.Disk, buf: old, off: e.DiskOff, errp: &errs[0], wg: &sb.wg})
 	last := bits.Len8(uint8(sync)) - 1
 	for j := range sb.par[:last] {
 		if sync.has(j) {
-			s.devReadAsync(s.parityDisk(stripe, j), sb.par[j][:e.Len], off, &errs[1+j], &sb.wg)
+			s.devAsync(ioReq{disk: s.parityDisk(stripe, j), buf: sb.par[j][:e.Len], off: off, errp: &errs[1+j], wg: &sb.wg})
 		}
 	}
 	errs[1+last] = s.devRead(s.parityDisk(stripe, last), sb.par[last][:e.Len], off)
@@ -386,12 +479,18 @@ func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync parity
 
 // writeSpanDegraded rewrites the whole stripe image around the failed
 // disks: reconstruct, apply the new data, recompute the parities, write
-// the surviving units. Caller holds the stripe lock.
+// the surviving units. A span that carries the whole data image
+// overwrites everything a reconstruction would load, so it skips it —
+// and with it the need for a fresh parity: such a write succeeds, and
+// heals the stripe, where the old contents are already lost. Caller
+// holds the stripe lock.
 func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-	if _, err := s.reconstruct(sb, sp.Stripe, st.failed, st.fresh, 0, s.geo.StripeUnit); err != nil {
-		return err
+	if !sp.FullStripe(s.geo) {
+		if _, err := s.reconstruct(sb, sp.Stripe, st.failed, st.fresh, 0, s.geo.StripeUnit); err != nil {
+			return err
+		}
 	}
 	for _, e := range sp.Extents {
 		copy(sb.units[e.DataIdx][e.UnitOff:], p[e.ArrOff-base:e.ArrOff-base+e.Len])
@@ -422,7 +521,7 @@ func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st
 // dead one gets its copy at repair time.
 func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, failed failedSet, wasDirty bool) error {
 	off := s.geo.DiskOffset(stripe)
-	s.encode(sb)
+	s.encode(sb, sb.units)
 	parWritten := 0
 	for k, u := range sb.all {
 		d := s.unitDisk(stripe, k)
@@ -484,7 +583,7 @@ func (s *Store) rebuildParity(stripe int64) error {
 	if err := s.readUnits(sb, stripe, failedSet{}, 0, 0, s.geo.StripeUnit); err != nil {
 		return fmt.Errorf("core: scrub: %w", err)
 	}
-	s.encode(sb)
+	s.encode(sb, sb.units)
 	for j, par := range sb.par {
 		if err := s.devWrite(s.parityDisk(stripe, j), par, s.geo.DiskOffset(stripe)); err != nil {
 			return fmt.Errorf("core: scrub: %w", err)
@@ -514,7 +613,7 @@ func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) 
 	k := s.unitIndex(stripe, target)
 	last := st.failed.n == 1
 	if k >= len(sb.units) || (last && used != s.allPar) {
-		s.encode(sb)
+		s.encode(sb, sb.units)
 	}
 	if err := s.writeUnitTo(replacement, stripe, sb.all[k]); err != nil {
 		return err
@@ -585,7 +684,7 @@ func (s *Store) repairUnit(stripe int64, disk int) error {
 		k := s.unitIndex(stripe, d)
 		if k >= len(sb.units) && !encoded {
 			// All data units are in hand, so any parity can be recomputed.
-			s.encode(sb)
+			s.encode(sb, sb.units)
 			encoded = true
 		}
 		if err := s.devWrite(d, sb.all[k], s.geo.DiskOffset(stripe)); err != nil {

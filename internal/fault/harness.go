@@ -100,6 +100,10 @@ type Result struct {
 
 	AckedWrites  int // writes the store acknowledged
 	FailedWrites int // writes that errored (their ranges become indeterminate)
+	// FullStripeWrites counts the spans the store wrote as full stripes
+	// (its full_stripe_writes counter): zero over a whole run means the
+	// aligned op class exercised nothing.
+	FullStripeWrites uint64
 
 	Crashed      bool  // a power cut ended the workload
 	NVRAMRebuild bool  // recovery fell back to the full-array rebuild
@@ -340,31 +344,31 @@ func RunEpisode(cfg Config) (*Result, error) {
 	}
 
 	res.HoleStripes = len(e.sh.holes)
-	stats := e.st.Stats()
-	res.RecoveredStripes = stats.RecoveredStripes
-	res.ChecksumsDetected += stats.ChecksumDetected
-	res.ChecksumsRepaired += stats.ChecksumRepaired
-	res.ChecksumsLost += stats.ChecksumLost
-	for _, d := range e.devs {
-		res.FlipBits += int(d.Stats().FlipBits)
-	}
+	res.RecoveredStripes = e.st.Stats().RecoveredStripes
+	e.foldCounters()
 	e.st.Close()
 	return res, nil
+}
+
+// foldCounters adds the current store's and device wrappers' counters to
+// the result: before a crash, which loses them (re-wrapping resets the
+// wrappers'), and at the end of the episode.
+func (e *episode) foldCounters() {
+	stats := e.st.Stats()
+	e.res.ChecksumsDetected += stats.ChecksumDetected
+	e.res.ChecksumsRepaired += stats.ChecksumRepaired
+	e.res.ChecksumsLost += stats.ChecksumLost
+	e.res.FullStripeWrites += e.st.Obs().Counters()["full_stripe_writes"]
+	for _, d := range e.devs {
+		e.res.FlipBits += int(d.Stats().FlipBits)
+	}
 }
 
 // crashAndRecover abandons the cut store and reopens from the
 // surviving device contents — the machine rebooting after the crash.
 func (e *episode) crashAndRecover() error {
 	deadPre := e.st.DeadDisks()
-	// The crash loses the in-memory counters and the wrapper stats
-	// (re-wrapping resets them); fold both into the result first.
-	stats := e.st.Stats()
-	e.res.ChecksumsDetected += stats.ChecksumDetected
-	e.res.ChecksumsRepaired += stats.ChecksumRepaired
-	e.res.ChecksumsLost += stats.ChecksumLost
-	for _, d := range e.devs {
-		e.res.FlipBits += int(d.Stats().FlipBits)
-	}
+	e.foldCounters()
 	e.st.Close() // wrappers skip closing backings while the line is cut
 	e.res.Crashed = true
 

@@ -7,6 +7,11 @@ import (
 	"afraid/internal/core"
 )
 
+// alignedFrac is the share of workload ops that cover one to three whole
+// stripes, stripe-aligned: the shape the store's full-stripe write takes,
+// and a degraded read solves in place.
+const alignedFrac = 0.15
+
 // runWorkload issues ops seeded random reads and writes against the
 // store, maintaining the shadow model. It returns cut=true when a
 // power cut ended the run. Reads are verified live: a determinate byte
@@ -22,6 +27,11 @@ func (e *episode) runWorkload(ops int) (cut bool, err error) {
 			length = capacity
 		}
 		off := e.rng.Int63n(capacity - length + 1)
+		if e.rng.Float64() < alignedFrac {
+			sdb := e.geo.StripeDataBytes()
+			n := min(1+e.rng.Int63n(3), e.geo.Stripes())
+			length, off = n*sdb, e.rng.Int63n(e.geo.Stripes()-n+1)*sdb
+		}
 
 		if e.rng.Float64() < e.cfg.WriteFrac {
 			p := make([]byte, length)
@@ -33,6 +43,16 @@ func (e *episode) runWorkload(ops int) (cut bool, err error) {
 				e.res.FailedWrites++
 				e.sh.clobber(off, length)
 				if errors.Is(werr, ErrPowerCut) {
+					if e.cfg.Checksums && len(e.st.DeadDisks()) > 0 {
+						// A degraded store writes whole units. One the cut
+						// tore under its checksum is rebuilt at recovery, all
+						// of it, through parity the same cut left
+						// inconsistent: the units the write touched are
+						// indeterminate to their boundaries.
+						u := e.geo.StripeUnit
+						lo := off / u * u
+						e.sh.distrust(lo, (off+length+u-1)/u*u-lo)
+					}
 					return true, nil
 				}
 				if !errors.Is(werr, core.ErrDataLoss) && !errors.Is(werr, core.ErrTooManyFailures) {

@@ -27,7 +27,8 @@ import (
 type Persister interface {
 	// Load returns the last stored image, or an empty one when none was.
 	Load() ([]byte, error)
-	// Store replaces the image.
+	// Store replaces the image. The slice is the engine's own buffer,
+	// rewritten for the next image: Store must not keep it.
 	Store([]byte) error
 }
 
@@ -122,12 +123,16 @@ type Engine struct {
 
 	// Group commit. A store in flight releases mu, so concurrent markers
 	// pile their changes into the bitmap and the next leader's snapshot
-	// covers them all with one NVRAM write.
+	// covers them all with one NVRAM write. Every change to marks takes a
+	// generation; one that is not waited for (Clear) leaves durable behind
+	// latest until the next store, whoever asks for it.
 	committed *sync.Cond
 	storing   bool
 	durable   uint64 // highest change generation an image has reached NVRAM with
 	latest    uint64 // latest change generation applied to marks
+	marked    uint64 // latest generation that set a mark: what a Mark waits for
 	storeErr  error  // outcome of the store that reached durable
+	img       []byte // the bitmap snapshot being stored; the storing leader's alone
 
 	wake chan struct{} // nudges the background loop (capacity 1: more pending kicks add nothing)
 	stop chan struct{}
@@ -218,31 +223,49 @@ func (e *Engine) Touch() {
 
 // Mark records that unit is about to lose its redundancy and returns
 // once an image showing the mark is in NVRAM — the caller's data write
-// comes after. Marking a marked unit stores nothing. Either way a hold
-// on the unit ends (the write may replace what made it undrainable) and
-// a rebuild in flight will not unmark it.
+// comes after. Marking a marked unit stores nothing, but it does wait for
+// the store of whoever set the mark, if that is still in flight: the bit
+// in memory is not yet the mark in NVRAM. Either way a hold on the unit
+// ends (the write may replace what made it undrainable) and a rebuild in
+// flight will not unmark it.
 func (e *Engine) Mark(unit int64) error {
+	return e.MarkRange(unit, unit+1)
+}
+
+// MarkRange is Mark for every unit of [lo, hi) behind one store: a
+// request that spans many units makes all its marks durable at once. A
+// caller that takes its per-unit locks only afterwards marks each unit
+// again under its lock — a no-op unless a drain unmarked it in between.
+func (e *Engine) MarkRange(lo, hi int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	changed := e.marks.Mark(unit)
-	delete(e.hold, unit)
-	if st, ok := e.claims[unit]; ok && st == claimRunning {
-		e.claims[unit] = claimRemarked
+	changed := false
+	for u := lo; u < hi; u++ {
+		if e.marks.Mark(u) {
+			changed = true
+		}
+		delete(e.hold, u)
+		if st, ok := e.claims[u]; ok && st == claimRunning {
+			e.claims[u] = claimRemarked
+		}
 	}
-	if !changed {
-		return nil
+	if changed || e.storeErr != nil { // a failed store may have left any mark behind: store again
+		e.latest++
+		e.marked = e.latest
+		if c := e.marks.Count(); c > e.stats.HighWater {
+			e.stats.HighWater = c
+		}
 	}
-	if c := e.marks.Count(); c > e.stats.HighWater {
-		e.stats.HighWater = c
-	}
-	return e.commit()
+	// Every mark set so far, ours or found standing, must be in NVRAM. The
+	// generations past the last mark are Clears, which nobody waits for.
+	return e.commitTo(e.marked)
 }
 
 // Clear unmarks a unit the client made redundant by its own means (a
-// degraded write that stored the whole stripe, a repair). The change is
-// in memory only — an image that still shows the mark merely costs a
-// spurious rebuild — until the next Commit. It reports whether the unit
-// was marked.
+// write that stored the whole stripe, a repair). The change is in memory
+// only — an image that still shows the mark merely costs a spurious
+// rebuild — until the next store: a Mark, a Commit, a Sync, or the end of
+// a requested drain. It reports whether the unit was marked.
 func (e *Engine) Clear(unit int64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -251,30 +274,48 @@ func (e *Engine) Clear(unit int64) bool {
 
 func (e *Engine) unmark(unit int64) bool {
 	delete(e.hold, unit)
-	return e.marks.Unmark(unit)
+	if !e.marks.Unmark(unit) {
+		return false
+	}
+	e.latest++
+	return true
 }
 
 // Commit returns once an image at least as new as every change made
-// before the call is in NVRAM.
+// before the call — the client's own composed state included — is in
+// NVRAM.
 func (e *Engine) Commit() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.latest++
 	return e.commit()
 }
 
-// commit is the group commit. The caller's change (already applied) is
-// assigned a generation; the call returns once a store whose snapshot
-// included that generation has completed. One caller at a time leads —
-// it snapshots the bitmap, releases mu for the NVRAM write, and wakes
-// the others — so N concurrent markers cost ~1 store instead of N, and
-// images reach NVRAM in generation order. Caller holds mu; it is
-// released and reacquired inside.
-func (e *Engine) commit() error {
+// Sync returns once the NVRAM image equals the marks in memory, storing
+// one only if a Clear (or a failed store) left it behind. DrainAll and
+// DrainRange end with it; a client calls it when it closes.
+func (e *Engine) Sync() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.storeErr != nil {
+		e.latest++ // the last image never arrived: store again
+	}
+	return e.commit()
+}
+
+// commit is the group commit: the call returns once a store whose
+// snapshot included every change made so far has completed. One caller
+// at a time leads — it snapshots the bitmap, releases mu for the NVRAM
+// write, and wakes the others — so N concurrent markers cost ~1 store
+// instead of N, and images reach NVRAM in generation order. Caller holds
+// mu; it is released and reacquired inside.
+func (e *Engine) commit() error { return e.commitTo(e.latest) }
+
+// commitTo is commit for the changes through generation want only.
+func (e *Engine) commitTo(want uint64) error {
 	if e.cfg.NV == nil {
 		return nil
 	}
-	e.latest++
-	want := e.latest
 	for e.durable < want {
 		if e.storing {
 			e.committed.Wait()
@@ -282,7 +323,8 @@ func (e *Engine) commit() error {
 		}
 		e.storing = true
 		goal := e.latest // the snapshot covers every generation through goal
-		img := e.marks.Serialize()
+		e.img = e.marks.AppendTo(e.img[:0])
+		img := e.img
 		e.mu.Unlock()
 		if e.cfg.Compose != nil {
 			img = e.cfg.Compose(img)
@@ -563,7 +605,8 @@ type DrainResult struct {
 // point — Workers at a time. Units re-marked by concurrent writers get
 // another sweep; it returns when nothing drainable is left, or when a
 // sweep made no unit redundant and the callback skipped some (the
-// caller knows why: a failed member, a down node).
+// caller knows why: a failed member, a down node) — and the NVRAM image
+// equals the marks in memory (Sync).
 func (e *Engine) DrainAll(ctx context.Context) (DrainResult, error) {
 	for {
 		done, res, err := e.sweep(ctx, 0, e.cfg.Units)
@@ -574,15 +617,19 @@ func (e *Engine) DrainAll(ctx context.Context) (DrainResult, error) {
 		left := e.backlog()
 		e.mu.Unlock()
 		if left == 0 || (done == 0 && res.Skipped > 0) {
-			return res, nil
+			return res, e.Sync()
 		}
 	}
 }
 
 // DrainRange makes the units of [lo, hi) that are marked now redundant,
-// and returns once they are (or are reported in the result).
+// and returns once they are (or are reported in the result) and the
+// NVRAM image says so.
 func (e *Engine) DrainRange(ctx context.Context, lo, hi int64) (DrainResult, error) {
 	_, res, err := e.sweep(ctx, lo, hi)
+	if err == nil {
+		err = e.Sync()
+	}
 	return res, err
 }
 

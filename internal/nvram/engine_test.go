@@ -186,6 +186,117 @@ func TestMarkIsDurableBeforeItReturns(t *testing.T) {
 	}
 }
 
+// MarkRange makes a whole request's marks durable behind one store, and
+// like Mark stores nothing when they all stand — the form in which each
+// unit's writer asserts its mark again under its own lock.
+func TestMarkRangeIsOneStore(t *testing.T) {
+	nv := &fakeNV{}
+	c := newFakeClient()
+	e := newTestEngine(t, Config{NV: nv}, c)
+	c.setOutcome(12, Hold)
+	mustMark(t, e, 12)
+	if _, err := e.DrainAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := nv.stores()
+	if err := e.MarkRange(10, 18); err != nil {
+		t.Fatal(err)
+	}
+	if got := nv.stores() - before; got != 1 {
+		t.Fatalf("MarkRange over 8 units cost %d stores, want 1", got)
+	}
+	for u := int64(10); u < 18; u++ {
+		if !nv.durable(t).IsMarked(u) {
+			t.Fatalf("MarkRange returned before an image showing unit %d was stored", u)
+		}
+	}
+	if len(e.Held()) != 0 {
+		t.Fatal("marking a held unit again did not end the hold")
+	}
+	if st := e.Stats(); st.HighWater != 8 {
+		t.Fatalf("HighWater = %d, want 8", st.HighWater)
+	}
+	before = nv.stores()
+	if err := e.MarkRange(10, 18); err != nil {
+		t.Fatal(err)
+	}
+	if nv.stores() != before {
+		t.Fatal("re-marking marked units stored an image")
+	}
+}
+
+// Clear is lazy: the image keeps the mark — a crash costs one spurious
+// rebuild — until something stores again. Sync is that something when
+// nothing else is, requested drains end with it, and with nothing behind
+// it stores nothing. A store that failed is tried again.
+func TestClearIsLazyUntilSync(t *testing.T) {
+	nv := &fakeNV{}
+	e := newTestEngine(t, Config{NV: nv}, newFakeClient())
+	mustMark(t, e, 3, 4, 5)
+	before := nv.stores()
+	if !e.Clear(3) || e.Clear(3) {
+		t.Fatal("Clear does not report whether the unit was marked")
+	}
+	if nv.stores() != before || !nv.durable(t).IsMarked(3) {
+		t.Fatal("Clear stored an image")
+	}
+	mustMark(t, e, 9) // the next store carries the clear with it
+	if nv.durable(t).IsMarked(3) {
+		t.Fatal("a store after Clear still shows the cleared unit")
+	}
+	e.Clear(4)
+	for i, level := range []func() error{
+		e.Sync,
+		func() error { _, err := e.DrainRange(context.Background(), 100, 101); return err },
+		func() error { _, err := e.DrainAll(context.Background()); return err },
+	} {
+		before = nv.stores()
+		if err := level(); err != nil {
+			t.Fatal(err)
+		}
+		if got := nv.durable(t).Count(); got != e.Count() {
+			t.Fatalf("case %d: image shows %d marks, memory has %d", i, got, e.Count())
+		}
+		if i == 0 && nv.stores() != before+1 {
+			t.Fatalf("Sync stored %d images for one lazy clear", nv.stores()-before)
+		}
+		before = nv.stores()
+		if err := e.Sync(); err != nil || nv.stores() != before {
+			t.Fatalf("case %d: Sync with a level image stored again (err %v)", i, err)
+		}
+		mustMark(t, e, 20+int64(i))
+		e.Clear(20 + int64(i))
+	}
+
+	nv.mu.Lock()
+	nv.failAt = len(nv.images) + 1
+	nv.mu.Unlock()
+	if err := e.Sync(); err == nil {
+		t.Fatal("Sync hid a failed store")
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatalf("Sync after a failed store: %v", err)
+	}
+	if got := nv.durable(t).Count(); got != e.Count() {
+		t.Fatalf("image shows %d marks after the retried store, memory has %d", got, e.Count())
+	}
+}
+
+// A store reuses the engine's image buffer: marking and clearing on a
+// marking memory that keeps nothing allocates nothing.
+func TestStoresDoNotAllocate(t *testing.T) {
+	e := newTestEngine(t, Config{NV: discardNV{}}, newFakeClient())
+	mustMark(t, e, 1)
+	if a := testing.AllocsPerRun(100, func() { e.MarkRange(40, 48); e.Clear(40); e.Sync(); e.MarkRange(40, 41) }); a != 0 {
+		t.Fatalf("storing an image allocates (%.1f allocs per round of two stores)", a)
+	}
+}
+
+type discardNV struct{}
+
+func (discardNV) Load() ([]byte, error) { return nil, nil }
+func (discardNV) Store([]byte) error    { return nil }
+
 // Marks that pile up behind a store in flight are covered by the next
 // one: N concurrent marks cost fewer than N stores, every image is a
 // superset of the one before (generation order), and each Mark still
@@ -271,6 +382,46 @@ func TestFailedStoreReachesEveryWaiterItCovered(t *testing.T) {
 	}
 	if got := nv.durable(t).Count(); got != 1+n {
 		t.Fatalf("durable marks after recovery commit = %d, want %d", got, 1+n)
+	}
+}
+
+// The bit in memory is not the mark in NVRAM: a Mark that finds its unit
+// already marked — by a MarkRange whose store is still in flight — waits
+// for that store, and one that finds the last store failed stores again.
+// Clears that lag behind the image make no Mark wait or store.
+func TestMarkOfAMarkedUnitWaitsForItsStore(t *testing.T) {
+	nv := &fakeNV{gate: make(chan struct{}), failAt: 2}
+	e := newTestEngine(t, Config{NV: nv}, newFakeClient())
+	ranged := make(chan error, 1)
+	go func() { ranged <- e.MarkRange(0, 4) }()
+	testutil.Eventually(t, "the range's marks to be applied", func() bool { return e.Count() == 4 })
+	single := make(chan error, 1)
+	go func() { single <- e.Mark(1) }()
+	select {
+	case err := <-single:
+		t.Fatalf("Mark of a unit whose mark is not yet stored returned %v with %d images in NVRAM", err, nv.stores())
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(nv.gate)
+	if err := <-ranged; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-single; err != nil {
+		t.Fatal(err)
+	}
+	if !nv.durable(t).IsMarked(1) || nv.stores() != 1 {
+		t.Fatalf("after both marks: %d stores, unit 1 durable = %v; want the one store, shared", nv.stores(), nv.durable(t).IsMarked(1))
+	}
+
+	e.Clear(3) // lags: nobody waits for a Clear
+	if err := e.Mark(1); err != nil || nv.stores() != 1 {
+		t.Fatalf("Mark of a durably marked unit behind a lazy Clear: err %v, %d stores, want nil and no store", err, nv.stores())
+	}
+	if err := e.Mark(5); err == nil { // store 2 fails: unit 5 is marked in memory only
+		t.Fatal("the failed store was not reported")
+	}
+	if err := e.Mark(5); err != nil || !nv.durable(t).IsMarked(5) {
+		t.Fatalf("Mark after a failed store: err %v, durable = %v; want it stored again", err, nv.durable(t).IsMarked(5))
 	}
 }
 

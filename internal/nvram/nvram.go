@@ -179,15 +179,20 @@ func (b *Bitmap) Reset() {
 // store to survive crashes). Format: stripes count, then words,
 // little-endian.
 func (b *Bitmap) Serialize() []byte {
+	return b.AppendTo(make([]byte, 0, 8+len(b.words)*8))
+}
+
+// AppendTo appends the Serialize encoding to dst, so a caller that
+// stores an image per change can reuse one buffer for all of them.
+func (b *Bitmap) AppendTo(dst []byte) []byte {
 	if b.failed {
 		panic("nvram: serializing failed marking memory")
 	}
-	out := make([]byte, 8+len(b.words)*8)
-	binary.LittleEndian.PutUint64(out, uint64(b.stripes))
-	for i, w := range b.words {
-		binary.LittleEndian.PutUint64(out[8+i*8:], w)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(b.stripes))
+	for _, w := range b.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out
+	return dst
 }
 
 // Deserialize reconstructs a bitmap from Serialize output.

@@ -17,7 +17,7 @@ import (
 // fuse, the workload and the migrator.
 func runEpisodes(t *testing.T, base ChaosConfig, seeds int) {
 	t.Helper()
-	crashed, promoted, demoted := 0, 0, 0
+	crashed, promoted, demoted, fullStripe := 0, 0, 0, 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		cfg := base
 		cfg.Seed = seed
@@ -40,6 +40,9 @@ func runEpisodes(t *testing.T, base ChaosConfig, seeds int) {
 		if res.Demotes > 0 {
 			demoted++
 		}
+		if res.FullStripeWrites > 0 {
+			fullStripe++
+		}
 	}
 	// The sweep must actually exercise the machinery it claims to.
 	if promoted == 0 {
@@ -47,6 +50,9 @@ func runEpisodes(t *testing.T, base ChaosConfig, seeds int) {
 	}
 	if demoted == 0 {
 		t.Fatal("no episode demoted a single extent; the schedule is vacuous")
+	}
+	if fullStripe == 0 {
+		t.Fatal("no episode wrote a full stripe of the back store; demotes and aligned writes are not reaching it whole")
 	}
 	if base.PowerCut && crashed == 0 {
 		t.Fatal("no episode crashed; the schedule is vacuous")

@@ -103,6 +103,7 @@ type ChaosResult struct {
 	// Folded across the pre- and post-crash stores.
 	Promotes, Demotes uint64
 	FrontHits         uint64
+	FullStripeWrites  uint64 // spans the back store wrote as full stripes (demotes, write-arounds)
 	WriteArounds      uint64
 	Resilvered        uint64
 	MapRecovered      bool
@@ -218,6 +219,7 @@ func (e *chaosEpisode) foldStats() {
 	e.res.WriteArounds += ts.WriteArounds
 	e.res.Resilvered += ts.Resilvered
 	e.res.MapRecovered = e.res.MapRecovered || ts.MapRecovered
+	e.res.FullStripeWrites += e.back.Obs().Counters()["full_stripe_writes"]
 	for _, d := range e.frontDevs {
 		if d.Failed() {
 			e.res.FrontCopyFailed = true
@@ -311,6 +313,11 @@ func RunChaosEpisode(cfg ChaosConfig) (*ChaosResult, error) {
 	return e.res, nil
 }
 
+// alignedFrac is the share of ops shaped like what the tiers move whole:
+// one or two extents, extent-aligned, or one to three stripes of the
+// back store, stripe-aligned.
+const alignedFrac = 0.15
+
 // workload runs seeded random I/O with live verification, maintaining
 // the shadow. It returns cut=true when the power cut ended the run.
 func (e *chaosEpisode) workload() (cut bool, err error) {
@@ -332,6 +339,14 @@ func (e *chaosEpisode) workload() (cut bool, err error) {
 			// Re-hit a hot prefix half the time so extents stay
 			// resident long enough to take front write hits.
 			off = e.rng.Int63n(hotSpan - length + 1)
+		}
+		if e.rng.Float64() < alignedFrac {
+			grain, most := e.cfg.ExtentSize, int64(2)
+			if e.rng.Intn(2) == 0 {
+				grain, most = e.back.Geometry().StripeDataBytes(), 3
+			}
+			n := min(1+e.rng.Int63n(most), capacity/grain)
+			length, off = n*grain, e.rng.Int63n(capacity/grain-n+1)*grain
 		}
 
 		if e.rng.Float64() < e.cfg.WriteFrac {
