@@ -27,6 +27,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -96,8 +97,9 @@ func main() {
 	}
 }
 
-// runStatus prints the volume view and a per-node table, aggregating
-// each daemon's own STAT alongside the volume's reachability state.
+// runStatus prints the volume view, a per-node table setting each
+// daemon's own STAT beside the volume's reachability state, and the
+// full key-by-node matrix of those STATs.
 func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO time.Duration) {
 	st := v.Stat()
 	fmt.Printf("volume: capacity %s, stripe unit %s, %d stripes, %d dirty",
@@ -112,35 +114,77 @@ func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO ti
 	fmt.Printf("  hedged=%d hedge_wins=%d retries=%d retries_exhausted=%d auto_heals=%d quarantines=%d\n",
 		st.Stats.HedgedReads, st.Stats.HedgeWins, st.Stats.Retries,
 		st.Stats.RetriesExhausted, st.Stats.AutoHeals, st.Stats.Quarantines)
-	fmt.Printf("%-4s %-22s %-12s %-5s %-10s %-10s %-14s %-20s %s\n", "NODE", "ADDR", "STATE", "FAILS", "STALE", "NODE-DIRTY", "NODE-CAPACITY", "TIER(res/hits/mig)", "CSUM(det/rep/lost)")
+	// Ask each daemon itself: its STAT snapshot, over the block protocol
+	// so no metrics port is needed. A key a node does not carry (no
+	// front tier, an unreachable node) renders as "-".
+	stats := make([]server.Stat, len(st.Nodes))
 	for _, n := range st.Nodes {
-		nodeDirty, nodeCap, nodeTier, nodeCsum := "-", "-", "-", "-"
-		// Ask the daemon itself: its STAT carries its own array's
-		// dirty count and capacity (the afraid.node expvar's fields,
-		// over the block protocol so no metrics port is needed).
 		if c, err := server.DialTimeout(addrs[n.Index], dialTO); err == nil {
 			cctx, cancel := context.WithTimeout(ctx, dialTO)
-			if ds, err := c.Stat(cctx); err == nil {
-				nodeDirty = strconv.FormatInt(ds.DirtyStripes, 10)
-				nodeCap = fmtSize(ds.Capacity)
-				if ds.ChecksumDetected > 0 {
-					nodeCsum = fmt.Sprintf("%d/%d/%d", ds.ChecksumDetected, ds.ChecksumRepaired, ds.ChecksumLost)
-				}
-				// A hybrid node (STAT v4) reports its front-tier
-				// occupancy: resident bytes, front hits, and migration
-				// traffic (promotes+demotes).
-				if ds.TierResidentBytes > 0 || ds.TierFrontHits > 0 || ds.TierPromotes > 0 {
-					nodeTier = fmt.Sprintf("%s/%d/%d", fmtSize(ds.TierResidentBytes), ds.TierFrontHits, ds.TierPromotes+ds.TierDemotes)
-				}
-			}
+			stats[n.Index], _ = c.Stat(cctx)
 			cancel()
 			c.Close()
+		}
+	}
+	num := func(v int64) string { return strconv.FormatInt(v, 10) }
+	triple := func(a, b, c string) string {
+		if a == "-" {
+			return "-" // the node has no such layer
+		}
+		return a + "/" + b + "/" + c
+	}
+	fmt.Printf("%-4s %-22s %-12s %-5s %-10s %-10s %-14s %-20s %s\n", "NODE", "ADDR", "STATE", "FAILS", "STALE", "NODE-DIRTY", "NODE-CAPACITY", "TIER(res/hits/mig)", "CSUM(det/rep/lost)")
+	for _, n := range st.Nodes {
+		ds := stats[n.Index]
+		get := func(render func(int64) string, keys ...string) string {
+			var sum int64
+			for _, k := range keys {
+				v, ok := ds[k]
+				if !ok {
+					return "-"
+				}
+				sum += v
+			}
+			return render(sum)
 		}
 		state := n.State.String()
 		if n.LastErr != "" {
 			state += " (" + n.LastErr + ")"
 		}
-		fmt.Printf("%-4d %-22s %-12s %-5d %-10d %-10s %-14s %-20s %s\n", n.Index, n.Addr, state, n.ConsecFails, n.StaleStripes, nodeDirty, nodeCap, nodeTier, nodeCsum)
+		fmt.Printf("%-4d %-22s %-12s %-5d %-10d %-10s %-14s %-20s %s\n", n.Index, n.Addr, state, n.ConsecFails, n.StaleStripes,
+			get(num, "core.dirty_stripes"), get(fmtSize, "server.capacity"),
+			triple(get(fmtSize, "tier.resident_bytes"), get(num, "tier.front_read_hits", "tier.front_write_hits"), get(num, "tier.promotes", "tier.demotes")),
+			triple(get(num, "core.checksum_detected"), get(num, "core.checksum_repaired"), get(num, "core.checksum_lost")))
+	}
+
+	// Every key any node reported, one row each: a counter added to a
+	// layer shows up here with no edit to this command.
+	keys := map[string]bool{}
+	for _, ds := range stats {
+		for k := range ds {
+			keys[k] = true
+		}
+	}
+	sorted := make([]string, 0, len(keys))
+	for k := range keys {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	fmt.Printf("%-32s", "KEY")
+	for i := range stats {
+		fmt.Printf(" %14s", "node"+strconv.Itoa(i))
+	}
+	fmt.Println()
+	for _, k := range sorted {
+		fmt.Printf("%-32s", k)
+		for _, ds := range stats {
+			cell := "-"
+			if v, ok := ds[k]; ok {
+				cell = strconv.FormatInt(v, 10)
+			}
+			fmt.Printf(" %14s", cell)
+		}
+		fmt.Println()
 	}
 }
 

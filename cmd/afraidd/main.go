@@ -1,6 +1,6 @@
 // Command afraidd serves an AFRAID store as a network block service:
 // the length-prefixed binary protocol of internal/server over TCP, with
-// an expvar metrics endpoint, per-request deadlines, bounded in-flight
+// a JSON metrics endpoint, per-request deadlines, bounded in-flight
 // backpressure, write coalescing, and graceful drain on SIGINT/SIGTERM.
 //
 // Usage:
@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -141,93 +140,7 @@ func main() {
 	})
 
 	if *metricsAddr != "" {
-		srv.Metrics().Publish("afraid.server")
-		// Degraded-state snapshot: which members are dead, what the
-		// failures cost (the paper's exposure, realized), and how far
-		// repair sweeps have gotten.
-		expvar.Publish("afraid.store", expvar.Func(func() any {
-			st1 := st.Stats()
-			dead := st.DeadDisks()
-			if dead == nil {
-				dead = []int{} // render as [] rather than null
-			}
-			return map[string]any{
-				"dead_disks":        dead,
-				"dirty_stripes":     st.DirtyStripes(),
-				"damage_bytes":      st1.DamageBytes,
-				"damaged_stripes":   st1.DamagedStripes,
-				"recovered_stripes": st1.RecoveredStripes,
-				"degraded_reads":    st1.DegradedReads,
-				"nvram_recovered":   st1.NVRAMRecovered,
-				"checksum_detected": st1.ChecksumDetected,
-				"checksum_repaired": st1.ChecksumRepaired,
-				"checksum_lost":     st1.ChecksumLost,
-				"quarantined":       len(st.QuarantinedStripes()),
-			}
-		}))
-		if hybrid != nil {
-			// Hybrid occupancy: what lives in the front tier, how the
-			// migration engine is keeping up, and the hit ratio the
-			// whole design exists to earn.
-			expvar.Publish("afraid.tier", expvar.Func(func() any {
-				ts := hybrid.TierStats()
-				return map[string]any{
-					"front_read_hits":   ts.FrontReadHits,
-					"front_read_misses": ts.FrontReadMisses,
-					"front_write_hits":  ts.FrontWriteHits,
-					"front_hit_ratio":   ts.FrontHitRatio(),
-					"promotes":          ts.Promotes,
-					"demotes":           ts.Demotes,
-					"evictions":         ts.Evictions,
-					"promoted_bytes":    ts.PromotedBytes,
-					"demoted_bytes":     ts.DemotedBytes,
-					"write_arounds":     ts.WriteArounds,
-					"resident_extents":  ts.ResidentExtents,
-					"resident_bytes":    ts.ResidentBytes,
-					"dirty_extents":     ts.DirtyExtents,
-					"dirty_bytes":       ts.DirtyBytes,
-					"mirror_failovers":  ts.MirrorFailovers,
-					"degraded_writes":   ts.DegradedWrites,
-					"resilvered":        ts.Resilvered,
-					"map_recovered":     ts.MapRecovered,
-				}
-			}))
-		}
-		// Node identity card for cluster tooling: when this daemon is one
-		// member of an internal/cluster volume, afraidctl and monitoring
-		// scrape these fields under the stable "afraid.node" key to line
-		// the member up against the volume geometry. Keep the keys stable.
-		expvar.Publish("afraid.node", expvar.Func(func() any {
-			g := st.Geometry()
-			return map[string]any{
-				"capacity":      st.Capacity(),
-				"stripe_unit":   g.StripeUnit,
-				"disks":         g.Disks,
-				"mode":          m.String(),
-				"dirty_stripes": st.DirtyStripes(),
-				"dead_disks":    len(st.DeadDisks()),
-			}
-		}))
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", srv.Metrics().Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		// Latency histograms and op traces from both layers: the
-		// server's per-op and queue/service split, and the store's
-		// per-phase (stripe-lock wait, device I/O, parity, scrub).
-		sections := []obs.Section{
-			{Name: "server", Reg: srv.Metrics().Obs()},
-			{Name: "core", Reg: st.Obs()},
-		}
-		if hybrid != nil {
-			sections = append(sections, obs.Section{Name: "tier", Reg: hybrid.Obs()})
-		}
-		mux.Handle("/debug/histograms", obs.HistogramHandler(sections...))
-		mux.Handle("/debug/trace", obs.TraceHandler(sections...))
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux := debugMux(srv, st, hybrid)
 		go func() {
 			log.Printf("metrics: http://%s/metrics (histograms at /debug/histograms, pprof at /debug/pprof/)", *metricsAddr)
 			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
@@ -270,6 +183,32 @@ func main() {
 		log.Printf("close: %v", err)
 	}
 	log.Printf("bye")
+}
+
+// debugMux builds the metrics endpoint. /metrics is the snapshot a STAT
+// request returns, as one flat JSON object: the block port and the
+// metrics port show the same keys (DESIGN.md has the glossary).
+func debugMux(srv *server.Server, st *core.Store, hybrid *tier.Store) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.JSONHandler(func() any { return srv.Stat() }))
+	// Latency histograms and op traces from every layer: the server's
+	// per-op and queue/service split, and the store's per-phase
+	// (stripe-lock wait, device I/O, parity, scrub).
+	sections := []obs.Section{
+		{Name: "server", Reg: srv.Metrics().Obs()},
+		{Name: "core", Reg: st.Obs()},
+	}
+	if hybrid != nil {
+		sections = append(sections, obs.Section{Name: "tier", Reg: hybrid.Obs()})
+	}
+	mux.Handle("/debug/histograms", obs.HistogramHandler(sections...))
+	mux.Handle("/debug/trace", obs.TraceHandler(sections...))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func parseMode(s string) (core.Mode, error) {

@@ -88,21 +88,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("STAT: mode=%s writes=%d dirty-stripes=%d (parity deferred, data already durable)\n",
-		st.ModeString(), st.Writes, st.DirtyStripes)
-	// STAT v2 carries the server's latency percentiles over the wire —
-	// the paper's response-time metric, live instead of simulated.
+		st.ModeString(), st["core.writes"], st["core.dirty_stripes"])
+	// The same snapshot carries the server's latency percentiles — the
+	// paper's response-time metric, live instead of simulated.
+	us := func(key string) time.Duration { return time.Duration(st[key]).Round(time.Microsecond) }
 	fmt.Printf("STAT: write latency p50=%v p95=%v p99=%v\n",
-		st.WriteP50.Round(time.Microsecond), st.WriteP95.Round(time.Microsecond), st.WriteP99.Round(time.Microsecond))
+		us("server.write_p50_ns"), us("server.write_p95_ns"), us("server.write_p99_ns"))
 
 	// FLUSH is the whole-array parity point.
 	if err := c.Flush(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	st, _ = c.Stat(context.Background())
-	fmt.Printf("after FLUSH: dirty-stripes=%d\n", st.DirtyStripes)
+	fmt.Printf("after FLUSH: dirty-stripes=%d\n", st["core.dirty_stripes"])
 	c.Close()
 
-	fmt.Printf("metrics: %s\n", srv.Metrics())
+	// Every counter of every layer is a key of that one snapshot; afraidd
+	// serves the same map as JSON on /metrics.
+	fmt.Printf("snapshot: %v\n", st)
 
 	// Graceful drain: in-flight requests finish, responses flush, then
 	// connections close.
@@ -113,9 +116,9 @@ func main() {
 	}
 	fmt.Println("drained cleanly")
 
-	// Degraded-state snapshot — what afraidd publishes as the
-	// "afraid.store" expvar. Healthy here, but this is where dead
-	// members and realized data loss would show up.
+	// Degraded-state snapshot — the core.dead_disks / core.damage_bytes
+	// keys of STAT. Healthy here, but this is where dead members and
+	// realized data loss would show up.
 	stats := store.Stats()
 	fmt.Printf("store health: dead-disks=%v damage-bytes=%d damaged-stripes=%d recovered-stripes=%d\n",
 		store.DeadDisks(), stats.DamageBytes, stats.DamagedStripes, stats.RecoveredStripes)

@@ -44,6 +44,21 @@ func newStoreObs() *storeObs {
 // debug endpoint.
 func (s *Store) Obs() *obs.Registry { return s.ob.reg }
 
+// StatMap returns the store's flat key/value snapshot under "core."
+// keys: every Stats field and obs counter, plus the array's identity
+// and health. It is the stats method of server.Backend.
+func (s *Store) StatMap() map[string]int64 {
+	m := make(map[string]int64, 48)
+	obs.Flatten(m, "core.", s.ob.reg, s.Stats(), struct {
+		Mode        Mode
+		StripeUnit  int64
+		Disks       int
+		DeadDisks   []int
+		Quarantined int
+	}{s.opts.Mode, s.geo.StripeUnit, s.geo.Disks, s.DeadDisks(), len(s.QuarantinedStripes())})
+	return m
+}
+
 // traceOp records one completed client operation in the trace ring.
 func (s *Store) traceOp(op string, off, n int64, start time.Time, lockWait, dev time.Duration, err error) {
 	ev := obs.Event{

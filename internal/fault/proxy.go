@@ -47,8 +47,8 @@ type Proxy struct {
 type ProxyStats struct {
 	Conns       int64 // connections accepted and forwarded
 	Refused     int64 // connections closed at accept by Refuse
-	BytesUp     int64 // client -> server bytes forwarded
-	BytesDown   int64 // server -> client bytes forwarded
+	BytesUp     int64 // client -> server bytes handed to the forwarding write
+	BytesDown   int64 // server -> client bytes handed to the forwarding write
 	Resets      int64 // connections killed mid-stream (RST where possible)
 	Truncations int64 // frames cut short by TruncateNext
 }
@@ -220,13 +220,15 @@ func (p *Proxy) acceptLoop() {
 		refuse, closed := p.refuse, p.closed
 		p.mu.Unlock()
 		if refuse || closed {
+			// Counted before the close the client can observe, so a
+			// Stats() taken after its read fails already sees it.
+			p.mu.Lock()
+			p.stats.Refused++
+			p.mu.Unlock()
 			if tc, ok := c.(*net.TCPConn); ok {
 				tc.SetLinger(0)
 			}
 			c.Close()
-			p.mu.Lock()
-			p.stats.Refused++
-			p.mu.Unlock()
 			continue
 		}
 		s, err := net.DialTimeout("tcp", p.target, 5*time.Second)
@@ -335,9 +337,8 @@ func (p *Proxy) forward(pp *proxyPair, dst net.Conn, chunk []byte, up bool) bool
 		time.Sleep(time.Duration(int64(len(chunk)) * int64(time.Second) / bps))
 	}
 	if len(chunk) > 0 {
-		if _, err := dst.Write(chunk); err != nil {
-			return false
-		}
+		// Counted before the write: the peer can act on the bytes (and a
+		// test can read Stats) the moment they land.
 		p.mu.Lock()
 		if up {
 			p.stats.BytesUp += int64(len(chunk))
@@ -345,6 +346,9 @@ func (p *Proxy) forward(pp *proxyPair, dst net.Conn, chunk []byte, up bool) bool
 			p.stats.BytesDown += int64(len(chunk))
 		}
 		p.mu.Unlock()
+		if _, err := dst.Write(chunk); err != nil {
+			return false
+		}
 	}
 	if reset {
 		p.mu.Lock()

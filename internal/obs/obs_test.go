@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -193,6 +194,45 @@ func TestRegistryAndHandlers(t *testing.T) {
 	}
 	if evs := traces["server"]["ops"]; len(evs) != 1 || evs[0].Op != "READ" {
 		t.Fatalf("trace dump: %+v, want one READ event", traces)
+	}
+}
+
+func TestFlatten(t *testing.T) {
+	for field, want := range map[string]string{
+		"Reads": "reads", "DirtyStripes": "dirty_stripes", "NVRAMRecovered": "nvram_recovered",
+		"NVRAMPersists": "nvram_persists", "ReadP50": "read_p50", "ID": "id",
+	} {
+		if got := KeyName(field); got != want {
+			t.Errorf("KeyName(%q) = %q, want %q", field, got, want)
+		}
+	}
+
+	reg := NewRegistry()
+	reg.Counter("full_stripe_writes").Add(7)
+	got := map[string]int64{"other.kept": 1}
+	Flatten(got, "core.", reg, struct {
+		Writes       uint64
+		DamageBytes  int64
+		Recovered    bool
+		Healthy      bool
+		ScrubIdle    time.Duration
+		DeadDisks    []int
+		Ratio        float64 // not carried
+		unexported   int
+		Quarantined  int
+		SmallCounter uint8
+	}{
+		Writes: 3, DamageBytes: -2, Recovered: true, ScrubIdle: time.Millisecond,
+		DeadDisks: []int{1, 4}, Ratio: 0.5, unexported: 9, Quarantined: 5, SmallCounter: 6,
+	})
+	want := map[string]int64{
+		"other.kept": 1, "core.full_stripe_writes": 7,
+		"core.writes": 3, "core.damage_bytes": -2, "core.recovered": 1, "core.healthy": 0,
+		"core.scrub_idle_ns": 1e6, "core.dead_disks": 2, "core.dead_disks_mask": 1<<1 | 1<<4,
+		"core.quarantined": 5, "core.small_counter": 6,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Flatten:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -101,14 +101,21 @@ func TraceHandler(sections ...Section) http.Handler {
 }
 
 func dumpHandler(sections []Section, dump func(*Registry) any) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	return JSONHandler(func() any {
 		body := make(map[string]any, len(sections))
 		for _, s := range sections {
 			body[s.Name] = dump(s.Reg)
 		}
+		return body
+	})
+}
+
+// JSONHandler serves whatever dump returns as indented JSON.
+func JSONHandler(dump func() any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(body) // map keys marshal sorted, so output is stable
+		enc.Encode(dump()) // map keys marshal sorted, so output is stable
 	})
 }

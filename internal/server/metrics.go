@@ -1,37 +1,42 @@
 package server
 
 import (
-	"expvar"
-	"fmt"
-	"net/http"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"afraid/internal/obs"
 )
 
-// Metrics counts server activity as expvar vars and records request
-// latencies in lock-free obs histograms. The vars live in a per-server
-// expvar.Map rather than the process-global registry so multiple
-// servers (tests, benchmarks) don't collide; Publish exports the map
-// globally for /debug/vars, and Handler serves it directly. The
-// histogram registry is mounted separately (obs.HistogramHandler) as
-// the "server" section of /debug/histograms.
-type Metrics struct {
-	vars *expvar.Map
+// Int is a lock-free counter or gauge.
+type Int struct{ v atomic.Int64 }
 
+// Add adds delta, which may be negative.
+func (i *Int) Add(delta int64) { i.v.Add(delta) }
+
+// Value returns the current value.
+func (i *Int) Value() int64 { return i.v.Load() }
+
+// Metrics counts server activity in plain atomics and records request
+// latencies in lock-free obs histograms. Both are per server, so
+// several servers in one process (tests, benchmarks) do not collide.
+// The counters travel in the STAT snapshot under "server." keys (stat);
+// the histogram registry is mounted separately (obs.HistogramHandler)
+// as the "server" section of /debug/histograms.
+type Metrics struct {
 	// Per-op request counters (one frame = one request, even when the
 	// server coalesces adjacent writes into a single store call).
-	requests *expvar.Map
+	requests [OpScrub + 1]Int
 	// Per-status response counters.
-	responses *expvar.Map
+	responses [StatusShutdown + 1]Int
 
-	ConnsOpen       expvar.Int
-	ConnsTotal      expvar.Int
-	Inflight        expvar.Int
-	BusyRejected    expvar.Int
-	CoalescedWrites expvar.Int
-	BytesRead       expvar.Int
-	BytesWritten    expvar.Int
+	ConnsOpen       Int
+	ConnsTotal      Int
+	Inflight        Int
+	BusyRejected    Int
+	CoalescedWrites Int
+	BytesRead       Int
+	BytesWritten    Int
 
 	reg       *obs.Registry
 	opLat     [OpScrub + 1]*obs.Histogram // end-to-end latency per op
@@ -40,47 +45,25 @@ type Metrics struct {
 	trace     *obs.Ring
 }
 
-// newMetrics builds the metric tree; dirty reports the store's current
-// unredundant-stripe count.
-func newMetrics(dirty func() int64) *Metrics {
-	m := &Metrics{
-		vars:      new(expvar.Map).Init(),
-		requests:  new(expvar.Map).Init(),
-		responses: new(expvar.Map).Init(),
-		reg:       obs.NewRegistry(),
-	}
+func newMetrics() *Metrics {
+	m := &Metrics{reg: obs.NewRegistry()}
 	for op := OpRead; op <= OpScrub; op++ {
 		m.opLat[op] = m.reg.Histogram(op.String())
 	}
 	m.queueWait = m.reg.Histogram("queue_wait")
 	m.service = m.reg.Histogram("service_time")
 	m.trace = m.reg.Ring("requests", 1024)
-	m.vars.Set("requests", m.requests)
-	m.vars.Set("responses", m.responses)
-	m.vars.Set("conns_open", &m.ConnsOpen)
-	m.vars.Set("conns_total", &m.ConnsTotal)
-	m.vars.Set("inflight", &m.Inflight)
-	m.vars.Set("busy_rejected", &m.BusyRejected)
-	m.vars.Set("coalesced_writes", &m.CoalescedWrites)
-	m.vars.Set("bytes_read", &m.BytesRead)
-	m.vars.Set("bytes_written", &m.BytesWritten)
-	m.vars.Set("read_latency_us", expvar.Func(func() any { return m.opLat[OpRead].Summary() }))
-	m.vars.Set("write_latency_us", expvar.Func(func() any { return m.opLat[OpWrite].Summary() }))
-	m.vars.Set("queue_wait_us", expvar.Func(func() any { return m.queueWait.Summary() }))
-	m.vars.Set("dirty_stripes", expvar.Func(func() any { return dirty() }))
 	return m
 }
 
-// request counts one received frame.
-func (m *Metrics) request(op Op, n int64) { m.requests.Add(op.String(), n) }
+// request counts n received frames of a decoded (hence valid) op.
+func (m *Metrics) request(op Op, n int64) { m.requests[op].Add(n) }
 
-// response counts one completed frame and records its end-to-end
-// latency.
+// response counts one completed frame of a decoded op and records its
+// end-to-end latency.
 func (m *Metrics) response(op Op, st Status, d time.Duration) {
-	m.responses.Add(st.String(), 1)
-	if h := m.hist(op); h != nil {
-		h.Observe(d)
-	}
+	m.responses[st].Add(1)
+	m.opLat[op].Observe(d)
 }
 
 // task records timing for one executed store call (which may have
@@ -107,61 +90,45 @@ func (m *Metrics) task(r *Request, st Status, queued, total time.Duration) {
 	m.trace.Record(ev)
 }
 
-// hist returns the latency histogram for one op, nil for unknown ops.
-func (m *Metrics) hist(op Op) *obs.Histogram {
-	if op.valid() {
-		return m.opLat[op]
-	}
-	return nil
-}
-
 // Obs returns the server's histogram/trace registry for mounting on a
 // debug endpoint.
 func (m *Metrics) Obs() *obs.Registry { return m.reg }
 
-// OpLatency snapshots the end-to-end latency histogram for one op.
-func (m *Metrics) OpLatency(op Op) obs.Snapshot {
-	if h := m.hist(op); h != nil {
-		return h.Snapshot()
-	}
-	return obs.Snapshot{}
-}
-
 // Requests returns the request counter for one op.
 func (m *Metrics) Requests(op Op) int64 {
-	if v, ok := m.requests.Get(op.String()).(*expvar.Int); ok {
-		return v.Value()
+	if op.valid() {
+		return m.requests[op].Value()
 	}
 	return 0
 }
 
 // Responses returns the response counter for one status.
 func (m *Metrics) Responses(st Status) int64 {
-	if v, ok := m.responses.Get(st.String()).(*expvar.Int); ok {
-		return v.Value()
+	if int(st) < len(m.responses) {
+		return m.responses[st].Value()
 	}
 	return 0
 }
 
-// WriteLatencyP95 returns the p95 end-to-end WRITE latency.
-func (m *Metrics) WriteLatencyP95() time.Duration {
-	s := m.opLat[OpWrite].Snapshot()
-	return s.Quantile(0.95)
+// stat adds the server's own entries to a STAT snapshot.
+func (m *Metrics) stat(dst Stat) {
+	dst["server.conns_open"] = m.ConnsOpen.Value()
+	dst["server.conns_total"] = m.ConnsTotal.Value()
+	dst["server.inflight"] = m.Inflight.Value()
+	dst["server.busy_rejected"] = m.BusyRejected.Value()
+	dst["server.coalesced_writes"] = m.CoalescedWrites.Value()
+	dst["server.bytes_read"] = m.BytesRead.Value()
+	dst["server.bytes_written"] = m.BytesWritten.Value()
+	for op := OpRead; op <= OpScrub; op++ {
+		dst["server.requests."+strings.ToLower(op.String())] = m.requests[op].Value()
+	}
+	for st := range m.responses {
+		dst["server.responses."+strings.ToLower(Status(st).String())] = m.responses[st].Value()
+	}
+	for _, op := range [...]Op{OpRead, OpWrite} {
+		lat, name := m.opLat[op].Snapshot(), "server."+strings.ToLower(op.String())
+		dst[name+"_p50_ns"] = int64(lat.Quantile(0.50))
+		dst[name+"_p95_ns"] = int64(lat.Quantile(0.95))
+		dst[name+"_p99_ns"] = int64(lat.Quantile(0.99))
+	}
 }
-
-// Publish registers the metric tree in the process-global expvar
-// registry under name, making it visible on expvar.Handler
-// (/debug/vars). Publishing the same name twice panics (expvar
-// semantics), so daemons should call it once.
-func (m *Metrics) Publish(name string) { expvar.Publish(name, m.vars) }
-
-// Handler serves the metric tree as JSON.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, m.vars.String())
-	})
-}
-
-// String returns the metric tree as JSON (expvar.Var).
-func (m *Metrics) String() string { return m.vars.String() }

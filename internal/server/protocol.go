@@ -2,8 +2,9 @@
 // service: a length-prefixed binary protocol over TCP with request IDs
 // for out-of-order completion, a bounded worker pool dispatching into
 // the store's stripe-lock pool, write coalescing, per-request
-// deadlines, backpressure, graceful drain, and expvar metrics. The
-// matching Client speaks the same protocol.
+// deadlines, backpressure, graceful drain, and a self-describing STAT
+// snapshot of every layer's counters. The matching Client speaks the
+// same protocol.
 package server
 
 import (
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"afraid/internal/bufpool"
 )
@@ -38,7 +38,7 @@ const (
 	OpWrite Op = 2
 	// OpFlush makes the whole array redundant (parity point).
 	OpFlush Op = 3
-	// OpStat returns an encoded Stat snapshot.
+	// OpStat returns an encoded Stat snapshot; Off and Length are unused.
 	OpStat Op = 4
 	// OpScrub makes the stripes covering [Off, Off+Length) redundant.
 	OpScrub Op = 5
@@ -295,159 +295,85 @@ func ReadResponse(br *bufio.Reader, maxPayload uint32) (Response, error) {
 	return DecodeResponse(body, maxPayload)
 }
 
-// StatVersion is the newest STAT payload version this package encodes.
-// Version negotiation rides on the STAT request's otherwise-unused
-// Length field: a client advertises the highest version it understands
-// there (0, from pre-versioning clients, means 1), and the server
-// replies with min(advertised, StatVersion). Pre-versioning servers
-// ignore the field and always answer version 1, so the exchange
-// degrades gracefully in both directions without touching the
-// fixed-length handshake.
+// Stat is the STAT payload: a self-describing snapshot of flat,
+// dotted, layer-prefixed counters. The served store contributes its own
+// layers' keys ("core.dirty_stripes", "tier.promotes", ...; see
+// Backend.StatMap) and the server adds "server." entries. A key a node
+// does not carry is simply absent, so readers look keys up rather than
+// assume a field set; DESIGN.md holds the glossary.
+type Stat map[string]int64
+
+// statFormatKV is the one STAT payload format:
 //
-// Version history:
+//	format(1)='K' count(2) { keylen(1) key(keylen) value(8) } × count
 //
-//	1: mode + capacity/dirty/reads/writes/bytes/scrubbed counters
-//	2: v1 + read/write latency percentiles (p50/p95/p99, ns)
-//	3: v2 + checksum counters (detected/repaired/lost)
-//	4: v3 + hybrid-tier counters (front hits/promotes/demotes/resident bytes)
-const StatVersion = 4
+// The fixed-layout payloads that came before it opened with a version
+// byte 1–4; decodeStat rejects those, and anything else, by naming the
+// byte.
+const statFormatKV = 'K'
 
-// Stat is the STAT payload: a snapshot of the served store.
-type Stat struct {
-	Capacity        int64
-	Mode            uint8 // core.Mode
-	DirtyStripes    int64
-	Reads           uint64
-	Writes          uint64
-	BytesRead       int64
-	BytesWritten    int64
-	ScrubbedStripes uint64
+// statEntryMin is the smallest encoded entry: a one-byte key.
+const statEntryMin = 1 + 1 + 8
 
-	// Server-side request latency percentiles (STAT version >= 2; zero
-	// when the server only speaks version 1).
-	ReadP50, ReadP95, ReadP99    time.Duration
-	WriteP50, WriteP95, WriteP99 time.Duration
-
-	// Block-checksum counters (STAT version >= 3; zero when the server
-	// speaks an older version or runs without Options.Checksums).
-	ChecksumDetected uint64
-	ChecksumRepaired uint64
-	ChecksumLost     uint64
-
-	// Hybrid-tier counters (STAT version >= 4; zero when the server
-	// speaks an older version or serves a bare store with no front
-	// tier).
-	TierFrontHits     uint64
-	TierPromotes      uint64
-	TierDemotes       uint64
-	TierResidentBytes int64
-}
-
-const (
-	statPayloadLenV1 = 1 + 1 + 7*8
-	statPayloadLenV2 = statPayloadLenV1 + 6*8
-	statPayloadLenV3 = statPayloadLenV2 + 3*8
-	statPayloadLenV4 = statPayloadLenV3 + 4*8
-)
-
-// statVersionFor clamps a client-advertised version to what this server
-// encodes.
-func statVersionFor(advertised uint32) uint8 {
-	if advertised <= 1 {
-		return 1
-	}
-	if advertised >= StatVersion {
-		return StatVersion
-	}
-	return uint8(advertised)
-}
-
-// appendStat encodes a Stat (version byte first) at the given payload
-// version.
-func appendStat(dst []byte, st *Stat, version uint8) []byte {
-	if version < 1 || version > StatVersion {
-		version = 1
-	}
-	dst = append(dst, version, st.Mode)
-	for _, v := range [...]uint64{
-		uint64(st.Capacity), uint64(st.DirtyStripes), st.Reads, st.Writes,
-		uint64(st.BytesRead), uint64(st.BytesWritten), st.ScrubbedStripes,
-	} {
-		dst = binary.BigEndian.AppendUint64(dst, v)
-	}
-	if version >= 2 {
-		for _, d := range [...]time.Duration{
-			st.ReadP50, st.ReadP95, st.ReadP99,
-			st.WriteP50, st.WriteP95, st.WriteP99,
-		} {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(d))
+// appendStat encodes st. A key the format cannot frame (empty, or over
+// 255 bytes) is dropped; no layer produces one.
+func appendStat(dst []byte, st Stat) []byte {
+	dst = append(dst, statFormatKV, 0, 0)
+	count := len(dst) - 2
+	n := 0
+	for k, v := range st {
+		if len(k) == 0 || len(k) > math.MaxUint8 {
+			continue
 		}
+		dst = append(dst, byte(len(k)))
+		dst = append(dst, k...)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v))
+		n++
 	}
-	if version >= 3 {
-		for _, v := range [...]uint64{st.ChecksumDetected, st.ChecksumRepaired, st.ChecksumLost} {
-			dst = binary.BigEndian.AppendUint64(dst, v)
-		}
-	}
-	if version >= 4 {
-		for _, v := range [...]uint64{
-			st.TierFrontHits, st.TierPromotes, st.TierDemotes, uint64(st.TierResidentBytes),
-		} {
-			dst = binary.BigEndian.AppendUint64(dst, v)
-		}
-	}
+	binary.BigEndian.PutUint16(dst[count:], uint16(n))
 	return dst
 }
 
-// decodeStat parses a STAT payload at any version this package
-// understands; fields a version-1 server never sent stay zero.
+// decodeStat parses a STAT payload from the wire. Every length field is
+// checked against the bytes actually received before anything is sized
+// from it, and empty keys, duplicate keys and trailing bytes are
+// rejected.
 func decodeStat(b []byte) (Stat, error) {
-	var st Stat
 	if len(b) < 1 {
-		return st, fmt.Errorf("%w: empty stat payload", ErrTruncatedFrame)
+		return nil, fmt.Errorf("%w: empty stat payload", ErrTruncatedFrame)
 	}
-	want := 0
-	switch b[0] {
-	case 1:
-		want = statPayloadLenV1
-	case 2:
-		want = statPayloadLenV2
-	case 3:
-		want = statPayloadLenV3
-	case 4:
-		want = statPayloadLenV4
-	default:
-		return st, fmt.Errorf("server: unknown stat version %d", b[0])
+	if b[0] != statFormatKV {
+		return nil, fmt.Errorf("server: unknown stat format byte %#02x", b[0])
 	}
-	if len(b) != want {
-		return st, fmt.Errorf("%w: stat v%d payload %d bytes, want %d", ErrTruncatedFrame, b[0], len(b), want)
+	if len(b) < 3 {
+		return nil, fmt.Errorf("%w: stat payload %d bytes, no entry count", ErrTruncatedFrame, len(b))
 	}
-	st.Mode = b[1]
-	u := func(i int) uint64 { return binary.BigEndian.Uint64(b[2+8*i:]) }
-	st.Capacity = int64(u(0))
-	st.DirtyStripes = int64(u(1))
-	st.Reads = u(2)
-	st.Writes = u(3)
-	st.BytesRead = int64(u(4))
-	st.BytesWritten = int64(u(5))
-	st.ScrubbedStripes = u(6)
-	if b[0] >= 2 {
-		st.ReadP50 = time.Duration(u(7))
-		st.ReadP95 = time.Duration(u(8))
-		st.ReadP99 = time.Duration(u(9))
-		st.WriteP50 = time.Duration(u(10))
-		st.WriteP95 = time.Duration(u(11))
-		st.WriteP99 = time.Duration(u(12))
+	n := int(binary.BigEndian.Uint16(b[1:]))
+	b = b[3:]
+	if n > len(b)/statEntryMin {
+		return nil, fmt.Errorf("%w: stat declares %d entries in %d bytes", ErrTruncatedFrame, n, len(b))
 	}
-	if b[0] >= 3 {
-		st.ChecksumDetected = u(13)
-		st.ChecksumRepaired = u(14)
-		st.ChecksumLost = u(15)
+	st := make(Stat, n)
+	for i := 0; i < n; i++ {
+		if len(b) < 1 {
+			return nil, fmt.Errorf("%w: stat entry %d of %d missing", ErrTruncatedFrame, i, n)
+		}
+		kl := int(b[0])
+		if kl == 0 {
+			return nil, fmt.Errorf("server: stat entry %d has an empty key", i)
+		}
+		if len(b) < 1+kl+8 {
+			return nil, fmt.Errorf("%w: stat entry %d cut short", ErrTruncatedFrame, i)
+		}
+		key := string(b[1 : 1+kl])
+		if _, dup := st[key]; dup {
+			return nil, fmt.Errorf("server: stat key %q sent twice", key)
+		}
+		st[key] = int64(binary.BigEndian.Uint64(b[1+kl:]))
+		b = b[1+kl+8:]
 	}
-	if b[0] >= 4 {
-		st.TierFrontHits = u(16)
-		st.TierPromotes = u(17)
-		st.TierDemotes = u(18)
-		st.TierResidentBytes = int64(u(19))
+	if len(b) != 0 {
+		return nil, fmt.Errorf("server: stat payload carries %d trailing bytes", len(b))
 	}
 	return st, nil
 }

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -42,7 +46,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Op: OpWrite, Status: StatusBusy, ID: 8},
 		{Op: OpFlush, Status: StatusIO, ID: 9, Data: []byte("disk 3 write: device failed")},
 		{Op: OpRead, Status: StatusDataLoss, ID: 10, Data: []byte("stripe 12")},
-		{Op: OpStat, Status: StatusOK, ID: 11, Data: appendStat(nil, &Stat{Capacity: 1 << 30, Writes: 42}, 1)},
+		{Op: OpStat, Status: StatusOK, ID: 11, Data: appendStat(nil, Stat{"server.capacity": 1 << 30, "core.writes": 42})},
 	}
 	for _, want := range cases {
 		t.Run(want.Status.String(), func(t *testing.T) {
@@ -63,19 +67,29 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestStatRoundTrip(t *testing.T) {
 	want := Stat{
-		Capacity: 512 << 20, Mode: 0, DirtyStripes: 17,
-		Reads: 1000, Writes: 2000, BytesRead: 1 << 22, BytesWritten: 1 << 23,
-		ScrubbedStripes: 99,
+		"server.capacity": 512 << 20, "core.mode": 0, "core.dirty_stripes": 17,
+		"core.damage_bytes": math.MaxInt64, "tier.dirty_bytes": -1,
+		"server.write_p99_ns": int64(9 * time.Millisecond),
 	}
-	got, err := decodeStat(appendStat(nil, &want, 1))
+	got, err := decodeStat(appendStat(nil, want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("stat round trip: got %+v want %+v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stat round trip: got %v want %v", got, want)
 	}
 	if got.ModeString() != "afraid" {
 		t.Fatalf("ModeString() = %q, want afraid", got.ModeString())
+	}
+	if (Stat{}).ModeString() != "-" {
+		t.Fatalf("ModeString() of a snapshot without core.mode = %q, want -", (Stat{}).ModeString())
+	}
+	// A retired fixed-layout payload is refused by naming its leading byte.
+	for v := byte(1); v <= 4; v++ {
+		_, err := decodeStat(legacyStat(v))
+		if want := fmt.Sprintf("format byte %#02x", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("decodeStat(v%d payload) = %v, want an error naming %q", v, err, want)
+		}
 	}
 }
 
@@ -173,6 +187,65 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if again.Op != req.Op || again.ID != req.ID || again.Off != req.Off || again.Length != req.Length || !bytes.Equal(again.Data, req.Data) {
 			t.Fatalf("re-encode changed request: %+v vs %+v", again, req)
+		}
+	})
+}
+
+// legacyStat builds a fixed-layout STAT payload as the retired versions
+// 1–4 framed it: version byte, mode byte, then 7, 13, 16 or 20 u64s.
+func legacyStat(version byte) []byte {
+	fields := map[byte]int{1: 7, 2: 13, 3: 16, 4: 20}[version]
+	return append([]byte{version, 0}, make([]byte, 8*fields)...)
+}
+
+// FuzzDecodeStat feeds arbitrary STAT payloads through the decoder.
+// Malformed input must error, never panic. What is accepted must be the
+// key/value format with every byte accounted for — the declared count
+// met exactly, no empty or repeated key, nothing trailing — which is
+// what makes each malformed seed below a rejection; and it must
+// re-encode to an equal snapshot.
+func FuzzDecodeStat(f *testing.F) {
+	good := appendStat(nil, Stat{"core.dirty_stripes": 3, "server.capacity": 1 << 30, "tier.promotes": 9})
+	f.Add(good)
+	f.Add(appendStat(nil, Stat{}))
+	f.Add([]byte{})
+	f.Add(good[:2])                                                 // no room for the count
+	f.Add(good[:5])                                                 // key cut short
+	f.Add(good[:len(good)-1])                                       // value cut short
+	f.Add([]byte{statFormatKV, 0xff, 0xff})                         // 65535 entries declared, none sent
+	f.Add(append([]byte{statFormatKV, 0, 9}, good[3:]...))          // over-counted
+	f.Add(append([]byte{statFormatKV, 0, 1}, good[3:]...))          // under-counted: trailing bytes
+	f.Add([]byte{statFormatKV, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // empty key
+	f.Add([]byte{statFormatKV, 0, 2,
+		1, 'a', 0, 0, 0, 0, 0, 0, 0, 1,
+		1, 'a', 0, 0, 0, 0, 0, 0, 0, 2}) // duplicate key
+	for v := byte(1); v <= 4; v++ {
+		f.Add(legacyStat(v))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		st, err := decodeStat(payload)
+		if err != nil {
+			return
+		}
+		if payload[0] != statFormatKV {
+			t.Fatalf("decoder accepted format byte %#02x", payload[0])
+		}
+		if declared := int(payload[1])<<8 | int(payload[2]); declared != len(st) {
+			t.Fatalf("decoder returned %d entries for %d declared", len(st), declared)
+		}
+		if _, ok := st[""]; ok {
+			t.Fatal("decoder admitted an empty key")
+		}
+		enc := appendStat(nil, st)
+		if len(enc) != len(payload) {
+			t.Fatalf("accepted %d-byte payload re-encodes to %d bytes", len(payload), len(enc))
+		}
+		again, err := decodeStat(enc)
+		if err != nil {
+			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, st) {
+			t.Fatalf("re-encode changed snapshot: %v vs %v", again, st)
 		}
 	})
 }

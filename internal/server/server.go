@@ -15,17 +15,22 @@ import (
 	"afraid/internal/core"
 )
 
-// Backend is what the service needs from a store. *core.Store satisfies
-// it; tests substitute gated fakes to force timeouts and backpressure.
+// Backend is what the service needs from a store: the four data-path
+// calls, the capacity, and one stats method. *core.Store and
+// *tier.Store satisfy it; tests substitute gated fakes to force
+// timeouts and backpressure.
 type Backend interface {
 	ReadContext(ctx context.Context, p []byte, off int64) (int, error)
 	WriteContext(ctx context.Context, p []byte, off int64) (int, error)
 	FlushContext(ctx context.Context) error
 	ParityPointContext(ctx context.Context, off, length int64) error
 	Capacity() int64
-	Mode() core.Mode
-	DirtyStripes() int64
-	Stats() core.Stats
+	// StatMap returns a fresh flat snapshot of the store's counters
+	// under dotted keys prefixed by the layer that counts them
+	// ("core.dirty_stripes", "tier.promotes"): bools as 0/1, durations
+	// as _ns, lists as a count plus a _mask. The server adds its own
+	// "server." keys to the map and sends it as the STAT payload.
+	StatMap() map[string]int64
 }
 
 // Options configures a Server. The zero value picks sensible defaults.
@@ -38,7 +43,8 @@ type Options struct {
 	// connections (default 256). Beyond it the server answers
 	// ERR_BUSY instead of buffering without bound.
 	MaxInflight int
-	// MaxPayload bounds one frame's data (default DefaultMaxPayload).
+	// MaxPayload bounds one frame's data (default DefaultMaxPayload),
+	// the STAT snapshot's few KiB included.
 	MaxPayload uint32
 	// RequestTimeout is the per-request deadline (default 30s); it
 	// cancels store work mid-request via context.
@@ -123,7 +129,7 @@ func New(store Backend, opts Options) *Server {
 	s := &Server{
 		store:     store,
 		opts:      opts,
-		metrics:   newMetrics(store.DirtyStripes),
+		metrics:   newMetrics(),
 		tasks:     make(chan *task, opts.MaxInflight),
 		tokens:    make(chan struct{}, opts.MaxInflight),
 		baseCtx:   ctx,
@@ -140,6 +146,15 @@ func New(store Backend, opts Options) *Server {
 
 // Metrics returns the server's metric tree.
 func (s *Server) Metrics() *Metrics { return s.metrics }
+
+// Stat returns the snapshot a STAT request is answered with: the
+// store's own keys plus the server's "server." entries.
+func (s *Server) Stat() Stat {
+	st := Stat(s.store.StatMap())
+	st["server.capacity"] = s.store.Capacity()
+	s.metrics.stat(st)
+	return st
+}
 
 // ListenAndServe listens on addr and serves until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
@@ -350,42 +365,7 @@ func (s *Server) apply(ctx context.Context, r *Request) Response {
 			return s.fail(resp, err)
 		}
 	case OpStat:
-		// The request's Length field advertises the newest STAT payload
-		// version the client understands (0 from pre-versioning clients).
-		ver := statVersionFor(r.Length)
-		st := s.store.Stats()
-		stat := Stat{
-			Capacity:        cap,
-			Mode:            uint8(s.store.Mode()),
-			DirtyStripes:    st.DirtyStripes,
-			Reads:           st.Reads,
-			Writes:          st.Writes,
-			BytesRead:       st.BytesRead,
-			BytesWritten:    st.BytesWritten,
-			ScrubbedStripes: st.ScrubbedStripes,
-		}
-		if ver >= 2 {
-			rl := s.metrics.OpLatency(OpRead)
-			wl := s.metrics.OpLatency(OpWrite)
-			stat.ReadP50, stat.ReadP95, stat.ReadP99 = rl.Quantile(0.50), rl.Quantile(0.95), rl.Quantile(0.99)
-			stat.WriteP50, stat.WriteP95, stat.WriteP99 = wl.Quantile(0.50), wl.Quantile(0.95), wl.Quantile(0.99)
-		}
-		if ver >= 3 {
-			stat.ChecksumDetected = st.ChecksumDetected
-			stat.ChecksumRepaired = st.ChecksumRepaired
-			stat.ChecksumLost = st.ChecksumLost
-		}
-		if ver >= 4 {
-			// Matched structurally so a hybrid backend (tier.Store)
-			// reports its counters without this package importing it; a
-			// bare store simply leaves the quartet zero.
-			if tc, ok := s.store.(interface {
-				TierCounters() (frontHits, promotes, demotes uint64, residentBytes int64)
-			}); ok {
-				stat.TierFrontHits, stat.TierPromotes, stat.TierDemotes, stat.TierResidentBytes = tc.TierCounters()
-			}
-		}
-		resp.Data = appendStat(nil, &stat, ver)
+		resp.Data = appendStat(nil, s.Stat())
 	default:
 		resp.Status = StatusBadRequest
 		resp.Data = []byte(fmt.Sprintf("unknown op %d", uint8(r.Op)))
@@ -510,7 +490,7 @@ func (c *conn) readLoop() {
 		default:
 			// In-flight window full: reject instead of buffering.
 			s.metrics.BusyRejected.Add(1)
-			s.metrics.responses.Add(StatusBusy.String(), 1)
+			s.metrics.responses[StatusBusy].Add(1)
 			c.send(Response{Op: req.Op, Status: StatusBusy, ID: req.ID})
 			continue
 		}

@@ -83,7 +83,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.ModeString() != "afraid" {
 		t.Fatalf("mode %q, want afraid", st.ModeString())
 	}
-	if st.DirtyStripes == 0 {
+	if st["core.dirty_stripes"] == 0 {
 		t.Fatal("write left no dirty stripes before flush")
 	}
 	if err := c.Flush(ctx); err != nil {
@@ -93,8 +93,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DirtyStripes != 0 {
-		t.Fatalf("dirty stripes after flush = %d", st.DirtyStripes)
+	if st["core.dirty_stripes"] != 0 {
+		t.Fatalf("dirty stripes after flush = %d", st["core.dirty_stripes"])
+	}
+	if st["server.capacity"] != c.Capacity() {
+		t.Fatalf("STAT capacity %d, handshake said %d", st["server.capacity"], c.Capacity())
 	}
 
 	// Scrub a specific range (trivially clean after the flush).
@@ -268,29 +271,19 @@ func TestServerConcurrency(t *testing.T) {
 	if busy := m.BusyRejected.Value(); busy != 0 {
 		t.Fatalf("unexpected ERR_BUSY rejections: %d", busy)
 	}
-	// The metrics endpoint itself must serve parseable JSON with the
-	// same counters.
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var doc map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("metrics endpoint JSON: %v\n%s", err, rec.Body.String())
+	// The STAT snapshot must carry the same counters.
+	snap := srv.Stat()
+	if got := snap["server.requests.read"]; got != wantReads {
+		t.Fatalf("snapshot READ count %d, want %d", got, wantReads)
 	}
-	reqs, ok := doc["requests"].(map[string]any)
-	if !ok {
-		t.Fatalf("metrics endpoint missing requests map: %s", rec.Body.String())
-	}
-	if int64(reqs["READ"].(float64)) != wantReads {
-		t.Fatalf("endpoint READ count %v, want %d", reqs["READ"], wantReads)
-	}
-	if _, ok := doc["dirty_stripes"]; !ok {
-		t.Fatal("metrics endpoint missing dirty_stripes")
+	if _, ok := snap["core.dirty_stripes"]; !ok {
+		t.Fatal("snapshot missing core.dirty_stripes")
 	}
 
 	// The /debug/histograms payload (same handler afraidd mounts) must
 	// report non-zero p50/p95/p99 for READ and WRITE after the
 	// workload, in both the server and core sections.
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	obs.HistogramHandler(
 		obs.Section{Name: "server", Reg: m.Obs()},
 		obs.Section{Name: "core", Reg: st.Obs()},

@@ -118,11 +118,11 @@ func (s *Store) TierStats() TierStats {
 	return t
 }
 
-// TierCounters exposes the STAT v4 quartet. The method set is matched
-// structurally by the server package, which keeps this package free of
-// a dependency on the wire protocol.
-func (s *Store) TierCounters() (frontHits, promotes, demotes uint64, residentBytes int64) {
-	t := s.TierStats()
-	hits := t.FrontReadHits + t.FrontWriteHits
-	return hits, t.Promotes, t.Demotes, t.ResidentBytes
+// StatMap returns the back tier's snapshot plus the tier's own under
+// "tier." keys: every TierStats field and obs counter. It is the stats
+// method of server.Backend.
+func (s *Store) StatMap() map[string]int64 {
+	m := s.back.StatMap()
+	obs.Flatten(m, "tier.", s.ob.reg, s.TierStats())
+	return m
 }
