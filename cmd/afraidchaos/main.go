@@ -1,44 +1,51 @@
-// Command afraidchaos runs seeded chaos schedules against the
-// functional store: randomized workloads interrupted by power cuts,
-// marking-memory loss, transient member faults, disk failures, and
-// repairs — plus, with -checksums (the default), silent bit flips on
-// both I/O paths that the store's block checksums must catch — with
-// every episode checked against the shadow model in internal/fault. An episode *survives* when nothing was lost, is
-// *lost* when data was lost but the loss was legal and reported (the
-// paper's exposure window), and is *violated* when the store broke its
-// contract — silent divergence, unreported loss, or loss outside the
-// unredundant set.
+// Command afraidchaos runs seeded chaos episodes against one of the
+// repo's stacks and audits each against the one byte oracle in
+// internal/fault (fault.Run): a successful read returns the last
+// acknowledged value of every determinate byte, and reported loss is
+// legal only on a stripe that was unredundant at a failure point, lay
+// under an unacknowledged write, or was already reported. An episode
+// *survives* when nothing was lost, is *lost* when data was lost but the
+// loss was legal and reported (the paper's exposure window), and is
+// *violated* when the stack broke its contract — silent divergence,
+// unreported loss, or loss outside the unredundant set.
 //
-// Every schedule is derived from the episode's seed, so a violation is
-// reproducible from the printed repro line alone.
+// -stack picks what the episodes run against; a stack is an adapter
+// (fault.Stack) plus a schedule derived from the episode's seed, so a
+// violation is reproducible from the printed repro line alone:
 //
-// A share of every workload's ops covers whole stripes, stripe-aligned,
-// so the store's full-stripe write and in-place degraded read run under
-// the same faults; a run in which a parity-keeping policy (or the tier's
-// back store, or the cluster volume) wrote no full stripe fails as a
+//	core     a core.Store on fault-wrapped disks, round-robin over -modes:
+//	         power cuts, marking-memory loss, transient member faults,
+//	         disk failures and repairs, and — with -checksums and -flips
+//	         (the defaults) — silent bit flips on both I/O paths
+//	tier     the hybrid (internal/tier): a mirrored write-back front over
+//	         an AFRAID back end, with power cuts torn mid-promote and
+//	         mid-demote, extent-map loss, and front-copy fail-stops
+//	cluster  a cluster.Volume over four servers on TCP, each behind a
+//	         fault.Proxy, round-robin over the network fault classes (or
+//	         -class): black-hole and refused partitions, brownouts
+//	         absorbed by hedged reads, mid-frame resets, frame
+//	         truncations, and flap storms that must end in quarantine
+//	stacked  the cluster volume again, each node now a tier over a
+//	         checksummed AFRAID store on fault-wrapped disks: one episode
+//	         composes a bit flip inside one node's back store with a
+//	         network fault class on, and a power cut and recovery of,
+//	         another
+//
+// A share of every workload's ops covers whole stripes (and extents),
+// aligned, so full-stripe writes and in-place degraded reads run under
+// the same faults. Coverage gates are stat keys: a run in which a row's
+// gate key stayed zero — a parity-keeping policy that wrote no full
+// stripe, a fault class that never hit its mechanism — fails as a
 // coverage gap, violations or not.
-//
-// With -tier the schedules instead target the hybrid tier
-// (internal/tier): a mirrored write-back front over an AFRAID back
-// end, with power cuts torn mid-promote and mid-demote, extent-map
-// loss, and front-copy fail-stops, all checked against a byte-level
-// shadow.
-//
-// With -cluster the schedules target a real multi-node volume: four
-// afraidd servers over TCP, each behind a fault.Proxy, with seeded
-// network faults — black-hole and refused partitions, brownouts
-// absorbed by hedged reads, mid-frame resets, frame truncations, and
-// flap storms that must end in quarantine — every episode recovered
-// and audited byte-for-byte against the loss contract.
 //
 // Usage:
 //
-//	afraidchaos                              # 200 episodes, seed 1
+//	afraidchaos                              # 200 core episodes, seed 1
 //	afraidchaos -episodes 500 -seed 7 -v
 //	afraidchaos -modes afraid,raid6 -ops 300
-//	afraidchaos -tier -episodes 200          # hybrid-tier schedules
-//	afraidchaos -cluster -episodes 200       # network-chaos schedules
-//	afraidchaos -cluster -class flap -v      # one fault class only
+//	afraidchaos -stack tier -episodes 200
+//	afraidchaos -stack cluster -class flap -v
+//	afraidchaos -stack stacked -episodes 200
 package main
 
 import (
@@ -53,77 +60,126 @@ import (
 	"afraid/internal/tier"
 )
 
+// options are the flags a stack's rows are built from.
+type options struct {
+	modes            string
+	ops, disks       int
+	stripes          int64
+	checksums, flips bool
+	class            string
+}
+
+// row is one line of the audit table. Episodes go round-robin over a
+// stack's rows; each derives its whole schedule from the episode's seed.
+type row struct {
+	name     string
+	schedule func(seed int64) (fault.Stack, fault.Plan)
+	gate     []string // stat keys, each of which some episode of the row must move
+	repro    string   // the flags that replay one seed of this row
+}
+
+// stacks is the -stack table: how each stack's rows are built, the stat
+// keys its table prints, and the keys the whole run must move.
+var stacks = map[string]struct {
+	rows    func(o options) ([]row, error)
+	columns []string
+	gate    []string
+}{
+	"core": {coreRows, []string{"fault.power_cycles", "core.recovered_stripes", "fault.flip_bits",
+		"core.checksum_repaired", "core.checksum_lost", "core.full_stripe_writes"}, nil},
+	"tier": {tierRows, []string{"fault.power_cycles", "tier.map_recovered", "fault.failed_members", "tier.promotes",
+		"tier.demotes", "tier.front_read_hits", "tier.front_write_hits", "core.full_stripe_writes"}, nil},
+	"cluster": {clusterRows, clusterColumns, []string{"cluster.write.full_stripe"}},
+	"stacked": {stackedRows, append([]string{"fault.power_cycles", "fault.flip_bits", "core.checksum_repaired",
+		"tier.promotes"}, clusterColumns...), []string{"cluster.write.full_stripe"}},
+}
+
 func main() {
+	var o options
 	seed := flag.Int64("seed", 1, "base seed; episode i uses seed+i")
-	episodes := flag.Int("episodes", 200, "episodes to run, round-robin over -modes")
-	modesFlag := flag.String("modes", "afraid,raid5,raid6,afraid6", "comma-separated policies")
-	ops := flag.Int("ops", 0, "workload operations per episode (0 = harness default)")
-	disks := flag.Int("disks", 0, "member disks (0 = harness default)")
-	stripes := flag.Int64("stripes", 0, "stripes per disk (0 = harness default)")
-	checksums := flag.Bool("checksums", true, "open stores with block checksums and arm silent bit flips")
-	flips := flag.Bool("flips", true, "arm silent bit-flip faults (with -checksums=false they go undetected)")
-	tierRun := flag.Bool("tier", false, "run hybrid-tier schedules (internal/tier) instead of bare-store ones")
-	clusterRun := flag.Bool("cluster", false, "run network-chaos schedules against a proxied multi-node TCP volume")
-	classFlag := flag.String("class", "", "with -cluster: pin every episode to one fault class (partition, refuse, slow, reset, truncate, flap)")
+	episodes := flag.Int("episodes", 200, "episodes to run, round-robin over the stack's rows")
+	stackFlag := flag.String("stack", "core", "what the episodes run against: core, tier, cluster or stacked")
+	flag.StringVar(&o.modes, "modes", "afraid,raid5,raid6,afraid6", "core: comma-separated policies")
+	flag.IntVar(&o.ops, "ops", 0, "workload operations per episode (0 = the stack's default)")
+	flag.IntVar(&o.disks, "disks", 0, "core: member disks (0 = default)")
+	flag.Int64Var(&o.stripes, "stripes", 0, "core: stripes per disk (0 = default)")
+	flag.BoolVar(&o.checksums, "checksums", true, "core: open stores with block checksums")
+	flag.BoolVar(&o.flips, "flips", true, "core: arm silent bit-flip faults (with -checksums=false they go undetected)")
+	flag.StringVar(&o.class, "class", "", "cluster, stacked: pin every episode to one fault class ("+classList+")")
 	verbose := flag.Bool("v", false, "print every episode")
 	failFast := flag.Bool("fail-fast", false, "stop at the first violation")
 	flag.Parse()
 
-	if *tierRun {
-		os.Exit(runTier(*seed, *episodes, *ops, *verbose, *failFast))
+	def, ok := stacks[*stackFlag]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "afraidchaos: unknown stack %q (want core, tier, cluster or stacked)\n", *stackFlag)
+		os.Exit(2)
 	}
-	if *clusterRun {
-		os.Exit(runCluster(*seed, *episodes, *ops, *classFlag, *verbose, *failFast))
-	}
-
-	modes, err := parseModes(*modesFlag)
+	rows, err := def.rows(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "afraidchaos:", err)
 		os.Exit(2)
 	}
 
-	tallies := make(map[core.Mode]*tally, len(modes))
-	for _, m := range modes {
-		tallies[m] = &tally{}
+	type tally struct {
+		episodes, survived, lost, violated int
+		lostBytes                          int64
+		stats                              map[string]int64
 	}
+	tallies := make([]tally, len(rows))
+	total := map[string]int64{}
 	var violations []string
 
 	for i := 0; i < *episodes; i++ {
-		mode := modes[i%len(modes)]
+		r, t := rows[i%len(rows)], &tallies[i%len(rows)]
 		epSeed := *seed + int64(i)
-		cfg := schedule(epSeed, mode, *checksums, *flips)
-		cfg.Ops = *ops
-		cfg.Disks = *disks
-		cfg.StripesPerDisk = *stripes
-
-		res, err := fault.RunEpisode(cfg)
+		st, plan := r.schedule(epSeed)
+		res, err := fault.Run(epSeed, st, plan)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "afraidchaos: episode seed=%d mode=%v: %v\n", epSeed, mode, err)
+			fmt.Fprintf(os.Stderr, "afraidchaos: %s episode seed=%d %s: %v\n", *stackFlag, epSeed, r.name, err)
 			os.Exit(2)
 		}
-		t := tallies[mode]
-		t.note(res)
+		t.episodes++
+		switch {
+		case len(res.Violations) > 0:
+			t.violated++
+		case res.LostBytes > 0 || res.LossEvents > 0:
+			t.lost++
+		default:
+			t.survived++
+		}
+		t.lostBytes += res.LostBytes
+		if t.stats == nil {
+			t.stats = map[string]int64{}
+		}
+		for k, v := range res.Stats {
+			t.stats[k] += v
+			total[k] += v
+		}
 		if *verbose || len(res.Violations) > 0 {
-			fmt.Printf("seed=%-6d %-8v %s\n", epSeed, mode, describe(res))
+			fmt.Printf("seed=%-6d %-9s %s\n", epSeed, r.name, describe(res, def.columns))
 		}
 		for _, v := range res.Violations {
-			violations = append(violations,
-				fmt.Sprintf("seed=%d mode=%v: %s\n  repro: afraidchaos -seed %d -episodes 1 -modes %v -checksums=%v -flips=%v",
-					epSeed, mode, v, epSeed, mode, *checksums, *flips))
+			violations = append(violations, fmt.Sprintf("seed=%d %s: %s\n  repro: afraidchaos -stack %s -seed %d -episodes 1 %s",
+				epSeed, r.name, v, *stackFlag, epSeed, r.repro))
 		}
 		if *failFast && len(violations) > 0 {
 			break
 		}
 	}
 
-	fmt.Printf("\n%-8s %9s %9s %6s %9s %6s %11s %9s %6s %9s %6s %11s\n",
-		"policy", "episodes", "survived", "lost", "violated", "crash", "lost-bytes", "repaired",
-		"flips", "csum-fix", "csum-lost", "full-stripe")
-	for _, m := range modes {
-		t := tallies[m]
-		fmt.Printf("%-8v %9d %9d %6d %9d %6d %11d %9d %6d %9d %6d %11d\n",
-			m, t.episodes, t.survived, t.lost, t.violated, t.crashed, t.lostBytes, t.recovered,
-			t.flips, t.csumRepaired, t.csumLost, t.fullStripe)
+	fmt.Printf("\n%-9s %8s %8s %5s %8s %10s", "row", "episodes", "survived", "lost", "violated", "lost-bytes")
+	for _, k := range def.columns {
+		fmt.Printf(" %s", label(k))
+	}
+	fmt.Println()
+	for i, r := range rows {
+		t := tallies[i]
+		fmt.Printf("%-9s %8d %8d %5d %8d %10d", r.name, t.episodes, t.survived, t.lost, t.violated, t.lostBytes)
+		for _, k := range def.columns {
+			fmt.Printf(" %*d", len(label(k)), t.stats[k])
+		}
+		fmt.Println()
 	}
 
 	if len(violations) > 0 {
@@ -133,13 +189,20 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	// Coverage gate, as for the cluster's fault classes: a policy that
-	// keeps parity and wrote no full stripe all run left the full-stripe
-	// write untested; fail loudly rather than report a vacuous pass.
+	// Coverage gates: a run that never moved a gate key left what the key
+	// counts untested; fail loudly rather than report a vacuous pass.
 	gaps := 0
-	for _, m := range modes {
-		if t := tallies[m]; m != core.Raid0 && t.episodes > 0 && t.fullStripe == 0 {
-			fmt.Printf("coverage gap: %d %v episodes, no full-stripe write in any\n", t.episodes, m)
+	for i, r := range rows {
+		for _, k := range r.gate {
+			if tallies[i].episodes > 0 && tallies[i].stats[k] == 0 {
+				fmt.Printf("coverage gap: %d %s episodes, %s stayed 0\n", tallies[i].episodes, r.name, k)
+				gaps++
+			}
+		}
+	}
+	for _, k := range def.gate {
+		if total[k] == 0 {
+			fmt.Printf("coverage gap: %d episodes, %s stayed 0\n", *episodes, k)
 			gaps++
 		}
 	}
@@ -149,101 +212,67 @@ func main() {
 	fmt.Println("\nno invariant violations")
 }
 
-// runTier drives seeded hybrid-tier episodes: every fourth episode is
-// fault-free, and the rest mix power cuts (torn mid-promote,
-// mid-demote or mid-mirror-write depending on the seed), extent-map
-// loss, and front-copy fail-stops.
-func runTier(seed int64, episodes, ops int, verbose, failFast bool) int {
-	var violations []string
-	var t struct {
-		survived, violated, crashed  int
-		promotes, demotes, frontHits uint64
-		fullStripe                   uint64
-		mapRecovered, copyFailed     int
-	}
-	for i := 0; i < episodes; i++ {
-		epSeed := seed + int64(i)
-		cfg := tierSchedule(epSeed)
-		cfg.Ops = ops
-		res, err := tier.RunChaosEpisode(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "afraidchaos: tier episode seed=%d: %v\n", epSeed, err)
-			return 2
-		}
-		if len(res.Violations) > 0 {
-			t.violated++
-		} else {
-			t.survived++
-		}
-		if res.Crashed {
-			t.crashed++
-		}
-		if res.MapRecovered {
-			t.mapRecovered++
-		}
-		if res.FrontCopyFailed {
-			t.copyFailed++
-		}
-		t.promotes += res.Promotes
-		t.demotes += res.Demotes
-		t.frontHits += res.FrontHits
-		t.fullStripe += res.FullStripeWrites
-		if verbose || len(res.Violations) > 0 {
-			fmt.Printf("seed=%-6d tier acked=%d failed=%d promotes=%d demotes=%d hits=%d crash=%v maploss=%v copyfail=%v\n",
-				epSeed, res.AckedWrites, res.FailedWrites, res.Promotes, res.Demotes,
-				res.FrontHits, res.Crashed, res.MapRecovered, res.FrontCopyFailed)
-		}
-		for _, v := range res.Violations {
-			violations = append(violations,
-				fmt.Sprintf("seed=%d: %s\n  repro: afraidchaos -tier -seed %d -episodes 1", epSeed, v, epSeed))
-		}
-		if failFast && len(violations) > 0 {
-			break
+// label is a stat key without its layer prefix, as a column head.
+func label(key string) string { return key[strings.IndexByte(key, '.')+1:] }
+
+func describe(r *fault.Result, columns []string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "acked=%d failed=%d", r.AckedWrites, r.FailedWrites)
+	fmt.Fprintf(&b, " exposed=%d holes=%d loss-events=%d lost=%dB", r.Exposed, r.Holes, r.LossEvents, r.LostBytes)
+	for _, k := range columns {
+		if v := r.Stats[k]; v != 0 {
+			fmt.Fprintf(&b, " %s=%d", label(k), v)
 		}
 	}
-	fmt.Printf("\ntier: %d episodes, %d survived, %d violated, %d crashed, %d map-loss recoveries, %d copy fail-stops\n",
-		episodes, t.survived, t.violated, t.crashed, t.mapRecovered, t.copyFailed)
-	fmt.Printf("tier: %d promotes, %d demotes, %d front hits, %d back-store full-stripe writes\n",
-		t.promotes, t.demotes, t.frontHits, t.fullStripe)
-	if len(violations) > 0 {
-		fmt.Printf("\n%d VIOLATION(S):\n", len(violations))
-		for _, v := range violations {
-			fmt.Println(" ", v)
-		}
-		return 1
+	if len(r.Violations) > 0 {
+		fmt.Fprintf(&b, " VIOLATIONS=%d", len(r.Violations))
 	}
-	if t.fullStripe == 0 {
-		fmt.Printf("coverage gap: %d tier episodes, no full-stripe write reached the back store\n", episodes)
-		return 1
-	}
-	fmt.Println("\nno invariant violations")
-	return 0
+	return b.String()
 }
 
-// tierSchedule derives a tier episode's fault plan from its seed.
-func tierSchedule(epSeed int64) tier.ChaosConfig {
-	rng := rand.New(rand.NewSource(epSeed ^ 0x7ae5))
-	cfg := tier.ChaosConfig{Seed: epSeed}
-	cfg.PowerCut = rng.Float64() < 0.6
-	if cfg.PowerCut {
-		cfg.DropTierMap = rng.Float64() < 0.25
+// coreRows is one row per policy in -modes.
+func coreRows(o options) ([]row, error) {
+	var rows []row
+	for _, name := range strings.Split(o.modes, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		mode := core.Mode(-1)
+		for _, m := range []core.Mode{core.Afraid, core.Raid5, core.Raid0, core.Raid6, core.Afraid6} {
+			if m.String() == name {
+				mode = m
+			}
+		}
+		if mode < 0 {
+			return nil, fmt.Errorf("unknown mode %q", name)
+		}
+		r := row{
+			name: name,
+			schedule: func(seed int64) (fault.Stack, fault.Plan) {
+				cfg := coreSchedule(seed, mode, o.checksums, o.flips)
+				cfg.Ops, cfg.Disks, cfg.StripesPerDisk = o.ops, o.disks, o.stripes
+				st := fault.NewCore(cfg)
+				return st, st.Plan()
+			},
+			repro: fmt.Sprintf("-modes %s -checksums=%v -flips=%v", name, o.checksums, o.flips),
+		}
+		if mode != core.Raid0 {
+			r.gate = []string{"core.full_stripe_writes"}
+		}
+		rows = append(rows, r)
 	}
-	if !cfg.DropTierMap {
-		// Map loss plus a dead mirror copy is a double failure outside
-		// the contract; the harness would clamp it anyway.
-		cfg.FrontCopyFail = rng.Float64() < 0.3
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("no modes in %q", o.modes)
 	}
-	if rng.Float64() < 0.3 {
-		cfg.FrontPairs = 2
-	}
-	return cfg
+	return rows, nil
 }
 
-// schedule derives an episode's fault plan from its seed, independently
-// of the workload stream (which RunEpisode seeds itself).
-func schedule(epSeed int64, mode core.Mode, checksums, flips bool) fault.Config {
+// coreSchedule derives a core episode's fault plan from its seed,
+// independently of the workload stream (which fault.Run seeds itself).
+func coreSchedule(epSeed int64, mode core.Mode, checksums, flips bool) fault.Config {
 	rng := rand.New(rand.NewSource(epSeed ^ 0x5eed))
-	cfg := fault.Config{Seed: epSeed, Mode: mode, Checksums: checksums}
+	cfg := fault.Config{Mode: mode, Checksums: checksums}
 	if flips {
 		cfg.FlipBits = rng.Intn(3)
 		cfg.ReadRot = rng.Intn(2)
@@ -253,7 +282,7 @@ func schedule(epSeed int64, mode core.Mode, checksums, flips bool) fault.Config 
 	if cfg.PowerCut && deferredMode {
 		cfg.DropNVRAM = rng.Float64() < 0.25
 	}
-	// RunEpisode caps failures at the mode's redundancy (0 for raid0).
+	// The core stack caps failures at the mode's redundancy (0 for raid0).
 	cfg.DiskFails = rng.Intn(3)
 	cfg.Transients = rng.Intn(2)
 	if cfg.DiskFails > 0 || cfg.Transients > 0 {
@@ -265,88 +294,31 @@ func schedule(epSeed int64, mode core.Mode, checksums, flips bool) fault.Config 
 	return cfg
 }
 
-type tally struct {
-	episodes, survived, lost, violated int
-	crashed                            int
-	lostBytes                          int64
-	recovered                          uint64
-	flips                              int
-	csumDetected, csumRepaired         uint64
-	csumLost                           uint64
-	fullStripe                         uint64
-}
-
-func (t *tally) note(r *fault.Result) {
-	t.episodes++
-	switch {
-	case len(r.Violations) > 0:
-		t.violated++
-	case r.LostBytes > 0 || r.ChecksumsLost > 0:
-		t.lost++
-	default:
-		t.survived++
-	}
-	if r.Crashed {
-		t.crashed++
-	}
-	t.lostBytes += r.LostBytes
-	t.recovered += r.RecoveredStripes
-	t.flips += r.FlipBits
-	t.csumDetected += r.ChecksumsDetected
-	t.csumRepaired += r.ChecksumsRepaired
-	t.csumLost += r.ChecksumsLost
-	t.fullStripe += r.FullStripeWrites
-}
-
-func describe(r *fault.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "acked=%d failed=%d", r.AckedWrites, r.FailedWrites)
-	if r.Crashed {
-		fmt.Fprintf(&b, " crash(dirty=%d holes=%d)", r.DirtyAtCrash, r.HoleStripes)
-	}
-	if r.NVRAMRebuild {
-		b.WriteString(" nvram-rebuild")
-	}
-	if len(r.FailedDisks) > 0 {
-		fmt.Fprintf(&b, " failed-disks=%v", r.FailedDisks)
-	}
-	if r.LostBytes > 0 {
-		fmt.Fprintf(&b, " lost=%dB damaged=%d", r.LostBytes, r.DamagedStripes)
-	}
-	if r.RecoveredStripes > 0 {
-		fmt.Fprintf(&b, " repaired=%d", r.RecoveredStripes)
-	}
-	if r.FlipBits > 0 {
-		fmt.Fprintf(&b, " flips=%d(det=%d rep=%d lost=%d)",
-			r.FlipBits, r.ChecksumsDetected, r.ChecksumsRepaired, r.ChecksumsLost)
-	}
-	if len(r.Violations) > 0 {
-		fmt.Fprintf(&b, " VIOLATIONS=%d", len(r.Violations))
-	}
-	return b.String()
-}
-
-func parseModes(s string) ([]core.Mode, error) {
-	var modes []core.Mode
-	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(name) {
-		case "afraid":
-			modes = append(modes, core.Afraid)
-		case "raid5":
-			modes = append(modes, core.Raid5)
-		case "raid0":
-			modes = append(modes, core.Raid0)
-		case "raid6":
-			modes = append(modes, core.Raid6)
-		case "afraid6":
-			modes = append(modes, core.Afraid6)
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown mode %q", name)
-		}
-	}
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("no modes in %q", s)
-	}
-	return modes, nil
+// tierRows is the one tier row: every fourth episode or so is
+// fault-free, and the rest mix power cuts (torn mid-promote, mid-demote
+// or mid-mirror-write depending on the seed), extent-map loss, and
+// front-copy fail-stops.
+func tierRows(o options) ([]row, error) {
+	return []row{{
+		name: "tier",
+		schedule: func(seed int64) (fault.Stack, fault.Plan) {
+			rng := rand.New(rand.NewSource(seed ^ 0x7ae5))
+			cfg := tier.ChaosConfig{Ops: o.ops}
+			cfg.PowerCut = rng.Float64() < 0.6
+			if cfg.PowerCut {
+				cfg.DropTierMap = rng.Float64() < 0.25
+			}
+			if !cfg.DropTierMap {
+				// Map loss plus a dead mirror copy is a double failure
+				// outside the contract; the stack would clamp it anyway.
+				cfg.FrontCopyFail = rng.Float64() < 0.3
+			}
+			if rng.Float64() < 0.3 {
+				cfg.FrontPairs = 2
+			}
+			st := tier.NewChaosStack(cfg)
+			return st, st.Plan()
+		},
+		gate: []string{"core.full_stripe_writes"},
+	}}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"afraid/internal/core"
 	"afraid/internal/layout"
 	"afraid/internal/nvram"
+	"afraid/internal/obs"
 	"afraid/internal/parity"
 )
 
@@ -389,6 +390,16 @@ func (v *Volume) Stats() Stats {
 	st.DirtyStripes, st.DirtyHighWater, st.Recovered = es.Marked, es.HighWater, es.Recovered
 	st.ParityDrains, st.InlineDrains = es.Drained, es.Inline
 	return st
+}
+
+// StatMap returns the volume's flat key/value snapshot under "cluster."
+// keys: every Stats field and every counter of its registry — the same
+// surface core.Store and tier.Store give, so a harness reads coverage
+// counters as keys on every stack.
+func (v *Volume) StatMap() map[string]int64 {
+	m := make(map[string]int64, 32)
+	obs.Flatten(m, "cluster.", v.Obs(), v.Stats())
+	return m
 }
 
 // NodeStates reports each member's reachability and heal backlog.

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/obs"
 )
 
 // memNode is an in-process Node over a byte slice: the unit-test stand-
@@ -405,5 +407,36 @@ func TestClosedVolume(t *testing.T) {
 	}
 	if err := v.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("second Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestStatMapCoversEveryCounter is the cluster row of afraidd's
+// TestStatCoversEveryCounter: whatever Stats and the volume's registry
+// count is a "cluster." key of StatMap, with live values, so a counter
+// added where it is counted shows up with no list to edit.
+func TestStatMapCoversEveryCounter(t *testing.T) {
+	v, _ := testVolume(t, 4, 16*4096, quietOpts())
+	fillVolume(t, v, 1)
+	m := v.StatMap()
+	rt := reflect.TypeOf(Stats{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if k := f.Type.Kind(); k != reflect.Bool && (k < reflect.Int || k > reflect.Uint64) {
+			t.Errorf("Stats.%s is a %s: not something the flat snapshot carries", f.Name, f.Type)
+			continue
+		}
+		if _, ok := m["cluster."+obs.KeyName(f.Name)]; !ok {
+			t.Errorf("StatMap has no %q", "cluster."+obs.KeyName(f.Name))
+		}
+	}
+	for name := range v.Obs().Counters() {
+		if _, ok := m["cluster."+name]; !ok {
+			t.Errorf("StatMap has no %q", "cluster."+name)
+		}
+	}
+	for _, key := range []string{"cluster.writes", "cluster.bytes_written", "cluster.write.full_stripe"} {
+		if m[key] <= 0 {
+			t.Errorf("StatMap %s = %d after a fill, want > 0", key, m[key])
+		}
 	}
 }

@@ -125,15 +125,15 @@ func TestTornTrailerDetectedAndRepaired(t *testing.T) {
 // episode must end corruption-free: flips are either detected and
 // repaired or surface as reported loss — never served silently.
 func TestEpisodeChecksumsRepairFlips(t *testing.T) {
-	flips, detected := 0, uint64(0)
+	flips, detected := int64(0), int64(0)
 	for _, m := range []core.Mode{core.Afraid, core.Raid5, core.Raid6, core.Afraid6} {
 		for seed := int64(0); seed < 8; seed++ {
-			res := runOne(t, Config{
-				Seed: 40 + seed, Mode: m,
+			res := runOne(t, 40+seed, Config{
+				Mode:      m,
 				Checksums: true, FlipBits: 2, ReadRot: 1,
 			})
-			flips += res.FlipBits
-			detected += res.ChecksumsDetected
+			flips += res.Stats["fault.flip_bits"]
+			detected += res.Stats["core.checksum_detected"]
 		}
 	}
 	if flips == 0 {
@@ -150,8 +150,8 @@ func TestEpisodeChecksumsRepairFlips(t *testing.T) {
 func TestEpisodeChecksumsUnderCrash(t *testing.T) {
 	for _, m := range []core.Mode{core.Afraid, core.Raid5, core.Afraid6} {
 		for seed := int64(0); seed < 6; seed++ {
-			runOne(t, Config{
-				Seed: 80 + seed, Mode: m,
+			runOne(t, 80+seed, Config{
+				Mode:      m,
 				Checksums: true, FlipBits: 1, ReadRot: 1,
 				PowerCut: true, DiskFails: 1, Repair: true,
 			})
@@ -165,17 +165,15 @@ func TestEpisodeChecksumsUnderCrash(t *testing.T) {
 // the harness can see the corruption and that the checksum layer is
 // what prevents it.
 func TestEpisodeFlipsWithoutChecksumsViolate(t *testing.T) {
-	violations, flips := 0, 0
+	violations, flips := 0, int64(0)
 	for seed := int64(0); seed < 12; seed++ {
-		res, err := RunEpisode(Config{
-			Seed: 120 + seed, Mode: core.Raid5,
-			Checksums: false, FlipBits: 2, ReadRot: 1,
-		})
+		st := NewCore(Config{Mode: core.Raid5, Checksums: false, FlipBits: 2, ReadRot: 1})
+		res, err := Run(120+seed, st, st.Plan())
 		if err != nil {
 			t.Fatalf("seed %d: %v", 120+seed, err)
 		}
 		violations += len(res.Violations)
-		flips += res.FlipBits
+		flips += res.Stats["fault.flip_bits"]
 	}
 	if flips == 0 {
 		t.Fatal("no flip rule ever fired")

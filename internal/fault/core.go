@@ -1,0 +1,412 @@
+package fault
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"afraid/internal/core"
+	"afraid/internal/layout"
+	"afraid/internal/obs"
+)
+
+// Config describes the core stack of one episode: an array build and a
+// fault schedule (transient member faults, silent bit flips, a power cut
+// with optional marking-memory loss, post-recovery disk failures, and
+// repair).
+type Config struct {
+	Mode              core.Mode
+	Disks             int
+	StripeUnit        int64
+	StripesPerDisk    int64 // device size = StripesPerDisk * StripeUnit
+	Ops               int   // workload operations
+	WriteFrac         float64
+	MaxIO             int64 // max bytes per workload op
+	ScrubIdle         time.Duration
+	DirtyThreshold    int
+	DeferBothParities bool
+
+	Transients int  // member disks hit by an injected transient fault (capped at the redundancy)
+	PowerCut   bool // cut power mid-workload and restart through recovery
+	DropNVRAM  bool // the crash also destroys the marking memory (paper §4)
+	DiskFails  int  // disks to fail after recovery (capped at the redundancy)
+	Repair     bool // repair failed disks and audit the damage report
+
+	Checksums bool // open the store with Options.Checksums
+	FlipBits  int  // write-path silent bit flips to arm (one rule each)
+	ReadRot   int  // read-path bit-decay flips to arm (one rule each)
+}
+
+// storeOptions maps the config onto core.Options (shared by the initial
+// open and the post-crash reopen).
+func (c Config) storeOptions() core.Options {
+	return core.Options{
+		Mode:              c.Mode,
+		StripeUnit:        c.StripeUnit,
+		ScrubIdle:         c.ScrubIdle,
+		DirtyThreshold:    c.DirtyThreshold,
+		DeferBothParities: c.DeferBothParities,
+		Checksums:         c.Checksums,
+	}
+}
+
+func (c Config) withDefaults() Config {
+	if c.Disks == 0 {
+		c.Disks = 5
+	}
+	if c.StripeUnit == 0 {
+		c.StripeUnit = 512
+	}
+	if c.StripesPerDisk == 0 {
+		c.StripesPerDisk = 48
+	}
+	if c.Ops == 0 {
+		c.Ops = 150
+	}
+	if c.WriteFrac == 0 {
+		c.WriteFrac = 0.65
+	}
+	if c.MaxIO == 0 {
+		c.MaxIO = 3 * c.StripeUnit
+	}
+	if c.ScrubIdle == 0 {
+		c.ScrubIdle = 3 * time.Millisecond
+	}
+	return c
+}
+
+// maxDead is how many simultaneous member failures the mode absorbs.
+func maxDead(m core.Mode) int {
+	switch m {
+	case core.Raid6, core.Afraid6:
+		return 2
+	case core.Raid0:
+		return 0
+	default:
+		return 1
+	}
+}
+
+func deferred(m core.Mode) bool { return m == core.Afraid || m == core.Afraid6 }
+
+// Core is the Stack over a core.Store on fault-wrapped members sharing
+// one power line. A tier assembles its back store through it (Assemble,
+// Reopen) and a composed stack arms faults inside a node with its steps.
+type Core struct {
+	cfg      Config
+	Line     *PowerLine         // set before Assemble to share a machine's power with other devices
+	Backings []core.BlockDevice // the media under the injectors
+	devs     []*Device
+	nv       core.NVRAM
+	st       *core.Store
+	geo      layout.Geometry
+
+	victims  []int // disks with an armed transient rule
+	repaired int
+	events   coreEvents
+}
+
+// coreEvents is what happened to this incarnation of the store that it
+// does not count itself: the "fault." keys of StatMap.
+type coreEvents struct{ FlipBits, FailedMembers uint64 }
+
+// NewCore returns the core stack cfg describes, unassembled.
+func NewCore(cfg Config) *Core { return &Core{cfg: cfg.withDefaults()} }
+
+// Plan is the core schedule: workload, power cycle, disk failures with a
+// degraded burst, repair.
+func (c *Core) Plan() Plan {
+	return Plan{WriteFrac: c.cfg.WriteFrac, MaxIO: c.cfg.MaxIO, Steps: []Step{
+		Workload(c.cfg.Ops), c.PowerCycle, Sweep("post-recovery"), c.FailDisks, c.RepairDisks,
+	}}
+}
+
+// Store returns the current incarnation of the store.
+func (c *Core) Store() *core.Store { return c.st }
+
+func (c *Core) Open(e *Episode) error {
+	if err := c.Assemble(e.Seed); err != nil {
+		return err
+	}
+	c.Arm(e)
+	return nil
+}
+
+// Assemble builds fresh media and opens the store over them. It draws
+// nothing, so a stack on top keeps its own draw order.
+func (c *Core) Assemble(seed int64) error {
+	if c.Line == nil {
+		c.Line = NewPowerLine()
+	}
+	c.Backings = make([]core.BlockDevice, c.cfg.Disks)
+	for i := range c.Backings {
+		c.Backings[i] = core.NewMemDevice(c.cfg.StripesPerDisk * c.cfg.StripeUnit)
+	}
+	if deferred(c.cfg.Mode) {
+		c.nv = &core.MemNVRAM{}
+	}
+	return c.open(seed, nil)
+}
+
+// open wraps the media in fresh injectors on the line and opens the
+// store over them: the first assembly and every reboot.
+func (c *Core) open(seed int64, dead []int) error {
+	c.devs = Wrap(c.Backings, seed)
+	for _, d := range c.devs {
+		d.OnLine(c.Line)
+	}
+	// A member the last incarnation had declared dead missed its degraded
+	// writes; its contents are stale and must not resurrect.
+	for _, i := range dead {
+		c.devs[i].Fail()
+	}
+	st, err := core.Open(Devices(c.devs), c.nv, c.cfg.storeOptions())
+	if err != nil {
+		return err
+	}
+	c.st, c.geo = st, st.Geometry()
+	if c.cfg.Checksums {
+		for _, d := range c.devs {
+			d.SetChecksumRegion(c.geo.DiskSize)
+		}
+	}
+	return nil
+}
+
+// Reopen is the machine rebooting after a cut: the store the cut left
+// is abandoned, power returns, and the store opens again from what the
+// media (and the marking memory, unless the schedule drops it) hold.
+// Re-wrapping discards any rule still armed.
+func (c *Core) Reopen(seed int64) error {
+	dead := c.st.DeadDisks()
+	c.st.Close() // the injectors skip closing their backings while the line is cut
+	c.Line.Restore()
+	c.victims, c.events = nil, coreEvents{}
+	if c.cfg.DropNVRAM && c.nv != nil {
+		c.nv = NewLostNVRAM()
+	}
+	if err := c.open(seed, dead); err != nil {
+		return fmt.Errorf("fault: reopen after crash: %w", err)
+	}
+	return nil
+}
+
+// Arm is the fault step that arms the mid-workload schedule: transient
+// faults (which the store absorbs as fail-stop) on distinct victims,
+// capped at the redundancy so the array is never asked to survive more
+// than it promises; seeded one-shot bit flips on the write path and as
+// read-time media decay; and the power fuse.
+func (c *Core) Arm(e *Episode) {
+	cfg := c.cfg
+	for _, v := range e.Rng.Perm(cfg.Disks)[:min(cfg.Transients, maxDead(cfg.Mode))] {
+		c.devs[v].AddRule(Rule{When: After(uint64(e.Rng.Intn(cfg.Ops + 1))), Do: Transient(nil), Max: 1})
+		c.events.FailedMembers++
+		c.victims = append(c.victims, v)
+	}
+	for k := 0; k < cfg.FlipBits; k++ {
+		c.devs[e.Rng.Intn(cfg.Disks)].AddRule(Rule{
+			When: All(Writes(), After(uint64(e.Rng.Intn(cfg.Ops*2+1)))), Do: FlipBit(), Max: 1,
+		})
+	}
+	for k := 0; k < cfg.ReadRot; k++ {
+		c.devs[e.Rng.Intn(cfg.Disks)].AddRule(Rule{
+			When: All(Reads(), After(uint64(e.Rng.Intn(cfg.Ops*2+1)))), Do: FlipBit(), Max: 1,
+		})
+	}
+	if cfg.PowerCut {
+		// Device writes outnumber workload ops; a fuse within a few
+		// multiples of Ops usually blows mid-workload, and PowerCycle
+		// forces one that survives it.
+		c.Line.CutAfter(1 + e.Rng.Int63n(int64(cfg.Ops)*3))
+	}
+}
+
+// PowerCycle is the fault step after the workload: the power cut and
+// the reboot through recovery, when the schedule has one, and the
+// sample of what is unredundant either way.
+func (c *Core) PowerCycle(e *Episode) error {
+	if !c.cfg.PowerCut {
+		e.Sample()
+		return nil
+	}
+	c.Line.Cut()
+	return e.PowerCycle(func() error { return c.Reopen(e.Seed + 1) })
+}
+
+// FailDisks fails up to cfg.DiskFails more members through the device
+// layer, letting foreground I/O trip the store's degraded-mode
+// absorption, then runs a short degraded burst: acknowledged writes must
+// survive with members down (and must mirror onto a repair in progress).
+func (c *Core) FailDisks(e *Episode) error {
+	failed := 0
+	for failed < c.cfg.DiskFails {
+		dead := c.st.DeadDisks()
+		// An armed transient that hasn't tripped yet is a pending failure
+		// the store can't see; scheduling another member on top of it
+		// would exceed the redundancy the array promises.
+		pending := 0
+		for _, v := range c.victims {
+			if !slices.Contains(dead, v) && !c.devs[v].Failed() {
+				pending++
+			}
+		}
+		if len(dead)+pending >= maxDead(c.cfg.Mode) {
+			break
+		}
+		var alive []int
+		for i, d := range c.devs {
+			if !slices.Contains(dead, i) && !d.Failed() {
+				alive = append(alive, i)
+			}
+		}
+		if len(alive) == 0 {
+			break
+		}
+		e.Sample()
+		victim := alive[e.Rng.Intn(len(alive))]
+		c.devs[victim].Fail()
+		// Touch every stripe so the failure is absorbed.
+		buf := make([]byte, c.geo.StripeDataBytes())
+		for stp := int64(0); stp < c.geo.Stripes(); stp++ {
+			c.st.ReadAt(buf, stp*int64(len(buf)))
+		}
+		if !slices.Contains(c.st.DeadDisks(), victim) {
+			if err := c.st.FailDisk(victim); err != nil {
+				return fmt.Errorf("fault: fail disk %d: %w", victim, err)
+			}
+		}
+		c.events.FailedMembers++
+		failed++
+	}
+	if failed > 0 && c.cfg.Ops >= 4 {
+		e.Workload(c.cfg.Ops / 4)
+	}
+	return nil
+}
+
+// RepairDisks repairs every dead member onto a fresh device and hands
+// the damage report to the oracle: every lost range must lie in a stripe
+// that was unredundant at a failure point (or under an unacknowledged
+// write) — the paper's bounded-exposure contract.
+func (c *Core) RepairDisks(e *Episode) error {
+	if !c.cfg.Repair {
+		return nil
+	}
+	for _, i := range c.st.DeadDisks() {
+		e.Sample()
+		medium := core.NewMemDevice(c.cfg.StripesPerDisk * c.cfg.StripeUnit)
+		rep := New(medium, e.Seed+100+int64(i)).OnLine(c.Line)
+		if c.cfg.Checksums {
+			rep.SetChecksumRegion(c.geo.DiskSize)
+		}
+		report, err := c.st.RepairDisk(i, rep)
+		if err != nil {
+			return fmt.Errorf("fault: repair disk %d: %w", i, err)
+		}
+		c.events.FlipBits += c.devs[i].Stats().FlipBits // the replaced injector's count leaves with it
+		c.devs[i], c.Backings[i] = rep, medium
+		c.repaired++
+		losses := make([]Loss, len(report.Lost))
+		for k, lost := range report.Lost {
+			losses[k] = Loss{Off: lost.Offset, Len: lost.Length, Zeroed: true}
+		}
+		e.Lost(fmt.Sprintf("repair of disk %d", i), losses)
+		// Exception (distrust, ROADMAP item 1 deletes it): a hole stripe
+		// the repair treated as clean was reconstructed through
+		// possibly-inconsistent parity, so the rebuilt data unit (and only
+		// it) is untrustworthy. Survivor units were read directly and stay
+		// fully checked.
+		for _, stp := range e.UnreportedHoles() {
+			if role, dataIdx := c.geo.RoleOf(stp, i); role == layout.Data {
+				e.Distrust(stp*c.geo.StripeDataBytes()+int64(dataIdx)*c.cfg.StripeUnit, c.cfg.StripeUnit)
+			}
+		}
+	}
+	return nil
+}
+
+func (c *Core) degraded() bool { return len(c.st.DeadDisks()) > 0 }
+
+// AnyLossLegal is the csumArmed exception (ROADMAP item 1 deletes it):
+// with flips armed, any *reported* loss is legal — two flips can land in
+// one synchronous-RAID5 stripe, a genuine double failure — but silent
+// divergence never is: every successful read is still compared
+// byte-exact.
+func (c *Core) AnyLossLegal() bool { return c.cfg.FlipBits > 0 || c.cfg.ReadRot > 0 }
+
+// HoleBytesUnchecked is the excuseHoleBytes exception (ROADMAP item 1
+// deletes it): while a member is down, a hole stripe's bytes may pass
+// through degraded reconstruction over inconsistent parity, so they are
+// not compared.
+func (c *Core) HoleBytesUnchecked() bool { return c.degraded() }
+
+// TornBeyond is the other half of the distrust exception (ROADMAP item 1
+// deletes it): a degraded store writes whole units, and one the cut tore
+// under its checksum is rebuilt at recovery, all of it, through parity
+// the same cut left inconsistent — the units a cut write touched are
+// indeterminate to their boundaries.
+func (c *Core) TornBeyond(off, n int64) (int64, int64) {
+	if !c.cfg.Checksums || !c.degraded() {
+		return off, 0
+	}
+	u := c.geo.StripeUnit
+	lo := off / u * u
+	return lo, (off+n+u-1)/u*u - lo
+}
+
+func (c *Core) Close()                                   { c.st.Close() }
+func (c *Core) ReadAt(p []byte, off int64) (int, error)  { return c.st.ReadAt(p, off) }
+func (c *Core) WriteAt(p []byte, off int64) (int, error) { return c.st.WriteAt(p, off) }
+func (c *Core) Capacity() int64                          { return c.st.Capacity() }
+func (c *Core) Grains() []Grain                          { return []Grain{{c.geo.StripeDataBytes(), 3}} }
+func (c *Core) LossGrain() int64                         { return c.geo.StripeDataBytes() }
+func (c *Core) Exposed() []int64                         { return c.st.DirtyList() }
+func (c *Core) Failures() int                            { return len(c.st.DeadDisks()) + c.repaired }
+func (c *Core) PowerLost() bool                          { return c.Line.IsCut() }
+
+// Flush and Audit apply to a whole array: with a member down — or one a
+// latent transient takes down under them — there is no redundancy to
+// bring up to date or to check, and the final sweep still runs.
+func (c *Core) Flush() error {
+	if c.degraded() {
+		return nil
+	}
+	if err := c.st.Flush(); err != nil && !c.degraded() {
+		return err
+	}
+	return nil
+}
+
+func (c *Core) Audit() ([]int64, error) {
+	if c.degraded() {
+		return nil, nil
+	}
+	bad, err := c.st.CheckParity()
+	if err != nil && c.degraded() {
+		return nil, nil
+	}
+	return bad, err
+}
+
+// StatMap is the store's snapshot plus, under "fault.", what the
+// injectors and the schedule did to it.
+func (c *Core) StatMap() map[string]int64 {
+	m := c.st.StatMap()
+	ev := c.events
+	for _, d := range c.devs {
+		ev.FlipBits += d.Stats().FlipBits
+	}
+	obs.Flatten(m, "fault.", nil, ev)
+	return m
+}
+
+func (c *Core) Classify(err error) Kind {
+	switch {
+	case errors.Is(err, ErrPowerCut):
+		return KindPowerCut
+	case errors.Is(err, core.ErrDataLoss), errors.Is(err, core.ErrTooManyFailures):
+		return KindLoss
+	}
+	return KindFatal
+}

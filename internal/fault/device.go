@@ -5,10 +5,11 @@
 // degraded-mode machinery absorbs them), injected latency, torn writes,
 // and silent bit corruption — gated by composable Triggers. PowerLine
 // models whole-machine power loss: in-flight writes land torn or not at
-// all. On top, RunEpisode drives a core.Store through randomized
-// crash/fault schedules and checks every block against a shadow
-// reference model, asserting the AFRAID contract: divergence is
-// confined to stripes that were unredundant at crash time.
+// all. On top, Run (run.go) drives any Stack — core here, the tier and
+// the cluster volume through their own adapters — through randomized
+// crash/fault schedules and checks every byte against one shadow
+// model, asserting the AFRAID contract: loss is confined to stripes
+// that were unredundant at a failure, and always reported.
 package fault
 
 import (
@@ -157,9 +158,6 @@ type Rule struct {
 
 	hits int
 }
-
-// Plan is a reusable set of rules.
-type Plan []Rule
 
 // Stats counts device activity and injected faults.
 type Stats struct {

@@ -104,8 +104,8 @@ func TestPowerCutInsideFullStripeWrite(t *testing.T) {
 // repairs — the gate afraidchaos holds a whole run to.
 func TestEpisodeAlignedOpsAreFullStripeWrites(t *testing.T) {
 	for _, m := range []core.Mode{core.Afraid, core.Raid5, core.Raid6, core.Afraid6} {
-		res := runOne(t, Config{Seed: 11, Mode: m, PowerCut: true, DiskFails: 1, Repair: true, Checksums: true})
-		if res.FullStripeWrites == 0 {
+		res := runOne(t, 11, Config{Mode: m, PowerCut: true, DiskFails: 1, Repair: true, Checksums: true})
+		if res.Stats["core.full_stripe_writes"] == 0 {
 			t.Errorf("mode %v: no full-stripe write in an episode", m)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -139,7 +140,7 @@ func TestRaid6DoubleFailureUnderConcurrentIO(t *testing.T) {
 	// If the workload finished before both transients tripped (or the
 	// repairer was stopped first), finish the job synchronously.
 	for _, i := range []int{1, 4} {
-		if devs[i].Failed() && !contains(st.DeadDisks(), i) {
+		if devs[i].Failed() && !slices.Contains(st.DeadDisks(), i) {
 			// The wrapper tripped but the store never touched it.
 			if err := st.FailDisk(i); err != nil {
 				t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/fault"
 	"afraid/internal/idle"
 )
 
@@ -19,9 +20,8 @@ func runEpisodes(t *testing.T, base ChaosConfig, seeds int) {
 	t.Helper()
 	crashed, promoted, demoted, fullStripe := 0, 0, 0, 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		cfg := base
-		cfg.Seed = seed
-		res, err := RunChaosEpisode(cfg)
+		st := NewChaosStack(base)
+		res, err := fault.Run(seed, st, st.Plan())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -31,16 +31,16 @@ func runEpisodes(t *testing.T, base ChaosConfig, seeds int) {
 		if t.Failed() {
 			return
 		}
-		if res.Crashed {
+		if res.Stats["fault.power_cycles"] > 0 {
 			crashed++
 		}
-		if res.Promotes > 0 {
+		if res.Stats["tier.promotes"] > 0 {
 			promoted++
 		}
-		if res.Demotes > 0 {
+		if res.Stats["tier.demotes"] > 0 {
 			demoted++
 		}
-		if res.FullStripeWrites > 0 {
+		if res.Stats["core.full_stripe_writes"] > 0 {
 			fullStripe++
 		}
 	}
