@@ -3,80 +3,42 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"afraid/internal/bufpool"
 	"afraid/internal/layout"
 	"afraid/internal/nvram"
-	"afraid/internal/parity"
+	"afraid/internal/stripe"
 )
 
-// degradedReadExtent reconstructs the bytes of one extent whose home
-// node is absent: the same sub-range of every surviving data unit plus
-// the parity unit, XORed together. Caller holds the stripe lock and has
-// verified the stripe is clean with exactly one absent data unit.
-func (v *Volume) degradedReadExtent(ctx context.Context, dst []byte, st int64, e layout.Extent) error {
-	n := v.geo.DataDisks()
-	srcs := make([][]byte, 0, n) // n-1 survivors + parity
-	defer func() {
-		for _, b := range srcs {
-			bufpool.Put(b)
-		}
-	}()
-	type job struct {
-		node int
-		buf  []byte
-	}
-	jobs := make([]job, 0, n)
-	for idx := 0; idx < n; idx++ {
-		if idx == e.DataIdx {
-			continue
-		}
-		b := bufpool.Get(int(e.Len))
-		srcs = append(srcs, b)
-		jobs = append(jobs, job{v.geo.DataDisk(st, idx), b})
-	}
-	pbuf := bufpool.Get(int(e.Len))
-	srcs = append(srcs, pbuf)
-	jobs = append(jobs, job{v.geo.ParityDisk(st), pbuf})
-
-	off := v.geo.DiskOffset(st) + e.UnitOff
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			errs[i] = v.nodeRead(ctx, j.node, j.buf, off)
-		}(i, j)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return err
-	}
-	parity.Reconstruct(dst, pbuf, srcs[:len(srcs)-1]...)
-	return nil
+// nodeIO is the volume's nodes as a stripe.Image moves units through
+// them, for one call: nodeRead and nodeWrite under the call's context, so
+// NodeTimeout, demotion and the stale-marking of a failed write apply to
+// every unit of every stripe operation.
+type nodeIO struct {
+	v   *Volume
+	ctx context.Context
 }
 
-// readUnits fills units[idx] (full stripe units) for every non-nil
-// entry from the stripe's data nodes, concurrently.
-func (v *Volume) readUnits(ctx context.Context, st int64, units [][]byte) error {
-	off := v.geo.DiskOffset(st)
-	errs := make([]error, len(units))
-	var wg sync.WaitGroup
-	for idx, buf := range units {
-		if buf == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(idx int, buf []byte) {
-			defer wg.Done()
-			errs[idx] = v.nodeRead(ctx, v.geo.DataDisk(st, idx), buf, off)
-		}(idx, buf)
-	}
-	wg.Wait()
-	return firstError(errs)
+func (n nodeIO) ReadUnit(i int, p []byte, off int64) error {
+	return n.v.nodeRead(n.ctx, i, p, off)
+}
+
+func (n nodeIO) WriteUnit(i int, p []byte, off int64) error {
+	return n.v.nodeWrite(n.ctx, i, p, off)
+}
+
+// image returns a pooled image of the stripe (internal/stripe: the units
+// in memory, their overlapped I/O, solve and encode — the mechanics core
+// runs its disks on); the caller releases it.
+func (v *Volume) image(ctx context.Context, st int64) *stripe.Image {
+	return v.arr.Get(nodeIO{v, ctx}, st)
+}
+
+// absent is the member set holding node alone: the one unit a single-
+// parity stripe can be solved around.
+func absent(node int) (s stripe.Set) {
+	s.Add(node, 1)
+	return s
 }
 
 // writeSpanDegraded applies a span to a stripe with one absent data
@@ -89,57 +51,36 @@ func (v *Volume) readUnits(ctx context.Context, st int64, units [][]byte) error 
 //
 // coversB means the span fully overwrites the absent unit, so its old
 // contents are not needed; otherwise the stripe is clean (writeSpan
-// guarantees it) and the unit is reconstructed from parity.
+// guarantees it) and the unit is solved from parity.
 func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, bIdx int, coversB, wasDirty bool) error {
 	st := sp.Stripe
-	n := v.geo.DataDisks()
-	unit := int(v.geo.StripeUnit)
+	pNode, bNode := v.geo.ParityDisk(st), v.geo.DataDisk(st, bIdx)
 
 	v.meta.Lock()
-	parityReadable := v.availLocked(v.geo.ParityDisk(st), st)
-	bm := v.nodes[v.geo.DataDisk(st, bIdx)]
+	parityReadable := v.availLocked(pNode, st)
+	bm := v.nodes[bNode]
 	bReachable := bm.state == StateUp && bm.node != nil // up but stale here
 	v.meta.Unlock()
 	if !coversB && !parityReadable {
-		// Reconstructing the absent unit needs a valid parity unit;
-		// without one this stripe is short two units.
+		// Solving the absent unit needs a valid parity unit; without one
+		// this stripe is short two units.
 		return fmt.Errorf("%w: stripe %d parity unavailable", ErrTooManyNodes, st)
 	}
 
-	units := make([][]byte, n)
-	for idx := range units {
-		units[idx] = bufpool.Get(unit)
-	}
-	pbuf := bufpool.Get(unit)
-	defer func() {
-		for _, b := range units {
-			bufpool.Put(b)
-		}
-		bufpool.Put(pbuf)
-	}()
-
 	// Phase 1: assemble the current image. Survivor units come from
 	// their nodes; the absent unit from parity (unless fully covered).
-	toRead := make([][]byte, n)
-	for idx := 0; idx < n; idx++ {
-		if idx != bIdx {
-			toRead[idx] = units[idx]
-		}
+	im := v.image(ctx, st)
+	defer im.Release()
+	var err error
+	switch {
+	case sp.FullStripe(v.geo): // overwrites everything a load would bring
+	case coversB:
+		err = im.Load(absent(bNode), 0, 0, v.geo.StripeUnit)
+	default:
+		_, err = im.Solve(absent(bNode), 1, 0, v.geo.StripeUnit)
 	}
-	if err := v.readUnits(ctx, st, toRead); err != nil {
+	if err != nil {
 		return err
-	}
-	if !coversB {
-		if err := v.nodeRead(ctx, v.geo.ParityDisk(st), pbuf, v.geo.DiskOffset(st)); err != nil {
-			return err
-		}
-		survivors := make([][]byte, 0, n-1)
-		for idx := 0; idx < n; idx++ {
-			if idx != bIdx {
-				survivors = append(survivors, units[idx])
-			}
-		}
-		parity.Reconstruct(units[bIdx], pbuf, survivors...)
 	}
 
 	// Record the exposure before mutating remote state: a crash between
@@ -150,53 +91,31 @@ func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp
 	}
 
 	// Phase 2: apply the span and recompute parity over the new image.
-	touched := make([]bool, n)
+	touched := make([]bool, len(im.Data))
 	for _, e := range sp.Extents {
-		copy(units[e.DataIdx][e.UnitOff:e.UnitOff+e.Len], p[e.ArrOff-base:e.ArrOff-base+e.Len])
+		copy(im.Data[e.DataIdx][e.UnitOff:], p[e.ArrOff-base:e.ArrOff-base+e.Len])
 		touched[e.DataIdx] = true
 	}
-	parity.Compute(pbuf, units...)
+	im.Encode()
 
-	// Phase 3: write touched units and parity. The absent unit is
-	// written only when its node is reachable (healing); otherwise its
+	// Phase 3: write touched units and parity, together. The absent unit
+	// is written only when its node is reachable (healing); otherwise its
 	// new contents live in parity and the unit is marked stale.
-	type wjob struct {
-		node int
-		buf  []byte
-	}
-	var jobs []wjob
-	for idx := 0; idx < n; idx++ {
+	for idx, keep := range touched {
 		if idx == bIdx {
-			if bReachable {
-				jobs = append(jobs, wjob{v.geo.DataDisk(st, idx), units[idx]})
-			}
-			continue
+			keep = bReachable
 		}
-		if touched[idx] {
-			jobs = append(jobs, wjob{v.geo.DataDisk(st, idx), units[idx]})
+		if !keep {
+			im.Drop(idx)
 		}
 	}
-	pNode := v.geo.ParityDisk(st)
-	jobs = append(jobs, wjob{pNode, pbuf})
-	off := v.geo.DiskOffset(st)
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j wjob) {
-			defer wg.Done()
-			errs[i] = v.nodeWrite(ctx, j.node, j.buf, off)
-		}(i, j)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	if err := im.Store(stripe.Set{}); err != nil {
 		return err
 	}
 
 	// Phase 4: the stripe is redundant again. Settle the marks — the stale
 	// maps first, so no image shows the stripe clean beside a stale map
 	// that still trusts the absent unit (see composeMarks).
-	bNode := v.geo.DataDisk(st, bIdx)
 	v.meta.Lock()
 	v.nodes[pNode].stale.Unmark(st) // parity unit just rewritten
 	if bReachable {
@@ -241,23 +160,14 @@ func (v *Volume) drainStripe(ctx context.Context, c nvram.Claim) (nvram.Outcome,
 // no longer stale; clearing the dirty bit is the caller's. Caller holds
 // the stripe lock and has checked the nodes involved are available.
 func (v *Volume) rebuildParityUnit(ctx context.Context, st int64) error {
-	units := make([][]byte, v.geo.DataDisks())
-	for idx := range units {
-		units[idx] = bufpool.Get(int(v.geo.StripeUnit))
-	}
-	pbuf := bufpool.Get(int(v.geo.StripeUnit))
-	defer func() {
-		for _, b := range units {
-			bufpool.Put(b)
-		}
-		bufpool.Put(pbuf)
-	}()
-	if err := v.readUnits(ctx, st, units); err != nil {
+	im := v.image(ctx, st)
+	defer im.Release()
+	if err := im.Load(stripe.Set{}, 0, 0, v.geo.StripeUnit); err != nil {
 		return err
 	}
-	parity.Compute(pbuf, units...)
+	im.Encode()
 	pNode := v.geo.ParityDisk(st)
-	if err := v.nodeWrite(ctx, pNode, pbuf, v.geo.DiskOffset(st)); err != nil {
+	if err := v.nodeWrite(ctx, pNode, im.Par[0], v.geo.DiskOffset(st)); err != nil {
 		return err
 	}
 	v.meta.Lock()

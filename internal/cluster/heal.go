@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"afraid/internal/bufpool"
 	"afraid/internal/layout"
-	"afraid/internal/parity"
+	"afraid/internal/stripe"
 )
 
 // HealReport summarises one heal sweep.
@@ -229,37 +228,12 @@ func (v *Volume) rebuildUnit(ctx context.Context, st int64, dIdx, node int) erro
 	if !ok {
 		return fmt.Errorf("%w: stripe %d survivors incomplete", ErrNodeDown, st)
 	}
-	units := make([][]byte, n)
-	for idx := 0; idx < n; idx++ {
-		if idx != dIdx {
-			units[idx] = bufpool.Get(int(v.geo.StripeUnit))
-		}
-	}
-	pbuf := bufpool.Get(int(v.geo.StripeUnit))
-	rebuilt := bufpool.Get(int(v.geo.StripeUnit))
-	defer func() {
-		for _, b := range units {
-			if b != nil {
-				bufpool.Put(b)
-			}
-		}
-		bufpool.Put(pbuf)
-		bufpool.Put(rebuilt)
-	}()
-	if err := v.readUnits(ctx, st, units); err != nil {
+	im := v.image(ctx, st)
+	defer im.Release()
+	if _, err := im.Solve(absent(node), 1, 0, v.geo.StripeUnit); err != nil {
 		return err
 	}
-	if err := v.nodeRead(ctx, v.geo.ParityDisk(st), pbuf, v.geo.DiskOffset(st)); err != nil {
-		return err
-	}
-	survivors := make([][]byte, 0, n-1)
-	for idx := 0; idx < n; idx++ {
-		if idx != dIdx {
-			survivors = append(survivors, units[idx])
-		}
-	}
-	parity.Reconstruct(rebuilt, pbuf, survivors...)
-	return v.nodeWrite(ctx, node, rebuilt, v.geo.DiskOffset(st))
+	return v.nodeWrite(ctx, node, im.Data[dIdx], v.geo.DiskOffset(st))
 }
 
 // VerifyParity audits every clean stripe: read all data units plus
@@ -295,23 +269,10 @@ func (v *Volume) verifyStripe(ctx context.Context, st int64) (ok bool, err error
 	if h.dirty || len(h.badIdx) > 0 || !h.parityRead {
 		return true, fmt.Errorf("%w: stripe %d unverifiable", ErrNodeDown, st)
 	}
-	n := v.geo.DataDisks()
-	units := make([][]byte, n)
-	for idx := range units {
-		units[idx] = bufpool.Get(int(v.geo.StripeUnit))
-	}
-	pbuf := bufpool.Get(int(v.geo.StripeUnit))
-	defer func() {
-		for _, b := range units {
-			bufpool.Put(b)
-		}
-		bufpool.Put(pbuf)
-	}()
-	if err := v.readUnits(ctx, st, units); err != nil {
+	im := v.image(ctx, st)
+	defer im.Release()
+	if err := im.Load(stripe.Set{}, 1, 0, v.geo.StripeUnit); err != nil {
 		return true, err
 	}
-	if err := v.nodeRead(ctx, v.geo.ParityDisk(st), pbuf, v.geo.DiskOffset(st)); err != nil {
-		return true, err
-	}
-	return parity.Check(pbuf, units...), nil
+	return im.Check(), nil
 }

@@ -11,7 +11,7 @@ import (
 
 // Hedged reads are the volume's tail-latency defence: a unit read that
 // has not answered after the hedge delay is raced against the
-// reconstruction path (the same XOR of survivors + parity that serves
+// reconstruction path (the same solve from survivors + parity that serves
 // degraded reads), and the first success wins. A browned-out node then
 // costs one hedge delay, not its own latency — without being demoted,
 // because the straggling primary keeps running to its NodeTimeout and
@@ -123,7 +123,6 @@ func (v *Volume) hedgedReadExtent(ctx context.Context, dst []byte, st int64, e l
 					v.meta.Lock()
 					v.stats.HedgeWins++
 					v.meta.Unlock()
-					v.ob.hedgeWins.Inc()
 				}
 				return nil
 			}
@@ -146,13 +145,18 @@ func (v *Volume) hedgedReadExtent(ctx context.Context, dst []byte, st int64, e l
 			hbuf := bufpool.Get(int(e.Len))
 			inflight++
 			go func() {
-				err := v.degradedReadExtent(ctx, hbuf, st, e)
+				// The straggler counts as absent: solve its bytes from the
+				// others. The image is this goroutine's until every unit
+				// read has returned, whoever has won by then.
+				im := v.image(ctx, st)
+				im.Dst[e.DataIdx] = hbuf
+				_, err := im.Solve(absent(e.Disk), 1, e.UnitOff, e.UnitOff+e.Len)
+				im.Release()
 				ch <- res{hbuf, err, true}
 			}()
 			v.meta.Lock()
 			v.stats.HedgedReads++
 			v.meta.Unlock()
-			v.ob.hedged.Inc()
 		}
 	}
 }

@@ -152,9 +152,6 @@ func TestHedgedReadBoundsBrownoutTail(t *testing.T) {
 	if s := v.NodeStates(); s[2].State != StateUp {
 		t.Errorf("browned-out node state = %v, want up", s[2].State)
 	}
-	if c := v.Obs().Counters(); c["read.hedge_wins"] == 0 {
-		t.Errorf("obs counter read.hedge_wins = 0, want > 0 (%v)", c)
-	}
 }
 
 // TestHedgeDisabled pins the opt-out: HedgeDelay < 0 must never hedge.

@@ -23,14 +23,9 @@ type volObs struct {
 	heal      *obs.Histogram
 	readOp    *obs.Histogram // whole-volume read latency (what hedging bends)
 	writeOp   *obs.Histogram // whole-volume write latency
+	parity    *obs.Histogram // in-memory parity compute (the stripe images report it)
 
-	hedged           *obs.Counter
-	hedgeWins        *obs.Counter
-	retries          *obs.Counter
-	retriesExhausted *obs.Counter
-	quarantines      *obs.Counter
-	autoHeals        *obs.Counter
-	fullStripe       *obs.Counter // spans written by writeFullStripe
+	fullStripe *obs.Counter // spans written by writeFullStripe
 }
 
 func newVolObs(n int) *volObs {
@@ -47,12 +42,7 @@ func newVolObs(n int) *volObs {
 	ob.heal = ob.reg.Histogram("heal.stripe")
 	ob.readOp = ob.reg.Histogram("read.op")
 	ob.writeOp = ob.reg.Histogram("write.op")
-	ob.hedged = ob.reg.Counter("read.hedged")
-	ob.hedgeWins = ob.reg.Counter("read.hedge_wins")
-	ob.retries = ob.reg.Counter("span.retries")
-	ob.retriesExhausted = ob.reg.Counter("span.retries_exhausted")
-	ob.quarantines = ob.reg.Counter("node.quarantines")
-	ob.autoHeals = ob.reg.Counter("node.auto_heals")
+	ob.parity = ob.reg.Histogram("parity.compute")
 	ob.fullStripe = ob.reg.Counter("write.full_stripe")
 	return ob
 }
@@ -202,7 +192,6 @@ func (v *Volume) markDown(i int, gen uint64, cause error) {
 	}
 	v.logf("cluster: node %d (%s) down: %v", i, m.addr, cause)
 	if quarantined {
-		v.ob.quarantines.Inc()
 		v.logf("cluster: node %d (%s) QUARANTINED: %d failures within %v; no auto-heal until cleared",
 			i, m.addr, fails, v.opts.FlapWindow)
 	}
@@ -331,15 +320,13 @@ func (v *Volume) probeNode(i int) {
 	case state == StateDown:
 		if err := v.redialNode(i); err != nil {
 			// Still unreachable: back off so a dead node is not hammered
-			// every tick (backoff doubles up to ProbeBackoffMax).
+			// every tick: the backoff starts at ProbeInterval and doubles
+			// up to 8 of them, or a second if that is longer.
 			v.meta.Lock()
 			if m.probeBackoff == 0 {
 				m.probeBackoff = v.opts.ProbeInterval
 			} else {
-				m.probeBackoff *= 2
-			}
-			if m.probeBackoff > v.opts.ProbeBackoffMax {
-				m.probeBackoff = v.opts.ProbeBackoffMax
+				m.probeBackoff = min(2*m.probeBackoff, max(8*v.opts.ProbeInterval, time.Second))
 			}
 			m.nextProbe = time.Now().Add(m.probeBackoff)
 			v.meta.Unlock()
@@ -369,7 +356,6 @@ func (v *Volume) startAutoHeal(i int) {
 	v.stats.AutoHeals++
 	v.wg.Add(1)
 	v.meta.Unlock()
-	v.ob.autoHeals.Inc()
 	v.logf("cluster: node %d (%s) back up, auto-heal started", i, m.addr)
 	go func() {
 		defer v.wg.Done()

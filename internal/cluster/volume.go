@@ -4,16 +4,16 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"afraid/internal/bufpool"
 	"afraid/internal/core"
 	"afraid/internal/layout"
 	"afraid/internal/nvram"
 	"afraid/internal/obs"
-	"afraid/internal/parity"
+	"afraid/internal/stripe"
 )
 
 // Options configures a Volume.
@@ -54,17 +54,6 @@ type Options struct {
 	// live p99 of node reads; a positive value fixes it; a negative
 	// value disables hedging.
 	HedgeDelay time.Duration
-	// RetryBudget bounds how many times one span retries after a node
-	// demotion re-routes it (0 = nodes+1, matching the old behaviour;
-	// negative disables retries).
-	RetryBudget int
-	// RetryBase is the first backoff step between span retries (default
-	// 2 ms). The first retry is immediate — a demotion means the next
-	// attempt routes differently — backoff starts at the second and
-	// doubles with jitter up to RetryMaxBackoff.
-	RetryBase time.Duration
-	// RetryMaxBackoff caps the exponential backoff (default 250 ms).
-	RetryMaxBackoff time.Duration
 	// FlapThreshold is the flap damper: a node demoted this many times
 	// inside FlapWindow is quarantined — the prober stops redialing and
 	// auto-healing it until ClearQuarantine, HealNode, or
@@ -77,10 +66,6 @@ type Options struct {
 	// the prober try the node again (default 5 minutes; negative means
 	// only an administrator clears it).
 	QuarantineDecay time.Duration
-	// ProbeBackoffMax caps the prober's per-node redial backoff, which
-	// starts at ProbeInterval and doubles per failed redial (default
-	// max(1s, 8×ProbeInterval)).
-	ProbeBackoffMax time.Duration
 	// NV, when set, persists the volume's marking memory (dirty map and
 	// per-node stale maps), so a restarted volume host resumes the
 	// parity rebuild where it left off — the cluster analogue of the
@@ -113,12 +98,6 @@ func (o *Options) fill() {
 			o.Workers = 4
 		}
 	}
-	if o.RetryBase == 0 {
-		o.RetryBase = 2 * time.Millisecond
-	}
-	if o.RetryMaxBackoff == 0 {
-		o.RetryMaxBackoff = 250 * time.Millisecond
-	}
 	if o.FlapThreshold == 0 {
 		o.FlapThreshold = 3
 	}
@@ -127,12 +106,6 @@ func (o *Options) fill() {
 	}
 	if o.QuarantineDecay == 0 {
 		o.QuarantineDecay = 5 * time.Minute
-	}
-	if o.ProbeBackoffMax == 0 {
-		o.ProbeBackoffMax = 8 * o.ProbeInterval
-		if o.ProbeBackoffMax < time.Second {
-			o.ProbeBackoffMax = time.Second
-		}
 	}
 }
 
@@ -195,6 +168,11 @@ type Volume struct {
 	// Its calls that store an image (Mark, Commit, the drains) take meta
 	// to compose the stale maps in, so never make them holding meta.
 	eng *nvram.Engine
+
+	// arr holds the stripe images and the I/O workers that overlap their
+	// units: every stripe operation that moves more than one unit loads,
+	// solves, encodes and stores through one (image, degraded.go).
+	arr *stripe.Array
 
 	meta   sync.Mutex // guards nodes' mutable state and everything below
 	nodes  []*member
@@ -275,10 +253,8 @@ func Open(members []Member, opts Options) (*Volume, error) {
 		ob:    newVolObs(len(members)),
 		stop:  make(chan struct{}),
 	}
+	v.arr = stripe.New(geo, opts.Workers, v.ob.parity.Observe)
 	v.bgCtx, v.bgCancel = context.WithCancel(context.Background())
-	if v.opts.RetryBudget == 0 {
-		v.opts.RetryBudget = len(members) + 1
-	}
 	for _, m := range nodes {
 		m.stale = nvram.NewBitmap(geo.Stripes())
 	}
@@ -351,6 +327,7 @@ func (v *Volume) Close() error {
 	close(v.stop)
 	v.bgCancel()
 	v.wg.Wait()
+	v.arr.Close()
 	// Full-stripe writes clear their marks in memory only; a clean
 	// shutdown should not cost the next Open their rebuilds.
 	first := v.eng.Sync()
@@ -534,41 +511,52 @@ func (v *Volume) ReadContext(ctx context.Context, p []byte, off int64) (int, err
 // readSpan serves one stripe's extents. Caller holds the stripe lock.
 func (v *Volume) readSpan(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error {
 	h := v.health(sp.Stripe)
+	for _, e := range sp.Extents {
+		if slices.Contains(h.badIdx, e.DataIdx) {
+			return v.readSpanAround(ctx, p, base, sp, h, e.Disk)
+		}
+	}
 	// Hedging needs a fully redundant stripe: every data node up with
 	// fresh units and the parity unit readable, so the reconstruction
 	// path can answer for any straggler.
-	canHedge := !h.dirty && len(h.badIdx) == 0 && h.parityRead
+	hd := v.hedgeDelay()
+	if h.dirty || len(h.badIdx) > 0 || !h.parityRead {
+		hd = 0
+	}
 	for _, e := range sp.Extents {
 		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		v.meta.Lock()
-		ok := v.availLocked(e.Disk, sp.Stripe)
-		v.meta.Unlock()
-		if ok {
-			if hd := v.hedgeDelay(); hd > 0 && canHedge {
-				if err := v.hedgedReadExtent(ctx, dst, sp.Stripe, e, hd); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := v.nodeRead(ctx, e.Disk, dst, e.DiskOff); err != nil {
-				return err
-			}
-			continue
+		var err error
+		if hd > 0 {
+			err = v.hedgedReadExtent(ctx, dst, sp.Stripe, e, hd)
+		} else {
+			err = v.nodeRead(ctx, e.Disk, dst, e.DiskOff)
 		}
-		// The extent's home node can't serve it.
-		if h.dirty {
-			return fmt.Errorf("%w: stripe %d", core.ErrDataLoss, sp.Stripe)
-		}
-		if len(h.badIdx) > 1 || !h.parityRead {
-			return fmt.Errorf("%w: stripe %d needs %d absent units", ErrTooManyNodes, sp.Stripe, len(h.badIdx))
-		}
-		if err := v.degradedReadExtent(ctx, dst, sp.Stripe, e); err != nil {
+		if err != nil {
 			return err
 		}
-		v.meta.Lock()
-		v.stats.DegradedReads++
-		v.meta.Unlock()
 	}
+	return nil
+}
+
+// readSpanAround serves a span one of whose extents lives on node, which
+// can't serve it: that extent's byte range is solved from the same range
+// of the survivors and parity, each moved once, and the span's other
+// extents ride the same image. Caller holds the stripe lock.
+func (v *Volume) readSpanAround(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, h stripeHealth, node int) error {
+	if h.dirty {
+		return fmt.Errorf("%w: stripe %d", core.ErrDataLoss, sp.Stripe)
+	}
+	if len(h.badIdx) > 1 || !h.parityRead {
+		return fmt.Errorf("%w: stripe %d needs %d absent units", ErrTooManyNodes, sp.Stripe, len(h.badIdx))
+	}
+	im := v.image(ctx, sp.Stripe)
+	defer im.Release()
+	if _, err := im.ReadSpan(p, base, sp, absent(node), 1); err != nil {
+		return err
+	}
+	v.meta.Lock()
+	v.stats.DegradedReads++
+	v.meta.Unlock()
 	return nil
 }
 
@@ -633,7 +621,7 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 		if err := v.eng.Mark(st); err != nil {
 			return err
 		}
-		return v.writeExtents(ctx, sp, p, base, nil)
+		return v.writeExtents(ctx, sp, p, base)
 	}
 	if len(h.badIdx) > 1 {
 		return fmt.Errorf("%w: stripe %d", ErrTooManyNodes, st)
@@ -654,7 +642,7 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 		}
 		// Stripe already in the exposure set; updating its live units
 		// deepens nothing. Keep deferring.
-		return v.writeExtents(ctx, sp, p, base, nil)
+		return v.writeExtents(ctx, sp, p, base)
 	}
 	if !h.parityWrit {
 		// Synchronous parity needed (data node absent) but the parity
@@ -666,27 +654,23 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 
 // writeFullStripe writes a span that carries every data unit of a stripe
 // whole, all of whose nodes are reachable: the parity unit is computed
-// from the caller's buffer and written beside the data units, so the
-// stripe ends redundant — the cluster's counterpart of core's full-stripe
-// write, with the same protocol. The mark is durable before the first
-// byte moves, so a volume host that dies mid-write finds the stripe in
-// its exposure set; it is cleared, in memory, once every unit has landed
-// (the image catches up at its next store). A node that fails under the
-// write leaves the stripe marked and its own unit stale, and the span's
-// retry takes the degraded protocol. Caller holds the stripe lock.
+// from the caller's buffer and written beside the data units
+// (Image.WriteFull), so the stripe ends redundant — the cluster's
+// counterpart of core's full-stripe write, with the same protocol. The
+// mark is durable before the first byte moves, so a volume host that dies
+// mid-write finds the stripe in its exposure set; it is cleared, in
+// memory, once every unit has landed (the image catches up at its next
+// store). A node that fails under the write leaves the stripe marked and
+// its own unit stale, and the span's retry takes the degraded protocol.
+// Caller holds the stripe lock.
 func (v *Volume) writeFullStripe(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error {
 	st := sp.Stripe
 	if err := v.eng.Mark(st); err != nil {
 		return err
 	}
-	units := make([][]byte, len(sp.Extents))
-	for _, e := range sp.Extents {
-		units[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
-	}
-	pbuf := bufpool.Get(int(v.geo.StripeUnit))
-	defer bufpool.Put(pbuf)
-	parity.Compute(pbuf, units...)
-	if err := v.writeExtents(ctx, sp, p, base, pbuf); err != nil {
+	im := v.image(ctx, st)
+	defer im.Release()
+	if err := im.WriteFull(p, base, sp); err != nil {
 		return err
 	}
 	// The stale map before the dirty one, as everywhere (composeMarks).
@@ -698,38 +682,13 @@ func (v *Volume) writeFullStripe(ctx context.Context, p []byte, base int64, sp l
 	return nil
 }
 
-// writeExtents writes the span's extents to their home nodes — and par,
-// when not nil, to the stripe's parity node — fanning out one goroutine
-// per unit (distinct nodes by layout).
-func (v *Volume) writeExtents(ctx context.Context, sp layout.StripeSpan, p []byte, base int64, par []byte) error {
-	if len(sp.Extents) == 1 && par == nil {
-		e := sp.Extents[0]
+// writeExtents writes the span's extents to their home nodes, together
+// when there are several (distinct nodes by layout).
+func (v *Volume) writeExtents(ctx context.Context, sp layout.StripeSpan, p []byte, base int64) error {
+	if e := sp.Extents[0]; len(sp.Extents) == 1 {
 		return v.nodeWrite(ctx, e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff)
 	}
-	errs := make([]error, len(sp.Extents)+1)
-	var wg sync.WaitGroup
-	write := func(i, node int, b []byte, off int64) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = v.nodeWrite(ctx, node, b, off)
-		}()
-	}
-	for i, e := range sp.Extents {
-		write(i, e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff)
-	}
-	if par != nil {
-		write(len(sp.Extents), v.geo.ParityDisk(sp.Stripe), par, v.geo.DiskOffset(sp.Stripe))
-	}
-	wg.Wait()
-	return firstError(errs)
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	im := v.image(ctx, sp.Stripe)
+	defer im.Release()
+	return im.WriteSpan(p, base, sp)
 }

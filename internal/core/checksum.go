@@ -208,7 +208,7 @@ func (s *Store) formatChecksums() error {
 	var fresh [layout.ChecksumSlotSize]byte
 	encodeSlot(fresh[:], zero)
 	for i, d := range s.devs {
-		if s.failed.has(i) {
+		if s.failed.Has(i) {
 			continue
 		}
 		if _, err := d.ReadAt(trailer, s.geo.DiskSize); err != nil {
@@ -342,7 +342,7 @@ func (s *Store) preflights(sp layout.StripeSpan) bool {
 // keep no parity, and degraded arrays (their write paths store full
 // stripe images, which retry idempotently). Caller holds the stripe lock.
 func (s *Store) resyncParity(stripe int64) error {
-	if st := s.stripeState(stripe); st.failed.n > 0 || st.dirty || st.fresh == 0 {
+	if st := s.stripeState(stripe); st.failed.Len() > 0 || st.dirty || st.fresh == 0 {
 		return nil
 	}
 	return s.rebuildParity(stripe)

@@ -172,7 +172,7 @@ func TestFullStripeWriteOverlapsItsUnits(t *testing.T) {
 func TestFastMembersAreNotHandedOff(t *testing.T) {
 	s, probes := openProbed(t, &MemNVRAM{}, Options{Mode: Raid5})
 	sdb := s.geo.StripeDataBytes()
-	if !s.overlaps() {
+	if !s.arr.Overlaps() {
 		t.Fatal("a fresh store does not assume its members are disks")
 	}
 	handedOff := func() bool { // by another goroutine than the caller's: the probes see the overlap
@@ -192,19 +192,19 @@ func TestFastMembersAreNotHandedOff(t *testing.T) {
 	}
 	// Memory devices: the best of a few units timed is far under the bar
 	// (one can meet a stolen processor).
-	for try := 0; try < 20 && s.overlaps(); try++ {
+	for try := 0; try < 20 && s.arr.Overlaps(); try++ {
 		if _, err := s.WriteAt(pattern(int(sdb), 7), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.overlaps() {
-		t.Fatalf("memory devices still get hand-offs: the last unit timed took %v", time.Duration(s.unitNs.Load()))
+	if s.arr.Overlaps() {
+		t.Fatal("memory devices still get hand-offs")
 	}
 	if handedOff() {
 		t.Fatal("units were overlapped though the members had been serving them in under a hand-off's time")
 	}
 	// That write timed a millisecond unit: the members are disks again.
-	if !s.overlaps() {
+	if !s.arr.Overlaps() {
 		t.Fatal("slow members are not handed off to after fast ones were seen")
 	}
 	for try := 0; !handedOff(); try++ { // a worker may not be parked at the hand-off yet
@@ -214,13 +214,13 @@ func TestFastMembersAreNotHandedOff(t *testing.T) {
 	}
 	// A store that only reads notices its members turning slow as well.
 	buf := make([]byte, sdb)
-	for try := 0; try < 20 && s.overlaps(); try++ {
+	for try := 0; try < 20 && s.arr.Overlaps(); try++ {
 		if _, err := s.ReadAt(buf, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.overlaps() {
-		t.Fatalf("memory devices still get hand-offs: the last unit timed took %v", time.Duration(s.unitNs.Load()))
+	if s.arr.Overlaps() {
+		t.Fatal("memory devices still get hand-offs")
 	}
 	for _, d := range probes {
 		d.service = time.Millisecond
@@ -228,7 +228,7 @@ func TestFastMembersAreNotHandedOff(t *testing.T) {
 	if _, err := s.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !s.overlaps() {
+	if !s.arr.Overlaps() {
 		t.Fatal("a whole-stripe read of slow members, one unit after another, left the store thinking them fast")
 	}
 }

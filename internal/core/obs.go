@@ -16,7 +16,7 @@ type storeObs struct {
 	lockWait     *obs.Histogram // stripe-lock acquisition wait, per span
 	devRead      *obs.Histogram // device phase of one read span
 	devWrite     *obs.Histogram // device phase of one write span
-	parity       *obs.Histogram // in-memory parity compute
+	parity       *obs.Histogram // in-memory parity compute (the stripe images report it)
 	scrubStripe  *obs.Histogram // one stripe rebuild (lock wait included)
 	scrubEpisode *obs.Histogram // one scrub episode (a run of rebuilds)
 	csumVerify   *obs.Histogram // one checksummed unit read (slot I/O + CRC)
@@ -74,10 +74,4 @@ func (s *Store) traceOp(op string, off, n int64, start time.Time, lockWait, dev 
 		ev.Err = err.Error()
 	}
 	s.ob.trace.Record(ev)
-}
-
-// observeParity wraps a parity-compute phase. Kept out of line so the
-// call sites in the write and scrub paths stay one line.
-func (s *Store) observeParity(start time.Time) {
-	s.ob.parity.Observe(time.Since(start))
 }

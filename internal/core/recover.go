@@ -31,7 +31,7 @@ func (s *Store) FailDisk(i int) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if !s.failed.has(i) && !s.failed.add(i, s.maxFailed()) {
+	if !s.failed.Has(i) && !s.failed.Add(i, s.maxFailed()) {
 		return ErrTooManyFailures
 	}
 	if f, ok := s.devs[i].(Failer); ok {
@@ -96,7 +96,7 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 		s.meta.Unlock()
 		return report, ErrClosed
 	}
-	if !s.failed.has(i) {
+	if !s.failed.Has(i) {
 		s.meta.Unlock()
 		return report, fmt.Errorf("core: disk %d is not a failed disk", i)
 	}
@@ -162,7 +162,7 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	}
 	s.meta.Lock()
 	s.devs[i] = replacement
-	s.failed.remove(i)
+	s.failed.Remove(i)
 	s.repDisk, s.repDev, s.repDone = -1, nil, nil
 	s.stats.DamagedStripes += uint64(len(report.Lost))
 	s.stats.DamageBytes += report.Bytes()
@@ -206,19 +206,19 @@ func (s *Store) bumpRecovered() {
 func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice, report *DamageReport) error {
 	unit := s.geo.StripeUnit
 	st := s.stripeState(stripe)
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
+	im := s.image(stripe)
+	defer im.Release()
 	lose := func(i int) {
-		clear(sb.units[i])
+		clear(im.Data[i])
 		report.Lost = append(report.Lost, DamagedRange{
 			Offset: stripe*s.geo.StripeDataBytes() + int64(i)*unit,
 			Length: unit,
 			Stripe: stripe,
 		})
 	}
-	for i, u := range sb.units {
-		d := s.geo.DataDisk(stripe, i)
-		if st.failed.has(d) {
+	for i, u := range im.Data {
+		d := im.Member(i)
+		if st.failed.Has(d) {
 			lose(i)
 			if d == target {
 				if err := s.writeUnitTo(replacement, stripe, u); err != nil {
@@ -247,15 +247,15 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 	if st.pol == PolicyNeverRedundant {
 		return nil
 	}
-	s.encode(sb, sb.units)
+	im.Encode()
 	written := 0
-	for j, par := range sb.par {
-		d := s.parityDisk(stripe, j)
+	for j, par := range im.Par {
+		d := im.Member(len(im.Data) + j)
 		var err error
 		switch {
 		case d == target:
 			err = s.writeUnitTo(replacement, stripe, par)
-		case st.failed.has(d):
+		case st.failed.Has(d):
 			continue // a second dead disk; its own repair recomputes it
 		default:
 			err = s.devWrite(d, par, s.geo.DiskOffset(stripe))
@@ -265,7 +265,7 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 		}
 		written++
 	}
-	if written == len(sb.par) {
+	if written == len(im.Par) {
 		s.clearMark(stripe)
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"afraid/internal/nvram"
+	"afraid/internal/stripe"
 )
 
 // scrubOne is the store's half of the deferred-redundancy engine
@@ -21,7 +22,7 @@ import (
 // survives.
 func (s *Store) scrubOne(_ context.Context, c nvram.Claim) (nvram.Outcome, error) {
 	s.meta.Lock()
-	closed, degraded := s.closed, s.failed.n > 0
+	closed, degraded := s.closed, s.failed.Len() > 0
 	s.meta.Unlock()
 	if closed {
 		return nvram.Skip, ErrClosed
@@ -135,7 +136,7 @@ func (s *Store) ParityPointContext(ctx context.Context, off, length int64) error
 // returns the stripes that are inconsistent, in ascending order. On a
 // healthy AFRAID store the result is exactly the set of dirty stripes;
 // after Flush it is empty. RAID 0 stores trivially verify. Stripes are
-// checked by a pool of scrub workers, each stripe in a pooled arena.
+// checked by a pool of scrub workers, each stripe in a pooled image.
 func (s *Store) CheckParity() ([]int64, error) {
 	if s.opts.Mode == Raid0 {
 		return nil, nil
@@ -144,21 +145,21 @@ func (s *Store) CheckParity() ([]int64, error) {
 		mu  sync.Mutex
 		bad []int64
 	)
-	err := nvram.ForEach(context.Background(), s.scrubWorkers(), 0, s.geo.Stripes(), func(stripe int64) error {
-		sb := s.getStripeBuf()
-		defer s.putStripeBuf(sb)
-		lk := s.stripeLock(stripe)
+	err := nvram.ForEach(context.Background(), s.scrubWorkers(), 0, s.geo.Stripes(), func(n int64) error {
+		im := s.image(n)
+		defer im.Release()
+		lk := s.stripeLock(n)
 		lk.Lock()
 		err := s.repairing(func() error {
-			return s.readUnits(sb, stripe, failedSet{}, s.allPar, 0, s.geo.StripeUnit)
+			return im.Load(stripe.Set{}, s.allPar, 0, s.geo.StripeUnit)
 		})
 		lk.Unlock()
 		// Corruption beyond redundancy makes the stripe inconsistent by
 		// definition: report it in the result rather than failing the
 		// whole audit.
-		if errors.Is(err, ErrDataLoss) || (err == nil && !s.code.Check(sb.par, sb.units)) {
+		if errors.Is(err, ErrDataLoss) || (err == nil && !im.Check()) {
 			mu.Lock()
-			bad = append(bad, stripe)
+			bad = append(bad, n)
 			mu.Unlock()
 			return nil
 		}

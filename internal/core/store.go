@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"afraid/internal/layout"
 	"afraid/internal/nvram"
-	"afraid/internal/parity"
+	"afraid/internal/obs"
+	"afraid/internal/stripe"
 )
 
 // Mode selects how the store maintains redundancy.
@@ -112,8 +112,9 @@ func (o *Options) fill() {
 var (
 	// ErrDataLoss marks bytes that are unrecoverable: they lived on a
 	// failed disk in a stripe whose parity was stale (the AFRAID
-	// exposure window) or in a never-redundant stripe.
-	ErrDataLoss = errors.New("core: data lost (failed disk in unprotected stripe)")
+	// exposure window) or in a never-redundant stripe. It is the error a
+	// stripe image gives when fresh parities cannot cover what is missing.
+	ErrDataLoss = stripe.ErrDataLoss
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("core: store is closed")
 	// ErrTooManyFailures means more disks are failed than the
@@ -153,10 +154,10 @@ type Store struct {
 	devs []BlockDevice
 	opts Options
 
-	// The stripe engine's constants (stripe.go), fixed at Open.
-	code     parity.Code // the erasure code: m = geo.Level.ParityUnits() parities
-	allPar   paritySet   // every parity of the code
-	deferred paritySet   // parities a mark declares stale, and deferring writes skip
+	// The stripe protocol's constants (stripe.go), fixed at Open.
+	arr      *stripe.Array   // stripe images and the I/O workers that overlap their units
+	allPar   stripe.Parities // every parity of the layout's code
+	deferred stripe.Parities // parities a mark declares stale, and deferring writes skip
 
 	// eng is the deferred-redundancy engine: the marking memory (one unit
 	// per stripe) with its NVRAM group commit, the idle and pressure
@@ -166,7 +167,7 @@ type Store struct {
 
 	meta   sync.Mutex // guards everything below
 	policy []StripePolicy
-	failed failedSet // failed member disks, in failure order
+	failed stripe.Set // failed member disks, in failure order
 	closed bool
 	stats  Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
 
@@ -182,13 +183,7 @@ type Store struct {
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
-	sbPool sync.Pool    // *stripeBuf arena (stripebuf.go)
-	ioCh   chan ioReq   // unbuffered hand-off to the I/O workers
-	unitNs atomic.Int64 // what the last timed unit I/O took (doTimed, readExtents): decides whether hand-offs pay
-
-	ob   *storeObs
-	stop chan struct{}
-	wg   sync.WaitGroup
+	ob *storeObs
 }
 
 // spanPool recycles the span slices ReadContext/WriteContext split
@@ -244,33 +239,19 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		devs:    devs,
 		opts:    opts,
 		repDisk: -1,
-		ioCh:    make(chan ioReq),
 		ob:      newStoreObs(),
-		stop:    make(chan struct{}),
 		policy:  make([]StripePolicy, geo.Stripes()),
 	}
+	// The array's I/O workers serve the per-disk unit I/Os fanned out by
+	// stripe rebuilds, reads, full-stripe writes and parity checks: enough
+	// for every drain worker to have a whole stripe's reads in flight.
+	s.arr = stripe.New(geo, s.scrubWorkers(), s.ob.parity.Observe)
 	// A mark defers the code's last parity — the only one on RAID 5, Q on
 	// RAID 6 — or all of them with DeferBothParities.
-	m := lvl.ParityUnits()
-	s.code = parity.Code(m)
-	s.allPar = paritySet(1)<<m - 1
+	s.allPar = s.arr.AllParities()
 	s.deferred = s.allPar
-	if m > 1 && !opts.DeferBothParities {
+	if m := lvl.ParityUnits(); m > 1 && !opts.DeferBothParities {
 		s.deferred = 1 << (m - 1)
-	}
-	// I/O workers serve the per-disk unit I/Os fanned out by stripe
-	// rebuilds, reads, full-stripe writes and parity checks. Enough for
-	// every drain worker to have a whole stripe's reads in flight at once.
-	// They are used while the members serve units slowly enough
-	// (overlapWorth); until it has timed one the store assumes so.
-	s.unitNs.Store(int64(overlapWorth))
-	ioN := len(devs) * s.scrubWorkers()
-	if ioN > 32 {
-		ioN = 32
-	}
-	for i := 0; i < ioN; i++ {
-		s.wg.Add(1)
-		go s.ioWorker()
 	}
 	// Probe the members: a disk that failed before a crash is still
 	// failed after reopen, and the store must know before issuing I/O.
@@ -282,8 +263,8 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		if _, err := d.ReadAt(probe, 0); err == nil {
 			continue
 		}
-		if !s.failed.add(i, s.maxFailed()) {
-			return nil, fmt.Errorf("core: devices %v and %d all failed: %w", s.failed.list(), i, ErrTooManyFailures)
+		if !s.failed.Add(i, s.maxFailed()) {
+			return nil, fmt.Errorf("core: devices %v and %d all failed: %w", s.failed.List(), i, ErrTooManyFailures)
 		}
 	}
 	if opts.Checksums {
@@ -324,8 +305,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.meta.Unlock()
 	s.eng.Stop()
-	close(s.stop)
-	s.wg.Wait()
+	s.arr.Close()
 	// Full-stripe writes clear their marks in memory only; a clean
 	// shutdown should not cost the next Open their rebuilds.
 	first := s.eng.Sync()
@@ -354,7 +334,7 @@ func (s *Store) DirtyStripes() int64 { return s.eng.Count() }
 func (s *Store) DeadDisks() []int {
 	s.meta.Lock()
 	defer s.meta.Unlock()
-	return append([]int(nil), s.failed.list()...)
+	return append([]int(nil), s.failed.List()...)
 }
 
 // DirtyList returns the stripes currently marked unredundant — the
@@ -378,7 +358,7 @@ func (s *Store) Stats() Stats {
 // maxFailed is how many member failures the store absorbs before
 // refusing more: one per parity unit. A RAID 0 store still tracks a
 // single failed member so that its loss can be reported and repaired.
-func (s *Store) maxFailed() int { return max(int(s.code), 1) }
+func (s *Store) maxFailed() int { return max(s.geo.Level.ParityUnits(), 1) }
 
 // stripeLock returns the lock covering a stripe.
 func (s *Store) stripeLock(stripe int64) *sync.Mutex {
@@ -457,65 +437,7 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 // Already-read spans are not undone; a cancelled read returns 0 and the
 // context's error.
 func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := s.checkRange(off, int64(len(p))); err != nil {
-		return 0, err
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	s.eng.Touch()
-	start := time.Now()
-	var lockWait, dev time.Duration
-	spp := spanPool.Get().(*[]layout.StripeSpan)
-	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
-	defer func() { *spp = spans; spanPool.Put(spp) }()
-	for _, sp := range spans {
-		if err := ctx.Err(); err != nil {
-			s.traceOp("READ", off, int64(len(p)), start, lockWait, dev, err)
-			return 0, err
-		}
-		lk := s.stripeLock(sp.Stripe)
-		t0 := time.Now()
-		lk.Lock()
-		t1 := time.Now()
-		var err error
-		for tries := 0; ; tries++ {
-			err = s.readSpan(p, off, sp)
-			// A member reporting fail-stop failure mid-span moves the
-			// store to degraded mode; retry the span, now reconstructing
-			// around the dead disk. absorbFailure refuses once the
-			// redundancy is exhausted; the tries bound guards against a
-			// span that keeps tripping on an already-absorbed member. A
-			// checksum mismatch is absorbed the same way: repair the one
-			// corrupt unit from redundancy, then retry the span.
-			if err == nil || tries >= s.spanRetryBudget() {
-				break
-			}
-			if s.absorbFailure(err) {
-				continue
-			}
-			var retry bool
-			if retry, err = s.absorbMismatch(err); !retry {
-				break
-			}
-		}
-		lk.Unlock()
-		t2 := time.Now()
-		s.ob.lockWait.Observe(t1.Sub(t0))
-		s.ob.devRead.Observe(t2.Sub(t1))
-		lockWait += t1.Sub(t0)
-		dev += t2.Sub(t1)
-		if err != nil {
-			s.traceOp("READ", off, int64(len(p)), start, lockWait, dev, err)
-			return 0, err
-		}
-	}
-	s.traceOp("READ", off, int64(len(p)), start, lockWait, dev, nil)
-	s.meta.Lock()
-	s.stats.Reads++
-	s.stats.BytesRead += int64(len(p))
-	s.meta.Unlock()
-	return len(p), nil
+	return s.request(ctx, "READ", p, off, s.readSpan, nil, s.ob.devRead)
 }
 
 // WriteAt implements io.WriterAt over the client address space.
@@ -528,39 +450,54 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 // no transactions); the caller learns how far the write got only by
 // re-reading, exactly as after a crash.
 func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, error) {
+	return s.request(ctx, "WRITE", p, off, s.writeSpan, s.resyncParity, s.ob.devWrite)
+}
+
+// request serves one client read or write: split it into stripe spans and
+// run span on each under its stripe lock, absorbing what can be absorbed.
+// A write passes resync, the step its retry takes after a unit repair, and
+// is premarked; a read passes none. The lock wait and the time under the
+// lock go to the stripe_lock_wait and dev histograms per span and, summed,
+// to the op's trace event.
+func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
+	span func(p []byte, base int64, sp layout.StripeSpan) error, resync func(stripe int64) error, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
 		return 0, err
 	}
 	if len(p) == 0 {
 		return 0, nil
 	}
+	write := resync != nil
 	s.eng.Touch()
 	start := time.Now()
 	var lockWait, dev time.Duration
+	defer func() { s.traceOp(label, off, int64(len(p)), start, lockWait, dev, err) }()
 	spp := spanPool.Get().(*[]layout.StripeSpan)
 	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
 	defer func() { *spp = spans; spanPool.Put(spp) }()
-	if len(spans) > 1 {
-		if err := s.premark(spans); err != nil {
-			s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, err)
+	if write && len(spans) > 1 {
+		if err = s.premark(spans); err != nil {
 			return 0, err
 		}
 	}
 	for _, sp := range spans {
-		if err := ctx.Err(); err != nil {
-			s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, err)
+		if err = ctx.Err(); err != nil {
 			return 0, err
 		}
 		lk := s.stripeLock(sp.Stripe)
 		t0 := time.Now()
 		lk.Lock()
 		t1 := time.Now()
-		var err error
 		for tries := 0; ; tries++ {
-			err = s.writeSpan(p, off, sp)
-			// See ReadContext: absorb a fail-stop member (or repair a
-			// unit that failed checksum verification) and retry the span
-			// under the appropriate protocol.
+			err = span(p, off, sp)
+			// A member reporting fail-stop failure mid-span moves the
+			// store to degraded mode; retry the span, now reconstructing
+			// around the dead disk (a write under the degraded protocol).
+			// absorbFailure refuses once the redundancy is exhausted; the
+			// tries bound guards against a span that keeps tripping on an
+			// already-absorbed member. A checksum mismatch is absorbed the
+			// same way: repair the one corrupt unit from redundancy, then
+			// retry the span.
 			if err == nil || tries >= s.spanRetryBudget() {
 				break
 			}
@@ -571,19 +508,22 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 			if retry, err = s.absorbMismatch(err); !retry {
 				break
 			}
+			if !write {
+				continue
+			}
 			// The failed attempt may have applied its parity delta
 			// partially before the corrupt unit surfaced; rebuild parity
 			// from at-rest data so the retried read-modify-write starts
 			// from a consistent stripe. Corruption met during the
 			// rebuild joins the absorb loop like any other span error.
-			if err = s.resyncParity(sp.Stripe); err != nil {
+			if err = resync(sp.Stripe); err != nil {
 				if s.absorbFailure(err) {
 					continue
 				}
 				if retry, err = s.absorbMismatch(err); !retry {
 					break
 				}
-				if err = s.resyncParity(sp.Stripe); err != nil {
+				if err = resync(sp.Stripe); err != nil {
 					break
 				}
 			}
@@ -591,20 +531,25 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 		lk.Unlock()
 		t2 := time.Now()
 		s.ob.lockWait.Observe(t1.Sub(t0))
-		s.ob.devWrite.Observe(t2.Sub(t1))
+		devHist.Observe(t2.Sub(t1))
 		lockWait += t1.Sub(t0)
 		dev += t2.Sub(t1)
 		if err != nil {
-			s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, err)
 			return 0, err
 		}
 	}
 	s.meta.Lock()
-	s.stats.Writes++
-	s.stats.BytesWritten += int64(len(p))
+	if write {
+		s.stats.Writes++
+		s.stats.BytesWritten += int64(len(p))
+	} else {
+		s.stats.Reads++
+		s.stats.BytesRead += int64(len(p))
+	}
 	s.meta.Unlock()
-	s.eng.Kick()
-	s.traceOp("WRITE", off, int64(len(p)), start, lockWait, dev, nil)
+	if write {
+		s.eng.Kick()
+	}
 	return len(p), nil
 }
 
@@ -618,7 +563,7 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 // (preflights), and nothing with a member failed, when no write defers.
 func (s *Store) premark(spans []layout.StripeSpan) error {
 	ahead := func(sp layout.StripeSpan) bool { // caller holds meta
-		return s.failed.n == 0 && s.effectivePolicy(sp.Stripe) == PolicyDefault && !s.preflights(sp)
+		return s.failed.Len() == 0 && s.effectivePolicy(sp.Stripe) == PolicyDefault && !s.preflights(sp)
 	}
 	for i := 0; i < len(spans); i++ {
 		s.meta.Lock()

@@ -3,20 +3,21 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"time"
 
 	"afraid/internal/layout"
+	"afraid/internal/stripe"
 )
 
-// The stripe engine. Every array organisation the store offers is the
+// The stripe protocol. Every array organisation the store offers is the
 // same mechanism with m = Level.ParityUnits() parity units per stripe:
 // m = 0 (RAID 0), m = 1 (RAID 5 / AFRAID) or m = 2 (RAID 6 / AFRAID6,
 // the §5 "partial redundancy protection available immediately"
-// extension). Each stripe operation therefore exists once, and three
-// values decide everything about it:
+// extension). Each stripe operation therefore exists once: its mechanics —
+// the units in memory, their overlapped I/O, solve and encode — are a
+// stripe.Image's (internal/stripe), moved through devRead and devWrite,
+// and three values decide everything about it here:
 //
-//   - the failed set — which member disks are gone (failedSet);
+//   - the failed set — which member disks are gone (stripe.Set);
 //   - freshness — which parities encode the stripe's at-rest data
 //     (freshParities), the one "can this be reconstructed / is this
 //     loss" test;
@@ -24,60 +25,30 @@ import (
 //     read-modify-write, the rest being deferred behind a mark
 //     (syncParities).
 
-// paritySet is a set of a stripe's parity units: bit j is parity j
-// (0 = P, 1 = Q).
-type paritySet uint8
+// members is the store as a stripe.Image moves units through it: devRead
+// and devWrite, so checksum verification, DiskErrors and through them
+// fail-stop absorption apply to every unit of every stripe operation.
+type members Store
 
-func (ps paritySet) has(j int) bool { return ps&(1<<j) != 0 }
-
-// failedSet is a small fixed-capacity set of member disks, in insertion
-// order. The store keeps one for the members that have failed; unit
-// repair grows a copy with the units it finds corrupt. A value, so a
-// snapshot taken under meta is stable for the rest of the span.
-type failedSet struct {
-	n int
-	d [2]int
+func (m *members) ReadUnit(d int, p []byte, off int64) error {
+	return (*Store)(m).devRead(d, p, off)
 }
 
-// list returns the members in insertion order, aliasing the set.
-func (f *failedSet) list() []int { return f.d[:f.n] }
-
-func (f *failedSet) has(d int) bool {
-	for _, x := range f.list() {
-		if x == d {
-			return true
-		}
-	}
-	return false
+func (m *members) WriteUnit(d int, p []byte, off int64) error {
+	return (*Store)(m).devWrite(d, p, off)
 }
 
-// add inserts d and reports whether it did: not when d is already a
-// member or the set holds limit members (at most len(f.d)).
-func (f *failedSet) add(d, limit int) bool {
-	if f.n >= limit || f.has(d) {
-		return false
-	}
-	f.d[f.n] = d
-	f.n++
-	return true
-}
-
-func (f *failedSet) remove(d int) {
-	for i, x := range f.list() {
-		if x == d {
-			copy(f.d[i:], f.d[i+1:f.n])
-			f.n--
-			return
-		}
-	}
+// image returns a pooled image of the stripe; the caller releases it.
+func (s *Store) image(stripe int64) *stripe.Image {
+	return s.arr.Get((*members)(s), stripe)
 }
 
 // stripeState is the snapshot every stripe operation starts from.
 type stripeState struct {
-	failed failedSet
+	failed stripe.Set
 	pol    StripePolicy
 	dirty  bool
-	fresh  paritySet
+	fresh  stripe.Parities
 }
 
 func (s *Store) stripeState(stripe int64) stripeState {
@@ -94,7 +65,7 @@ func (s *Store) stripeState(stripe int64) stripeState {
 // marked one those the mark does not declare stale — nothing for AFRAID
 // and for AFRAID6 deferring both, P for AFRAID6 deferring only Q (a mark
 // left on a synchronous store by NVRAM recovery reads the same way).
-func (s *Store) freshParities(pol StripePolicy, dirty bool) paritySet {
+func (s *Store) freshParities(pol StripePolicy, dirty bool) stripe.Parities {
 	switch {
 	case pol == PolicyNeverRedundant:
 		return 0
@@ -108,7 +79,7 @@ func (s *Store) freshParities(pol StripePolicy, dirty bool) paritySet {
 // syncParities reports which parities a write to the stripe keeps
 // current in its read-modify-write. Under PolicyDefault the others are
 // deferred to the scrubber behind a mark.
-func (s *Store) syncParities(pol StripePolicy) paritySet {
+func (s *Store) syncParities(pol StripePolicy) stripe.Parities {
 	switch pol {
 	case PolicyNeverRedundant:
 		return 0
@@ -119,221 +90,25 @@ func (s *Store) syncParities(pol StripePolicy) paritySet {
 	}
 }
 
-// parityDisk returns the disk holding parity j of a stripe.
-func (s *Store) parityDisk(stripe int64, j int) int {
-	if j == 0 {
-		return s.geo.ParityDisk(stripe)
-	}
-	return s.geo.QDisk(stripe)
-}
-
-// unitIndex maps a member disk to its slot in a stripe arena: its data
-// index, or DataDisks()+j when it holds parity j.
-func (s *Store) unitIndex(stripe int64, d int) int {
-	role, idx := s.geo.RoleOf(stripe, d)
-	if role == layout.Data {
-		return idx
-	}
-	return s.geo.DataDisks() + int(role-layout.Parity)
-}
-
-// unitDisk is the inverse of unitIndex.
-func (s *Store) unitDisk(stripe int64, k int) int {
-	if dd := s.geo.DataDisks(); k >= dd {
-		return s.parityDisk(stripe, k-dd)
-	}
-	return s.geo.DataDisk(stripe, k)
-}
-
-// encode computes every parity of a data image — the arena's units, or
-// views of a caller's buffer — into the arena's parity units. All parity
-// arithmetic in the store runs through encode, reconstruct and
-// rmwExtent, which time it into the parity_compute histogram.
-func (s *Store) encode(sb *stripeBuf, data [][]byte) {
-	pt := time.Now()
-	s.code.Encode(sb.par, data)
-	s.observeParity(pt)
-}
-
-// readUnits reads unit bytes [lo,hi) of the stripe into the arena: every
-// data unit whose disk is not in skip, and the parities in want. Skipped
-// buffers keep arbitrary contents.
-func (s *Store) readUnits(sb *stripeBuf, stripe int64, skip failedSet, want paritySet, lo, hi int64) error {
-	sb.window(want, lo, hi)
-	return s.unitIO(false, sb, stripe, skip, lo)
-}
-
-// unitIO reads or writes, at unit offset lo of the stripe, the bytes
-// every view names, except data units on the disks in skip. The units
-// live on distinct disks, so the operations are fanned out to the I/O
-// workers and overlap — a whole stripe moves in about one device service
-// time; one is kept back and done inline so the calling goroutine
-// contributes instead of blocking. Every one is attempted even after one
-// fails. Returns the first error in arena order.
-func (s *Store) unitIO(write bool, sb *stripeBuf, stripe int64, skip failedSet, lo int64) error {
-	off := s.geo.DiskOffset(stripe) + lo
-	dd := len(sb.units)
-	clear(sb.errs)
-	inline := ioReq{disk: -1}
-	for k, u := range sb.view {
-		if u == nil {
-			continue
-		}
-		d := s.unitDisk(stripe, k)
-		if k < dd && skip.has(d) {
-			continue
-		}
-		req := ioReq{write: write, disk: d, buf: u, off: off, errp: &sb.errs[k], wg: &sb.wg}
-		if inline.disk < 0 {
-			inline = req
-			continue
-		}
-		s.devAsync(req)
-	}
-	if inline.disk >= 0 {
-		s.doTimed(inline)
-	}
-	sb.wg.Wait()
-	for _, err := range sb.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reconstruct loads unit bytes [lo,hi) of every data unit of the stripe
-// into sb.units — or straight into sb.dst[k], for the units the caller
-// names a destination for: survivors are read, and the data units on
-// missing disks (at most as many as there are parities) are solved from
-// the fresh parities that are not missing themselves. When those cannot
-// cover the missing units — the data-loss case — it returns ErrDataLoss
-// before any I/O. It reports the parities the solve used: by
-// construction they encode the loaded image exactly, which no other
-// parity of a torn stripe is known to. It serves the degraded read and
-// write, the repair sweep and unit repair. Caller holds the stripe lock.
-func (s *Store) reconstruct(sb *stripeBuf, stripe int64, missing failedSet, fresh paritySet, lo, hi int64) (used paritySet, err error) {
-	dd := len(sb.units)
-	var lostBuf [len(missing.d)]int
-	lost := lostBuf[:0]
-	for _, d := range missing.list() {
-		if k := s.unitIndex(stripe, d); k < dd {
-			lost = append(lost, k)
-		} else {
-			fresh &^= 1 << (k - dd)
-		}
-	}
-	// Use the fewest parities that cover the lost units, P first.
-	for j, need := 0, len(lost); need > 0; j++ {
-		if j >= len(sb.par) {
-			return 0, fmt.Errorf("%w: stripe %d", ErrDataLoss, stripe)
-		}
-		if fresh.has(j) {
-			used |= 1 << j
-			need--
-		}
-	}
-	sb.window(used, lo, hi)
-	if err := s.unitIO(false, sb, stripe, missing, lo); err != nil {
-		return 0, err
-	}
-	if len(lost) == 0 {
-		return 0, nil
-	}
-	pt := time.Now()
-	ok := s.code.Solve(sb.view[:dd], lost, sb.view[dd:])
-	s.observeParity(pt)
-	if !ok {
-		panic("core: erasure code refused a covered missing set")
-	}
-	return used, nil
-}
-
 // readSpan reads one stripe's extents, reconstructing around failed
-// disks when the fresh parities allow. Caller holds the stripe lock.
+// disks when the fresh parities allow. Several extents are on distinct
+// disks and overlap like any other unit I/O of a stripe: a read of a whole
+// stripe costs about one device service time. Caller holds the stripe
+// lock.
 func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	st := s.stripeState(sp.Stripe)
-	// Only the byte range of the extents on failed disks is solved, so a
-	// small degraded read moves a small range of every survivor, not
-	// whole units.
-	lo, hi := s.geo.StripeUnit, int64(0)
-	for _, e := range sp.Extents {
-		if st.failed.has(e.Disk) {
-			lo, hi = min(lo, e.UnitOff), max(hi, e.UnitOff+e.Len)
-		}
-	}
-	if lo >= hi {
-		return s.readExtents(p, base, sp)
-	}
-	// The solve reads that range of every survivor, so each survivor moves
-	// once: an extent that is exactly the range is read — or solved —
-	// where the caller wants it, one inside the range is copied out of the
-	// arena, and only one that reaches past it is read on its own.
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	for _, e := range sp.Extents {
-		if e.UnitOff == lo && e.UnitOff+e.Len == hi {
-			sb.dst[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		}
-	}
-	if _, err := s.reconstruct(sb, sp.Stripe, st.failed, st.fresh, lo, hi); err != nil {
-		return err
-	}
-	s.meta.Lock()
-	s.stats.DegradedReads++
-	s.meta.Unlock()
-	for _, e := range sp.Extents {
-		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		switch {
-		case sb.dst[e.DataIdx] != nil:
-		case lo <= e.UnitOff && e.UnitOff+e.Len <= hi:
-			copy(dst, sb.units[e.DataIdx][e.UnitOff:])
-		default:
-			if err := s.devRead(e.Disk, dst, e.DiskOff); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// readExtents reads a healthy span's extents where the caller wants
-// them. They are on distinct disks, so on members slow enough for it to
-// pay several overlap like any other unit I/O of a stripe (unitIO): a
-// read of a whole stripe costs about one device service time.
-func (s *Store) readExtents(p []byte, base int64, sp layout.StripeSpan) error {
-	if e := sp.Extents[0]; len(sp.Extents) == 1 {
+	if e := sp.Extents[0]; len(sp.Extents) == 1 && !st.failed.Has(e.Disk) {
 		return s.devRead(e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff)
 	}
-	if !s.overlaps() {
-		// One after another — and timed, so that members that turn slow
-		// are noticed by a store that only reads.
-		t := time.Now()
-		for _, e := range sp.Extents {
-			if err := s.devRead(e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff); err != nil {
-				return err
-			}
-		}
-		s.unitNs.Store(int64(time.Since(t)) / int64(len(sp.Extents)))
-		return nil
+	im := s.image(sp.Stripe)
+	defer im.Release()
+	solved, err := im.ReadSpan(p, base, sp, st.failed, st.fresh)
+	if solved {
+		s.meta.Lock()
+		s.stats.DegradedReads++
+		s.meta.Unlock()
 	}
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	clear(sb.errs)
-	req := func(e layout.Extent) ioReq {
-		return ioReq{disk: e.Disk, buf: p[e.ArrOff-base : e.ArrOff-base+e.Len], off: e.DiskOff, errp: &sb.errs[e.DataIdx], wg: &sb.wg}
-	}
-	for _, e := range sp.Extents[1:] {
-		s.devAsync(req(e))
-	}
-	s.doTimed(req(sp.Extents[0]))
-	sb.wg.Wait()
-	for _, err := range sb.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // writeSpan applies one stripe's worth of a write under the stripe
@@ -345,14 +120,14 @@ func (s *Store) readExtents(p []byte, base int64, sp layout.StripeSpan) error {
 // write.
 func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	st := s.stripeState(sp.Stripe)
-	if st.failed.n > 0 && st.pol != PolicyNeverRedundant {
+	if st.failed.Len() > 0 && st.pol != PolicyNeverRedundant {
 		// Degraded operation: with a disk already gone, deferring parity
 		// would turn the next failure into certain loss, so the array
 		// maintains every surviving parity synchronously (and through
 		// them the contents of the dead units).
 		return s.writeSpanDegraded(p, base, sp, st)
 	}
-	if st.failed.n == 0 && st.pol != PolicyNeverRedundant && sp.FullStripe(s.geo) {
+	if st.failed.Len() == 0 && st.pol != PolicyNeverRedundant && sp.FullStripe(s.geo) {
 		return s.writeFullStripe(p, base, sp, st)
 	}
 	sync := s.syncParities(st.pol)
@@ -372,7 +147,7 @@ func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 		}
 	}
 	for _, e := range sp.Extents {
-		if st.failed.has(e.Disk) {
+		if st.failed.Has(e.Disk) {
 			// Unprotected stripe: a dead disk makes writes to its units
 			// unrecoverable, matching RAID 0 semantics.
 			return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
@@ -387,9 +162,9 @@ func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 // writeFullStripe writes a span that carries every data unit of a
 // healthy stripe whole. Its parities are a function of the bytes in hand,
 // so there is no small-update penalty to defer: they are encoded straight
-// from views of the caller's buffer, and the data and parity units go to
-// their disks together. Nothing is read, so no old contents are verified
-// first. A deferring policy still makes the mark durable before the first
+// from the caller's buffer, and the data and parity units go to their
+// disks together (Image.WriteFull). Nothing is read, so no old contents
+// are verified first. A deferring policy still makes the mark durable before the first
 // byte moves — interrupted, the write leaves the stripe marked, as any
 // other would — and the stripe ends redundant whatever it was before: the
 // mark is cleared in memory when the last unit has landed, and the NVRAM
@@ -401,15 +176,9 @@ func (s *Store) writeFullStripe(p []byte, base int64, sp layout.StripeSpan, st s
 			return err
 		}
 	}
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	for _, e := range sp.Extents {
-		sb.view[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
-	}
-	dd := len(sb.units)
-	copy(sb.view[dd:], sb.par)
-	s.encode(sb, sb.view[:dd])
-	if err := s.unitIO(true, sb, sp.Stripe, failedSet{}, 0); err != nil {
+	im := s.image(sp.Stripe)
+	defer im.Release()
+	if err := im.WriteFull(p, base, sp); err != nil {
 		return err
 	}
 	s.ob.fullStripe.Inc()
@@ -420,43 +189,22 @@ func (s *Store) writeFullStripe(p []byte, base int64, sp layout.StripeSpan, st s
 }
 
 // rmwExtent writes one extent and delta-updates the parities in sync:
-// read the old data and old parity ranges, fold old^new into each
-// parity, write the parities and then the data. The ranges live on
-// different disks, so all reads but one go to the I/O workers while this
-// goroutine does the last; scratch comes from the stripe-buffer pool, so
-// steady-state synchronous writes allocate nothing. With sync empty
-// there is nothing to read or fold and no arena is taken.
-func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync paritySet) error {
+// read the old data and old parity ranges — on different disks, so
+// overlapped — fold old^new into each parity, write the parities and then
+// the data; scratch is a pooled image, so steady-state synchronous writes
+// allocate nothing. With sync empty there is nothing to read or fold and
+// no image is taken.
+func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync stripe.Parities) error {
 	if sync == 0 {
 		return s.devWrite(e.Disk, src, e.DiskOff)
 	}
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	off := s.geo.DiskOffset(stripe) + e.UnitOff
-	errs := sb.errs[:1+len(sb.par)]
-	clear(errs)
-	old := sb.units[0][:e.Len]
-	s.devAsync(ioReq{disk: e.Disk, buf: old, off: e.DiskOff, errp: &errs[0], wg: &sb.wg})
-	last := bits.Len8(uint8(sync)) - 1
-	for j := range sb.par[:last] {
-		if sync.has(j) {
-			s.devAsync(ioReq{disk: s.parityDisk(stripe, j), buf: sb.par[j][:e.Len], off: off, errp: &errs[1+j], wg: &sb.wg})
-		}
+	im := s.image(stripe)
+	defer im.Release()
+	lo, hi := e.UnitOff, e.UnitOff+e.Len
+	if err := im.LoadUnit(e.DataIdx, sync, lo, hi); err != nil {
+		return err
 	}
-	errs[1+last] = s.devRead(s.parityDisk(stripe, last), sb.par[last][:e.Len], off)
-	sb.wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	pt := time.Now()
-	for j := range sb.par {
-		if sync.has(j) {
-			s.code.Update(j, sb.par[j][:e.Len], old, src, e.DataIdx)
-		}
-	}
-	s.observeParity(pt)
+	im.Fold(e.DataIdx, sync, lo, src)
 	// Every write is attempted even after one fails. A member that
 	// fail-stops here takes only its own unit with it: the survivors end
 	// up encoding the new data, so the degraded retry — or a retry of that
@@ -464,9 +212,9 @@ func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync parity
 	// — reconstructs through consistent parities, not through a P that is
 	// one delta ahead of the data.
 	var first error
-	for j := range sb.par {
-		if sync.has(j) {
-			if err := s.devWrite(s.parityDisk(stripe, j), sb.par[j][:e.Len], off); err != nil && first == nil {
+	for j, par := range im.Par {
+		if sync.Has(j) {
+			if err := s.devWrite(im.Member(len(im.Data)+j), par[lo:hi], e.DiskOff); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -485,18 +233,18 @@ func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync parity
 // heals the stripe, where the old contents are already lost. Caller
 // holds the stripe lock.
 func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
+	im := s.image(sp.Stripe)
+	defer im.Release()
 	if !sp.FullStripe(s.geo) {
-		if _, err := s.reconstruct(sb, sp.Stripe, st.failed, st.fresh, 0, s.geo.StripeUnit); err != nil {
+		if _, err := im.Solve(st.failed, st.fresh, 0, s.geo.StripeUnit); err != nil {
 			return err
 		}
 	}
 	for _, e := range sp.Extents {
-		copy(sb.units[e.DataIdx][e.UnitOff:], p[e.ArrOff-base:e.ArrOff-base+e.Len])
+		copy(im.Data[e.DataIdx][e.UnitOff:], p[e.ArrOff-base:e.ArrOff-base+e.Len])
 	}
 	for tries := 0; ; tries++ {
-		err := s.storeStripeImage(sp.Stripe, sb, st.failed, st.dirty)
+		err := s.storeStripeImage(im, st.failed, st.dirty)
 		if err == nil || tries >= s.spanRetryBudget() || !s.absorbFailure(err) {
 			return err
 		}
@@ -519,27 +267,27 @@ func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st
 // stale data when RepairDisk swaps it in. The stripe ends fully
 // redundant, and is unmarked, only if every parity disk is alive; a
 // dead one gets its copy at repair time.
-func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, failed failedSet, wasDirty bool) error {
-	off := s.geo.DiskOffset(stripe)
-	s.encode(sb, sb.units)
+func (s *Store) storeStripeImage(im *stripe.Image, failed stripe.Set, wasDirty bool) error {
+	off := s.geo.DiskOffset(im.Stripe)
+	im.Encode()
 	parWritten := 0
-	for k, u := range sb.all {
-		d := s.unitDisk(stripe, k)
-		if !failed.has(d) {
+	for k, u := range im.All {
+		d := im.Member(k)
+		if !failed.Has(d) {
 			if err := s.devWrite(d, u, off); err != nil {
 				return err
 			}
-			if k >= len(sb.units) {
+			if k >= len(im.Data) {
 				parWritten++
 			}
-		} else if rd := s.repairTarget(stripe, d); rd != nil {
-			if err := s.writeUnitTo(rd, stripe, u); err != nil {
+		} else if rd := s.repairTarget(im.Stripe, d); rd != nil {
+			if err := s.writeUnitTo(rd, im.Stripe, u); err != nil {
 				return fmt.Errorf("core: repair mirror write: %w", err)
 			}
 		}
 	}
-	if wasDirty && parWritten == len(sb.par) {
-		s.eng.Clear(stripe)
+	if wasDirty && parWritten == len(im.Par) {
+		s.eng.Clear(im.Stripe)
 		return s.eng.Commit()
 	}
 	return nil
@@ -571,21 +319,21 @@ func (s *Store) repairTarget(stripe int64, d int) BlockDevice {
 }
 
 // rebuildParity is the scrubber's work unit: recompute the parities
-// from the data units, read concurrently into a pooled arena. Caller
+// from the data units, read concurrently into a pooled image. Caller
 // holds the stripe lock; no disks are dead (the scrubber checks). Every
 // parity is rewritten, even one the mode maintains synchronously: a
 // marked stripe may carry a *torn* synchronous P from a write
 // interrupted by a crash, and unmarking it with that stale P in place
 // would plant latent corruption.
-func (s *Store) rebuildParity(stripe int64) error {
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	if err := s.readUnits(sb, stripe, failedSet{}, 0, 0, s.geo.StripeUnit); err != nil {
+func (s *Store) rebuildParity(n int64) error {
+	im := s.image(n)
+	defer im.Release()
+	if err := im.Load(stripe.Set{}, 0, 0, s.geo.StripeUnit); err != nil {
 		return fmt.Errorf("core: scrub: %w", err)
 	}
-	s.encode(sb, sb.units)
-	for j, par := range sb.par {
-		if err := s.devWrite(s.parityDisk(stripe, j), par, s.geo.DiskOffset(stripe)); err != nil {
+	im.Encode()
+	for j, par := range im.Par {
+		if err := s.devWrite(im.Member(len(im.Data)+j), par, s.geo.DiskOffset(n)); err != nil {
 			return fmt.Errorf("core: scrub: %w", err)
 		}
 	}
@@ -604,23 +352,23 @@ func (s *Store) rebuildParity(stripe int64) error {
 // Caller holds the stripe lock.
 func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) error {
 	st := s.stripeState(stripe)
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	used, err := s.reconstruct(sb, stripe, st.failed, st.fresh, 0, s.geo.StripeUnit)
+	im := s.image(stripe)
+	defer im.Release()
+	used, err := im.Solve(st.failed, st.fresh, 0, s.geo.StripeUnit)
 	if err != nil {
 		return fmt.Errorf("core: repair: %w", err)
 	}
-	k := s.unitIndex(stripe, target)
-	last := st.failed.n == 1
-	if k >= len(sb.units) || (last && used != s.allPar) {
-		s.encode(sb, sb.units)
+	k := im.Slot(target)
+	last := st.failed.Len() == 1
+	if k >= len(im.Data) || (last && used != s.allPar) {
+		im.Encode()
 	}
-	if err := s.writeUnitTo(replacement, stripe, sb.all[k]); err != nil {
+	if err := s.writeUnitTo(replacement, stripe, im.All[k]); err != nil {
 		return err
 	}
 	if last {
-		for j, par := range sb.par {
-			if d := s.parityDisk(stripe, j); d != target && !used.has(j) {
+		for j, par := range im.Par {
+			if d := im.Member(len(im.Data) + j); d != target && !used.Has(j) {
 				if err := s.devWrite(d, par, s.geo.DiskOffset(stripe)); err != nil {
 					return err
 				}
@@ -636,7 +384,7 @@ func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) 
 
 // repairUnit rewrites one corrupt unit from redundancy. The corrupt
 // unit joins the failed disks in a missing set; a nested mismatch met
-// while reconstructing joins it too, and reconstruct decides whether the
+// while reconstructing joins it too, and the solve decides whether the
 // fresh parities still cover the set. More missing members than the
 // stripe has parities — a dead member plus a corrupt unit on RAID 5, a
 // third casualty on RAID 6, anything at all on RAID 0 — is reported
@@ -653,14 +401,14 @@ func (s *Store) repairUnit(stripe int64, disk int) error {
 		return err
 	}
 	st := s.stripeState(stripe)
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
+	im := s.image(stripe)
+	defer im.Release()
 	missing := st.failed
 	for bad := disk; ; {
-		if !missing.add(bad, len(sb.par)) {
+		if !missing.Add(bad, len(im.Par)) {
 			return csumLossError(stripe, disk)
 		}
-		_, err := s.reconstruct(sb, stripe, missing, st.fresh, 0, s.geo.StripeUnit)
+		_, err := im.Solve(missing, st.fresh, 0, s.geo.StripeUnit)
 		var ce *ChecksumError
 		if errors.As(err, &ce) {
 			bad = ce.Disk
@@ -677,17 +425,17 @@ func (s *Store) repairUnit(stripe int64, disk int) error {
 	// Rewrite everything the reconstruction proved corrupt. Live disks
 	// only: dead members are RepairDisk's job.
 	encoded := false
-	for _, d := range missing.list() {
-		if st.failed.has(d) {
+	for _, d := range missing.List() {
+		if st.failed.Has(d) {
 			continue
 		}
-		k := s.unitIndex(stripe, d)
-		if k >= len(sb.units) && !encoded {
+		k := im.Slot(d)
+		if k >= len(im.Data) && !encoded {
 			// All data units are in hand, so any parity can be recomputed.
-			s.encode(sb, sb.units)
+			im.Encode()
 			encoded = true
 		}
-		if err := s.devWrite(d, sb.all[k], s.geo.DiskOffset(stripe)); err != nil {
+		if err := s.devWrite(d, im.All[k], s.geo.DiskOffset(stripe)); err != nil {
 			return err
 		}
 	}

@@ -31,8 +31,9 @@ func uncovered(s *Store, stripe int64, failed []int, dirty bool) []int {
 	fresh := s.freshParities(s.effectivePolicy(stripe), dirty)
 	var lost []int
 	avail := 0
-	for j := 0; j < int(s.code); j++ {
-		if fresh.has(j) && !slices.Contains(failed, s.parityDisk(stripe, j)) {
+	parityDisk := []func(int64) int{s.geo.ParityDisk, s.geo.QDisk}
+	for j := 0; j < s.geo.Level.ParityUnits(); j++ {
+		if fresh.Has(j) && !slices.Contains(failed, parityDisk[j](stripe)) {
 			avail++
 		}
 	}
@@ -91,8 +92,9 @@ func TestReconstructMatrix(t *testing.T) {
 func runReconstructMatrix(t *testing.T, s *Store, failed []int) {
 	geo := s.Geometry()
 	stripes, sdb, unit := geo.Stripes(), geo.StripeDataBytes(), geo.StripeUnit
-	never := func(stripe int64) bool { return s.code == 1 && stripe >= stripes/2 }
-	if s.code == 1 {
+	m := geo.Level.ParityUnits()
+	never := func(stripe int64) bool { return m == 1 && stripe >= stripes/2 }
+	if m == 1 {
 		if err := s.SetStripePolicy(stripes/2*sdb, (stripes-stripes/2)*sdb, PolicyNeverRedundant); err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,8 @@ package parity
 var kernelName = "generic"
 
 // Kernel reports which parity kernel backend was selected at init:
-// "avx2", "neon", or "generic". Benchmarks and scripts/bench.sh record
-// it next to throughput numbers so results are comparable across hosts.
+// "avx2", "neon", or "generic". Benchmarks record it next to throughput
+// numbers so results are comparable across hosts.
 func Kernel() string { return kernelName }
 
 var (

@@ -123,8 +123,7 @@ func (s *Store) frontWrite(slot, extOff int64, p []byte) error {
 }
 
 // pickCopy chooses the mirror copy a read goes to: the healthy copy
-// with the shorter read queue (ties broken round-robin), or plain
-// round-robin under that policy.
+// with the shorter read queue, ties broken round-robin.
 func (s *Store) pickCopy(d0, d1 int) int {
 	f0, f1 := s.copyFailed[d0].Load(), s.copyFailed[d1].Load()
 	switch {
@@ -134,12 +133,6 @@ func (s *Store) pickCopy(d0, d1 int) int {
 		return d1
 	case f1:
 		return d0
-	}
-	if s.opts.ReadPolicy == RoundRobin {
-		if s.rrTick.Add(1)%2 == 0 {
-			return d0
-		}
-		return d1
 	}
 	q0, q1 := s.inflight[d0].Load(), s.inflight[d1].Load()
 	switch {

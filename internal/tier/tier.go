@@ -39,17 +39,6 @@ import (
 // that promoting a 4 KiB write does not drag megabytes up with it.
 const DefaultExtentSize = 64 << 10
 
-// ReadPolicy selects how reads pick a copy of a front mirror pair.
-type ReadPolicy int
-
-const (
-	// ShortestQueue sends the read to the copy with fewer reads in
-	// flight, breaking ties round-robin. The default.
-	ShortestQueue ReadPolicy = iota
-	// RoundRobin alternates copies unconditionally.
-	RoundRobin
-)
-
 // Options configures a tier Store. The zero value picks defaults.
 type Options struct {
 	// ExtentSize is the migration unit in bytes (default
@@ -59,14 +48,8 @@ type Options struct {
 	// demotes regardless of idleness, and above twice it the write
 	// path demotes inline. Default: half the front data capacity.
 	MaxDirtyBytes int64
-	// PromoteMax bounds the client op size that still promotes its
-	// non-resident extents; larger ops write around the front tier
-	// straight to the back end (default 2×ExtentSize).
-	PromoteMax int64
 	// Idle paces demote-on-idle (default idle.NewTimer(DefaultDelay)).
 	Idle idle.Detector
-	// ReadPolicy picks the mirror copy for front reads.
-	ReadPolicy ReadPolicy
 	// DisableMigrator turns the background engine off; demotion then
 	// happens only through Flush, ParityPoint and the inline valve.
 	// Tests use it for deterministic state machines.
@@ -174,9 +157,6 @@ func Open(back *core.Store, front []core.BlockDevice, nv core.NVRAM, opts Option
 	totalSlots := int64(s.pairs) * slotsPer
 	if opts.MaxDirtyBytes <= 0 {
 		s.opts.MaxDirtyBytes = totalSlots * s.extentSize / 2
-	}
-	if opts.PromoteMax <= 0 {
-		s.opts.PromoteMax = 2 * s.extentSize
 	}
 	if opts.Idle == nil {
 		s.opts.Idle = idle.NewTimer(idle.DefaultDelay)
@@ -389,7 +369,9 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	if off < 0 || off+int64(len(p)) > s.capacity {
 		return 0, fmt.Errorf("tier: write [%d,%d) outside capacity %d", off, off+int64(len(p)), s.capacity)
 	}
-	writeAround := int64(len(p)) > s.opts.PromoteMax
+	// An op of up to two extents promotes its non-resident extents; a
+	// larger one writes around the front tier straight to the back end.
+	writeAround := int64(len(p)) > 2*s.extentSize
 	done := 0
 	for done < len(p) {
 		if err := ctx.Err(); err != nil {

@@ -112,7 +112,7 @@ func TestTierLargeWriteGoesAround(t *testing.T) {
 	r := newRig(t, Options{DisableMigrator: true}, 8)
 	defer r.st.Close()
 
-	big := make([]byte, 128<<10) // > PromoteMax (2 × 16 KiB)
+	big := make([]byte, 128<<10) // > 2 × the 16 KiB extent: writes around
 	rand.New(rand.NewSource(2)).Read(big)
 	if _, err := r.st.WriteAt(big, 0); err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestTierResilverPicksCopyZero(t *testing.T) {
 	if _, err := r.front[1].WriteAt(torn, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.reopen(t, Options{DisableMigrator: true, ReadPolicy: RoundRobin})
+	r.reopen(t, Options{DisableMigrator: true})
 
 	if r.st.TierStats().Resilvered == 0 {
 		t.Fatal("reopen did not resilver the divergent pair")
