@@ -20,9 +20,41 @@ import (
 // ns/op is the per-write wall time across the whole fleet; p95-ms is
 // the client-observed tail latency. The AFRAID/RAID5 ratio here is the
 // network-visible version of the paper's small-update-penalty result.
+//
+// pipelined is the coalescing row: one client streams sequential 64 KiB
+// writes at a server whose payload limit is 4 KiB, so every write
+// travels as 16 adjacent pipelined frames that the server can merge
+// only as far as they sit together in its read buffer. ns/op is per
+// 4 KiB frame, and merged/op the share of frames that rode on another
+// frame's store call; it is the row readBufSize was chosen against.
 func BenchmarkServerThroughput(b *testing.B) {
 	b.Run("afraid", func(b *testing.B) { benchmarkServerWrites(b, core.Afraid) })
 	b.Run("raid5", func(b *testing.B) { benchmarkServerWrites(b, core.Raid5) })
+	b.Run("pipelined", benchmarkPipelinedWrites)
+}
+
+func benchmarkPipelinedWrites(b *testing.B) {
+	const frame, window = 4 << 10, 16
+	srv, c := startBench(b, Options{MaxInflight: 1024, MaxPayload: frame})
+	defer srv.Close()
+	defer c.Close()
+	buf := make([]byte, frame*window)
+	rand.New(rand.NewSource(3)).Read(buf)
+	span := c.Capacity() - int64(len(buf))
+	merged := srv.Metrics().CoalescedWrites.Value()
+	b.SetBytes(frame)
+	b.ResetTimer()
+	frames, off := 0, int64(0)
+	for ; frames < b.N; frames += window {
+		if _, err := c.WriteAt(buf, off); err != nil {
+			b.Fatal(err)
+		}
+		if off += int64(len(buf)); off > span {
+			off = 0
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(srv.Metrics().CoalescedWrites.Value()-merged)/float64(frames), "merged/op")
 }
 
 func benchmarkServerWrites(b *testing.B, mode core.Mode) {
@@ -113,9 +145,9 @@ func benchmarkServerWrites(b *testing.B, mode core.Mode) {
 	srv.Shutdown(ctx)
 }
 
-// startReadBench brings up a served store with every block written and
+// startBench brings up a served store with every block written and
 // returns a connected client. The caller owns both shutdowns.
-func startReadBench(tb testing.TB) (*Server, *Client) {
+func startBench(tb testing.TB, opts Options) (*Server, *Client) {
 	tb.Helper()
 	devs := make([]core.BlockDevice, 5)
 	for i := range devs {
@@ -125,7 +157,7 @@ func startReadBench(tb testing.TB) (*Server, *Client) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := New(st, Options{MaxInflight: 1024})
+	srv := New(st, opts)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		st.Close()
@@ -159,10 +191,19 @@ func startReadBench(tb testing.TB) (*Server, *Client) {
 // BenchmarkServerRead is the read-side serving baseline: one client
 // issuing 64 KiB reads over loopback. With the scatter-gather response
 // path the server never copies the store payload into a contiguous
-// frame, and the client lands each response in a pooled buffer, so
-// B/op here should sit far below the 64 KiB payload.
-func BenchmarkServerRead(b *testing.B) {
-	srv, c := startReadBench(b)
+// frame, and the client reads each payload off the socket into the
+// caller's own slice, so B/op here should sit far below the 64 KiB
+// payload.
+func BenchmarkServerRead(b *testing.B) { benchmarkServerIO(b, (*Client).ReadAt) }
+
+// BenchmarkServerWrite is its write-side twin: the client sends header
+// and payload as one writev from the caller's slice, and the server
+// reads the payload off the socket into a pooled buffer the store call
+// consumes.
+func BenchmarkServerWrite(b *testing.B) { benchmarkServerIO(b, (*Client).WriteAt) }
+
+func benchmarkServerIO(b *testing.B, op func(*Client, []byte, int64) (int, error)) {
+	srv, c := startBench(b, Options{MaxInflight: 1024})
 	defer srv.Close()
 	defer c.Close()
 	const ioSize = 64 << 10
@@ -173,44 +214,59 @@ func BenchmarkServerRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ReadAt(p, rng.Int63n(max)); err != nil {
+		if _, err := op(c, p, rng.Int63n(max)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestReadResponsePathAllocBytes pins the zero-copy claim: in steady
-// state a 64 KiB read must allocate only request-bookkeeping scraps,
-// not payload-sized buffers. Both a server-side frame copy and a
-// client-side per-frame allocation would each add >= 64 KiB/op and
-// trip the bound. Gated off under -race, whose instrumented sync.Pool
-// allocates on every Get/Put.
+// TestReadResponsePathAllocBytes pins the one-copy-per-hop claim on the
+// read side: in steady state a 64 KiB read must allocate only
+// request-bookkeeping scraps. A server-side frame copy or a client-side
+// per-frame buffer would each add >= 64 KiB/op.
 func TestReadResponsePathAllocBytes(t *testing.T) {
+	pinAllocBytes(t, "read", (*Client).ReadAt)
+}
+
+// TestWritePathAllocBytes is the write side of the same pin: the
+// server must land the payload in a pooled buffer, not a frame made for
+// it, and the client must not stage it in a frame of its own.
+func TestWritePathAllocBytes(t *testing.T) {
+	pinAllocBytes(t, "write", (*Client).WriteAt)
+}
+
+// pinAllocBytes bounds what both ends of the wire together allocate per
+// 64 KiB op at a sixteenth of the payload: steady state is a few
+// hundred bytes of bookkeeping, and the rounds are many enough that a
+// GC emptying the pools mid-run (one fresh 64 KiB buffer) stays far
+// under the bound while one payload-sized allocation per op cannot.
+// Gated off under -race, whose instrumented sync.Pool allocates on
+// every Get/Put.
+func pinAllocBytes(t *testing.T, name string, op func(*Client, []byte, int64) (int, error)) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector adds bookkeeping allocations")
 	}
-	srv, c := startReadBench(t)
+	srv, c := startBench(t, Options{MaxInflight: 1024})
 	defer srv.Close()
 	defer c.Close()
 	const ioSize = 64 << 10
 	p := make([]byte, ioSize)
-	for i := 0; i < 64; i++ { // warm the pools on both ends
-		if _, err := c.ReadAt(p, int64(i)*ioSize%(c.Capacity()-ioSize)); err != nil {
-			t.Fatal(err)
+	const rounds = 256
+	run := func() {
+		for i := 0; i < rounds; i++ {
+			if _, err := op(c, p, int64(i)*ioSize%(c.Capacity()-ioSize)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	const rounds = 64
+	run() // warm the pools on both ends
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		if _, err := c.ReadAt(p, int64(i)*ioSize%(c.Capacity()-ioSize)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	run()
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / rounds
-	t.Logf("read path: %d B allocated per %d B read", perOp, ioSize)
-	if perOp > ioSize/8 {
-		t.Fatalf("read response path allocates %d B/op for %d B payloads; want < %d (payload buffers must be pooled end to end)", perOp, ioSize, ioSize/8)
+	t.Logf("%s path: %d B allocated per %d B op", name, perOp, ioSize)
+	if perOp > ioSize/16 {
+		t.Fatalf("%s path allocates %d B/op for %d B payloads; want < %d (payload buffers must be pooled or the caller's, end to end)", name, perOp, ioSize, ioSize/16)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -49,22 +48,43 @@ type Client struct {
 	capacity   int64
 	maxPayload uint32
 
-	wmu    sync.Mutex // serializes frame writes
-	encBuf []byte
+	wmu    sync.Mutex  // serializes frame writes
+	encBuf []byte      // one frame's prefix and header
+	iov    [2][]byte   // header and payload, sent as one writev
+	vecs   net.Buffers // iov as WriteTo consumes it
 
-	// chPool recycles completion channels across requests. A channel is
-	// recycled only after its response was received (wait's success
-	// path): a channel abandoned by context cancellation may still get a
-	// late buffered response from the read loop, so reusing it would
-	// deliver a stale completion to a new request.
+	// chPool recycles completion channels across requests. A channel
+	// goes back only once nothing can send on it any more: its response
+	// was received, or its call was forgotten before the read loop
+	// claimed it.
 	chPool sync.Pool
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan Response
+	pending map[uint64]call
 	err     error
 	done    chan struct{} // closed when the read loop exits
 }
+
+// call is one request awaiting its response: where the completion goes
+// and, for a READ, the caller's slice the payload lands in.
+//
+// Ownership: the read loop claims a call by deleting it from pending
+// under mu, and may write dst from then until it has sent on ch (or
+// exited, closing done). A caller that gives up leaves freely only if
+// abandon still finds its call in pending; otherwise it waits there,
+// so no caller has its buffer back while the read loop can write it.
+type call struct {
+	ch  chan Response
+	dst []byte
+}
+
+// settleGrace bounds how long a caller whose context has ended waits
+// for a response the read loop is already landing in its buffer. The
+// bytes are on the wire behind a header that has arrived, so on a live
+// connection that wait is microseconds; a peer silent for this long in
+// the middle of a frame is a dead peer, and is treated as one.
+const settleGrace = 500 * time.Millisecond
 
 // Dial connects to an afraidd server and performs the handshake.
 func Dial(addr string) (*Client, error) {
@@ -109,7 +129,7 @@ func NewClient(nc net.Conn) (*Client, error) {
 	if _, err := nc.Write([]byte(Magic)); err != nil {
 		return nil, fmt.Errorf("server: handshake write: %w", err)
 	}
-	br := bufio.NewReaderSize(nc, 64<<10)
+	br := bufio.NewReaderSize(nc, readBufSize)
 	reply := make([]byte, handshakeReplyLen)
 	if _, err := io.ReadFull(br, reply); err != nil {
 		return nil, fmt.Errorf("server: handshake read: %w", err)
@@ -134,7 +154,7 @@ func NewClient(nc net.Conn) (*Client, error) {
 		br:         br,
 		capacity:   int64(capacity),
 		maxPayload: maxPayload,
-		pending:    make(map[uint64]chan Response),
+		pending:    make(map[uint64]call),
 		done:       make(chan struct{}),
 	}
 	go c.readLoop()
@@ -151,55 +171,43 @@ func (c *Client) Close() error {
 	return err
 }
 
-// readLoop dispatches responses to waiting calls by request ID.
+// readLoop completes waiting calls by request ID: it decodes a
+// response header, claims the call, and reads the payload where it
+// belongs — an OK READ of the length asked for straight into the
+// caller's slice, anything else (a STAT snapshot, an error message, a
+// READ of the wrong length) into a pooled frame the waiter releases.
 func (c *Client) readLoop() {
 	for {
-		resp, err := c.readResponse()
+		resp, n, err := readResponseHeader(c.br, c.maxPayload)
 		if err != nil {
 			c.fail(err)
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[resp.ID]
+		cl, claimed := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp // buffered; body is this request's own pooled frame
+		if !claimed { // abandoned; skip its payload
+			_, err = c.br.Discard(n)
+			err = truncated(err)
 		} else {
-			resp.release() // request was forgotten; recycle the frame now
+			if resp.Op == OpRead && resp.Status == StatusOK && n == len(cl.dst) {
+				resp.Data = cl.dst
+			} else {
+				resp.frame = bufpool.Get(n)
+				resp.Data = resp.frame
+			}
+			err = readPayload(c.br, resp.Data)
+		}
+		if err != nil {
+			resp.release()
+			c.fail(err)
+			return
+		}
+		if claimed {
+			cl.ch <- resp // buffered; never blocks
 		}
 	}
-}
-
-// readResponse reads one response frame into a pooled buffer instead of
-// allocating per frame (ReadResponse's behavior); the waiter that
-// consumes the response returns the buffer via release. This is what
-// makes the windowed ReadAt/WriteAt chunk loops allocation-free in
-// steady state.
-func (c *Client) readResponse() (Response, error) {
-	var pfx [4]byte
-	if _, err := io.ReadFull(c.br, pfx[:]); err != nil {
-		return Response{}, err
-	}
-	n := binary.BigEndian.Uint32(pfx[:])
-	if n > c.maxPayload+uint32(reqHeaderLen)+uint32(respHeaderLen) {
-		return Response{}, fmt.Errorf("%w: body %d bytes", ErrFrameTooLarge, n)
-	}
-	body := bufpool.Get(int(n))
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		bufpool.Put(body)
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Response{}, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
-		}
-		return Response{}, err
-	}
-	resp, err := DecodeResponse(body, c.maxPayload)
-	if err != nil {
-		bufpool.Put(body)
-		return Response{}, err
-	}
-	resp.frame = body
-	return resp, nil
 }
 
 // fail records the terminal error and releases every waiter. From here
@@ -232,10 +240,12 @@ func (c *Client) getCh() chan Response {
 	return make(chan Response, 1)
 }
 
-// start registers a fresh request ID, sends the frame, and returns the
-// channel the read loop will complete it on. Callers pipeline by
-// starting several requests before waiting on any.
-func (c *Client) start(req *Request) (uint64, chan Response, error) {
+// start registers a fresh request ID, sends the frame — header and
+// payload as one writev, so the payload goes from the caller's slice to
+// the socket uncopied — and returns the channel the read loop will
+// complete it on. dst, for a READ, is where an OK payload is to land.
+// Callers pipeline by starting several requests before waiting on any.
+func (c *Client) start(req *Request, dst []byte) (uint64, chan Response, error) {
 	ch := c.getCh()
 	c.mu.Lock()
 	if c.err != nil {
@@ -245,25 +255,30 @@ func (c *Client) start(req *Request) (uint64, chan Response, error) {
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = call{ch: ch, dst: dst}
 	c.mu.Unlock()
 	req.ID = id
 
 	c.wmu.Lock()
-	c.encBuf = AppendRequest(c.encBuf[:0], req)
-	_, err := c.nc.Write(c.encBuf)
+	c.encBuf = appendRequestHeader(c.encBuf[:0], req)
+	var err error
+	if len(req.Data) == 0 {
+		_, err = c.nc.Write(c.encBuf)
+	} else {
+		c.iov = [2][]byte{c.encBuf, req.Data}
+		c.vecs = c.iov[:]
+		_, err = c.vecs.WriteTo(c.nc)
+		c.iov[1] = nil // on an error WriteTo leaves the unsent rest in place
+	}
 	c.wmu.Unlock()
 	if err != nil {
-		c.forget(id)
+		c.abandon(id, ch)
 		return 0, nil, fmt.Errorf("%w: send: %v", ErrConnectionLost, err)
 	}
 	return id, ch, nil
 }
 
-// wait blocks for the completion of a started request. On the response
-// path the (now drained) channel is recycled for future requests; on
-// the cancellation paths it is abandoned, since the read loop may still
-// complete it.
+// wait blocks for the completion of a started request.
 func (c *Client) wait(ctx context.Context, id uint64, ch chan Response) (Response, error) {
 	select {
 	case resp := <-ch:
@@ -274,29 +289,53 @@ func (c *Client) wait(ctx context.Context, id uint64, ch chan Response) (Respons
 		}
 		return resp, err
 	case <-ctx.Done():
-		c.forget(id)
+		c.abandon(id, ch)
 		return Response{}, ctx.Err()
 	case <-c.done:
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return Response{}, err
+		return Response{}, c.Err()
 	}
 }
 
 // do sends one request and waits for its completion.
 func (c *Client) do(ctx context.Context, req *Request) (Response, error) {
-	id, ch, err := c.start(req)
+	id, ch, err := c.start(req, nil)
 	if err != nil {
 		return Response{}, err
 	}
 	return c.wait(ctx, id, ch)
 }
 
-func (c *Client) forget(id uint64) {
+// abandon gives up on a started request whose completion has not been
+// received, returning once the read loop can no longer touch the call's
+// destination: at once if the call is still pending or the connection
+// already down, otherwise (the read loop has claimed it — see call)
+// when the completion arrives. A connection silent for settleGrace with
+// the payload half delivered is severed, which fails every call on the
+// client and ends the wait.
+func (c *Client) abandon(id uint64, ch chan Response) {
 	c.mu.Lock()
+	_, unclaimed := c.pending[id]
 	delete(c.pending, id)
+	dead := c.err != nil
 	c.mu.Unlock()
+	if unclaimed {
+		c.chPool.Put(ch)
+		return
+	}
+	if dead {
+		return // fail ran, so the read loop has exited
+	}
+	grace := time.NewTimer(settleGrace)
+	defer grace.Stop()
+	select {
+	case resp := <-ch:
+		c.chPool.Put(ch)
+		resp.release()
+	case <-c.done:
+	case <-grace.C:
+		c.nc.Close()
+		<-c.done
+	}
 }
 
 // statusErr maps a response status to a client error.
@@ -332,7 +371,6 @@ const pipelineWindow = 16
 
 // chunkCall is one in-flight chunk of a split I/O.
 type chunkCall struct {
-	off  int // chunk start within p
 	size int
 	id   uint64
 	ch   chan Response
@@ -354,7 +392,8 @@ func (c *Client) ReadAtContext(ctx context.Context, p []byte, off int64) (int, e
 	head, count := 0, 0
 	defer func() {
 		for i := 0; i < count; i++ {
-			c.forget(win[(head+i)%pipelineWindow].id)
+			cc := win[(head+i)%pipelineWindow]
+			c.abandon(cc.id, cc.ch)
 		}
 	}()
 	n, sent := 0, 0
@@ -367,11 +406,11 @@ func (c *Client) ReadAtContext(ctx context.Context, p []byte, off int64) (int, e
 			if chunk > int(c.maxPayload) {
 				chunk = int(c.maxPayload)
 			}
-			id, ch, err := c.start(&Request{Op: OpRead, Off: off + int64(sent), Length: uint32(chunk)})
+			id, ch, err := c.start(&Request{Op: OpRead, Off: off + int64(sent), Length: uint32(chunk)}, p[sent:sent+chunk])
 			if err != nil {
 				return n, err
 			}
-			win[(head+count)%pipelineWindow] = chunkCall{off: sent, size: chunk, id: id, ch: ch}
+			win[(head+count)%pipelineWindow] = chunkCall{size: chunk, id: id, ch: ch}
 			count++
 			sent += chunk
 			continue
@@ -386,9 +425,7 @@ func (c *Client) ReadAtContext(ctx context.Context, p []byte, off int64) (int, e
 			resp.release()
 			return n, fmt.Errorf("server: READ returned %d bytes, want %d", len(resp.Data), cc.size)
 		}
-		copy(p[cc.off:], resp.Data)
-		resp.release()
-		n += cc.size
+		n += cc.size // the read loop landed the payload in its part of p
 	}
 	return n, nil
 }
@@ -410,7 +447,8 @@ func (c *Client) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 	head, count := 0, 0
 	defer func() {
 		for i := 0; i < count; i++ {
-			c.forget(win[(head+i)%pipelineWindow].id)
+			cc := win[(head+i)%pipelineWindow]
+			c.abandon(cc.id, cc.ch)
 		}
 	}()
 	n, sent := 0, 0
@@ -423,11 +461,11 @@ func (c *Client) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 			if chunk > int(c.maxPayload) {
 				chunk = int(c.maxPayload)
 			}
-			id, ch, err := c.start(&Request{Op: OpWrite, Off: off + int64(sent), Length: uint32(chunk), Data: p[sent : sent+chunk]})
+			id, ch, err := c.start(&Request{Op: OpWrite, Off: off + int64(sent), Length: uint32(chunk), Data: p[sent : sent+chunk]}, nil)
 			if err != nil {
 				return n, err
 			}
-			win[(head+count)%pipelineWindow] = chunkCall{off: sent, size: chunk, id: id, ch: ch}
+			win[(head+count)%pipelineWindow] = chunkCall{size: chunk, id: id, ch: ch}
 			count++
 			sent += chunk
 			continue

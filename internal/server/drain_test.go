@@ -216,7 +216,7 @@ func TestHardShutdownCancelsStoreWork(t *testing.T) {
 // connection — releasing the workers parked in send — rather than let
 // one stalled client wedge the shared pool for everyone else.
 func TestStalledReaderDisconnected(t *testing.T) {
-	_, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
+	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
 		Options{Workers: 4, MaxInflight: 512, WriteTimeout: 200 * time.Millisecond})
 
 	nc, err := net.Dial("tcp", addr)
@@ -224,6 +224,12 @@ func TestStalledReaderDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	// Pin the receive buffer: left to autotune it may grow to tcp_rmem's
+	// maximum (32 MiB on some kernels) and absorb every response below,
+	// so the server's writer never stalls and nothing is ever cut off.
+	if err := nc.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := nc.Write([]byte(Magic)); err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +268,17 @@ func TestStalledReaderDisconnected(t *testing.T) {
 		t.Fatalf("read %q, want %q", got, data)
 	}
 
-	// And the stalled connection really was severed: draining it hits
-	// EOF/reset, not the read deadline.
+	// And the stalled connection really was severed: only the healthy
+	// one stays open (the round trip above can finish before the stalled
+	// writer's deadline does, so wait for that rather than start reading
+	// and un-stall it), and draining it hits EOF/reset, not the read
+	// deadline.
+	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().ConnsOpen.Value() > 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled connection still open long after the write timeout")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, err = io.Copy(io.Discard, nc)
 	var ne net.Error

@@ -158,9 +158,9 @@ type Response struct {
 	// responses, which are never shared between frame IDs.
 	pooled bool
 
-	// frame, when non-nil, is the pooled buffer backing Data (set by the
-	// client's read loop, which reads response frames into bufpool
-	// buffers instead of allocating per frame). release returns it.
+	// frame, when non-nil, is the pooled buffer backing Data: the
+	// client's read loop lands a STAT or error payload in one (an OK
+	// READ's goes to the caller's own slice). release returns it.
 	frame []byte
 }
 
@@ -173,32 +173,45 @@ func (r *Response) release() {
 	}
 }
 
-// AppendRequest appends the framed request (length prefix included) to
-// dst and returns the extended slice.
-func AppendRequest(dst []byte, r *Request) []byte {
+// readBufSize is the bufio buffer both ends read their socket through.
+// A payload read is handed what is buffered and then, while at least
+// this much is still missing, bufio reads the socket straight into the
+// destination, so only a buffer's worth at either end of a payload can
+// be copied twice. 32 KiB is the smallest size that keeps the merge
+// rate of pipelined 4 KiB writes (coalescing sees only buffered frames)
+// and the largest at which 64 KiB payloads read as fast as at 8 KiB;
+// the rows (8–64 KiB) are in CHANGES.md, PR 19.
+const readBufSize = 32 << 10
+
+// appendRequestHeader appends the frame length prefix and fixed request
+// header for r — declaring, but not appending, r.Data, which the client
+// sends as its own scatter-gather vector element.
+func appendRequestHeader(dst []byte, r *Request) []byte {
 	body := reqHeaderLen + len(r.Data)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
 	dst = append(dst, byte(r.Op))
 	dst = binary.BigEndian.AppendUint64(dst, r.ID)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Off))
-	dst = binary.BigEndian.AppendUint32(dst, r.Length)
-	return append(dst, r.Data...)
+	return binary.BigEndian.AppendUint32(dst, r.Length)
 }
 
-// DecodeRequest parses a request body (the bytes after the length
-// prefix). It rejects truncated bodies, oversized payloads, unknown
-// ops, offsets that overflow int64, and length/data mismatches. The
-// returned Data aliases body.
-func DecodeRequest(body []byte, maxPayload uint32) (Request, error) {
+// AppendRequest appends the framed request (length prefix included) to
+// dst and returns the extended slice.
+func AppendRequest(dst []byte, r *Request) []byte {
+	return append(appendRequestHeader(dst, r), r.Data...)
+}
+
+// decodeRequestHeader parses the fixed header of a request whose body
+// carries dataLen bytes after it, and is the one place a request is
+// validated: unknown ops, offsets that overflow int64, oversized
+// payloads and length/data mismatches are all rejected from the header
+// alone, before a streaming reader takes a buffer for the payload.
+func decodeRequestHeader(hdr []byte, dataLen int, maxPayload uint32) (Request, error) {
 	var r Request
-	if len(body) < reqHeaderLen {
-		return r, fmt.Errorf("%w: request body %d bytes, need %d", ErrTruncatedFrame, len(body), reqHeaderLen)
-	}
-	r.Op = Op(body[0])
-	r.ID = binary.BigEndian.Uint64(body[1:])
-	off := binary.BigEndian.Uint64(body[9:])
-	r.Length = binary.BigEndian.Uint32(body[17:])
-	data := body[reqHeaderLen:]
+	r.Op = Op(hdr[0])
+	r.ID = binary.BigEndian.Uint64(hdr[1:])
+	off := binary.BigEndian.Uint64(hdr[9:])
+	r.Length = binary.BigEndian.Uint32(hdr[17:])
 	if !r.Op.valid() {
 		return r, fmt.Errorf("server: unknown op %d", uint8(r.Op))
 	}
@@ -212,54 +225,92 @@ func DecodeRequest(body []byte, maxPayload uint32) (Request, error) {
 		return r, fmt.Errorf("%w: length %d > limit %d", ErrFrameTooLarge, r.Length, maxPayload)
 	}
 	if r.Op == OpWrite {
-		if uint32(len(data)) != r.Length {
-			return r, fmt.Errorf("%w: WRITE declares %d data bytes, carries %d", ErrTruncatedFrame, r.Length, len(data))
+		if int64(dataLen) != int64(r.Length) {
+			return r, fmt.Errorf("%w: WRITE declares %d data bytes, carries %d", ErrTruncatedFrame, r.Length, dataLen)
 		}
-		r.Data = data
-	} else if len(data) != 0 {
-		return r, fmt.Errorf("server: %v carries %d unexpected data bytes", r.Op, len(data))
+	} else if dataLen != 0 {
+		return r, fmt.Errorf("server: %v carries %d unexpected data bytes", r.Op, dataLen)
 	}
 	return r, nil
 }
 
-// readFrame reads one length-prefixed body, applying the payload limit
-// before allocating.
-func readFrame(br *bufio.Reader, maxPayload uint32) ([]byte, error) {
-	var pfx [4]byte
-	if _, err := io.ReadFull(br, pfx[:]); err != nil {
-		return nil, err
+// DecodeRequest parses a request body (the bytes after the length
+// prefix) already in memory: decodeRequestHeader's checks on a body
+// long enough to hold a header. The returned Data aliases body.
+func DecodeRequest(body []byte, maxPayload uint32) (Request, error) {
+	if len(body) < reqHeaderLen {
+		return Request{}, fmt.Errorf("%w: request body %d bytes, need %d", ErrTruncatedFrame, len(body), reqHeaderLen)
 	}
-	n := binary.BigEndian.Uint32(pfx[:])
-	if n > maxPayload+uint32(reqHeaderLen)+uint32(respHeaderLen) {
-		return nil, fmt.Errorf("%w: body %d bytes", ErrFrameTooLarge, n)
+	r, err := decodeRequestHeader(body, len(body)-reqHeaderLen, maxPayload)
+	if err == nil && r.Op == OpWrite {
+		r.Data = body[reqHeaderLen:]
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
-		}
-		return nil, err
-	}
-	return body, nil
+	return r, err
 }
 
-// ReadRequest reads and decodes one request frame.
+// peekFrame returns the first hdrLen bytes of the next frame's body,
+// still in br's buffer (nothing is copied or allocated; the caller
+// Discards prefix and header), and the body length the prefix declares,
+// held to the payload limit before anything is sized from it. A stream
+// that ends cleanly before a prefix is io.EOF; one that ends inside a
+// frame is ErrTruncatedFrame.
+func peekFrame(br *bufio.Reader, hdrLen int, maxPayload uint32) ([]byte, int, error) {
+	b, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, 0, err
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > maxPayload+uint32(reqHeaderLen)+uint32(respHeaderLen) {
+		return nil, 0, fmt.Errorf("%w: body %d bytes", ErrFrameTooLarge, n)
+	}
+	if int(n) < hdrLen {
+		return nil, 0, fmt.Errorf("%w: body %d bytes, need %d", ErrTruncatedFrame, n, hdrLen)
+	}
+	if b, err = br.Peek(4 + hdrLen); err != nil {
+		return nil, 0, truncated(err)
+	}
+	return b[4:], int(n), nil
+}
+
+// readPayload fills p with the payload bytes that follow a header.
+func readPayload(br *bufio.Reader, p []byte) error {
+	_, err := io.ReadFull(br, p)
+	return truncated(err)
+}
+
+// truncated names a stream that ended inside a frame.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
+	}
+	return err
+}
+
+// ReadRequest reads and decodes one request frame. Every DecodeRequest
+// check is made on the header before the payload is touched; a WRITE's
+// payload is then read straight into a bufpool buffer of the declared
+// length, which the caller may bufpool.Put once done with Data.
 func ReadRequest(br *bufio.Reader, maxPayload uint32) (Request, error) {
-	body, err := readFrame(br, maxPayload)
+	hdr, n, err := peekFrame(br, reqHeaderLen, maxPayload)
 	if err != nil {
 		return Request{}, err
 	}
-	return DecodeRequest(body, maxPayload)
-}
-
-// AppendResponse appends the framed response (length prefix included)
-// to dst and returns the extended slice.
-func AppendResponse(dst []byte, r *Response) []byte {
-	body := respHeaderLen + len(r.Data)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
-	dst = append(dst, byte(r.Op), byte(r.Status))
-	dst = binary.BigEndian.AppendUint64(dst, r.ID)
-	return append(dst, r.Data...)
+	r, err := decodeRequestHeader(hdr, n-reqHeaderLen, maxPayload)
+	if err != nil {
+		return Request{}, err
+	}
+	br.Discard(4 + reqHeaderLen)
+	if r.Op == OpWrite {
+		r.Data = bufpool.Get(int(r.Length))
+		if err := readPayload(br, r.Data); err != nil {
+			bufpool.Put(r.Data)
+			return Request{}, err
+		}
+	}
+	return r, nil
 }
 
 // appendResponseHeader appends the frame length prefix and fixed
@@ -272,27 +323,39 @@ func appendResponseHeader(dst []byte, r *Response) []byte {
 	return binary.BigEndian.AppendUint64(dst, r.ID)
 }
 
+// AppendResponse appends the framed response (length prefix included)
+// to dst and returns the extended slice.
+func AppendResponse(dst []byte, r *Response) []byte {
+	return append(appendResponseHeader(dst, r), r.Data...)
+}
+
 // DecodeResponse parses a response body (the bytes after the length
 // prefix). The returned Data aliases body.
-func DecodeResponse(body []byte, maxPayload uint32) (Response, error) {
-	var r Response
+func DecodeResponse(body []byte) (Response, error) {
 	if len(body) < respHeaderLen {
-		return r, fmt.Errorf("%w: response body %d bytes, need %d", ErrTruncatedFrame, len(body), respHeaderLen)
+		return Response{}, fmt.Errorf("%w: response body %d bytes, need %d", ErrTruncatedFrame, len(body), respHeaderLen)
 	}
-	r.Op = Op(body[0])
-	r.Status = Status(body[1])
-	r.ID = binary.BigEndian.Uint64(body[2:])
+	r := decodeResponseHeader(body)
 	r.Data = body[respHeaderLen:]
 	return r, nil
 }
 
-// ReadResponse reads and decodes one response frame.
-func ReadResponse(br *bufio.Reader, maxPayload uint32) (Response, error) {
-	body, err := readFrame(br, maxPayload)
+// decodeResponseHeader parses the fixed header of a response.
+func decodeResponseHeader(hdr []byte) Response {
+	return Response{Op: Op(hdr[0]), Status: Status(hdr[1]), ID: binary.BigEndian.Uint64(hdr[2:])}
+}
+
+// readResponseHeader reads one response frame up to its payload: the
+// decoded header (Data nil) and the count of payload bytes still on the
+// wire, which the caller lands with readPayload wherever they belong.
+func readResponseHeader(br *bufio.Reader, maxPayload uint32) (Response, int, error) {
+	hdr, n, err := peekFrame(br, respHeaderLen, maxPayload)
 	if err != nil {
-		return Response{}, err
+		return Response{}, 0, err
 	}
-	return DecodeResponse(body, maxPayload)
+	r := decodeResponseHeader(hdr)
+	br.Discard(4 + respHeaderLen)
+	return r, n - respHeaderLen, nil
 }
 
 // Stat is the STAT payload: a self-describing snapshot of flat,

@@ -10,7 +10,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
+
+	"afraid/internal/bufpool"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -48,12 +51,16 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Op: OpRead, Status: StatusDataLoss, ID: 10, Data: []byte("stripe 12")},
 		{Op: OpStat, Status: StatusOK, ID: 11, Data: appendStat(nil, Stat{"server.capacity": 1 << 30, "core.writes": 42})},
 	}
+	// The same table through the reader a connection uses: a Client's
+	// read loop, fed by a peer that answers each request with the row.
+	c, peer := dialScripted(t, DefaultMaxPayload)
+	peerBr := bufio.NewReader(peer)
 	for _, want := range cases {
 		t.Run(want.Status.String(), func(t *testing.T) {
 			frame := AppendResponse(nil, &want)
-			got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxPayload)
+			got, err := readResponse(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxPayload)
 			if err != nil {
-				t.Fatalf("ReadResponse: %v", err)
+				t.Fatalf("readResponse: %v", err)
 			}
 			if got.Op != want.Op || got.Status != want.Status || got.ID != want.ID {
 				t.Fatalf("round trip: got %+v want %+v", got, want)
@@ -61,6 +68,33 @@ func TestResponseRoundTrip(t *testing.T) {
 			if !bytes.Equal(got.Data, want.Data) {
 				t.Fatalf("data round trip: got %x want %x", got.Data, want.Data)
 			}
+
+			dst := make([]byte, len(want.Data))
+			_, ch, err := c.start(&Request{Op: want.Op, Length: uint32(len(dst))}, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := ReadRequest(peerBr, DefaultMaxPayload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.ID = req.ID
+			if _, err := peer.Write(AppendResponse(nil, &want)); err != nil {
+				t.Fatal(err)
+			}
+			got = <-ch
+			if got.Op != want.Op || got.Status != want.Status || got.ID != want.ID || !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("client round trip: got %+v want %+v", got, want)
+			}
+			// An OK READ lands in the caller's slice; anything else that
+			// carries bytes lands in a pooled frame.
+			direct := want.Op == OpRead && want.Status == StatusOK
+			inPlace := len(got.Data) > 0 && &got.Data[0] == &dst[0]
+			pooled := got.frame != nil
+			if inPlace != direct || pooled != (!direct && len(want.Data) > 0) {
+				t.Fatalf("payload of %v %v: in caller's slice %v, pooled frame %v", want.Op, want.Status, inPlace, pooled)
+			}
+			got.release()
 		})
 	}
 }
@@ -140,7 +174,7 @@ func TestDecodeRequestRejects(t *testing.T) {
 }
 
 func TestReadRequestRejectsOversizedAndTruncatedFrames(t *testing.T) {
-	// Declared body length far over the limit: rejected before allocating.
+	// Declared body length far over the limit: rejected from the prefix.
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
 	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(huge)), DefaultMaxPayload); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
@@ -156,6 +190,122 @@ func TestReadRequestRejectsOversizedAndTruncatedFrames(t *testing.T) {
 	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(nil)), DefaultMaxPayload); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream: got %v, want io.EOF", err)
 	}
+	// Every header check is made before the payload is awaited, let alone
+	// a buffer taken for it: each of these streams ends where its payload
+	// would begin, and must be refused for what its header says, not for
+	// being short.
+	const limit = 4096
+	frame = AppendRequest(nil, &Request{Op: OpWrite, ID: 1, Length: 64, Data: make([]byte, 64)})
+	headerOnly := func(edit func(hdr []byte)) *bufio.Reader {
+		b := bytes.Clone(frame[:4+reqHeaderLen])
+		edit(b[4:])
+		return bufio.NewReader(bytes.NewReader(b))
+	}
+	if _, err := ReadRequest(headerOnly(func(h []byte) { h[0] = 99 }), limit); err == nil || errors.Is(err, ErrTruncatedFrame) {
+		t.Fatalf("unknown op ahead of a payload: got %v, want the op named", err)
+	}
+	if _, err := ReadRequest(headerOnly(func(h []byte) { h[0] = byte(OpFlush) }), limit); err == nil || errors.Is(err, ErrTruncatedFrame) {
+		t.Fatalf("FLUSH ahead of a payload: got %v, want the data refused", err)
+	}
+	if _, err := ReadRequest(headerOnly(func(h []byte) { h[9] = 0xff }), limit); err == nil || errors.Is(err, ErrTruncatedFrame) {
+		t.Fatalf("overflowing offset ahead of a payload: got %v, want the offset named", err)
+	}
+	if _, err := ReadRequest(headerOnly(func(h []byte) { h[18] = 0xff }), limit); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("WRITE length over the limit inside a small frame: got %v, want ErrFrameTooLarge", err)
+	}
+	if _, err := ReadRequest(headerOnly(func(h []byte) { h[20] = 63 }), limit); !errors.Is(err, ErrTruncatedFrame) || !strings.Contains(err.Error(), "declares 63") {
+		t.Fatalf("WRITE length disagreeing with the frame: got %v, want the mismatch named", err)
+	}
+}
+
+// outcome reduces a decode result to what two decoders must agree on:
+// the request when accepted, the class of error when not.
+func outcome(r Request, err error) string {
+	switch {
+	case err == nil:
+		return fmt.Sprintf("%v id=%d off=%d len=%d data=%x", r.Op, r.ID, r.Off, r.Length, r.Data)
+	case errors.Is(err, ErrFrameTooLarge):
+		return "too large"
+	case errors.Is(err, ErrTruncatedFrame):
+		return "truncated"
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		return "eof"
+	default:
+		return "invalid"
+	}
+}
+
+// FuzzReadRequest holds the streaming reader a connection uses to the
+// in-memory decoder: arbitrary bytes, delivered whole and one byte at a
+// time, must yield what DecodeRequest yields on the same body — the
+// same request or the same class of error — and a refused header must
+// be refused before its payload is read, so no buffer is ever taken
+// that the declared, limit-checked length does not cover.
+func FuzzReadRequest(f *testing.F) {
+	f.Add(AppendRequest(nil, &Request{Op: OpRead, ID: 1, Off: 4096, Length: 512}))
+	write := AppendRequest(nil, &Request{Op: OpWrite, ID: 2, Off: 0, Length: 5, Data: []byte("hello")})
+	f.Add(write)
+	f.Add(write[:len(write)-2])                      // payload cut short
+	f.Add(append(bytes.Clone(write), write...))      // a second frame behind it
+	f.Add(append([]byte{0, 0, 0, 30}, write[4:]...)) // prefix longer than header + declared data
+	f.Add(AppendRequest(nil, &Request{Op: OpWrite, ID: 3, Length: 5000, Data: make([]byte, 64)}))
+	f.Add(AppendRequest(nil, &Request{Op: OpFlush, ID: 3, Data: []byte{9}}))
+	f.Add(AppendRequest(nil, &Request{Op: OpScrub, ID: 4, Off: 0, Length: 1 << 30}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
+	f.Add([]byte{0, 0, 0, 5, 1, 2, 3, 4, 5})
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		const limit = 4096
+		whole, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)), limit)
+		got := outcome(whole, err)
+		if err == nil {
+			payload := 0
+			if whole.Op == OpWrite {
+				payload = int(whole.Length)
+			}
+			if len(whole.Data) != payload || payload > limit {
+				t.Fatalf("reader took %d payload bytes for %v length %d, limit %d", len(whole.Data), whole.Op, whole.Length, limit)
+			}
+		}
+		bufpool.Put(whole.Data)
+		trickled, err := ReadRequest(bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame))), limit)
+		if o := outcome(trickled, err); o != got {
+			t.Fatalf("one byte at a time: %s; whole: %s", o, got)
+		}
+		bufpool.Put(trickled.Data)
+
+		if len(frame) < 4 {
+			if got != "eof" {
+				t.Fatalf("stream of %d bytes: %s, want eof", len(frame), got)
+			}
+			return
+		}
+		n := int(uint32(frame[0])<<24 | uint32(frame[1])<<16 | uint32(frame[2])<<8 | uint32(frame[3]))
+		if n > limit+reqHeaderLen+respHeaderLen {
+			if got != "too large" {
+				t.Fatalf("prefix declares %d bytes: %s, want too large", n, got)
+			}
+			return
+		}
+		if len(frame)-4 < n {
+			if err == nil {
+				t.Fatalf("reader accepted %d of a declared %d body bytes: %s", len(frame)-4, n, got)
+			}
+			return
+		}
+		want, err := DecodeRequest(frame[4:4+n], limit)
+		if o := outcome(want, err); o != got {
+			t.Fatalf("ReadRequest: %s; DecodeRequest on the same body: %s", got, o)
+		}
+		if err != nil {
+			// Refused from the header alone, payload unread.
+			end := min(len(frame), 4+reqHeaderLen)
+			_, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame[:end])), limit)
+			if o := outcome(Request{}, err); o != got {
+				t.Fatalf("header alone: %s; with its payload: %s", o, got)
+			}
+		}
+	})
 }
 
 // FuzzDecodeRequest feeds arbitrary frames through the reader and the

@@ -19,6 +19,10 @@ import (
 // calls, the capacity, and one stats method. *core.Store and
 // *tier.Store satisfy it; tests substitute gated fakes to force
 // timeouts and backpressure.
+//
+// ReadContext and WriteContext must not retain p, or any slice of it,
+// past their return: p is a pooled buffer the server hands to the next
+// frame as soon as the call comes back.
 type Backend interface {
 	ReadContext(ctx context.Context, p []byte, off int64) (int, error)
 	WriteContext(ctx context.Context, p []byte, off int64) (int, error)
@@ -91,12 +95,17 @@ func (o *Options) fill() {
 // ErrServerClosed is returned by Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("server: closed")
 
-// task is one unit of store work: a request plus every frame ID it
-// acknowledges (>1 when adjacent writes were coalesced).
+// task is one unit of store work: a request, which carries the first
+// frame ID it acknowledges, plus the IDs of the adjacent writes
+// coalesced onto it.
 type task struct {
-	c     *conn
-	req   Request
-	ids   []uint64
+	c      *conn
+	req    Request
+	merged []uint64
+	// frame is the pooled buffer a WRITE's payload was read into, kept
+	// apart from req.Data because coalescing may grow Data into a new
+	// array. execute returns it once the store call is back.
+	frame []byte
 	start time.Time
 }
 
@@ -211,7 +220,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	c := &conn{
 		srv:  s,
 		nc:   nc,
-		br:   bufio.NewReaderSize(nc, 64<<10),
+		br:   bufio.NewReaderSize(nc, readBufSize),
 		out:  make(chan Response, 64),
 		done: make(chan struct{}),
 	}
@@ -305,13 +314,17 @@ func (s *Server) execute(t *task) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.opts.RequestTimeout)
 	resp := s.apply(ctx, &t.req)
 	cancel()
+	bufpool.Put(t.frame) // Backend does not retain it
 	d := time.Since(t.start)
 	s.metrics.task(&t.req, resp.Status, queued, d)
-	for _, id := range t.ids {
-		r := resp
-		r.ID = id
-		s.metrics.response(r.Op, r.Status, d)
-		t.c.send(r)
+	ack := func(id uint64) {
+		resp.ID = id
+		s.metrics.response(resp.Op, resp.Status, d)
+		t.c.send(resp)
+	}
+	ack(t.req.ID)
+	for _, id := range t.merged {
+		ack(id)
 	}
 	s.metrics.Inflight.Add(-1)
 	<-s.tokens
@@ -471,7 +484,8 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 	return w.nc.Write(p)
 }
 
-// readLoop reads frames, applies backpressure, coalesces adjacent
+// readLoop reads frames (a WRITE's payload into a pooled buffer that
+// travels with the task), applies backpressure, coalesces adjacent
 // pipelined writes, and dispatches tasks to the worker pool. It returns
 // on connection error, protocol error, or drain (read deadline).
 func (c *conn) readLoop() {
@@ -492,9 +506,10 @@ func (c *conn) readLoop() {
 			s.metrics.BusyRejected.Add(1)
 			s.metrics.responses[StatusBusy].Add(1)
 			c.send(Response{Op: req.Op, Status: StatusBusy, ID: req.ID})
+			bufpool.Put(req.Data)
 			continue
 		}
-		t := &task{c: c, req: req, ids: []uint64{req.ID}, start: time.Now()}
+		t := &task{c: c, req: req, frame: req.Data, start: time.Now()}
 		if req.Op == OpWrite && s.opts.CoalesceLimit > 0 {
 			c.coalesce(t)
 		}
@@ -538,7 +553,7 @@ func (c *conn) coalesce(t *task) {
 		// Copy out of the bufio buffer before discarding it.
 		t.req.Data = append(t.req.Data, next.Data...)
 		t.req.Length = uint32(len(t.req.Data))
-		t.ids = append(t.ids, next.ID)
+		t.merged = append(t.merged, next.ID)
 		c.br.Discard(4 + n)
 		s.metrics.request(OpWrite, 1)
 		s.metrics.CoalescedWrites.Add(1)

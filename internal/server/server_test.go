@@ -343,6 +343,18 @@ type rawConn struct {
 	br *bufio.Reader
 }
 
+// readResponse reads one response frame into a fresh buffer: the two
+// steps a Client's read loop composes, without a caller's slice to
+// choose between them.
+func readResponse(br *bufio.Reader, maxPayload uint32) (Response, error) {
+	r, n, err := readResponseHeader(br, maxPayload)
+	if err != nil {
+		return Response{}, err
+	}
+	r.Data = make([]byte, n)
+	return r, readPayload(br, r.Data)
+}
+
 func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
@@ -359,6 +371,49 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	}
 	t.Cleanup(func() { nc.Close() })
 	return &rawConn{nc: nc, br: br}
+}
+
+// TestCoalesceKeepsPooledFrame drives coalesce by hand over a read
+// buffer holding two frames adjacent to a first WRITE whose payload is,
+// as on a live connection, a pooled buffer: the merged data may move to
+// a grown array, but the buffer the task hands back to the pool must
+// stay the one the payload was read into.
+func TestCoalesceKeepsPooledFrame(t *testing.T) {
+	const ioSize = 4 << 10
+	var wire []byte
+	want := make([]byte, 3*ioSize)
+	rand.New(rand.NewSource(5)).Read(want)
+	for i := 0; i < 3; i++ {
+		wire = AppendRequest(wire, &Request{
+			Op: OpWrite, ID: uint64(10 + i), Off: int64(i * ioSize),
+			Length: ioSize, Data: want[i*ioSize : (i+1)*ioSize],
+		})
+	}
+	c := &conn{
+		srv: &Server{opts: Options{MaxPayload: DefaultMaxPayload, CoalesceLimit: 256 << 10}, metrics: newMetrics()},
+		br:  bufio.NewReaderSize(bytes.NewReader(wire), readBufSize),
+	}
+	first, err := ReadRequest(c.br, DefaultMaxPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(first.Data) != ioSize {
+		t.Fatalf("first payload has capacity %d, want a %d-byte pooled buffer with no room to grow in", cap(first.Data), ioSize)
+	}
+	tk := &task{c: c, req: first, frame: first.Data}
+	c.coalesce(tk)
+	if len(tk.merged) != 2 || tk.merged[0] != 11 || tk.merged[1] != 12 {
+		t.Fatalf("merged IDs %v, want [11 12]", tk.merged)
+	}
+	if tk.req.ID != 10 || tk.req.Length != 3*ioSize || !bytes.Equal(tk.req.Data, want) {
+		t.Fatalf("coalesced request id=%d length=%d, data intact: %v", tk.req.ID, tk.req.Length, bytes.Equal(tk.req.Data, want))
+	}
+	if &tk.frame[0] != &first.Data[0] || cap(tk.frame) != ioSize {
+		t.Fatal("the buffer bound for the pool is no longer the one the first payload was read into")
+	}
+	if &tk.req.Data[0] == &tk.frame[0] {
+		t.Fatal("three payloads fit a one-payload buffer: the test no longer exercises growth")
+	}
 }
 
 func TestWriteCoalescing(t *testing.T) {
@@ -398,7 +453,7 @@ func TestWriteCoalescing(t *testing.T) {
 		// Every frame must be acknowledged individually, coalesced or not.
 		seen := map[uint64]bool{}
 		for i := 0; i < batch; i++ {
-			resp, err := ReadResponse(raw.br, DefaultMaxPayload)
+			resp, err := readResponse(raw.br, DefaultMaxPayload)
 			if err != nil {
 				t.Fatal(err)
 			}
