@@ -52,7 +52,7 @@ func absent(node int) (s stripe.Set) {
 // coversB means the span fully overwrites the absent unit, so its old
 // contents are not needed; otherwise the stripe is clean (writeSpan
 // guarantees it) and the unit is solved from parity.
-func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, bIdx int, coversB, wasDirty bool) error {
+func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, bIdx int, coversB bool) error {
 	st := sp.Stripe
 	pNode, bNode := v.geo.ParityDisk(st), v.geo.DataDisk(st, bIdx)
 

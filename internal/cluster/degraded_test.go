@@ -199,6 +199,37 @@ func TestTwoNodesDownExceedsParity(t *testing.T) {
 	}
 }
 
+// TestEveryAbsentUnitIsCounted: the health snapshot names every data unit
+// a stripe cannot serve, not only as many as parity could cover. Stripe 0
+// of a 4-node volume loses two data nodes, and its third data unit is stale
+// on a node that is up: an op on that unit alone must be refused, not
+// answered with the stale bytes because the set of absent units was full
+// before it got there.
+func TestEveryAbsentUnitIsCounted(t *testing.T) {
+	v, _ := testVolume(t, 4, 16*4096, quietOpts())
+	fillVolume(t, v, 3)
+	if err := v.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	last := v.geo.DataDisks() - 1
+	for idx := 0; idx < last; idx++ {
+		if err := v.FailNode(v.geo.DataDisk(0, idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v.meta.Lock()
+	v.nodes[v.geo.DataDisk(0, last)].stale.Mark(0)
+	v.meta.Unlock()
+	buf := make([]byte, v.geo.StripeUnit)
+	off := int64(last) * v.geo.StripeUnit
+	if _, err := v.ReadAt(buf, off); !errors.Is(err, ErrTooManyNodes) {
+		t.Fatalf("read of a stale unit beside two absent ones = %v, want ErrTooManyNodes", err)
+	}
+	if _, err := v.WriteAt(buf[:1], off); !errors.Is(err, ErrTooManyNodes) {
+		t.Fatalf("write into a stale unit beside two absent ones = %v, want ErrTooManyNodes", err)
+	}
+}
+
 // TestFullHeal rebuilds a blank replacement node: every unit the node
 // hosts is reconstructed, after which it serves reads alone.
 func TestFullHeal(t *testing.T) {

@@ -480,6 +480,17 @@ func (v *Volume) ReadAt(p []byte, off int64) (int, error) {
 // live on a down node from the survivors. Cancellation is checked
 // between stripe spans.
 func (v *Volume) ReadContext(ctx context.Context, p []byte, off int64) (int, error) {
+	return v.request(ctx, p, off, false)
+}
+
+// spanPool recycles the span slices request splits I/Os into, as core's
+// does: SplitAppend reuses the slice and each entry's Extents array.
+var spanPool = sync.Pool{New: func() any { return new([]layout.StripeSpan) }}
+
+// request serves one client read or write: split it into stripe spans and
+// run readSpan or writeSpan on each under its stripe lock, re-running a
+// span that a node demotion re-routed (retrySpan).
+func (v *Volume) request(ctx context.Context, p []byte, off int64, write bool) (int, error) {
 	if err := v.checkRange(off, int64(len(p))); err != nil {
 		return 0, err
 	}
@@ -488,23 +499,41 @@ func (v *Volume) ReadContext(ctx context.Context, p []byte, off int64) (int, err
 	}
 	v.eng.Touch()
 	t0 := time.Now()
-	for _, sp := range v.geo.Split(off, int64(len(p))) {
+	spp := spanPool.Get().(*[]layout.StripeSpan)
+	spans := v.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
+	defer func() { *spp = spans; spanPool.Put(spp) }()
+	for _, sp := range spans {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		lk := v.stripeLock(sp.Stripe)
 		lk.Lock()
-		err := v.retrySpan(ctx, func() error { return v.readSpan(ctx, p, off, sp) })
+		err := v.retrySpan(ctx, func() error {
+			if write {
+				return v.writeSpan(ctx, p, off, sp)
+			}
+			return v.readSpan(ctx, p, off, sp)
+		})
 		lk.Unlock()
 		if err != nil {
 			return 0, err
 		}
 	}
-	v.ob.readOp.Observe(time.Since(t0))
+	took := time.Since(t0)
 	v.meta.Lock()
-	v.stats.Reads++
-	v.stats.BytesRead += int64(len(p))
+	if write {
+		v.ob.writeOp.Observe(took)
+		v.stats.Writes++
+		v.stats.BytesWritten += int64(len(p))
+	} else {
+		v.ob.readOp.Observe(took)
+		v.stats.Reads++
+		v.stats.BytesRead += int64(len(p))
+	}
 	v.meta.Unlock()
+	if write {
+		v.eng.Kick()
+	}
 	return len(p), nil
 }
 
@@ -576,33 +605,7 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // contract that loss is confined to stripes unredundant at failure
 // time.
 func (v *Volume) WriteContext(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := v.checkRange(off, int64(len(p))); err != nil {
-		return 0, err
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	v.eng.Touch()
-	t0 := time.Now()
-	for _, sp := range v.geo.Split(off, int64(len(p))) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		lk := v.stripeLock(sp.Stripe)
-		lk.Lock()
-		err := v.retrySpan(ctx, func() error { return v.writeSpan(ctx, p, off, sp) })
-		lk.Unlock()
-		if err != nil {
-			return 0, err
-		}
-	}
-	v.ob.writeOp.Observe(time.Since(t0))
-	v.meta.Lock()
-	v.stats.Writes++
-	v.stats.BytesWritten += int64(len(p))
-	v.meta.Unlock()
-	v.eng.Kick()
-	return len(p), nil
+	return v.request(ctx, p, off, true)
 }
 
 // writeSpan applies one stripe's worth of a write under the stripe lock.
@@ -649,7 +652,7 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 		// node is down too: two failures exceed single parity.
 		return fmt.Errorf("%w: stripe %d needs parity node", ErrTooManyNodes, st)
 	}
-	return v.writeSpanDegraded(ctx, p, base, sp, bIdx, coversB, h.dirty)
+	return v.writeSpanDegraded(ctx, p, base, sp, bIdx, coversB)
 }
 
 // writeFullStripe writes a span that carries every data unit of a stripe

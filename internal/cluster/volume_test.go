@@ -8,12 +8,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"afraid/internal/core"
 	"afraid/internal/obs"
+	"afraid/internal/testutil"
 )
 
 // memNode is an in-process Node over a byte slice: the unit-test stand-
@@ -437,6 +439,56 @@ func TestStatMapCoversEveryCounter(t *testing.T) {
 	for _, key := range []string{"cluster.writes", "cluster.bytes_written", "cluster.write.full_stripe"} {
 		if m[key] <= 0 {
 			t.Errorf("StatMap %s = %d after a fill, want > 0", key, m[key])
+		}
+	}
+}
+
+// TestVolumeOpAllocBytes pins what a healthy unit-sized op allocates in the
+// volume itself: 64 KiB unit-aligned reads and writes — one stripe, one
+// extent, one node — through in-process nodes, hedging off, as the
+// cluster benchmark drives it. The span slice is pooled and a healthy
+// stripe's health snapshot lists nothing, so what is left is the per-node
+// deadline context (context.WithTimeout: the context, its timer and its
+// cancel closure): 272 B per op, where splitting into a fresh span slice
+// made it 368 B. The bound sits between the two.
+func TestVolumeOpAllocBytes(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	const unit, ops = 64 << 10, 200
+	opts := quietOpts()
+	opts.StripeUnit, opts.HedgeDelay = unit, -1
+	members := make([]Member, 4)
+	for i := range members {
+		members[i] = Member{Addr: "mem", Node: newMemNode(8 * unit)}
+	}
+	v, err := Open(members, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	buf := make([]byte, unit)
+	units := v.Capacity() / unit
+	for _, op := range []struct {
+		name string
+		do   func(p []byte, off int64) (int, error)
+	}{{"read", v.ReadAt}, {"write", v.WriteAt}} {
+		run := func(n int) {
+			for i := 0; i < n; i++ {
+				if _, err := op.do(buf, int64(i)%units*unit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run(2 * int(units)) // warm the pools; every stripe marked, so a write's mark is no NVRAM store
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run(ops)
+		runtime.ReadMemStats(&m1)
+		perOp := (m1.TotalAlloc - m0.TotalAlloc) / ops
+		t.Logf("64 KiB %s: %d B allocated per op", op.name, perOp)
+		if perOp > 320 {
+			t.Errorf("a healthy 64 KiB %s allocates %d B, want at most 320", op.name, perOp)
 		}
 	}
 }

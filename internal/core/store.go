@@ -455,10 +455,13 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 
 // request serves one client read or write: split it into stripe spans and
 // run span on each under its stripe lock, absorbing what can be absorbed.
-// A write passes resync, the step its retry takes after a unit repair, and
-// is premarked; a read passes none. The lock wait and the time under the
-// lock go to the stripe_lock_wait and dev histograms per span and, summed,
-// to the op's trace event.
+// A layout with no parity and no checksum slots has no per-stripe protocol
+// to run, so its spans are first folded into its members' contiguous runs
+// (foldRuns) and everything below is per run. A write passes resync, the
+// step its retry takes after a unit repair, and is premarked; a read passes
+// none. The lock wait and the time under the lock go to the
+// stripe_lock_wait and dev histograms per span and, summed, to the op's
+// trace event.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	span func(p []byte, base int64, sp layout.StripeSpan) error, resync func(stripe int64) error, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
@@ -475,6 +478,9 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	spp := spanPool.Get().(*[]layout.StripeSpan)
 	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
 	defer func() { *spp = spans; spanPool.Put(spp) }()
+	if s.allPar == 0 && !s.opts.Checksums {
+		spans = foldRuns(spans)
+	}
 	if write && len(spans) > 1 {
 		if err = s.premark(spans); err != nil {
 			return 0, err
@@ -551,6 +557,35 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 		s.eng.Kick()
 	}
 	return len(p), nil
+}
+
+// foldRuns folds, in place, every single-extent span into the one before it
+// when that is a single extent too and this one continues it on the same
+// member, on disk and in the caller's buffer: the pair becomes one span
+// whose extent runs past its stripe unit, filed under the first stripe. A
+// span is the unit of parity protocol — the stripe lock keeps a unit and
+// its parity (or its checksum slot) changing together — and request folds
+// only where the layout keeps neither, so there a run is one lock trip
+// (its first stripe's: every in-flight run still holds a lock of the pool,
+// which is what RepairDisk's swap barrier drains), one stripeState and one
+// device call instead of one per stripe. What is given up is mutual
+// exclusion between overlapping requests beyond the first stripe, which no
+// block device promises: the device call is the atom.
+func foldRuns(spans []layout.StripeSpan) []layout.StripeSpan {
+	w := 0
+	for i := 1; i < len(spans); i++ {
+		run, next := spans[w].Extents, spans[i].Extents
+		if len(run) == 1 && len(next) == 1 && next[0].Disk == run[0].Disk &&
+			next[0].DiskOff == run[0].DiskOff+run[0].Len && next[0].ArrOff == run[0].ArrOff+run[0].Len {
+			run[0].Len += next[0].Len
+			continue
+		}
+		// Swapped, not copied: the slice is pooled with each entry's Extents
+		// array, and no two entries may come to share one.
+		w++
+		spans[w], spans[i] = spans[i], spans[w]
+	}
+	return spans[:w+1]
 }
 
 // premark makes the marks of a write that spans several stripes durable
