@@ -54,8 +54,7 @@ func main() {
 	tierExtent := flag.String("tier-extent", "64K", "front-tier migration extent size (power of two)")
 	tierMaxDirty := flag.String("tier-max-dirty", "0", "front-tier dirty-bytes pressure valve (0 = half the front capacity)")
 	tierIdle := flag.Duration("tier-idle", 50*time.Millisecond, "idle threshold before cold extents demote to the back tier")
-	workers := flag.Int("workers", 0, "request worker pool size (0 = 2×GOMAXPROCS)")
-	inflight := flag.Int("inflight", 0, "max in-flight requests before ERR_BUSY (0 = default 256)")
+	inflight := flag.Int("inflight", 0, "max in-flight requests, one goroutine each, before ERR_BUSY (0 = default 256)")
 	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = default 30s)")
 	coalesce := flag.Int("coalesce", 0, "write coalescing byte limit (0 = default 256K, negative disables)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
@@ -132,7 +131,6 @@ func main() {
 	}
 
 	srv := server.New(backend, server.Options{
-		Workers:        *workers,
 		MaxInflight:    *inflight,
 		RequestTimeout: *timeout,
 		CoalesceLimit:  *coalesce,

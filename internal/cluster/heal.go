@@ -3,9 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"afraid/internal/layout"
+	"afraid/internal/nvram"
 	"afraid/internal/stripe"
 )
 
@@ -74,11 +77,23 @@ func (v *Volume) healNode(ctx context.Context, i int, full bool) (HealReport, er
 		stripes = m.stale.Marked()
 		v.meta.Unlock()
 	}
-	for _, st := range stripes {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		v.healStripe(ctx, i, st, full, &rep)
+	// The sweep runs Workers stripes at a time — a stripe is two node
+	// round trips, and the sweep is the volume's MTTR — so stripes finish
+	// out of order and Lost is sorted afterwards.
+	var mu sync.Mutex // guards rep while the sweep runs
+	err := nvram.ForEach(ctx, v.opts.Workers, 0, int64(len(stripes)), func(k int64) error {
+		var part HealReport
+		v.healStripe(ctx, i, stripes[k], full, &part)
+		mu.Lock()
+		rep.Healed += part.Healed
+		rep.Lost = append(rep.Lost, part.Lost...)
+		rep.Remaining += part.Remaining
+		mu.Unlock()
+		return nil
+	})
+	slices.Sort(rep.Lost)
+	if err != nil {
+		return rep, err
 	}
 	// Stripes left dirty (parity-role backlog, loss survivors) are the
 	// drain's problem now; its next poll finds them.
@@ -242,23 +257,23 @@ func (v *Volume) rebuildUnit(ctx context.Context, st int64, dIdx, node int) erro
 // list means redundancy the marking memory believes exists does not —
 // the cluster analogue of afraidsim's torn-parity detection.
 func (v *Volume) VerifyParity(ctx context.Context) (bad []int64, skipped int64, err error) {
-	for st := int64(0); st < v.geo.Stripes(); st++ {
-		if err := ctx.Err(); err != nil {
-			return bad, skipped, err
-		}
+	var mu sync.Mutex // guards bad and skipped while the sweep runs
+	err = nvram.ForEach(ctx, v.opts.Workers, 0, v.geo.Stripes(), func(st int64) error {
 		ok, checkErr := v.verifyStripe(ctx, st)
-		if checkErr != nil {
-			if ignoreNodeDown(checkErr) == nil {
-				skipped++
-				continue
-			}
-			return bad, skipped, checkErr
+		if ignoreNodeDown(checkErr) != nil {
+			return checkErr
 		}
-		if !ok {
+		mu.Lock()
+		defer mu.Unlock()
+		if checkErr != nil {
+			skipped++
+		} else if !ok {
 			bad = append(bad, st)
 		}
-	}
-	return bad, skipped, nil
+		return nil
+	})
+	slices.Sort(bad)
+	return bad, skipped, err
 }
 
 func (v *Volume) verifyStripe(ctx context.Context, st int64) (ok bool, err error) {

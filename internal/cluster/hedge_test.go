@@ -1,43 +1,31 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
-
-	"afraid/internal/testutil"
 )
 
-// latNode wraps a Node with jittered per-op latency — the statistical
-// stand-in for a loaded network path, where memNode's instant answers
-// would degenerate every percentile to zero.
+// latNode wraps a Node with a settable fixed per-op latency — the
+// stand-in for a slow network path, which honours the op's context as a
+// real one does.
 type latNode struct {
 	Node
-	mu   sync.Mutex
-	rng  *rand.Rand
-	base time.Duration
-	jit  time.Duration
+	mu  sync.Mutex
+	lat time.Duration
 }
 
-func newLatNode(inner Node, seed int64, base, jit time.Duration) *latNode {
-	return &latNode{Node: inner, rng: rand.New(rand.NewSource(seed)), base: base, jit: jit}
-}
-
-func (n *latNode) SetLatency(base, jit time.Duration) {
+func (n *latNode) SetLatency(d time.Duration) {
 	n.mu.Lock()
-	n.base, n.jit = base, jit
+	n.lat = d
 	n.mu.Unlock()
 }
 
 func (n *latNode) delay(ctx context.Context) error {
 	n.mu.Lock()
-	d := n.base
-	if n.jit > 0 {
-		d += time.Duration(n.rng.Int63n(int64(n.jit)))
-	}
+	d := n.lat
 	n.mu.Unlock()
 	if d <= 0 {
 		return nil
@@ -66,35 +54,26 @@ func (n *latNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int,
 	return n.Node.WriteAtContext(ctx, p, off)
 }
 
-// p99 returns the 99th percentile of the samples.
-func p99(samples []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := len(s) * 99 / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// TestHedgedReadBoundsBrownoutTail is the ISSUE 10 latency acceptance:
-// with one node browned out at 10x the healthy latency, hedged reads
-// must keep the volume's read p99 within 2x the healthy-cluster p99 —
-// and far below the brownout itself — without the node being demoted.
+// TestHedgedReadBoundsBrownoutTail is the ISSUE 10 latency acceptance,
+// counted rather than timed: with one node browned out at a fixed latency
+// far past the hedge delay, every read homed on it — and no other — is
+// hedged, the reconstruction path answers each of them with the right
+// bytes, and the node is not demoted. What a hedged read costs is then
+// the hedge delay plus a reconstruction, by construction; a p99 ratio
+// measured that against the machine's load.
 func TestHedgedReadBoundsBrownoutTail(t *testing.T) {
 	const (
-		unit        = 4096
-		healthyBase = 5 * time.Millisecond
-		healthyJit  = 5 * time.Millisecond // healthy node read: 5–10 ms
-		brownout    = 100 * time.Millisecond
-		hedgeDelay  = 6 * time.Millisecond
-		reads       = 120
+		unit       = 4096
+		stripes    = 16
+		slow       = 2
+		brownout   = 250 * time.Millisecond
+		hedgeDelay = 25 * time.Millisecond // healthy nodes answer at once
 	)
 	nNodes := 4
 	lats := make([]*latNode, nNodes)
 	members := make([]Member, nNodes)
 	for i := range members {
-		lats[i] = newLatNode(newMemNode(16*unit), int64(7000+i), healthyBase, healthyJit)
+		lats[i] = &latNode{Node: newMemNode(stripes * unit)}
 		n := lats[i]
 		members[i] = Member{Addr: "lat", Node: n, Dial: func() (Node, error) { return n, nil }}
 	}
@@ -105,52 +84,48 @@ func TestHedgedReadBoundsBrownoutTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	fillVolume(t, v, 99)
+	shadow := fillVolume(t, v, 99)
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(4242))
-	measure := func() []time.Duration {
+	// readAll reads the volume a unit at a time and returns how many of
+	// the units live on the slow node.
+	geo := v.Geometry()
+	readAll := func() (onSlow uint64) {
 		buf := make([]byte, unit)
-		samples := make([]time.Duration, 0, reads)
-		for i := 0; i < reads; i++ {
-			off := rng.Int63n(v.Capacity()/unit) * unit
-			t0 := time.Now()
-			if _, err := v.ReadAt(buf, off); err != nil {
-				t.Fatalf("read %d: %v", i, err)
+		for st := int64(0); st < stripes; st++ {
+			for idx := 0; idx < geo.DataDisks(); idx++ {
+				if geo.DataDisk(st, idx) == slow {
+					onSlow++
+				}
+				off := st*geo.StripeDataBytes() + int64(idx)*unit
+				if _, err := v.ReadAt(buf, off); err != nil {
+					t.Fatalf("read of stripe %d unit %d: %v", st, idx, err)
+				}
+				if !bytes.Equal(buf, shadow[off:off+unit]) {
+					t.Fatalf("read of stripe %d unit %d returned wrong bytes", st, idx)
+				}
 			}
-			samples = append(samples, time.Since(t0))
 		}
-		return samples
+		return onSlow
 	}
 
-	healthyP99 := p99(measure())
-	lats[2].SetLatency(brownout, 0) // 10x the healthy ceiling
-	hedgedP99 := p99(measure())
-
-	t.Logf("healthy p99 = %v, browned-out p99 with hedging = %v", healthyP99, hedgedP99)
-	// The race detector slows the reconstruction path (parallel reads +
-	// XOR) far more than a plain node read; widen the ratio there. The
-	// absolute bound below holds either way.
-	ratio := time.Duration(2)
-	if testutil.RaceEnabled {
-		ratio = 5
+	readAll()
+	if st := v.Stats(); st.HedgedReads != 0 {
+		t.Fatalf("%d hedges fired on a healthy cluster", st.HedgedReads)
 	}
-	if hedgedP99 > ratio*healthyP99 {
-		t.Errorf("hedged p99 %v exceeds %dx healthy p99 %v", hedgedP99, ratio, healthyP99)
-	}
-	if hedgedP99 > brownout/2 {
-		t.Errorf("hedged p99 %v not well below the %v brownout", hedgedP99, brownout)
-	}
+	lats[slow].SetLatency(brownout)
+	onSlow := readAll()
 	st := v.Stats()
-	if st.HedgedReads == 0 || st.HedgeWins == 0 {
-		t.Errorf("no hedge activity recorded: hedged=%d wins=%d", st.HedgedReads, st.HedgeWins)
+	if onSlow == 0 || st.HedgedReads != onSlow || st.HedgeWins != onSlow {
+		t.Errorf("%d reads homed on the browned-out node: hedged=%d, answered by reconstruction=%d; want all three equal",
+			onSlow, st.HedgedReads, st.HedgeWins)
 	}
 	// The browned-out node answered (slowly) every time: hedging hid the
 	// latency without spending a demotion on a live node.
-	if s := v.NodeStates(); s[2].State != StateUp {
-		t.Errorf("browned-out node state = %v, want up", s[2].State)
+	if s := v.NodeStates(); s[slow].State != StateUp {
+		t.Errorf("browned-out node state = %v, want up", s[slow].State)
 	}
 }
 

@@ -110,9 +110,8 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 	for _, f := range faults {
 		f.SetSlow(service)
 	}
-	// A unit whose I/O worker is not parked at the hand-off is moved inline,
-	// behind the caller's own, and any op can meet a processor stolen for a
-	// moment: the best of a few is what the nodes allow.
+	// Any op can meet a processor stolen for a moment: the best of a few is
+	// what the nodes allow.
 	best := func(name string, phases int, op func()) {
 		t.Helper()
 		bound := time.Duration(phases+1) * service
@@ -171,6 +170,51 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 	assertRedundant(t, v)
 }
 
+// A heal is two node round trips a stripe — load the survivors, store the
+// unit — and the sweep is the volume's MTTR, so it runs Workers stripes at
+// a time: on nodes that take 2 ms an operation, four workers finish a
+// 64-stripe heal in under half the time one does.
+func TestHealSweepRunsWorkersWide(t *testing.T) {
+	const service = 2 * time.Millisecond
+	const unit, stripes, victim = 4096, 64, 1
+	ctx := context.Background()
+	heal := func(workers int) time.Duration {
+		opts := quietOpts()
+		opts.HedgeDelay = -1
+		opts.Workers = workers
+		v, faults := testVolume(t, 4, stripes*unit, opts)
+		shadow := fillVolume(t, v, 13)
+		if err := v.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.FailNode(victim); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range faults {
+			f.SetSlow(service)
+		}
+		t0 := time.Now()
+		rep, err := v.HealNode(ctx, victim, true)
+		took := time.Since(t0)
+		for _, f := range faults {
+			f.SetSlow(0)
+		}
+		if err != nil || len(rep.Lost) > 0 || rep.Remaining > 0 {
+			t.Fatalf("HealNode with %d workers: %+v, %v", workers, rep, err)
+		}
+		got := make([]byte, len(shadow))
+		if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, shadow) {
+			t.Fatalf("volume differs from its shadow after a %d-worker heal (err %v)", workers, err)
+		}
+		assertRedundant(t, v)
+		return took
+	}
+	serial, wide := heal(1), heal(4)
+	if wide >= serial/2 {
+		t.Fatalf("64-stripe heal on %v nodes: %v with 4 workers, %v with 1; want under half", service, wide, serial)
+	}
+}
+
 // stripeOn returns the first stripe at or after from in which node holds a
 // data unit.
 func stripeOn(v *Volume, node int, from int64) int64 {
@@ -192,7 +236,7 @@ func TestHedgeLoserKeepsItsImage(t *testing.T) {
 	lats := make([]*latNode, 4)
 	members := make([]Member, len(lats))
 	for i := range members {
-		lats[i] = newLatNode(newMemNode(8*unit), int64(i), 0, 0)
+		lats[i] = &latNode{Node: newMemNode(8 * unit)}
 		members[i] = Member{Addr: "lat", Node: lats[i]}
 	}
 	opts := quietOpts()
@@ -213,9 +257,9 @@ func TestHedgeLoserKeepsItsImage(t *testing.T) {
 	for st := int64(0); st < 4; st++ {
 		home := geo.DataDisk(st, 0)
 		for i, n := range lats {
-			n.SetLatency(others, 0)
+			n.SetLatency(others)
 			if i == home {
-				n.SetLatency(primary, 0)
+				n.SetLatency(primary)
 			}
 		}
 		if _, err := v.ReadAt(got, st*sdb); err != nil {
@@ -226,7 +270,7 @@ func TestHedgeLoserKeepsItsImage(t *testing.T) {
 		}
 		// The loser is still out; these load whole stripes into images.
 		for _, n := range lats {
-			n.SetLatency(0, 0)
+			n.SetLatency(0)
 		}
 		if bad, skipped, err := v.VerifyParity(ctx); err != nil || len(bad) > 0 || skipped > 0 {
 			t.Fatalf("VerifyParity: bad=%v skipped=%d err=%v", bad, skipped, err)

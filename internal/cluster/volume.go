@@ -44,8 +44,9 @@ type Options struct {
 	// auto-healing them when they answer again. 0 disables (callers
 	// drive FailNode/HealNode themselves — tests and afraidctl do).
 	ProbeInterval time.Duration
-	// Workers bounds the stripes drained or healed concurrently by
-	// Flush, ParityPoint, and HealNode (default min(GOMAXPROCS, 4)).
+	// Workers bounds the stripes drained, healed or verified concurrently
+	// by Flush, ParityPoint, HealNode and VerifyParity (default
+	// min(GOMAXPROCS, 4)).
 	Workers int
 	// HedgeDelay controls hedged reads, the volume's tail-latency
 	// defence: a unit read that has not answered after the delay is
@@ -169,7 +170,7 @@ type Volume struct {
 	// to compose the stale maps in, so never make them holding meta.
 	eng *nvram.Engine
 
-	// arr holds the stripe images and the I/O workers that overlap their
+	// arr holds the stripe images and the fan-out that overlaps their
 	// units: every stripe operation that moves more than one unit loads,
 	// solves, encodes and stores through one (image, degraded.go).
 	arr *stripe.Array
@@ -253,7 +254,7 @@ func Open(members []Member, opts Options) (*Volume, error) {
 		ob:    newVolObs(len(members)),
 		stop:  make(chan struct{}),
 	}
-	v.arr = stripe.New(geo, opts.Workers, v.ob.parity.Observe)
+	v.arr = stripe.New(geo, v.ob.parity.Observe)
 	v.bgCtx, v.bgCancel = context.WithCancel(context.Background())
 	for _, m := range nodes {
 		m.stale = nvram.NewBitmap(geo.Stripes())
@@ -327,7 +328,6 @@ func (v *Volume) Close() error {
 	close(v.stop)
 	v.bgCancel()
 	v.wg.Wait()
-	v.arr.Close()
 	// Full-stripe writes clear their marks in memory only; a clean
 	// shutdown should not cost the next Open their rebuilds.
 	first := v.eng.Sync()

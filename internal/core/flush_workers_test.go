@@ -33,7 +33,7 @@ func TestScrubWorkersDefault(t *testing.T) {
 // TestFlushUnderConcurrentWrites hammers a multi-worker Flush with
 // live writers and a live scrubber: Flush must terminate, and after
 // the writers stop a final Flush must leave every stripe's parity
-// consistent. Run with -race: the claim set, the io-worker pool, and
+// consistent. Run with -race: the claim set, the unit fan-out, and
 // the pooled stripe arenas all cross goroutines here.
 func TestFlushUnderConcurrentWrites(t *testing.T) {
 	opts := Options{Mode: Afraid, StripeUnit: testUnit, ScrubIdle: 2 * time.Millisecond,

@@ -146,10 +146,8 @@ func TestFullStripeWriteOverlapsItsUnits(t *testing.T) {
 		}
 		buf := pattern(int(s.geo.StripeDataBytes()), 3)
 		for name, op := range map[string]func([]byte, int64) (int, error){"write": s.WriteAt, "read": s.ReadAt} {
-			// A unit whose I/O worker is not parked at the hand-off is moved
-			// inline, behind the caller's own: the first op can meet workers
-			// that have not run yet, any op a processor stolen for a moment.
-			// The best of a few is what the devices allow.
+			// Any op can meet a processor stolen for a moment: the best of a
+			// few is what the devices allow.
 			best := time.Hour
 			for try := 0; try < 4 && best >= 2*service; try++ {
 				t0 := time.Now()
@@ -165,7 +163,7 @@ func TestFullStripeWriteOverlapsItsUnits(t *testing.T) {
 	}
 }
 
-// Members that serve a unit faster than a hand-off to an I/O worker costs
+// Members that serve a unit faster than a hand-off to another goroutine costs
 // are not handed anything: the goroutine that has the stripe's units
 // moves them one after another. A store assumes disks until it has timed
 // a unit, and goes by the last one it timed.

@@ -155,7 +155,7 @@ type Store struct {
 	opts Options
 
 	// The stripe protocol's constants (stripe.go), fixed at Open.
-	arr      *stripe.Array   // stripe images and the I/O workers that overlap their units
+	arr      *stripe.Array   // stripe images and the fan-out that overlaps their units
 	allPar   stripe.Parities // every parity of the layout's code
 	deferred stripe.Parities // parities a mark declares stale, and deferring writes skip
 
@@ -242,10 +242,7 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		ob:      newStoreObs(),
 		policy:  make([]StripePolicy, geo.Stripes()),
 	}
-	// The array's I/O workers serve the per-disk unit I/Os fanned out by
-	// stripe rebuilds, reads, full-stripe writes and parity checks: enough
-	// for every drain worker to have a whole stripe's reads in flight.
-	s.arr = stripe.New(geo, s.scrubWorkers(), s.ob.parity.Observe)
+	s.arr = stripe.New(geo, s.ob.parity.Observe)
 	// A mark defers the code's last parity — the only one on RAID 5, Q on
 	// RAID 6 — or all of them with DeferBothParities.
 	s.allPar = s.arr.AllParities()
@@ -305,7 +302,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.meta.Unlock()
 	s.eng.Stop()
-	s.arr.Close()
 	// Full-stripe writes clear their marks in memory only; a clean
 	// shutdown should not cost the next Open their rebuilds.
 	first := s.eng.Sync()

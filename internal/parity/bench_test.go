@@ -83,3 +83,31 @@ func BenchmarkGFKernel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCheck measures parity verification over four 8 KiB data units
+// (SetBytes counts the data and parity bytes read): word is the scalar
+// loop Check used to be, check and checkPQ the chunked folds through the
+// dispatched kernels.
+func BenchmarkCheck(b *testing.B) {
+	const size = 8 << 10
+	blocks := make([][]byte, 4)
+	for i := range blocks {
+		blocks[i] = make([]byte, size)
+		fill(blocks[i], uint64(i+1))
+	}
+	p, q := make([]byte, size), make([]byte, size)
+	ComputePQ(p, q, blocks...)
+	run := func(name string, units int, check func() bool) {
+		b.Run(name+"/8K", func(b *testing.B) {
+			b.SetBytes(int64(units * size))
+			for i := 0; i < b.N; i++ {
+				if !check() {
+					b.Fatal("clean parity rejected")
+				}
+			}
+		})
+	}
+	run("word", 5, func() bool { return checkWord(p, blocks...) })
+	run("check", 5, func() bool { return Check(p, blocks...) })
+	run("checkPQ", 6, func() bool { return CheckPQ(p, q, blocks...) })
+}

@@ -173,9 +173,9 @@ func UpdateQ(q, oldData, newData []byte, idx int) {
 	mulUpdate(q, oldData, newData, gfPow(idx))
 }
 
-// CheckPQ reports whether p and q are consistent with blocks. The P
-// check folds in place (see Check); the Q accumulator comes from the
-// buffer pool, so steady-state verification allocates nothing.
+// CheckPQ reports whether p and q are consistent with blocks, a chunk at
+// a time like Check: both accumulators are folded by the fused P+Q
+// kernel, and a clean verify allocates nothing.
 func CheckPQ(p, q []byte, blocks ...[]byte) bool {
 	if len(blocks) == 0 {
 		panic("parity: CheckPQ with no blocks")
@@ -188,14 +188,19 @@ func CheckPQ(p, q []byte, blocks ...[]byte) bool {
 			panic("parity: CheckPQ parity/block length mismatch")
 		}
 	}
-	if !Check(p, blocks...) {
-		return false
+	scratch := bufpool.Get(2 * checkChunk)
+	defer bufpool.Put(scratch)
+	for lo := 0; lo < len(p); lo += checkChunk {
+		hi := min(lo+checkChunk, len(p))
+		tp, tq := scratch[:hi-lo], scratch[checkChunk:checkChunk+hi-lo]
+		copy(tp, blocks[0][lo:hi])
+		copy(tq, blocks[0][lo:hi])
+		for i := 1; i < len(blocks); i++ {
+			foldPQ(tp, tq, blocks[i][lo:hi], gfPow(i))
+		}
+		if !bytes.Equal(tp, p[lo:hi]) || !bytes.Equal(tq, q[lo:hi]) {
+			return false
+		}
 	}
-	tq := bufpool.Get(len(q))
-	defer bufpool.Put(tq)
-	copy(tq, blocks[0])
-	for i := 1; i < len(blocks); i++ {
-		mulInto(tq, blocks[i], gfPow(i))
-	}
-	return bytes.Equal(tq, q)
+	return true
 }

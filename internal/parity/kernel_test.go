@@ -2,6 +2,7 @@ package parity
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,33 @@ func xorNaive(dst []byte, srcs ...[]byte) {
 			dst[i] ^= s[i]
 		}
 	}
+}
+
+// checkWord is the word-at-a-time parity check Check used to be: the
+// reference the chunked, dispatched Check is checked (and benchmarked)
+// against.
+func checkWord(p []byte, blocks ...[]byte) bool {
+	n := len(p)
+	i := 0
+	for ; i+wordSize <= n; i += wordSize {
+		v := binary.LittleEndian.Uint64(p[i:])
+		for _, b := range blocks {
+			v ^= binary.LittleEndian.Uint64(b[i:])
+		}
+		if v != 0 {
+			return false
+		}
+	}
+	for ; i < n; i++ {
+		v := p[i]
+		for _, b := range blocks {
+			v ^= b[i]
+		}
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // fill writes a deterministic pseudo-random pattern.
@@ -279,4 +307,41 @@ func FuzzXORInto(f *testing.F) {
 			t.Fatalf("XORInto(len=%d, k=%d, off=%d) = %x, naive = %x", len(dst), len(srcs), int(off)%32, got, want)
 		}
 	})
+}
+
+// TestCheckMatchesWordLoop runs Check and CheckPQ against the word loop
+// over lengths either side of a chunk and fan-ins either side of the
+// four-source gather: clean parity passes, and one flipped bit anywhere —
+// first byte, chunk seams, the tail — in P, in Q or in a block fails.
+func TestCheckMatchesWordLoop(t *testing.T) {
+	for _, n := range []int{1, 7, 31, 32, 33, checkChunk - 1, checkChunk, checkChunk + 1, 3*checkChunk + 5, 8 << 10} {
+		for _, k := range []int{1, 2, 4, 5, 9} {
+			blocks := make([][]byte, k)
+			for i := range blocks {
+				blocks[i] = make([]byte, n)
+				fill(blocks[i], uint64(n+i))
+			}
+			p, q := make([]byte, n), make([]byte, n)
+			ComputePQ(p, q, blocks...)
+			if !checkWord(p, blocks...) || !Check(p, blocks...) || !CheckPQ(p, q, blocks...) {
+				t.Fatalf("n=%d k=%d: clean parity rejected", n, k)
+			}
+			for _, at := range []int{0, n / 2, checkChunk - 1, checkChunk, n - 1} {
+				if at >= n {
+					continue
+				}
+				for _, victim := range [][]byte{p, q, blocks[k-1]} {
+					victim[at] ^= 0x10
+					want := checkWord(p, blocks...)
+					if got := Check(p, blocks...); got != want {
+						t.Fatalf("n=%d k=%d flip at %d: Check = %v, word loop = %v", n, k, at, got, want)
+					}
+					if CheckPQ(p, q, blocks...) {
+						t.Fatalf("n=%d k=%d flip at %d: CheckPQ accepted it", n, k, at)
+					}
+					victim[at] ^= 0x10
+				}
+			}
+		}
+	}
 }

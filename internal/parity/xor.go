@@ -11,8 +11,11 @@
 package parity
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+
+	"afraid/internal/bufpool"
 )
 
 // wordSize is the lane width of the folding kernels.
@@ -66,24 +69,30 @@ func XORInto(dst []byte, srcs ...[]byte) {
 			panic(fmt.Sprintf("parity: XORInto length mismatch %d != %d", len(dst), len(s)))
 		}
 	}
+	foldRange(dst, srcs, 0, len(dst))
+}
+
+// foldRange folds bytes [lo,hi) of every source into dst, which is that
+// long.
+func foldRange(dst []byte, srcs [][]byte, lo, hi int) {
 	// Dispatch to arity-specialized folds: keeping each source in a
 	// local lets the compiler hold its base pointer in a register, so
 	// the inner loop is pure loads/xors/one store. Larger fan-ins fold
 	// four sources per pass — dst is touched ceil(k/4) times instead of
 	// k, which is still where the memory-traffic win lives.
 	for len(srcs) > 4 {
-		xorInto4Kernel(dst, srcs[0], srcs[1], srcs[2], srcs[3])
+		xorInto4Kernel(dst, srcs[0][lo:hi], srcs[1][lo:hi], srcs[2][lo:hi], srcs[3][lo:hi])
 		srcs = srcs[4:]
 	}
 	switch len(srcs) {
 	case 1:
-		xorKernel(dst, srcs[0])
+		xorKernel(dst, srcs[0][lo:hi])
 	case 2:
-		xorInto2Kernel(dst, srcs[0], srcs[1])
+		xorInto2Kernel(dst, srcs[0][lo:hi], srcs[1][lo:hi])
 	case 3:
-		xorInto3Kernel(dst, srcs[0], srcs[1], srcs[2])
+		xorInto3Kernel(dst, srcs[0][lo:hi], srcs[1][lo:hi], srcs[2][lo:hi])
 	case 4:
-		xorInto4Kernel(dst, srcs[0], srcs[1], srcs[2], srcs[3])
+		xorInto4Kernel(dst, srcs[0][lo:hi], srcs[1][lo:hi], srcs[2][lo:hi], srcs[3][lo:hi])
 	}
 }
 
@@ -223,9 +232,16 @@ func Update(p, oldData, newData []byte) {
 	xorInto2Kernel(p, oldData, newData)
 }
 
-// Check reports whether p equals the XOR of blocks. It folds word-wise
-// without a scratch buffer, so a clean verify allocates nothing and
-// stops at the first mismatching word.
+// checkChunk is the span Check and CheckPQ verify at a time: the blocks'
+// bytes are folded by the dispatched kernels into a scratch that long and
+// compared with the parity's, so the scratch stays in L1 and a mismatch
+// stops the check within the chunk it is in. The scratch is pooled: the
+// kernels are called through variables, which would move a stack array to
+// the heap.
+const checkChunk = 1 << 10
+
+// Check reports whether p equals the XOR of blocks, a chunk at a time. A
+// clean verify allocates nothing.
 func Check(p []byte, blocks ...[]byte) bool {
 	if len(blocks) == 0 {
 		panic("parity: Check with no blocks")
@@ -235,23 +251,14 @@ func Check(p []byte, blocks ...[]byte) bool {
 			panic("parity: Check parity/block length mismatch")
 		}
 	}
-	n := len(p)
-	i := 0
-	for ; i+wordSize <= n; i += wordSize {
-		v := binary.LittleEndian.Uint64(p[i:])
-		for _, b := range blocks {
-			v ^= binary.LittleEndian.Uint64(b[i:])
-		}
-		if v != 0 {
-			return false
-		}
-	}
-	for ; i < n; i++ {
-		v := p[i]
-		for _, b := range blocks {
-			v ^= b[i]
-		}
-		if v != 0 {
+	scratch := bufpool.Get(checkChunk)
+	defer bufpool.Put(scratch)
+	for lo := 0; lo < len(p); lo += checkChunk {
+		hi := min(lo+checkChunk, len(p))
+		acc := scratch[:hi-lo]
+		copy(acc, blocks[0][lo:hi])
+		foldRange(acc, blocks[1:], lo, hi)
+		if !bytes.Equal(acc, p[lo:hi]) {
 			return false
 		}
 	}

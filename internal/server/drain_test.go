@@ -72,7 +72,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the window recovers once requests complete.
 func TestBackpressureBusy(t *testing.T) {
 	const window = 4
-	srv, g, addr := startGated(t, Options{MaxInflight: window, Workers: window, CoalesceLimit: -1})
+	srv, g, addr := startGated(t, Options{MaxInflight: window, CoalesceLimit: -1})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestHardShutdownCancelsStoreWork(t *testing.T) {
 // one stalled client wedge the shared pool for everyone else.
 func TestStalledReaderDisconnected(t *testing.T) {
 	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
-		Options{Workers: 4, MaxInflight: 512, WriteTimeout: 200 * time.Millisecond})
+		Options{MaxInflight: 512, WriteTimeout: 200 * time.Millisecond})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -40,8 +40,8 @@ type Metrics struct {
 
 	reg       *obs.Registry
 	opLat     [OpScrub + 1]*obs.Histogram // end-to-end latency per op
-	queueWait *obs.Histogram              // dispatch -> worker pickup
-	service   *obs.Histogram              // worker pickup -> completion
+	queueWait *obs.Histogram              // dispatch -> handler running
+	service   *obs.Histogram              // handler running -> completion
 	trace     *obs.Ring
 }
 

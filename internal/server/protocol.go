@@ -1,10 +1,10 @@
 // Package server exposes an AFRAID store as a concurrent network block
 // service: a length-prefixed binary protocol over TCP with request IDs
-// for out-of-order completion, a bounded worker pool dispatching into
-// the store's stripe-lock pool, write coalescing, per-request
-// deadlines, backpressure, graceful drain, and a self-describing STAT
-// snapshot of every layer's counters. The matching Client speaks the
-// same protocol.
+// for out-of-order completion, one goroutine per admitted request
+// calling into the store's stripe-lock pool, write coalescing,
+// per-request deadlines, backpressure, graceful drain, and a
+// self-describing STAT snapshot of every layer's counters. The matching
+// Client speaks the same protocol.
 package server
 
 import (
@@ -153,8 +153,8 @@ type Response struct {
 	ID     uint64
 	Data   []byte // READ data, STAT payload, or an error message
 
-	// pooled marks Data as borrowed from bufpool: the connection writer
-	// returns it after the frame is serialized. Set only for OpRead
+	// pooled marks Data as borrowed from bufpool: the connection's
+	// flusher returns it after the frame is serialized. Set only for OpRead
 	// responses, which are never shared between frame IDs.
 	pooled bool
 

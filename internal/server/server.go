@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -39,13 +38,10 @@ type Backend interface {
 
 // Options configures a Server. The zero value picks sensible defaults.
 type Options struct {
-	// Workers bounds the goroutines applying requests to the store
-	// (default 2×GOMAXPROCS, min 4). The store's 64-way stripe lock
-	// pool is what they contend on.
-	Workers int
 	// MaxInflight bounds accepted-but-unfinished requests across all
-	// connections (default 256). Beyond it the server answers
-	// ERR_BUSY instead of buffering without bound.
+	// connections (default 256), and so the goroutines applying them
+	// to the store. Beyond it the server answers ERR_BUSY instead of
+	// buffering without bound.
 	MaxInflight int
 	// MaxPayload bounds one frame's data (default DefaultMaxPayload),
 	// the STAT snapshot's few KiB included.
@@ -55,9 +51,9 @@ type Options struct {
 	RequestTimeout time.Duration
 	// WriteTimeout bounds each socket write of response frames
 	// (default 30s). A client that pipelines requests but stops
-	// reading responses would otherwise block the connection's writer,
-	// fill its response queue, and wedge pool workers in send; on
-	// expiry the connection is closed instead.
+	// reading responses would otherwise block the connection's flusher,
+	// fill its reply queue, and park its handlers in reply, each on an
+	// in-flight token; on expiry the connection is closed instead.
 	WriteTimeout time.Duration
 	// CoalesceLimit caps the bytes merged from adjacent pipelined
 	// WRITEs into one store call (default 256 KiB; negative disables).
@@ -69,12 +65,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Workers <= 0 {
-		o.Workers = 2 * runtime.GOMAXPROCS(0)
-		if o.Workers < 4 {
-			o.Workers = 4
-		}
-	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
@@ -99,12 +89,11 @@ var ErrServerClosed = errors.New("server: closed")
 // frame ID it acknowledges, plus the IDs of the adjacent writes
 // coalesced onto it.
 type task struct {
-	c      *conn
 	req    Request
 	merged []uint64
 	// frame is the pooled buffer a WRITE's payload was read into, kept
 	// apart from req.Data because coalescing may grow Data into a new
-	// array. execute returns it once the store call is back.
+	// array. handle returns it once the store call is back.
 	frame []byte
 	start time.Time
 }
@@ -115,8 +104,7 @@ type Server struct {
 	opts    Options
 	metrics *Metrics
 
-	tasks  chan *task
-	tokens chan struct{} // in-flight semaphore; acquired before enqueue
+	tokens chan struct{} // in-flight semaphore; a handler holds one from frame to reply
 
 	baseCtx context.Context // cancelled on hard close
 	cancel  context.CancelFunc
@@ -126,12 +114,10 @@ type Server struct {
 	conns     map[*conn]struct{}
 	draining  bool
 
-	connWG    sync.WaitGroup
-	workerWG  sync.WaitGroup
-	closeOnce sync.Once
+	connWG sync.WaitGroup
 }
 
-// New builds a server over the store and starts its worker pool.
+// New builds a server over the store.
 func New(store Backend, opts Options) *Server {
 	opts.fill()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -139,16 +125,11 @@ func New(store Backend, opts Options) *Server {
 		store:     store,
 		opts:      opts,
 		metrics:   newMetrics(),
-		tasks:     make(chan *task, opts.MaxInflight),
 		tokens:    make(chan struct{}, opts.MaxInflight),
 		baseCtx:   ctx,
 		cancel:    cancel,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
 	}
 	return s
 }
@@ -217,13 +198,8 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	if s.draining {
 		return nil
 	}
-	c := &conn{
-		srv:  s,
-		nc:   nc,
-		br:   bufio.NewReaderSize(nc, readBufSize),
-		out:  make(chan Response, 64),
-		done: make(chan struct{}),
-	}
+	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
+	c.room.L = &c.wmu
 	s.conns[c] = struct{}{}
 	s.connWG.Add(1)
 	s.metrics.ConnsOpen.Add(1)
@@ -274,8 +250,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.connWG.Wait()
-		s.closeOnce.Do(func() { close(s.tasks) })
-		s.workerWG.Wait()
 		close(done)
 	}()
 	select {
@@ -301,34 +275,26 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// worker applies tasks to the store until the task channel closes.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for t := range s.tasks {
-		s.execute(t)
-	}
-}
-
-func (s *Server) execute(t *task) {
-	queued := time.Since(t.start) // dispatch -> worker pickup
+// handle is one request from frame to reply, on its own goroutine: the
+// store call, the response for every frame ID the task acknowledges,
+// then the in-flight token goes back.
+func (c *conn) handle(t *task) {
+	s := c.srv
+	queued := time.Since(t.start) // dispatch -> this goroutine running
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.opts.RequestTimeout)
 	resp := s.apply(ctx, &t.req)
 	cancel()
 	bufpool.Put(t.frame) // Backend does not retain it
 	d := time.Since(t.start)
 	s.metrics.task(&t.req, resp.Status, queued, d)
-	ack := func(id uint64) {
-		resp.ID = id
+	for range 1 + len(t.merged) {
 		s.metrics.response(resp.Op, resp.Status, d)
-		t.c.send(resp)
 	}
-	ack(t.req.ID)
-	for _, id := range t.merged {
-		ack(id)
-	}
+	resp.ID = t.req.ID
+	c.reply(resp, t.merged...)
 	s.metrics.Inflight.Add(-1)
 	<-s.tokens
-	t.c.pending.Done()
+	c.pending.Done()
 }
 
 // rangeOK reports whether [off, off+length) lies within capacity,
@@ -348,7 +314,7 @@ func (s *Server) apply(ctx context.Context, r *Request) Response {
 			return s.reject(resp, cap, r)
 		}
 		// Read payloads are the server's hottest allocation; borrow the
-		// buffer from the pool and let the connection writer return it
+		// buffer from the pool and let the connection's flusher return it
 		// once the response frame is on the wire.
 		buf := bufpool.Get(int(r.Length))
 		if _, err := s.store.ReadContext(ctx, buf, r.Off); err != nil {
@@ -408,25 +374,23 @@ func (s *Server) fail(resp Response, err error) Response {
 	return resp
 }
 
-// conn is one client connection: a reader (this goroutine) feeding the
-// shared worker pool and a writer goroutine streaming completions back,
-// so responses return in completion order, not issue order.
+// conn is one client connection: a reader (the serve goroutine) that
+// starts one handler goroutine per request, and a reply queue the
+// handlers write out themselves, so responses return in completion
+// order, not issue order.
 type conn struct {
 	srv     *Server
 	nc      net.Conn
 	br      *bufio.Reader
-	out     chan Response
-	done    chan struct{}  // closed when the writer exits
-	pending sync.WaitGroup // tasks dispatched and not yet answered
-}
+	pending sync.WaitGroup // handlers started and not yet returned
 
-// send delivers a response to the writer, dropping it if the writer is
-// gone (broken connection).
-func (c *conn) send(r Response) {
-	select {
-	case c.out <- r:
-	case <-c.done:
-	}
+	wmu      sync.Mutex // guards queue, flushing and broken
+	room     sync.Cond  // on wmu: the flusher took the queue, or the connection broke
+	queue    []Response // replies waiting for the flusher
+	flushing bool       // some goroutine in reply is writing to the socket
+	broken   bool       // a write failed; replies are dropped
+	taken    []Response // the flusher's alone: the queue it is writing out,
+	batch    batch      // and the socket write it is building from it
 }
 
 func (c *conn) serve() {
@@ -435,19 +399,13 @@ func (c *conn) serve() {
 	defer c.nc.Close()
 	if err := c.handshake(); err != nil {
 		c.srv.logf("server: %s handshake: %v", c.nc.RemoteAddr(), err)
-		close(c.done)
 		return
 	}
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		c.writeLoop()
-	}()
 	c.readLoop()
-	c.pending.Wait() // every dispatched task has queued its response
-	close(c.out)     // writer flushes the tail and exits
-	writerWG.Wait()
+	// A reply a handler left to another goroutine's flush is on the wire
+	// before that flusher returns, and the flusher is a handler too (or
+	// readLoop, answering BUSY).
+	c.pending.Wait()
 }
 
 // handshake validates the client magic and announces capacity and the
@@ -471,9 +429,8 @@ func (c *conn) handshake() error {
 }
 
 // deadlineWriter arms a fresh write deadline before every socket write
-// so a stalled client bounds the writer at WriteTimeout instead of
-// blocking it (and, through the full response queue, the shared worker
-// pool) forever.
+// so a stalled client bounds the write at WriteTimeout instead of
+// blocking it forever.
 type deadlineWriter struct {
 	nc      net.Conn
 	timeout time.Duration
@@ -486,8 +443,8 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 
 // readLoop reads frames (a WRITE's payload into a pooled buffer that
 // travels with the task), applies backpressure, coalesces adjacent
-// pipelined writes, and dispatches tasks to the worker pool. It returns
-// on connection error, protocol error, or drain (read deadline).
+// pipelined writes, and starts a handler per task. It returns on
+// connection error, protocol error, or drain (read deadline).
 func (c *conn) readLoop() {
 	s := c.srv
 	for {
@@ -505,17 +462,17 @@ func (c *conn) readLoop() {
 			// In-flight window full: reject instead of buffering.
 			s.metrics.BusyRejected.Add(1)
 			s.metrics.responses[StatusBusy].Add(1)
-			c.send(Response{Op: req.Op, Status: StatusBusy, ID: req.ID})
+			c.reply(Response{Op: req.Op, Status: StatusBusy, ID: req.ID})
 			bufpool.Put(req.Data)
 			continue
 		}
-		t := &task{c: c, req: req, frame: req.Data, start: time.Now()}
+		t := &task{req: req, frame: req.Data, start: time.Now()}
 		if req.Op == OpWrite && s.opts.CoalesceLimit > 0 {
 			c.coalesce(t)
 		}
 		c.pending.Add(1)
 		s.metrics.Inflight.Add(1)
-		s.tasks <- t
+		go c.handle(t)
 	}
 }
 
@@ -583,92 +540,128 @@ const maxResponseBatch = 256
 // One response larger than the cap still travels as a single batch.
 const maxBatchBytes = 64 << 10
 
-// writeLoop streams responses, gathering everything already queued into
-// one scatter-gather socket write (writev on TCP): frame headers and
-// small payloads are serialized into a reusable arena, while pooled READ
-// payloads are passed to net.Buffers as their own vector elements — the
-// hot read path never copies payload bytes into a frame buffer. Each
-// batch write carries a deadline: if the client stops reading, the write
-// times out and the connection is torn down rather than blocking workers
-// behind the full response queue.
-func (c *conn) writeLoop() {
-	defer close(c.done)
-	timeout := c.srv.opts.WriteTimeout
-	var (
-		arena      []byte
-		segs       []wireSeg
-		vecs       net.Buffers
-		pooled     [][]byte
-		batchBytes int
-	)
-	add := func(resp *Response) {
-		batchBytes += respHeaderLen + 4 + len(resp.Data)
-		if resp.pooled && len(resp.Data) > 0 {
-			start := len(arena)
-			arena = appendResponseHeader(arena, resp)
-			segs = append(segs, wireSeg{start: start, end: len(arena)}, wireSeg{data: resp.Data})
-			pooled = append(pooled, resp.Data)
-			return
-		}
-		start := len(arena)
-		arena = AppendResponse(arena, resp)
-		if resp.pooled {
-			bufpool.Put(resp.Data) // empty payload; serialized inline
-		}
-		if n := len(segs); n > 0 && segs[n-1].data == nil && segs[n-1].end == start {
-			segs[n-1].end = len(arena) // coalesce adjacent arena segments
-		} else {
-			segs = append(segs, wireSeg{start: start, end: len(arena)})
-		}
+// maxQueued bounds the replies waiting behind a flush in progress.
+// Past it a handler waits in reply, still holding its in-flight token,
+// so a client that pipelines requests and reads nothing runs the server
+// out of tokens for it (then ERR_BUSY, then TCP backpressure on the
+// reader) instead of out of memory.
+const maxQueued = 64
+
+// reply sends resp, and a copy of it under each merged frame ID, to the
+// client. The replies join the connection's queue; a caller that finds
+// no flush in progress becomes the flusher and writes the queue out —
+// its own replies, and whatever other handlers queue while each write
+// is in flight — until the queue is empty. A lone reply thus leaves
+// from the goroutine that produced it, and a burst still leaves as one
+// gathered write per round.
+func (c *conn) reply(resp Response, merged ...uint64) {
+	c.wmu.Lock()
+	c.enqueue(resp)
+	for _, id := range merged {
+		resp.ID = id
+		c.enqueue(resp)
 	}
-	// flush seals and writes the batch. net.Buffers.WriteTo consumes the
-	// vector and must see the connection itself (not a wrapper) to take
-	// the writev path, so the deadline is armed on the conn directly.
-	flush := func() bool {
-		vecs = vecs[:0]
-		for _, sg := range segs {
-			if sg.data != nil {
-				vecs = append(vecs, sg.data)
-			} else {
-				vecs = append(vecs, arena[sg.start:sg.end])
-			}
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(timeout))
-		_, err := vecs.WriteTo(c.nc)
-		for _, b := range pooled {
-			bufpool.Put(b) // on the wire (or the conn is dead); done with it
-		}
-		arena, segs, pooled, batchBytes = arena[:0], segs[:0], pooled[:0], 0
-		if err != nil {
+	if c.flushing {
+		c.wmu.Unlock()
+		return
+	}
+	c.flushing = true
+	for len(c.queue) > 0 && !c.broken {
+		c.queue, c.taken = c.taken[:0], c.queue
+		c.room.Broadcast()
+		c.wmu.Unlock()
+		ok := c.write(c.taken)
+		c.wmu.Lock()
+		if !ok {
+			c.broken, c.queue = true, nil
+			c.room.Broadcast()
 			c.nc.Close() // unblock the reader
-			return false
-		}
-		return true
-	}
-	for resp := range c.out {
-		for {
-			add(&resp)
-			if len(segs) >= maxResponseBatch || batchBytes >= maxBatchBytes {
-				if !flush() {
-					return
-				}
-			}
-			var ok bool
-			select {
-			case resp, ok = <-c.out:
-				if !ok {
-					flush()
-					return
-				}
-				continue
-			default:
-			}
-			if !flush() {
-				return
-			}
-			break
 		}
 	}
+	c.flushing = false
+	c.wmu.Unlock()
+}
+
+// enqueue appends one reply to the queue, waiting for room while a
+// flush is in progress. Called with wmu held.
+func (c *conn) enqueue(resp Response) {
+	for c.flushing && len(c.queue) >= maxQueued && !c.broken {
+		c.room.Wait()
+	}
+	if !c.broken {
+		c.queue = append(c.queue, resp)
+	}
+}
+
+// batch is one scatter-gather socket write (writev on TCP) in the
+// making: frame headers and small payloads are serialized into a
+// reusable arena, while pooled READ payloads become their own vector
+// elements — the hot read path never copies payload bytes into a frame
+// buffer.
+type batch struct {
+	arena  []byte
+	segs   []wireSeg
+	vecs   net.Buffers
+	pooled [][]byte
+	bytes  int
+}
+
+func (b *batch) add(resp *Response) {
+	b.bytes += respHeaderLen + 4 + len(resp.Data)
+	start := len(b.arena)
+	if resp.pooled && len(resp.Data) > 0 {
+		b.arena = appendResponseHeader(b.arena, resp)
+		b.segs = append(b.segs, wireSeg{start: start, end: len(b.arena)}, wireSeg{data: resp.Data})
+		b.pooled = append(b.pooled, resp.Data)
+		return
+	}
+	b.arena = AppendResponse(b.arena, resp)
+	if resp.pooled {
+		bufpool.Put(resp.Data) // empty payload; serialized inline
+	}
+	if n := len(b.segs); n > 0 && b.segs[n-1].data == nil && b.segs[n-1].end == start {
+		b.segs[n-1].end = len(b.arena) // coalesce adjacent arena segments
+	} else {
+		b.segs = append(b.segs, wireSeg{start: start, end: len(b.arena)})
+	}
+}
+
+// writeTo seals and writes the batch. net.Buffers.WriteTo consumes the
+// vector and must see the connection itself (not a wrapper) to take the
+// writev path, so the deadline is armed on the conn directly: if the
+// client stops reading, the write times out and the caller tears the
+// connection down rather than hold its handlers behind the full queue.
+func (b *batch) writeTo(nc net.Conn, timeout time.Duration) error {
+	b.vecs = b.vecs[:0]
+	for _, sg := range b.segs {
+		if sg.data != nil {
+			b.vecs = append(b.vecs, sg.data)
+		} else {
+			b.vecs = append(b.vecs, b.arena[sg.start:sg.end])
+		}
+	}
+	nc.SetWriteDeadline(time.Now().Add(timeout))
+	_, err := b.vecs.WriteTo(nc)
+	for _, p := range b.pooled {
+		bufpool.Put(p) // on the wire (or the conn is dead); done with it
+	}
+	b.arena, b.segs, b.pooled, b.bytes = b.arena[:0], b.segs[:0], b.pooled[:0], 0
+	return err
+}
+
+// write puts rs on the wire, as one batch unless they outgrow a batch's
+// bounds. Only the flusher calls it.
+func (c *conn) write(rs []Response) bool {
+	b := &c.batch
+	for i := range rs {
+		b.add(&rs[i])
+		if len(b.segs) >= maxResponseBatch || b.bytes >= maxBatchBytes || i == len(rs)-1 {
+			if err := b.writeTo(c.nc, c.srv.opts.WriteTimeout); err != nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // isClosing reports errors expected at teardown: closed sockets and the

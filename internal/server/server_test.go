@@ -118,7 +118,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 // TestOverflowingOffsetsRejected covers offsets near MaxInt64 (which
 // DecodeRequest admits): a naive off+length capacity check wraps
-// negative, passes, and panics in layout.Split inside a worker. Every
+// negative, passes, and panics in layout.Split inside a handler. Every
 // ranged op must answer ERR_BAD_REQUEST and the connection must stay
 // usable.
 func TestOverflowingOffsetsRejected(t *testing.T) {
@@ -145,7 +145,7 @@ func TestOverflowingOffsetsRejected(t *testing.T) {
 	if err := c.Scrub(ctx, 0, int64(^uint32(0))); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("SCRUB longer than capacity: got %v, want ErrBadRequest", err)
 	}
-	// The worker pool survived: a normal round trip still works.
+	// The server survived: a normal round trip still works.
 	data := []byte("still serving")
 	if _, err := c.WriteAt(data, 0); err != nil {
 		t.Fatalf("WriteAt after rejected requests: %v", err)
@@ -400,7 +400,7 @@ func TestCoalesceKeepsPooledFrame(t *testing.T) {
 	if cap(first.Data) != ioSize {
 		t.Fatalf("first payload has capacity %d, want a %d-byte pooled buffer with no room to grow in", cap(first.Data), ioSize)
 	}
-	tk := &task{c: c, req: first, frame: first.Data}
+	tk := &task{req: first, frame: first.Data}
 	c.coalesce(tk)
 	if len(tk.merged) != 2 || tk.merged[0] != 11 || tk.merged[1] != 12 {
 		t.Fatalf("merged IDs %v, want [11 12]", tk.merged)

@@ -94,54 +94,37 @@ func (f *Set) Remove(d int) {
 // Array is what the stripe images of one array share: its geometry and
 // erasure code (m = the level's parity units), the pool images are
 // recycled through — so steady-state scrubbing, parity points, synchronous
-// writes and degraded reads allocate nothing — and the I/O workers that
-// overlap the unit I/Os of a stripe.
+// writes and degraded reads allocate nothing — and the unit service time
+// that decides whether the unit I/Os of a stripe overlap.
 type Array struct {
 	geo     layout.Geometry
 	code    parity.Code
 	observe func(time.Duration) // receives the time of every parity computation
 
 	pool   sync.Pool    // *Image
-	ioCh   chan ioReq   // unbuffered hand-off to the I/O workers
 	unitNs atomic.Int64 // what the last timed unit I/O took: decides whether hand-offs pay
-	stop   chan struct{}
-	wg     sync.WaitGroup
 }
 
-// New returns an Array for the geometry with I/O workers enough for lanes
-// stripe operations to have a whole stripe's units in flight at once (32
-// at most). Every parity computation's duration goes to observe.
-func New(geo layout.Geometry, lanes int, observe func(time.Duration)) *Array {
+// New returns an Array for the geometry. Every parity computation's
+// duration goes to observe.
+func New(geo layout.Geometry, observe func(time.Duration)) *Array {
 	a := &Array{
 		geo:     geo,
 		code:    parity.Code(geo.Level.ParityUnits()),
 		observe: observe,
-		ioCh:    make(chan ioReq),
-		stop:    make(chan struct{}),
 	}
-	// The workers are used while the members serve units slowly enough
+	// Unit I/Os overlap while the members serve units slowly enough
 	// (overlapWorth); until it has timed one the array assumes so.
 	a.unitNs.Store(int64(overlapWorth))
-	for i := min(geo.Disks*lanes, 32); i > 0; i-- {
-		a.wg.Add(1)
-		go a.ioWorker()
-	}
 	return a
-}
-
-// Close stops the I/O workers and waits for them. Images still work
-// afterwards, moving their units one after another.
-func (a *Array) Close() {
-	close(a.stop)
-	a.wg.Wait()
 }
 
 // AllParities is the set of every parity of the array's code.
 func (a *Array) AllParities() Parities { return Parities(1)<<a.code - 1 }
 
 // ioReq is one unit read or write. The result lands in *errp; one handed
-// to an I/O worker signals completion through wg, whose happens-before
-// edge makes the result visible to the waiter.
+// to a goroutine of its own signals completion through wg, whose
+// happens-before edge makes the result visible to the waiter.
 type ioReq struct {
 	write  bool
 	m      Members
@@ -160,22 +143,14 @@ func (req *ioReq) do() {
 	}
 }
 
-// ioWorker serves fanned-out unit I/O until the array closes.
-func (a *Array) ioWorker() {
-	defer a.wg.Done()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case req := <-a.ioCh:
-			req.do()
-			req.wg.Done()
-		}
-	}
+// handedOff is a fanned-out unit I/O: the body of its goroutine.
+func (req ioReq) handedOff() {
+	req.do()
+	req.wg.Done()
 }
 
 // overlapWorth is the unit service time from which overlapping the unit
-// I/Os of a stripe pays. Handing one to a worker wakes a goroutine, a few
+// I/Os of a stripe pays. Handing one off starts a goroutine, a few
 // microseconds; a memory device (or a page-cache hit) moves a unit in
 // about one, and a stripe's units are then moved fastest one after
 // another by the goroutine that has them. A disk or a node takes a hundred
@@ -186,21 +161,15 @@ const overlapWorth = 10 * time.Microsecond
 // pay, going by the last unit I/O timed.
 func (a *Array) Overlaps() bool { return a.unitNs.Load() >= int64(overlapWorth) }
 
-// async hands a unit read or write to an idle I/O worker, or performs it
-// inline when none is free (including after Close) or when the members
-// have been serving units too fast for a hand-off to pay: the send is
-// non-blocking on an unbuffered channel, so a request is either picked up
-// immediately or executed by the caller — never parked. This keeps the
-// fan-out work-conserving and deadlock-free by construction.
+// async performs a unit read or write on a goroutine of its own, or
+// inline when the members have been serving units too fast for a hand-off
+// to pay. A stripe has at most one unit per member, so a fan-out is that
+// many goroutines for one member service time.
 func (a *Array) async(req *ioReq) {
 	if a.Overlaps() {
 		req.wg.Add(1)
-		select {
-		case a.ioCh <- *req:
-			return
-		default:
-			req.wg.Done()
-		}
+		go req.handedOff()
+		return
 	}
 	req.do()
 }
@@ -314,7 +283,7 @@ func (im *Image) window(want Parities, lo, hi int64) {
 
 // io reads or writes the bytes every view names, except the units on the
 // members in skip. The units live on distinct members, so the operations
-// are fanned out to the I/O workers and overlap — a whole stripe moves in
+// are fanned out to goroutines and overlap — a whole stripe moves in
 // about one member service time; one is kept back and done inline so the
 // calling goroutine contributes instead of blocking. Every one is
 // attempted even after one fails. Returns the first error in All order.
