@@ -178,22 +178,35 @@ func TestCloseWaitsForBystanders(t *testing.T) {
 	}
 }
 
-// The known hole, pinned so a weaker oracle cannot hide it: RAID 6,
-// seed 2446 — a unit torn by a power cut is checksum-repaired through
-// parity the same cut left inconsistent, on a healthy array. Expected
-// until ROADMAP item 1 (write-intent marks for the synchronous modes)
-// lands; then this test flips to asserting no violation.
-func TestKnownWriteHoleSeed2446(t *testing.T) {
-	rows, err := coreRows(options{modes: "raid6", checksums: true, flips: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, p := rows[0].schedule(2446)
-	res, err := fault.Run(2446, st, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) == 0 || !strings.Contains(res.Violations[0], "byte 9216 (stripe 6) diverged") {
-		t.Fatalf("violations = %v, want the known \"byte 9216 (stripe 6) diverged\"", res.Violations)
+// Each row is an episode the oracle used to excuse, and that violated the
+// contract once the excusal was lifted: the write hole, seen from every
+// side the core adapter hid it behind. A synchronous write now marks its
+// stripe while it is in flight and a mark found after a crash vouches for
+// no parity, so each must run clean with no excusal left.
+func TestFormerlyExcusedSeeds(t *testing.T) {
+	for _, row := range []struct {
+		mode             string
+		seed             int64
+		checksums, flips bool
+		excusal          string
+	}{
+		{"raid6", 2446, true, true, "none: pinned as the known write hole (a torn unit checksum-repaired through parity the cut left inconsistent)"},
+		{"raid5", 1, false, false, "the hole-bytes excusal: a hole stripe's bytes read degraded were not compared"},
+		{"raid6", 8, false, false, "the repair distrust: a unit repair rebuilt inside a hole stripe was indeterminate"},
+		{"raid6", 9, true, true, "the torn-unit distrust: a cut write on a degraded store was indeterminate to its unit boundaries"},
+		{"raid5", 2, true, true, "the any-loss excusal: with flips armed, any reported loss was legal (here a dead member plus a flip)"},
+	} {
+		rows, err := coreRows(options{modes: row.mode, checksums: row.checksums, flips: row.flips})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, p := rows[0].schedule(row.seed)
+		res, err := fault.Run(row.seed, st, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%s seed %d (was excused by %s): %s", row.mode, row.seed, row.excusal, v)
+		}
 	}
 }

@@ -12,7 +12,9 @@
 //
 // With -dir the member disks and the NVRAM marking memory live in
 // files, so a restart resumes the parity rebuild exactly where the
-// paper's crash recovery would.
+// paper's crash recovery would. Every mode with parity — raid5 and raid6
+// too — marks a stripe while a write to it is in flight, so each needs
+// -dir for crash consistency.
 package main
 
 import (
@@ -42,7 +44,7 @@ func main() {
 	metricsAddr := flag.String("metrics", "127.0.0.1:9324", "metrics HTTP listen address (empty disables)")
 	disks := flag.Int("disks", 5, "member disks")
 	size := flag.String("size", "256M", "per-disk size (K/M/G suffixes)")
-	dir := flag.String("dir", "", "directory for file-backed disks and NVRAM (empty = in-memory)")
+	dir := flag.String("dir", "", "directory for file-backed disks and NVRAM (empty = in-memory; every mode with parity, raid5 and raid6 included, needs it for crash consistency)")
 	prealloc := flag.Bool("prealloc", false, "preallocate file-backed disk images at startup (fallocate)")
 	mode := flag.String("mode", "afraid", "redundancy mode: afraid, raid5, raid0, raid6, afraid6")
 	stripe := flag.String("stripe", "8K", "stripe unit size")

@@ -292,14 +292,14 @@ func (s *Store) repairing(op func() error) error {
 // stripe to be repaired once, plus slack for a nested repair.
 func (s *Store) spanRetryBudget() int { return len(s.devs) + 2 }
 
-// preflightChecksums verifies the old contents under the partial
-// extents of a deferred-parity write before the stripe is marked.
-// Ordering matters: the AFRAID paths mark first, and a corruption
-// discovered after our own mark would read as "dirty stripe, stale
-// parity — unrecoverable" even though the stripe was clean and
-// repairable a microsecond earlier. Full-unit extents need nothing
-// (the overwrite installs a fresh slot), and modes that keep P fresh
-// while dirty (Afraid6 deferring only Q) repair fine post-mark.
+// preflightChecksums is the write rule's reads for a write that keeps no
+// parity in sync: it verifies the old contents under the partial extents
+// before the stripe is marked. Ordering matters: a corruption discovered
+// after the write's own mark would read as "dirty stripe, stale parity —
+// unrecoverable" even though the stripe was clean and repairable a
+// microsecond earlier. Full-unit extents need nothing (the overwrite
+// installs a fresh slot), and a write with a sync set reads — and so
+// verifies — what it folds before it marks (rmwSpan).
 func (s *Store) preflightChecksums(sp layout.StripeSpan) error {
 	if !s.preflights(sp) {
 		return nil
@@ -327,25 +327,6 @@ func (s *Store) preflights(sp layout.StripeSpan) bool {
 		}
 	}
 	return false
-}
-
-// resyncParity rebuilds a stripe's parity from its at-rest data units.
-// The write-span retry loop calls it after a mismatch repair: the
-// interrupted attempt's delta read-modify-write may have applied its
-// parity delta on some parity disks but not others before the corrupt
-// unit surfaced, and repairUnit recomputes only the corrupt
-// element — leaving the untouched parity holding a delta for data that
-// never landed, under a perfectly valid checksum. Rebuilding from data
-// restores the invariant the retried delta update relies on: at-rest
-// parity encodes at-rest data. Dirty stripes are skipped (their parity
-// is stale by design and the scrubber rebuilds it), as are stripes that
-// keep no parity, and degraded arrays (their write paths store full
-// stripe images, which retry idempotently). Caller holds the stripe lock.
-func (s *Store) resyncParity(stripe int64) error {
-	if st := s.stripeState(stripe); st.failed.Len() > 0 || st.dirty || st.fresh == 0 {
-		return nil
-	}
-	return s.rebuildParity(stripe)
 }
 
 // QuarantinedStripes returns the stripes held dirty by unrecoverable

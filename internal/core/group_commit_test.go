@@ -87,6 +87,33 @@ func TestGroupCommitBatchesPersists(t *testing.T) {
 	}
 }
 
+// A synchronous write marks its stripe only while it is in flight: a
+// single-stripe read-modify-write on Raid5 or Raid6 costs one NVRAM store
+// — its mark, which also carries the previous write's in-memory clear —
+// and leaves no mark behind, with parity consistent.
+func TestSyncWriteCostsOneStore(t *testing.T) {
+	for _, mode := range []Mode{Raid5, Raid6} {
+		open := openTest
+		if mode == Raid6 {
+			open = openTest6
+		}
+		s, _ := open(t, Options{Mode: mode, DisableScrubber: true})
+		for i := int64(0); i < 8; i++ {
+			before := s.Stats().NVRAMPersists
+			if _, err := s.WriteAt(pattern(100, byte(i)), i*s.geo.StripeDataBytes()+(i%3)*testUnit+7); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.Stats().NVRAMPersists - before; n != 1 {
+				t.Fatalf("%v: a single-stripe write cost %d NVRAM stores, want 1", mode, n)
+			}
+			if n := s.DirtyStripes(); n != 0 {
+				t.Fatalf("%v: %d stripes left marked by completed synchronous writes", mode, n)
+			}
+		}
+		assertParityClean(t, s)
+	}
+}
+
 // TestGroupCommitDurableBeforeReturn pins the mark-before-write
 // invariant under group commit: by the time WriteAt returns, the
 // stripe's mark is in NVRAM (not merely queued). A sequential caller

@@ -104,6 +104,44 @@ func TestAfraid6DirtyStripeSurvivesSingleFailure(t *testing.T) {
 	}
 }
 
+// A mark found at Open vouches for no parity: after a crash the Q-stale
+// stripe's P may be torn by the write the crash interrupted, so a single
+// failure there is reported loss, not a reconstruction through P — until
+// the drain re-encodes the stripe. A clean Close hands the mark down as
+// the deferral it was, P and all.
+func TestAfraid6MarkFoundAfterCrashTrustsNoParity(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		devs, nv := newDevs(6), &MemNVRAM{}
+		opts := Options{Mode: Afraid6, StripeUnit: testUnit, DisableScrubber: true}
+		s, err := Open(devs, nv, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := pattern(testUnit, 7)
+		if _, err := s.WriteAt(data, 0); err != nil { // dirty: Q stale, P fresh
+			t.Fatal(err)
+		}
+		if clean {
+			s.Close()
+		} // else the store is abandoned where it stands: a crash
+		if s, err = Open(devs, nv, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FailDisk(s.Geometry().DataDisk(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, testUnit)
+		_, err = s.ReadAt(got, 0)
+		switch {
+		case !clean && !errors.Is(err, ErrDataLoss):
+			t.Fatalf("after a crash, a failure on the marked stripe read back %v, want loss", err)
+		case clean && (err != nil || !bytes.Equal(got, data)):
+			t.Fatalf("after a clean close, the marked stripe did not reconstruct through P: %v", err)
+		}
+		s.Close()
+	}
+}
+
 func TestAfraid6DeferBothDirtyStripeLosesOnSingleFailure(t *testing.T) {
 	s, _ := openTest6(t, Options{Mode: Afraid6, DeferBothParities: true, DisableScrubber: true})
 	defer s.Close()

@@ -175,15 +175,6 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	return report, err
 }
 
-// clearMark unconditionally unmarks a stripe (on parity-bearing
-// layouts) and lifts its quarantine. RepairDisk commits the marking
-// memory once, after the sweep.
-func (s *Store) clearMark(stripe int64) {
-	if s.allPar != 0 {
-		s.eng.Clear(stripe)
-	}
-}
-
 // bumpRecovered counts an exactly-reconstructed stripe.
 func (s *Store) bumpRecovered() {
 	s.meta.Lock()
@@ -266,7 +257,7 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 		written++
 	}
 	if written == len(im.Par) {
-		s.clearMark(stripe)
+		s.eng.Clear(stripe) // RepairDisk commits the marks once, after the sweep
 	}
 	return nil
 }

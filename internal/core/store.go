@@ -22,7 +22,8 @@ const (
 	// NVRAM, and lets the scrubber rebuild parity in idle periods.
 	Afraid Mode = iota
 	// Raid5 keeps parity synchronously consistent (read-modify-write
-	// in the write path).
+	// in the write path), marking each stripe in NVRAM only while a
+	// write to it is in flight.
 	Raid5
 	// Raid0 never maintains parity.
 	Raid0
@@ -194,7 +195,11 @@ var spanPool = sync.Pool{New: func() any { return new([]layout.StripeSpan) }}
 
 // Open assembles a store over the devices, recovering the marking
 // memory from nv. A corrupt or mismatched NVRAM image triggers the
-// paper's recovery procedure: every stripe is marked for rebuild.
+// paper's recovery procedure: every stripe is marked for rebuild. Every
+// mode that keeps parity marks a stripe before writing it, Raid5 and
+// Raid6 included, so each needs a durable nv for crash consistency: a
+// mark found here vouches for no parity of its stripe until the scrubber
+// (or Flush) has re-encoded them all. A nil nv keeps marks in memory only.
 func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	opts.fill()
 	if len(devs) < 2 && opts.Mode != Raid0 {
@@ -284,7 +289,7 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if !opts.DisableScrubber && (opts.Mode == Afraid || opts.Mode == Afraid6) {
+	if !opts.DisableScrubber && s.allPar != 0 {
 		s.eng.Start()
 	}
 	return s, nil
@@ -302,9 +307,10 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.meta.Unlock()
 	s.eng.Stop()
-	// Full-stripe writes clear their marks in memory only; a clean
-	// shutdown should not cost the next Open their rebuilds.
-	first := s.eng.Sync()
+	// Writes clear their marks in memory only; a clean shutdown should not
+	// cost the next Open their rebuilds, nor leave the marks that stand
+	// reading as writes a crash tore.
+	first := s.eng.Close()
 	for _, d := range s.devs {
 		if err := d.Close(); err != nil && first == nil {
 			first = err
@@ -433,7 +439,7 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 // Already-read spans are not undone; a cancelled read returns 0 and the
 // context's error.
 func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, error) {
-	return s.request(ctx, "READ", p, off, s.readSpan, nil, s.ob.devRead)
+	return s.request(ctx, "READ", p, off, s.readSpan, false, s.ob.devRead)
 }
 
 // WriteAt implements io.WriterAt over the client address space.
@@ -446,27 +452,24 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 // no transactions); the caller learns how far the write got only by
 // re-reading, exactly as after a crash.
 func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, error) {
-	return s.request(ctx, "WRITE", p, off, s.writeSpan, s.resyncParity, s.ob.devWrite)
+	return s.request(ctx, "WRITE", p, off, s.writeSpan, true, s.ob.devWrite)
 }
 
 // request serves one client read or write: split it into stripe spans and
 // run span on each under its stripe lock, absorbing what can be absorbed.
 // A layout with no parity and no checksum slots has no per-stripe protocol
 // to run, so its spans are first folded into its members' contiguous runs
-// (foldRuns) and everything below is per run. A write passes resync, the
-// step its retry takes after a unit repair, and is premarked; a read passes
-// none. The lock wait and the time under the lock go to the
-// stripe_lock_wait and dev histograms per span and, summed, to the op's
-// trace event.
+// (foldRuns) and everything below is per run. A write is premarked. The
+// lock wait and the time under the lock go to the stripe_lock_wait and dev
+// histograms per span and, summed, to the op's trace event.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
-	span func(p []byte, base int64, sp layout.StripeSpan) error, resync func(stripe int64) error, devHist *obs.Histogram) (n int, err error) {
+	span func(p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
 		return 0, err
 	}
 	if len(p) == 0 {
 		return 0, nil
 	}
-	write := resync != nil
 	s.eng.Touch()
 	start := time.Now()
 	var lockWait, dev time.Duration
@@ -499,7 +502,12 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			// tries bound guards against a span that keeps tripping on an
 			// already-absorbed member. A checksum mismatch is absorbed the
 			// same way: repair the one corrupt unit from redundancy, then
-			// retry the span.
+			// retry the span. A write's reads all precede its first device
+			// write, so a mismatch met by them left nothing half-written; one
+			// met while writing (a partial unit's verify) left every other
+			// unit written and the mark standing, and the repair solves the
+			// skipped unit through the sync parities, which already encode
+			// the new data.
 			if err == nil || tries >= s.spanRetryBudget() {
 				break
 			}
@@ -509,25 +517,6 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			var retry bool
 			if retry, err = s.absorbMismatch(err); !retry {
 				break
-			}
-			if !write {
-				continue
-			}
-			// The failed attempt may have applied its parity delta
-			// partially before the corrupt unit surfaced; rebuild parity
-			// from at-rest data so the retried read-modify-write starts
-			// from a consistent stripe. Corruption met during the
-			// rebuild joins the absorb loop like any other span error.
-			if err = resync(sp.Stripe); err != nil {
-				if s.absorbFailure(err) {
-					continue
-				}
-				if retry, err = s.absorbMismatch(err); !retry {
-					break
-				}
-				if err = resync(sp.Stripe); err != nil {
-					break
-				}
 			}
 		}
 		lk.Unlock()
@@ -588,13 +577,18 @@ func foldRuns(spans []layout.StripeSpan) []layout.StripeSpan {
 // in one NVRAM store instead of one per stripe. It is a batching of
 // stores only: each span still marks its stripe under the stripe lock
 // (writeSpan), which costs nothing while the mark stands and restores it
-// if a drain made the stripe redundant in between. It marks ahead what
-// writeSpan would mark without reading anything first: the stripes whose
-// policy defers, bar the spans that verify old contents before they mark
-// (preflights), and nothing with a member failed, when no write defers.
+// if a drain made the stripe redundant in between. It marks ahead the
+// spans whose mark does not depend on when it is set: full stripes (their
+// write clears it whoever set it) and partial spans whose policy defers a
+// parity (their mark stands after them) — bar those that verify old
+// contents before they mark (preflights). A partial span that keeps every
+// parity in sync clears only a mark it set itself, so it marks itself;
+// and with a member failed the spans store whole images behind their own.
 func (s *Store) premark(spans []layout.StripeSpan) error {
 	ahead := func(sp layout.StripeSpan) bool { // caller holds meta
-		return s.failed.Len() == 0 && s.effectivePolicy(sp.Stripe) == PolicyDefault && !s.preflights(sp)
+		pol := s.effectivePolicy(sp.Stripe)
+		return s.failed.Len() == 0 && pol != PolicyNeverRedundant &&
+			(sp.FullStripe(s.geo) || (s.syncParities(pol) != s.allPar && !s.preflights(sp)))
 	}
 	for i := 0; i < len(spans); i++ {
 		s.meta.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"afraid/internal/layout"
 	"afraid/internal/stripe"
@@ -24,6 +25,13 @@ import (
 //   - the sync set — which parities a write updates in its
 //     read-modify-write, the rest being deferred behind a mark
 //     (syncParities).
+//
+// And one write rule, for every policy that keeps parity: a write makes
+// the stripe's mark durable after its reads and before its first device
+// write, and once its last device write has left every parity it keeps
+// encoding the data, clears — in memory — the mark it set itself. So a
+// write the array crashes in always leaves its stripe marked, and a mark
+// found at Open vouches for no parity at all.
 
 // members is the store as a stripe.Image moves units through it: devRead
 // and devWrite, so checksum verification, DiskErrors and through them
@@ -55,25 +63,34 @@ func (s *Store) stripeState(stripe int64) stripeState {
 	s.meta.Lock()
 	st := stripeState{failed: s.failed, pol: s.effectivePolicy(stripe)}
 	s.meta.Unlock()
-	st.dirty = s.eng.IsMarked(stripe)
-	st.fresh = s.freshParities(st.pol, st.dirty)
+	var inherited bool
+	st.dirty, inherited = s.eng.State(stripe)
+	st.fresh = s.freshParities(st.pol, st.dirty, inherited)
 	return st
 }
 
 // freshParities reports which of a stripe's parities encode its at-rest
-// data: none on a never-redundant stripe, all on a clean one, and on a
-// marked one those the mark does not declare stale — nothing for AFRAID
-// and for AFRAID6 deferring both, P for AFRAID6 deferring only Q (a mark
-// left on a synchronous store by NVRAM recovery reads the same way).
-func (s *Store) freshParities(pol StripePolicy, dirty bool) stripe.Parities {
+// data: all on a clean stripe; on one marked since Open, those its writes
+// keep in sync — every parity under a synchronous policy, whose mark only
+// covers writes in flight, P for AFRAID6 deferring only Q, nothing for
+// AFRAID; and none on a never-redundant stripe or under a mark found at
+// Open, which may stand for a write the crash tore.
+func (s *Store) freshParities(pol StripePolicy, dirty, inherited bool) stripe.Parities {
 	switch {
-	case pol == PolicyNeverRedundant:
+	case pol == PolicyNeverRedundant || inherited:
 		return 0
 	case dirty:
-		return s.allPar &^ s.deferred
+		return s.syncParities(pol)
 	default:
 		return s.allPar
 	}
+}
+
+// FreshParities counts the parities that encode the stripe's at-rest data
+// now: how many failed units of it the store can still solve around. A
+// crash harness compares it with the units it knows to have failed.
+func (s *Store) FreshParities(stripe int64) int {
+	return bits.OnesCount(uint(s.stripeState(stripe).fresh))
 }
 
 // syncParities reports which parities a write to the stripe keeps
@@ -111,70 +128,51 @@ func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	return err
 }
 
-// writeSpan applies one stripe's worth of a write under the stripe
-// lock. A span that carries the stripe's whole data image is a
-// full-stripe write in every organisation that keeps parity. Otherwise
-// healthy stripes take the read-modify-write over the policy's sync set;
-// when that leaves parities deferred the stripe is marked first, and
-// with an empty sync set (AFRAID, RAID 0) the write is the bare data
-// write.
+// writeSpan applies one stripe's worth of a write under the stripe lock,
+// by the write rule (top of file). A never-redundant stripe keeps no
+// parity and no mark: its extents are bare writes, and a dead disk's are
+// lost. Otherwise a degraded stripe stores its whole image around the
+// failed disks, a span that carries every data unit whole is a full-stripe
+// write, and the rest read-modify-write the policy's sync set (rmwSpan).
 func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	st := s.stripeState(sp.Stripe)
-	if st.failed.Len() > 0 && st.pol != PolicyNeverRedundant {
+	switch {
+	case st.pol == PolicyNeverRedundant:
+		for _, e := range sp.Extents {
+			if st.failed.Has(e.Disk) {
+				return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
+			}
+			if err := s.devWrite(e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff); err != nil {
+				return err
+			}
+		}
+		return nil
+	case st.failed.Len() > 0:
 		// Degraded operation: with a disk already gone, deferring parity
 		// would turn the next failure into certain loss, so the array
 		// maintains every surviving parity synchronously (and through
 		// them the contents of the dead units).
 		return s.writeSpanDegraded(p, base, sp, st)
+	case sp.FullStripe(s.geo):
+		return s.writeFullStripe(p, base, sp)
 	}
-	if st.failed.Len() == 0 && st.pol != PolicyNeverRedundant && sp.FullStripe(s.geo) {
-		return s.writeFullStripe(p, base, sp, st)
-	}
-	sync := s.syncParities(st.pol)
-	if st.pol == PolicyDefault {
-		// When no parity stays fresh across the mark, verify the old
-		// contents under partial extents *before* marking: a corruption
-		// found after our own mark would be misread as dirty-stripe loss
-		// (see preflightChecksums).
-		if err := s.preflightChecksums(sp); err != nil {
-			return err
-		}
-		// The mark is durable before the data moves. A fresh write may also
-		// overwrite the corrupt unit that put the stripe in quarantine, so
-		// marking lifts that and lets the scrubber try again.
-		if err := s.eng.Mark(sp.Stripe); err != nil {
-			return err
-		}
-	}
-	for _, e := range sp.Extents {
-		if st.failed.Has(e.Disk) {
-			// Unprotected stripe: a dead disk makes writes to its units
-			// unrecoverable, matching RAID 0 semantics.
-			return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
-		}
-		if err := s.rmwExtent(sp.Stripe, e, p[e.ArrOff-base:e.ArrOff-base+e.Len], sync); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.rmwSpan(p, base, sp, st)
 }
 
 // writeFullStripe writes a span that carries every data unit of a
 // healthy stripe whole. Its parities are a function of the bytes in hand,
 // so there is no small-update penalty to defer: they are encoded straight
 // from the caller's buffer, and the data and parity units go to their
-// disks together (Image.WriteFull). Nothing is read, so no old contents
-// are verified first. A deferring policy still makes the mark durable before the first
-// byte moves — interrupted, the write leaves the stripe marked, as any
-// other would — and the stripe ends redundant whatever it was before: the
-// mark is cleared in memory when the last unit has landed, and the NVRAM
-// image catches up at its next store (a mark left there by a crash costs
-// one spurious rebuild). Caller holds the stripe lock.
-func (s *Store) writeFullStripe(p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
-	if st.pol == PolicyDefault {
-		if err := s.eng.Mark(sp.Stripe); err != nil {
-			return err
-		}
+// disks together (Image.WriteFull). Nothing is read, so the mark comes
+// first — interrupted, the write leaves the stripe marked, as any other
+// would — and the stripe ends redundant whatever it was before: the mark,
+// this write's or an older one, is cleared in memory when the last unit
+// has landed, and the NVRAM image catches up at its next store (a mark
+// left there by a crash costs one spurious rebuild). Caller holds the
+// stripe lock.
+func (s *Store) writeFullStripe(p []byte, base int64, sp layout.StripeSpan) error {
+	if err := s.eng.Mark(sp.Stripe); err != nil {
+		return err
 	}
 	im := s.image(sp.Stripe)
 	defer im.Release()
@@ -182,47 +180,55 @@ func (s *Store) writeFullStripe(p []byte, base int64, sp layout.StripeSpan, st s
 		return err
 	}
 	s.ob.fullStripe.Inc()
-	if st.pol == PolicyDefault || st.dirty {
-		s.eng.Clear(sp.Stripe)
-	}
+	s.eng.Clear(sp.Stripe)
 	return nil
 }
 
-// rmwExtent writes one extent and delta-updates the parities in sync:
-// read the old data and old parity ranges — on different disks, so
-// overlapped — fold old^new into each parity, write the parities and then
-// the data; scratch is a pooled image, so steady-state synchronous writes
-// allocate nothing. With sync empty there is nothing to read or fold and
-// no image is taken.
-func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync stripe.Parities) error {
+// rmwSpan writes a partial span of a healthy stripe. Its reads come first:
+// with a sync set, the old bytes of its extents and the sync parities'
+// over their range, the delta folded in memory (Image.Update); with none
+// (AFRAID), only the old contents under partial extents, verified where no
+// parity stays fresh across the mark (preflightChecksums) — a corruption
+// found after the write's own mark would read as loss. Then the mark,
+// which also lifts a quarantine (the write may replace the corrupt unit),
+// then the writes, every one attempted even after one fails: a member that
+// fail-stops takes only its own unit, and the survivors encode the new
+// data for the degraded retry. A mark that defers parities stands for the
+// scrubber; one a fully synchronous write set on a clean stripe is cleared
+// when the write has landed. A failed write leaves its mark standing, so
+// the scrubber re-encodes the stripe from what landed. Caller holds the
+// stripe lock.
+func (s *Store) rmwSpan(p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
+	sync := s.syncParities(st.pol)
 	if sync == 0 {
-		return s.devWrite(e.Disk, src, e.DiskOff)
-	}
-	im := s.image(stripe)
-	defer im.Release()
-	lo, hi := e.UnitOff, e.UnitOff+e.Len
-	if err := im.LoadUnit(e.DataIdx, sync, lo, hi); err != nil {
-		return err
-	}
-	im.Fold(e.DataIdx, sync, lo, src)
-	// Every write is attempted even after one fails. A member that
-	// fail-stops here takes only its own unit with it: the survivors end
-	// up encoding the new data, so the degraded retry — or a retry of that
-	// retry, should a second member go before it has rewritten the stripe
-	// — reconstructs through consistent parities, not through a P that is
-	// one delta ahead of the data.
-	var first error
-	for j, par := range im.Par {
-		if sync.Has(j) {
-			if err := s.devWrite(im.Member(len(im.Data)+j), par[lo:hi], e.DiskOff); err != nil && first == nil {
-				first = err
+		if err := s.preflightChecksums(sp); err != nil {
+			return err
+		}
+		if err := s.eng.Mark(sp.Stripe); err != nil {
+			return err
+		}
+		for _, e := range sp.Extents {
+			if err := s.devWrite(e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	if err := s.devWrite(e.Disk, src, e.DiskOff); err != nil && first == nil {
-		first = err
+	im := s.image(sp.Stripe)
+	defer im.Release()
+	if err := im.Update(p, base, sp, sync); err != nil {
+		return err
 	}
-	return first
+	if err := s.eng.Mark(sp.Stripe); err != nil {
+		return err
+	}
+	if err := im.Store(stripe.Set{}); err != nil {
+		return err
+	}
+	if sync == s.allPar && !st.dirty {
+		s.eng.Clear(sp.Stripe)
+	}
+	return nil
 }
 
 // writeSpanDegraded rewrites the whole stripe image around the failed
@@ -244,7 +250,7 @@ func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st
 		copy(im.Data[e.DataIdx][e.UnitOff:], p[e.ArrOff-base:e.ArrOff-base+e.Len])
 	}
 	for tries := 0; ; tries++ {
-		err := s.storeStripeImage(im, st.failed, st.dirty)
+		err := s.storeStripeImage(im, st.failed)
 		if err == nil || tries >= s.spanRetryBudget() || !s.absorbFailure(err) {
 			return err
 		}
@@ -261,24 +267,25 @@ func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st
 
 // storeStripeImage writes back a full stripe image — the data units and
 // the parities recomputed over them — to every surviving disk, so the
-// parities keep encoding the dead units. A dead disk's unit (data or
-// parity) is instead mirrored onto an in-progress replacement once the
-// repair sweep has passed this stripe, so the replacement does not hold
-// stale data when RepairDisk swaps it in. The stripe ends fully
-// redundant, and is unmarked, only if every parity disk is alive; a
-// dead one gets its copy at repair time.
-func (s *Store) storeStripeImage(im *stripe.Image, failed stripe.Set, wasDirty bool) error {
+// parities keep encoding the dead units, behind the stripe's mark (the
+// image's reads are done). A dead disk's unit (data or parity) is instead
+// mirrored onto an in-progress replacement once the repair sweep has
+// passed this stripe, so the replacement does not hold stale data when
+// RepairDisk swaps it in. Every survivor then encodes the image, so the
+// mark is cleared whoever set it — and, unlike a healthy write's, durably:
+// a mark found at Open on a degraded array costs the dead members' units,
+// not a rebuild.
+func (s *Store) storeStripeImage(im *stripe.Image, failed stripe.Set) error {
+	if err := s.eng.Mark(im.Stripe); err != nil {
+		return err
+	}
 	off := s.geo.DiskOffset(im.Stripe)
 	im.Encode()
-	parWritten := 0
 	for k, u := range im.All {
 		d := im.Member(k)
 		if !failed.Has(d) {
 			if err := s.devWrite(d, u, off); err != nil {
 				return err
-			}
-			if k >= len(im.Data) {
-				parWritten++
 			}
 		} else if rd := s.repairTarget(im.Stripe, d); rd != nil {
 			if err := s.writeUnitTo(rd, im.Stripe, u); err != nil {
@@ -286,11 +293,8 @@ func (s *Store) storeStripeImage(im *stripe.Image, failed stripe.Set, wasDirty b
 			}
 		}
 	}
-	if wasDirty && parWritten == len(im.Par) {
-		s.eng.Clear(im.Stripe)
-		return s.eng.Commit()
-	}
-	return nil
+	s.eng.Clear(im.Stripe)
+	return s.eng.Commit()
 }
 
 // writeUnitTo writes one whole stripe unit, and its checksum slot, to a
@@ -374,9 +378,7 @@ func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) 
 				}
 			}
 		}
-		if st.dirty {
-			s.clearMark(stripe)
-		}
+		s.eng.Clear(stripe)
 	}
 	s.bumpRecovered()
 	return nil

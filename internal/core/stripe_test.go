@@ -28,7 +28,7 @@ func subsets(n, k int) [][]int {
 // the failed data units are covered exactly when there are at least as
 // many fresh parities on live disks.
 func uncovered(s *Store, stripe int64, failed []int, dirty bool) []int {
-	fresh := s.freshParities(s.effectivePolicy(stripe), dirty)
+	fresh := s.freshParities(s.effectivePolicy(stripe), dirty, false)
 	var lost []int
 	avail := 0
 	parityDisk := []func(int64) int{s.geo.ParityDisk, s.geo.QDisk}

@@ -88,8 +88,6 @@ func maxDead(m core.Mode) int {
 	}
 }
 
-func deferred(m core.Mode) bool { return m == core.Afraid || m == core.Afraid6 }
-
 // Core is the Stack over a core.Store on fault-wrapped members sharing
 // one power line. A tier assembles its back store through it (Assemble,
 // Reopen) and a composed stack arms faults inside a node with its steps.
@@ -143,18 +141,21 @@ func (c *Core) Assemble(seed int64) error {
 	for i := range c.Backings {
 		c.Backings[i] = core.NewMemDevice(c.cfg.StripesPerDisk * c.cfg.StripeUnit)
 	}
-	if deferred(c.cfg.Mode) {
-		c.nv = &core.MemNVRAM{}
-	}
+	c.nv = &core.MemNVRAM{}
 	return c.open(seed, nil)
 }
 
 // open wraps the media in fresh injectors on the line and opens the
-// store over them: the first assembly and every reboot.
+// store over them: the first assembly and every reboot. What the last
+// injectors knew the faults did to the media stays with the media.
 func (c *Core) open(seed int64, dead []int) error {
+	old := c.devs
 	c.devs = Wrap(c.Backings, seed)
-	for _, d := range c.devs {
+	for i, d := range c.devs {
 		d.OnLine(c.Line)
+		if old != nil {
+			d.damaged = old[i].damaged
+		}
 	}
 	// A member the last incarnation had declared dead missed its degraded
 	// writes; its contents are stale and must not resurrect.
@@ -180,10 +181,20 @@ func (c *Core) open(seed int64, dead []int) error {
 // Re-wrapping discards any rule still armed.
 func (c *Core) Reopen(seed int64) error {
 	dead := c.st.DeadDisks()
-	c.st.Close() // the injectors skip closing their backings while the line is cut
+	// Closing abandons the store; it is no shutdown. The injectors skip
+	// closing their backings while the line is cut, and the image Close
+	// stores never lands: nothing runs on a machine without power.
+	img, err := c.nv.Load()
+	c.st.Close()
+	if err == nil {
+		err = c.nv.Store(img)
+	}
+	if err != nil {
+		return fmt.Errorf("fault: marking memory across the cut: %w", err)
+	}
 	c.Line.Restore()
 	c.victims, c.events = nil, coreEvents{}
-	if c.cfg.DropNVRAM && c.nv != nil {
+	if c.cfg.DropNVRAM {
 		c.nv = NewLostNVRAM()
 	}
 	if err := c.open(seed, dead); err != nil {
@@ -312,47 +323,48 @@ func (c *Core) RepairDisks(e *Episode) error {
 			losses[k] = Loss{Off: lost.Offset, Len: lost.Length, Zeroed: true}
 		}
 		e.Lost(fmt.Sprintf("repair of disk %d", i), losses)
-		// Exception (distrust, ROADMAP item 1 deletes it): a hole stripe
-		// the repair treated as clean was reconstructed through
-		// possibly-inconsistent parity, so the rebuilt data unit (and only
-		// it) is untrustworthy. Survivor units were read directly and stay
-		// fully checked.
-		for _, stp := range e.UnreportedHoles() {
-			if role, dataIdx := c.geo.RoleOf(stp, i); role == layout.Data {
-				e.Distrust(stp*c.geo.StripeDataBytes()+int64(dataIdx)*c.cfg.StripeUnit, c.cfg.StripeUnit)
-			}
-		}
 	}
 	return nil
 }
 
 func (c *Core) degraded() bool { return len(c.st.DeadDisks()) > 0 }
 
-// AnyLossLegal is the csumArmed exception (ROADMAP item 1 deletes it):
-// with flips armed, any *reported* loss is legal — two flips can land in
-// one synchronous-RAID5 stripe, a genuine double failure — but silent
-// divergence never is: every successful read is still compared
-// byte-exact.
-func (c *Core) AnyLossLegal() bool { return c.cfg.FlipBits > 0 || c.cfg.ReadRot > 0 }
-
-// HoleBytesUnchecked is the excuseHoleBytes exception (ROADMAP item 1
-// deletes it): while a member is down, a hole stripe's bytes may pass
-// through degraded reconstruction over inconsistent parity, so they are
-// not compared.
-func (c *Core) HoleBytesUnchecked() bool { return c.degraded() }
-
-// TornBeyond is the other half of the distrust exception (ROADMAP item 1
-// deletes it): a degraded store writes whole units, and one the cut tore
-// under its checksum is rebuilt at recovery, all of it, through parity
-// the same cut left inconsistent — the units a cut write touched are
-// indeterminate to their boundaries.
-func (c *Core) TornBeyond(off, n int64) (int64, int64) {
-	if !c.cfg.Checksums || !c.degraded() {
-		return off, 0
+// Exposed lists the stripes whose failed units outnumber their fresh
+// parities (the store's own count): units on dead members, and units — or
+// their checksum slots — that an injected fault damaged (Device.Damaged).
+func (c *Core) Exposed() []int64 {
+	dead := c.st.DeadDisks()
+	var out []int64
+	for s := int64(0); s < c.geo.Stripes(); s++ {
+		failed := len(dead)
+		for i, d := range c.devs {
+			if !slices.Contains(dead, i) && (d.Damaged(c.geo.DiskOffset(s), c.geo.StripeUnit) ||
+				d.Damaged(c.geo.ChecksumOff(s), layout.ChecksumSlotSize)) {
+				failed++
+			}
+		}
+		if failed > c.st.FreshParities(s) {
+			out = append(out, s)
+		}
 	}
-	u := c.geo.StripeUnit
-	lo := off / u * u
-	return lo, (off+n+u-1)/u*u - lo
+	return out
+}
+
+// Failures counts members absorbed or repaired, bit flips fired, and
+// corrupt units the store found. A detection is a failure point too: an
+// AFRAID write marks a stripe without reading its other units, which
+// exposes a flip that landed while the stripe was redundant.
+func (c *Core) Failures() int {
+	return len(c.st.DeadDisks()) + c.repaired + int(c.flips()+c.st.Stats().ChecksumDetected)
+}
+
+// flips counts the bit flips fired on this incarnation's members.
+func (c *Core) flips() uint64 {
+	n := c.events.FlipBits
+	for _, d := range c.devs {
+		n += d.Stats().FlipBits
+	}
+	return n
 }
 
 func (c *Core) Close()                                   { c.st.Close() }
@@ -361,8 +373,6 @@ func (c *Core) WriteAt(p []byte, off int64) (int, error) { return c.st.WriteAt(p
 func (c *Core) Capacity() int64                          { return c.st.Capacity() }
 func (c *Core) Grains() []Grain                          { return []Grain{{c.geo.StripeDataBytes(), 3}} }
 func (c *Core) LossGrain() int64                         { return c.geo.StripeDataBytes() }
-func (c *Core) Exposed() []int64                         { return c.st.DirtyList() }
-func (c *Core) Failures() int                            { return len(c.st.DeadDisks()) + c.repaired }
 func (c *Core) PowerLost() bool                          { return c.Line.IsCut() }
 
 // Flush and Audit apply to a whole array: with a member down — or one a
@@ -394,9 +404,7 @@ func (c *Core) Audit() ([]int64, error) {
 func (c *Core) StatMap() map[string]int64 {
 	m := c.st.StatMap()
 	ev := c.events
-	for _, d := range c.devs {
-		ev.FlipBits += d.Stats().FlipBits
-	}
+	ev.FlipBits = c.flips()
 	obs.Flatten(m, "fault.", nil, ev)
 	return m
 }

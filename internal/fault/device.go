@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,6 +184,23 @@ type Device struct {
 	ops       uint64
 	csumStart int64 // device offset where the checksum trailer begins; -1 = none
 	stats     Stats
+	damaged   []int64 // bytes a flip or a cut write changed that no write has landed on since
+}
+
+// cover drops the damage a write that landed on [off, end) replaced.
+// Caller holds mu.
+func (d *Device) cover(off, end int64) {
+	d.damaged = slices.DeleteFunc(d.damaged, func(o int64) bool { return off <= o && o < end })
+}
+
+// Damaged reports whether an injected fault — a flipped bit, a write the
+// power cut tore or a checksum slot it kept from landing — changed a byte
+// of [off, off+n) that no write has landed on since: the unit holding it
+// has failed, detected or not.
+func (d *Device) Damaged(off, n int64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.ContainsFunc(d.damaged, func(o int64) bool { return off <= o && o < off+n })
 }
 
 // New wraps backing with a fault layer seeded with seed.
@@ -376,6 +394,7 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 				// durable corruption every later read sees too.
 				d.stats.FlipBits++
 				bit := d.rng.Intn(len(p) * 8)
+				d.damaged = append(d.damaged, off+int64(bit/8))
 				d.mu.Unlock()
 				n, err := d.backing.ReadAt(p, off)
 				if err != nil {
@@ -402,6 +421,10 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 			d.stats.PowerRejects++
 			if prefix > 0 {
 				d.backing.WriteAt(p[:prefix], off)
+			}
+			// A slot that missed its write no longer matches the unit that got one.
+			if prefix > 0 || d.csumStart >= 0 && off >= d.csumStart {
+				d.damaged = append(d.damaged, off)
 			}
 			d.mu.Unlock()
 			return 0, ErrPowerCut
@@ -433,6 +456,7 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 			}
 			if n > 0 {
 				d.backing.WriteAt(p[:n], off)
+				d.damaged = append(d.damaged, off)
 			}
 			d.mu.Unlock()
 			return 0, ErrTorn
@@ -440,14 +464,17 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 			d.stats.FlipBits++
 			cp := make([]byte, len(p))
 			copy(cp, p)
+			d.cover(off, off+int64(len(p)))
 			if len(cp) > 0 {
 				bit := d.rng.Intn(len(cp) * 8)
 				cp[bit/8] ^= 1 << (bit % 8)
+				d.damaged = append(d.damaged, off+int64(bit/8))
 			}
 			d.mu.Unlock()
 			return d.backing.WriteAt(cp, off)
 		}
 	}
+	d.cover(off, off+int64(len(p)))
 	d.mu.Unlock()
 	return d.backing.WriteAt(p, off)
 }

@@ -59,10 +59,14 @@ func TestEpisodeTransientMidWorkload(t *testing.T) {
 	}
 }
 
+// Every parity mode keeps a marking memory, so every one recovers from
+// losing it the paper's way.
 func TestEpisodeDropNVRAM(t *testing.T) {
-	res := runOne(t, 6, Config{Mode: core.Afraid, PowerCut: true, DropNVRAM: true})
-	if res.Stats["core.nvram_recovered"] == 0 {
-		t.Error("dropping the marking memory should force the full-array rebuild path")
+	for _, m := range []core.Mode{core.Afraid, core.Raid5, core.Raid6, core.Afraid6} {
+		res := runOne(t, 6, Config{Mode: m, PowerCut: true, DropNVRAM: true, DiskFails: 1, Repair: true})
+		if res.Stats["core.nvram_recovered"] == 0 {
+			t.Errorf("mode %v: dropping the marking memory should force the full-array rebuild path", m)
+		}
 	}
 }
 

@@ -65,22 +65,15 @@ type Stack interface {
 	// loss accounting (a stripe's data); 0 for a layer whose schedules
 	// never exceed its redundancy, where no acknowledged byte may be lost.
 	LossGrain() int64
-	// Exposed lists the loss grains unredundant right now; Failures
-	// counts the member failures the layer has absorbed. Run samples
-	// Exposed whenever Failures moves: that is a failure point.
+	// Exposed lists the loss grains unredundant right now — for a layer
+	// that knows which of its units failed, those whose failed units
+	// outnumber their fresh redundancy; Failures counts the failures that
+	// have landed on the layer. Run samples Exposed whenever Failures
+	// moves: that is a failure point.
 	Exposed() []int64
 	Failures() int
 	PowerLost() bool
 	Classify(err error) Kind
-}
-
-// Exceptions is implemented by a stack whose layer does not yet meet the
-// one rule everywhere. Each method is one named excusal; DESIGN.md §13
-// lists them with the ROADMAP item that deletes each.
-type Exceptions interface {
-	AnyLossLegal() bool
-	HoleBytesUnchecked() bool
-	TornBeyond(off, n int64) (int64, int64)
 }
 
 // Step is one move of a schedule: a fault step of a stack, a stretch of
@@ -127,7 +120,6 @@ type Episode struct {
 	Rng  *rand.Rand
 
 	s   Stack
-	x   Exceptions // nil for a stack with none
 	p   Plan
 	res *Result
 
@@ -155,7 +147,6 @@ func Run(seed int64, s Stack, p Plan) (*Result, error) {
 		s: s, p: p, res: &Result{Seed: seed, Stats: map[string]int64{"fault.power_cycles": 0}},
 		exposed: map[int64]bool{}, holes: map[int64]bool{}, reported: map[int64]bool{},
 	}
-	e.x, _ = s.(Exceptions)
 	if err := s.Open(e); err != nil {
 		return e.res, err
 	}
@@ -200,9 +191,11 @@ func (e *Episode) fold(sign int64) {
 }
 
 // Sample folds what the layer has unredundant right now into the
-// exposure union. Run calls it when Failures moves; a fault step calls
-// it at the failure points it makes.
+// exposure union, and takes the failure count it stands for as the one to
+// watch. Run calls it when Failures moves; a fault step calls it at the
+// failure points it makes.
 func (e *Episode) Sample() {
+	e.failures = e.s.Failures()
 	for _, g := range e.s.Exposed() {
 		e.exposed[g] = true
 	}
@@ -210,8 +203,7 @@ func (e *Episode) Sample() {
 
 // noteFailures samples exposure if a member failed since the last look.
 func (e *Episode) noteFailures() {
-	if n := e.s.Failures(); n != e.failures {
-		e.failures = n
+	if e.s.Failures() != e.failures {
 		e.Sample()
 	}
 }
@@ -245,9 +237,6 @@ func (e *Episode) grains(off, n int64, f func(g int64)) {
 // a failure point, lay under an unacknowledged write, or was already
 // reported.
 func (e *Episode) lossLegal(off, n int64) bool {
-	if e.x != nil && e.x.AnyLossLegal() {
-		return true
-	}
 	e.noteFailures()
 	legal := !slices.Contains(e.det[off:off+n], true)
 	e.grains(off, n, func(g int64) {
@@ -281,24 +270,10 @@ func (e *Episode) Lost(by string, losses []Loss) {
 	}
 }
 
-// UnreportedHoles lists the grains an unacknowledged write may have left
-// with inconsistent redundancy and no fault step has reported lost.
-func (e *Episode) UnreportedHoles() []int64 {
-	var out []int64
-	for g := range e.holes {
-		if !e.reported[g] {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// Distrust makes a range indeterminate without declaring a hole: an
-// adapter's exception, for bytes its layer rebuilt through redundancy
-// the oracle knows may be stale.
-func (e *Episode) Distrust(off, n int64) {
-	off, end := max(off, 0), min(off+n, int64(len(e.det)))
-	for i := off; i < end; i++ {
+// distrust makes a range indeterminate: what an unacknowledged write
+// leaves behind.
+func (e *Episode) distrust(off, n int64) {
+	for i := off; i < off+n; i++ {
 		e.det[i] = false
 	}
 }
@@ -327,11 +302,8 @@ func (e *Episode) write(off, n int64) bool {
 	case KindFatal:
 		e.Violatef("write [%d,%d): %v", off, off+n, err)
 	}
-	e.Distrust(off, n)
+	e.distrust(off, n)
 	e.grains(off, n, func(g int64) { e.holes[g] = true })
-	if kind == KindPowerCut && e.x != nil {
-		e.Distrust(e.x.TornBeyond(off, n))
-	}
 	return kind != KindPowerCut
 }
 
@@ -404,9 +376,6 @@ func (e *Episode) check(label string, off int64, got []byte) {
 		if e.grain == 0 {
 			e.Violatef("%s: byte %d diverged from acknowledged write (%02x, want %02x)", label, at, b, e.data[at])
 			return
-		}
-		if e.holes[at/e.grain] && e.x != nil && e.x.HoleBytesUnchecked() {
-			continue
 		}
 		e.Violatef("%s: byte %d (stripe %d) diverged from acknowledged write", label, at, at/e.grain)
 		return

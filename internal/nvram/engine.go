@@ -3,6 +3,7 @@ package nvram
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,6 +115,7 @@ type Engine struct {
 
 	mu       sync.Mutex // guards everything below; never held across a client call or a Store
 	marks    *Bitmap
+	found    *Bitmap              // marks found in the image at load; nil if none. Invariant: found ⊆ marks
 	hold     map[int64]bool       // Invariant: hold ⊆ marked; any mark/unmark drops the entry
 	claims   map[int64]claimState // units inside (or on their way into) a callback
 	released *sync.Cond           // a claim was dropped
@@ -133,6 +135,7 @@ type Engine struct {
 	marked    uint64 // latest generation that set a mark: what a Mark waits for
 	storeErr  error  // outcome of the store that reached durable
 	img       []byte // the bitmap snapshot being stored; the storing leader's alone
+	closed    bool   // Close ran and no mark since: images are flagged clean
 
 	wake chan struct{} // nudges the background loop (capacity 1: more pending kicks add nothing)
 	stop chan struct{}
@@ -170,10 +173,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 		img, err = cfg.Parse(img)
 	}
 	if err == nil {
+		// An image Close stored is flagged clean: no write was in flight, so
+		// its marks stand only for what they were set for, and none is
+		// inherited. The flag is spent here — the image is stored again
+		// without it — so a crash of this incarnation reads as a crash.
+		clean := len(img) >= 8 && img[7]&cleanBit != 0
+		if clean {
+			img[7] &^= cleanBit
+		}
 		var bm *Bitmap
 		if bm, err = Deserialize(img); err == nil && bm.Stripes() == cfg.Units {
 			e.marks = bm
 			e.stats.HighWater = bm.Count()
+			if clean {
+				return e, e.Commit()
+			}
+			e.inherit()
 			return e, nil
 		}
 	}
@@ -182,7 +197,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.stats.Recovered = true
 	e.stats.HighWater = cfg.Units
+	e.inherit()
 	return e, e.Commit()
+}
+
+// cleanBit, in an image's last header byte, is the top bit of its stripe
+// count — set by no valid count — and flags an image Close stored.
+const cleanBit = 0x80
+
+// inherit records the marks standing at load as found there (State).
+func (e *Engine) inherit() {
+	if e.marks.Count() > 0 {
+		e.found = &Bitmap{words: slices.Clone(e.marks.words), stripes: e.marks.stripes, count: e.marks.count}
+	}
+}
+
+// Close stores the image a last time, flagged clean, so that the next load
+// inherits none of its marks. Call it after Stop, once the client has
+// stopped writing: the flag says no mark stands for a write in flight. A
+// Mark after it stores the image again without the flag.
+func (e *Engine) Close() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.closed = true
+	e.latest++
+	return e.commit()
 }
 
 // Start launches the background loop: every Idle/4, and whenever woken,
@@ -239,7 +278,8 @@ func (e *Engine) Mark(unit int64) error {
 func (e *Engine) MarkRange(lo, hi int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	changed := false
+	changed := e.closed // the image says no write is in flight: store one that does not
+	e.closed = false
 	for u := lo; u < hi; u++ {
 		if e.marks.Mark(u) {
 			changed = true
@@ -276,6 +316,9 @@ func (e *Engine) unmark(unit int64) bool {
 	delete(e.hold, unit)
 	if !e.marks.Unmark(unit) {
 		return false
+	}
+	if e.found != nil {
+		e.found.Unmark(unit)
 	}
 	e.latest++
 	return true
@@ -324,6 +367,9 @@ func (e *Engine) commitTo(want uint64) error {
 		e.storing = true
 		goal := e.latest // the snapshot covers every generation through goal
 		e.img = e.marks.AppendTo(e.img[:0])
+		if e.closed {
+			e.img[7] |= cleanBit
+		}
 		img := e.img
 		e.mu.Unlock()
 		if e.cfg.Compose != nil {
@@ -349,6 +395,18 @@ func (e *Engine) IsMarked(unit int64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.marks.IsMarked(unit)
+}
+
+// State reports whether unit is marked and, if so, whether the mark was
+// inherited: found in the image at load and standing ever since. An
+// inherited mark may stand for a write the last incarnation had in flight
+// when it stopped, so it vouches for nothing the client keeps in sync
+// either; it ends as every mark does, when the unit is made redundant.
+func (e *Engine) State(unit int64) (marked, inherited bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	marked = e.marks.IsMarked(unit)
+	return marked, marked && e.found != nil && e.found.IsMarked(unit)
 }
 
 // Count returns the number of unredundant units.

@@ -282,6 +282,51 @@ func TestClearIsLazyUntilSync(t *testing.T) {
 	}
 }
 
+// A mark found in the image at load is inherited — it may stand for a
+// write a crash tore — and stays so, whatever marks it again, until the
+// unit is made redundant. An image Close stored hands its marks down
+// plain, and only to the load that reads it: a crash after that inherits
+// them again.
+func TestInheritedMarks(t *testing.T) {
+	nv, c := &fakeNV{}, newFakeClient()
+	e := newTestEngine(t, Config{NV: nv}, c)
+	mustMark(t, e, 3, 5)
+	e = newTestEngine(t, Config{NV: nv}, c) // a crash: the image as it stands
+	for u, want := range map[int64]bool{3: true, 5: true, 7: false} {
+		if marked, inherited := e.State(u); marked != want || inherited != want {
+			t.Fatalf("unit %d after a crash: marked %v, inherited %v; want %v", u, marked, inherited, want)
+		}
+	}
+	mustMark(t, e, 3, 7)
+	if _, inherited := e.State(3); !inherited {
+		t.Fatal("marking an inherited unit again made its mark this incarnation's")
+	}
+	if _, inherited := e.State(7); inherited {
+		t.Fatal("a mark set after load reads as inherited")
+	}
+	e.Clear(5)
+	if _, err := e.DrainRange(context.Background(), 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	mustMark(t, e, 3, 5)
+	for _, u := range []int64{3, 5} {
+		if _, inherited := e.State(u); inherited {
+			t.Fatalf("unit %d made redundant and marked again still reads as inherited", u)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = newTestEngine(t, Config{NV: nv}, c)
+	if marked, inherited := e.State(3); !marked || inherited {
+		t.Fatalf("after a clean close: marked %v, inherited %v", marked, inherited)
+	}
+	e = newTestEngine(t, Config{NV: nv}, c)
+	if _, inherited := e.State(3); !inherited {
+		t.Fatal("a crash after a clean close's load inherits nothing: the flag outlived its load")
+	}
+}
+
 // A store reuses the engine's image buffer: marking and clearing on a
 // marking memory that keeps nothing allocates nothing.
 func TestStoresDoNotAllocate(t *testing.T) {

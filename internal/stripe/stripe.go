@@ -326,27 +326,41 @@ func (im *Image) Load(skip Set, want Parities, lo, hi int64) error {
 	return im.io(false, skip)
 }
 
-// LoadUnit reads bytes [lo,hi) of data unit idx alone and of the parities
-// in want: what a read-modify-write of that range folds.
-func (im *Image) LoadUnit(idx int, want Parities, lo, hi int64) error {
-	im.window(want, lo, hi)
-	clear(im.view[:idx])
-	clear(im.view[idx+1 : len(im.Data)])
-	return im.io(false, Set{})
-}
-
-// Fold applies a read-modify-write's delta to the parities in sync, over
-// the range LoadUnit loaded from lo: par ^= coef(idx) * (old ^ src), where
-// old is data unit idx as loaded and src its new bytes.
-func (im *Image) Fold(idx int, sync Parities, lo int64, src []byte) {
-	hi := lo + int64(len(src))
-	t := time.Now()
+// Update is the read half of a span's read-modify-write: it reads, in one
+// fan-out, the bytes each extent overwrites and the parities in sync over
+// the union of their ranges, then folds every extent's delta into those
+// parities — par ^= coef(idx) * (old ^ new), new from the caller's buffer.
+// Nothing is written: Store then writes the extents, from the caller's
+// buffer, and the folded parities, so a caller can put a step between the
+// span's reads and its first write.
+func (im *Image) Update(p []byte, base int64, sp layout.StripeSpan, sync Parities) error {
+	k := len(im.Data)
+	lo, hi := im.a.geo.StripeUnit, int64(0)
+	clear(im.view)
+	for _, e := range sp.Extents {
+		im.view[e.DataIdx], im.off[e.DataIdx] = im.Data[e.DataIdx][e.UnitOff:e.UnitOff+e.Len], e.UnitOff
+		lo, hi = min(lo, e.UnitOff), max(hi, e.UnitOff+e.Len)
+	}
 	for j, par := range im.Par {
 		if sync.Has(j) {
-			im.a.code.Update(j, par[lo:hi], im.Data[idx][lo:hi], src, idx)
+			im.view[k+j], im.off[k+j] = par[lo:hi], lo
 		}
 	}
+	if err := im.io(false, Set{}); err != nil {
+		return err
+	}
+	t := time.Now()
+	for _, e := range sp.Extents {
+		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
+		for j, par := range im.Par {
+			if sync.Has(j) {
+				im.a.code.Update(j, par[e.UnitOff:e.UnitOff+e.Len], im.view[e.DataIdx], src, e.DataIdx)
+			}
+		}
+		im.view[e.DataIdx] = src
+	}
 	im.a.observe(time.Since(t))
+	return nil
 }
 
 // Solve loads unit bytes [lo,hi) of every data unit of the stripe —

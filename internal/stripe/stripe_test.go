@@ -242,7 +242,7 @@ func solveOne(t *testing.T, a *Array, f *fakeMembers, data [][]byte, st int64, m
 // TestEncodeStoreFoldCheck follows one stripe through the write side:
 // WriteFull encodes from the caller's buffer and writes each of the k+m
 // units once, whole; Check agrees with the byte-serial reference and
-// notices one flipped bit; LoadUnit + Fold is the read-modify-write delta;
+// notices one flipped bit; Update is the read-modify-write delta;
 // Drop and Store's skip leave exactly their units alone.
 func TestEncodeStoreFoldCheck(t *testing.T) {
 	for _, m := range []int{0, 1, 2} {
@@ -299,14 +299,14 @@ func TestEncodeStoreFoldCheck(t *testing.T) {
 					}
 					// Read-modify-write of a sub-unit range of the last unit.
 					lo, src := int64(16), []byte("thirty-two new bytes of the unit")
-					if err := im.LoadUnit(k-1, a.AllParities(), lo, lo+int64(len(src))); err != nil {
+					at := st*sdb + int64(k-1)*testUnit + lo
+					if err := im.Update(src, at, geo.Split(at, int64(len(src)))[0], a.AllParities()); err != nil {
 						t.Fatal(err)
 					}
-					im.Fold(k-1, a.AllParities(), lo, src)
 					copy(units[k-1][lo:], src)
 					for j, par := range im.Par {
 						if want := refParity(units)[j][lo : lo+int64(len(src))]; !bytes.Equal(par[lo:lo+int64(len(src))], want) {
-							t.Fatalf("parity %d after Fold differs from the reference over the new data", j)
+							t.Fatalf("parity %d after Update differs from the reference over the new data", j)
 						}
 					}
 				}
