@@ -122,11 +122,12 @@ type (
 	FileNVRAM = core.FileNVRAM
 	// DamageReport lists data lost during a repair.
 	DamageReport = core.DamageReport
-	// StripePolicy is the §5 per-range redundancy flag.
-	StripePolicy = core.StripePolicy
 )
 
-// Store modes and stripe policies.
+// Store modes: each a parity layout and the sync count every stripe
+// opens with — how many parities a write keeps current, the rest
+// deferred to the scrubber. Store.SetSync changes it for a stripe-aligned
+// range (§5).
 const (
 	// StoreAFRAID defers parity to the background scrubber.
 	StoreAFRAID = core.Afraid
@@ -136,16 +137,9 @@ const (
 	StoreRAID0 = core.Raid0
 	// StoreRAID6 maintains P and Q synchronously (§5).
 	StoreRAID6 = core.Raid6
-	// StoreAFRAID6 defers the Q update (or both parities, with
-	// StoreOptions.DeferBothParities) to the scrubber (§5).
+	// StoreAFRAID6 keeps P in sync and defers the Q update to the
+	// scrubber (§5); SetSync(0, Capacity(), 0) defers both parities.
 	StoreAFRAID6 = core.Afraid6
-
-	// PolicyDefault follows the store mode.
-	PolicyDefault = core.PolicyDefault
-	// PolicyAlwaysRedundant forces synchronous parity for a range.
-	PolicyAlwaysRedundant = core.PolicyAlwaysRedundant
-	// PolicyNeverRedundant disables parity for a range.
-	PolicyNeverRedundant = core.PolicyNeverRedundant
 )
 
 // Store errors.

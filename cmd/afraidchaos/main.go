@@ -288,8 +288,8 @@ func coreSchedule(epSeed int64, mode core.Mode, checksums, flips bool) fault.Con
 	if cfg.DiskFails > 0 || cfg.Transients > 0 {
 		cfg.Repair = rng.Float64() < 0.9
 	}
-	if mode == core.Afraid6 {
-		cfg.DeferBothParities = rng.Float64() < 0.5
+	if mode != core.Raid0 {
+		cfg.MixedSync = rng.Float64() < 0.5
 	}
 	return cfg
 }

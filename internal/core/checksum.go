@@ -301,7 +301,7 @@ func (s *Store) spanRetryBudget() int { return len(s.devs) + 2 }
 // installs a fresh slot), and a write with a sync set reads — and so
 // verifies — what it folds before it marks (rmwSpan).
 func (s *Store) preflightChecksums(sp layout.StripeSpan) error {
-	if !s.preflights(sp) {
+	if !s.preflights(sp, 0) {
 		return nil
 	}
 	for _, e := range sp.Extents {
@@ -314,11 +314,12 @@ func (s *Store) preflightChecksums(sp layout.StripeSpan) error {
 	return nil
 }
 
-// preflights reports whether a deferring write of the span has old
-// contents to verify before it marks (preflightChecksums): the request-
-// level mark leaves such a span to mark itself, in that order.
-func (s *Store) preflights(sp layout.StripeSpan) bool {
-	if !s.opts.Checksums || s.syncParities(PolicyDefault) != 0 {
+// preflights reports whether a write of the span, to a stripe with sync
+// count n, has old contents to verify before it marks
+// (preflightChecksums): the request-level mark leaves such a span to mark
+// itself, in that order.
+func (s *Store) preflights(sp layout.StripeSpan, n uint8) bool {
+	if !s.opts.Checksums || n != 0 {
 		return false
 	}
 	for _, e := range sp.Extents {

@@ -98,7 +98,12 @@ func TestFullStripeWriteDeviceOps(t *testing.T) {
 		both bool
 	}{{Raid5, false}, {Raid6, false}, {Afraid, false}, {Afraid6, false}, {Afraid6, true}} {
 		t.Run(fmt.Sprintf("%v/both=%v", row.mode, row.both), func(t *testing.T) {
-			s, probes := openProbed(t, &MemNVRAM{}, Options{Mode: row.mode, DeferBothParities: row.both})
+			s, probes := openProbed(t, &MemNVRAM{}, Options{Mode: row.mode})
+			if row.both {
+				if err := s.SetSync(0, s.Capacity(), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
 			sdb := s.geo.StripeDataBytes()
 			// A partial write first: the stripe is dirty where the mode defers.
 			if _, err := s.WriteAt(pattern(100, 1), 3*sdb+5); err != nil {

@@ -142,8 +142,19 @@ func TestAfraid6MarkFoundAfterCrashTrustsNoParity(t *testing.T) {
 	}
 }
 
+// openDeferBoth opens an Afraid6 store with both parities deferred on
+// every stripe (sync count 0).
+func openDeferBoth(t *testing.T) *Store {
+	t.Helper()
+	s, _ := openTest6(t, Options{Mode: Afraid6, DisableScrubber: true})
+	if err := s.SetSync(0, s.Capacity(), 0); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestAfraid6DeferBothDirtyStripeLosesOnSingleFailure(t *testing.T) {
-	s, _ := openTest6(t, Options{Mode: Afraid6, DeferBothParities: true, DisableScrubber: true})
+	s := openDeferBoth(t)
 	defer s.Close()
 	s.WriteAt(pattern(testUnit, 7), 0)
 	if err := s.FailDisk(s.Geometry().DataDisk(0, 0)); err != nil {
@@ -282,7 +293,7 @@ func TestAfraid6DirtyStripeDoubleFailureLosesData(t *testing.T) {
 }
 
 func TestRaid6RepairAfterDirtyLossReportsDamage(t *testing.T) {
-	s, _ := openTest6(t, Options{Mode: Afraid6, DeferBothParities: true, DisableScrubber: true})
+	s := openDeferBoth(t)
 	defer s.Close()
 	fillStore(t, s)
 	s.Flush()
@@ -303,22 +314,5 @@ func TestRaid6RepairAfterDirtyLossReportsDamage(t *testing.T) {
 	}
 	if s.DirtyStripes() != 0 {
 		t.Fatalf("dirty = %d after repair", s.DirtyStripes())
-	}
-}
-
-func TestRaid6PolicyRangesRejected(t *testing.T) {
-	s, _ := openTest6(t, Options{Mode: Afraid6, DisableScrubber: true})
-	defer s.Close()
-	sb := s.Geometry().StripeDataBytes()
-	if err := s.SetStripePolicy(0, sb, PolicyAlwaysRedundant); err == nil {
-		t.Fatal("per-stripe policy accepted on RAID6 store")
-	}
-}
-
-func TestDeferBothRequiresAfraid6(t *testing.T) {
-	devs := newDevs(6)
-	_, err := Open(devs, &MemNVRAM{}, Options{Mode: Raid6, DeferBothParities: true, StripeUnit: testUnit})
-	if err == nil {
-		t.Fatal("DeferBothParities on Raid6 accepted")
 	}
 }

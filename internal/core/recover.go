@@ -191,9 +191,7 @@ func (s *Store) bumpRecovered() {
 // reachable disk, so later reads and repairs see a consistent stripe
 // (zeroes where data was lost) instead of garbage behind a stale
 // parity; with all of them rewritten the stripe is fully redundant again
-// and its mark is cleared. A never-redundant stripe has no parity to
-// keep consistent, so only the target's unit is written. Caller holds
-// the stripe lock.
+// and its mark is cleared. Caller holds the stripe lock.
 func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice, report *DamageReport) error {
 	unit := s.geo.StripeUnit
 	st := s.stripeState(stripe)
@@ -218,9 +216,6 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 			}
 			continue
 		}
-		if st.pol == PolicyNeverRedundant {
-			continue
-		}
 		err := s.devRead(d, u, s.geo.DiskOffset(stripe))
 		if err == nil {
 			continue
@@ -234,9 +229,6 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 		if werr := s.devWrite(d, u, s.geo.DiskOffset(stripe)); werr != nil {
 			return werr
 		}
-	}
-	if st.pol == PolicyNeverRedundant {
-		return nil
 	}
 	im.Encode()
 	written := 0

@@ -82,7 +82,7 @@ func (s *Store) Flush() error {
 // regardless of foreground I/O, or concurrent writers could starve it
 // forever; stripes they re-dirty get another round.
 func (s *Store) FlushContext(ctx context.Context) error {
-	if s.opts.Mode == Raid0 {
+	if s.allPar == 0 {
 		return nil
 	}
 	if err := s.checkRange(0, 0); err != nil { // ErrClosed after Close
@@ -120,7 +120,7 @@ func (s *Store) ParityPointContext(ctx context.Context, off, length int64) error
 	if err := s.checkRange(off, length); err != nil {
 		return err
 	}
-	if length == 0 || s.opts.Mode == Raid0 {
+	if length == 0 || s.allPar == 0 {
 		return nil
 	}
 	first := off / s.geo.StripeDataBytes()
@@ -138,7 +138,7 @@ func (s *Store) ParityPointContext(ctx context.Context, off, length int64) error
 // after Flush it is empty. RAID 0 stores trivially verify. Stripes are
 // checked by a pool of scrub workers, each stripe in a pooled image.
 func (s *Store) CheckParity() ([]int64, error) {
-	if s.opts.Mode == Raid0 {
+	if s.allPar == 0 {
 		return nil, nil
 	}
 	var (

@@ -14,63 +14,55 @@ import (
 	"afraid/internal/stripe"
 )
 
-// Mode selects how the store maintains redundancy.
+// Mode names a preset: a parity geometry — m parity units per stripe —
+// and the sync count every stripe opens with, n of those m parities (P,
+// then P and Q) that a write keeps current while the rest are deferred
+// behind a mark to the scrubber. SetSync changes the count stripe by
+// stripe.
 type Mode int
 
 const (
-	// Afraid writes data immediately, marks stripes unredundant in
-	// NVRAM, and lets the scrubber rebuild parity in idle periods.
+	// Afraid (m=1, n=0) writes data immediately, marks stripes unredundant
+	// in NVRAM, and lets the scrubber rebuild parity in idle periods.
 	Afraid Mode = iota
-	// Raid5 keeps parity synchronously consistent (read-modify-write
-	// in the write path), marking each stripe in NVRAM only while a
-	// write to it is in flight.
+	// Raid5 (m=1, n=1) keeps parity synchronously consistent
+	// (read-modify-write in the write path), marking each stripe in NVRAM
+	// only while a write to it is in flight.
 	Raid5
-	// Raid0 never maintains parity.
+	// Raid0 (m=0) keeps no parity.
 	Raid0
-	// Raid6 keeps P and Q parity synchronously consistent (§5).
+	// Raid6 (m=2, n=2) keeps P and Q parity synchronously consistent (§5).
 	Raid6
-	// Afraid6 is the §5 extension: P is maintained synchronously and Q
-	// deferred to the scrubber (single-failure protection at all
-	// times), or both deferred with Options.DeferBothParities.
+	// Afraid6 (m=2, n=1) is the §5 extension: P is maintained
+	// synchronously and Q deferred to the scrubber (single-failure
+	// protection at all times).
 	Afraid6
 )
 
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case Afraid:
-		return "afraid"
-	case Raid5:
-		return "raid5"
-	case Raid0:
-		return "raid0"
-	case Raid6:
-		return "raid6"
-	case Afraid6:
-		return "afraid6"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
+// presets is each Mode's row: its name, layout and default sync count.
+var presets = [...]struct {
+	name  string
+	level layout.Level
+	sync  uint8
+}{
+	Afraid:  {"afraid", layout.RAID5, 0},
+	Raid5:   {"raid5", layout.RAID5, 1},
+	Raid0:   {"raid0", layout.RAID0, 0},
+	Raid6:   {"raid6", layout.RAID6, 2},
+	Afraid6: {"afraid6", layout.RAID6, 1},
 }
 
-// StripePolicy is the §5 extension: stripe-aligned subsets of the store
-// may be flagged with their own redundancy behaviour, overriding Mode.
-type StripePolicy byte
-
-const (
-	// PolicyDefault follows the store's Mode.
-	PolicyDefault StripePolicy = iota
-	// PolicyAlwaysRedundant forces synchronous RAID 5 parity for the
-	// stripe.
-	PolicyAlwaysRedundant
-	// PolicyNeverRedundant never maintains parity for the stripe
-	// (RAID 0 storage carved out of the array).
-	PolicyNeverRedundant
-)
+// String returns the mode name.
+func (m Mode) String() string {
+	if m < 0 || int(m) >= len(presets) {
+		return fmt.Sprintf("Mode(%d)", int(m))
+	}
+	return presets[m].name
+}
 
 // Options configures a Store.
 type Options struct {
-	// Mode is the redundancy mode (default Afraid).
+	// Mode is the redundancy preset (default Afraid).
 	Mode Mode
 	// StripeUnit is the per-disk stripe unit size (default 8 KB).
 	StripeUnit int64
@@ -84,9 +76,6 @@ type Options struct {
 	// DisableScrubber turns the background goroutine off; parity is
 	// then rebuilt only by Flush/ParityPoint.
 	DisableScrubber bool
-	// DeferBothParities makes Afraid6 defer P as well as Q (full
-	// AFRAID write speed, full exposure while dirty). Afraid6 only.
-	DeferBothParities bool
 	// ScrubWorkers bounds the stripes rebuilt concurrently by Flush,
 	// ParityPoint, CheckParity, and the RepairDisk sweep (default
 	// min(GOMAXPROCS, data disks)). 1 drains serially.
@@ -113,7 +102,7 @@ func (o *Options) fill() {
 var (
 	// ErrDataLoss marks bytes that are unrecoverable: they lived on a
 	// failed disk in a stripe whose parity was stale (the AFRAID
-	// exposure window) or in a never-redundant stripe. It is the error a
+	// exposure window) or in a store with no parity. It is the error a
 	// stripe image gives when fresh parities cannot cover what is missing.
 	ErrDataLoss = stripe.ErrDataLoss
 	// ErrClosed is returned after Close.
@@ -156,9 +145,8 @@ type Store struct {
 	opts Options
 
 	// The stripe protocol's constants (stripe.go), fixed at Open.
-	arr      *stripe.Array   // stripe images and the fan-out that overlaps their units
-	allPar   stripe.Parities // every parity of the layout's code
-	deferred stripe.Parities // parities a mark declares stale, and deferring writes skip
+	arr    *stripe.Array   // stripe images and the fan-out that overlaps their units
+	allPar stripe.Parities // every parity of the layout's code
 
 	// eng is the deferred-redundancy engine: the marking memory (one unit
 	// per stripe) with its NVRAM group commit, the idle and pressure
@@ -167,7 +155,7 @@ type Store struct {
 	eng *nvram.Engine
 
 	meta   sync.Mutex // guards everything below
-	policy []StripePolicy
+	sync   []uint8    // per stripe, the parities its writes keep current (syncSet); changed under its stripe lock too
 	failed stripe.Set // failed member disks, in failure order
 	closed bool
 	stats  Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
@@ -202,7 +190,11 @@ var spanPool = sync.Pool{New: func() any { return new([]layout.StripeSpan) }}
 // (or Flush) has re-encoded them all. A nil nv keeps marks in memory only.
 func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	opts.fill()
-	if len(devs) < 2 && opts.Mode != Raid0 {
+	if opts.Mode < 0 || int(opts.Mode) >= len(presets) {
+		return nil, fmt.Errorf("core: unknown mode %v", opts.Mode)
+	}
+	preset := presets[opts.Mode]
+	if len(devs) < 2 && preset.level != layout.RAID0 {
 		return nil, fmt.Errorf("core: %v needs at least 2 devices, have %d", opts.Mode, len(devs))
 	}
 	if len(devs) < 1 {
@@ -220,21 +212,11 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("core: devices smaller than one stripe unit (plus checksum trailer)")
 	}
-	lvl := layout.RAID5
-	switch opts.Mode {
-	case Raid0:
-		lvl = layout.RAID0
-	case Raid6, Afraid6:
-		lvl = layout.RAID6
-	}
-	if opts.DeferBothParities && opts.Mode != Afraid6 {
-		return nil, fmt.Errorf("core: DeferBothParities requires Afraid6 mode")
-	}
 	geo := layout.Geometry{
 		Disks:      len(devs),
 		StripeUnit: opts.StripeUnit,
 		DiskSize:   size,
-		Level:      lvl,
+		Level:      preset.level,
 	}
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -245,16 +227,13 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		opts:    opts,
 		repDisk: -1,
 		ob:      newStoreObs(),
-		policy:  make([]StripePolicy, geo.Stripes()),
+		sync:    make([]uint8, geo.Stripes()),
+	}
+	for i := range s.sync {
+		s.sync[i] = preset.sync
 	}
 	s.arr = stripe.New(geo, s.ob.parity.Observe)
-	// A mark defers the code's last parity — the only one on RAID 5, Q on
-	// RAID 6 — or all of them with DeferBothParities.
 	s.allPar = s.arr.AllParities()
-	s.deferred = s.allPar
-	if m := lvl.ParityUnits(); m > 1 && !opts.DeferBothParities {
-		s.deferred = 1 << (m - 1)
-	}
 	// Probe the members: a disk that failed before a crash is still
 	// failed after reopen, and the store must know before issuing I/O.
 	// Any probe error counts — an unreadable member is a failed member,
@@ -307,6 +286,16 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.meta.Unlock()
 	s.eng.Stop()
+	// Sync counts are not persisted, and a mark a clean image hands down
+	// vouches for the preset's sync set at the next Open. One on a stripe
+	// that keeps fewer is distrusted, which leaves the image unflagged.
+	s.meta.Lock()
+	for _, st := range s.eng.Marked() {
+		if s.sync[st] < presets[s.opts.Mode].sync {
+			s.eng.Distrust(st)
+		}
+	}
+	s.meta.Unlock()
 	// Writes clear their marks in memory only; a clean shutdown should not
 	// cost the next Open their rebuilds, nor leave the marks that stand
 	// reading as writes a crash tore.
@@ -384,46 +373,36 @@ func (s *Store) scrubWorkers() int {
 	return w
 }
 
-// effectivePolicy resolves a stripe's redundancy behaviour.
-func (s *Store) effectivePolicy(stripe int64) StripePolicy {
-	p := s.policy[stripe]
-	if p != PolicyDefault {
-		return p
-	}
-	switch s.opts.Mode {
-	case Raid5, Raid6:
-		return PolicyAlwaysRedundant
-	case Raid0:
-		return PolicyNeverRedundant
-	default:
-		return PolicyDefault // AFRAID behaviour
-	}
-}
-
-// SetStripePolicy flags the stripe-aligned range [off, off+length) with
-// a redundancy policy (§5: "stripe-aligned subsets of an AFRAID's
-// storage space could be permanently flagged with different redundancy
-// properties"). The range must cover whole stripes.
-func (s *Store) SetStripePolicy(off, length int64, p StripePolicy) error {
+// SetSync sets the sync count of the stripes of [off, off+length): how
+// many of the layout's m parities, P first, their writes keep current, the
+// rest deferred behind a mark to the scrubber (§5: "stripe-aligned subsets
+// of an AFRAID's storage space could be permanently flagged with different
+// redundancy properties"). The range must cover whole stripes. A count
+// applies from the stripe's next write. A stripe marked when its count
+// changes keeps its mark, which from then on vouches for no parity until
+// the stripe is re-encoded. Counts are not persisted: Open gives every
+// stripe its Mode's.
+func (s *Store) SetSync(off, length int64, n int) error {
 	sb := s.geo.StripeDataBytes()
 	if off%sb != 0 || length%sb != 0 {
-		return fmt.Errorf("core: policy range [%d,%d) not stripe-aligned (stripe data bytes %d)", off, off+length, sb)
+		return fmt.Errorf("core: sync range [%d,%d) not stripe-aligned (stripe data bytes %d)", off, off+length, sb)
 	}
 	if off < 0 || length < 0 || length > s.geo.Capacity() || off > s.geo.Capacity()-length {
-		return fmt.Errorf("core: policy range outside capacity")
+		return fmt.Errorf("core: sync range outside capacity")
 	}
-	if s.opts.Mode == Raid0 && p != PolicyNeverRedundant && p != PolicyDefault {
-		return fmt.Errorf("core: RAID 0 store has no parity to maintain")
+	if m := s.geo.Level.ParityUnits(); n < 0 || n > m {
+		return fmt.Errorf("core: sync count %d outside [0, %d]", n, m)
 	}
-	if s.geo.Level == layout.RAID6 && p != PolicyDefault {
-		return fmt.Errorf("core: per-stripe policies are not supported on RAID 6 stores")
-	}
-	first := off / sb
-	last := (off + length) / sb
-	s.meta.Lock()
-	defer s.meta.Unlock()
-	for st := first; st < last; st++ {
-		s.policy[st] = p
+	for st := off / sb; st < (off+length)/sb; st++ {
+		lk := s.stripeLock(st)
+		lk.Lock()
+		s.meta.Lock()
+		if int(s.sync[st]) != n {
+			s.sync[st] = uint8(n)
+			s.eng.Distrust(st)
+		}
+		s.meta.Unlock()
+		lk.Unlock()
 	}
 	return nil
 }
@@ -579,16 +558,17 @@ func foldRuns(spans []layout.StripeSpan) []layout.StripeSpan {
 // (writeSpan), which costs nothing while the mark stands and restores it
 // if a drain made the stripe redundant in between. It marks ahead the
 // spans whose mark does not depend on when it is set: full stripes (their
-// write clears it whoever set it) and partial spans whose policy defers a
+// write clears it whoever set it) and partial spans whose stripe defers a
 // parity (their mark stands after them) — bar those that verify old
 // contents before they mark (preflights). A partial span that keeps every
 // parity in sync clears only a mark it set itself, so it marks itself;
 // and with a member failed the spans store whole images behind their own.
+// A layout with no parity keeps no marks.
 func (s *Store) premark(spans []layout.StripeSpan) error {
 	ahead := func(sp layout.StripeSpan) bool { // caller holds meta
-		pol := s.effectivePolicy(sp.Stripe)
-		return s.failed.Len() == 0 && pol != PolicyNeverRedundant &&
-			(sp.FullStripe(s.geo) || (s.syncParities(pol) != s.allPar && !s.preflights(sp)))
+		n := s.sync[sp.Stripe]
+		return s.allPar != 0 && s.failed.Len() == 0 &&
+			(sp.FullStripe(s.geo) || (syncSet(n) != s.allPar && !s.preflights(sp, n)))
 	}
 	for i := 0; i < len(spans); i++ {
 		s.meta.Lock()

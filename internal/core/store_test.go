@@ -239,29 +239,6 @@ func TestCorruptNVRAMTriggersFullRebuild(t *testing.T) {
 	}
 }
 
-func TestStripePolicyOverrides(t *testing.T) {
-	s, _ := openTest(t, Options{Mode: Afraid, DisableScrubber: true})
-	defer s.Close()
-	sb := s.Geometry().StripeDataBytes()
-	// Stripe 0: always redundant; stripe 1: never; stripe 2: default.
-	if err := s.SetStripePolicy(0, sb, PolicyAlwaysRedundant); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetStripePolicy(sb, sb, PolicyNeverRedundant); err != nil {
-		t.Fatal(err)
-	}
-	s.WriteAt(pattern(100, 1), 0)
-	s.WriteAt(pattern(100, 2), sb)
-	s.WriteAt(pattern(100, 3), 2*sb)
-	if got := s.DirtyStripes(); got != 1 {
-		t.Fatalf("dirty = %d, want 1 (only the default-policy stripe)", got)
-	}
-	// Unaligned policy range rejected.
-	if err := s.SetStripePolicy(1, sb, PolicyAlwaysRedundant); err == nil {
-		t.Fatal("unaligned policy range accepted")
-	}
-}
-
 func TestBoundsAndClosedErrors(t *testing.T) {
 	s, _ := openTest(t, Options{Mode: Afraid, DisableScrubber: true})
 	buf := make([]byte, 10)

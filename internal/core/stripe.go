@@ -23,10 +23,10 @@ import (
 //     (freshParities), the one "can this be reconstructed / is this
 //     loss" test;
 //   - the sync set — which parities a write updates in its
-//     read-modify-write, the rest being deferred behind a mark
-//     (syncParities).
+//     read-modify-write, the rest being deferred behind a mark: the
+//     first n, for the stripe's sync count n ∈ [0, m] (syncSet).
 //
-// And one write rule, for every policy that keeps parity: a write makes
+// And one write rule, for every layout that keeps parity: a write makes
 // the stripe's mark durable after its reads and before its first device
 // write, and once its last device write has left every parity it keeps
 // encoding the data, clears — in memory — the mark it set itself. So a
@@ -54,33 +54,33 @@ func (s *Store) image(stripe int64) *stripe.Image {
 // stripeState is the snapshot every stripe operation starts from.
 type stripeState struct {
 	failed stripe.Set
-	pol    StripePolicy
+	n      uint8 // the sync count
 	dirty  bool
 	fresh  stripe.Parities
 }
 
 func (s *Store) stripeState(stripe int64) stripeState {
 	s.meta.Lock()
-	st := stripeState{failed: s.failed, pol: s.effectivePolicy(stripe)}
+	st := stripeState{failed: s.failed, n: s.sync[stripe]}
 	s.meta.Unlock()
 	var inherited bool
 	st.dirty, inherited = s.eng.State(stripe)
-	st.fresh = s.freshParities(st.pol, st.dirty, inherited)
+	st.fresh = s.freshParities(st.n, st.dirty, inherited)
 	return st
 }
 
 // freshParities reports which of a stripe's parities encode its at-rest
-// data: all on a clean stripe; on one marked since Open, those its writes
-// keep in sync — every parity under a synchronous policy, whose mark only
-// covers writes in flight, P for AFRAID6 deferring only Q, nothing for
-// AFRAID; and none on a never-redundant stripe or under a mark found at
-// Open, which may stand for a write the crash tore.
-func (s *Store) freshParities(pol StripePolicy, dirty, inherited bool) stripe.Parities {
+// data: all on a clean stripe; on one marked since Open, its sync set —
+// every parity at n = m, whose mark only covers writes in flight, P for
+// AFRAID6 deferring only Q, nothing at n = 0; and none under a mark found
+// at Open, which may stand for a write the crash tore, or standing when
+// the stripe's count changed (SetSync).
+func (s *Store) freshParities(n uint8, dirty, inherited bool) stripe.Parities {
 	switch {
-	case pol == PolicyNeverRedundant || inherited:
+	case inherited:
 		return 0
 	case dirty:
-		return s.syncParities(pol)
+		return syncSet(n)
 	default:
 		return s.allPar
 	}
@@ -93,19 +93,10 @@ func (s *Store) FreshParities(stripe int64) int {
 	return bits.OnesCount(uint(s.stripeState(stripe).fresh))
 }
 
-// syncParities reports which parities a write to the stripe keeps
-// current in its read-modify-write. Under PolicyDefault the others are
+// syncSet is the parities a write to a stripe with sync count n keeps
+// current in its read-modify-write: the first n, P then Q. The others are
 // deferred to the scrubber behind a mark.
-func (s *Store) syncParities(pol StripePolicy) stripe.Parities {
-	switch pol {
-	case PolicyNeverRedundant:
-		return 0
-	case PolicyAlwaysRedundant:
-		return s.allPar
-	default:
-		return s.allPar &^ s.deferred
-	}
-}
+func syncSet(n uint8) stripe.Parities { return stripe.Parities(1)<<n - 1 }
 
 // readSpan reads one stripe's extents, reconstructing around failed
 // disks when the fresh parities allow. Several extents are on distinct
@@ -129,15 +120,15 @@ func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 }
 
 // writeSpan applies one stripe's worth of a write under the stripe lock,
-// by the write rule (top of file). A never-redundant stripe keeps no
-// parity and no mark: its extents are bare writes, and a dead disk's are
-// lost. Otherwise a degraded stripe stores its whole image around the
-// failed disks, a span that carries every data unit whole is a full-stripe
-// write, and the rest read-modify-write the policy's sync set (rmwSpan).
+// by the write rule (top of file). A layout with no parity keeps no mark:
+// its extents are bare writes, and a dead disk's are lost. Otherwise a
+// degraded stripe stores its whole image around the failed disks, a span
+// that carries every data unit whole is a full-stripe write, and the rest
+// read-modify-write the stripe's sync set (rmwSpan).
 func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	st := s.stripeState(sp.Stripe)
 	switch {
-	case st.pol == PolicyNeverRedundant:
+	case s.allPar == 0:
 		for _, e := range sp.Extents {
 			if st.failed.Has(e.Disk) {
 				return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
@@ -199,7 +190,7 @@ func (s *Store) writeFullStripe(p []byte, base int64, sp layout.StripeSpan) erro
 // the scrubber re-encodes the stripe from what landed. Caller holds the
 // stripe lock.
 func (s *Store) rmwSpan(p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
-	sync := s.syncParities(st.pol)
+	sync := syncSet(st.n)
 	if sync == 0 {
 		if err := s.preflightChecksums(sp); err != nil {
 			return err
@@ -351,8 +342,9 @@ func (s *Store) rebuildParity(n int64) error {
 // parity the solve did not use — stale under a mark, or possibly torn by
 // a write the array crashed in — is rewritten too and the mark cleared,
 // so the array ends fully redundant. A stripe whose missing data the
-// fresh parities cannot cover — unredundant at failure time, or never
-// redundant — comes back as ErrDataLoss and is left to salvageStripe.
+// fresh parities cannot cover — unredundant at failure time, or in a
+// layout with no parity — comes back as ErrDataLoss and is left to
+// salvageStripe.
 // Caller holds the stripe lock.
 func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) error {
 	st := s.stripeState(stripe)

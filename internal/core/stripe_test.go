@@ -28,7 +28,7 @@ func subsets(n, k int) [][]int {
 // the failed data units are covered exactly when there are at least as
 // many fresh parities on live disks.
 func uncovered(s *Store, stripe int64, failed []int, dirty bool) []int {
-	fresh := s.freshParities(s.effectivePolicy(stripe), dirty, false)
+	fresh := s.freshParities(s.sync[stripe], dirty, false)
 	var lost []int
 	avail := 0
 	parityDisk := []func(int64) int{s.geo.ParityDisk, s.geo.QDisk}
@@ -51,37 +51,45 @@ func uncovered(s *Store, stripe int64, failed []int, dirty bool) []int {
 // TestReconstructMatrix drives the one reconstruct path through every
 // combination it decides: m ∈ {1,2} parities × every choice of at most m
 // failed members (each plays data, P and Q as the layout rotates) ×
-// stripe state. Each store holds clean stripes (even) and dirty ones
-// (odd, rewritten without a flush) — dirty with P fresh under Afraid6
-// deferring Q, with nothing fresh under Afraid and Afraid6 deferring
-// both — and the m=1 store flags its upper half never-redundant. Every
-// unit must read back exact wherever the freshness function says a
-// parity covers it and as ErrDataLoss — never wrong bytes — everywhere
-// else; repairing each failed member must then report exactly the
-// uncovered units, zero them, and leave the array consistent.
+// stripe state × sync count. Each store holds clean stripes (even) and
+// dirty ones (odd, rewritten without a flush) — dirty with P fresh at
+// n=1 of 2, with nothing fresh at n=0 — and each row sets its counts:
+// the m=1 store keeps its upper half at n=1, m=2 runs its Mode's count,
+// then n=0 everywhere, then n = stripe % 3. Every unit must read back
+// exact wherever the freshness function says a parity covers it and as
+// ErrDataLoss — never wrong bytes — everywhere else; repairing each
+// failed member must then report exactly the uncovered units, zero them,
+// and leave the array consistent.
 func TestReconstructMatrix(t *testing.T) {
 	for _, cfg := range []struct {
 		name     string
-		opts     Options
+		mode     Mode
 		m, disks int
+		sync     func(stripes, stripe int64) int // nil: the Mode's
 	}{
-		{"m=1", Options{Mode: Afraid}, 1, 5},
-		{"m=2/defer-Q", Options{Mode: Afraid6}, 2, 6},
-		{"m=2/defer-both", Options{Mode: Afraid6, DeferBothParities: true}, 2, 6},
+		{"m=1", Afraid, 1, 5, func(stripes, st int64) int { return int(2 * st / stripes) }},
+		{"m=2/defer-Q", Afraid6, 2, 6, nil},
+		{"m=2/defer-both", Afraid6, 2, 6, func(_, _ int64) int { return 0 }},
+		{"m=2/mixed", Afraid6, 2, 6, func(_, st int64) int { return int(st % 3) }},
 	} {
 		for _, checksums := range []bool{false, true} {
 			for _, failed := range subsets(cfg.disks, cfg.m) {
 				name := fmt.Sprintf("%s/checksums=%v/failed=%v", cfg.name, checksums, failed)
 				t.Run(name, func(t *testing.T) {
-					opts := cfg.opts
-					opts.Checksums = checksums
-					opts.DisableScrubber = true
-					opts.StripeUnit = testUnit
+					opts := Options{Mode: cfg.mode, Checksums: checksums, DisableScrubber: true, StripeUnit: testUnit}
 					s, err := Open(newDevs(cfg.disks), &MemNVRAM{}, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer s.Close()
+					if cfg.sync != nil {
+						geo := s.Geometry()
+						for st := int64(0); st < geo.Stripes(); st++ {
+							if err := s.SetSync(st*geo.StripeDataBytes(), geo.StripeDataBytes(), cfg.sync(geo.Stripes(), st)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
 					runReconstructMatrix(t, s, failed)
 				})
 			}
@@ -93,12 +101,6 @@ func runReconstructMatrix(t *testing.T, s *Store, failed []int) {
 	geo := s.Geometry()
 	stripes, sdb, unit := geo.Stripes(), geo.StripeDataBytes(), geo.StripeUnit
 	m := geo.Level.ParityUnits()
-	never := func(stripe int64) bool { return m == 1 && stripe >= stripes/2 }
-	if m == 1 {
-		if err := s.SetStripePolicy(stripes/2*sdb, (stripes-stripes/2)*sdb, PolicyNeverRedundant); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want := pattern(int(s.Capacity()), 3)
 	if _, err := s.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
@@ -120,7 +122,7 @@ func runReconstructMatrix(t *testing.T, s *Store, failed []int) {
 		dirty[st] = true
 	}
 	for stripe := int64(0); stripe < stripes; stripe++ {
-		if dirty[stripe] != (stripe%2 == 1 && !never(stripe)) {
+		if dirty[stripe] != (stripe%2 == 1 && int(s.sync[stripe]) < m) {
 			t.Fatalf("stripe %d: dirty=%v", stripe, dirty[stripe])
 		}
 	}
@@ -187,10 +189,8 @@ func runReconstructMatrix(t *testing.T, s *Store, failed []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stripe := range bad {
-		if !never(stripe) {
-			t.Fatalf("stripe %d inconsistent after repair (all: %v)", stripe, bad)
-		}
+	if len(bad) != 0 {
+		t.Fatalf("stripes %v inconsistent after repair", bad)
 	}
 	all := make([]byte, len(want))
 	if _, err := s.ReadAt(all, 0); err != nil {

@@ -148,7 +148,7 @@ func (ts *tortureState) markLossOnFailure(failed int) {
 			continue
 		}
 		availParity := 0
-		if ts.mode == Afraid6 && !ts.s.opts.DeferBothParities {
+		if ts.mode == Afraid6 {
 			// P stays fresh in defer-Q mode; it helps unless the P
 			// disk itself is among the dead.
 			if !ts.dead[geo.ParityDisk(stripe)] {

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"time"
 
@@ -16,16 +17,16 @@ import (
 // with optional marking-memory loss, post-recovery disk failures, and
 // repair).
 type Config struct {
-	Mode              core.Mode
-	Disks             int
-	StripeUnit        int64
-	StripesPerDisk    int64 // device size = StripesPerDisk * StripeUnit
-	Ops               int   // workload operations
-	WriteFrac         float64
-	MaxIO             int64 // max bytes per workload op
-	ScrubIdle         time.Duration
-	DirtyThreshold    int
-	DeferBothParities bool
+	Mode           core.Mode
+	Disks          int
+	StripeUnit     int64
+	StripesPerDisk int64 // device size = StripesPerDisk * StripeUnit
+	Ops            int   // workload operations
+	WriteFrac      float64
+	MaxIO          int64 // max bytes per workload op
+	ScrubIdle      time.Duration
+	DirtyThreshold int
+	MixedSync      bool // give each stripe a seeded sync count, and draw them again before the first failure
 
 	Transients int  // member disks hit by an injected transient fault (capped at the redundancy)
 	PowerCut   bool // cut power mid-workload and restart through recovery
@@ -42,12 +43,11 @@ type Config struct {
 // open and the post-crash reopen).
 func (c Config) storeOptions() core.Options {
 	return core.Options{
-		Mode:              c.Mode,
-		StripeUnit:        c.StripeUnit,
-		ScrubIdle:         c.ScrubIdle,
-		DirtyThreshold:    c.DirtyThreshold,
-		DeferBothParities: c.DeferBothParities,
-		Checksums:         c.Checksums,
+		Mode:           c.Mode,
+		StripeUnit:     c.StripeUnit,
+		ScrubIdle:      c.ScrubIdle,
+		DirtyThreshold: c.DirtyThreshold,
+		Checksums:      c.Checksums,
 	}
 }
 
@@ -74,18 +74,6 @@ func (c Config) withDefaults() Config {
 		c.ScrubIdle = 3 * time.Millisecond
 	}
 	return c
-}
-
-// maxDead is how many simultaneous member failures the mode absorbs.
-func maxDead(m core.Mode) int {
-	switch m {
-	case core.Raid6, core.Afraid6:
-		return 2
-	case core.Raid0:
-		return 0
-	default:
-		return 1
-	}
 }
 
 // Core is the Stack over a core.Store on fault-wrapped members sharing
@@ -172,6 +160,23 @@ func (c *Core) open(seed int64, dead []int) error {
 			d.SetChecksumRegion(c.geo.DiskSize)
 		}
 	}
+	return c.drawSync(seed)
+}
+
+// drawSync gives each stripe a sync count in [0, m] when the schedule
+// mixes them, from an rng of its own so that no other draw of the
+// episode moves.
+func (c *Core) drawSync(seed int64) error {
+	if !c.cfg.MixedSync {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x5c))
+	sdb := c.geo.StripeDataBytes()
+	for s := int64(0); s < c.geo.Stripes(); s++ {
+		if err := c.st.SetSync(s*sdb, sdb, rng.Intn(c.geo.Level.ParityUnits()+1)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -210,7 +215,7 @@ func (c *Core) Reopen(seed int64) error {
 // read-time media decay; and the power fuse.
 func (c *Core) Arm(e *Episode) {
 	cfg := c.cfg
-	for _, v := range e.Rng.Perm(cfg.Disks)[:min(cfg.Transients, maxDead(cfg.Mode))] {
+	for _, v := range e.Rng.Perm(cfg.Disks)[:min(cfg.Transients, c.geo.Level.ParityUnits())] {
 		c.devs[v].AddRule(Rule{When: After(uint64(e.Rng.Intn(cfg.Ops + 1))), Do: Transient(nil), Max: 1})
 		c.events.FailedMembers++
 		c.victims = append(c.victims, v)
@@ -249,7 +254,15 @@ func (c *Core) PowerCycle(e *Episode) error {
 // layer, letting foreground I/O trip the store's degraded-mode
 // absorption, then runs a short degraded burst: acknowledged writes must
 // survive with members down (and must mirror onto a repair in progress).
+// Mixed sync counts are drawn again first, while the workload's marks
+// still stand: a stripe whose count changes under its mark must vouch for
+// no parity when a member goes.
 func (c *Core) FailDisks(e *Episode) error {
+	if c.cfg.DiskFails > 0 {
+		if err := c.drawSync(e.Seed + 2); err != nil {
+			return err
+		}
+	}
 	failed := 0
 	for failed < c.cfg.DiskFails {
 		dead := c.st.DeadDisks()
@@ -262,7 +275,7 @@ func (c *Core) FailDisks(e *Episode) error {
 				pending++
 			}
 		}
-		if len(dead)+pending >= maxDead(c.cfg.Mode) {
+		if len(dead)+pending >= c.geo.Level.ParityUnits() { // one failure absorbed per parity
 			break
 		}
 		var alive []int

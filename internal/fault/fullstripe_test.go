@@ -27,7 +27,7 @@ func TestPowerCutInsideFullStripeWrite(t *testing.T) {
 		both bool
 	}{{core.Afraid, false}, {core.Afraid6, false}, {core.Afraid6, true}, {core.Raid5, false}, {core.Raid6, false}} {
 		for _, checksums := range []bool{false, true} {
-			opts := core.Options{Mode: row.mode, DeferBothParities: row.both, StripeUnit: unit, Checksums: checksums, DisableScrubber: true}
+			opts := core.Options{Mode: row.mode, StripeUnit: unit, Checksums: checksums, DisableScrubber: true}
 			devWrites := disks // one per unit of the stripe
 			if checksums {
 				devWrites *= 2 // and one per checksum slot
@@ -46,6 +46,9 @@ func TestPowerCutInsideFullStripeWrite(t *testing.T) {
 						d.OnLine(line)
 					}
 					st, err := core.Open(Devices(devs), nv, opts)
+					if err == nil && row.both {
+						err = st.SetSync(0, st.Capacity(), 0)
+					}
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

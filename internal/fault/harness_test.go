@@ -81,8 +81,14 @@ func TestEpisodeDropNVRAMThenDiskLoss(t *testing.T) {
 	}
 }
 
-func TestEpisodeDeferBothParities(t *testing.T) {
-	runOne(t, 8, Config{Mode: core.Afraid6, DeferBothParities: true, PowerCut: true, DiskFails: 1, Repair: true})
+// A P+Q array whose stripes keep 0, 1 or 2 parities in sync, drawn
+// again under the workload's marks before two members fail, through a
+// power cut and repair.
+func TestEpisodeMixedSync(t *testing.T) {
+	res := runOne(t, 8, Config{Mode: core.Afraid6, MixedSync: true, PowerCut: true, DiskFails: 2, Repair: true})
+	if n := res.Stats["fault.failed_members"]; n < 2 {
+		t.Errorf("expected 2 failed disks, got %d", n)
+	}
 }
 
 // TestEpisodeSeededRepro: the same seed must reproduce the same

@@ -115,7 +115,7 @@ type Engine struct {
 
 	mu       sync.Mutex // guards everything below; never held across a client call or a Store
 	marks    *Bitmap
-	found    *Bitmap              // marks found in the image at load; nil if none. Invariant: found ⊆ marks
+	found    *Bitmap              // marks found in the image at load, or distrusted since; nil if none. Invariant: found ⊆ marks
 	hold     map[int64]bool       // Invariant: hold ⊆ marked; any mark/unmark drops the entry
 	claims   map[int64]claimState // units inside (or on their way into) a callback
 	released *sync.Cond           // a claim was dropped
@@ -215,13 +215,30 @@ func (e *Engine) inherit() {
 // Close stores the image a last time, flagged clean, so that the next load
 // inherits none of its marks. Call it after Stop, once the client has
 // stopped writing: the flag says no mark stands for a write in flight. A
-// Mark after it stores the image again without the flag.
+// Mark after it stores the image again without the flag. While an
+// inherited mark stands the image goes unflagged: the next load must
+// inherit it again.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.closed = true
+	e.closed = e.found == nil || e.found.Count() == 0
 	e.latest++
 	return e.commit()
+}
+
+// Distrust makes unit's standing mark inherited (State), as if found at
+// load, until the unit is made redundant: the client can no longer vouch
+// for what the mark stands for. An unmarked unit is left alone.
+func (e *Engine) Distrust(unit int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.marks.IsMarked(unit) {
+		return
+	}
+	if e.found == nil {
+		e.found = NewBitmap(e.cfg.Units)
+	}
+	e.found.Mark(unit)
 }
 
 // Start launches the background loop: every Idle/4, and whenever woken,
@@ -398,10 +415,11 @@ func (e *Engine) IsMarked(unit int64) bool {
 }
 
 // State reports whether unit is marked and, if so, whether the mark was
-// inherited: found in the image at load and standing ever since. An
-// inherited mark may stand for a write the last incarnation had in flight
-// when it stopped, so it vouches for nothing the client keeps in sync
-// either; it ends as every mark does, when the unit is made redundant.
+// inherited: found in the image at load, or distrusted since (Distrust),
+// and standing ever since. An inherited mark may stand for a write the
+// last incarnation had in flight when it stopped, so it vouches for
+// nothing the client keeps in sync either; it ends as every mark does,
+// when the unit is made redundant.
 func (e *Engine) State(unit int64) (marked, inherited bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -327,6 +327,31 @@ func TestInheritedMarks(t *testing.T) {
 	}
 }
 
+// A distrusted mark reads as inherited until the unit is made redundant,
+// an unmarked unit cannot be distrusted, and while such a mark stands a
+// clean close leaves the image unflagged: the next load inherits it all.
+func TestDistrustedMarks(t *testing.T) {
+	nv, c := &fakeNV{}, newFakeClient()
+	e := newTestEngine(t, Config{NV: nv}, c)
+	mustMark(t, e, 3, 5)
+	e.Distrust(3)
+	e.Distrust(7)
+	for u, want := range map[int64][2]bool{3: {true, true}, 5: {true, false}, 7: {false, false}} {
+		if marked, inherited := e.State(u); marked != want[0] || inherited != want[1] {
+			t.Fatalf("unit %d: marked %v, inherited %v; want %v", u, marked, inherited, want)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = newTestEngine(t, Config{NV: nv}, c)
+	for _, u := range []int64{3, 5} {
+		if _, inherited := e.State(u); !inherited {
+			t.Fatalf("unit %d: a clean close with a distrusted mark standing handed it down as trusted", u)
+		}
+	}
+}
+
 // A store reuses the engine's image buffer: marking and clearing on a
 // marking memory that keeps nothing allocates nothing.
 func TestStoresDoNotAllocate(t *testing.T) {
