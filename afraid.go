@@ -65,7 +65,9 @@ type (
 	SimFault = array.Fault
 )
 
-// Simulated array modes.
+// Simulated array modes: as for the Store modes below, each but
+// SimPARITYLOG is a parity layout and the sync count its writes keep
+// (SimMode.Parities).
 const (
 	// SimRAID0 is the unprotected baseline (an AFRAID that never
 	// updates parity, exactly as the paper models it).
@@ -79,15 +81,11 @@ const (
 	SimPARITYLOG = array.PARITYLOG
 	// SimRAID6 keeps synchronous P and Q parity (§5).
 	SimRAID6 = array.RAID6
-	// SimAFRAID6 defers the Q update or both parity updates (§5),
-	// selected by SimConfig.QDefer.
+	// SimAFRAID6 keeps P synchronous and defers the Q update (§5), so
+	// single-failure protection is retained at all times.
 	SimAFRAID6 = array.AFRAID6
-
-	// DeferQ defers only RAID 6's Q update (single-failure protection
-	// retained at all times).
-	DeferQ = array.DeferQ
-	// DeferBoth defers both RAID 6 parity updates.
-	DeferBoth = array.DeferBoth
+	// SimAFRAID6PQ defers both RAID 6 parity updates (§5).
+	SimAFRAID6PQ = array.AFRAID6PQ
 )
 
 // Availability analytics (paper §3).

@@ -7,6 +7,7 @@
 //	afraidsim -mode afraid -workload cello-usr -dur 60s
 //	afraidsim -mode raid5 -trace /path/to/trace.txt
 //	afraidsim -mode afraid -target 1.5e6 -threshold 20 -workload att
+//	afraidsim -mode afraid6-pq -workload att
 package main
 
 import (
@@ -19,7 +20,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "afraid", "array mode: raid0, raid5, afraid, paritylog, raid6, afraid6")
+	mode := flag.String("mode", "afraid", "array mode: raid0, raid5, afraid, paritylog, raid6, afraid6, afraid6-pq")
 	workload := flag.String("workload", "cello-usr", "named workload from the catalog")
 	traceFile := flag.String("trace", "", "trace file (overrides -workload)")
 	dur := flag.Duration("dur", 60*time.Second, "synthetic trace duration")
@@ -30,7 +31,6 @@ func main() {
 	coalesce := flag.Bool("coalesce", false, "coalesce adjacent stripe rebuilds")
 	gran := flag.Int("granularity", 0, "sub-stripe marking slots per stripe (§5; AFRAID mode)")
 	conservative := flag.Bool("conservative", false, "start in RAID5 mode until idle headroom is observed (§5)")
-	deferBoth := flag.Bool("defer-both", false, "afraid6: defer both parities instead of only Q")
 	flag.Parse()
 
 	var m afraid.SimMode
@@ -47,6 +47,8 @@ func main() {
 		m = afraid.SimRAID6
 	case "afraid6":
 		m = afraid.SimAFRAID6
+	case "afraid6-pq":
+		m = afraid.SimAFRAID6PQ
 	default:
 		fmt.Fprintf(os.Stderr, "afraidsim: unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -59,9 +61,6 @@ func main() {
 	cfg.Policy.CoalesceAdjacent = *coalesce
 	cfg.Policy.MarkGranularity = *gran
 	cfg.Policy.ConservativeStart = *conservative
-	if *deferBoth {
-		cfg.QDefer = afraid.DeferBoth
-	}
 
 	var metrics afraid.SimMetrics
 	var err error
@@ -101,7 +100,7 @@ func main() {
 		fmt.Printf("parity log     %d buffer flushes, %d reintegrations, %d stalled writes\n",
 			metrics.LogFlushes, metrics.Reintegrations, metrics.LogStalls)
 	}
-	if m == afraid.SimAFRAID || m == afraid.SimAFRAID6 {
+	if par, sync := m.Parities(); sync < par {
 		fmt.Printf("unprotected     %.2f%% of the run\n", 100*metrics.FracUnprotected)
 		fmt.Printf("parity lag      mean %.1f KB, max %.1f KB\n", metrics.MeanParityLag/1e3, metrics.MaxParityLag/1e3)
 		fmt.Printf("rebuilds        %d stripes in %d episodes (%d cut short, %d forced)\n",
@@ -110,11 +109,9 @@ func main() {
 			fmt.Printf("MTTDL_x         %d reverts, %v in RAID5 mode\n", metrics.Reverts, metrics.RevertedTime.Round(time.Millisecond))
 		}
 		ap := afraid.DefaultAvailParams()
-		var rep afraid.AvailReport
-		if m == afraid.SimAFRAID6 {
-			rep = ap.AFRAID6Report(metrics.FracUnprotected, metrics.MeanParityLag, *deferBoth)
-		} else {
-			rep = ap.AFRAIDReport(metrics.FracUnprotected, metrics.MeanParityLag)
+		rep := ap.AFRAIDReport(metrics.FracUnprotected, metrics.MeanParityLag)
+		if par == 2 {
+			rep = ap.AFRAID6Report(metrics.FracUnprotected, metrics.MeanParityLag, sync)
 		}
 		fmt.Printf("disk MTTDL      %.3g h (overall %.3g h with support hardware)\n", rep.DiskMTTDL, rep.OverallMTTDL)
 		fmt.Printf("disk MDLR       %.3g B/h\n", rep.DiskMDLR)

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -29,88 +31,116 @@ func main() {
 	if *workloads != "" {
 		cfg.Workloads = strings.Split(*workloads, ",")
 	}
-
-	needGrid := map[string]bool{"all": true, "table2": true, "table3": true, "table4": true, "fig3": true, "fig4": true}
-	var grid *exp.Grid
-	if needGrid[*which] {
-		g, err := exp.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+	if err := render(os.Stdout, *which, cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if errors.Is(err, errUnknown) {
+			os.Exit(2)
 		}
-		grid = g
-	}
-
-	switch *which {
-	case "all":
-		fmt.Println(grid.Table2())
-		fmt.Println(grid.Table3())
-		fmt.Println(grid.Table4())
-		fmt.Println(grid.Figure3Text())
-		fmt.Println(grid.Figure4Text())
-		runAblations(*dur, *seed)
-	case "table2":
-		fmt.Println(grid.Table2())
-	case "table3":
-		fmt.Println(grid.Table3())
-	case "table4":
-		fmt.Println(grid.Table4())
-	case "fig3":
-		fmt.Println(grid.Figure3Text())
-	case "fig4":
-		fmt.Println(grid.Figure4Text())
-	case "ablation":
-		runAblations(*dur, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *which)
-		os.Exit(2)
+		os.Exit(1)
 	}
 }
 
-func runAblations(dur time.Duration, seed uint64) {
-	check := func(err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+var errUnknown = errors.New("unknown experiment")
+
+// gridSections are the experiments drawn from the policy grid, in the
+// order -exp all prints them.
+var gridSections = []struct {
+	name string
+	text func(*exp.Grid) string
+}{
+	{"table2", (*exp.Grid).Table2},
+	{"table3", (*exp.Grid).Table3},
+	{"table4", (*exp.Grid).Table4},
+	{"fig3", (*exp.Grid).Figure3Text},
+	{"fig4", (*exp.Grid).Figure4Text},
+}
+
+// render writes the named experiment's text to w.
+func render(w io.Writer, which string, cfg exp.Config) error {
+	known := which == "all" || which == "ablation"
+	var grid *exp.Grid
+	for _, s := range gridSections {
+		if which != "all" && which != s.name {
+			continue
 		}
+		known = true
+		if grid == nil {
+			g, err := exp.Run(cfg)
+			if err != nil {
+				return err
+			}
+			grid = g
+		}
+		fmt.Fprintln(w, s.text(grid))
 	}
+	if !known {
+		return fmt.Errorf("%w %q", errUnknown, which)
+	}
+	if which == "all" || which == "ablation" {
+		return runAblations(w, cfg.Duration, cfg.Seed)
+	}
+	return nil
+}
+
+func runAblations(w io.Writer, dur time.Duration, seed uint64) error {
 	idle, err := exp.IdleDelaySweep("cello-usr", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderAblation("Ablation: idle-detection threshold (cello-usr)", idle))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderAblation("Ablation: idle-detection threshold (cello-usr)", idle))
 
 	th, err := exp.DirtyThresholdSweep("att", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderAblation("Ablation: dirty-stripe threshold (att)", th))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderAblation("Ablation: dirty-stripe threshold (att)", th))
 
 	co, err := exp.CoalesceSweep("netware", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderAblation("Ablation: adjacent-stripe rebuild coalescing (netware)", co))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderAblation("Ablation: adjacent-stripe rebuild coalescing (netware)", co))
 
 	ad, err := exp.AdaptiveIdleSweep("cello-usr", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderAblation("Ablation: idle detector (cello-usr)", ad))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderAblation("Ablation: idle detector (cello-usr)", ad))
 
 	width, err := exp.WidthSweep("cello-usr", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderWidth(width))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderWidth(width))
 
 	gran, err := exp.GranularitySweep("cello-news", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderAblation("Extension (§5): sub-stripe marking granularity (cello-news)", gran))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderAblation("Extension (§5): sub-stripe marking granularity (cello-news)", gran))
 
 	cons, err := exp.ConservativeSweep("att", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderAblation("Extension (§5): conservative start (att)", cons))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderAblation("Extension (§5): conservative start (att)", cons))
 
 	rel, err := exp.RelatedWorkSweep("att", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderRelatedWork("att", rel))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderRelatedWork("att", rel))
 
 	r6, err := exp.RAID6Sweep("att", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderRAID6("att", r6))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderRAID6("att", r6))
 
 	deg, err := exp.DegradedSweep("cello-usr", dur, seed)
-	check(err)
-	fmt.Println(exp.RenderDegraded("cello-usr", deg))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, exp.RenderDegraded("cello-usr", deg))
+	return nil
 }

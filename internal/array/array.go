@@ -4,7 +4,9 @@
 // writes, deferred parity rebuilt in idle periods), together with the
 // availability policies — pure AFRAID, the dirty-stripe threshold, and
 // the MTTDL_x target policy that reverts to RAID 5 when the achieved
-// availability falls below a goal.
+// availability falls below a goal. Every mode but the parity-logging
+// baseline is a layout of m parities plus a sync count n: a write keeps
+// the first n parities current and defers the other m−n behind a mark.
 //
 // The controller runs inside a sim.Engine. Requests enter through a
 // host device driver (CLOOK, outstanding-request limit equal to the
@@ -27,53 +29,73 @@ import (
 	"afraid/internal/sim"
 )
 
-// Mode selects the array's redundancy behaviour.
+// Mode names a preset: a parity layout and the sync count its writes
+// keep.
 type Mode int
 
 const (
-	// RAID0 never writes parity. The paper models it as "an AFRAID
+	// RAID0 (m=0) never writes parity. The paper models it as "an AFRAID
 	// that simply never did parity updates", which this implementation
 	// reproduces: identical code paths, no parity work.
 	RAID0 Mode = iota
-	// RAID5 is the traditional always-consistent array: small writes
-	// pay the read-modify-write penalty in the critical path.
+	// RAID5 (m=1, n=1) is the traditional always-consistent array: small
+	// writes pay the read-modify-write penalty in the critical path.
 	RAID5
-	// AFRAID applies data writes immediately, marks the stripes
-	// unredundant in NVRAM, and rebuilds parity in idle periods.
+	// AFRAID (m=1, n=0) applies data writes immediately, marks the
+	// stripes unredundant in NVRAM, and rebuilds parity in idle periods.
 	AFRAID
 	// PARITYLOG is the related-work baseline (§2): parity update images
 	// are appended to a distributed log and reintegrated in batches,
 	// preserving full redundancy at all times at the cost of the
 	// old-data pre-read, reintegration interference, and log-full
-	// stalls.
+	// stalls. A parity log is not a sync count, so it keeps its own
+	// write path.
 	PARITYLOG
-	// RAID6 keeps synchronous P and Q parity: six I/Os per small
-	// write (§5 notes the even higher penalty).
+	// RAID6 (m=2, n=2) keeps synchronous P and Q parity: six I/Os per
+	// small write (§5 notes the even higher penalty).
 	RAID6
-	// AFRAID6 is the §5 extension: defer the Q update (partial
-	// redundancy immediately) or both parity updates, per
-	// Config.QDefer.
+	// AFRAID6 (m=2, n=1) is the §5 extension, which may "delay either or
+	// both parity-block updates: if only one was deferred, partial
+	// redundancy protection would be available immediately, and full
+	// redundancy once the parity-rebuild happened for the other parity
+	// block". This preset defers only Q.
 	AFRAID6
+	// AFRAID6PQ (m=2, n=0) defers both parity updates: the AFRAID fast
+	// path on a P+Q layout, with no redundancy while a stripe is marked.
+	AFRAID6PQ
 )
+
+// presets is each Mode's row: its name, layout and sync count.
+var presets = [...]struct {
+	name  string
+	level layout.Level
+	sync  int
+}{
+	RAID0:     {"RAID0", layout.RAID0, 0},
+	RAID5:     {"RAID5", layout.RAID5, 1},
+	AFRAID:    {"AFRAID", layout.RAID5, 0},
+	PARITYLOG: {"PARITYLOG", layout.RAID5, 1},
+	RAID6:     {"RAID6", layout.RAID6, 2},
+	AFRAID6:   {"AFRAID6", layout.RAID6, 1},
+	AFRAID6PQ: {"AFRAID6PQ", layout.RAID6, 0},
+}
+
+func (m Mode) valid() bool { return m >= 0 && int(m) < len(presets) }
 
 // String returns the mode name.
 func (m Mode) String() string {
-	switch m {
-	case RAID0:
-		return "RAID0"
-	case RAID5:
-		return "RAID5"
-	case AFRAID:
-		return "AFRAID"
-	case PARITYLOG:
-		return "PARITYLOG"
-	case RAID6:
-		return "RAID6"
-	case AFRAID6:
-		return "AFRAID6"
-	default:
+	if !m.valid() {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+	return presets[m].name
+}
+
+// Parities returns the mode's parity count m and sync count n: a write
+// keeps the first n parities current and leaves the other m−n stale
+// behind a mark until the background rebuild writes them.
+func (m Mode) Parities() (int, int) {
+	p := presets[m]
+	return p.level.ParityUnits(), p.sync
 }
 
 // Policy carries the AFRAID availability knobs.
@@ -154,8 +176,6 @@ type Config struct {
 	PLog PLogConfig
 	// Fault optionally injects a disk failure (degraded-mode study).
 	Fault Fault
-	// QDefer selects which parity updates AFRAID6 defers.
-	QDefer QDeferPolicy
 	// Seed desynchronizes rotational phases when SpinSync is false.
 	Seed uint64
 }
@@ -167,17 +187,8 @@ func DefaultConfig(mode Mode) Config {
 	p := disk.C3325()
 	unit := int64(8 << 10)
 	diskSize := p.CapacityBytes() / unit * unit
-	var lvl layout.Level
-	switch mode {
-	case RAID0:
-		lvl = layout.RAID0
-	case RAID6, AFRAID6:
-		lvl = layout.RAID6
-	default:
-		lvl = layout.RAID5
-	}
 	cfg := Config{
-		Geometry: layout.Geometry{Disks: 5, StripeUnit: unit, DiskSize: diskSize, Level: lvl},
+		Geometry: layout.Geometry{Disks: 5, StripeUnit: unit, DiskSize: diskSize, Level: presets[mode].level},
 		Disk:     p,
 		SpinSync: true,
 		Mode:     mode,
@@ -212,6 +223,9 @@ type Array struct {
 	disks []*disk.Disk
 	busy  []bool
 	queue [][]diskOp
+
+	// parities and sync are the preset's m and n (Mode.Parities).
+	parities, sync int
 
 	limiter *iosched.Limiter
 	cache   *cache.Controller
@@ -284,16 +298,10 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		return nil, fmt.Errorf("array: per-disk footprint %d exceeds disk capacity %d",
 			physical, cfg.Disk.CapacityBytes())
 	}
-	var wantLevel layout.Level
-	switch cfg.Mode {
-	case RAID0:
-		wantLevel = layout.RAID0
-	case RAID6, AFRAID6:
-		wantLevel = layout.RAID6
-	default:
-		wantLevel = layout.RAID5
+	if !cfg.Mode.valid() {
+		return nil, fmt.Errorf("array: unknown mode %v", cfg.Mode)
 	}
-	if cfg.Geometry.Level != wantLevel {
+	if wantLevel := presets[cfg.Mode].level; cfg.Geometry.Level != wantLevel {
 		return nil, fmt.Errorf("array: %v mode requires a %v layout, have %v",
 			cfg.Mode, wantLevel, cfg.Geometry.Level)
 	}
@@ -344,6 +352,7 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		activeWrites:  make(map[int64]int),
 		gran:          gran,
 	}
+	a.parities, a.sync = cfg.Mode.Parities()
 	if cfg.Policy.ConservativeStart && cfg.Mode == AFRAID {
 		// §5: begin conservatively in RAID 5 mode; switch to AFRAID
 		// once the observed idle fraction shows headroom for rebuilds.
@@ -372,8 +381,9 @@ func (a *Array) Capacity() int64 { return a.geo.Capacity() }
 // DirtyStripes returns the current number of unredundant stripes.
 func (a *Array) DirtyStripes() int64 { return a.marks.Count() }
 
-// Reverted reports whether the MTTDL_x policy currently has the array
-// in RAID 5 mode.
+// Reverted reports whether the MTTDL_x policy (or conservative start)
+// currently holds the array's sync count at its parity count, RAID 5
+// behaviour.
 func (a *Array) Reverted() bool { return a.reverted }
 
 // issue enqueues op on disk d, serving it immediately if the disk is

@@ -3,15 +3,10 @@ package array
 import "time"
 
 // maybeArmIdleTimer schedules the idle-detection check after the array
-// becomes quiescent with unredundant stripes outstanding.
-// deferredMode reports whether the array defers parity (AFRAID and
-// AFRAID6 both rely on the background rebuilder).
-func (a *Array) deferredMode() bool {
-	return a.cfg.Mode == AFRAID || a.cfg.Mode == AFRAID6
-}
-
+// becomes quiescent with unredundant stripes outstanding. Only a preset
+// that defers a parity (n < m) relies on the background rebuilder.
 func (a *Array) maybeArmIdleTimer() {
-	if !a.deferredMode() || a.rebuilding || a.marks.Count() == 0 {
+	if a.sync == a.parities || a.rebuilding || a.marks.Count() == 0 {
 		return
 	}
 	if a.deg.failed >= 0 {
@@ -129,10 +124,10 @@ func (a *Array) episodeDone(lastStripe int64) {
 }
 
 // rebuildNext picks the next dirty marking slot whose stripe has no
-// in-flight foreground write and rebuilds its parity slice: read the
-// slice from every data unit, xor (free in simulation), write the
-// parity slice. With the default granularity the slice is the whole
-// stripe unit.
+// in-flight foreground write and rebuilds its deferred parity slices:
+// read the slice from every data unit, encode (free in simulation),
+// write the parity slices. With the default granularity the slice is
+// the whole stripe unit.
 func (a *Array) rebuildNext() {
 	slot, ok := a.pickSlot()
 	if !ok {
@@ -143,13 +138,6 @@ func (a *Array) rebuildNext() {
 		return
 	}
 	stripe := a.stripeOfSlot(slot)
-
-	if a.cfg.Mode == AFRAID6 {
-		a.cursor = slot + 1
-		a.lockStripe(stripe)
-		a.rebuildStripe6(stripe)
-		return
-	}
 
 	// Coalesce a run of adjacent dirty slices of the same stripe into
 	// one transfer: with sub-stripe marking, paying a positioning per
@@ -178,11 +166,14 @@ func (a *Array) rebuildNext() {
 	}
 }
 
-// writeRebuiltParity writes the recomputed parity slice(s) and closes
-// out the slot run.
+// writeRebuiltParity writes the m−n parity slices the preset defers, Q
+// before P, and closes out the slot run once they have all landed.
 func (a *Array) writeRebuiltParity(slot, runLen, stripe int64, off, n int64) {
-	p := a.geo.ParityDisk(stripe)
-	a.issue(p, diskOp{write: true, off: off, n: n, done: func() {
+	writes := a.parities - a.sync
+	done := func() {
+		if writes--; writes > 0 {
+			return
+		}
 		for s := slot; s < slot+runLen; s++ {
 			a.markClean(s)
 		}
@@ -193,7 +184,10 @@ func (a *Array) writeRebuiltParity(slot, runLen, stripe int64, off, n int64) {
 		a.unlockStripe(stripe)
 		a.updateMTTDLPolicy()
 		a.episodeDone(slot + runLen - 1)
-	}})
+	}
+	for j := a.parities - 1; j >= a.sync; j-- {
+		a.issue(a.parityDisk(stripe, j), diskOp{write: true, off: off, n: n, done: done})
+	}
 }
 
 // pickSlot returns the next dirty marking slot whose stripe has no

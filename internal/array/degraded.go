@@ -70,9 +70,9 @@ func (a *Array) injectFault() {
 	a.deg.rebuiltUpTo = 0
 
 	// Realize the loss: count dirty stripes whose failed-disk unit
-	// holds data. (AFRAID6 defer-Q keeps P fresh, so a single failure
-	// loses nothing there.)
-	if a.cfg.Mode == AFRAID || (a.cfg.Mode == AFRAID6 && a.cfg.QDefer == DeferBoth) {
+	// holds data. Only a preset whose writes keep no parity (n = 0)
+	// loses anything to one failure; from n = 1 on, P stays fresh.
+	if a.sync == 0 {
 		for _, slot := range a.marks.Marked() {
 			stripe := a.stripeOfSlot(slot)
 			if role, _ := a.geo.RoleOf(stripe, f.Disk); role == layout.Data {
@@ -109,84 +109,6 @@ func (a *Array) readExtentDegraded(r *request, e layout.Extent) {
 		}
 		r.remaining++
 		a.issue(d, diskOp{off: base, n: e.Len, done: func() { a.finishOne(r) }})
-	}
-}
-
-// writeSpanDegraded handles a stripe write while a member is down,
-// maintaining parity synchronously so the lost unit stays encoded
-// (deferring parity during degraded operation would turn the *next*
-// failure into certain loss, and the marking memory cannot protect a
-// stripe whose data is already unreadable). The whole span is treated
-// as a reconstruct-write:
-//
-//   - read every surviving data unit not being overwritten;
-//   - write the covered data units on surviving disks;
-//   - write the new parity (if the parity disk survives).
-func (a *Array) writeSpanDegradedSim(r *request, sp layout.StripeSpan) {
-	a.noteWriteActive(sp.Stripe)
-	stripe := sp.Stripe
-	unit := a.geo.StripeUnit
-	pOff := a.geo.DiskOffset(stripe)
-	pDisk := a.geo.ParityDisk(stripe)
-
-	covered := make(map[int]bool, len(sp.Extents))
-	for _, e := range sp.Extents {
-		covered[e.DataIdx] = true
-	}
-
-	parityAlive := pDisk != a.deg.failed
-	deps := 0
-	issuePre := func(d int, op diskOp) {
-		deps++
-		op.done = func() {
-			deps--
-			if deps == 0 && parityAlive {
-				a.issueParityWrite(r, stripe, pDisk, pOff, unit)
-			}
-		}
-		a.issue(d, op)
-	}
-	if parityAlive {
-		r.remaining++ // reserve the parity write
-		for i := 0; i < a.geo.DataDisks(); i++ {
-			if covered[i] {
-				continue
-			}
-			d := a.geo.DataDisk(stripe, i)
-			if d == a.deg.failed {
-				continue
-			}
-			issuePre(d, diskOp{off: pOff, n: unit})
-		}
-	}
-
-	pendingData := 0
-	for _, e := range sp.Extents {
-		if e.Disk == a.deg.failed {
-			continue // absorbed into parity
-		}
-		pendingData++
-	}
-	if pendingData == 0 {
-		a.noteWriteDone(sp.Stripe)
-	}
-	for _, e := range sp.Extents {
-		if e.Disk == a.deg.failed {
-			continue
-		}
-		e := e
-		r.remaining++
-		a.issue(e.Disk, diskOp{write: true, off: e.DiskOff, n: e.Len, done: func() {
-			pendingData--
-			if pendingData == 0 {
-				a.noteWriteDone(sp.Stripe)
-			}
-			a.finishOne(r)
-		}})
-	}
-
-	if parityAlive && deps == 0 {
-		a.issueParityWrite(r, stripe, pDisk, pOff, unit)
 	}
 }
 

@@ -83,15 +83,18 @@ func TestAFRAIDLosesDirtyUnitsOnFailure(t *testing.T) {
 		t.Fatalf("RAID5 lost %d units on a single failure", m5.LostUnitsAtFailure)
 	}
 
-	// The §5 defer-Q variant also loses nothing: P is still fresh.
+	// The §5 defer-Q preset also loses nothing: P is still fresh. With
+	// both parities deferred, a dirty stripe is as exposed as AFRAID's.
 	cfg6 := smallCfg(AFRAID6)
-	cfg6.Policy.IdleDelay = time.Hour
-	cfg6.QDefer = DeferQ
-	cfg6.Fault = Fault{At: 1 * time.Second, Disk: 0}
 	tr6 := smallWriteTrace(60, 15*time.Millisecond, 500*time.Millisecond, cfg6.Geometry.Capacity())
-	m6 := mustRun(t, cfg6, tr6)
-	if m6.LostUnitsAtFailure != 0 {
-		t.Fatalf("AFRAID6 defer-Q lost %d units on a single failure", m6.LostUnitsAtFailure)
+	for _, mode := range []Mode{AFRAID6, AFRAID6PQ} {
+		cfg6 := smallCfg(mode)
+		cfg6.Policy.IdleDelay = time.Hour
+		cfg6.Fault = Fault{At: 1 * time.Second, Disk: 0}
+		m6 := mustRun(t, cfg6, tr6)
+		if lost := m6.LostUnitsAtFailure; (lost == 0) != (mode == AFRAID6) {
+			t.Fatalf("%v lost %d units on a single failure", mode, lost)
+		}
 	}
 }
 
@@ -111,6 +114,36 @@ func TestDegradedWritesMaintainParity(t *testing.T) {
 	}
 	if m.Completed != uint64(len(tr.Records)) {
 		t.Fatalf("completed %d/%d", m.Completed, len(tr.Records))
+	}
+}
+
+func TestDegradedWriteKeepsEverySurvivingParity(t *testing.T) {
+	// With a member down, every preset writes data and all surviving
+	// parities, Q included: the missing unit stays encoded twice where
+	// the layout allows.
+	for _, mode := range []Mode{RAID5, AFRAID, RAID6, AFRAID6, AFRAID6PQ} {
+		cfg := smallCfg(mode)
+		cfg.Fault = Fault{At: time.Millisecond, Disk: 1}
+		tr := smallWriteTrace(60, 20*time.Millisecond, 0, cfg.Geometry.Capacity())
+		tr.Records = tr.Records[1:] // every write after the failure
+		g := cfg.Geometry
+		var want int64
+		for _, rec := range tr.Records {
+			sp := g.Split(rec.Offset, rec.Length)[0]
+			for _, d := range []int{sp.Extents[0].Disk, g.ParityDisk(sp.Stripe), g.QDisk(sp.Stripe)} {
+				if d >= 0 && d != cfg.Fault.Disk {
+					want += rec.Length
+				}
+			}
+		}
+		m := mustRun(t, cfg, tr)
+		var got int64
+		for _, d := range m.Disks {
+			got += d.BytesWritten
+		}
+		if got != want {
+			t.Errorf("%v: degraded writes stored %d bytes, want %d", mode, got, want)
+		}
 	}
 }
 

@@ -154,68 +154,65 @@ func (a *Array) runLocked(r *request, stripe int64, fn func()) {
 	fn()
 }
 
-// writeSpan performs the per-stripe write work for one span.
+// writeSpan performs the per-stripe write work for one span: the data
+// and the parities the sync count keeps current. While the MTTDL_x
+// revert or conservative start holds the count at m, that is every
+// parity; so it is while a member is down, because deferring parity
+// then would turn the *next* failure into certain loss, and the marking
+// memory cannot protect a stripe whose data is already unreadable.
 func (a *Array) writeSpan(r *request, sp layout.StripeSpan) {
+	n := a.sync
+	if a.reverted || a.deg.failed >= 0 {
+		n = a.parities
+	}
 	switch {
-	case a.deg.failed >= 0 && a.cfg.Mode != RAID0:
-		// Degraded operation: parity is maintained synchronously so
-		// the lost unit stays encoded (RAID 6's Q is approximated by
-		// its P here; the window is short).
-		a.writeSpanDegradedSim(r, sp)
-	case a.cfg.Mode == RAID0:
-		a.writeSpanDataOnly(r, sp)
-	case a.cfg.Mode == PARITYLOG:
+	case a.cfg.Mode == PARITYLOG && a.deg.failed < 0:
 		a.writeSpanPLog(r, sp)
-	case a.cfg.Mode == RAID6:
-		a.writeSpanRAID6(r, sp)
-	case a.cfg.Mode == AFRAID6:
-		a.writeSpanAFRAID6(r, sp)
-	case a.cfg.Mode == AFRAID && !a.reverted:
+	case n < a.parities:
 		// The AFRAID fast path: mark the stripe unredundant in NVRAM
-		// (effectively free) and write only the new data — one I/O in
-		// the critical path instead of four.
+		// (effectively free) and write the data and only the first n
+		// parities — at n = 0 one I/O in the critical path instead of
+		// four.
 		a.markSpanDirty(sp)
-		a.writeSpanDataOnly(r, sp)
+		a.writeSpanParity(r, sp, n)
 		a.checkDirtyThreshold()
 	default:
-		a.writeSpanRAID5(r, sp)
+		a.writeSpanParity(r, sp, n)
 	}
 }
 
-// writeSpanDataOnly writes the new data blocks and nothing else.
-func (a *Array) writeSpanDataOnly(r *request, sp layout.StripeSpan) {
-	a.noteWriteActive(sp.Stripe)
-	pending := len(sp.Extents)
-	for _, e := range sp.Extents {
-		e := e
-		r.remaining++
-		a.issue(e.Disk, diskOp{write: true, off: e.DiskOff, n: e.Len, done: func() {
-			pending--
-			if pending == 0 {
-				a.noteWriteDone(sp.Stripe)
-			}
-			a.finishOne(r)
-		}})
-	}
-}
-
-// writeSpanRAID5 performs the traditional small-update protocol:
+// writeSpanParity writes a span's data and the stripe's first k parities
+// (data only at k = 0) by the small-update protocol that fits:
 //
 //   - full-stripe spans: compute parity from the new data, write all
 //     data units plus parity (no pre-reads);
-//   - spans covering more than half the stripe: reconstruct-write —
-//     pre-read the uncovered units, then write data and parity;
+//   - spans covering more than half the stripe, and every span while a
+//     member is down: reconstruct-write — pre-read the uncovered units,
+//     then write data and parity;
 //   - small spans: read-modify-write — pre-read old data (unless the
-//     controller caches it) and old parity, then write data and parity.
+//     controller caches it) and each old parity, then write data and
+//     parity.
 //
-// The request completes only when the parity write has finished: that
-// serialization is exactly the small-update penalty AFRAID removes.
-func (a *Array) writeSpanRAID5(r *request, sp layout.StripeSpan) {
+// A down member is neither read nor written: its unit stays encoded in
+// the surviving parities. The request completes only when every parity
+// write has finished: that serialization is exactly the small-update
+// penalty AFRAID removes.
+func (a *Array) writeSpanParity(r *request, sp layout.StripeSpan, k int) {
 	a.noteWriteActive(sp.Stripe)
 	stripe := sp.Stripe
-	pDisk := a.geo.ParityDisk(stripe)
-	pOff := a.geo.DiskOffset(stripe)
+	off := a.geo.DiskOffset(stripe)
 	unit := a.geo.StripeUnit
+	failed := a.deg.failed
+
+	// A parity write vouches for the stripe only if it keeps every
+	// parity; at k < m the deferred ones stay stale behind the mark.
+	keepsAll := k == a.parities
+	pars := make([]int, 0, k)
+	for j := 0; j < k; j++ {
+		if d := a.parityDisk(stripe, j); d != failed {
+			pars = append(pars, d)
+		}
+	}
 
 	covered := make(map[int]bool, len(sp.Extents))
 	partial := false
@@ -226,58 +223,79 @@ func (a *Array) writeSpanRAID5(r *request, sp layout.StripeSpan) {
 		}
 	}
 	full := len(covered) == a.geo.DataDisks() && !partial
-	reconstruct := !full && !partial && len(covered) > a.geo.DataDisks()/2
+	reconstruct := failed >= 0 || (!full && !partial && len(covered) > a.geo.DataDisks()/2)
 
-	// Reserve the parity write in the request's work count now: data
+	// Reserve the parity writes in the request's work count now: data
 	// writes on other disks may land before the pre-reads complete, and
 	// the request must not retire until parity is on disk.
-	r.remaining++
+	r.remaining += len(pars)
+	writeParities := func() {
+		for _, d := range pars {
+			a.issue(d, diskOp{write: true, off: off, n: unit, done: func() {
+				if keepsAll && a.activeWrites[stripe] == 0 {
+					a.markCleanStripe(stripe)
+				}
+				a.finishOne(r)
+			}})
+		}
+	}
 
-	// Issue the pre-reads the parity write depends on, counting
-	// dependencies so the parity write launches when the last one lands.
+	// Issue the pre-reads the parity writes depend on, counting
+	// dependencies so they launch when the last one lands.
 	deps := 0
 	issuePre := func(d int, op diskOp) {
 		deps++
 		op.done = func() {
 			deps--
 			if deps == 0 {
-				a.issueParityWrite(r, stripe, pDisk, pOff, unit)
+				writeParities()
 			}
 		}
 		a.issue(d, op)
 	}
 	switch {
-	case full:
-		// Full-stripe: parity computed from the new data; no pre-reads.
+	case len(pars) == 0 || full:
+		// No parity to write, or parity computed from the new data.
 	case reconstruct:
 		// Reconstruct-write: read the units not being overwritten.
 		for i := 0; i < a.geo.DataDisks(); i++ {
-			if covered[i] {
-				continue
+			if d := a.geo.DataDisk(stripe, i); !covered[i] && d != failed {
+				issuePre(d, diskOp{off: off, n: unit})
 			}
-			issuePre(a.geo.DataDisk(stripe, i), diskOp{off: pOff, n: unit})
 		}
 	default:
-		// Read-modify-write: old data (unless cached) and old parity.
+		// Read-modify-write: old data (unless cached) and old parities.
 		for _, e := range sp.Extents {
 			if a.cache.OldDataCached(e.ArrOff, e.Len) {
 				continue
 			}
 			issuePre(e.Disk, diskOp{off: e.DiskOff, n: e.Len})
 		}
-		issuePre(pDisk, diskOp{off: pOff, n: unit})
+		for _, d := range pars {
+			issuePre(d, diskOp{off: off, n: unit})
+		}
 	}
 
 	// Data writes proceed independently of the parity chain. Per-disk
 	// FCFS queues keep a pre-read of a block ahead of its overwrite.
-	pendingData := len(sp.Extents)
+	pendingData := 0
 	for _, e := range sp.Extents {
-		e := e
+		if e.Disk != failed {
+			pendingData++
+		}
+	}
+	if pendingData == 0 {
+		a.noteWriteDone(stripe) // every extent absorbed into parity
+	}
+	for _, e := range sp.Extents {
+		if e.Disk == failed {
+			continue
+		}
 		r.remaining++
 		a.issue(e.Disk, diskOp{write: true, off: e.DiskOff, n: e.Len, done: func() {
 			pendingData--
 			if pendingData == 0 {
-				a.noteWriteDone(sp.Stripe)
+				a.noteWriteDone(stripe)
 			}
 			a.finishOne(r)
 		}})
@@ -285,21 +303,16 @@ func (a *Array) writeSpanRAID5(r *request, sp layout.StripeSpan) {
 
 	if deps == 0 {
 		// No pre-reads were needed; parity can be written immediately.
-		a.issueParityWrite(r, stripe, pDisk, pOff, unit)
+		writeParities()
 	}
 }
 
-// issueParityWrite writes the stripe's new parity unit; its completion
-// retires the slot writeSpanRAID5 reserved in the request's work count.
-func (a *Array) issueParityWrite(r *request, stripe int64, pDisk int, pOff, unit int64) {
-	a.issue(pDisk, diskOp{write: true, off: pOff, n: unit, done: func() {
-		// Parity now consistent for this stripe; if any of its slots
-		// had been marked (mode changes can interleave), clear them.
-		if a.activeWrites[stripe] == 0 {
-			a.markCleanStripe(stripe)
-		}
-		a.finishOne(r)
-	}})
+// parityDisk returns the disk of a stripe's parity j: P, then Q.
+func (a *Array) parityDisk(stripe int64, j int) int {
+	if j == 0 {
+		return a.geo.ParityDisk(stripe)
+	}
+	return a.geo.QDisk(stripe)
 }
 
 // noteWriteActive/noteWriteDone track in-flight foreground write spans

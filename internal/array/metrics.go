@@ -134,7 +134,7 @@ func (m Metrics) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v: %d requests (%d reads, %d writes), mean I/O %v",
 		m.Mode, m.Completed, m.Reads, m.Writes, m.MeanIOTime.Round(time.Microsecond))
-	if m.Mode == AFRAID || m.Mode == AFRAID6 {
+	if par, sync := m.Mode.Parities(); sync < par {
 		fmt.Fprintf(&b, ", unprotected %.1f%%, parity lag %.1f KB",
 			100*m.FracUnprotected, m.MeanParityLag/1e3)
 	}

@@ -34,13 +34,8 @@ func TestAFRAID6DeferQBetweenRAID6AndDeferBoth(t *testing.T) {
 
 	m6 := mustRun(t, DefaultConfig(RAID6), tr)
 
-	dq := DefaultConfig(AFRAID6)
-	dq.QDefer = DeferQ
-	mq := mustRun(t, dq, tr)
-
-	db := DefaultConfig(AFRAID6)
-	db.QDefer = DeferBoth
-	mb := mustRun(t, db, tr)
+	mq := mustRun(t, DefaultConfig(AFRAID6), tr)
+	mb := mustRun(t, DefaultConfig(AFRAID6PQ), tr)
 
 	// Deferring Q removes two of the six I/Os; deferring both removes
 	// four more. Strict ordering must hold.
@@ -51,20 +46,38 @@ func TestAFRAID6DeferQBetweenRAID6AndDeferBoth(t *testing.T) {
 }
 
 func TestAFRAID6RebuildsDrainDirty(t *testing.T) {
-	for _, q := range []QDeferPolicy{DeferQ, DeferBoth} {
-		cfg := DefaultConfig(AFRAID6)
-		cfg.QDefer = q
+	for _, mode := range []Mode{AFRAID6, AFRAID6PQ} {
+		cfg := DefaultConfig(mode)
 		tr := smallWriteTrace(50, 10*time.Millisecond, 5*time.Second, cfg.Geometry.Capacity())
 		m := mustRun(t, cfg, tr)
 		if m.DirtyAtEnd != 0 {
-			t.Fatalf("%v: %d stripes still dirty", q, m.DirtyAtEnd)
+			t.Fatalf("%v: %d stripes still dirty", mode, m.DirtyAtEnd)
 		}
 		if m.RebuiltStripes == 0 {
-			t.Fatalf("%v: nothing rebuilt", q)
+			t.Fatalf("%v: nothing rebuilt", mode)
 		}
 		if m.FracUnprotected <= 0 || m.FracUnprotected >= 1 {
-			t.Fatalf("%v: frac = %g", q, m.FracUnprotected)
+			t.Fatalf("%v: frac = %g", mode, m.FracUnprotected)
 		}
+	}
+}
+
+// TestAFRAID6DeferQRebuildsQ pins that the synchronous P write of a
+// Q-deferring write leaves the stripe marked: Q is still stale, so every
+// written stripe must reach the rebuilder, exactly as when both parities
+// are deferred.
+func TestAFRAID6DeferQRebuildsQ(t *testing.T) {
+	tr := smallWriteTrace(50, 10*time.Millisecond, 5*time.Second, DefaultConfig(AFRAID6).Geometry.Capacity())
+	both := mustRun(t, DefaultConfig(AFRAID6PQ), tr)
+	q := mustRun(t, DefaultConfig(AFRAID6), tr)
+	if both.RebuiltStripes != 50 {
+		t.Fatalf("defer-both rebuilt %d stripes, want 50", both.RebuiltStripes)
+	}
+	if q.RebuiltStripes != both.RebuiltStripes {
+		t.Fatalf("defer-q rebuilt Q on %d stripes, defer-both on %d", q.RebuiltStripes, both.RebuiltStripes)
+	}
+	if q.DirtyAtEnd != 0 {
+		t.Fatalf("defer-q left %d stripes marked", q.DirtyAtEnd)
 	}
 }
 
@@ -76,8 +89,25 @@ func TestRAID6CapacitySmaller(t *testing.T) {
 	}
 }
 
-func TestQDeferPolicyString(t *testing.T) {
-	if DeferQ.String() != "defer-q" || DeferBoth.String() != "defer-both" {
-		t.Fatal("policy names wrong")
+func TestModeString(t *testing.T) {
+	for _, c := range []struct {
+		mode    Mode
+		name    string
+		m, sync int
+	}{
+		{RAID0, "RAID0", 0, 0},
+		{RAID5, "RAID5", 1, 1},
+		{AFRAID, "AFRAID", 1, 0},
+		{RAID6, "RAID6", 2, 2},
+		{AFRAID6, "AFRAID6", 2, 1},
+		{AFRAID6PQ, "AFRAID6PQ", 2, 0},
+	} {
+		m, sync := c.mode.Parities()
+		if c.mode.String() != c.name || m != c.m || sync != c.sync {
+			t.Errorf("%v = (%d, %d), want %s (%d, %d)", c.mode, m, sync, c.name, c.m, c.sync)
+		}
+	}
+	if s := Mode(99).String(); s != "Mode(99)" {
+		t.Errorf("unknown mode prints %q", s)
 	}
 }

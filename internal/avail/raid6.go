@@ -40,23 +40,22 @@ func (p Params) doubleFailureMTTDL() float64 {
 
 // AFRAID6DiskMTTDL combines the exposure modes of an AFRAID6 array
 // measured to be not-fully-redundant for fraction fracUnprot of the
-// time:
+// time, whose writes keep sync ∈ {0, 1} of the two parities current:
 //
-//   - deferBoth=false (Q deferred): dirty stripes are RAID 5-grade, so
-//     the exposed fraction contributes at the double-failure rate;
-//   - deferBoth=true: dirty stripes are unprotected, so the exposed
-//     fraction contributes at the any-single-disk rate, as in eq (2a).
+//   - sync = 1 (Q deferred): dirty stripes are RAID 5-grade, so the
+//     exposed fraction contributes at the double-failure rate;
+//   - sync = 0 (both deferred): dirty stripes are unprotected, so the
+//     exposed fraction contributes at the any-single-disk rate, as in
+//     eq (2a).
 //
 // The protected fraction contributes at the RAID 6 triple-failure rate.
-func (p Params) AFRAID6DiskMTTDL(fracUnprot float64, deferBoth bool) float64 {
+func (p Params) AFRAID6DiskMTTDL(fracUnprot float64, sync int) float64 {
 	if fracUnprot < 0 || fracUnprot > 1 {
 		panic("avail: unprotected fraction out of [0,1]")
 	}
-	var exposed float64
-	if deferBoth {
+	exposed := p.doubleFailureMTTDL()
+	if checkSync6(sync) == 0 {
 		exposed = p.DiskMTTF() / float64(p.Disks) // single failure bites
-	} else {
-		exposed = p.doubleFailureMTTDL()
 	}
 	var comps []float64
 	if fracUnprot > 0 {
@@ -72,28 +71,39 @@ func (p Params) AFRAID6DiskMTTDL(fracUnprot float64, deferBoth bool) float64 {
 }
 
 // MDLR6Unprotected returns the loss rate from the measured mean parity
-// lag of an AFRAID6 array (bytes of not-fully-redundant data):
+// lag of an AFRAID6 array (bytes of not-fully-redundant data) whose
+// writes keep sync ∈ {0, 1} parities current:
 //
-//   - deferBoth=true: one strip per dirty stripe is lost on any single
-//     disk failure — eq (4) with N+2 spindles;
-//   - deferBoth=false: loss additionally requires a second failure
-//     within the repair window.
-func (p Params) MDLR6Unprotected(meanParityLag float64, deferBoth bool) float64 {
+//   - sync = 0: one strip per dirty stripe is lost on any single disk
+//     failure — eq (4) with N+2 spindles;
+//   - sync = 1: loss additionally requires a second failure within the
+//     repair window.
+func (p Params) MDLR6Unprotected(meanParityLag float64, sync int) float64 {
 	if meanParityLag < 0 {
 		panic("avail: negative parity lag")
 	}
 	n := p.n6()
 	perStripeLoss := meanParityLag / n
-	if deferBoth {
+	if checkSync6(sync) == 0 {
 		return perStripeLoss * (n + 2) / p.DiskMTTF()
 	}
 	return perStripeLoss / p.doubleFailureMTTDL()
 }
 
-// AFRAID6Report derives the availability report for an AFRAID6 run.
-func (p Params) AFRAID6Report(fracUnprot, meanParityLag float64, deferBoth bool) Report {
-	disk := p.AFRAID6DiskMTTDL(fracUnprot, deferBoth)
-	mdlr := p.RAID6CatastrophicMDLR() + p.MDLR6Unprotected(meanParityLag, deferBoth)
+// checkSync6 returns sync, panicking unless an AFRAID6 write can keep
+// that many parities current while deferring the rest.
+func checkSync6(sync int) int {
+	if sync != 0 && sync != 1 {
+		panic("avail: AFRAID6 sync count out of {0,1}")
+	}
+	return sync
+}
+
+// AFRAID6Report derives the availability report for an AFRAID6 run
+// whose writes keep sync ∈ {0, 1} parities current.
+func (p Params) AFRAID6Report(fracUnprot, meanParityLag float64, sync int) Report {
+	disk := p.AFRAID6DiskMTTDL(fracUnprot, sync)
+	mdlr := p.RAID6CatastrophicMDLR() + p.MDLR6Unprotected(meanParityLag, sync)
 	return Report{
 		FracUnprotected: fracUnprot,
 		MeanParityLag:   meanParityLag,

@@ -21,26 +21,29 @@ func TestRAID6MTTDLAstronomical(t *testing.T) {
 func TestAFRAID6DeferQSaferThanDeferBoth(t *testing.T) {
 	p := Default()
 	for _, frac := range []float64{0.05, 0.3, 0.9} {
-		dq := p.AFRAID6DiskMTTDL(frac, false)
-		db := p.AFRAID6DiskMTTDL(frac, true)
-		if dq <= db {
-			t.Fatalf("frac=%g: defer-q MTTDL %g not above defer-both %g", frac, dq, db)
+		prev := 0.0
+		for sync := 0; sync <= 1; sync++ {
+			got := p.AFRAID6DiskMTTDL(frac, sync)
+			if got <= prev {
+				t.Fatalf("frac=%g: sync=%d MTTDL %g not above sync=%d's %g", frac, sync, got, sync-1, prev)
+			}
+			prev = got
 		}
 	}
 }
 
 func TestAFRAID6Boundaries(t *testing.T) {
 	p := Default()
-	if got := p.AFRAID6DiskMTTDL(0, false); got != p.RAID6CatastrophicMTTDL() {
+	if got := p.AFRAID6DiskMTTDL(0, 1); got != p.RAID6CatastrophicMTTDL() {
 		t.Fatalf("zero exposure should give pure RAID6 MTTDL, got %g", got)
 	}
 	// Fully exposed defer-both: reduces to the any-single-disk rate.
-	if got, want := p.AFRAID6DiskMTTDL(1, true), p.DiskMTTF()/float64(p.Disks); math.Abs(got-want) > 1e-6*want {
+	if got, want := p.AFRAID6DiskMTTDL(1, 0), p.DiskMTTF()/float64(p.Disks); math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("fully exposed defer-both = %g, want %g", got, want)
 	}
 	// Fully exposed defer-q: reduces to the double-failure MTTDL, which
 	// still beats plain RAID 5's (same formula, same disks).
-	got := p.AFRAID6DiskMTTDL(1, false)
+	got := p.AFRAID6DiskMTTDL(1, 1)
 	if math.Abs(got-p.doubleFailureMTTDL()) > 1e-6*got {
 		t.Fatalf("fully exposed defer-q = %g, want %g", got, p.doubleFailureMTTDL())
 	}
@@ -48,12 +51,12 @@ func TestAFRAID6Boundaries(t *testing.T) {
 
 func TestAFRAID6MonotoneInExposure(t *testing.T) {
 	p := Default()
-	for _, deferBoth := range []bool{false, true} {
+	for sync := 0; sync <= 1; sync++ {
 		prev := math.Inf(1)
 		for f := 0.0; f <= 1.0; f += 0.1 {
-			got := p.AFRAID6DiskMTTDL(f, deferBoth)
+			got := p.AFRAID6DiskMTTDL(f, sync)
 			if got > prev {
-				t.Fatalf("deferBoth=%v: MTTDL rose with exposure at f=%g", deferBoth, f)
+				t.Fatalf("sync=%d: MTTDL rose with exposure at f=%g", sync, f)
 			}
 			prev = got
 		}
@@ -65,20 +68,20 @@ func TestMDLR6DeferQTiny(t *testing.T) {
 	// With Q deferred, loss needs a double failure: the MDLR from a
 	// given lag must be orders of magnitude below the defer-both case.
 	lag := 5e6
-	dq := p.MDLR6Unprotected(lag, false)
-	db := p.MDLR6Unprotected(lag, true)
+	dq := p.MDLR6Unprotected(lag, 1)
+	db := p.MDLR6Unprotected(lag, 0)
 	if dq*1000 > db {
 		t.Fatalf("defer-q MDLR %g not well below defer-both %g", dq, db)
 	}
-	if p.MDLR6Unprotected(0, false) != 0 || p.MDLR6Unprotected(0, true) != 0 {
+	if p.MDLR6Unprotected(0, 1) != 0 || p.MDLR6Unprotected(0, 0) != 0 {
 		t.Fatal("zero lag should give zero MDLR")
 	}
 }
 
 func TestAFRAID6ReportOrdering(t *testing.T) {
 	p := Default()
-	dq := p.AFRAID6Report(0.3, 2e6, false)
-	db := p.AFRAID6Report(0.3, 2e6, true)
+	dq := p.AFRAID6Report(0.3, 2e6, 1)
+	db := p.AFRAID6Report(0.3, 2e6, 0)
 	if dq.OverallMTTDL <= db.OverallMTTDL {
 		t.Fatalf("defer-q overall %g not above defer-both %g", dq.OverallMTTDL, db.OverallMTTDL)
 	}

@@ -99,22 +99,18 @@ func RAID6Sweep(workload string, d time.Duration, seed uint64) ([]RAID6Row, erro
 		return nil, err
 	}
 	ap := avail.Default()
-	type variant struct {
+	var out []RAID6Row
+	for _, v := range []struct {
 		label string
 		mode  array.Mode
-		q     array.QDeferPolicy
-	}
-	var out []RAID6Row
-	for _, v := range []variant{
-		{"RAID5", array.RAID5, 0},
-		{"RAID6", array.RAID6, 0},
-		{"AFRAID6-q", array.AFRAID6, array.DeferQ},
-		{"AFRAID6-pq", array.AFRAID6, array.DeferBoth},
-		{"AFRAID", array.AFRAID, 0},
+	}{
+		{"RAID5", array.RAID5},
+		{"RAID6", array.RAID6},
+		{"AFRAID6-q", array.AFRAID6},
+		{"AFRAID6-pq", array.AFRAID6PQ},
+		{"AFRAID", array.AFRAID},
 	} {
-		cfg := array.DefaultConfig(v.mode)
-		cfg.QDefer = v.q
-		m, err := array.RunTrace(cfg, tr)
+		m, err := array.RunTrace(array.DefaultConfig(v.mode), tr)
 		if err != nil {
 			return nil, err
 		}
@@ -123,9 +119,10 @@ func RAID6Sweep(workload string, d time.Duration, seed uint64) ([]RAID6Row, erro
 		case array.RAID5:
 			rep = ap.RAID5Report()
 		case array.RAID6:
-			rep = ap.AFRAID6Report(0, 0, false)
-		case array.AFRAID6:
-			rep = ap.AFRAID6Report(m.FracUnprotected, m.MeanParityLag, v.q == array.DeferBoth)
+			rep = ap.AFRAID6Report(0, 0, 1)
+		case array.AFRAID6, array.AFRAID6PQ:
+			_, sync := v.mode.Parities()
+			rep = ap.AFRAID6Report(m.FracUnprotected, m.MeanParityLag, sync)
 		default:
 			rep = ap.AFRAIDReport(m.FracUnprotected, m.MeanParityLag)
 		}
