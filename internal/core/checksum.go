@@ -101,22 +101,6 @@ func (s *Store) putChecksum(i int, stripe int64, unit []byte) error {
 	return nil
 }
 
-// putChecksumTo is putChecksum for a device that is not (yet) a member
-// — the replacement a repair sweep writes, or a repair mirror target.
-// No-op with checksums off, so repair call sites stay unconditional.
-func (s *Store) putChecksumTo(dev BlockDevice, stripe int64, unit []byte) error {
-	if !s.opts.Checksums {
-		return nil
-	}
-	slot := slotPool.Get().(*[layout.ChecksumSlotSize]byte)
-	defer slotPool.Put(slot)
-	encodeSlot(slot[:], unit)
-	if _, err := dev.WriteAt(slot[:], s.geo.ChecksumOff(stripe)); err != nil {
-		return fmt.Errorf("core: replacement checksum write: %w", err)
-	}
-	return nil
-}
-
 // verifyAgainstSlot checks unit contents against disk i's stored slot.
 func (s *Store) verifyAgainstSlot(i int, stripe int64, unit []byte) error {
 	slot := slotPool.Get().(*[layout.ChecksumSlotSize]byte)

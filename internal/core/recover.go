@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"afraid/internal/nvram"
 )
@@ -22,6 +22,9 @@ type Failer interface {
 // its units are served degraded (for clean stripes) and writes maintain
 // parity synchronously. The store absorbs one failure per parity unit
 // of its layout (a RAID 0 store tracks one, every unit of which is lost).
+// Failing a disk under repair, or one whose repair stopped midway, fails
+// its replacement: the repair is abandoned, and every stripe is absent on
+// the disk again.
 func (s *Store) FailDisk(i int) error {
 	if i < 0 || i >= len(s.devs) {
 		return fmt.Errorf("core: disk %d out of range", i)
@@ -33,6 +36,9 @@ func (s *Store) FailDisk(i int) error {
 	}
 	if !s.failed.Has(i) && !s.failed.Add(i, s.maxFailed()) {
 		return ErrTooManyFailures
+	}
+	if s.stale != nil && s.staleDisk == i {
+		s.stale = nil
 	}
 	if f, ok := s.devs[i].(Failer); ok {
 		f.Fail()
@@ -77,7 +83,19 @@ func (r DamageReport) Bytes() int64 {
 //     the unit is zero-filled, parity is recomputed over the zeroed
 //     stripe, and the range is recorded in the damage report.
 //
-// After a successful repair the array is fully redundant again.
+// The replacement is member i at once, stale on every stripe: a stripe
+// counts i as failed until the sweep rebuilds its unit, or a degraded
+// write stores the stripe whole, i's unit included, and the sweep skips
+// it. A stripe off the stale map is an ordinary stripe: reads go to the
+// replacement, and a write defers parity as its sync count says.
+//
+// The sweep absorbs a member's fail-stop failure and retries the stripe;
+// the replacement's, or FailDisk(i), abandons the repair, and i is absent
+// on every stripe again. Any other error stops the sweep but keeps the
+// replacement and its stale map, as swept stripes may hold writes only it
+// has: RepairDisk(i) onto the same device resumes. i stays in DeadDisks
+// until a repair succeeds, and a failed one returns with its error the
+// report of what it salvaged, counted in Stats as a finished one's is.
 func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error) {
 	var report DamageReport
 	if i < 0 || i >= len(s.devs) {
@@ -91,95 +109,115 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 		return report, fmt.Errorf("core: replacement size %d smaller than member size %d",
 			replacement.Size(), need)
 	}
-	s.meta.Lock()
-	if s.closed {
-		s.meta.Unlock()
-		return report, ErrClosed
+	stale := nvram.NewBitmap(s.geo.Stripes())
+	for st := int64(0); st < s.geo.Stripes(); st++ {
+		stale.Mark(st)
 	}
-	if !s.failed.Has(i) {
-		s.meta.Unlock()
-		return report, fmt.Errorf("core: disk %d is not a failed disk", i)
-	}
-	if s.repDisk >= 0 {
-		s.meta.Unlock()
-		return report, fmt.Errorf("core: repair of disk %d already in progress", s.repDisk)
-	}
-	// Publish the sweep so concurrent degraded writes mirror already-
-	// repaired stripes onto the replacement (see repairTarget).
-	s.repDisk, s.repDev, s.repDone = i, replacement, nvram.NewBitmap(s.geo.Stripes())
-	s.meta.Unlock()
-
-	// The sweep: scrub workers stride a shared cursor, each rebuilding its
-	// stripe under that stripe's lock. Stripes complete out of order, which
-	// is why repDone is a bitmap and the damage list is sorted afterwards.
-	var mu sync.Mutex // guards report while the sweep runs
-	err := nvram.ForEach(context.Background(), s.scrubWorkers(), 0, s.geo.Stripes(), func(stripe int64) error {
-		lk := s.stripeLock(stripe)
-		lk.Lock()
-		defer lk.Unlock()
-		// A survivor failing checksum verification mid-repair is itself
-		// repaired from whatever redundancy remains and the stripe retried.
-		err := s.repairing(func() error { return s.repairStripe(stripe, i, replacement) })
-		if errors.Is(err, ErrDataLoss) {
-			// The fresh parities cannot cover what is missing — the stripe
-			// was unredundant at failure time, or corruption plus the dead
-			// disks exceed its redundancy: salvage what is readable, zero
-			// and report the rest.
-			var part DamageReport
-			err = s.salvageStripe(stripe, i, replacement, &part)
-			mu.Lock()
-			report.Lost = append(report.Lost, part.Lost...)
-			mu.Unlock()
-		}
-		if err == nil {
-			// Set the done bit while still holding the stripe lock, so a
-			// writer acquiring it next observes the bit and mirrors its
-			// update onto the replacement.
-			s.meta.Lock()
-			s.repDone.Mark(stripe)
-			s.meta.Unlock()
-		}
-		return err
-	})
-	if err != nil {
-		s.meta.Lock()
-		s.repDisk, s.repDev, s.repDone = -1, nil, nil
-		s.meta.Unlock()
-		return DamageReport{}, err
-	}
-	sort.Slice(report.Lost, func(a, b int) bool {
-		return report.Lost[a].Offset < report.Lost[b].Offset
-	})
-
-	// Swap under a full stripe-lock barrier. An in-flight degraded span
-	// snapshots the dead set at entry; if the swap overlapped such a
-	// span, its update could fall between the mirror path (repair no
-	// longer published) and the normal path (swap not yet observed) and
-	// be lost. Holding every lock in the pool drains in-flight spans
-	// first; new ones then see the healthy array.
+	// Install under every stripe lock: devRead and devWrite read s.devs[i]
+	// holding a stripe lock but not meta, and a span that snapshotted the
+	// array before i failed may still be in one on the old device.
 	for k := range s.locks {
 		s.locks[k].Lock()
 	}
 	s.meta.Lock()
-	s.devs[i] = replacement
-	s.failed.Remove(i)
-	s.repDisk, s.repDev, s.repDone = -1, nil, nil
-	s.stats.DamagedStripes += uint64(len(report.Lost))
-	s.stats.DamageBytes += report.Bytes()
+	var err error
+	switch {
+	case s.closed:
+		err = ErrClosed
+	case !s.failed.Has(i):
+		err = fmt.Errorf("core: disk %d is not a failed disk", i)
+	case s.sweeping:
+		err = fmt.Errorf("core: repair of disk %d already in progress", s.staleDisk)
+	case s.stale == nil:
+		s.devs[i], s.staleDisk, s.stale, s.sweeping = replacement, i, stale, true
+	case s.staleDisk != i || s.devs[i] != replacement:
+		err = fmt.Errorf("core: repair of disk %d stopped midway: resume it onto its replacement, or fail the disk first", s.staleDisk)
+	default:
+		stale, s.sweeping = s.stale, true // resume
+	}
 	s.meta.Unlock()
-	// The sweep cleared marks in memory only; one image covers them all.
-	err = s.eng.Commit()
 	for k := range s.locks {
 		s.locks[k].Unlock()
+	}
+	if err != nil {
+		return report, err
+	}
+
+	// The sweep: scrub workers stride a shared cursor, each rebuilding its
+	// stripe under that stripe's lock. Stripes complete out of order, so the
+	// damage list is sorted afterwards.
+	err = nvram.ForEach(context.Background(), s.scrubWorkers(), 0, s.geo.Stripes(), func(stripe int64) error {
+		return s.sweepStripe(stripe, i, stale, &report)
+	})
+	slices.SortFunc(report.Lost, func(a, b DamagedRange) int { return cmp.Compare(a.Offset, b.Offset) })
+	s.meta.Lock()
+	s.sweeping = false
+	switch {
+	case s.stale != stale:
+		err = fmt.Errorf("core: repair of disk %d abandoned: the disk failed again", i)
+	case err == nil:
+		s.stale = nil
+		s.failed.Remove(i)
+	}
+	s.meta.Unlock()
+	// The sweep cleared marks in memory only; one image covers them all.
+	if cerr := s.eng.Commit(); err == nil {
+		err = cerr
 	}
 	return report, err
 }
 
-// bumpRecovered counts an exactly-reconstructed stripe.
-func (s *Store) bumpRecovered() {
-	s.meta.Lock()
-	s.stats.RecoveredStripes++
-	s.meta.Unlock()
+// sweepStripe rebuilds one stripe of a repair onto member i, under the
+// stripe's lock, if it is still on a stale map FailDisk has not dropped,
+// and takes it off. What it salvages goes into report and Stats even when it fails
+// midway: a unit it zeroed reads back zeroed from then on.
+func (s *Store) sweepStripe(stripe int64, i int, stale *nvram.Bitmap, report *DamageReport) error {
+	lk := s.stripeLock(stripe)
+	lk.Lock()
+	defer lk.Unlock()
+	var part DamageReport
+	defer func() {
+		s.meta.Lock()
+		report.Lost = append(report.Lost, part.Lost...)
+		s.stats.DamagedStripes += uint64(len(part.Lost))
+		s.stats.DamageBytes += part.Bytes()
+		s.meta.Unlock()
+	}()
+	salvage := false
+	for tries := 0; ; tries++ {
+		s.meta.Lock()
+		todo := s.stale == stale && stale.IsMarked(stripe) // FailDisk(i) drops the map
+		s.meta.Unlock()
+		if !todo {
+			return nil
+		}
+		var err error
+		if !salvage {
+			// A survivor's checksum mismatch is repaired and the stripe retried.
+			err = s.repairing(func() error { return s.repairStripe(stripe, i) })
+			// Fresh parities that cannot cover what is missing send the stripe
+			// to salvage for good: a retry would solve the zeroes it wrote
+			// from parities that do not encode them.
+			salvage = errors.Is(err, ErrDataLoss)
+		}
+		if salvage {
+			err = s.salvageStripe(stripe, i, &part)
+		}
+		if err == nil {
+			s.meta.Lock()
+			stale.Unmark(stripe)
+			if !salvage {
+				s.stats.RecoveredStripes++
+			}
+			s.meta.Unlock()
+			return nil
+		}
+		// A member's fail-stop failure is absorbed and the stripe retried;
+		// the replacement's (FailDisk(i)) drops the stale map.
+		if tries >= s.spanRetryBudget() || !s.absorbFailure(err) {
+			return err
+		}
+	}
 }
 
 // salvageStripe handles a repair-sweep stripe whose missing data the
@@ -192,58 +230,45 @@ func (s *Store) bumpRecovered() {
 // (zeroes where data was lost) instead of garbage behind a stale
 // parity; with all of them rewritten the stripe is fully redundant again
 // and its mark is cleared. Caller holds the stripe lock.
-func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice, report *DamageReport) error {
-	unit := s.geo.StripeUnit
+func (s *Store) salvageStripe(stripe int64, target int, report *DamageReport) error {
+	unit, off := s.geo.StripeUnit, s.geo.DiskOffset(stripe)
 	st := s.stripeState(stripe)
+	dead := st.failed
+	dead.Remove(target) // stale here, but its replacement takes writes
 	im := s.image(stripe)
 	defer im.Release()
-	lose := func(i int) {
-		clear(im.Data[i])
-		report.Lost = append(report.Lost, DamagedRange{
-			Offset: stripe*s.geo.StripeDataBytes() + int64(i)*unit,
-			Length: unit,
-			Stripe: stripe,
-		})
-	}
 	for i, u := range im.Data {
 		d := im.Member(i)
-		if st.failed.Has(d) {
-			lose(i)
-			if d == target {
-				if err := s.writeUnitTo(replacement, stripe, u); err != nil {
-					return err
-				}
+		if !st.failed.Has(d) {
+			err := s.devRead(d, u, off)
+			if err == nil {
+				continue
 			}
-			continue
+			if !errors.Is(err, ErrChecksumMismatch) {
+				return err
+			}
+			// Corrupt beyond repair: zeroed in place below (installing a
+			// fresh slot) so the stripe converges instead of erroring forever.
 		}
-		err := s.devRead(d, u, s.geo.DiskOffset(stripe))
-		if err == nil {
-			continue
+		clear(u)
+		lost := DamagedRange{Offset: stripe*s.geo.StripeDataBytes() + int64(i)*unit, Length: unit, Stripe: stripe}
+		if !slices.Contains(report.Lost, lost) { // reported by an earlier try
+			report.Lost = append(report.Lost, lost)
 		}
-		if !errors.Is(err, ErrChecksumMismatch) {
-			return err
-		}
-		// Corrupt beyond repair: zero it in place (installing a fresh
-		// slot) so the stripe converges instead of erroring forever.
-		lose(i)
-		if werr := s.devWrite(d, u, s.geo.DiskOffset(stripe)); werr != nil {
-			return werr
+		if !dead.Has(d) {
+			if err := s.devWrite(d, u, off); err != nil {
+				return err
+			}
 		}
 	}
 	im.Encode()
 	written := 0
 	for j, par := range im.Par {
 		d := im.Member(len(im.Data) + j)
-		var err error
-		switch {
-		case d == target:
-			err = s.writeUnitTo(replacement, stripe, par)
-		case st.failed.Has(d):
+		if dead.Has(d) {
 			continue // a second dead disk; its own repair recomputes it
-		default:
-			err = s.devWrite(d, par, s.geo.DiskOffset(stripe))
 		}
-		if err != nil {
+		if err := s.devWrite(d, par, off); err != nil {
 			return err
 		}
 		written++

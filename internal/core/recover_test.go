@@ -171,6 +171,66 @@ func TestRepairReportsDirtyStripeDamage(t *testing.T) {
 	}
 }
 
+// TestFailedRepairReportsSalvagedLoss: a repair whose replacement fails
+// partway still returns, with its error, the loss it salvaged before — and
+// counts it in Stats. The salvaged unit reads back zeroes with no error
+// from then on, so a report dropped with the error would make it silent.
+func TestFailedRepairReportsSalvagedLoss(t *testing.T) {
+	s, _ := openTest(t, Options{Mode: Afraid, DisableScrubber: true, ScrubWorkers: 1})
+	defer s.Close()
+	fillStore(t, s)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	geo := s.Geometry()
+	const stripe = 2
+	idx := unitOn(s, stripe, 1)
+	if idx < 0 {
+		t.Fatalf("disk 1 holds stripe %d's parity", stripe)
+	}
+	sb := geo.StripeDataBytes()
+	if _, err := s.WriteAt(pattern(100, 3), stripe*sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	lost := DamagedRange{Offset: stripe*sb + int64(idx)*geo.StripeUnit, Length: geo.StripeUnit, Stripe: stripe}
+	buf := make([]byte, lost.Length)
+	if _, err := s.ReadAt(buf, lost.Offset); !errors.Is(err, ErrDataLoss) {
+		t.Fatalf("read of the exposed unit before the repair: %v, want ErrDataLoss", err)
+	}
+
+	// The sweep writes the replacement once per stripe; its 11th write fails.
+	rep := newGatedDevice(testDisk, 11)
+	done := make(chan struct{})
+	var report DamageReport
+	var err error
+	go func() {
+		defer close(done)
+		report, err = s.RepairDisk(1, rep)
+	}()
+	<-rep.reached
+	rep.Fail()
+	close(rep.gate)
+	<-done
+	if err == nil {
+		t.Fatal("repair onto a failing replacement succeeded")
+	}
+	if len(report.Lost) != 1 || report.Lost[0] != lost {
+		t.Fatalf("failed repair reported %+v, want [%+v]", report.Lost, lost)
+	}
+	if st := s.Stats(); st.DamagedStripes != 1 || st.DamageBytes != lost.Length {
+		t.Fatalf("Stats count %d damaged stripes, %d bytes; want 1, %d", st.DamagedStripes, st.DamageBytes, lost.Length)
+	}
+	if dead := s.DeadDisks(); len(dead) != 1 || dead[0] != 1 {
+		t.Fatalf("DeadDisks = %v, want [1]", dead)
+	}
+	if _, err := s.ReadAt(buf, lost.Offset); err != nil || !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatalf("salvaged unit: err %v, want zeroes", err)
+	}
+}
+
 func TestDegradedWriteKeepsRedundancy(t *testing.T) {
 	// Writes while a disk is down must maintain parity synchronously so
 	// the dead unit stays recoverable.

@@ -12,7 +12,7 @@ import (
 )
 
 // A store whose layout keeps no parity and no checksum slots folds a
-// request's stripe spans into its members' contiguous runs (foldRuns).
+// request's stripe spans into its members' contiguous runs (foldRun).
 // These tests pin which stores do, what a run costs, and what it keeps of
 // the span loop's guarantees.
 
@@ -186,35 +186,44 @@ func TestRunOverFailedMemberIsDataLoss(t *testing.T) {
 }
 
 // swapDev is a member that reports every call made to it after it was
-// retired: RepairDisk has returned, so the replacement is the member.
+// retired: RepairDisk has installed its replacement, whose first device
+// call retires it.
 type swapDev struct {
 	BlockDevice
+	prev    atomic.Pointer[swapDev] // the member this one replaces
 	retired atomic.Bool
 	late    atomic.Int64
 }
 
-func (d *swapDev) ReadAt(p []byte, off int64) (int, error) {
+func (d *swapDev) call() {
+	if p := d.prev.Swap(nil); p != nil {
+		p.retired.Store(true)
+	}
 	if d.retired.Load() {
 		d.late.Add(1)
 	}
+}
+
+func (d *swapDev) ReadAt(p []byte, off int64) (int, error) {
+	d.call()
 	return d.BlockDevice.ReadAt(p, off)
 }
 
 func (d *swapDev) WriteAt(p []byte, off int64) (int, error) {
-	if d.retired.Load() {
-		d.late.Add(1)
-	}
+	d.call()
 	return d.BlockDevice.WriteAt(p, off)
 }
 
 // TestRepairSwapDrainsRuns races 64 KiB requests with fail-and-repair
 // cycles of a parity-less store's member. A request holds one stripe lock
 // for as long as it has a device in hand — a run its first stripe's — so
-// RepairDisk's all-locks barrier drains it before the swap: no request
-// reaches the old device once RepairDisk has returned, and (under -race)
-// the swap of the member slot is ordered against every device call. On the
-// one-member store every request is one run; on the two-member store none
-// is, and the same must hold.
+// the all-locks barrier RepairDisk installs the replacement under drains
+// it: no request reaches the old device once the replacement has seen a
+// call, the sweep's or a request's, and (under -race) the install in the
+// member slot is ordered against every device call. On the one-member
+// store every request is one run while the member is up, and none folds
+// while it is failed or under repair; on the two-member store none is, and
+// the same must hold.
 func TestRepairSwapDrainsRuns(t *testing.T) {
 	for _, members := range []int{1, 2} {
 		t.Run(fmt.Sprintf("raid0x%d", members), func(t *testing.T) {
@@ -268,10 +277,13 @@ func TestRepairSwapDrainsRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 				next := &swapDev{BlockDevice: NewMemDevice(devSize)}
+				next.prev.Store(cur)
 				if _, err := s.RepairDisk(target, next); err != nil {
 					t.Fatal(err)
 				}
-				cur.retired.Store(true)
+				if !cur.retired.Load() {
+					t.Fatalf("cycle %d: the repair sweep made no call to the replacement", cycle)
+				}
 				retired = append(retired, cur)
 				cur = next
 			}
@@ -279,10 +291,46 @@ func TestRepairSwapDrainsRuns(t *testing.T) {
 			wg.Wait()
 			for i, d := range retired {
 				if n := d.late.Load(); n != 0 {
-					t.Errorf("cycle %d: %d device calls reached the old member after RepairDisk returned", i, n)
+					t.Errorf("cycle %d: %d device calls reached the old member after its replacement was installed", i, n)
 				}
 			}
 		})
+	}
+}
+
+// TestRunsDoNotFoldUnderRepair: while a member is under repair its units
+// are stale on some stripes only, so a request is served span by span. The
+// sweep is frozen inside stripe 72 of a one-member store; a read of stripes
+// 70–79 must wait for that stripe's lock, and would otherwise, as one run
+// under stripe 70's lock, return the replacement's blank units as data.
+func TestRunsDoNotFoldUnderRepair(t *testing.T) {
+	s, _ := openRuns(t, 1, Options{Mode: Raid0, ScrubWorkers: 1})
+	if err := s.FailDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	rep := newGatedDevice(1<<20, 73) // the sweep writes one unit per stripe
+	repaired := make(chan error, 1)
+	go func() {
+		_, err := s.RepairDisk(0, rep)
+		repaired <- err
+	}()
+	<-rep.reached
+	read := make(chan error, 1)
+	go func() {
+		_, err := s.ReadAt(make([]byte, 10*runUnit), 70*runUnit)
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		t.Fatalf("read across stale stripes returned (%v) while the sweep held stripe 72", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(rep.gate)
+	if err := <-repaired; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-read; err != nil && !errors.Is(err, ErrDataLoss) {
+		t.Fatal(err)
 	}
 }
 

@@ -119,7 +119,7 @@ type Stats struct {
 	ScrubbedStripes         uint64
 	ForcedScrubs            uint64
 	DegradedReads           uint64
-	RecoveredStripes        uint64 // rebuilt during RepairDisk
+	RecoveredStripes        uint64 // rebuilt during RepairDisk, by its sweep or a degraded write
 	DamagedStripes          uint64
 	NVRAMRecovered          bool // full-array rebuild after bad NVRAM image
 	DirtyStripes            int64
@@ -160,15 +160,14 @@ type Store struct {
 	closed bool
 	stats  Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
 
-	// In-progress repair (RepairDisk): stripes marked in repDone have
-	// already been rebuilt onto repDev, so degraded foreground writes
-	// must mirror the dead disk's unit there or the replacement would
-	// hold stale data when it is swapped in. A bitmap rather than a
-	// cursor because the parallel sweep completes stripes out of
-	// order. repDisk is -1 when no repair is running.
-	repDisk int
-	repDev  BlockDevice
-	repDone *nvram.Bitmap
+	// A member under repair (RepairDisk) is a member again, its
+	// replacement installed, but failed on the stripes its stale map
+	// marks: those whose unit on it nothing has written since. stale is
+	// nil when no repair is running or stopped midway; sweeping is set
+	// while a RepairDisk call sweeps it.
+	staleDisk int
+	stale     *nvram.Bitmap
+	sweeping  bool
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
@@ -222,12 +221,11 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		geo:     geo,
-		devs:    devs,
-		opts:    opts,
-		repDisk: -1,
-		ob:      newStoreObs(),
-		sync:    make([]uint8, geo.Stripes()),
+		geo:  geo,
+		devs: devs,
+		opts: opts,
+		ob:   newStoreObs(),
+		sync: make([]uint8, geo.Stripes()),
 	}
 	for i := range s.sync {
 		s.sync[i] = preset.sync
@@ -437,10 +435,11 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 // request serves one client read or write: split it into stripe spans and
 // run span on each under its stripe lock, absorbing what can be absorbed.
 // A layout with no parity and no checksum slots has no per-stripe protocol
-// to run, so its spans are first folded into its members' contiguous runs
-// (foldRuns) and everything below is per run. A write is premarked. The
-// lock wait and the time under the lock go to the stripe_lock_wait and dev
-// histograms per span and, summed, to the op's trace event.
+// to run, so while no member is failed or under repair each span, once
+// locked, takes the spans that continue it into one run (foldRun) and
+// everything below is per run. A write is premarked. The lock wait and the
+// time under the lock go to the stripe_lock_wait and dev histograms per
+// span and, summed, to the op's trace event.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	span func(p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
@@ -456,22 +455,34 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	spp := spanPool.Get().(*[]layout.StripeSpan)
 	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
 	defer func() { *spp = spans; spanPool.Put(spp) }()
-	if s.allPar == 0 && !s.opts.Checksums {
-		spans = foldRuns(spans)
-	}
-	if write && len(spans) > 1 {
+	runs := s.allPar == 0 && !s.opts.Checksums
+	if write && s.allPar != 0 && len(spans) > 1 {
 		if err = s.premark(spans); err != nil {
 			return 0, err
 		}
 	}
-	for _, sp := range spans {
+	for rest := spans; len(rest) > 0; {
 		if err = ctx.Err(); err != nil {
 			return 0, err
 		}
-		lk := s.stripeLock(sp.Stripe)
+		lk := s.stripeLock(rest[0].Stripe)
 		t0 := time.Now()
 		lk.Lock()
 		t1 := time.Now()
+		n := 1
+		if runs && len(rest) > 1 && continues(rest[0], rest[1]) {
+			// Decided under the lock, which RepairDisk's install waits for:
+			// a stripe's state says nothing of the next one's while a
+			// member's units are stale on some stripes only.
+			s.meta.Lock()
+			whole := s.failed.Len() == 0
+			s.meta.Unlock()
+			if whole {
+				n = foldRun(rest)
+			}
+		}
+		sp := rest[0]
+		rest = rest[n:]
 		for tries := 0; ; tries++ {
 			err = span(p, off, sp)
 			// A member reporting fail-stop failure mid-span moves the
@@ -523,33 +534,31 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	return len(p), nil
 }
 
-// foldRuns folds, in place, every single-extent span into the one before it
-// when that is a single extent too and this one continues it on the same
-// member, on disk and in the caller's buffer: the pair becomes one span
-// whose extent runs past its stripe unit, filed under the first stripe. A
+// foldRun folds into spans[0], in place, every following span that
+// continues it and returns how many spans the run took: one span whose
+// extent runs past its stripe unit, filed under the first stripe. A
 // span is the unit of parity protocol — the stripe lock keeps a unit and
 // its parity (or its checksum slot) changing together — and request folds
 // only where the layout keeps neither, so there a run is one lock trip
 // (its first stripe's: every in-flight run still holds a lock of the pool,
-// which is what RepairDisk's swap barrier drains), one stripeState and one
+// which is what RepairDisk's install drains), one stripeState and one
 // device call instead of one per stripe. What is given up is mutual
 // exclusion between overlapping requests beyond the first stripe, which no
 // block device promises: the device call is the atom.
-func foldRuns(spans []layout.StripeSpan) []layout.StripeSpan {
-	w := 0
-	for i := 1; i < len(spans); i++ {
-		run, next := spans[w].Extents, spans[i].Extents
-		if len(run) == 1 && len(next) == 1 && next[0].Disk == run[0].Disk &&
-			next[0].DiskOff == run[0].DiskOff+run[0].Len && next[0].ArrOff == run[0].ArrOff+run[0].Len {
-			run[0].Len += next[0].Len
-			continue
-		}
-		// Swapped, not copied: the slice is pooled with each entry's Extents
-		// array, and no two entries may come to share one.
-		w++
-		spans[w], spans[i] = spans[i], spans[w]
+func foldRun(spans []layout.StripeSpan) int {
+	n := 1
+	for ; n < len(spans) && continues(spans[0], spans[n]); n++ {
+		spans[0].Extents[0].Len += spans[n].Extents[0].Len
 	}
-	return spans[:w+1]
+	return n
+}
+
+// continues reports whether next is a single extent that continues run's
+// single extent on the same member, on disk and in the caller's buffer.
+func continues(run, next layout.StripeSpan) bool {
+	r, x := run.Extents, next.Extents
+	return len(r) == 1 && len(x) == 1 && x[0].Disk == r[0].Disk &&
+		x[0].DiskOff == r[0].DiskOff+r[0].Len && x[0].ArrOff == r[0].ArrOff+r[0].Len
 }
 
 // premark makes the marks of a write that spans several stripes durable
@@ -563,11 +572,11 @@ func foldRuns(spans []layout.StripeSpan) []layout.StripeSpan {
 // contents before they mark (preflights). A partial span that keeps every
 // parity in sync clears only a mark it set itself, so it marks itself;
 // and with a member failed the spans store whole images behind their own.
-// A layout with no parity keeps no marks.
+// A layout with no parity keeps no marks, and request does not call it.
 func (s *Store) premark(spans []layout.StripeSpan) error {
 	ahead := func(sp layout.StripeSpan) bool { // caller holds meta
 		n := s.sync[sp.Stripe]
-		return s.allPar != 0 && s.failed.Len() == 0 &&
+		return s.failed.Len() == 0 &&
 			(sp.FullStripe(s.geo) || (syncSet(n) != s.allPar && !s.preflights(sp, n)))
 	}
 	for i := 0; i < len(spans); i++ {

@@ -18,7 +18,8 @@ import (
 // stripe.Image's (internal/stripe), moved through devRead and devWrite,
 // and three values decide everything about it here:
 //
-//   - the failed set — which member disks are gone (stripe.Set);
+//   - the failed set — which member disks are gone (stripe.Set), a
+//     member under repair only where its stripe is still stale on it;
 //   - freshness — which parities encode the stripe's at-rest data
 //     (freshParities), the one "can this be reconstructed / is this
 //     loss" test;
@@ -53,8 +54,8 @@ func (s *Store) image(stripe int64) *stripe.Image {
 
 // stripeState is the snapshot every stripe operation starts from.
 type stripeState struct {
-	failed stripe.Set
-	n      uint8 // the sync count
+	failed stripe.Set // the failed members, bar one under repair where the stripe is off its stale map
+	n      uint8      // the sync count
 	dirty  bool
 	fresh  stripe.Parities
 }
@@ -62,6 +63,9 @@ type stripeState struct {
 func (s *Store) stripeState(stripe int64) stripeState {
 	s.meta.Lock()
 	st := stripeState{failed: s.failed, n: s.sync[stripe]}
+	if s.stale != nil && !s.stale.IsMarked(stripe) {
+		st.failed.Remove(s.staleDisk)
+	}
 	s.meta.Unlock()
 	var inherited bool
 	st.dirty, inherited = s.eng.State(stripe)
@@ -241,7 +245,7 @@ func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st
 		copy(im.Data[e.DataIdx][e.UnitOff:], p[e.ArrOff-base:e.ArrOff-base+e.Len])
 	}
 	for tries := 0; ; tries++ {
-		err := s.storeStripeImage(im, st.failed)
+		err := s.storeStripeImage(im)
 		if err == nil || tries >= s.spanRetryBudget() || !s.absorbFailure(err) {
 			return err
 		}
@@ -249,68 +253,44 @@ func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, st
 		// at-rest parities no longer encode its at-rest data and the
 		// span-level retry, which reconstructs from disk, would solve the
 		// dead units into garbage. The image in hand is still complete;
-		// store it again around the larger failed set.
-		s.meta.Lock()
-		st.failed = s.failed
-		s.meta.Unlock()
+		// store it again, around the failed set as it is now.
 	}
 }
 
 // storeStripeImage writes back a full stripe image — the data units and
-// the parities recomputed over them — to every surviving disk, so the
-// parities keep encoding the dead units, behind the stripe's mark (the
-// image's reads are done). A dead disk's unit (data or parity) is instead
-// mirrored onto an in-progress replacement once the repair sweep has
-// passed this stripe, so the replacement does not hold stale data when
-// RepairDisk swaps it in. Every survivor then encodes the image, so the
-// mark is cleared whoever set it — and, unlike a healthy write's, durably:
-// a mark found at Open on a degraded array costs the dead members' units,
-// not a rebuild.
-func (s *Store) storeStripeImage(im *stripe.Image, failed stripe.Set) error {
+// the parities recomputed over them — to every member that takes writes,
+// behind the stripe's mark (the image's reads are done): the survivors, so
+// the parities keep encoding the dead units, and a member under repair
+// like any other, stale here or not, which takes the stripe off its stale
+// map. Every written member then encodes the image, so the mark is cleared
+// whoever set it — and, unlike a healthy write's, durably: a mark found at
+// Open on a degraded array costs the dead members' units, not a rebuild.
+func (s *Store) storeStripeImage(im *stripe.Image) error {
 	if err := s.eng.Mark(im.Stripe); err != nil {
 		return err
 	}
+	s.meta.Lock()
+	dead, stale := s.failed, s.stale
+	if stale != nil {
+		dead.Remove(s.staleDisk)
+	}
+	s.meta.Unlock()
 	off := s.geo.DiskOffset(im.Stripe)
 	im.Encode()
 	for k, u := range im.All {
-		d := im.Member(k)
-		if !failed.Has(d) {
+		if d := im.Member(k); !dead.Has(d) {
 			if err := s.devWrite(d, u, off); err != nil {
 				return err
 			}
-		} else if rd := s.repairTarget(im.Stripe, d); rd != nil {
-			if err := s.writeUnitTo(rd, im.Stripe, u); err != nil {
-				return fmt.Errorf("core: repair mirror write: %w", err)
-			}
 		}
 	}
+	s.meta.Lock()
+	if stale != nil && s.stale == stale && stale.Unmark(im.Stripe) {
+		s.stats.RecoveredStripes++ // as the sweep would have
+	}
+	s.meta.Unlock()
 	s.eng.Clear(im.Stripe)
 	return s.eng.Commit()
-}
-
-// writeUnitTo writes one whole stripe unit, and its checksum slot, to a
-// device that is not (yet) a member: the replacement a repair sweep
-// fills, or a repair mirror target.
-func (s *Store) writeUnitTo(dev BlockDevice, stripe int64, u []byte) error {
-	if _, err := dev.WriteAt(u, s.geo.DiskOffset(stripe)); err != nil {
-		return err
-	}
-	return s.putChecksumTo(dev, stripe, u)
-}
-
-// repairTarget returns the replacement device a degraded write to the
-// stripe must mirror disk d's unit onto: non-nil exactly when RepairDisk
-// is rebuilding disk d and its sweep has already rebuilt this stripe.
-// The answer cannot go stale within the span: a sweep worker sets the
-// stripe's done bit only while holding that stripe's lock, which the
-// caller already holds.
-func (s *Store) repairTarget(stripe int64, d int) BlockDevice {
-	s.meta.Lock()
-	defer s.meta.Unlock()
-	if s.repDisk == d && s.repDone != nil && s.repDone.IsMarked(stripe) {
-		return s.repDev
-	}
-	return nil
 }
 
 // rebuildParity is the scrubber's work unit: recompute the parities
@@ -335,18 +315,17 @@ func (s *Store) rebuildParity(n int64) error {
 	return nil
 }
 
-// repairStripe reconstructs the target disk's unit of one stripe onto
-// the replacement: a lost data unit is solved from the fresh parities,
+// repairStripe rebuilds the unit of a stripe stale on the target, the
+// member under repair: a lost data unit is solved from the fresh parities,
 // a lost parity unit recomputed from the data (valid whether or not the
-// stripe was dirty). When this repair makes the array whole again, every
+// stripe was dirty). When this repair makes the stripe whole again, every
 // parity the solve did not use — stale under a mark, or possibly torn by
 // a write the array crashed in — is rewritten too and the mark cleared,
-// so the array ends fully redundant. A stripe whose missing data the
+// so the stripe ends fully redundant. A stripe whose missing data the
 // fresh parities cannot cover — unredundant at failure time, or in a
 // layout with no parity — comes back as ErrDataLoss and is left to
-// salvageStripe.
-// Caller holds the stripe lock.
-func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) error {
+// salvageStripe. Caller holds the stripe lock.
+func (s *Store) repairStripe(stripe int64, target int) error {
 	st := s.stripeState(stripe)
 	im := s.image(stripe)
 	defer im.Release()
@@ -359,7 +338,7 @@ func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) 
 	if k >= len(im.Data) || (last && used != s.allPar) {
 		im.Encode()
 	}
-	if err := s.writeUnitTo(replacement, stripe, im.All[k]); err != nil {
+	if err := s.devWrite(target, im.All[k], s.geo.DiskOffset(stripe)); err != nil {
 		return err
 	}
 	if last {
@@ -372,7 +351,6 @@ func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice) 
 		}
 		s.eng.Clear(stripe)
 	}
-	s.bumpRecovered()
 	return nil
 }
 

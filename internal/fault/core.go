@@ -253,7 +253,7 @@ func (c *Core) PowerCycle(e *Episode) error {
 // FailDisks fails up to cfg.DiskFails more members through the device
 // layer, letting foreground I/O trip the store's degraded-mode
 // absorption, then runs a short degraded burst: acknowledged writes must
-// survive with members down (and must mirror onto a repair in progress).
+// survive with members down.
 // Mixed sync counts are drawn again first, while the workload's marks
 // still stand: a stripe whose count changes under its mark must vouch for
 // no parity when a member goes.
@@ -312,7 +312,9 @@ func (c *Core) FailDisks(e *Episode) error {
 // RepairDisks repairs every dead member onto a fresh device and hands
 // the damage report to the oracle: every lost range must lie in a stripe
 // that was unredundant at a failure point (or under an unacknowledged
-// write) — the paper's bounded-exposure contract.
+// write) — the paper's bounded-exposure contract. A failed repair's
+// partial report is handed over before its error: what it salvaged reads
+// back zeroed all the same.
 func (c *Core) RepairDisks(e *Episode) error {
 	if !c.cfg.Repair {
 		return nil
@@ -325,17 +327,17 @@ func (c *Core) RepairDisks(e *Episode) error {
 			rep.SetChecksumRegion(c.geo.DiskSize)
 		}
 		report, err := c.st.RepairDisk(i, rep)
+		losses := make([]Loss, len(report.Lost))
+		for k, lost := range report.Lost {
+			losses[k] = Loss{Off: lost.Offset, Len: lost.Length, Zeroed: true}
+		}
+		e.Lost(fmt.Sprintf("repair of disk %d", i), losses)
 		if err != nil {
 			return fmt.Errorf("fault: repair disk %d: %w", i, err)
 		}
 		c.events.FlipBits += c.devs[i].Stats().FlipBits // the replaced injector's count leaves with it
 		c.devs[i], c.Backings[i] = rep, medium
 		c.repaired++
-		losses := make([]Loss, len(report.Lost))
-		for k, lost := range report.Lost {
-			losses[k] = Loss{Off: lost.Offset, Len: lost.Length, Zeroed: true}
-		}
-		e.Lost(fmt.Sprintf("repair of disk %d", i), losses)
 	}
 	return nil
 }
