@@ -4,18 +4,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
 	"afraid/internal/bufpool"
 	"afraid/internal/layout"
+	"afraid/internal/parity"
 )
 
 // End-to-end block checksums. With Options.Checksums every member disk
 // reserves a trailer (layout.ChecksumTrailerBytes) holding one 8-byte
-// slot per stripe: a magic tag plus the CRC32C (Castagnoli, hardware-
-// accelerated by hash/crc32) of that disk's stripe unit. devWrite
+// slot per stripe: a magic tag plus the CRC32C (Castagnoli, from
+// parity.CRC32C's dispatched kernel) of that disk's stripe unit. devWrite
 // refreshes the slot from the in-memory buffer on every unit write —
 // so a flip on the wire or the medium can never be blessed — and
 // devRead verifies every unit it returns. A verify failure surfaces as
@@ -40,10 +40,6 @@ const csumMagic = 0x41464331
 // written — per-unit garbage that group scrubs and checksummed spans
 // generate by the thousand.
 var slotPool = sync.Pool{New: func() any { return new([layout.ChecksumSlotSize]byte) }}
-
-// castagnoliTable selects the CRC32C polynomial, for which hash/crc32
-// uses the SSE4.2/ARMv8 instruction when available.
-var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrChecksumMismatch marks a stripe unit whose contents do not match
 // its stored checksum: silent corruption, detected.
@@ -77,7 +73,7 @@ func csumLossError(stripe int64, disk int) error {
 // encodeSlot fills an 8-byte checksum slot for unit contents.
 func encodeSlot(slot []byte, unit []byte) {
 	binary.BigEndian.PutUint32(slot[0:4], csumMagic)
-	binary.BigEndian.PutUint32(slot[4:8], crc32.Checksum(unit, castagnoliTable))
+	binary.BigEndian.PutUint32(slot[4:8], parity.CRC32C(0, unit))
 }
 
 // readSlot reads disk i's checksum slot for a stripe. Device errors
@@ -109,7 +105,7 @@ func (s *Store) verifyAgainstSlot(i int, stripe int64, unit []byte) error {
 		return err
 	}
 	if binary.BigEndian.Uint32(slot[0:4]) != csumMagic ||
-		binary.BigEndian.Uint32(slot[4:8]) != crc32.Checksum(unit, castagnoliTable) {
+		binary.BigEndian.Uint32(slot[4:8]) != parity.CRC32C(0, unit) {
 		return &ChecksumError{Disk: i, Stripe: stripe}
 	}
 	return nil

@@ -111,3 +111,26 @@ func BenchmarkCheck(b *testing.B) {
 	run("check", 5, func() bool { return Check(p, blocks...) })
 	run("checkPQ", 6, func() bool { return CheckPQ(p, q, blocks...) })
 }
+
+// BenchmarkCRC32C measures the CRC32C of one stripe unit and of a 64 KiB
+// span: stdlib is hash/crc32's Castagnoli path (the fallback), dispatched
+// is CRC32C as core calls it.
+func BenchmarkCRC32C(b *testing.B) {
+	for _, size := range []int{8 << 10, 64 << 10} {
+		p := make([]byte, size)
+		fill(p, 1)
+		name := fmt.Sprintf("%dK", size>>10)
+		b.Run("stdlib/"+name, func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				crc32cGeneric(0, p)
+			}
+		})
+		b.Run("dispatched/"+name, func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				CRC32C(0, p)
+			}
+		})
+	}
+}

@@ -37,4 +37,7 @@ var (
 	gfFoldPQKernel = foldPQGeneric
 	// gfMulUpdKernel: q ^= c*(old^new) without materializing the delta.
 	gfMulUpdKernel = mulUpdateGeneric
+	// crc32cKernel: the CRC32C of p continued from crc. Chosen by its own
+	// CPU gate, so it is not part of what Kernel() names.
+	crc32cKernel = crc32cGeneric
 )

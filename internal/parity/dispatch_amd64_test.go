@@ -15,3 +15,16 @@ func TestAMD64KernelMatchesCPUID(t *testing.T) {
 		t.Fatalf("Kernel() = %q, want %q (hasAVX2=%v)", k, want, hasAVX2())
 	}
 }
+
+// The CRC32C folding kernel is selected exactly when its own gate
+// passes, whatever Kernel() reports.
+func TestAMD64CRCKernelMatchesCPUID(t *testing.T) {
+	want, name := crc32cGeneric, "hash/crc32"
+	if hasAVX512CLMUL() {
+		want, name = crc32cAVX512Wrap, "avx512 folding"
+	}
+	if !sameFunc(crc32cKernel, want) {
+		t.Fatalf("crc32cKernel is not the %s kernel (hasAVX512CLMUL=%v)", name, hasAVX512CLMUL())
+	}
+	t.Logf("CRC32C kernel: %s", name)
+}

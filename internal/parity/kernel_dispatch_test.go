@@ -2,6 +2,7 @@ package parity
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -20,6 +21,9 @@ func TestKernelDispatch(t *testing.T) {
 		t.Fatalf("Kernel() = %q, want avx2, neon, or generic", k)
 	}
 }
+
+// sameFunc reports whether two kernel variables hold the same function.
+func sameFunc(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
 
 // guarded carves an n-byte view at the given offset out of a larger
 // backing array and returns view plus a function that verifies the

@@ -213,7 +213,7 @@ func TestUpdateQMatchesDeltaForm(t *testing.T) {
 }
 
 // TestHotKernelsAllocFree asserts the steady-state data path allocates
-// nothing: Check, CheckPQ, UpdateQ, and Code.Solve (one and two
+// nothing: Check, CheckPQ, UpdateQ, CRC32C, and Code.Solve (one and two
 // erasures) after the buffer pool has warmed.
 func TestHotKernelsAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -250,6 +250,12 @@ func TestHotKernelsAllocFree(t *testing.T) {
 		UpdateQ(qc, blocks[1], blocks[2], 1)
 	}); a > 0 {
 		t.Errorf("UpdateQ allocates %v per op", a)
+	}
+
+	if a := testing.AllocsPerRun(20, func() {
+		CRC32C(0, blocks[0])
+	}); a > 0 {
+		t.Errorf("CRC32C allocates %v per op", a)
 	}
 
 	work := make([][]byte, len(blocks))
