@@ -15,8 +15,9 @@
 //
 //	core     a core.Store on fault-wrapped disks, round-robin over -modes:
 //	         power cuts, marking-memory loss, transient member faults,
-//	         disk failures and repairs, and — with -checksums and -flips
-//	         (the defaults) — silent bit flips on both I/O paths
+//	         disk failures and repairs, power cuts inside a repair, and —
+//	         with -checksums and -flips (the defaults) — silent bit flips
+//	         on both I/O paths
 //	tier     the hybrid (internal/tier): a mirrored write-back front over
 //	         an AFRAID back end, with power cuts torn mid-promote and
 //	         mid-demote, extent-map loss, and front-copy fail-stops
@@ -85,7 +86,7 @@ var stacks = map[string]struct {
 	columns []string
 	gate    []string
 }{
-	"core": {coreRows, []string{"fault.power_cycles", "core.recovered_stripes", "fault.flip_bits",
+	"core": {coreRows, []string{"fault.power_cycles", "fault.repair_cuts", "core.recovered_stripes", "fault.flip_bits",
 		"core.checksum_repaired", "core.checksum_lost", "core.full_stripe_writes"}, nil},
 	"tier": {tierRows, []string{"fault.power_cycles", "tier.map_recovered", "fault.failed_members", "tier.promotes",
 		"tier.demotes", "tier.front_read_hits", "tier.front_write_hits", "core.full_stripe_writes"}, nil},
@@ -258,7 +259,7 @@ func coreRows(o options) ([]row, error) {
 			repro: fmt.Sprintf("-modes %s -checksums=%v -flips=%v", name, o.checksums, o.flips),
 		}
 		if mode != core.Raid0 {
-			r.gate = []string{"core.full_stripe_writes"}
+			r.gate = []string{"core.full_stripe_writes", "fault.repair_cuts"}
 		}
 		rows = append(rows, r)
 	}
@@ -290,6 +291,10 @@ func coreSchedule(epSeed int64, mode core.Mode, checksums, flips bool) fault.Con
 	}
 	if mode != core.Raid0 {
 		cfg.MixedSync = rng.Float64() < 0.5
+	}
+	// The last draw, so that adding it moved no episode's earlier ones.
+	if cfg.Repair {
+		cfg.RepairCut = rng.Float64() < 0.6
 	}
 	return cfg
 }

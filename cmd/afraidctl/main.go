@@ -211,7 +211,7 @@ func runVerify(ctx context.Context, v *cluster.Volume) {
 func runHeal(ctx context.Context, v *cluster.Volume, args []string) {
 	fs := flag.NewFlagSet("heal", flag.ExitOnError)
 	node := fs.Int("node", -1, "node index to heal (required)")
-	full := fs.Bool("full", false, "rebuild every stripe unit (blank replacement disk)")
+	full := fs.Bool("full", false, "mark every stripe unit of the node stale, then rebuild them (blank replacement machine)")
 	fs.Parse(args)
 	if *node < 0 {
 		log.Fatal("heal: -node required")

@@ -10,7 +10,7 @@
 // Parity is deferred cluster-wide, exactly as the paper defers it
 // across spindles: a write lands on the data nodes immediately, the
 // stripe is marked unredundant in the volume's marking memory (an
-// nvram.Bitmap, optionally persisted through a core.NVRAM), and a
+// nvram.Engine, optionally persisted through a core.NVRAM), and a
 // background drain rebuilds the parity unit during idle periods or once
 // the dirty backlog exceeds the bounded unredundancy window. The
 // paper's loss contract carries over at node granularity: if a node is
@@ -22,12 +22,12 @@
 // units reconstruct from the surviving N-1 data units plus parity, and
 // writes switch to a synchronous degraded protocol (parity maintained
 // in-line) so no *new* exposure accrues while redundancy is already
-// spent. Stripes written around a down node are tracked in a per-node
-// stale map; when the node returns, a background heal rewrites exactly
-// those units from the survivors and hands the backlog back to the
-// drain. Node-level fault injection (crash, partition, slow node) lives
-// in FaultNode, in the style of internal/fault, so chaos harnesses can
-// audit the cluster-wide contract the way afraidchaos audits one array.
+// spent. Stripes written around a down node are tracked in the node's
+// stale map, in the same marking memory; when the node returns, a
+// background heal rewrites exactly those units from the survivors and
+// hands the backlog back to the drain. FaultNode wraps a node with
+// fail-stop, slow-node and flap injection for tests; network faults
+// (partitions, resets) come from fault.Proxy in front of a real server.
 package cluster
 
 import (

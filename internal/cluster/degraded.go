@@ -52,16 +52,11 @@ func absent(node int) (s stripe.Set) {
 // coversB means the span fully overwrites the absent unit, so its old
 // contents are not needed; otherwise the stripe is clean (writeSpan
 // guarantees it) and the unit is solved from parity.
-func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, bIdx int, coversB bool) error {
+func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, h stripeHealth, bIdx int, coversB bool) error {
 	st := sp.Stripe
 	pNode, bNode := v.geo.ParityDisk(st), v.geo.DataDisk(st, bIdx)
-
-	v.meta.Lock()
-	parityReadable := v.availLocked(pNode, st)
-	bm := v.nodes[bNode]
-	bReachable := bm.state == StateUp && bm.node != nil // up but stale here
-	v.meta.Unlock()
-	if !coversB && !parityReadable {
+	bReachable := v.up(bNode) // up but stale here
+	if !coversB && !h.parityRead {
 		// Solving the absent unit needs a valid parity unit; without one
 		// this stripe is short two units.
 		return fmt.Errorf("%w: stripe %d parity unavailable", ErrTooManyNodes, st)
@@ -113,18 +108,18 @@ func (v *Volume) writeSpanDegraded(ctx context.Context, p []byte, base int64, sp
 		return err
 	}
 
-	// Phase 4: the stripe is redundant again. Settle the marks — the stale
-	// maps first, so no image shows the stripe clean beside a stale map
-	// that still trusts the absent unit (see composeMarks).
-	v.meta.Lock()
-	v.nodes[pNode].stale.Unmark(st) // parity unit just rewritten
+	// Phase 4: the stripe is redundant again; settle the marks.
+	v.eng.ClearStale(pNode, st) // parity unit just rewritten
 	if bReachable {
-		v.nodes[bNode].stale.Unmark(st) // full unit just rewritten
+		v.eng.ClearStale(bNode, st) // full unit just rewritten
 	} else if touched[bIdx] {
 		// New bytes for the absent unit exist only in parity; the
 		// physical unit must be rebuilt before the node is trusted.
-		v.nodes[bNode].stale.Mark(st)
+		if err := v.eng.MarkStale(bNode, st, st+1); err != nil {
+			return err
+		}
 	}
+	v.meta.Lock()
 	v.stats.DegradedWrites++
 	v.meta.Unlock()
 	v.eng.Clear(st)
@@ -170,8 +165,6 @@ func (v *Volume) rebuildParityUnit(ctx context.Context, st int64) error {
 	if err := v.nodeWrite(ctx, pNode, im.Par[0], v.geo.DiskOffset(st)); err != nil {
 		return err
 	}
-	v.meta.Lock()
-	v.nodes[pNode].stale.Unmark(st)
-	v.meta.Unlock()
+	v.eng.ClearStale(pNode, st)
 	return nil
 }

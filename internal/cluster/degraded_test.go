@@ -217,9 +217,9 @@ func TestEveryAbsentUnitIsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v.meta.Lock()
-	v.nodes[v.geo.DataDisk(0, last)].stale.Mark(0)
-	v.meta.Unlock()
+	if err := v.eng.MarkStale(v.geo.DataDisk(0, last), 0, 1); err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, v.geo.StripeUnit)
 	off := int64(last) * v.geo.StripeUnit
 	if _, err := v.ReadAt(buf, off); !errors.Is(err, ErrTooManyNodes) {
@@ -238,7 +238,7 @@ func TestFullHeal(t *testing.T) {
 	members := make([]Member, 4)
 	for i := range members {
 		var inner Node = newMemNode(16 * 4096)
-		faults[i] = NewFaultNode(inner, int64(i))
+		faults[i] = NewFaultNode(inner)
 		f := faults[i]
 		members[i] = Member{Node: f, Dial: func() (Node, error) { return f, nil }}
 	}

@@ -321,12 +321,10 @@ func TestGoldenMarksImage(t *testing.T) {
 	if got, want := v.DirtyList(), []int64{0, 3, 63, 64, 69}; !reflect.DeepEqual(got, want) || v.Stats().Recovered {
 		t.Fatalf("dirty after load = %v (recovered=%v), want %v", got, v.Stats().Recovered, want)
 	}
-	v.meta.Lock()
 	stale := make([][]int64, len(v.nodes))
-	for i, m := range v.nodes {
-		stale[i] = m.stale.Marked()
+	for i := range v.nodes {
+		stale[i] = v.eng.StaleUnits(i)
 	}
-	v.meta.Unlock()
 	if want := [][]int64{{}, {1, 64}, {}, {69}}; !reflect.DeepEqual(stale, want) {
 		t.Fatalf("stale maps after load = %v, want %v", stale, want)
 	}

@@ -3,45 +3,30 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
 
 // FaultNode wraps a Node with node-level fault injection, the cluster
-// analogue of fault.Device: crash (fail-stop), partition (network cut),
-// slow node, a deterministic crash-after-N-ops trigger for reproducible
-// mid-write failures, and a seeded random fail-stop probability. Chaos
-// harnesses wrap each member in one and audit the volume's loss
+// analogue of fault.Device: crash (fail-stop), slow node, a deterministic
+// crash-after-N-ops trigger for reproducible mid-write failures, and a
+// flap cycle. Tests wrap members in one to audit the volume's loss
 // contract the way afraidchaos audits a single array.
 type FaultNode struct {
 	inner Node
 
-	mu          sync.Mutex
-	crashed     bool
-	partitioned bool
-	slow        time.Duration
-	crashAfter  int64 // fail-stop before op N+1; <0 disabled
-	pFail       float64
-	flapUp      int64 // SetFlap: ops served per cycle (0 = flapping off)
-	flapDown    int64 // SetFlap: ops refused per cycle
-	flapPos     int64 // position inside the current flap cycle
-	rng         *rand.Rand
-	ops         int64
-	injected    int64
+	mu         sync.Mutex
+	crashed    bool
+	slow       time.Duration
+	crashAfter int64 // fail-stop before op N+1; <0 disabled
+	flapUp     int64 // SetFlap: ops served per cycle (0 = flapping off)
+	flapDown   int64 // SetFlap: ops refused per cycle
+	flapPos    int64 // position inside the current flap cycle
 }
 
-// FaultNodeStats counts traffic through the injector.
-type FaultNodeStats struct {
-	Ops      int64 // operations attempted (including injected failures)
-	Injected int64 // operations failed by injection
-}
-
-// NewFaultNode wraps inner. The seed drives the random fail-stop
-// trigger (SetFailProb); runs with the same seed and workload inject at
-// the same points.
-func NewFaultNode(inner Node, seed int64) *FaultNode {
-	return &FaultNode{inner: inner, crashAfter: -1, rng: rand.New(rand.NewSource(seed))}
+// NewFaultNode wraps inner with no fault armed.
+func NewFaultNode(inner Node) *FaultNode {
+	return &FaultNode{inner: inner, crashAfter: -1}
 }
 
 // Crash fail-stops the node: every subsequent operation fails as
@@ -52,23 +37,13 @@ func (f *FaultNode) Crash() {
 	f.mu.Unlock()
 }
 
-// Partition cuts the node off as a network failure would; operationally
-// identical to Crash from the volume's point of view, kept distinct so
-// harness logs read true.
-func (f *FaultNode) Partition() {
-	f.mu.Lock()
-	f.partitioned = true
-	f.mu.Unlock()
-}
-
-// Restore clears crash, partition, slowness, and any pending triggers.
-// (The volume still considers the node down until healed.)
+// Restore clears the crash, slowness, and any pending triggers. (The
+// volume still considers the node down until healed.)
 func (f *FaultNode) Restore() {
 	f.mu.Lock()
-	f.crashed, f.partitioned = false, false
+	f.crashed = false
 	f.slow = 0
 	f.crashAfter = -1
-	f.pFail = 0
 	f.flapUp, f.flapDown, f.flapPos = 0, 0, 0
 	f.mu.Unlock()
 }
@@ -89,14 +64,6 @@ func (f *FaultNode) CrashAfterOps(n int64) {
 	f.mu.Unlock()
 }
 
-// SetFailProb makes each operation fail-stop the node with probability
-// p, drawn from the seeded generator.
-func (f *FaultNode) SetFailProb(p float64) {
-	f.mu.Lock()
-	f.pFail = p
-	f.mu.Unlock()
-}
-
 // SetFlap makes the node flap deterministically: upOps operations
 // succeed, then downOps fail as node-down, then it "restarts" and the
 // cycle repeats — the crash-after-N-ops, auto-restart machine a flap
@@ -110,27 +77,16 @@ func (f *FaultNode) SetFlap(upOps, downOps int64) {
 	f.mu.Unlock()
 }
 
-// Stats snapshots the injection counters.
-func (f *FaultNode) Stats() FaultNodeStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return FaultNodeStats{Ops: f.ops, Injected: f.injected}
-}
-
 // gate applies the injection state to one operation.
 func (f *FaultNode) gate(ctx context.Context) error {
 	f.mu.Lock()
-	f.ops++
 	if f.crashAfter >= 0 {
 		if f.crashAfter == 0 {
 			f.crashed = true
 		}
 		f.crashAfter--
 	}
-	if !f.crashed && f.pFail > 0 && f.rng.Float64() < f.pFail {
-		f.crashed = true
-	}
-	dead := f.crashed || f.partitioned
+	dead := f.crashed
 	if !dead && f.flapUp > 0 && f.flapDown > 0 {
 		if f.flapPos >= f.flapUp {
 			dead = true
@@ -141,9 +97,6 @@ func (f *FaultNode) gate(ctx context.Context) error {
 		}
 	}
 	slow := f.slow
-	if dead {
-		f.injected++
-	}
 	f.mu.Unlock()
 	if dead {
 		return fmt.Errorf("%w: injected fault", ErrNodeDown)

@@ -98,9 +98,9 @@ func TestFlapDampingQuarantinesFlappingNode(t *testing.T) {
 	// Quarantined means left alone: with the foreground quiet, the
 	// prober must not send the node another operation.
 	time.Sleep(10 * opts.ProbeInterval)
-	before := faults[2].Stats().Ops
+	before := served(faults[2])
 	time.Sleep(20 * opts.ProbeInterval)
-	if after := faults[2].Stats().Ops; after != before {
+	if after := served(faults[2]); after != before {
 		t.Errorf("quarantined node still probed: ops %d -> %d", before, after)
 	}
 

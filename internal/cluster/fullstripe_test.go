@@ -37,20 +37,13 @@ func TestFullStripeWriteLeavesStripeRedundant(t *testing.T) {
 	if n := v.DirtyStripes(); n != 1 {
 		t.Fatalf("%d dirty stripes after a partial write, want 1", n)
 	}
-	var before int64
-	for _, f := range faults {
-		before += f.Stats().Ops
-	}
+	before := served(faults...)
 	want := make([]byte, 3*sdb)
 	rand.New(rand.NewSource(1)).Read(want)
 	if _, err := v.WriteAt(want, sdb); err != nil {
 		t.Fatal(err)
 	}
-	var ops int64
-	for _, f := range faults {
-		ops += f.Stats().Ops
-	}
-	if got := ops - before; got != 3*int64(len(faults)) {
+	if got := served(faults...) - before; got != 3*int64(len(faults)) {
 		t.Fatalf("three full stripes cost %d node operations, want one write per node per stripe", got)
 	}
 	if got := fullStripeWrites(v); got != 3 {

@@ -27,11 +27,12 @@ type HealReport struct {
 }
 
 // HealNode brings node i back into the volume: redial it if it is down
-// (Member.Dial), then rebuild exactly the stripe units it missed —
-// its stale map, or every stripe when full is set (the "replaced with a
-// blank machine" case). Safe to run while the volume serves I/O;
-// concurrent writes to a stripe being healed are serialised by the
-// stripe locks.
+// (Member.Dial), then rebuild exactly the stripe units it missed — its
+// stale map. full is the "replaced with a blank machine" case: every unit
+// of node i is marked stale first, durably, so reads go around the node
+// until the heal has rebuilt each unit, across a restart of the volume
+// too. Safe to run while the volume serves I/O; concurrent writes to a
+// stripe being healed are serialised by the stripe locks.
 func (v *Volume) HealNode(ctx context.Context, i int, full bool) (HealReport, error) {
 	if i < 0 || i >= len(v.nodes) {
 		return HealReport{}, fmt.Errorf("cluster: no node %d", i)
@@ -59,6 +60,11 @@ func (v *Volume) healNode(ctx context.Context, i int, full bool) (HealReport, er
 	needDial := m.state == StateDown || m.node == nil
 	v.meta.Unlock()
 
+	if full {
+		if err := v.eng.MarkStale(i, 0, v.geo.Stripes()); err != nil {
+			return rep, err
+		}
+	}
 	if needDial {
 		if err := v.redialNode(i); err != nil {
 			return rep, err
@@ -66,24 +72,14 @@ func (v *Volume) healNode(ctx context.Context, i int, full bool) (HealReport, er
 		v.logf("cluster: node %d (%s) redialed, healing", i, m.addr)
 	}
 
-	var stripes []int64
-	if full {
-		stripes = make([]int64, 0, v.geo.Stripes())
-		for st := int64(0); st < v.geo.Stripes(); st++ {
-			stripes = append(stripes, st)
-		}
-	} else {
-		v.meta.Lock()
-		stripes = m.stale.Marked()
-		v.meta.Unlock()
-	}
+	stripes := v.eng.StaleUnits(i)
 	// The sweep runs Workers stripes at a time — a stripe is two node
 	// round trips, and the sweep is the volume's MTTR — so stripes finish
 	// out of order and Lost is sorted afterwards.
 	var mu sync.Mutex // guards rep while the sweep runs
 	err := nvram.ForEach(ctx, v.opts.Workers, 0, int64(len(stripes)), func(k int64) error {
 		var part HealReport
-		v.healStripe(ctx, i, stripes[k], full, &part)
+		v.healStripe(ctx, i, stripes[k], &part)
 		mu.Lock()
 		rep.Healed += part.Healed
 		rep.Lost = append(rep.Lost, part.Lost...)
@@ -153,32 +149,27 @@ func (v *Volume) redialNode(i int) error {
 	return nil
 }
 
-// healStripe rebuilds node i's unit of one stripe, if it needs it.
-func (v *Volume) healStripe(ctx context.Context, i int, st int64, full bool, rep *HealReport) {
+// healStripe rebuilds node i's unit of one stripe, if it is still stale.
+func (v *Volume) healStripe(ctx context.Context, i int, st int64, rep *HealReport) {
 	lk := v.stripeLock(st)
 	lk.Lock()
 	defer lk.Unlock()
 	t0 := time.Now()
 
-	v.meta.Lock()
-	m := v.nodes[i]
-	up := m.state == StateUp && m.node != nil
-	stale := m.stale.IsMarked(st)
-	v.meta.Unlock()
-	dirty := v.eng.IsMarked(st)
-	if !up {
+	h := v.health(st)
+	if !h.stale.Has(i) {
+		return // a write has rewritten the unit since the sweep began
+	}
+	if !v.up(i) {
 		rep.Remaining++ // node died again mid-sweep
 		return
 	}
 	role, dIdx := v.geo.RoleOf(st, i)
 	switch role {
 	case layout.Parity:
-		if !stale && !dirty && !full {
-			return
-		}
-		// A suspect parity unit is healed by recomputation, which also
+		// A stale parity unit is healed by recomputation, which also
 		// drains the stripe if it was dirty.
-		if h := v.health(st); len(h.badIdx) > 0 || v.rebuildParityUnit(ctx, st) != nil {
+		if len(h.badIdx) > 0 || v.rebuildParityUnit(ctx, st) != nil {
 			rep.Remaining++
 			return
 		}
@@ -187,17 +178,8 @@ func (v *Volume) healStripe(ctx context.Context, i int, st int64, full bool, rep
 			rep.Remaining++
 			return
 		}
-		if stale || dirty {
-			rep.Healed++
-			v.bumpHealed(t0)
-		}
 	case layout.Data:
-		// full treats every unit as suspect (blank replacement node);
-		// otherwise only units the stale map says were missed.
-		if !stale && !full {
-			return
-		}
-		if dirty {
+		if h.dirty {
 			// Unredundant at failure time: the unit is gone and parity
 			// cannot bring it back. Report, keep the marks, move on.
 			rep.Lost = append(rep.Lost, st)
@@ -206,21 +188,14 @@ func (v *Volume) healStripe(ctx context.Context, i int, st int64, full bool, rep
 			v.meta.Unlock()
 			return
 		}
-		if v.rebuildUnit(ctx, st, dIdx, i) != nil {
+		if v.rebuildUnit(ctx, st, dIdx, i, h) != nil {
 			rep.Remaining++
 			return
 		}
-		v.meta.Lock()
-		m.stale.Unmark(st)
-		v.stats.HealedStripes++
-		v.meta.Unlock()
+		v.eng.ClearStale(i, st)
 		v.eng.Commit() // best effort; an image that still calls the unit stale costs a re-heal
-		rep.Healed++
-		v.ob.heal.Observe(time.Since(t0))
 	}
-}
-
-func (v *Volume) bumpHealed(t0 time.Time) {
+	rep.Healed++
 	v.meta.Lock()
 	v.stats.HealedStripes++
 	v.meta.Unlock()
@@ -229,18 +204,9 @@ func (v *Volume) bumpHealed(t0 time.Time) {
 
 // rebuildUnit reconstructs data unit dIdx of a clean stripe from the
 // other data units plus parity and writes it to node. Caller holds the
-// stripe lock.
-func (v *Volume) rebuildUnit(ctx context.Context, st int64, dIdx, node int) error {
-	n := v.geo.DataDisks()
-	v.meta.Lock()
-	ok := v.availLocked(v.geo.ParityDisk(st), st)
-	for idx := 0; idx < n; idx++ {
-		if idx != dIdx && !v.availLocked(v.geo.DataDisk(st, idx), st) {
-			ok = false
-		}
-	}
-	v.meta.Unlock()
-	if !ok {
+// stripe lock; h is the stripe's health under it.
+func (v *Volume) rebuildUnit(ctx context.Context, st int64, dIdx, node int, h stripeHealth) error {
+	if !h.parityRead || slices.ContainsFunc(h.badIdx, func(idx int) bool { return idx != dIdx }) {
 		return fmt.Errorf("%w: stripe %d survivors incomplete", ErrNodeDown, st)
 	}
 	im := v.image(ctx, st)

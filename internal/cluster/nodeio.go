@@ -104,12 +104,7 @@ func (v *Volume) nodeWrite(ctx context.Context, i int, p []byte, off int64) erro
 	v.ob.nodeWrite[i].Observe(time.Since(t0))
 	if err != nil {
 		st := off / v.geo.StripeUnit
-		v.meta.Lock()
-		changed := v.nodes[i].stale.Mark(st)
-		v.meta.Unlock()
-		if changed {
-			v.eng.Commit() // best effort; the bits survive in memory
-		}
+		v.eng.MarkStale(i, st, st+1) // best effort; the bit stands in memory
 	}
 	return v.classify(ctx, i, gen, err)
 }

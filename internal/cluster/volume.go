@@ -138,10 +138,10 @@ type member struct {
 	addr string
 	dial func() (Node, error)
 
-	// Guarded by Volume.meta.
+	// Guarded by Volume.meta. The units it missed are the engine's (its
+	// stale units, member idx).
 	node    Node
 	state   NodeState // StateUp or StateDown; Healing/Quarantined are derived
-	stale   *nvram.Bitmap
 	lastErr error
 	gen     uint64 // bumped per (re)dial so stale failures can't kill a fresh conn
 
@@ -164,10 +164,9 @@ type Volume struct {
 
 	// eng is the deferred-redundancy engine (internal/nvram), the one
 	// internal/core runs its stripes on: the dirty map (one unit per
-	// stripe) with its group-committed image, the idle and MaxDirty
-	// triggers, the inline valve and the drains, all calling drainStripe.
-	// Its calls that store an image (Mark, Commit, the drains) take meta
-	// to compose the stale maps in, so never make them holding meta.
+	// stripe) and each node's stale map in one group-committed image, the
+	// idle and MaxDirty triggers, the inline valve and the drains, all
+	// calling drainStripe.
 	eng *nvram.Engine
 
 	// arr holds the stripe images and the fan-out that overlaps their
@@ -256,20 +255,16 @@ func Open(members []Member, opts Options) (*Volume, error) {
 	}
 	v.arr = stripe.New(geo, v.ob.parity.Observe)
 	v.bgCtx, v.bgCancel = context.WithCancel(context.Background())
-	for _, m := range nodes {
-		m.stale = nvram.NewBitmap(geo.Stripes())
-	}
 	// The marking memory. An unusable image triggers the paper's
 	// NVRAM-loss recovery, cluster-wide: every stripe is marked for parity
-	// rebuild and the event is flagged in Stats.Recovered. The data on
-	// reachable nodes is trusted — what is lost is the knowledge of which
-	// parity units lag it.
+	// rebuild, no node keeps a stale map, and the event is flagged in
+	// Stats.Recovered. The data on reachable nodes is trusted — what is
+	// lost is the knowledge of which parity units lag it.
 	var err error
 	v.eng, err = nvram.NewEngine(nvram.Config{
 		Units:         geo.Stripes(),
+		Members:       len(members),
 		NV:            opts.NV,
-		Compose:       v.composeMarks,
-		Parse:         v.parseMarks,
 		Idle:          opts.DrainIdle,
 		Threshold:     opts.MaxDirty,
 		Workers:       opts.Workers,
@@ -278,23 +273,19 @@ func Open(members []Member, opts Options) (*Volume, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	if v.eng.Stats().Recovered {
+		v.logf("cluster: marking memory unusable; recovering with full parity rebuild")
+	}
 	// A member down at open with no persisted record of what it missed
 	// is fully suspect: everything on it must be healed before trusted.
-	// Persist that verdict immediately — a later process must not open
-	// the marking memory, find the node back up with a clean stale map,
-	// and trust whatever (possibly blank) disk answers.
-	v.meta.Lock()
-	suspect := false
-	for _, m := range nodes {
-		if m.state == StateDown && m.stale.Count() == 0 {
-			markAll(m.stale)
-			suspect = true
-		}
-	}
-	v.meta.Unlock()
-	if suspect {
-		if err := v.eng.Commit(); err != nil {
-			return nil, err
+	// The verdict is durable before the volume serves — a later process
+	// must not find the node back up with a clean stale map and trust
+	// whatever (possibly blank) disk answers.
+	for i, m := range nodes {
+		if m.state == StateDown && v.eng.StaleCount(i) == 0 {
+			if err := v.eng.MarkStale(i, 0, geo.Stripes()); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if !opts.DisableDrain {
@@ -305,12 +296,6 @@ func Open(members []Member, opts Options) (*Volume, error) {
 		go v.probeLoop()
 	}
 	return v, nil
-}
-
-func markAll(b *nvram.Bitmap) {
-	for st := int64(0); st < b.Stripes(); st++ {
-		b.Mark(st)
-	}
 }
 
 // Close stops the background loops and closes the node clients. Dirty
@@ -387,7 +372,7 @@ func (v *Volume) NodeStates() []NodeInfo {
 	for i, m := range v.nodes {
 		info := NodeInfo{
 			Index: i, Addr: m.addr, State: m.state,
-			StaleStripes: m.stale.Count(), ConsecFails: m.consecFails,
+			StaleStripes: v.eng.StaleCount(i), ConsecFails: m.consecFails,
 		}
 		if m.state == StateUp && info.StaleStripes > 0 {
 			info.State = StateHealing
@@ -444,30 +429,39 @@ type stripeHealth struct {
 	parityRead bool  // parity unit readable (node up, unit not stale)
 	parityWrit bool  // parity unit writable (node up)
 	dirty      bool
+	stale      nvram.MemberSet // nodes holding a stale unit of the stripe
 }
 
-// availLocked reports whether node n can serve stripe st: reachable and
-// not holding a stale unit for it. Callers hold meta.
-func (v *Volume) availLocked(n int, st int64) bool {
+// upLocked reports whether node n is reachable. Callers hold meta.
+func (v *Volume) upLocked(n int) bool {
 	m := v.nodes[n]
-	return m.state == StateUp && m.node != nil && !m.stale.IsMarked(st)
+	return m.state == StateUp && m.node != nil
 }
 
-// health snapshots a stripe's availability. Callers hold the stripe
-// lock, so the dirty bit cannot move underneath them.
-func (v *Volume) health(st int64) stripeHealth {
-	h := stripeHealth{dirty: v.eng.IsMarked(st)}
+// up is upLocked for callers that do not hold meta.
+func (v *Volume) up(n int) bool {
 	v.meta.Lock()
 	defer v.meta.Unlock()
+	return v.upLocked(n)
+}
+
+// health snapshots a stripe's availability: its marks in one engine call,
+// then which nodes are reachable. Callers hold the stripe lock, so the
+// marks cannot move underneath them.
+func (v *Volume) health(st int64) stripeHealth {
+	var h stripeHealth
+	h.dirty, _, h.stale = v.eng.State(st)
+	v.meta.Lock()
+	defer v.meta.Unlock()
+	serves := func(n int) bool { return v.upLocked(n) && !h.stale.Has(n) }
 	for idx := 0; idx < v.geo.DataDisks(); idx++ {
-		if !v.availLocked(v.geo.DataDisk(st, idx), st) {
+		if !serves(v.geo.DataDisk(st, idx)) {
 			h.badIdx = append(h.badIdx, idx)
 		}
 	}
 	pn := v.geo.ParityDisk(st)
-	h.parityRead = v.availLocked(pn, st)
-	pm := v.nodes[pn]
-	h.parityWrit = pm.state == StateUp && pm.node != nil
+	h.parityRead = serves(pn)
+	h.parityWrit = v.upLocked(pn)
 	return h
 }
 
@@ -652,7 +646,7 @@ func (v *Volume) writeSpan(ctx context.Context, p []byte, base int64, sp layout.
 		// node is down too: two failures exceed single parity.
 		return fmt.Errorf("%w: stripe %d needs parity node", ErrTooManyNodes, st)
 	}
-	return v.writeSpanDegraded(ctx, p, base, sp, bIdx, coversB)
+	return v.writeSpanDegraded(ctx, p, base, sp, h, bIdx, coversB)
 }
 
 // writeFullStripe writes a span that carries every data unit of a stripe
@@ -676,10 +670,7 @@ func (v *Volume) writeFullStripe(ctx context.Context, p []byte, base int64, sp l
 	if err := im.WriteFull(p, base, sp); err != nil {
 		return err
 	}
-	// The stale map before the dirty one, as everywhere (composeMarks).
-	v.meta.Lock()
-	v.nodes[v.geo.ParityDisk(st)].stale.Unmark(st)
-	v.meta.Unlock()
+	v.eng.ClearStale(v.geo.ParityDisk(st), st)
 	v.eng.Clear(st)
 	v.ob.fullStripe.Inc()
 	return nil

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,11 +25,13 @@ import (
 type memNode struct {
 	mu   sync.Mutex
 	data []byte
+	ops  atomic.Int64 // reads, writes, flushes and pings served
 }
 
 func newMemNode(size int64) *memNode { return &memNode{data: make([]byte, size)} }
 
 func (n *memNode) ReadAtContext(_ context.Context, p []byte, off int64) (int, error) {
+	n.ops.Add(1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if off < 0 || off+int64(len(p)) > int64(len(n.data)) {
@@ -39,6 +42,7 @@ func (n *memNode) ReadAtContext(_ context.Context, p []byte, off int64) (int, er
 }
 
 func (n *memNode) WriteAtContext(_ context.Context, p []byte, off int64) (int, error) {
+	n.ops.Add(1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if off < 0 || off+int64(len(p)) > int64(len(n.data)) {
@@ -48,10 +52,18 @@ func (n *memNode) WriteAtContext(_ context.Context, p []byte, off int64) (int, e
 	return len(p), nil
 }
 
-func (n *memNode) Flush(context.Context) error { return nil }
-func (n *memNode) Ping(context.Context) error  { return nil }
+func (n *memNode) Flush(context.Context) error { n.ops.Add(1); return nil }
+func (n *memNode) Ping(context.Context) error  { n.ops.Add(1); return nil }
 func (n *memNode) Capacity() int64             { n.mu.Lock(); defer n.mu.Unlock(); return int64(len(n.data)) }
 func (n *memNode) Close() error                { return nil }
+
+// served sums the operations the memNodes under faults have served.
+func served(faults ...*FaultNode) (n int64) {
+	for _, f := range faults {
+		n += f.inner.(*memNode).ops.Load()
+	}
+	return n
+}
 
 // testVolume builds an nNodes-member volume over FaultNode-wrapped
 // memNodes, each re-dialable (heal hands the same injector back).
@@ -60,7 +72,7 @@ func testVolume(t *testing.T, nNodes int, nodeSize int64, opts Options) (*Volume
 	faults := make([]*FaultNode, nNodes)
 	members := make([]Member, nNodes)
 	for i := range members {
-		faults[i] = NewFaultNode(newMemNode(nodeSize), int64(1000+i))
+		faults[i] = NewFaultNode(newMemNode(nodeSize))
 		f := faults[i]
 		members[i] = Member{
 			Addr: fmt.Sprintf("mem%d", i),

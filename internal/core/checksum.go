@@ -179,7 +179,8 @@ func (s *Store) verifyUnit(i int, stripe int64) error {
 // suffix may still be. An absent slot means the unit was never written
 // (checksummed stores carry checksums from birth), so its contents are
 // zeroes and the zero-unit CRC is the right install. Live members only;
-// a dead member gets its slots rewritten by RepairDisk.
+// a failed member, or one under repair, gets its slots rewritten by
+// RepairDisk.
 func (s *Store) formatChecksums() error {
 	stripes := s.geo.Stripes()
 	trailer := make([]byte, stripes*layout.ChecksumSlotSize)

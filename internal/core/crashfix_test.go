@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"afraid/internal/layout"
 )
 
 // TestAfraid6FlushRebuildsTornP: in Afraid6 (deferred Q), a marked
@@ -114,13 +117,17 @@ func (f *flakyDev) ReadAt(p []byte, off int64) (int, error) {
 
 // sweptArray is a flushed 4-disk array of 256 stripes whose disk 1 has
 // failed and is being repaired onto rep by one sweep worker, frozen
-// inside stripe 100: rep holds the sweep's 101st write, and the sweep
-// writes it one unit per stripe. Stripes 0–99 are swept, 101–255 still
-// stale; stripe 100's lock (pool slot 36) is held, so the tests keep clear
-// of stripes 36 and 164. members are the original devices by disk; want
-// is what every byte should read back.
+// inside stripe 100: rep holds the sweep's write of stripe 100's unit, and
+// the sweep writes one unit (and with checksums its slot) per stripe.
+// Stripes 0–99 are swept, 101–255 still stale; stripe 100's lock (pool
+// slot 36) is held, so the tests keep clear of stripes 36 and 164. members
+// are the original devices by disk, devs what the store was opened over;
+// want is what every byte should read back.
 type sweptArray struct {
 	s         *Store
+	opts      Options
+	nv        *MemNVRAM
+	devs      []BlockDevice
 	members   []*flakyDev
 	survivors []*probeDev
 	rep       *gatedDevice
@@ -130,23 +137,30 @@ type sweptArray struct {
 	err       error
 }
 
-// newSweptArray fills every stripe with fill(0xA0, stripe), flushes, and
-// leaves the dirty stripes unredundant, by a write to their first unit,
-// when disk 1 fails.
-func newSweptArray(t *testing.T, mode Mode, dirty ...int64) *sweptArray {
+// newSweptArray opens the array with opts (its Mode and Checksums; the
+// rest is the array's own), fills every stripe with fill(0xA0, stripe),
+// flushes, and leaves the dirty stripes unredundant, by a write to their
+// first unit, when disk 1 fails.
+func newSweptArray(t *testing.T, opts Options, dirty ...int64) *sweptArray {
 	t.Helper()
-	a := &sweptArray{rep: newGatedDevice(sweptStripes*sweptUnit, 101), done: make(chan struct{})}
-	devs := make([]BlockDevice, 4)
-	for i := range devs {
-		m := &flakyDev{MemDevice: NewMemDevice(sweptStripes * sweptUnit)}
+	opts.StripeUnit, opts.DisableScrubber, opts.ScrubWorkers = sweptUnit, true, 1
+	size, blockAt := int64(sweptStripes*sweptUnit), 101
+	if opts.Checksums {
+		size += layout.Geometry{StripeUnit: sweptUnit, DiskSize: size}.ChecksumTrailerBytes()
+		blockAt = 201
+	}
+	a := &sweptArray{opts: opts, nv: &MemNVRAM{}, rep: newGatedDevice(size, blockAt), done: make(chan struct{})}
+	a.devs = make([]BlockDevice, 4)
+	for i := range a.devs {
+		m := &flakyDev{MemDevice: NewMemDevice(size)}
 		p := &probeDev{BlockDevice: m}
 		if i != 1 {
 			a.survivors = append(a.survivors, p)
 		}
 		a.members = append(a.members, m)
-		devs[i] = p
+		a.devs[i] = p
 	}
-	s, err := Open(devs, &MemNVRAM{}, Options{Mode: mode, StripeUnit: sweptUnit, DisableScrubber: true, ScrubWorkers: 1})
+	s, err := Open(a.devs, a.nv, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +265,7 @@ func noLoss(int64, int) bool { return false }
 // its unit on the replacement at once, and the sweep, finding the stripe
 // off the stale map, does not write it again.
 func TestReplacementIsAMemberDuringRepair(t *testing.T) {
-	a := newSweptArray(t, Afraid)
+	a := newSweptArray(t, Options{Mode: Afraid})
 	s, unit := a.s, int64(sweptUnit)
 	sdb := s.geo.StripeDataBytes()
 
@@ -318,7 +332,7 @@ func TestReplacementIsAMemberDuringRepair(t *testing.T) {
 // died may: one written after the sweep passed it, which deferred its
 // parity as any whole stripe's write does. A second repair then finishes.
 func TestReplacementDiesMidRepair(t *testing.T) {
-	a := newSweptArray(t, Afraid, 2, 3)
+	a := newSweptArray(t, Options{Mode: Afraid}, 2, 3)
 	s, unit := a.s, int64(sweptUnit)
 	sdb := s.geo.StripeDataBytes()
 	deferred := []int64{5, 6, 7, 8}
@@ -375,7 +389,7 @@ func TestReplacementDiesMidRepair(t *testing.T) {
 // back. The disk stays failed, a repair onto another device is refused,
 // and RepairDisk onto the same one resumes the sweep and finishes.
 func TestRepairStopsMidwayAndResumes(t *testing.T) {
-	a := newSweptArray(t, Afraid)
+	a := newSweptArray(t, Options{Mode: Afraid})
 	s, unit := a.s, int64(sweptUnit)
 	sdb := s.geo.StripeDataBytes()
 	for _, st := range []int64{5, 6, 7, 8} {
@@ -408,12 +422,136 @@ func TestRepairStopsMidwayAndResumes(t *testing.T) {
 	a.parityClean(t)
 }
 
+// reopen closes the store and opens it again over the same devices, with
+// slot1 in slot 1. A non-nil img makes the Close an abandon: the marking
+// memory is left holding img, the image it held when the power failed.
+func (a *sweptArray) reopen(t *testing.T, img []byte, slot1 BlockDevice) {
+	t.Helper()
+	a.s.Close()
+	if img != nil {
+		if err := a.nv.Store(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.devs[1] = slot1
+	s, err := Open(a.devs, a.nv, a.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	a.s = s
+}
+
+// image is the marking memory as a power cut now would leave it.
+func (a *sweptArray) image(t *testing.T) []byte {
+	t.Helper()
+	img, err := a.nv.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestRepairResumesAcrossReopen: a repair stopped midway survives the
+// store's end with the replacement left in its slot — a Close, a crash
+// after more writes (the marking memory as it was before Close), or a
+// power cut inside the sweep. The stripes it has not rebuilt are stale in
+// the marking memory from before the replacement was installed, so after
+// Open the disk is still dead — failed on them, never read there — and
+// RepairDisk onto the device in the slot resumes the sweep and finishes.
+// Swept stripes took writes whose deferred parity only the replacement
+// encodes, and stale ones ahead of the sweep took degraded writes that put
+// their unit on it.
+func TestRepairResumesAcrossReopen(t *testing.T) {
+	for _, mode := range []Mode{Afraid, Raid6} {
+		for _, checksums := range []bool{false, true} {
+			for _, end := range []string{"close", "crash", "cut"} {
+				t.Run(fmt.Sprintf("%v/checksums=%v/%s", mode, checksums, end), func(t *testing.T) {
+					a := newSweptArray(t, Options{Mode: mode, Checksums: checksums})
+					var img []byte
+					if end == "cut" {
+						img = a.image(t) // the power fails with the sweep inside stripe 100
+					}
+					a.members[2].broken.Store(true)
+					a.release()
+					if !errors.Is(a.err, errTransient) {
+						t.Fatalf("repair with a survivor failing reads: %v, want its error", a.err)
+					}
+					a.members[2].broken.Store(false)
+					if end != "cut" {
+						sdb, unit := a.s.geo.StripeDataBytes(), int64(sweptUnit)
+						for _, st := range []int64{5, 6, 7, 8} {
+							a.write(t, fill(a.s, 0xD1, st)[:sdb/2], st*sdb+unit/2)
+						}
+						for _, st := range []int64{150, 151} {
+							a.write(t, fill(a.s, 0xB7, st), st*sdb)
+						}
+					}
+					if end == "crash" {
+						img = a.image(t)
+					}
+
+					a.reopen(t, img, a.rep)
+					a.check(t, noLoss)
+					if dead := a.s.DeadDisks(); len(dead) != 1 || dead[0] != 1 {
+						t.Fatalf("DeadDisks = %v after the reopen, want [1]: the repair stopped midway", dead)
+					}
+					report, err := a.s.RepairDisk(1, a.devs[1])
+					if err != nil {
+						t.Fatalf("resumed repair: %v", err)
+					}
+					if len(report.Lost) != 0 {
+						t.Fatalf("resumed repair reported loss on a flushed array: %+v", report.Lost)
+					}
+					if dead := a.s.DeadDisks(); len(dead) != 0 {
+						t.Fatalf("DeadDisks = %v after the resumed repair", dead)
+					}
+					a.check(t, noLoss)
+					a.parityClean(t)
+				})
+			}
+		}
+	}
+}
+
+// TestFailedRepairStaysStaleAcrossReopen: failing a disk whose repair
+// stopped midway makes it stale on every stripe again, in the marking
+// memory before FailDisk returns. Degraded writes then pass the replacement
+// by on stripes the sweep had rebuilt, so when it answers again after a
+// crash it must be trusted nowhere until a repair has rebuilt it.
+func TestFailedRepairStaysStaleAcrossReopen(t *testing.T) {
+	a := newSweptArray(t, Options{Mode: Afraid})
+	a.members[2].broken.Store(true)
+	a.release()
+	a.members[2].broken.Store(false)
+	if err := a.s.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	sdb := a.s.geo.StripeDataBytes()
+	for st := int64(10); st < 14; st++ {
+		a.write(t, fill(a.s, 0xE5, st), st*sdb) // degraded: disk 1 is not written
+	}
+	back := NewMemDevice(a.rep.Size()) // the failed replacement, answering again
+	copy(back.data, a.rep.MemDevice.data)
+	a.reopen(t, a.image(t), back)
+	a.check(t, noLoss)
+	if dead := a.s.DeadDisks(); len(dead) != 1 || dead[0] != 1 {
+		t.Fatalf("DeadDisks = %v after the reopen, want [1]", dead)
+	}
+	report, err := a.s.RepairDisk(1, NewMemDevice(a.rep.Size()))
+	if err != nil || len(report.Lost) != 0 {
+		t.Fatalf("repair onto a new device = %+v, %v; want a clean repair", report, err)
+	}
+	a.check(t, noLoss)
+	a.parityClean(t)
+}
+
 // TestRepairAbsorbsSurvivorFailStop: on a RAID 6 array, a survivor that
 // fail-stops mid-sweep is absorbed as a foreground span absorbs it, and
 // the sweep retries the stripe around it and finishes: the repaired disk
 // is whole, the survivor is the one dead disk, and nothing is lost.
 func TestRepairAbsorbsSurvivorFailStop(t *testing.T) {
-	a := newSweptArray(t, Raid6)
+	a := newSweptArray(t, Options{Mode: Raid6})
 	s := a.s
 	sdb := s.geo.StripeDataBytes()
 	for st := int64(0); st < 30; st++ {

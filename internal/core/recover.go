@@ -23,8 +23,9 @@ type Failer interface {
 // parity synchronously. The store absorbs one failure per parity unit
 // of its layout (a RAID 0 store tracks one, every unit of which is lost).
 // Failing a disk under repair, or one whose repair stopped midway, fails
-// its replacement: the repair is abandoned, and every stripe is absent on
-// the disk again.
+// its replacement: the repair is abandoned, and the disk is stale on every
+// stripe again, in the marking memory before FailDisk returns — degraded
+// writes are about to pass by the units the sweep rebuilt on it.
 func (s *Store) FailDisk(i int) error {
 	if i < 0 || i >= len(s.devs) {
 		return fmt.Errorf("core: disk %d out of range", i)
@@ -37,13 +38,16 @@ func (s *Store) FailDisk(i int) error {
 	if !s.failed.Has(i) && !s.failed.Add(i, s.maxFailed()) {
 		return ErrTooManyFailures
 	}
-	if s.stale != nil && s.staleDisk == i {
-		s.stale = nil
-	}
 	if f, ok := s.devs[i].(Failer); ok {
 		f.Fail()
 	}
-	return nil
+	if !s.underRepair.Has(i) {
+		return nil
+	}
+	// meta is held across the store: no span takes its stripe state, and so
+	// none writes around i, before the image shows i stale.
+	s.underRepair.Remove(i)
+	return s.eng.MarkStale(i, 0, s.geo.Stripes())
 }
 
 // DamagedRange is a client byte range whose contents were lost: it
@@ -83,19 +87,24 @@ func (r DamageReport) Bytes() int64 {
 //     the unit is zero-filled, parity is recomputed over the zeroed
 //     stripe, and the range is recorded in the damage report.
 //
-// The replacement is member i at once, stale on every stripe: a stripe
-// counts i as failed until the sweep rebuilds its unit, or a degraded
-// write stores the stripe whole, i's unit included, and the sweep skips
-// it. A stripe off the stale map is an ordinary stripe: reads go to the
-// replacement, and a write defers parity as its sync count says.
+// The replacement is member i at once, stale on every stripe — in the
+// marking memory before it is installed: a stripe counts i as failed
+// until the sweep rebuilds its unit, or a degraded write stores the stripe
+// whole, i's unit included, and the sweep skips it. A stripe i is not
+// stale on is an ordinary stripe: reads go to the replacement, and a write
+// defers parity as its sync count says.
 //
 // The sweep absorbs a member's fail-stop failure and retries the stripe;
-// the replacement's, or FailDisk(i), abandons the repair, and i is absent
+// the replacement's, or FailDisk(i), abandons the repair, and i is stale
 // on every stripe again. Any other error stops the sweep but keeps the
-// replacement and its stale map, as swept stripes may hold writes only it
-// has: RepairDisk(i) onto the same device resumes. i stays in DeadDisks
-// until a repair succeeds, and a failed one returns with its error the
-// report of what it salvaged, counted in Stats as a finished one's is.
+// replacement and what it has rebuilt, as swept stripes may hold writes
+// only it has: RepairDisk(i) onto the same device resumes, and a repair
+// onto another device is refused while i holds a stripe it is not stale
+// on. The stale stripes are in the marking memory, so a repair stopped by
+// a crash or a Close resumes the same way after Open, onto the device in
+// slot i. i stays in DeadDisks until a repair succeeds, and a failed one
+// returns with its error the report of what it salvaged, counted in Stats
+// as a finished one's is.
 func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error) {
 	var report DamageReport
 	if i < 0 || i >= len(s.devs) {
@@ -109,10 +118,7 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 		return report, fmt.Errorf("core: replacement size %d smaller than member size %d",
 			replacement.Size(), need)
 	}
-	stale := nvram.NewBitmap(s.geo.Stripes())
-	for st := int64(0); st < s.geo.Stripes(); st++ {
-		stale.Mark(st)
-	}
+	stripes := s.geo.Stripes()
 	// Install under every stripe lock: devRead and devWrite read s.devs[i]
 	// holding a stripe lock but not meta, and a span that snapshotted the
 	// array before i failed may still be in one on the old device.
@@ -121,19 +127,22 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	}
 	s.meta.Lock()
 	var err error
-	switch {
+	switch resume := s.underRepair.Has(i) && s.devs[i] == replacement; {
 	case s.closed:
 		err = ErrClosed
 	case !s.failed.Has(i):
 		err = fmt.Errorf("core: disk %d is not a failed disk", i)
 	case s.sweeping:
-		err = fmt.Errorf("core: repair of disk %d already in progress", s.staleDisk)
-	case s.stale == nil:
-		s.devs[i], s.staleDisk, s.stale, s.sweeping = replacement, i, stale, true
-	case s.staleDisk != i || s.devs[i] != replacement:
-		err = fmt.Errorf("core: repair of disk %d stopped midway: resume it onto its replacement, or fail the disk first", s.staleDisk)
+		err = fmt.Errorf("core: a repair is already in progress")
+	case resume:
+		s.sweeping = true
+	case s.underRepair.Has(i) && s.eng.StaleCount(i) < stripes:
+		err = fmt.Errorf("core: repair of disk %d stopped midway: resume it onto its replacement, or fail the disk first", i)
 	default:
-		stale, s.sweeping = s.stale, true // resume
+		if err = s.eng.MarkStale(i, 0, stripes); err == nil {
+			s.devs[i], s.sweeping = replacement, true
+			s.underRepair.Add(i, s.maxFailed())
+		}
 	}
 	s.meta.Unlock()
 	for k := range s.locks {
@@ -146,17 +155,17 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	// The sweep: scrub workers stride a shared cursor, each rebuilding its
 	// stripe under that stripe's lock. Stripes complete out of order, so the
 	// damage list is sorted afterwards.
-	err = nvram.ForEach(context.Background(), s.scrubWorkers(), 0, s.geo.Stripes(), func(stripe int64) error {
-		return s.sweepStripe(stripe, i, stale, &report)
+	err = nvram.ForEach(context.Background(), s.scrubWorkers(), 0, stripes, func(stripe int64) error {
+		return s.sweepStripe(stripe, i, &report)
 	})
 	slices.SortFunc(report.Lost, func(a, b DamagedRange) int { return cmp.Compare(a.Offset, b.Offset) })
 	s.meta.Lock()
 	s.sweeping = false
 	switch {
-	case s.stale != stale:
+	case !s.underRepair.Has(i):
 		err = fmt.Errorf("core: repair of disk %d abandoned: the disk failed again", i)
 	case err == nil:
-		s.stale = nil
+		s.underRepair.Remove(i)
 		s.failed.Remove(i)
 	}
 	s.meta.Unlock()
@@ -168,10 +177,10 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 }
 
 // sweepStripe rebuilds one stripe of a repair onto member i, under the
-// stripe's lock, if it is still on a stale map FailDisk has not dropped,
-// and takes it off. What it salvages goes into report and Stats even when it fails
-// midway: a unit it zeroed reads back zeroed from then on.
-func (s *Store) sweepStripe(stripe int64, i int, stale *nvram.Bitmap, report *DamageReport) error {
+// stripe's lock, if i is still under repair and stale on it, and clears
+// the stale mark. What it salvages goes into report and Stats even when
+// it fails midway: a unit it zeroed reads back zeroed from then on.
+func (s *Store) sweepStripe(stripe int64, i int, report *DamageReport) error {
 	lk := s.stripeLock(stripe)
 	lk.Lock()
 	defer lk.Unlock()
@@ -186,9 +195,9 @@ func (s *Store) sweepStripe(stripe int64, i int, stale *nvram.Bitmap, report *Da
 	salvage := false
 	for tries := 0; ; tries++ {
 		s.meta.Lock()
-		todo := s.stale == stale && stale.IsMarked(stripe) // FailDisk(i) drops the map
+		repairing := s.underRepair.Has(i) // FailDisk(i) abandons the repair
 		s.meta.Unlock()
-		if !todo {
+		if _, _, stale := s.eng.State(stripe); !repairing || !stale.Has(i) {
 			return nil
 		}
 		var err error
@@ -204,8 +213,11 @@ func (s *Store) sweepStripe(stripe int64, i int, stale *nvram.Bitmap, report *Da
 			err = s.salvageStripe(stripe, i, &part)
 		}
 		if err == nil {
+			// Under meta, which FailDisk holds while it stales i again.
 			s.meta.Lock()
-			stale.Unmark(stripe)
+			if s.underRepair.Has(i) {
+				s.eng.ClearStale(i, stripe)
+			}
 			if !salvage {
 				s.stats.RecoveredStripes++
 			}
@@ -213,7 +225,7 @@ func (s *Store) sweepStripe(stripe int64, i int, stale *nvram.Bitmap, report *Da
 			return nil
 		}
 		// A member's fail-stop failure is absorbed and the stripe retried;
-		// the replacement's (FailDisk(i)) drops the stale map.
+		// the replacement's (FailDisk(i)) abandons the repair.
 		if tries >= s.spanRetryBudget() || !s.absorbFailure(err) {
 			return err
 		}
@@ -229,9 +241,17 @@ func (s *Store) sweepStripe(stripe int64, i int, stale *nvram.Bitmap, report *Da
 // reachable disk, so later reads and repairs see a consistent stripe
 // (zeroes where data was lost) instead of garbage behind a stale
 // parity; with all of them rewritten the stripe is fully redundant again
-// and its mark is cleared. Caller holds the stripe lock.
+// and its mark is cleared. The mark comes first, as for any write: a
+// salvage cut short leaves zeroes that its parities do not encode, and a
+// resumed repair must salvage the stripe again, not solve through them.
+// Caller holds the stripe lock.
 func (s *Store) salvageStripe(stripe int64, target int, report *DamageReport) error {
 	unit, off := s.geo.StripeUnit, s.geo.DiskOffset(stripe)
+	if s.allPar != 0 {
+		if err := s.eng.Mark(stripe); err != nil {
+			return err
+		}
+	}
 	st := s.stripeState(stripe)
 	dead := st.failed
 	dead.Remove(target) // stale here, but its replacement takes writes

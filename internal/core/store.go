@@ -149,9 +149,10 @@ type Store struct {
 	allPar stripe.Parities // every parity of the layout's code
 
 	// eng is the deferred-redundancy engine: the marking memory (one unit
-	// per stripe) with its NVRAM group commit, the idle and pressure
-	// triggers, the drains, and the quarantine — stripes its scrubOne
-	// callback put on hold. It has its own lock, taken after meta if both.
+	// per stripe, and each member's stale stripes) with its NVRAM group
+	// commit, the idle and pressure triggers, the drains, and the
+	// quarantine — stripes its scrubOne callback put on hold. It has its
+	// own lock, taken after meta if both.
 	eng *nvram.Engine
 
 	meta   sync.Mutex // guards everything below
@@ -161,13 +162,12 @@ type Store struct {
 	stats  Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
 
 	// A member under repair (RepairDisk) is a member again, its
-	// replacement installed, but failed on the stripes its stale map
-	// marks: those whose unit on it nothing has written since. stale is
-	// nil when no repair is running or stopped midway; sweeping is set
-	// while a RepairDisk call sweeps it.
-	staleDisk int
-	stale     *nvram.Bitmap
-	sweeping  bool
+	// replacement installed, but failed on the stripes the engine holds
+	// stale on it: those whose unit on it nothing has written since. It
+	// stays in failed until its repair finishes. sweeping is set while a
+	// RepairDisk call sweeps one.
+	underRepair stripe.Set
+	sweeping    bool
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
@@ -246,16 +246,12 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("core: devices %v and %d all failed: %w", s.failed.List(), i, ErrTooManyFailures)
 		}
 	}
-	if opts.Checksums {
-		if err := s.formatChecksums(); err != nil {
-			return nil, fmt.Errorf("core: formatting checksum trailers: %w", err)
-		}
-	}
 	// The marking memory: a corrupt or mismatched image comes back with
-	// every stripe marked (Stats.NVRAMRecovered).
+	// every stripe marked (Stats.NVRAMRecovered) and no member stale.
 	var err error
 	s.eng, err = nvram.NewEngine(nvram.Config{
 		Units:         geo.Stripes(),
+		Members:       len(devs),
 		NV:            nv,
 		Idle:          opts.ScrubIdle,
 		Threshold:     int64(opts.DirtyThreshold),
@@ -265,6 +261,24 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	// A member the image holds stale stripes on was under repair when the
+	// last incarnation stopped: its replacement is the device in its slot,
+	// failed where it is stale until RepairDisk onto it resumes the sweep.
+	// One whose probe failed is failed everywhere.
+	for i := range devs {
+		if s.failed.Has(i) || s.eng.StaleCount(i) == 0 {
+			continue
+		}
+		if !s.failed.Add(i, s.maxFailed()) {
+			return nil, fmt.Errorf("core: devices %v and %d, under repair, all failed: %w", s.failed.List(), i, ErrTooManyFailures)
+		}
+		s.underRepair.Add(i, s.maxFailed())
+	}
+	if opts.Checksums {
+		if err := s.formatChecksums(); err != nil {
+			return nil, fmt.Errorf("core: formatting checksum trailers: %w", err)
+		}
 	}
 	if !opts.DisableScrubber && s.allPar != 0 {
 		s.eng.Start()

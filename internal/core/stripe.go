@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"afraid/internal/layout"
+	"afraid/internal/nvram"
 	"afraid/internal/stripe"
 )
 
@@ -19,7 +20,8 @@ import (
 // and three values decide everything about it here:
 //
 //   - the failed set — which member disks are gone (stripe.Set), a
-//     member under repair only where its stripe is still stale on it;
+//     member under repair only where the engine holds the stripe stale
+//     on it;
 //   - freshness — which parities encode the stripe's at-rest data
 //     (freshParities), the one "can this be reconstructed / is this
 //     loss" test;
@@ -54,7 +56,7 @@ func (s *Store) image(stripe int64) *stripe.Image {
 
 // stripeState is the snapshot every stripe operation starts from.
 type stripeState struct {
-	failed stripe.Set // the failed members, bar one under repair where the stripe is off its stale map
+	failed stripe.Set // the failed members, bar those under repair where the stripe is not stale on them
 	n      uint8      // the sync count
 	dirty  bool
 	fresh  stripe.Parities
@@ -63,12 +65,16 @@ type stripeState struct {
 func (s *Store) stripeState(stripe int64) stripeState {
 	s.meta.Lock()
 	st := stripeState{failed: s.failed, n: s.sync[stripe]}
-	if s.stale != nil && !s.stale.IsMarked(stripe) {
-		st.failed.Remove(s.staleDisk)
-	}
+	repairing := s.underRepair
 	s.meta.Unlock()
 	var inherited bool
-	st.dirty, inherited = s.eng.State(stripe)
+	var stale nvram.MemberSet
+	st.dirty, inherited, stale = s.eng.State(stripe)
+	for _, d := range repairing.List() {
+		if !stale.Has(d) {
+			st.failed.Remove(d)
+		}
+	}
 	st.fresh = s.freshParities(st.n, st.dirty, inherited)
 	return st
 }
@@ -270,11 +276,11 @@ func (s *Store) storeStripeImage(im *stripe.Image) error {
 		return err
 	}
 	s.meta.Lock()
-	dead, stale := s.failed, s.stale
-	if stale != nil {
-		dead.Remove(s.staleDisk)
-	}
+	dead, repairing := s.failed, s.underRepair
 	s.meta.Unlock()
+	for _, d := range repairing.List() {
+		dead.Remove(d)
+	}
 	off := s.geo.DiskOffset(im.Stripe)
 	im.Encode()
 	for k, u := range im.All {
@@ -284,9 +290,12 @@ func (s *Store) storeStripeImage(im *stripe.Image) error {
 			}
 		}
 	}
+	// Under meta, which FailDisk holds while it stales a member again.
 	s.meta.Lock()
-	if stale != nil && s.stale == stale && stale.Unmark(im.Stripe) {
-		s.stats.RecoveredStripes++ // as the sweep would have
+	for _, d := range repairing.List() {
+		if s.underRepair.Has(d) && s.eng.ClearStale(d, im.Stripe) {
+			s.stats.RecoveredStripes++ // as the sweep would have
+		}
 	}
 	s.meta.Unlock()
 	s.eng.Clear(im.Stripe)

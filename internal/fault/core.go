@@ -15,7 +15,7 @@ import (
 // Config describes the core stack of one episode: an array build and a
 // fault schedule (transient member faults, silent bit flips, a power cut
 // with optional marking-memory loss, post-recovery disk failures, and
-// repair).
+// repair, with optionally a power cut inside it).
 type Config struct {
 	Mode           core.Mode
 	Disks          int
@@ -33,6 +33,7 @@ type Config struct {
 	DropNVRAM  bool // the crash also destroys the marking memory (paper §4)
 	DiskFails  int  // disks to fail after recovery (capped at the redundancy)
 	Repair     bool // repair failed disks and audit the damage report
+	RepairCut  bool // cut power inside each repair's sweep, reboot, and resume it
 
 	Checksums bool // open the store with Options.Checksums
 	FlipBits  int  // write-path silent bit flips to arm (one rule each)
@@ -95,7 +96,7 @@ type Core struct {
 
 // coreEvents is what happened to this incarnation of the store that it
 // does not count itself: the "fault." keys of StatMap.
-type coreEvents struct{ FlipBits, FailedMembers uint64 }
+type coreEvents struct{ FlipBits, FailedMembers, RepairCuts uint64 }
 
 // NewCore returns the core stack cfg describes, unassembled.
 func NewCore(cfg Config) *Core { return &Core{cfg: cfg.withDefaults()} }
@@ -184,8 +185,13 @@ func (c *Core) drawSync(seed int64) error {
 // is abandoned, power returns, and the store opens again from what the
 // media (and the marking memory, unless the schedule drops it) hold.
 // Re-wrapping discards any rule still armed.
-func (c *Core) Reopen(seed int64) error {
-	dead := c.st.DeadDisks()
+func (c *Core) Reopen(seed int64) error { return c.reboot(seed, c.cfg.DropNVRAM, -1) }
+
+// reboot is Reopen, dropping the marking memory or not, with the member
+// under repair in slot repairing (-1 for none): its replacement answers
+// again, and the store finds it stale where the sweep had not reached.
+func (c *Core) reboot(seed int64, dropNVRAM bool, repairing int) error {
+	dead := slices.DeleteFunc(c.st.DeadDisks(), func(i int) bool { return i == repairing })
 	// Closing abandons the store; it is no shutdown. The injectors skip
 	// closing their backings while the line is cut, and the image Close
 	// stores never lands: nothing runs on a machine without power.
@@ -199,7 +205,7 @@ func (c *Core) Reopen(seed int64) error {
 	}
 	c.Line.Restore()
 	c.victims, c.events = nil, coreEvents{}
-	if c.cfg.DropNVRAM {
+	if dropNVRAM {
 		c.nv = NewLostNVRAM()
 	}
 	if err := c.open(seed, dead); err != nil {
@@ -314,7 +320,9 @@ func (c *Core) FailDisks(e *Episode) error {
 // that was unredundant at a failure point (or under an unacknowledged
 // write) — the paper's bounded-exposure contract. A failed repair's
 // partial report is handed over before its error: what it salvaged reads
-// back zeroed all the same.
+// back zeroed all the same. With RepairCut the power fails inside each
+// sweep; the machine reboots with the replacement in its slot and the
+// marking memory as the cut left it, and the repair resumes onto it.
 func (c *Core) RepairDisks(e *Episode) error {
 	if !c.cfg.Repair {
 		return nil
@@ -326,20 +334,40 @@ func (c *Core) RepairDisks(e *Episode) error {
 		if c.cfg.Checksums {
 			rep.SetChecksumRegion(c.geo.DiskSize)
 		}
-		report, err := c.st.RepairDisk(i, rep)
-		losses := make([]Loss, len(report.Lost))
-		for k, lost := range report.Lost {
-			losses[k] = Loss{Off: lost.Offset, Len: lost.Length, Zeroed: true}
+		cut := c.cfg.RepairCut
+		if cut {
+			// The sweep writes the replacement at least once per stripe.
+			c.Line.CutAfter(1 + e.Rng.Int63n(c.geo.Stripes()))
 		}
-		e.Lost(fmt.Sprintf("repair of disk %d", i), losses)
+		report, err := c.st.RepairDisk(i, rep)
+		e.Lost(fmt.Sprintf("repair of disk %d", i), c.losses(report))
+		c.events.FlipBits += c.devs[i].Stats().FlipBits // the replaced injector's count leaves with it
+		c.devs[i], c.Backings[i] = rep, medium
+		if cut && c.Line.IsCut() {
+			c.events.RepairCuts++
+			if err := e.PowerCycle(func() error { return c.reboot(e.Seed+3, false, i) }); err != nil {
+				return err
+			}
+			report, err = c.st.RepairDisk(i, c.devs[i])
+			e.Lost(fmt.Sprintf("resumed repair of disk %d", i), c.losses(report))
+		} else if cut {
+			c.Line.Restore() // disarm a fuse the sweep did not reach
+		}
 		if err != nil {
 			return fmt.Errorf("fault: repair disk %d: %w", i, err)
 		}
-		c.events.FlipBits += c.devs[i].Stats().FlipBits // the replaced injector's count leaves with it
-		c.devs[i], c.Backings[i] = rep, medium
 		c.repaired++
 	}
 	return nil
+}
+
+// losses is a damage report as the oracle takes it: ranges read back zeroed.
+func (c *Core) losses(report core.DamageReport) []Loss {
+	out := make([]Loss, len(report.Lost))
+	for k, lost := range report.Lost {
+		out[k] = Loss{Off: lost.Offset, Len: lost.Length, Zeroed: true}
+	}
+	return out
 }
 
 func (c *Core) degraded() bool { return len(c.st.DeadDisks()) > 0 }

@@ -1,8 +1,11 @@
 package nvram
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -21,6 +24,12 @@ import (
 // bitmap and its durability, the triggers, the claims and holds, the
 // drains and the exposure counters; the client supplies where the image
 // is kept (Persister) and how one unit is made redundant (MakeRedundant).
+//
+// The same image carries each member's stale units: a member's copy of a
+// unit that was written around it (its node was down) or is not yet
+// rebuilt (it is a replacement under repair). A stale mark follows the
+// same rule as a mark — durable before MarkStale returns, cleared lazily —
+// and the client trusts no stale copy until it has rewritten it.
 
 // Persister keeps the marking-memory image across crashes. Store must be
 // durable before it returns (the paper's marking memory is
@@ -51,16 +60,9 @@ const (
 // Config is what a client tells the engine. None of it is a user-facing
 // knob: clients fill it from their own options.
 type Config struct {
-	Units int64     // size of the marking memory
-	NV    Persister // nil keeps the marks in memory only
-
-	// Compose and Parse let a client carry state of its own in the image
-	// around the engine's bitmap. Compose runs outside the engine's lock,
-	// after the bitmap was snapshotted: client state changed before a
-	// Clear or Commit call is therefore in every image that shows it. A
-	// Parse error makes the image unusable.
-	Compose func(bitmap []byte) []byte
-	Parse   func(img []byte) (bitmap []byte, err error)
+	Units   int64     // size of the marking memory
+	Members int       // members a unit spans, whose stale units the image carries; at most 64
+	NV      Persister // nil keeps the marks in memory only
 
 	Idle      time.Duration // quiet time before background work starts
 	Threshold int64         // backlog that forces work under load; 0 = never
@@ -81,6 +83,16 @@ type Config struct {
 // can no longer stall indefinitely while its peers keep re-dirtying
 // units; the rest of the backlog belongs to the background loop.
 const MaxInline = 4
+
+// maxMembers bounds Config.Members: a MemberSet holds every member.
+const maxMembers = 64
+
+// MemberSet is a set of members, bit m for member m: those stale on one
+// unit (State).
+type MemberSet uint64
+
+// Has reports whether member m is in the set.
+func (s MemberSet) Has(m int) bool { return s&(1<<m) != 0 }
 
 // EngineStats are the engine's exposure and activity counters.
 type EngineStats struct {
@@ -115,6 +127,8 @@ type Engine struct {
 
 	mu       sync.Mutex // guards everything below; never held across a client call or a Store
 	marks    *Bitmap
+	stale    []*Bitmap            // per member, its stale units
+	staleOn  MemberSet            // members with a stale unit: none stores the bare marks
 	found    *Bitmap              // marks found in the image at load, or distrusted since; nil if none. Invariant: found ⊆ marks
 	hold     map[int64]bool       // Invariant: hold ⊆ marked; any mark/unmark drops the entry
 	claims   map[int64]claimState // units inside (or on their way into) a callback
@@ -131,10 +145,10 @@ type Engine struct {
 	committed *sync.Cond
 	storing   bool
 	durable   uint64 // highest change generation an image has reached NVRAM with
-	latest    uint64 // latest change generation applied to marks
-	marked    uint64 // latest generation that set a mark: what a Mark waits for
+	latest    uint64 // latest change generation applied to marks and stale units
+	marked    uint64 // latest generation that set a mark or a stale unit: what a Mark waits for
 	storeErr  error  // outcome of the store that reached durable
-	img       []byte // the bitmap snapshot being stored; the storing leader's alone
+	img       []byte // the image snapshot being stored; the storing leader's alone
 	closed    bool   // Close ran and no mark since: images are flagged clean
 
 	wake chan struct{} // nudges the background loop (capacity 1: more pending kicks add nothing)
@@ -143,19 +157,26 @@ type Engine struct {
 }
 
 // NewEngine loads the marking memory. An unusable image — garbage, the
-// wrong size, rejected by Parse — triggers the paper's marking-memory
-// failure recovery: every unit is marked, EngineStats.Recovered is set
-// and the all-marked image is stored. The background loop does not run
-// until Start.
+// wrong size, the wrong member count — triggers the paper's marking-memory
+// failure recovery: every unit is marked, no member has a stale unit,
+// EngineStats.Recovered is set and the all-marked image is stored. The
+// background loop does not run until Start.
 func NewEngine(cfg Config) (*Engine, error) {
+	if cfg.Members < 0 || cfg.Members > maxMembers {
+		return nil, fmt.Errorf("nvram: %d members, want at most %d", cfg.Members, maxMembers)
+	}
 	e := &Engine{
 		cfg:    cfg,
 		marks:  NewBitmap(cfg.Units),
+		stale:  make([]*Bitmap, cfg.Members),
 		hold:   make(map[int64]bool),
 		claims: make(map[int64]claimState),
 		lastIO: time.Now(),
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
+	}
+	for m := range e.stale {
+		e.stale[m] = NewBitmap(cfg.Units)
 	}
 	e.released = sync.NewCond(&e.mu)
 	e.committed = sync.NewCond(&e.mu)
@@ -169,28 +190,26 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if len(img) == 0 {
 		return e, nil
 	}
-	if cfg.Parse != nil {
-		img, err = cfg.Parse(img)
-	}
-	if err == nil {
+	if maps, clean, err := decodeImage(img, cfg.Units, cfg.Members); err == nil {
+		e.marks = maps[0]
+		e.stats.HighWater = e.marks.Count()
+		if len(maps) > 1 {
+			e.stale = maps[1:]
+			for m, bm := range e.stale {
+				if bm.Count() > 0 {
+					e.staleOn |= 1 << m
+				}
+			}
+		}
 		// An image Close stored is flagged clean: no write was in flight, so
 		// its marks stand only for what they were set for, and none is
 		// inherited. The flag is spent here — the image is stored again
 		// without it — so a crash of this incarnation reads as a crash.
-		clean := len(img) >= 8 && img[7]&cleanBit != 0
 		if clean {
-			img[7] &^= cleanBit
+			return e, e.Commit()
 		}
-		var bm *Bitmap
-		if bm, err = Deserialize(img); err == nil && bm.Stripes() == cfg.Units {
-			e.marks = bm
-			e.stats.HighWater = bm.Count()
-			if clean {
-				return e, e.Commit()
-			}
-			e.inherit()
-			return e, nil
-		}
+		e.inherit()
+		return e, nil
 	}
 	for u := int64(0); u < cfg.Units; u++ {
 		e.marks.Mark(u)
@@ -201,9 +220,83 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, e.Commit()
 }
 
-// cleanBit, in an image's last header byte, is the top bit of its stripe
-// count — set by no valid count — and flags an image Close stored.
+// The image has two forms. While no member has a stale unit it is the
+// marks' Bitmap encoding alone. Otherwise it is marksMagic, the member
+// count (uint32), then the marks and each member's stale units, in member
+// order, every one a Bitmap encoding behind its length (uint32); all
+// integers are little-endian. The marks' encoding carries cleanBit in
+// either form.
+const marksMagic = "AFCLMK1\n"
+
+// cleanBit, in the last header byte of the marks' encoding, is the top bit
+// of its unit count — set by no valid count — and flags an image Close
+// stored.
 const cleanBit = 0x80
+
+// appendImage appends the image of the marking memory as it stands.
+// Caller holds mu.
+func (e *Engine) appendImage(dst []byte) []byte {
+	if e.staleOn == 0 {
+		return e.appendMarks(dst)
+	}
+	size := uint32(8 + 8*len(e.marks.words)) // every map's encoding
+	dst = append(dst, marksMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.stale)))
+	dst = binary.LittleEndian.AppendUint32(dst, size)
+	dst = e.appendMarks(dst)
+	for _, bm := range e.stale {
+		dst = binary.LittleEndian.AppendUint32(dst, size)
+		dst = bm.AppendTo(dst)
+	}
+	return dst
+}
+
+// appendMarks appends the marks' encoding, flagged clean after Close.
+func (e *Engine) appendMarks(dst []byte) []byte {
+	start := len(dst)
+	dst = e.marks.AppendTo(dst)
+	if e.closed {
+		dst[start+7] |= cleanBit
+	}
+	return dst
+}
+
+// decodeImage reads an image of either form for units and members: the
+// marks, then — unless the image is bare — each member's stale units.
+func decodeImage(img []byte, units int64, members int) (maps []*Bitmap, clean bool, err error) {
+	blobs := [][]byte{img}
+	if rest, ok := bytes.CutPrefix(img, []byte(marksMagic)); ok {
+		if len(rest) < 4 || binary.LittleEndian.Uint32(rest) != uint32(members) {
+			return nil, false, fmt.Errorf("nvram: image not for %d members", members)
+		}
+		rest = rest[4:]
+		blobs = make([][]byte, 1+members)
+		for i := range blobs {
+			if len(rest) < 4 || uint32(len(rest)-4) < binary.LittleEndian.Uint32(rest) {
+				return nil, false, fmt.Errorf("nvram: truncated map %d", i)
+			}
+			n := binary.LittleEndian.Uint32(rest)
+			blobs[i], rest = rest[4:4+n], rest[4+n:]
+		}
+		if len(rest) != 0 {
+			return nil, false, fmt.Errorf("nvram: %d bytes past the last map", len(rest))
+		}
+	}
+	if b := blobs[0]; len(b) >= 8 && b[7]&cleanBit != 0 {
+		clean = true
+		b[7] &^= cleanBit
+	}
+	maps = make([]*Bitmap, len(blobs))
+	for i, b := range blobs {
+		if maps[i], err = Deserialize(b); err != nil {
+			return nil, false, err
+		}
+		if got := maps[i].Stripes(); got != units {
+			return nil, false, fmt.Errorf("nvram: map %d for %d units, want %d", i, got, units)
+		}
+	}
+	return maps, clean, nil
+}
 
 // inherit records the marks standing at load as found there (State).
 func (e *Engine) inherit() {
@@ -306,16 +399,67 @@ func (e *Engine) MarkRange(lo, hi int64) error {
 			e.claims[u] = claimRemarked
 		}
 	}
+	if c := e.marks.Count(); c > e.stats.HighWater {
+		e.stats.HighWater = c
+	}
+	return e.commitMarks(changed)
+}
+
+// commitMarks returns once every mark and stale unit set so far, this
+// caller's (changed) or found standing, is in NVRAM. The generations past
+// the last of them are clears, which nobody waits for. Caller holds mu.
+func (e *Engine) commitMarks(changed bool) error {
 	if changed || e.storeErr != nil { // a failed store may have left any mark behind: store again
 		e.latest++
 		e.marked = e.latest
-		if c := e.marks.Count(); c > e.stats.HighWater {
-			e.stats.HighWater = c
+	}
+	return e.commitTo(e.marked)
+}
+
+// MarkStale records that member's copies of the units of [lo, hi) are
+// stale — about to be written around, or not yet rebuilt — and returns
+// once an image showing it is in NVRAM, as MarkRange does for marks.
+func (e *Engine) MarkStale(member int, lo, hi int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	changed := false
+	for u := lo; u < hi; u++ {
+		if e.stale[member].Mark(u) {
+			e.staleOn |= 1 << member
+			changed = true
 		}
 	}
-	// Every mark set so far, ours or found standing, must be in NVRAM. The
-	// generations past the last mark are Clears, which nobody waits for.
-	return e.commitTo(e.marked)
+	return e.commitMarks(changed)
+}
+
+// ClearStale records that member's copy of unit is current again: the
+// client rewrote it. Like Clear it changes memory only until the next
+// store, and it reports whether the copy was stale.
+func (e *Engine) ClearStale(member int, unit int64) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.stale[member].Unmark(unit) {
+		return false
+	}
+	if e.stale[member].Count() == 0 {
+		e.staleOn &^= 1 << member
+	}
+	e.latest++
+	return true
+}
+
+// StaleCount returns how many units member has stale.
+func (e *Engine) StaleCount(member int) int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stale[member].Count()
+}
+
+// StaleUnits lists the units member has stale, ascending.
+func (e *Engine) StaleUnits(member int) []int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stale[member].Marked()
 }
 
 // Clear unmarks a unit the client made redundant by its own means (a
@@ -342,8 +486,7 @@ func (e *Engine) unmark(unit int64) bool {
 }
 
 // Commit returns once an image at least as new as every change made
-// before the call — the client's own composed state included — is in
-// NVRAM.
+// before the call is in NVRAM.
 func (e *Engine) Commit() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -383,16 +526,9 @@ func (e *Engine) commitTo(want uint64) error {
 		}
 		e.storing = true
 		goal := e.latest // the snapshot covers every generation through goal
-		e.img = e.marks.AppendTo(e.img[:0])
-		if e.closed {
-			e.img[7] |= cleanBit
-		}
-		img := e.img
+		e.img = e.appendImage(e.img[:0])
 		e.mu.Unlock()
-		if e.cfg.Compose != nil {
-			img = e.cfg.Compose(img)
-		}
-		err := e.cfg.NV.Store(img)
+		err := e.cfg.NV.Store(e.img)
 		if err != nil {
 			err = fmt.Errorf("nvram: storing marking memory: %w", err)
 		}
@@ -414,17 +550,23 @@ func (e *Engine) IsMarked(unit int64) bool {
 	return e.marks.IsMarked(unit)
 }
 
-// State reports whether unit is marked and, if so, whether the mark was
-// inherited: found in the image at load, or distrusted since (Distrust),
-// and standing ever since. An inherited mark may stand for a write the
-// last incarnation had in flight when it stopped, so it vouches for
-// nothing the client keeps in sync either; it ends as every mark does,
+// State reports, in one lock trip, whether unit is marked, whether the
+// mark was inherited, and which members hold a stale copy of it. A mark is
+// inherited when it was found in the image at load, or distrusted since
+// (Distrust), and has stood ever since. An inherited mark may stand for a
+// write the last incarnation had in flight when it stopped, so it vouches
+// for nothing the client keeps in sync either; it ends as every mark does,
 // when the unit is made redundant.
-func (e *Engine) State(unit int64) (marked, inherited bool) {
+func (e *Engine) State(unit int64) (marked, inherited bool, stale MemberSet) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	marked = e.marks.IsMarked(unit)
-	return marked, marked && e.found != nil && e.found.IsMarked(unit)
+	for on := e.staleOn; on != 0; on &= on - 1 {
+		if m := bits.TrailingZeros64(uint64(on)); e.stale[m].IsMarked(unit) {
+			stale |= 1 << m
+		}
+	}
+	return marked, marked && e.found != nil && e.found.IsMarked(unit), stale
 }
 
 // Count returns the number of unredundant units.

@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -293,15 +293,15 @@ func TestInheritedMarks(t *testing.T) {
 	mustMark(t, e, 3, 5)
 	e = newTestEngine(t, Config{NV: nv}, c) // a crash: the image as it stands
 	for u, want := range map[int64]bool{3: true, 5: true, 7: false} {
-		if marked, inherited := e.State(u); marked != want || inherited != want {
+		if marked, inherited, _ := e.State(u); marked != want || inherited != want {
 			t.Fatalf("unit %d after a crash: marked %v, inherited %v; want %v", u, marked, inherited, want)
 		}
 	}
 	mustMark(t, e, 3, 7)
-	if _, inherited := e.State(3); !inherited {
+	if _, inherited, _ := e.State(3); !inherited {
 		t.Fatal("marking an inherited unit again made its mark this incarnation's")
 	}
-	if _, inherited := e.State(7); inherited {
+	if _, inherited, _ := e.State(7); inherited {
 		t.Fatal("a mark set after load reads as inherited")
 	}
 	e.Clear(5)
@@ -310,7 +310,7 @@ func TestInheritedMarks(t *testing.T) {
 	}
 	mustMark(t, e, 3, 5)
 	for _, u := range []int64{3, 5} {
-		if _, inherited := e.State(u); inherited {
+		if _, inherited, _ := e.State(u); inherited {
 			t.Fatalf("unit %d made redundant and marked again still reads as inherited", u)
 		}
 	}
@@ -318,11 +318,11 @@ func TestInheritedMarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e = newTestEngine(t, Config{NV: nv}, c)
-	if marked, inherited := e.State(3); !marked || inherited {
+	if marked, inherited, _ := e.State(3); !marked || inherited {
 		t.Fatalf("after a clean close: marked %v, inherited %v", marked, inherited)
 	}
 	e = newTestEngine(t, Config{NV: nv}, c)
-	if _, inherited := e.State(3); !inherited {
+	if _, inherited, _ := e.State(3); !inherited {
 		t.Fatal("a crash after a clean close's load inherits nothing: the flag outlived its load")
 	}
 }
@@ -337,7 +337,7 @@ func TestDistrustedMarks(t *testing.T) {
 	e.Distrust(3)
 	e.Distrust(7)
 	for u, want := range map[int64][2]bool{3: {true, true}, 5: {true, false}, 7: {false, false}} {
-		if marked, inherited := e.State(u); marked != want[0] || inherited != want[1] {
+		if marked, inherited, _ := e.State(u); marked != want[0] || inherited != want[1] {
 			t.Fatalf("unit %d: marked %v, inherited %v; want %v", u, marked, inherited, want)
 		}
 	}
@@ -346,7 +346,7 @@ func TestDistrustedMarks(t *testing.T) {
 	}
 	e = newTestEngine(t, Config{NV: nv}, c)
 	for _, u := range []int64{3, 5} {
-		if _, inherited := e.State(u); !inherited {
+		if _, inherited, _ := e.State(u); !inherited {
 			t.Fatalf("unit %d: a clean close with a distrusted mark standing handed it down as trusted", u)
 		}
 	}
@@ -885,12 +885,6 @@ func TestUnusableImagesRecoverAllMarked(t *testing.T) {
 	if st := e.Stats(); st.Recovered || st.Marked != 0 {
 		t.Fatalf("empty NVRAM: %+v", st)
 	}
-	// A Parse hook's rejection is the same recovery.
-	e = newTestEngine(t, Config{Units: 100, NV: &fakeNV{img: good.Serialize()},
-		Parse: func([]byte) ([]byte, error) { return nil, errors.New("not mine") }}, newFakeClient())
-	if st := e.Stats(); !st.Recovered || st.Marked != 100 {
-		t.Fatalf("rejected by Parse: %+v", st)
-	}
 }
 
 // goldenCoreImage is the marking memory internal/core wrote at the
@@ -915,23 +909,225 @@ func TestGoldenImageFromBeforeTheEngine(t *testing.T) {
 	if !bytes.Equal(nv.images[0], img) {
 		t.Fatalf("engine wrote %x, the format before it was %x", nv.images[0], img)
 	}
-	// The image hooks wrap the same bitmap bytes.
-	wrapped := &fakeNV{img: append([]byte("HDR"), img...)}
-	e = newTestEngine(t, Config{Units: 70, NV: wrapped,
-		Parse: func(b []byte) ([]byte, error) {
-			if !bytes.HasPrefix(b, []byte("HDR")) {
-				return nil, fmt.Errorf("no header")
-			}
-			return b[3:], nil
-		},
-		Compose: func(b []byte) []byte { return append([]byte("HDR"), b...) },
-	}, newFakeClient())
-	if e.Count() != 5 || e.Stats().Recovered {
-		t.Fatalf("wrapped image: %d marked, recovered=%v", e.Count(), e.Stats().Recovered)
+}
+
+// staleEngine is a 70-unit engine over 4 members on nv.
+func staleEngine(t *testing.T, nv *fakeNV) *Engine {
+	t.Helper()
+	return newTestEngine(t, Config{Units: 70, Members: 4, NV: nv}, newFakeClient())
+}
+
+// decoded is the marking memory an image holds, or the test fails.
+func decoded(t *testing.T, img []byte, units int64, members int) (marks *Bitmap, stale []*Bitmap) {
+	t.Helper()
+	maps, _, err := decodeImage(slices.Clone(img), units, members)
+	if err != nil {
+		t.Fatalf("image %x does not decode: %v", img, err)
 	}
-	mustMark(t, e, 1)
-	if !bytes.HasPrefix(wrapped.images[0], []byte("HDR")) || !bytes.Equal(wrapped.images[0][3:11], img[:8]) {
-		t.Fatalf("composed image = %x", wrapped.images[0])
+	return maps[0], maps[1:]
+}
+
+// The image is the bare marks while no member has a stale unit — the form
+// core wrote before stale units reached the engine — and the AFCLMK1 form
+// cluster wrote before otherwise, both byte for byte.
+func TestImageForms(t *testing.T) {
+	nv := &fakeNV{}
+	e := staleEngine(t, nv)
+	mustMark(t, e, 0, 3, 63, 64, 69)
+	if got, want := hex.EncodeToString(nv.img), goldenCoreImage; got != want {
+		t.Fatalf("with nothing stale the image is %s, want the bare marks %s", got, want)
+	}
+	if err := e.MarkStale(1, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.MarkStale(1, 64, 65); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.MarkStale(3, 69, 70); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(nv.img), goldenMarksImage; got != want {
+		t.Fatalf("with stale units the image is\n%s, want\n%s", got, want)
+	}
+	for _, s := range []struct {
+		member int
+		unit   int64
+	}{{1, 1}, {1, 64}, {3, 69}} {
+		e.ClearStale(s.member, s.unit)
+	}
+	if err := e.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(nv.img), goldenCoreImage; got != want {
+		t.Fatalf("with the stale units cleared the image is %s, want the bare marks %s", got, want)
+	}
+	// A clean close flags the marks' encoding in either form, and the load
+	// spends the flag.
+	if err := e.MarkStale(2, 5, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = staleEngine(t, nv)
+	if _, inherited, stale := e.State(5); inherited || !stale.Has(2) || stale.Has(1) {
+		t.Fatalf("after a clean close unit 5 reads inherited=%v stale=%b", inherited, stale)
+	}
+	if _, inherited, _ := e.State(3); inherited {
+		t.Fatal("a clean close handed its marks down as inherited")
+	}
+	if got := e.StaleUnits(2); !reflect.DeepEqual(got, []int64{5, 6}) || e.StaleCount(2) != 2 || e.StaleCount(0) != 0 {
+		t.Fatalf("member 2 stale on %v after the reload", got)
+	}
+}
+
+// goldenMarksImage is the AFCLMK1 marking memory a 4-node, 70-stripe
+// cluster volume wrote before the engine kept stale units: stripes 0, 3,
+// 63, 64, 69 dirty, member 1 stale at 1 and 64, member 3 stale at 69.
+const goldenMarksImage = "4146434c4d4b310a04000000" +
+	"18000000" + "460000000000000009000000000000802100000000000000" +
+	"18000000" + "460000000000000000000000000000000000000000000000" +
+	"18000000" + "460000000000000002000000000000000100000000000000" +
+	"18000000" + "460000000000000000000000000000000000000000000000" +
+	"18000000" + "460000000000000000000000000000002000000000000000"
+
+// A stale mark is durable before MarkStale returns and stores nothing when
+// it stands; a stale clear is lazy, as Clear is.
+func TestMarkStaleIsDurableClearStaleIsLazy(t *testing.T) {
+	nv := &fakeNV{}
+	e := staleEngine(t, nv)
+	if err := e.MarkStale(2, 10, 20); err != nil {
+		t.Fatal(err)
+	}
+	if nv.stores() != 1 {
+		t.Fatalf("MarkStale over 10 units cost %d stores, want 1", nv.stores())
+	}
+	if _, stale := decoded(t, nv.img, 70, 4); stale[2].Count() != 10 || !stale[2].IsMarked(19) {
+		t.Fatalf("MarkStale returned before an image showing its units was stored: member 2 stale on %v", stale[2].Marked())
+	}
+	if err := e.MarkStale(2, 12, 14); err != nil || nv.stores() != 1 {
+		t.Fatalf("marking stale units stale again: err %v, %d stores, want nil and no store", err, nv.stores())
+	}
+	if !e.ClearStale(2, 15) || e.ClearStale(2, 15) || e.ClearStale(1, 15) {
+		t.Fatal("ClearStale does not report whether the unit was stale")
+	}
+	if nv.stores() != 1 {
+		t.Fatal("ClearStale stored an image")
+	}
+	if _, _, stale := e.State(15); stale != 0 {
+		t.Fatalf("unit 15 still stale on %b in memory", stale)
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, stale := decoded(t, nv.img, 70, 4); stale[2].IsMarked(15) || stale[2].Count() != 9 {
+		t.Fatalf("the store after ClearStale shows member 2 stale on %v", stale[2].Marked())
+	}
+	if _, _, stale := e.State(16); stale != 1<<2 {
+		t.Fatalf("State(16) stale = %b, want member 2", stale)
+	}
+}
+
+// An image for another member count, or with a map that does not decode,
+// is unusable: the engine recovers with every unit marked and no member
+// stale.
+func TestStaleImageMismatchRecovers(t *testing.T) {
+	img, err := hex.DecodeString(goldenMarksImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		img     []byte
+		members int
+	}{
+		"three members":   {img, 3},
+		"five members":    {img, 5},
+		"truncated map":   {img[:len(img)-3], 4},
+		"trailing bytes":  {append(slices.Clone(img), 0), 4},
+		"wrong unit size": {img, 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			units := int64(70)
+			if name == "wrong unit size" {
+				units = 71
+			}
+			nv := &fakeNV{img: slices.Clone(c.img)}
+			e := newTestEngine(t, Config{Units: units, Members: c.members, NV: nv}, newFakeClient())
+			if st := e.Stats(); !st.Recovered || st.Marked != units {
+				t.Fatalf("stats = %+v, want recovered with all %d marked", st, units)
+			}
+			for m := 0; m < c.members; m++ {
+				if n := e.StaleCount(m); n != 0 {
+					t.Fatalf("member %d keeps %d stale units through a recovery", m, n)
+				}
+			}
+			if got := nv.durable(t).Count(); got != units {
+				t.Fatalf("recovery stored an image with %d marks", got)
+			}
+		})
+	}
+	if _, err := NewEngine(Config{Units: 8, Members: maxMembers + 1}); err == nil {
+		t.Fatalf("an engine over %d members was built", maxMembers+1)
+	}
+}
+
+// Stale marks and clears race marks, clears and commits: every image that
+// reaches NVRAM decodes, and the last one equals memory.
+func TestStaleMarksUnderConcurrentMarking(t *testing.T) {
+	nv := &fakeNV{}
+	e := newTestEngine(t, Config{Units: 256, Members: 5, NV: nv}, newFakeClient())
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int64(0); i < 200; i++ {
+				u := (int64(w)*41 + i*7) % 256
+				switch i % 5 {
+				case 0:
+					if err := e.MarkStale(w%5, u, min(u+9, 256)); err != nil {
+						t.Error(err)
+					}
+				case 1:
+					e.ClearStale(w%5, u)
+				case 2:
+					if err := e.Mark(u); err != nil {
+						t.Error(err)
+					}
+				case 3:
+					e.Clear(u)
+				default:
+					if err := e.Commit(); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	nv.mu.Lock()
+	images := nv.images
+	nv.mu.Unlock()
+	for i, img := range images {
+		if _, _, err := decodeImage(slices.Clone(img), 256, 5); err != nil {
+			t.Fatalf("image %d of %d does not decode: %v", i, len(images), err)
+		}
+	}
+	marks, stale := decoded(t, nv.img, 256, 5)
+	if got := marks.Marked(); !reflect.DeepEqual(got, e.Marked()) {
+		t.Fatalf("last image marks %v, memory %v", got, e.Marked())
+	}
+	for m := range 5 {
+		got := []int64{}
+		if len(stale) > 0 {
+			got = stale[m].Marked()
+		}
+		if !reflect.DeepEqual(got, e.StaleUnits(m)) {
+			t.Fatalf("last image has member %d stale on %v, memory on %v", m, got, e.StaleUnits(m))
+		}
 	}
 }
 
