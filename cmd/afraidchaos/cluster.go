@@ -276,10 +276,10 @@ func (c *clusterStack) Inject(e *fault.Episode) error {
 //
 // Quiesce before the heal: requests that were in flight when the link
 // failed — black-holed mid-stream, for instance — are delivered once it
-// is restored (there is no write fencing on the wire). They all target
-// stripes the volume already marked stale, so letting them land first
-// means the rebuild writes last. The prober's auto-heal applies the same
-// settle.
+// is restored (there is no write fencing on the wire). The volume works
+// around the node until its heal hands it back, so letting them land first
+// means every later write, the rebuild's included, lands after them. The
+// prober's auto-heal applies the same settle.
 func (c *clusterStack) Heal(e *fault.Episode) error {
 	for _, px := range c.proxies {
 		px.Restore()

@@ -101,24 +101,24 @@ func main() {
 // daemon's own STAT beside the volume's reachability state, and the
 // full key-by-node matrix of those STATs.
 func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO time.Duration) {
-	st := v.Stat()
+	g, vs, nodes := v.Geometry(), v.Stats(), v.NodeStates()
 	fmt.Printf("volume: capacity %s, stripe unit %s, %d stripes, %d dirty",
-		fmtSize(st.Capacity), fmtSize(st.StripeUnit), st.Stripes, st.Stats.DirtyStripes)
-	if st.Stats.Recovered {
+		fmtSize(g.Capacity()), fmtSize(g.StripeUnit), g.Stripes(), vs.DirtyStripes)
+	if vs.Recovered {
 		fmt.Printf(" [RECOVERED: marking memory was lost, full rebuild pending]")
 	}
 	fmt.Println()
 	fmt.Printf("  drains=%d degraded_reads=%d degraded_writes=%d healed=%d lost=%d failovers=%d high_water=%d\n",
-		st.Stats.ParityDrains, st.Stats.DegradedReads, st.Stats.DegradedWrites,
-		st.Stats.HealedStripes, st.Stats.LostStripes, st.Stats.NodeFailovers, st.Stats.DirtyHighWater)
+		vs.ParityDrains, vs.DegradedReads, vs.DegradedWrites,
+		vs.HealedStripes, vs.LostStripes, vs.NodeFailovers, vs.DirtyHighWater)
 	fmt.Printf("  hedged=%d hedge_wins=%d retries=%d retries_exhausted=%d auto_heals=%d quarantines=%d\n",
-		st.Stats.HedgedReads, st.Stats.HedgeWins, st.Stats.Retries,
-		st.Stats.RetriesExhausted, st.Stats.AutoHeals, st.Stats.Quarantines)
+		vs.HedgedReads, vs.HedgeWins, vs.Retries,
+		vs.RetriesExhausted, vs.AutoHeals, vs.Quarantines)
 	// Ask each daemon itself: its STAT snapshot, over the block protocol
 	// so no metrics port is needed. A key a node does not carry (no
 	// front tier, an unreachable node) renders as "-".
-	stats := make([]server.Stat, len(st.Nodes))
-	for _, n := range st.Nodes {
+	stats := make([]server.Stat, len(nodes))
+	for _, n := range nodes {
 		if c, err := server.DialTimeout(addrs[n.Index], dialTO); err == nil {
 			cctx, cancel := context.WithTimeout(ctx, dialTO)
 			stats[n.Index], _ = c.Stat(cctx)
@@ -134,7 +134,7 @@ func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO ti
 		return a + "/" + b + "/" + c
 	}
 	fmt.Printf("%-4s %-22s %-12s %-5s %-10s %-10s %-14s %-20s %s\n", "NODE", "ADDR", "STATE", "FAILS", "STALE", "NODE-DIRTY", "NODE-CAPACITY", "TIER(res/hits/mig)", "CSUM(det/rep/lost)")
-	for _, n := range st.Nodes {
+	for _, n := range nodes {
 		ds := stats[n.Index]
 		get := func(render func(int64) string, keys ...string) string {
 			var sum int64

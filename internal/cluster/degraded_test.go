@@ -217,7 +217,7 @@ func TestEveryAbsentUnitIsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := v.eng.MarkStale(v.geo.DataDisk(0, last), 0, 1); err != nil {
+	if err := v.st.Engine().MarkStale(v.geo.DataDisk(0, last), 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, v.geo.StripeUnit)

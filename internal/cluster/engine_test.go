@@ -174,8 +174,8 @@ func TestIdleDrainPreemptedByForegroundWrite(t *testing.T) {
 	<-held.entered // stripe 0: marked, locked, its data write in the node
 
 	polled := make(chan struct{})
-	go func() { v.eng.Poll(); close(polled) }()
-	testutil.Eventually(t, "the idle episode to claim stripe 0", func() bool { return v.eng.Stats().IdleEpisodes == 1 })
+	go func() { v.st.Engine().Poll(); close(polled) }()
+	testutil.Eventually(t, "the idle episode to claim stripe 0", func() bool { return v.st.Engine().Stats().IdleEpisodes == 1 })
 	_, err = v.WriteAt(buf, v.geo.StripeDataBytes()) // foreground I/O on stripe 1
 	close(release)
 	<-polled
@@ -185,10 +185,10 @@ func TestIdleDrainPreemptedByForegroundWrite(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	if st := v.Stats(); v.eng.Stats().Preempts != 1 || st.ParityDrains != 0 || st.DirtyStripes != 2 {
+	if st := v.Stats(); v.st.Engine().Stats().Preempts != 1 || st.ParityDrains != 0 || st.DirtyStripes != 2 {
 		t.Fatalf("the preempted drain consumed a fresh mark: %+v", st)
 	}
-	v.eng.Poll() // with a current generation the drain proceeds
+	v.st.Engine().Poll() // with a current generation the drain proceeds
 	if v.DirtyStripes() != 0 {
 		t.Fatalf("%d stripes dirty after an undisturbed idle episode", v.DirtyStripes())
 	}
@@ -197,12 +197,14 @@ func TestIdleDrainPreemptedByForegroundWrite(t *testing.T) {
 	}
 }
 
-// TestLostStripeDoesNotShieldTheBacklog: a stripe that was dirty when it
-// lost a data unit stays dirty and stale after the heal — loss is
-// reported, the marks are kept — and every drain skips it. It is also the
-// lowest mark, where every drain starts; the stripes above it must still
-// be drained, in the background and by the write path's valve, or one
-// lost stripe would end the volume's bound on its exposure.
+// TestLostStripeDoesNotShieldTheBacklog: a stripe that was dirty when a
+// node was replaced by a blank one is salvaged by the full heal — the
+// node's unit zeroed, the loss reported, the stripe redundant again. One no
+// drain can make redundant (dirty, with a node stale on it) stays dirty, and
+// every drain skips it. It is also the lowest mark, where every drain
+// starts; the stripes above it must still be drained, in the background and
+// by the write path's valve, or one such stripe would end the volume's
+// bound on its exposure.
 func TestLostStripeDoesNotShieldTheBacklog(t *testing.T) {
 	opts := quietOpts() // no drain goroutine: the test runs the episodes
 	opts.DrainIdle, opts.MaxDirty = time.Hour, 2
@@ -220,9 +222,19 @@ func TestLostStripeDoesNotShieldTheBacklog(t *testing.T) {
 		t.Fatalf("write into a dirty stripe's dead unit = %v, want ErrDataLoss", err)
 	}
 	faults[victim].Restore()
-	rep, err := v.HealNode(ctx, victim, false)
+	rep, err := v.HealNode(ctx, victim, true)
 	if err != nil || !reflect.DeepEqual(rep.Lost, []int64{0}) {
 		t.Fatalf("HealNode = %+v, %v; want stripe 0 reported lost", rep, err)
+	}
+	got := make([]byte, len(buf))
+	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, make([]byte, len(buf))) || v.DirtyStripes() != 0 || v.Stats().LostStripes != 1 {
+		t.Fatalf("the lost unit reads (%v) and %d stripes are dirty; want it salvaged to zeroes and the stripe redundant", err, v.DirtyStripes())
+	}
+	if _, err := v.WriteAt(buf, 0); err != nil { // dirty again...
+		t.Fatal(err)
+	}
+	if err := v.st.Engine().MarkStale(victim, 0, 1); err != nil { // ...and stale on a node, as a heal cut short leaves it
+		t.Fatal(err)
 	}
 
 	write := func(stripes ...int64) {
@@ -237,7 +249,7 @@ func TestLostStripeDoesNotShieldTheBacklog(t *testing.T) {
 	if got := v.Stats().InlineDrains; got != 0 {
 		t.Fatalf("%d inline drains at 2×MaxDirty", got)
 	}
-	v.eng.Poll() // a forced episode, down to the bound
+	v.st.Engine().Poll() // a forced episode, down to the bound
 	if got, want := v.DirtyList(), []int64{0, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("forced episode left %v dirty, want %v", got, want)
 	}
@@ -265,7 +277,7 @@ func TestInlineValveCostIndependentOfBacklog(t *testing.T) {
 	perWrite := func(backlog int64) uint64 {
 		v, _ := testVolume(t, 4, stripes*unit, Options{StripeUnit: unit, MaxDirty: 8, DisableDrain: true})
 		for st := int64(0); st < backlog; st++ {
-			if err := v.eng.Mark(st); err != nil {
+			if err := v.st.Engine().Mark(st); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -323,12 +335,12 @@ func TestGoldenMarksImage(t *testing.T) {
 	}
 	stale := make([][]int64, len(v.nodes))
 	for i := range v.nodes {
-		stale[i] = v.eng.StaleUnits(i)
+		stale[i] = v.st.Engine().StaleUnits(i)
 	}
 	if want := [][]int64{{}, {1, 64}, {}, {69}}; !reflect.DeepEqual(stale, want) {
 		t.Fatalf("stale maps after load = %v, want %v", stale, want)
 	}
-	if err := v.eng.Commit(); err != nil {
+	if err := v.st.Engine().Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := nv.Load(); !bytes.Equal(got, img) {

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func fullStripeWrites(v *Volume) uint64 { return v.ob.fullStripe.Value() }
+func fullStripeWrites(v *Volume) uint64 { return v.Obs().Counters()["write.full_stripe"] }
 
 func assertRedundant(t *testing.T, v *Volume) {
 	t.Helper()
@@ -152,7 +152,7 @@ func TestNodeLostInsideFullStripeWrite(t *testing.T) {
 		if v.NodeStates()[victim].State != StateDown {
 			t.Fatalf("victim %d not demoted", victim)
 		}
-		if dirty := v.eng.IsMarked(0); dirty != (v.geo.ParityDisk(0) == victim) {
+		if dirty := v.st.Engine().IsMarked(0); dirty != (v.geo.ParityDisk(0) == victim) {
 			t.Fatalf("victim %d: stripe 0 dirty=%v after the retried write", victim, dirty)
 		}
 		got := make([]byte, len(shadow))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,7 +20,7 @@ import (
 // refreshes the slot from the in-memory buffer on every unit write —
 // so a flip on the wire or the medium can never be blessed — and
 // devRead verifies every unit it returns. A verify failure surfaces as
-// a *ChecksumError and is handled exactly like a fail-stop member on
+// a *UnitError and is handled exactly like a fail-stop member on
 // that one unit: reconstruct from redundancy, rewrite through with a
 // fresh checksum, or report ErrDataLoss. Corruption is never served
 // silently.
@@ -45,29 +46,11 @@ var slotPool = sync.Pool{New: func() any { return new([layout.ChecksumSlotSize]b
 // its stored checksum: silent corruption, detected.
 var ErrChecksumMismatch = errors.New("core: block checksum mismatch")
 
-// ChecksumError identifies the corrupt unit. It is not a DiskError —
-// the device transferred the bytes fine, the bytes are wrong — so
-// absorbFailure will not kill the member for it; absorbMismatch
-// repairs the one unit instead.
-type ChecksumError struct {
-	Disk   int
-	Stripe int64
-}
-
-// Error implements error.
-func (e *ChecksumError) Error() string {
-	return fmt.Sprintf("core: disk %d stripe %d: checksum mismatch", e.Disk, e.Stripe)
-}
-
-// Unwrap exposes the sentinel to errors.Is.
-func (e *ChecksumError) Unwrap() error { return ErrChecksumMismatch }
-
-// csumLossError reports a detected corruption that redundancy cannot
-// undo. It wraps ErrDataLoss: detected-but-unrecoverable corruption is
-// reported loss, the same contract as losing a disk under a dirty
-// stripe.
-func csumLossError(stripe int64, disk int) error {
-	return fmt.Errorf("%w: stripe %d (checksum mismatch on disk %d beyond redundancy)", ErrDataLoss, stripe, disk)
+// unitLossError reports a unit error that redundancy cannot undo. It
+// wraps ErrDataLoss: detected-but-unrecoverable corruption is reported
+// loss, the same contract as losing a disk under a dirty stripe.
+func unitLossError(ue *UnitError) error {
+	return fmt.Errorf("%w: stripe %d (disk %d: %v, beyond redundancy)", ErrDataLoss, ue.Stripe, ue.Disk, ue.Err)
 }
 
 // encodeSlot fills an 8-byte checksum slot for unit contents.
@@ -106,7 +89,7 @@ func (s *Store) verifyAgainstSlot(i int, stripe int64, unit []byte) error {
 	}
 	if binary.BigEndian.Uint32(slot[0:4]) != csumMagic ||
 		binary.BigEndian.Uint32(slot[4:8]) != parity.CRC32C(0, unit) {
-		return &ChecksumError{Disk: i, Stripe: stripe}
+		return &UnitError{Disk: i, Stripe: stripe, Err: ErrChecksumMismatch}
 	}
 	return nil
 }
@@ -149,7 +132,7 @@ func (s *Store) devWriteChecksummed(i int, p []byte, off int64) error {
 	stripe := off / unit
 	if off%unit == 0 && int64(len(p)) == unit {
 		if _, err := s.devs[i].WriteAt(p, off); err != nil {
-			return &DiskError{Disk: i, Op: "write", Err: err}
+			return s.memberErr(i, "write", off, err)
 		}
 		return s.putChecksum(i, stripe, p)
 	}
@@ -160,26 +143,27 @@ func (s *Store) devWriteChecksummed(i int, p []byte, off int64) error {
 	}
 	copy(whole[off-stripe*unit:], p)
 	if _, err := s.devs[i].WriteAt(p, off); err != nil {
-		return &DiskError{Disk: i, Op: "write", Err: err}
+		return s.memberErr(i, "write", off, err)
 	}
 	return s.putChecksum(i, stripe, whole)
 }
 
-// verifyUnit re-reads disk i's unit of stripe and checks it. Caller
-// holds the stripe lock.
+// verifyUnit re-reads disk i's unit of stripe: against its checksum slot
+// when the store keeps them, and in any case as the member serves it, which
+// may report it lost. Caller holds the stripe lock.
 func (s *Store) verifyUnit(i int, stripe int64) error {
 	unit := s.geo.StripeUnit
 	whole := bufpool.Get(int(unit))
 	defer bufpool.Put(whole)
-	return s.devReadVerified(i, whole, stripe*unit)
+	return s.devRead(context.Background(), i, whole, stripe*unit)
 }
 
 // formatChecksums installs slots for units that have none yet: at first
 // open every slot is zero, and after a crash during a previous format a
 // suffix may still be. An absent slot means the unit was never written
 // (checksummed stores carry checksums from birth), so its contents are
-// zeroes and the zero-unit CRC is the right install. Live members only;
-// a failed member, or one under repair, gets its slots rewritten by
+// zeroes and the zero-unit CRC is the right install. Whole members only;
+// an absent member, or one with stale units, gets its slots rewritten by
 // RepairDisk.
 func (s *Store) formatChecksums() error {
 	stripes := s.geo.Stripes()
@@ -189,7 +173,7 @@ func (s *Store) formatChecksums() error {
 	var fresh [layout.ChecksumSlotSize]byte
 	encodeSlot(fresh[:], zero)
 	for i, d := range s.devs {
-		if s.failed.Has(i) {
+		if s.failed.Has(i) || s.eng.StaleCount(i) > 0 {
 			continue
 		}
 		if _, err := d.ReadAt(trailer, s.geo.DiskSize); err != nil {
@@ -213,56 +197,52 @@ func (s *Store) formatChecksums() error {
 	return nil
 }
 
-// absorbMismatch is the span loops' counterpart of absorbFailure for
-// checksum failures: when err identifies a corrupt unit, repair it in
-// place from redundancy. It returns retry=true when the repair
-// succeeded (or a member failed under it and was absorbed as
-// absorbFailure would) and the caller should re-run the span; otherwise the error
-// to surface (the original err when it was not a checksum failure, a
-// loss error when redundancy could not cover the corruption). Caller
-// holds the corrupt stripe's lock.
-func (s *Store) absorbMismatch(err error) (retry bool, out error) {
-	var ce *ChecksumError
-	if !errors.As(err, &ce) {
+// absorbUnit is the span loops' counterpart of absorbFailure for unit
+// errors: when err names a unit that failed verification or that its
+// member reports lost, repair it in place from redundancy. It returns
+// retry=true when the repair succeeded (or a member failed under it and was
+// absorbed as absorbFailure would) and the caller should re-run the span;
+// otherwise the error to surface (the original err when it was not a unit
+// error, a loss error when redundancy could not cover the unit). Caller
+// holds the unit's stripe lock.
+func (s *Store) absorbUnit(ctx context.Context, err error) (retry bool, out error) {
+	var ue *UnitError
+	if !errors.As(err, &ue) {
 		return false, err
 	}
-	rerr := s.repairUnit(ce.Stripe, ce.Disk)
+	rerr := s.repairUnit(ctx, ue)
 	if rerr != nil && s.absorbFailure(rerr) {
 		// A member fail-stopped under the repair. The caller's retry works
-		// around it and meets the corrupt unit again, which then is
-		// repaired beside the dead member, or reported lost, and counted.
+		// around it and meets the bad unit again, which then is repaired
+		// beside the dead member, or reported lost, and counted.
 		return true, nil
 	}
 	s.meta.Lock()
+	defer s.meta.Unlock()
 	s.stats.ChecksumDetected++
-	s.meta.Unlock()
-	if rerr != nil {
-		if errors.Is(rerr, ErrDataLoss) {
-			s.meta.Lock()
-			s.stats.ChecksumLost++
-			s.meta.Unlock()
-		}
-		return false, rerr
+	switch {
+	case rerr == nil:
+		s.stats.ChecksumRepaired++
+		return true, nil
+	case errors.Is(rerr, ErrDataLoss):
+		s.stats.ChecksumLost++
 	}
-	s.meta.Lock()
-	s.stats.ChecksumRepaired++
-	s.meta.Unlock()
-	return true, nil
+	return false, rerr
 }
 
 // repairing runs op on a stripe whose lock the caller holds and, for as
-// long as op trips over a unit that fails checksum verification, repairs
-// that unit from redundancy and runs op again — so no rebuild, repair or
-// audit ever works over (and blesses) corrupt bytes. It returns op's
-// error, or the repair's when redundancy could not cover the corruption.
-func (s *Store) repairing(op func() error) error {
+// long as op trips over a unit error, repairs that unit from redundancy
+// and runs op again — so no rebuild, repair or audit ever works over (and
+// blesses) corrupt or lost bytes. It returns op's error, or the repair's
+// when redundancy could not cover the unit.
+func (s *Store) repairing(ctx context.Context, op func() error) error {
 	for tries := 0; ; tries++ {
 		err := op()
 		if err == nil || tries >= s.spanRetryBudget() {
 			return err
 		}
 		var retry bool
-		if retry, err = s.absorbMismatch(err); !retry {
+		if retry, err = s.absorbUnit(ctx, err); !retry {
 			return err
 		}
 	}

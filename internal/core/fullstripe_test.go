@@ -478,7 +478,7 @@ func TestDegradedFullStripeWriteSkipsReconstruct(t *testing.T) {
 	if err := s.FailDisk(dead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteAt(pattern(100, 2), 20); err == nil {
+	if _, err := s.WriteAt(pattern(100, 2), 2*s.geo.StripeUnit+20); err == nil {
 		t.Fatal("a partial write merged with a unit lost under a dirty stripe")
 	}
 	r0, w0 := deviceOps(probes)

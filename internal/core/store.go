@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -119,6 +121,7 @@ type Stats struct {
 	ScrubbedStripes         uint64
 	ForcedScrubs            uint64
 	DegradedReads           uint64
+	DegradedWrites          uint64 // spans stored whole around missing members
 	RecoveredStripes        uint64 // rebuilt during RepairDisk, by its sweep or a degraded write
 	DamagedStripes          uint64
 	NVRAMRecovered          bool // full-array rebuild after bad NVRAM image
@@ -131,9 +134,12 @@ type Stats struct {
 	DirtyHighWater int64  // most stripes simultaneously unredundant
 	DamageBytes    int64  // bytes lost to disk failures in unprotected stripes
 
-	ChecksumDetected uint64 // unit reads that failed checksum verification
-	ChecksumRepaired uint64 // corrupt units rewritten from redundancy
-	ChecksumLost     uint64 // detected corruptions beyond redundancy (reported loss)
+	ChecksumDetected uint64 // unit reads that failed checksum verification, or that their member reported lost
+	ChecksumRepaired uint64 // such units rewritten from redundancy
+	ChecksumLost     uint64 // such units beyond redundancy (reported loss)
+
+	HedgedReads uint64 // straggling unit reads raced against reconstruction (hedge.go)
+	HedgeWins   uint64 // hedges that answered before the straggler
 
 	NVRAMPersists uint64 // NVRAM writes issued (group commit batches markers)
 }
@@ -155,19 +161,12 @@ type Store struct {
 	// own lock, taken after meta if both.
 	eng *nvram.Engine
 
-	meta   sync.Mutex // guards everything below
-	sync   []uint8    // per stripe, the parities its writes keep current (syncSet); changed under its stripe lock too
-	failed stripe.Set // failed member disks, in failure order
-	closed bool
-	stats  Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
-
-	// A member under repair (RepairDisk) is a member again, its
-	// replacement installed, but failed on the stripes the engine holds
-	// stale on it: those whose unit on it nothing has written since. It
-	// stays in failed until its repair finishes. sweeping is set while a
-	// RepairDisk call sweeps one.
-	underRepair stripe.Set
-	sweeping    bool
+	meta     sync.Mutex      // guards everything below
+	sync     []uint8         // per stripe, the parities its writes keep current (syncSet); changed under its stripe lock too
+	failed   stripe.Set      // the absent members, in failure order; a present one is missing where the engine holds it stale
+	sweeping nvram.MemberSet // members a RepairDisk call is sweeping
+	closed   bool
+	stats    Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
@@ -222,7 +221,7 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		geo:  geo,
-		devs: devs,
+		devs: slices.Clone(devs), // RepairDisk installs into the store's slots, not the caller's
 		opts: opts,
 		ob:   newStoreObs(),
 		sync: make([]uint8, geo.Stripes()),
@@ -234,7 +233,7 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	s.allPar = s.arr.AllParities()
 	// Probe the members: a disk that failed before a crash is still
 	// failed after reopen, and the store must know before issuing I/O.
-	// Any probe error counts — an unreadable member is a failed member,
+	// Any probe error counts — an unreadable member is an absent member,
 	// whether it reports a bare ErrDeviceFailed, a wrapped one from a
 	// fault-injection layer, or a real I/O error.
 	probe := make([]byte, 1)
@@ -262,18 +261,18 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// A member the image holds stale stripes on was under repair when the
-	// last incarnation stopped: its replacement is the device in its slot,
-	// failed where it is stale until RepairDisk onto it resumes the sweep.
-	// One whose probe failed is failed everywhere.
-	for i := range devs {
-		if s.failed.Has(i) || s.eng.StaleCount(i) == 0 {
-			continue
+	// A member the image holds stale stripes on was absent, or under
+	// repair, when the last incarnation stopped: it is missing where it is
+	// stale until RepairDisk onto it sweeps them. One whose probe failed
+	// with no such record is stale everywhere, durably before the store
+	// serves: a later incarnation that finds it answering again must not
+	// trust what it holds.
+	for _, i := range s.failed.List() {
+		if s.eng.StaleCount(i) == 0 {
+			if err := s.eng.MarkStale(i, 0, geo.Stripes()); err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
 		}
-		if !s.failed.Add(i, s.maxFailed()) {
-			return nil, fmt.Errorf("core: devices %v and %d, under repair, all failed: %w", s.failed.List(), i, ErrTooManyFailures)
-		}
-		s.underRepair.Add(i, s.maxFailed())
 	}
 	if opts.Checksums {
 		if err := s.formatChecksums(); err != nil {
@@ -332,13 +331,33 @@ func (s *Store) Geometry() layout.Geometry { return s.geo }
 // DirtyStripes returns the number of unredundant stripes.
 func (s *Store) DirtyStripes() int64 { return s.eng.Count() }
 
-// DeadDisks returns the indices of the currently failed member disks,
-// in failure order. Empty when the array is healthy.
+// DeadDisks returns the members that are not whole: the absent ones, in
+// failure order, then those present with stale units (a repair not yet
+// finished). Empty when the array is healthy.
 func (s *Store) DeadDisks() []int {
 	s.meta.Lock()
-	defer s.meta.Unlock()
-	return append([]int(nil), s.failed.List()...)
+	dead := append([]int(nil), s.failed.List()...)
+	s.meta.Unlock()
+	for on := s.eng.StaleMembers(); on != 0; on &= on - 1 {
+		if d := bits.TrailingZeros64(uint64(on)); !slices.Contains(dead, d) {
+			dead = append(dead, d)
+		}
+	}
+	return dead
 }
+
+// Absent reports whether member i is absent: failed, and not handed back
+// by RepairDisk since.
+func (s *Store) Absent(i int) bool {
+	s.meta.Lock()
+	defer s.meta.Unlock()
+	return s.failed.Has(i)
+}
+
+// Engine returns the store's marking memory: the marks, each member's
+// stale units and the drains that empty them, for a harness that steps or
+// inspects them.
+func (s *Store) Engine() *nvram.Engine { return s.eng }
 
 // DirtyList returns the stripes currently marked unredundant — the
 // paper's exposure set, enumerated. A crash harness samples it at
@@ -356,6 +375,15 @@ func (s *Store) Stats() Stats {
 	st.IdleEpisodes, st.ForcedEpisodes, st.ScrubPreempts = es.IdleEpisodes, es.ForcedEpisodes, es.Preempts
 	st.NVRAMPersists, st.NVRAMRecovered = es.Persists, es.Recovered
 	return st
+}
+
+// whole reports whether every member is present and current on every
+// stripe.
+func (s *Store) whole() bool {
+	s.meta.Lock()
+	absent := s.failed.Len()
+	s.meta.Unlock()
+	return absent == 0 && s.eng.StaleMembers() == 0
 }
 
 // maxFailed is how many member failures the store absorbs before
@@ -449,13 +477,13 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 // request serves one client read or write: split it into stripe spans and
 // run span on each under its stripe lock, absorbing what can be absorbed.
 // A layout with no parity and no checksum slots has no per-stripe protocol
-// to run, so while no member is failed or under repair each span, once
+// to run, so while every member is whole (whole) each span, once
 // locked, takes the spans that continue it into one run (foldRun) and
 // everything below is per run. A write is premarked. The lock wait and the
 // time under the lock go to the stripe_lock_wait and dev histograms per
 // span and, summed, to the op's trace event.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
-	span func(p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
+	span func(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
 		return 0, err
 	}
@@ -488,17 +516,14 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			// Decided under the lock, which RepairDisk's install waits for:
 			// a stripe's state says nothing of the next one's while a
 			// member's units are stale on some stripes only.
-			s.meta.Lock()
-			whole := s.failed.Len() == 0
-			s.meta.Unlock()
-			if whole {
+			if s.whole() {
 				n = foldRun(rest)
 			}
 		}
 		sp := rest[0]
 		rest = rest[n:]
 		for tries := 0; ; tries++ {
-			err = span(p, off, sp)
+			err = span(ctx, p, off, sp)
 			// A member reporting fail-stop failure mid-span moves the
 			// store to degraded mode; retry the span, now reconstructing
 			// around the dead disk (a write under the degraded protocol).
@@ -506,12 +531,13 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			// tries bound guards against a span that keeps tripping on an
 			// already-absorbed member. A checksum mismatch is absorbed the
 			// same way: repair the one corrupt unit from redundancy, then
-			// retry the span. A write's reads all precede its first device
-			// write, so a mismatch met by them left nothing half-written; one
-			// met while writing (a partial unit's verify) left every other
-			// unit written and the mark standing, and the repair solves the
-			// skipped unit through the sync parities, which already encode
-			// the new data.
+			// retry the span, and so is a unit its member reports lost. A
+			// write's reads all precede its first device write, so a unit
+			// error met by them left nothing half-written; one met while
+			// writing (a partial unit's verify, a member's loss) left every
+			// other unit written and the mark standing, and the repair solves
+			// the skipped unit through the sync parities, which already
+			// encode the new data.
 			if err == nil || tries >= s.spanRetryBudget() {
 				break
 			}
@@ -519,7 +545,7 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 				continue
 			}
 			var retry bool
-			if retry, err = s.absorbMismatch(err); !retry {
+			if retry, err = s.absorbUnit(ctx, err); !retry {
 				break
 			}
 		}
@@ -585,13 +611,15 @@ func continues(run, next layout.StripeSpan) bool {
 // parity (their mark stands after them) — bar those that verify old
 // contents before they mark (preflights). A partial span that keeps every
 // parity in sync clears only a mark it set itself, so it marks itself;
-// and with a member failed the spans store whole images behind their own.
+// and with a member missing the spans store whole images behind their own.
 // A layout with no parity keeps no marks, and request does not call it.
 func (s *Store) premark(spans []layout.StripeSpan) error {
+	if !s.whole() {
+		return nil
+	}
 	ahead := func(sp layout.StripeSpan) bool { // caller holds meta
 		n := s.sync[sp.Stripe]
-		return s.failed.Len() == 0 &&
-			(sp.FullStripe(s.geo) || (syncSet(n) != s.allPar && !s.preflights(sp, n)))
+		return sp.FullStripe(s.geo) || (syncSet(n) != s.allPar && !s.preflights(sp, n))
 	}
 	for i := 0; i < len(spans); i++ {
 		s.meta.Lock()

@@ -455,6 +455,13 @@ func (e *Engine) StaleCount(member int) int64 {
 	return e.stale[member].Count()
 }
 
+// StaleMembers returns the members that have a stale unit.
+func (e *Engine) StaleMembers() MemberSet {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.staleOn
+}
+
 // StaleUnits lists the units member has stale, ascending.
 func (e *Engine) StaleUnits(member int) []int64 {
 	e.mu.Lock()

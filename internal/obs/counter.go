@@ -31,6 +31,22 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// Adopt registers instruments of another registry — *Histogram and
+// *Counter values — under names of this one, so a layer can publish what
+// the layer below it counts under its own names.
+func (r *Registry) Adopt(named map[string]any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, in := range named {
+		switch in := in.(type) {
+		case *Histogram:
+			r.hists[name] = in
+		case *Counter:
+			r.counters[name] = in
+		}
+	}
+}
+
 // Counters snapshots every counter in the registry.
 func (r *Registry) Counters() map[string]uint64 {
 	r.mu.Lock()

@@ -7,11 +7,12 @@
 // An Image is one stripe's units in memory and the moves between them and
 // the members; an Array holds what the images of one array share. Which
 // move to make, when to mark, what a missing member means and what to do
-// about an error are the client's: core.Store runs its disks on an Array,
-// cluster.Volume its nodes.
+// about an error are the client's: core.Store runs its members on an
+// Array, disks and cluster nodes alike.
 package stripe
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -24,12 +25,12 @@ import (
 
 // Members moves unit bytes between memory and the array's members, which
 // layout.Geometry numbers. An Array hands it every unit an Image loads or
-// stores, several at once from different goroutines; what a member is — a
-// checksummed disk, a node behind a deadline — and what its errors cause
-// stay behind it.
+// stores, several at once from different goroutines, under the image's
+// context; what a member is — a checksummed disk, a node behind a deadline
+// — and what its errors cause stay behind it.
 type Members interface {
-	ReadUnit(member int, p []byte, off int64) error
-	WriteUnit(member int, p []byte, off int64) error
+	ReadUnit(ctx context.Context, member int, p []byte, off int64) error
+	WriteUnit(ctx context.Context, member int, p []byte, off int64) error
 }
 
 // ErrDataLoss marks bytes that are unrecoverable: they lived on a missing
@@ -127,6 +128,7 @@ func (a *Array) AllParities() Parities { return Parities(1)<<a.code - 1 }
 // happens-before edge makes the result visible to the waiter.
 type ioReq struct {
 	write  bool
+	ctx    context.Context
 	m      Members
 	member int
 	buf    []byte
@@ -137,9 +139,9 @@ type ioReq struct {
 
 func (req *ioReq) do() {
 	if req.write {
-		*req.errp = req.m.WriteUnit(req.member, req.buf, req.off)
+		*req.errp = req.m.WriteUnit(req.ctx, req.member, req.buf, req.off)
 	} else {
-		*req.errp = req.m.ReadUnit(req.member, req.buf, req.off)
+		*req.errp = req.m.ReadUnit(req.ctx, req.member, req.buf, req.off)
 	}
 }
 
@@ -187,7 +189,7 @@ func (a *Array) timed(req *ioReq) {
 // parity, and views naming the bytes of each unit that the next load,
 // solve, encode or store moves — ranges of those buffers, or of the
 // caller's own where that saves a copy. Get binds it to a stripe and the
-// members to move it through; Release recycles it.
+// members and the context to move it through; Release recycles it.
 //
 // Buffers come back with arbitrary contents; every user either fills them
 // from the members, solves into them (a full overwrite of the range it
@@ -204,14 +206,15 @@ type Image struct {
 
 	a    *Array
 	m    Members
+	ctx  context.Context
 	view [][]byte // indexed like All: the bytes of each unit in play, nil for a unit that is not
 	off  []int64  // indexed like All: where in its unit a view starts
 	errs []error  // one slot per fanned-out unit I/O, indexed like All
 	wg   sync.WaitGroup
 }
 
-// Get returns an image of the stripe, to be moved through m.
-func (a *Array) Get(m Members, stripe int64) *Image {
+// Get returns an image of the stripe, to be moved through m under ctx.
+func (a *Array) Get(ctx context.Context, m Members, stripe int64) *Image {
 	im, _ := a.pool.Get().(*Image)
 	if im == nil {
 		k := a.geo.DataDisks()
@@ -228,17 +231,17 @@ func (a *Array) Get(m Members, stripe int64) *Image {
 		}
 		im.Data, im.Par = im.All[:k], im.All[k:]
 	}
-	im.m, im.Stripe = m, stripe
+	im.m, im.ctx, im.Stripe = m, ctx, stripe
 	return im
 }
 
 // Release recycles the image. The caller must not touch it after. The
-// views, destinations and members may name a caller's memory; the pool
-// must not keep it alive.
+// views, destinations, members and context may name a caller's memory;
+// the pool must not keep it alive.
 func (im *Image) Release() {
 	clear(im.view)
 	clear(im.Dst)
-	im.m = nil
+	im.m, im.ctx = nil, nil
 	im.a.pool.Put(im)
 }
 
@@ -299,7 +302,7 @@ func (im *Image) io(write bool, skip Set) error {
 		if skip.Has(d) {
 			continue
 		}
-		req := ioReq{write: write, m: im.m, member: d, buf: u, off: base + im.off[i], errp: &im.errs[i], wg: &im.wg}
+		req := ioReq{write: write, ctx: im.ctx, m: im.m, member: d, buf: u, off: base + im.off[i], errp: &im.errs[i], wg: &im.wg}
 		if inline.member < 0 {
 			inline = req
 			continue
@@ -440,20 +443,6 @@ func (im *Image) WriteFull(p []byte, base int64, sp layout.StripeSpan) error {
 	return im.Store(Set{})
 }
 
-// WriteSpan writes a span's extents from the caller's buffer to their
-// members, overlapped, and nothing else.
-func (im *Image) WriteSpan(p []byte, base int64, sp layout.StripeSpan) error {
-	return im.span(true, p, base, sp)
-}
-
-func (im *Image) span(write bool, p []byte, base int64, sp layout.StripeSpan) error {
-	clear(im.view)
-	for _, e := range sp.Extents {
-		im.view[e.DataIdx], im.off[e.DataIdx] = p[e.ArrOff-base:e.ArrOff-base+e.Len], e.UnitOff
-	}
-	return im.io(write, Set{})
-}
-
 // ReadSpan reads a span's extents into the caller's buffer, overlapped.
 // Extents on missing members are solved from the fresh parities, and it
 // reports whether any were: only the byte range of those extents is
@@ -470,7 +459,11 @@ func (im *Image) ReadSpan(p []byte, base int64, sp layout.StripeSpan, missing Se
 		}
 	}
 	if lo >= hi {
-		return false, im.span(false, p, base, sp)
+		clear(im.view)
+		for _, e := range sp.Extents {
+			im.view[e.DataIdx], im.off[e.DataIdx] = p[e.ArrOff-base:e.ArrOff-base+e.Len], e.UnitOff
+		}
+		return false, im.io(false, Set{})
 	}
 	for _, e := range sp.Extents {
 		if e.UnitOff == lo && e.UnitOff+e.Len == hi {
@@ -487,7 +480,7 @@ func (im *Image) ReadSpan(p []byte, base int64, sp layout.StripeSpan, missing Se
 		case lo <= e.UnitOff && e.UnitOff+e.Len <= hi:
 			copy(dst, im.Data[e.DataIdx][e.UnitOff:])
 		default:
-			if err := im.m.ReadUnit(e.Disk, dst, e.DiskOff); err != nil {
+			if err := im.m.ReadUnit(im.ctx, e.Disk, dst, e.DiskOff); err != nil {
 				return false, err
 			}
 		}

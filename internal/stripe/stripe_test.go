@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -38,7 +39,7 @@ func newFake(geo layout.Geometry) *fakeMembers {
 	return f
 }
 
-func (f *fakeMembers) ReadUnit(d int, p []byte, off int64) error {
+func (f *fakeMembers) ReadUnit(_ context.Context, d int, p []byte, off int64) error {
 	f.ops[d].Add(1)
 	if err := f.fail[d]; err != nil {
 		return err
@@ -48,7 +49,7 @@ func (f *fakeMembers) ReadUnit(d int, p []byte, off int64) error {
 	return nil
 }
 
-func (f *fakeMembers) WriteUnit(d int, p []byte, off int64) error {
+func (f *fakeMembers) WriteUnit(_ context.Context, d int, p []byte, off int64) error {
 	f.ops[d].Add(1)
 	if err := f.fail[d]; err != nil {
 		return err
@@ -168,7 +169,7 @@ func TestSolveMatrix(t *testing.T) {
 func solveOne(t *testing.T, a *Array, f *fakeMembers, data [][]byte, st int64, missing Set, fresh Parities, lo, hi int64, dst bool) {
 	t.Helper()
 	f.reset()
-	im := a.Get(f, st)
+	im := a.Get(context.Background(), f, st)
 	defer im.Release()
 	k := len(im.Data)
 	lost, live := 0, Parities(0)
@@ -257,7 +258,7 @@ func TestEncodeStoreFoldCheck(t *testing.T) {
 				for i := range units {
 					units[i] = p[int64(i)*testUnit : int64(i+1)*testUnit]
 				}
-				im := a.Get(f, st)
+				im := a.Get(context.Background(), f, st)
 				defer im.Release()
 				f.reset()
 				if err := im.WriteFull(p, st*sdb, geo.Split(st*sdb, sdb)[0]); err != nil {
@@ -357,7 +358,7 @@ func TestReadSpanMovesEachSurvivorOnce(t *testing.T) {
 		missing := Set{n: 1, d: [2]int{geo.DataDisk(st, lostIdx)}}
 		f.reset()
 		got := make([]byte, n)
-		im := a.Get(f, st)
+		im := a.Get(context.Background(), f, st)
 		solved, err := im.ReadSpan(got, off, sp, missing, 1)
 		im.Release()
 		if err != nil || !solved {
@@ -386,7 +387,7 @@ func TestReadSpanMovesEachSurvivorOnce(t *testing.T) {
 	// Nothing missing under the span: its extents, once each, nothing else.
 	f.reset()
 	got := make([]byte, n)
-	im := a.Get(f, st)
+	im := a.Get(context.Background(), f, st)
 	solved, err := im.ReadSpan(got, off, sp, Set{n: 1, d: [2]int{geo.ParityDisk(st)}}, 0)
 	im.Release()
 	if err != nil || solved || !bytes.Equal(got, want) {
@@ -410,7 +411,7 @@ func TestReadSpanMovesEachSurvivorOnce(t *testing.T) {
 func TestEveryUnitIsAttempted(t *testing.T) {
 	a, f, geo, _ := array(t, 8, 2)
 	const st = 3
-	im := a.Get(f, st)
+	im := a.Get(context.Background(), f, st)
 	defer im.Release()
 	errA, errB := errors.New("member A failed"), errors.New("member B failed")
 	f.fail = map[int]error{im.Member(6): errB, im.Member(2): errA}
