@@ -29,13 +29,12 @@ func newVolObs(n int) *volObs {
 		ob.nodeRead[i] = ob.reg.Histogram(fmt.Sprintf("node%d.read", i))
 		ob.nodeWrite[i] = ob.reg.Histogram(fmt.Sprintf("node%d.write", i))
 	}
-	ob.reg.Histogram("heal.stripe")
 	ob.readOp, ob.writeOp = ob.reg.Histogram("read.op"), ob.reg.Histogram("write.op")
 	return ob
 }
 
 // Obs exposes the volume's metrics registry (per-node read/write
-// latency, drain timings) for status tooling.
+// latency, whole-volume op latency) for status tooling.
 func (v *Volume) Obs() *obs.Registry { return v.ob.reg }
 
 // member is one node slot: the store's block device for it, and the

@@ -501,3 +501,80 @@ func TestDegradedFullStripeWriteSkipsReconstruct(t *testing.T) {
 		t.Fatal("the dead unit does not reconstruct to what was written")
 	}
 }
+
+// TestWriteBackDeviceOps pins what the one write-back moves: only the units
+// whose bytes differ from what their members hold. A scrub of a dirty
+// stripe reads its k data units and writes its m parities; a repair onto a
+// blank replacement of a flushed array reads one solve's units and writes
+// the replacement's unit, plus, on RAID 6, the parity the solve did not
+// use; a one-extent degraded write around an absent data member writes the
+// extent's unit and the m parities, not the survivors' unchanged data.
+func TestWriteBackDeviceOps(t *testing.T) {
+	for _, mode := range []Mode{Raid5, Raid6} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, probes := openProbed(t, &MemNVRAM{}, Options{Mode: mode})
+			k, m := int64(s.geo.DataDisks()), int64(s.geo.Level.ParityUnits())
+			sdb, stripes := s.geo.StripeDataBytes(), s.geo.Stripes()
+			want := make([]byte, s.Capacity())
+			for st := int64(0); st < stripes; st++ {
+				copy(want[st*sdb:], pattern(int(sdb), byte(st)))
+			}
+			if _, err := s.WriteAt(want, 0); err != nil {
+				t.Fatal(err)
+			}
+			ops := func(what string, wantReads, wantWrites int64, op func() error) {
+				t.Helper()
+				r0, w0 := deviceOps(probes)
+				if err := op(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if r1, w1 := deviceOps(probes); r1-r0 != wantReads || w1-w0 != wantWrites {
+					t.Fatalf("%s: %d reads and %d writes, want %d and %d", what, r1-r0, w1-w0, wantReads, wantWrites)
+				}
+			}
+
+			const dirty = 5
+			if err := s.SetSync(dirty*sdb, sdb, 0); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[dirty*sdb+7:], pattern(300, 1))
+			if _, err := s.WriteAt(want[dirty*sdb+7:dirty*sdb+307], dirty*sdb+7); err != nil {
+				t.Fatal(err)
+			}
+			ops("scrub of a dirty stripe", k, m, func() error { return s.ParityPoint(dirty*sdb, 1) })
+
+			const victim = 2
+			if err := s.FailDisk(victim); err != nil {
+				t.Fatal(err)
+			}
+			rep := &probeDev{BlockDevice: NewMemDevice(testDisk)}
+			probes = append(probes, rep)
+			ops("repair onto a blank replacement", stripes*k, stripes*m, func() error {
+				report, err := s.RepairDisk(victim, rep)
+				if err == nil && len(report.Lost) != 0 {
+					err = fmt.Errorf("lost %+v on a flushed array", report.Lost)
+				}
+				return err
+			})
+			if n := rep.writes.Load(); n != stripes {
+				t.Fatalf("replacement written %d times, want once per stripe (%d)", n, stripes)
+			}
+
+			const degraded = 9
+			absent := s.geo.DataDisk(degraded, 0)
+			if err := s.FailDisk(absent); err != nil {
+				t.Fatal(err)
+			}
+			at := degraded*sdb + 2*testUnit + 11
+			copy(want[at:], pattern(200, 2))
+			ops("one-extent degraded write", k, 1+m, func() error {
+				_, err := s.WriteAt(want[at:at+200], at)
+				return err
+			})
+			got := make([]byte, len(want))
+			if _, err := s.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("read back around the absent member: err %v", err)
+			}
+		})
+	}
+}

@@ -20,7 +20,7 @@ type storeObs struct {
 	scrubStripe  *obs.Histogram // one stripe rebuild (lock wait included)
 	scrubEpisode *obs.Histogram // one scrub episode (a run of rebuilds)
 	csumVerify   *obs.Histogram // one checksummed unit read (slot I/O + CRC)
-	fullStripe   *obs.Counter   // spans written by writeFullStripe
+	fullStripe   *obs.Counter   // full-stripe writes to healthy stripes (writeImage)
 	trace        *obs.Ring
 }
 

@@ -195,11 +195,12 @@ func (s *Store) holdsUnencoded(i int) bool {
 }
 
 // sweepStripe rebuilds one stripe of a repair onto member i, under the
-// stripe's lock, if i is still present and stale on it, and clears the
-// stale mark. A stripe that needs an absent member beyond the redundancy,
-// or salvage when the repair does not salvage, is counted in left and
-// stays stale. What it salvages goes into report and Stats even when it
-// fails midway: a unit it zeroed reads back zeroed from then on.
+// stripe's lock, if i is still present and stale on it (rebuildStale),
+// absorbing a fail-stop and repairing a bad unit as the span loop does. A
+// stripe that needs an absent member beyond the redundancy, or salvage when
+// the repair does not salvage, is counted in left and stays stale. What it
+// salvages goes into report and Stats even when it fails midway: a unit it
+// zeroed reads back zeroed from then on.
 func (s *Store) sweepStripe(ctx context.Context, stripe int64, i int, salvage bool, report *DamageReport, left *int64) error {
 	lk := s.stripeLock(stripe)
 	lk.Lock()
@@ -226,111 +227,73 @@ func (s *Store) sweepStripe(ctx context.Context, stripe int64, i int, salvage bo
 		if _, _, stale := s.eng.State(stripe); !stale.Has(i) {
 			return nil
 		}
-		var err error
-		if !salvaging {
-			// A survivor's unit error is repaired and the stripe retried.
-			err = s.repairing(ctx, func() error { return s.repairStripe(ctx, stripe, i) })
-			// Fresh parities that cannot cover what is missing send the stripe
-			// to salvage for good: a retry would solve the zeroes it wrote
-			// from parities that do not encode them.
-			salvaging = errors.Is(err, ErrDataLoss)
-			if salvaging && !salvage {
-				err = tooMany(stripe)
+		err := s.rebuildStale(ctx, stripe, salvaging, &part)
+		retry := false
+		if err != nil && tries < s.spanRetryBudget() {
+			if retry = s.absorbFailure(err); !retry {
+				retry, err = s.absorbUnit(ctx, err)
 			}
 		}
-		if salvaging && salvage {
-			err = s.salvageStripe(ctx, stripe, i, &part)
+		if !retry && !salvaging && errors.Is(err, ErrDataLoss) {
+			// Fresh parities that cannot cover what is missing send the stripe
+			// to salvage for good (a retry would solve the zeroes it wrote from
+			// parities that do not encode them), or leave it stale.
+			salvaging, retry, err = true, salvage, tooMany(stripe)
 		}
 		switch {
-		case err == nil:
-			s.eng.ClearStale(i, stripe)
-			if !salvaging {
-				s.meta.Lock()
-				s.stats.RecoveredStripes++
-				s.meta.Unlock()
-			}
-			return nil
+		case retry:
+			continue
 		case errors.Is(err, ErrTooManyFailures):
 			s.meta.Lock()
 			*left++
 			s.meta.Unlock()
 			return nil
 		}
-		// A member's fail-stop failure is absorbed and the stripe retried;
-		// i's own abandons the repair.
-		if tries >= s.spanRetryBudget() || !s.absorbFailure(err) {
-			return err
-		}
+		return err
 	}
 }
 
-// salvageStripe handles a repair-sweep stripe whose missing data the
-// fresh parities cannot cover: it was unredundant when the member went,
-// or a bad unit plus the missing members exceed its redundancy. Every
-// data unit that cannot be read back whole — a missing member's, or a
-// present one's that fails verification or that its member reports lost —
-// is zeroed and reported lost, then the parities are recomputed over the
-// zeroed image onto every member that is not absent, so later reads and
-// repairs see a consistent stripe (zeroes where data was lost) instead of
-// garbage behind a stale parity; with all of them rewritten the stripe is
-// fully redundant again and its mark is cleared. The mark comes first, as
-// for any write: a salvage cut short leaves zeroes that its parities do
-// not encode, and a resumed repair must salvage the stripe again, not
-// solve through them. Caller holds the stripe lock.
-func (s *Store) salvageStripe(ctx context.Context, stripe int64, target int, report *DamageReport) error {
-	unit, off := s.geo.StripeUnit, s.geo.DiskOffset(stripe)
-	if s.allPar != 0 {
-		if err := s.eng.Mark(stripe); err != nil {
-			return err
-		}
-	}
+// rebuildStale writes back the image of a stripe stale on a present member
+// (writeImage). One whose missing data the fresh parities cannot cover —
+// unredundant at failure time, or with no parity — is ErrDataLoss, and
+// salvaging it lays zeroes over every data unit that cannot be read back
+// whole (a missing member's, a bad one's) and reports them lost, so later
+// reads see zeroes where data was lost, not garbage behind stale parity.
+// Caller holds the stripe lock.
+func (s *Store) rebuildStale(ctx context.Context, stripe int64, salvaging bool, report *DamageReport) error {
 	st := s.stripeState(stripe)
-	if st.over {
+	switch {
+	case st.over:
 		return tooMany(stripe)
+	case !salvaging:
+		return s.writeImage(ctx, st, nil, 0, layout.StripeSpan{Stripe: stripe})
 	}
-	s.meta.Lock()
-	dead := s.failed // the target is stale here, but takes writes
-	s.meta.Unlock()
 	im := s.image(ctx, stripe)
 	defer im.Release()
-	for i, u := range im.Data {
-		d := im.Member(i)
-		if !st.failed.Has(d) {
-			err := s.devRead(ctx, d, u, off)
+	sdb := s.geo.StripeDataBytes()
+	sp := s.geo.Split(stripe*sdb, sdb)[0]
+	err := im.Load(st.failed, 0, 0, s.geo.StripeUnit)
+	if err != nil && !errors.As(err, new(*UnitError)) {
+		return err
+	}
+	lost := sp.Extents[:0]
+	for _, e := range sp.Extents {
+		if !st.failed.Has(e.Disk) {
 			if err == nil {
 				continue
 			}
-			if !errors.As(err, new(*UnitError)) {
-				return err
-			}
-			// Bad beyond repair: zeroed in place below (installing a fresh
-			// slot) so the stripe converges instead of erroring forever.
-		}
-		clear(u)
-		lost := DamagedRange{Offset: stripe*s.geo.StripeDataBytes() + int64(i)*unit, Length: unit, Stripe: stripe}
-		if !slices.Contains(report.Lost, lost) { // reported by an earlier try
-			report.Lost = append(report.Lost, lost)
-		}
-		if !dead.Has(d) {
-			if err := s.devWrite(ctx, d, u, off); err != nil {
-				return err
+			// A unit is bad beyond repair: read each to find every such unit.
+			if rerr := s.devRead(ctx, e.Disk, im.Data[e.DataIdx], e.DiskOff); rerr == nil {
+				continue
+			} else if !errors.As(rerr, new(*UnitError)) {
+				return rerr
 			}
 		}
-	}
-	im.Encode()
-	written := 0
-	for j, par := range im.Par {
-		d := im.Member(len(im.Data) + j)
-		if dead.Has(d) {
-			continue // a second absent member; its own repair recomputes it
+		lost = append(lost, e)
+		if r := (DamagedRange{Offset: e.ArrOff, Length: e.Len, Stripe: stripe}); !slices.Contains(report.Lost, r) {
+			report.Lost = append(report.Lost, r) // or reported by an earlier try
 		}
-		if err := s.devWrite(ctx, d, par, off); err != nil {
-			return err
-		}
-		written++
 	}
-	if written == len(im.Par) {
-		s.eng.Clear(stripe) // RepairDisk commits the marks once, after the sweep
-	}
-	return nil
+	sp.Extents = lost
+	return s.writeBack(im, st, nil, 0, sp)
 }

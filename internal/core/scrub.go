@@ -8,13 +8,18 @@ import (
 	"sync"
 	"time"
 
+	"afraid/internal/layout"
 	"afraid/internal/nvram"
 	"afraid/internal/stripe"
 )
 
 // scrubOne is the store's half of the deferred-redundancy engine
 // (internal/nvram): make one dirty stripe redundant — read all data
-// units, encode, write the parities. Every drain runs it — the idle
+// units, and write back the image (writeImage), which writes every parity,
+// even one the mode maintains synchronously: a marked stripe may carry a
+// torn synchronous P from a write interrupted by a crash, and unmarking it
+// with that stale P in place would plant latent corruption. Every drain
+// runs it — the idle
 // scrubber, the pressure valve, Flush and ParityPoint — and the engine
 // unmarks the stripe when it reports Done. The stripe lock is held from
 // the engine's go-ahead to the last parity write, so a write that
@@ -41,13 +46,14 @@ func (s *Store) scrubOne(ctx context.Context, c nvram.Claim) (nvram.Outcome, err
 	if _, _, stale := s.eng.State(c.Unit); stale != 0 {
 		return nvram.Skip, nil
 	}
-	err := s.repairing(ctx, func() error { return s.rebuildParity(ctx, c.Unit) })
+	// No member is missing, and the mark is the engine's to clear.
+	err := s.repairing(ctx, func() error { return s.writeImage(ctx, stripeState{}, nil, 0, layout.StripeSpan{Stripe: c.Unit}) })
 	switch {
 	case err == nil:
 		s.ob.scrubStripe.Observe(time.Since(start))
 		return nvram.Done, nil
 	case s.absorbFailure(err):
-		// A member failed mid-rebuild: the store is now degraded. The
+		// A member failed under the reads: the store is now degraded. The
 		// stripe keeps its mark.
 		return nvram.Skip, s.errDegraded()
 	case errors.Is(err, ErrDataLoss):

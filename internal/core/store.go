@@ -121,8 +121,8 @@ type Stats struct {
 	ScrubbedStripes         uint64
 	ForcedScrubs            uint64
 	DegradedReads           uint64
-	DegradedWrites          uint64 // spans stored whole around missing members
-	RecoveredStripes        uint64 // rebuilt during RepairDisk, by its sweep or a degraded write
+	DegradedWrites          uint64 // spans written back around missing members
+	RecoveredStripes        uint64 // stale units rebuilt during RepairDisk, by its sweep or a write ahead of it
 	DamagedStripes          uint64
 	NVRAMRecovered          bool // full-array rebuild after bad NVRAM image
 	DirtyStripes            int64
@@ -611,7 +611,7 @@ func continues(run, next layout.StripeSpan) bool {
 // parity (their mark stands after them) — bar those that verify old
 // contents before they mark (preflights). A partial span that keeps every
 // parity in sync clears only a mark it set itself, so it marks itself;
-// and with a member missing the spans store whole images behind their own.
+// and with a member missing the spans write their images back behind their own.
 // A layout with no parity keeps no marks, and request does not call it.
 func (s *Store) premark(spans []layout.StripeSpan) error {
 	if !s.whole() {

@@ -12,9 +12,11 @@
 package stripe
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,7 +195,8 @@ func (a *Array) timed(req *ioReq) {
 //
 // Buffers come back with arbitrary contents; every user either fills them
 // from the members, solves into them (a full overwrite of the range it
-// then reads), or explicitly zeroes them.
+// then reads), or lays bytes over them (Encode). held tells Store which
+// units match their members' already.
 type Image struct {
 	Stripe int64
 	All    [][]byte // every unit: data units by data index, then parity j at len(Data)+j
@@ -209,6 +212,7 @@ type Image struct {
 	ctx  context.Context
 	view [][]byte // indexed like All: the bytes of each unit in play, nil for a unit that is not
 	off  []int64  // indexed like All: where in its unit a view starts
+	held []bool   // indexed like All: the unit's buffer holds what its member holds
 	errs []error  // one slot per fanned-out unit I/O, indexed like All
 	wg   sync.WaitGroup
 }
@@ -224,6 +228,7 @@ func (a *Array) Get(ctx context.Context, m Members, stripe int64) *Image {
 			Dst:  make([][]byte, k),
 			view: make([][]byte, a.geo.Disks),
 			off:  make([]int64, a.geo.Disks),
+			held: make([]bool, a.geo.Disks),
 			errs: make([]error, a.geo.Disks),
 		}
 		for i := range im.All {
@@ -241,6 +246,7 @@ func (a *Array) Get(ctx context.Context, m Members, stripe int64) *Image {
 func (im *Image) Release() {
 	clear(im.view)
 	clear(im.Dst)
+	clear(im.held)
 	im.m, im.ctx = nil, nil
 	im.a.pool.Put(im)
 }
@@ -285,23 +291,30 @@ func (im *Image) window(want Parities, lo, hi int64) {
 }
 
 // io reads or writes the bytes every view names, except the units on the
-// members in skip. The units live on distinct members, so the operations
-// are fanned out to goroutines and overlap — a whole stripe moves in
-// about one member service time; one is kept back and done inline so the
-// calling goroutine contributes instead of blocking. Every one is
-// attempted even after one fails. Returns the first error in All order.
+// members in skip and, writing, the units held as their members hold them.
+// The units live on distinct members, so the operations are fanned out to
+// goroutines and overlap — a whole stripe moves in about one member
+// service time; one is kept back and done inline so the calling goroutine
+// contributes instead of blocking. Every one is attempted even after one
+// fails. Returns the first error in All order. A data unit read whole
+// into its own buffer is held from then on (a parity read need not encode
+// the data); a read forgets the other units.
 func (im *Image) io(write bool, skip Set) error {
 	base := im.a.geo.DiskOffset(im.Stripe)
 	clear(im.errs)
 	inline := ioReq{member: -1}
 	for i, u := range im.view {
-		if u == nil {
+		if !write {
+			im.held[i] = false
+		}
+		if u == nil || (write && im.held[i]) {
 			continue
 		}
 		d := im.Member(i)
 		if skip.Has(d) {
 			continue
 		}
+		im.held[i] = !write && i < len(im.Data) && len(u) == len(im.All[i]) && &u[0] == &im.All[i][0]
 		req := ioReq{write: write, ctx: im.ctx, m: im.m, member: d, buf: u, off: base + im.off[i], errp: &im.errs[i], wg: &im.wg}
 		if inline.member < 0 {
 			inline = req
@@ -313,12 +326,14 @@ func (im *Image) io(write bool, skip Set) error {
 		im.a.timed(&inline)
 	}
 	im.wg.Wait()
-	for _, err := range im.errs {
+	var first error
+	for i, err := range im.errs {
 		if err != nil {
-			return err
+			im.held[i] = false
+			first = cmp.Or(first, err)
 		}
 	}
-	return nil
+	return first
 }
 
 // Load reads unit bytes [lo,hi) of the stripe into the image: every data
@@ -360,7 +375,7 @@ func (im *Image) Update(p []byte, base int64, sp layout.StripeSpan, sync Paritie
 				im.a.code.Update(j, par[e.UnitOff:e.UnitOff+e.Len], im.view[e.DataIdx], src, e.DataIdx)
 			}
 		}
-		im.view[e.DataIdx] = src
+		im.view[e.DataIdx], im.held[e.DataIdx] = src, false
 	}
 	im.a.observe(time.Since(t))
 	return nil
@@ -373,7 +388,8 @@ func (im *Image) Update(p []byte, base int64, sp layout.StripeSpan, sync Paritie
 // not missing themselves. When those cannot cover the missing units — the
 // data-loss case — it returns ErrDataLoss before any I/O. It reports the
 // parities the solve used: by construction they encode the loaded image
-// exactly, which no other parity of a torn stripe is known to.
+// exactly, which no other parity of a torn stripe is known to, so the image
+// holds them as their members do.
 func (im *Image) Solve(missing Set, fresh Parities, lo, hi int64) (used Parities, err error) {
 	k := len(im.Data)
 	var lostBuf [len(missing.d)]int
@@ -407,15 +423,36 @@ func (im *Image) Solve(missing Set, fresh Parities, lo, hi int64) (used Parities
 	if !ok {
 		panic("stripe: erasure code refused a covered missing set")
 	}
+	for j := range im.Par {
+		im.held[k+j] = used.Has(j) && hi-lo == im.a.geo.StripeUnit
+	}
 	return used, nil
 }
 
-// Encode computes every parity of the stripe from its whole data units —
-// the image's, or the caller's where Dst names them — into Par, and leaves
-// every unit in play for Store.
-func (im *Image) Encode() {
-	im.window(im.a.AllParities(), 0, im.a.geo.StripeUnit)
+// Encode lays sp's extents over the data units, no longer held — the bytes
+// of p (first at array offset base; a whole unit named by Dst, not copied),
+// or zeroes where p is nil — then, unless every parity is held, computes
+// them all from the whole data units into Par, and leaves every unit in
+// play for Store.
+func (im *Image) Encode(p []byte, base int64, sp layout.StripeSpan) {
 	k := len(im.Data)
+	for _, e := range sp.Extents {
+		u := im.Data[e.DataIdx][e.UnitOff : e.UnitOff+e.Len]
+		switch {
+		case p == nil:
+			clear(u)
+		case e.Len == im.a.geo.StripeUnit:
+			im.Dst[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
+		default:
+			copy(u, p[e.ArrOff-base:])
+		}
+		im.held[e.DataIdx] = false
+		clear(im.held[k:])
+	}
+	im.window(im.a.AllParities(), 0, im.a.geo.StripeUnit)
+	if !slices.Contains(im.held[k:], false) {
+		return // every parity is one the solve used: it encodes the image already
+	}
 	t := time.Now()
 	im.a.code.Encode(im.view[k:], im.view[:k])
 	im.a.observe(time.Since(t))
@@ -425,23 +462,10 @@ func (im *Image) Encode() {
 // data units.
 func (im *Image) Check() bool { return im.a.code.Check(im.Par, im.Data) }
 
-// Drop takes data unit idx out of play, so the next Store leaves it be.
-func (im *Image) Drop(idx int) { im.view[idx] = nil }
-
 // Store writes the units in play — after Encode, all of them — to their
-// members, except the ones on the members in skip.
+// members, except the ones on the members in skip and those held: the data
+// units read and not laid over, and the parities a solve used while none was.
 func (im *Image) Store(skip Set) error { return im.io(true, skip) }
-
-// WriteFull writes a span that carries every data unit of the stripe
-// whole: the parities are encoded straight from the caller's buffer, and
-// the k+m units go to their members together. Nothing is read.
-func (im *Image) WriteFull(p []byte, base int64, sp layout.StripeSpan) error {
-	for _, e := range sp.Extents {
-		im.Dst[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
-	}
-	im.Encode()
-	return im.Store(Set{})
-}
 
 // ReadSpan reads a span's extents into the caller's buffer, overlapped.
 // Extents on missing members are solved from the fresh parities, and it

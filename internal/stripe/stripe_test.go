@@ -241,10 +241,10 @@ func solveOne(t *testing.T, a *Array, f *fakeMembers, data [][]byte, st int64, m
 }
 
 // TestEncodeStoreFoldCheck follows one stripe through the write side:
-// WriteFull encodes from the caller's buffer and writes each of the k+m
+// Encode and Store from the caller's buffer write each of the k+m
 // units once, whole; Check agrees with the byte-serial reference and
-// notices one flipped bit; Update is the read-modify-write delta;
-// Drop and Store's skip leave exactly their units alone.
+// notices one flipped bit; Update is the read-modify-write delta; Store
+// leaves alone the units it read and the members in skip.
 func TestEncodeStoreFoldCheck(t *testing.T) {
 	for _, m := range []int{0, 1, 2} {
 		for _, k := range []int{2, 4, 8} {
@@ -261,7 +261,8 @@ func TestEncodeStoreFoldCheck(t *testing.T) {
 				im := a.Get(context.Background(), f, st)
 				defer im.Release()
 				f.reset()
-				if err := im.WriteFull(p, st*sdb, geo.Split(st*sdb, sdb)[0]); err != nil {
+				im.Encode(p, st*sdb, geo.Split(st*sdb, sdb)[0])
+				if err := im.Store(Set{}); err != nil {
 					t.Fatal(err)
 				}
 				atRest := func(slot int) []byte {
@@ -311,25 +312,25 @@ func TestEncodeStoreFoldCheck(t *testing.T) {
 						}
 					}
 				}
-				// A reconstruct-write that leaves unit 0 and the last member's alone.
+				// A reconstruct-write of the last data unit, around the last member:
+				// the units read and the skipped member's are left alone.
 				if err := im.Load(Set{}, 0, 0, testUnit); err != nil {
 					t.Fatal(err)
 				}
-				copy(im.Data[k-1], units[k-1])
-				im.Encode()
-				im.Drop(0)
+				at := st*sdb + int64(k-1)*testUnit
+				im.Encode(p, st*sdb, geo.Split(at, testUnit)[0])
 				skip := Set{n: 1, d: [2]int{im.Member(k + m - 1)}}
 				f.reset()
 				if err := im.Store(skip); err != nil {
 					t.Fatal(err)
 				}
 				for slot := 0; slot < k+m; slot++ {
-					want := int64(1)
-					if slot == 0 || slot == k+m-1 {
-						want = 0
+					want := int64(0)
+					if slot >= k-1 && slot != k+m-1 {
+						want = 1
 					}
 					if n := f.ops[im.Member(slot)].Load(); n != want {
-						t.Fatalf("Store after Drop(0) skipping unit %d: unit %d written %d times, want %d", k+m-1, slot, n, want)
+						t.Fatalf("Store of unit %d skipping unit %d: unit %d written %d times, want %d", k-1, k+m-1, slot, n, want)
 					}
 				}
 				if m == 2 { // Q skipped, P stored
@@ -415,11 +416,13 @@ func TestEveryUnitIsAttempted(t *testing.T) {
 	defer im.Release()
 	errA, errB := errors.New("member A failed"), errors.New("member B failed")
 	f.fail = map[int]error{im.Member(6): errB, im.Member(2): errA}
+	sdb := geo.StripeDataBytes()
+	p := make([]byte, sdb)
 	for _, write := range []bool{false, true, false, true} {
 		f.reset()
 		var err error
 		if write {
-			im.Encode()
+			im.Encode(p, st*sdb, geo.Split(st*sdb, sdb)[0]) // every data unit laid over: none is held
 			err = im.Store(Set{})
 		} else {
 			err = im.Load(Set{}, a.AllParities(), 0, testUnit)
