@@ -2,11 +2,13 @@ package main
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"afraid/internal/core"
 	"afraid/internal/fault"
+	"afraid/internal/layout"
 	"afraid/internal/tier"
 )
 
@@ -207,6 +209,35 @@ func TestFormerlyExcusedSeeds(t *testing.T) {
 		}
 		for _, v := range res.Violations {
 			t.Errorf("%s seed %d (was excused by %s): %s", row.mode, row.seed, row.excusal, v)
+		}
+	}
+}
+
+// A unit a node's own array cannot vouch for is a failed unit of the
+// volume's stripe: beside a node that is down, or under the stripe's mark,
+// it is beyond single parity, and alone on a clean stripe it is not. One
+// node's unit counts once however many of its ranges it overlaps.
+func TestStackedExposureCountsNodeHeldUnits(t *testing.T) {
+	geo := layout.Geometry{Disks: 4, StripeUnit: 4096, DiskSize: 8 * 4096, Level: layout.RAID5}
+	// The node's back stripes 2 and 3 (1536 bytes each) both lie in the
+	// node's unit of volume stripe 1; stripe 2 reaches back into stripe 0's.
+	held := [][][2]int64{{{3072, 4608}, {4608, 6144}}}
+	for _, tc := range []struct {
+		name  string
+		dirty []int64
+		wide  bool
+		down  int
+		held  [][][2]int64
+		want  []int64
+	}{
+		{"clean, every node up", nil, false, 0, held, nil},
+		{"clean, beside a node down", nil, true, 1, held, []int64{0, 1}},
+		{"dirty, every node up", []int64{1, 5}, false, 0, held, []int64{1}},
+		{"dirty, at a failover", []int64{1, 5}, true, 0, nil, []int64{1, 5}},
+		{"two nodes hold the unit", nil, false, 0, [][][2]int64{held[0], {{4096, 5632}}}, []int64{1}},
+	} {
+		if got := exposedStripes(geo, tc.dirty, tc.wide, tc.down, tc.held); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: exposed %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

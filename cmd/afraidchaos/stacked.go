@@ -3,8 +3,11 @@ package main
 import (
 	"context"
 	"errors"
+	"slices"
 
+	"afraid/internal/cluster"
 	"afraid/internal/fault"
+	"afraid/internal/layout"
 	"afraid/internal/server"
 	"afraid/internal/tier"
 )
@@ -21,8 +24,9 @@ import (
 // parity allows.
 type stackedStack struct {
 	*clusterStack
-	tiers []*tier.ChaosStack
-	gone  map[string]int64 // counters of the node incarnations the power cut ended
+	tiers     []*tier.ChaosStack
+	gone      map[string]int64 // counters of the node incarnations the power cut ended
+	failovers uint64           // the volume's node failovers at the last Exposed
 }
 
 func stackedRows(o options) ([]row, error) {
@@ -122,4 +126,67 @@ func (s *stackedStack) StatMap() map[string]int64 {
 		}
 	}
 	return m
+}
+
+// Failures adds the failures inside every node — bit flips fired, corrupt
+// units found — to the volume's: a unit a node cannot vouch for is a
+// failure point of the volume too.
+func (s *stackedStack) Failures() int {
+	n := s.clusterStack.Failures()
+	for _, ts := range s.tiers {
+		n += ts.Back.Failures()
+	}
+	return n
+}
+
+// Exposed is the volume's exposure rule with the nodes' folded in
+// (exposedStripes): the nodes not up, and for each node up the node
+// addresses its own back store holds unredundant — fault.Core's Exposed,
+// which the tier maps straight onto its back store.
+func (s *stackedStack) Exposed() []int64 {
+	failovers := s.vol.Stats().NodeFailovers
+	moved := failovers != s.failovers
+	s.failovers = failovers
+	down := 0
+	var unvouched [][][2]int64
+	for i, n := range s.vol.NodeStates() {
+		if n.State != cluster.StateUp {
+			down++
+			continue
+		}
+		b := s.tiers[i].Back
+		var held [][2]int64
+		for _, g := range b.Exposed() {
+			held = append(held, [2]int64{g * b.LossGrain(), (g + 1) * b.LossGrain()})
+		}
+		unvouched = append(unvouched, held)
+	}
+	return exposedStripes(s.vol.Geometry(), s.vol.DirtyList(), moved || down > 0, down, unvouched)
+}
+
+// exposedStripes is a single array's exposure rule (fault.Core's Exposed)
+// one level up, its members the nodes. With wide — a node failover since
+// the last look, or a node not up — every dirty stripe is exposed, as on
+// the plain cluster. And a stripe is exposed whose failed units outnumber
+// its fresh parity (none while dirty): one on each of the down nodes, and
+// one on each node up whose unit of the stripe overlaps the node address
+// ranges it cannot vouch for (unvouched, one list a node).
+func exposedStripes(geo layout.Geometry, dirty []int64, wide bool, down int, unvouched [][][2]int64) []int64 {
+	var out []int64
+	for st := range geo.Stripes() {
+		failed, fresh, off := down, geo.Level.ParityUnits(), geo.DiskOffset(st)
+		for _, held := range unvouched {
+			if slices.ContainsFunc(held, func(r [2]int64) bool { return r[0] < off+geo.StripeUnit && off < r[1] }) {
+				failed++
+			}
+		}
+		marked := slices.Contains(dirty, st)
+		if marked {
+			fresh = 0
+		}
+		if wide && marked || failed > fresh {
+			out = append(out, st)
+		}
+	}
+	return out
 }

@@ -285,6 +285,28 @@ func TestChecksumAfraid6DirtyRepairs(t *testing.T) {
 	}
 }
 
+// A scrub that meets a corrupt unit repairs it and still drains the
+// stripe: the repair keeps the mark, so the engine clears it and counts it.
+func TestChecksumScrubRepairIsCountedAsScrubbed(t *testing.T) {
+	s, devs := openCsum(t, Options{Mode: Afraid6, DisableScrubber: true})
+	defer s.Close()
+	data := pattern(testUnit, 41)
+	if _, err := s.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, devs[s.geo.DataDisk(0, 0)], s.geo.DiskOffset(0)+5)
+	if err := s.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if st := s.Stats(); st.ScrubbedStripes != 1 || st.ChecksumRepaired != 1 || s.DirtyStripes() != 0 {
+		t.Fatalf("scrubbed %d, repaired %d, dirty %d; want 1, 1, 0", st.ScrubbedStripes, st.ChecksumRepaired, s.DirtyStripes())
+	}
+	got := make([]byte, testUnit)
+	if _, err := s.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
+	}
+}
+
 // RepairDisk writes checksum slots for everything it reconstructs, so
 // the replacement's units verify from the moment of the swap.
 func TestChecksumRepairDiskWritesSlots(t *testing.T) {
