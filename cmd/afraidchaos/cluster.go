@@ -175,8 +175,6 @@ func (c *clusterStack) Open(e *fault.Episode) error {
 		ProbeInterval:   15 * time.Millisecond,
 		DrainIdle:       10 * time.Millisecond,
 		HedgeDelay:      -1,
-		FlapThreshold:   3,
-		FlapWindow:      time.Minute,
 		QuarantineDecay: -1, // Heal below is the administrator
 	}
 	if c.class == "slow" {
@@ -260,9 +258,9 @@ func (c *clusterStack) Inject(e *fault.Episode) error {
 			}
 			e.Workload(3)
 		}
-		if st := c.vol.Stats(); st.Quarantines > 0 && st.AutoHeals > uint64(c.opts.FlapThreshold)+2 {
+		if st := c.vol.Stats(); st.Quarantines > 0 && st.AutoHeals > cluster.FlapThreshold+2 {
 			e.Violatef("heal storm: %d auto-heals before the damper tripped (threshold %d)",
-				st.AutoHeals, c.opts.FlapThreshold)
+				st.AutoHeals, cluster.FlapThreshold)
 		}
 		return nil
 	}

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"afraid/internal/core"
-	"afraid/internal/idle"
 	"afraid/internal/obs"
 	"afraid/internal/server"
 	"afraid/internal/tier"
@@ -121,7 +120,7 @@ func main() {
 		hybrid, err = tier.Open(st, front, tnv, tier.Options{
 			ExtentSize:    tExtent,
 			MaxDirtyBytes: tMaxDirty,
-			Idle:          idle.NewTimer(*tierIdle),
+			IdleDelay:     *tierIdle,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/fault"
 )
 
 var chaosSeed = flag.Int64("cluster.seed", 20260808, "seed for the cluster chaos run")
@@ -46,7 +47,7 @@ func TestChaosNodeFailStopLossContract(t *testing.T) {
 	victim := rng.Intn(nNodes)
 	// Fail-stop after a random number of node ops: lands mid-workload,
 	// possibly mid-span, deterministically for a given seed.
-	faults[victim].CrashAfterOps(int64(10 + rng.Intn(40)))
+	faults[victim].AddRule(fault.Rule{When: fault.After(faults[victim].ops() + uint64(10+rng.Intn(40))), Do: fault.FailStop(), Max: 1})
 
 	// Seeded single-writer workload. Once the victim is observed down,
 	// the dirty set at that instant is the allowed-loss set: the
@@ -97,7 +98,7 @@ func TestChaosNodeFailStopLossContract(t *testing.T) {
 		noteDown()
 	}
 	if allowed == nil {
-		t.Fatalf("victim %d never went down: CrashAfterOps too high for workload", victim)
+		t.Fatalf("victim %d never went down: its fail-stop rule fires too late for the workload", victim)
 	}
 	if fullStripeWrites(v) == filled {
 		t.Fatalf("seed %d: the workload made no full-stripe write before the victim went down", seed)
@@ -130,7 +131,7 @@ func TestChaosNodeFailStopLossContract(t *testing.T) {
 	// Recovery: restore the node, heal, overwrite what was reported lost
 	// and the ranges failed writes left indeterminate, and the volume must
 	// come back fully redundant with every other byte as the shadow has it.
-	faults[victim].Restore()
+	faults[victim].Heal()
 	rep, err := v.HealNode(context.Background(), victim, false)
 	if err != nil {
 		t.Fatalf("HealNode: %v", err)

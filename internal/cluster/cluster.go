@@ -14,8 +14,8 @@
 // lost unit, which the store solves from cluster redundancy and rewrites.
 // A node that comes back is redialed and handed back to the store, which
 // rebuilds exactly the units it missed. The volume also keeps the health
-// prober with its flap damper and the hedge-delay policy. FaultNode wraps
-// a node with fail-stop, slow-node and flap injection for tests.
+// prober with its flap damper and the hedge-delay policy. Tests fault a
+// node as they fault a disk, through a fault.Device.
 package cluster
 
 import (
@@ -26,8 +26,8 @@ import (
 
 // Node is what the volume needs from one cluster member: the block
 // surface of internal/server's Client, plus the cheap liveness probe.
-// *server.Client satisfies it; tests substitute in-process loopbacks
-// and fault injectors.
+// *server.Client satisfies it; tests substitute in-process nodes over a
+// fault.Device.
 type Node interface {
 	ReadAtContext(ctx context.Context, p []byte, off int64) (int, error)
 	WriteAtContext(ctx context.Context, p []byte, off int64) (int, error)
@@ -75,7 +75,7 @@ const (
 	// down still stale: a heal sweep (or writes) are rebuilding them.
 	StateHealing
 	// StateQuarantined is a down node the flap damper has fenced off: it
-	// failed FlapThreshold times inside FlapWindow, so the prober leaves
+	// failed FlapThreshold times inside a minute, so the prober leaves
 	// it alone until ClearQuarantine, HealNode or QuarantineDecay.
 	StateQuarantined
 )

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/fault"
 )
 
 // fillVolume writes seeded data over the whole volume and returns the
@@ -32,7 +33,7 @@ func TestDegradedReadAfterCrash(t *testing.T) {
 		if err := v.Flush(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		faults[victim].Crash()
+		faults[victim].Fail()
 		got := make([]byte, v.Capacity())
 		if _, err := v.ReadAt(got, 0); err != nil {
 			t.Fatalf("victim %d: degraded read: %v", victim, err)
@@ -70,7 +71,7 @@ func TestDirtyStripeLossIsReported(t *testing.T) {
 		t.Fatalf("dirty = %v, want [2]", got)
 	}
 	victim := v.Geometry().DataDisk(2, 0)
-	faults[victim].Crash()
+	faults[victim].Fail()
 
 	// The absent unit of the dirty stripe: always-reported loss.
 	buf := make([]byte, 4096)
@@ -111,7 +112,7 @@ func TestDegradedWritesMaintainParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = 1
-	faults[victim].Crash()
+	faults[victim].Fail()
 
 	// A spread of degraded writes: full stripes, partial units touching
 	// the victim's unit, partial writes missing it entirely.
@@ -149,7 +150,7 @@ func TestDegradedWritesMaintainParity(t *testing.T) {
 
 	// Bring the node back and heal. Only the stripes the node missed
 	// writes for should need rebuilding.
-	faults[victim].Restore()
+	faults[victim].Heal()
 	rep, err := v.HealNode(context.Background(), victim, false)
 	if err != nil {
 		t.Fatalf("HealNode: %v", err)
@@ -168,7 +169,7 @@ func TestDegradedWritesMaintainParity(t *testing.T) {
 	// Proof the healed units hold real data: kill a different node and
 	// read everything — reconstruction now leans on the healed node.
 	other := (victim + 2) % 4
-	faults[other].Crash()
+	faults[other].Fail()
 	if _, err := v.ReadAt(got, 0); err != nil {
 		t.Fatalf("read after second crash: %v", err)
 	}
@@ -185,8 +186,8 @@ func TestTwoNodesDownExceedsParity(t *testing.T) {
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	faults[0].Crash()
-	faults[1].Crash()
+	faults[0].Fail()
+	faults[1].Fail()
 	// Stripe 0 has data on nodes 0,1,2: two of three data units gone.
 	buf := make([]byte, 4096)
 	_, err := v.ReadAt(buf, 0)
@@ -233,28 +234,15 @@ func TestEveryAbsentUnitIsCounted(t *testing.T) {
 // TestFullHeal rebuilds a blank replacement node: every unit the node
 // hosts is reconstructed, after which it serves reads alone.
 func TestFullHeal(t *testing.T) {
-	blank := newMemNode(16 * 4096)
-	faults := make([]*FaultNode, 4)
-	members := make([]Member, 4)
-	for i := range members {
-		var inner Node = newMemNode(16 * 4096)
-		faults[i] = NewFaultNode(inner)
-		f := faults[i]
-		members[i] = Member{Node: f, Dial: func() (Node, error) { return f, nil }}
-	}
-	v, err := Open(members, quietOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
+	v, faults := testVolume(t, 4, 16*4096, quietOpts())
 	shadow := fillVolume(t, v, 5)
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// "Replace" node 2's disk with a blank one behind the injector.
-	faults[2].Crash()
-	faults[2].Restore()
-	faults[2].inner = blank
+	// "Replace" node 2's disk with a blank one.
+	if _, err := faults[2].Backing().WriteAt(make([]byte, 16*4096), 0); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := v.HealNode(context.Background(), 2, true)
 	if err != nil {
 		t.Fatalf("full heal: %v", err)
@@ -269,7 +257,7 @@ func TestFullHeal(t *testing.T) {
 	if err != nil || len(bad) != 0 || skipped != 0 {
 		t.Fatalf("VerifyParity after full heal = (%v, %d, %v)", bad, skipped, err)
 	}
-	faults[0].Crash()
+	faults[0].Fail()
 	got := make([]byte, v.Capacity())
 	if _, err := v.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
@@ -289,7 +277,7 @@ func TestSlowNodeTimesOutAndFailsOver(t *testing.T) {
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	faults[2].SetSlow(10 * time.Second) // far past the node timeout
+	faults[2].AddRule(fault.Rule{Do: fault.Delay(10 * time.Second)}) // far past the node timeout
 	got := make([]byte, 3*4096)
 	if _, err := v.ReadAt(got, 0); err != nil {
 		t.Fatalf("read with slow node: %v", err)

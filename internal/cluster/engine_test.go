@@ -217,11 +217,11 @@ func TestLostStripeDoesNotShieldTheBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := v.geo.DataDisk(0, 0)
-	faults[victim].Crash()
+	faults[victim].Fail()
 	if _, err := v.WriteAt(buf[:512], 0); !errors.Is(err, core.ErrDataLoss) { // ...and its first unit missed a write: stale too
 		t.Fatalf("write into a dirty stripe's dead unit = %v, want ErrDataLoss", err)
 	}
-	faults[victim].Restore()
+	faults[victim].Heal()
 	rep, err := v.HealNode(ctx, victim, true)
 	if err != nil || !reflect.DeepEqual(rep.Lost, []int64{0}) {
 		t.Fatalf("HealNode = %+v, %v; want stripe 0 reported lost", rep, err)

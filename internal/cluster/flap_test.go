@@ -5,22 +5,31 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/fault"
 )
 
 // flapOpts builds options for a prober-driven flap test: tight probe
-// cadence, threshold 3, and no hedging so op counts stay deterministic.
+// cadence and no hedging so op counts stay deterministic.
 func flapOpts() Options {
 	o := quietOpts()
 	o.ProbeInterval = 5 * time.Millisecond
-	o.FlapThreshold = 3
-	o.FlapWindow = time.Minute
 	o.QuarantineDecay = -1 // administrator-only
 	o.HedgeDelay = -1
 	return o
+}
+
+// flap makes n flap deterministically until the returned switch is turned
+// off: 15 ops served, 4 refused as a failed device, then it "restarts" and
+// the cycle repeats. Unlike a crash the node recovers by itself, so without
+// damping the volume demotes, redials, and heals it forever.
+func flap(n faultNode) *atomic.Bool {
+	base := n.ops()
+	return switchable(fault.Rule{When: func(op fault.Op, _ *rand.Rand) bool { return (op.N-base-1)%19 >= 15 }, Do: fault.Transient(nil)}, n)
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -49,7 +58,7 @@ func TestFlapDampingQuarantinesFlappingNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	faults[2].SetFlap(15, 4) // 15 ops served, 4 refused, repeat
+	flapping := flap(faults[2])
 
 	// Drive writes until the damper fences the node off. Every write is
 	// also applied to the shadow unless the volume reported it impossible
@@ -83,13 +92,13 @@ func TestFlapDampingQuarantinesFlappingNode(t *testing.T) {
 	// The damping policy bounds the storm: at most FlapThreshold
 	// demotions (the threshold trips on the last one) and at most one
 	// auto-heal per redial that preceded them.
-	if st.NodeFailovers > uint64(opts.FlapThreshold)+1 {
+	if st.NodeFailovers > FlapThreshold+1 {
 		t.Errorf("node failovers = %d, want <= %d (bounded by damping)",
-			st.NodeFailovers, opts.FlapThreshold+1)
+			st.NodeFailovers, FlapThreshold+1)
 	}
-	if st.AutoHeals > uint64(opts.FlapThreshold)+1 {
+	if st.AutoHeals > FlapThreshold+1 {
 		t.Errorf("auto-heals = %d, want <= %d (bounded by damping)",
-			st.AutoHeals, opts.FlapThreshold+1)
+			st.AutoHeals, FlapThreshold+1)
 	}
 	if s := v.NodeStates(); s[2].ConsecFails == 0 {
 		t.Error("quarantined node reports zero consecutive failures")
@@ -105,7 +114,7 @@ func TestFlapDampingQuarantinesFlappingNode(t *testing.T) {
 	}
 
 	// Administrator path: fix the machine (stop the flapping), heal it.
-	faults[2].SetFlap(0, 0)
+	flapping.Store(false)
 	rep, err := v.HealNode(context.Background(), 2, false)
 	if err != nil {
 		t.Fatalf("admin heal: %v", err)
@@ -150,7 +159,7 @@ func TestQuarantineDecayReadmitsNode(t *testing.T) {
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	faults[2].SetFlap(15, 4)
+	flapping := flap(faults[2])
 	rng := rand.New(rand.NewSource(44))
 	buf := make([]byte, unit)
 	deadline := time.Now().Add(20 * time.Second)
@@ -169,7 +178,7 @@ func TestQuarantineDecayReadmitsNode(t *testing.T) {
 	}
 	// The machine "gets fixed" while quarantined; after the decay the
 	// prober readmits and redials it with no administrator involved.
-	faults[2].SetFlap(0, 0)
+	flapping.Store(false)
 	// Readmitted = reachable again: StateUp, or StateHealing when the
 	// auto-heal honestly reported lost stripes (they stay stale until a
 	// client rewrites them, and the node reports as healing meanwhile).
@@ -211,8 +220,8 @@ func TestProbeConcurrency(t *testing.T) {
 	opts.ProbeInterval = 10 * time.Millisecond
 	opts.HedgeDelay = -1
 	v, faults := testVolume(t, 4, 16*4096, opts)
-	faults[0].SetSlow(2 * time.Second) // wedged: its ping parks until NodeTimeout
-	faults[1].Crash()                  // dead: its ping fails instantly
+	faults[0].AddRule(fault.Rule{Do: fault.Delay(2 * time.Second)}) // wedged: its ping parks until NodeTimeout
+	faults[1].Fail()                                                // dead: its ping fails instantly
 	// A sequential prober would spend 500 ms on node 0 before looking at
 	// node 1; the concurrent prober demotes node 1 within a few ticks.
 	waitFor(t, 300*time.Millisecond, "dead node demoted while another is wedged", func() bool {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"afraid/internal/fault"
 )
 
 func fullStripeWrites(v *Volume) uint64 { return v.Obs().Counters()["write.full_stripe"] }
@@ -93,7 +95,7 @@ func TestFullStripeWriteWithNodeDownTakesTheOldPaths(t *testing.T) {
 		t.Fatalf("filling %d stripes made %d full-stripe writes", v.geo.Stripes(), filled)
 	}
 	const victim = 1
-	faults[victim].Crash()
+	faults[victim].Fail()
 	if err := v.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestFullStripeWriteWithNodeDownTakesTheOldPaths(t *testing.T) {
 	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, shadow) {
 		t.Fatalf("degraded read back: err %v", err)
 	}
-	faults[victim].Restore()
+	faults[victim].Heal()
 	if _, err := v.HealNode(context.Background(), victim, false); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestNodeLostInsideFullStripeWrite(t *testing.T) {
 		v, faults := testVolume(t, 4, 16*4096, quietOpts())
 		sdb := v.geo.StripeDataBytes()
 		shadow := fillVolume(t, v, 5)
-		faults[victim].CrashAfterOps(0)
+		faults[victim].AddRule(fault.Rule{When: fault.After(faults[victim].ops()), Do: fault.FailStop(), Max: 1})
 		fresh := make([]byte, sdb)
 		rand.New(rand.NewSource(6)).Read(fresh)
 		if _, err := v.WriteAt(fresh, 0); err != nil {
@@ -159,7 +161,7 @@ func TestNodeLostInsideFullStripeWrite(t *testing.T) {
 		if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, shadow) {
 			t.Fatalf("victim %d: read back around the dead node: err %v", victim, err)
 		}
-		faults[victim].Restore()
+		faults[victim].Heal()
 		if rep, err := v.HealNode(context.Background(), victim, false); err != nil || len(rep.Lost) != 0 {
 			t.Fatalf("victim %d: heal = %+v, %v", victim, rep, err)
 		}

@@ -3,56 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"sync"
 	"testing"
 	"time"
+
+	"afraid/internal/fault"
 )
-
-// latNode wraps a Node with a settable fixed per-op latency — the
-// stand-in for a slow network path, which honours the op's context as a
-// real one does.
-type latNode struct {
-	Node
-	mu  sync.Mutex
-	lat time.Duration
-}
-
-func (n *latNode) SetLatency(d time.Duration) {
-	n.mu.Lock()
-	n.lat = d
-	n.mu.Unlock()
-}
-
-func (n *latNode) delay(ctx context.Context) error {
-	n.mu.Lock()
-	d := n.lat
-	n.mu.Unlock()
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-func (n *latNode) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := n.delay(ctx); err != nil {
-		return 0, err
-	}
-	return n.Node.ReadAtContext(ctx, p, off)
-}
-
-func (n *latNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := n.delay(ctx); err != nil {
-		return 0, err
-	}
-	return n.Node.WriteAtContext(ctx, p, off)
-}
 
 // TestHedgedReadBoundsBrownoutTail is the ISSUE 10 latency acceptance,
 // counted rather than timed: with one node browned out at a fixed latency
@@ -69,21 +24,9 @@ func TestHedgedReadBoundsBrownoutTail(t *testing.T) {
 		brownout   = 250 * time.Millisecond
 		hedgeDelay = 25 * time.Millisecond // healthy nodes answer at once
 	)
-	nNodes := 4
-	lats := make([]*latNode, nNodes)
-	members := make([]Member, nNodes)
-	for i := range members {
-		lats[i] = &latNode{Node: newMemNode(stripes * unit)}
-		n := lats[i]
-		members[i] = Member{Addr: "lat", Node: n, Dial: func() (Node, error) { return n, nil }}
-	}
 	opts := quietOpts()
 	opts.HedgeDelay = hedgeDelay
-	v, err := Open(members, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
+	v, nodes := testVolume(t, 4, stripes*unit, opts)
 	shadow := fillVolume(t, v, 99)
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -115,7 +58,7 @@ func TestHedgedReadBoundsBrownoutTail(t *testing.T) {
 	if st := v.Stats(); st.HedgedReads != 0 {
 		t.Fatalf("%d hedges fired on a healthy cluster", st.HedgedReads)
 	}
-	lats[slow].SetLatency(brownout)
+	nodes[slow].AddRule(fault.Rule{Do: fault.Delay(brownout)})
 	onSlow := readAll()
 	st := v.Stats()
 	if onSlow == 0 || st.HedgedReads != onSlow || st.HedgeWins != onSlow {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"afraid/internal/fault"
 )
 
 // countNode records every read it serves, so a test can say which bytes
@@ -107,9 +110,7 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 	if err := v.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range faults {
-		f.SetSlow(service)
-	}
+	slow := switchable(fault.Rule{Do: fault.Delay(service)}, faults...)
 	// Any op can meet a processor stolen for a moment: the best of a few is
 	// what the nodes allow.
 	best := func(name string, phases int, op func()) {
@@ -160,9 +161,7 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 			t.Fatalf("HealNode: %+v, %v", rep, err)
 		}
 	})
-	for _, f := range faults {
-		f.SetSlow(0)
-	}
+	slow.Store(false)
 	got := make([]byte, len(shadow))
 	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, shadow) {
 		t.Fatalf("volume differs from its shadow after the timed ops (err %v)", err)
@@ -190,15 +189,11 @@ func TestHealSweepRunsWorkersWide(t *testing.T) {
 		if err := v.FailNode(victim); err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range faults {
-			f.SetSlow(service)
-		}
+		slow := switchable(fault.Rule{Do: fault.Delay(service)}, faults...)
 		t0 := time.Now()
 		rep, err := v.HealNode(ctx, victim, true)
 		took := time.Since(t0)
-		for _, f := range faults {
-			f.SetSlow(0)
-		}
+		slow.Store(false)
 		if err != nil || len(rep.Lost) > 0 || rep.Remaining > 0 {
 			t.Fatalf("HealNode with %d workers: %+v, %v", workers, rep, err)
 		}
@@ -233,19 +228,9 @@ func stripeOn(v *Volume, node int, from int64) int64 {
 func TestHedgeLoserKeepsItsImage(t *testing.T) {
 	const unit = 4096
 	const primary, others = 4 * time.Millisecond, 25 * time.Millisecond
-	lats := make([]*latNode, 4)
-	members := make([]Member, len(lats))
-	for i := range members {
-		lats[i] = &latNode{Node: newMemNode(8 * unit)}
-		members[i] = Member{Addr: "lat", Node: lats[i]}
-	}
 	opts := quietOpts()
 	opts.HedgeDelay = time.Millisecond
-	v, err := Open(members, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
+	v, nodes := testVolume(t, 4, 8*unit, opts)
 	shadow := fillVolume(t, v, 21)
 	ctx := context.Background()
 	if err := v.Flush(ctx); err != nil {
@@ -256,11 +241,13 @@ func TestHedgeLoserKeepsItsImage(t *testing.T) {
 	got := make([]byte, unit)
 	for st := int64(0); st < 4; st++ {
 		home := geo.DataDisk(st, 0)
-		for i, n := range lats {
-			n.SetLatency(others)
+		slow := make([]*atomic.Bool, len(nodes))
+		for i, n := range nodes {
+			d := others
 			if i == home {
-				n.SetLatency(primary)
+				d = primary
 			}
+			slow[i] = switchable(fault.Rule{Do: fault.Delay(d)}, n)
 		}
 		if _, err := v.ReadAt(got, st*sdb); err != nil {
 			t.Fatal(err)
@@ -269,8 +256,8 @@ func TestHedgeLoserKeepsItsImage(t *testing.T) {
 			t.Fatalf("stripe %d: hedged read returned wrong data", st)
 		}
 		// The loser is still out; these load whole stripes into images.
-		for _, n := range lats {
-			n.SetLatency(0)
+		for _, on := range slow {
+			on.Store(false)
 		}
 		if bad, skipped, err := v.VerifyParity(ctx); err != nil || len(bad) > 0 || skipped > 0 {
 			t.Fatalf("VerifyParity: bad=%v skipped=%d err=%v", bad, skipped, err)

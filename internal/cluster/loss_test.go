@@ -16,7 +16,7 @@ import (
 // as a server does for bytes its store reports lost. A write that covers
 // the range replaces it.
 type lossNode struct {
-	*memNode
+	faultNode
 	mu        sync.Mutex
 	off, n    int64 // the lost range; n == 0 for none
 	rewritten int   // writes that replaced it
@@ -35,7 +35,7 @@ func (l *lossNode) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 	if hit {
 		return 0, fmt.Errorf("%w: node range lost", core.ErrDataLoss)
 	}
-	return l.memNode.ReadAtContext(ctx, p, off)
+	return l.faultNode.ReadAtContext(ctx, p, off)
 }
 
 func (l *lossNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
@@ -48,7 +48,7 @@ func (l *lossNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int
 		l.n = 0
 		l.rewritten++
 	}
-	return l.memNode.WriteAtContext(ctx, p, off)
+	return l.faultNode.WriteAtContext(ctx, p, off)
 }
 
 // TestNodeLossIsSolvedAround: a node that reports one unit of a redundant
@@ -61,7 +61,7 @@ func TestNodeLossIsSolvedAround(t *testing.T) {
 	nodes := make([]*lossNode, 4)
 	members := make([]Member, len(nodes))
 	for i := range nodes {
-		nodes[i] = &lossNode{memNode: newMemNode(stripes * unit)}
+		nodes[i] = &lossNode{faultNode: newMemNode(stripes * unit)}
 		members[i] = Member{Addr: fmt.Sprintf("l%d", i), Node: nodes[i]}
 	}
 	opts := quietOpts()
@@ -91,7 +91,7 @@ func TestNodeLossIsSolvedAround(t *testing.T) {
 	if home.rewritten != 1 {
 		t.Fatalf("the lost unit was rewritten on its node %d times, want once", home.rewritten)
 	}
-	if _, err := home.memNode.ReadAtContext(ctx, got, geo.DiskOffset(readStripe)); err != nil || !bytes.Equal(got, shadow[off:off+unit]) {
+	if _, err := home.faultNode.ReadAtContext(ctx, got, geo.DiskOffset(readStripe)); err != nil || !bytes.Equal(got, shadow[off:off+unit]) {
 		t.Fatal("the node does not hold the unit's bytes again")
 	}
 

@@ -55,7 +55,7 @@ type member struct {
 	gen     uint64
 
 	// Flap damping and prober state, guarded by Volume.meta.
-	failTimes    []time.Time   // recent demotions, pruned to FlapWindow
+	failTimes    []time.Time   // recent demotions, pruned to flapWindow
 	consecFails  int           // demotions since the last clean heal
 	quarantined  bool          // fenced off from prober redial/auto-heal
 	quarantineAt time.Time     // when the fence went up (for QuarantineDecay)
@@ -183,18 +183,27 @@ func (v *Volume) failStop(i int, err error) error {
 
 // isNodeDownErr reports whether err indicates the node (or the path to
 // it) is gone, as opposed to a request-level failure like ErrDataLoss
-// that the node itself reported.
+// that the node itself reported. An in-process node reports it as its
+// device failing.
 func isNodeDownErr(err error) bool {
 	var ne net.Error
-	return errors.Is(err, ErrNodeDown) || // FaultNode injections
+	return errors.Is(err, core.ErrDeviceFailed) ||
 		errors.Is(err, server.ErrConnectionLost) || errors.Is(err, server.ErrShutdown) ||
 		errors.Is(err, context.DeadlineExceeded) || // NodeTimeout fired
 		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne)
 }
 
+// The flap damper: a node demoted FlapThreshold times inside flapWindow is
+// quarantined — the prober leaves it alone until ClearQuarantine, HealNode
+// or Options.QuarantineDecay.
+const (
+	FlapThreshold = 3
+	flapWindow    = time.Minute
+)
+
 // markDown takes node i down, unless gen says a redial got
 // there first. Each demotion is a flap event: FlapThreshold of them inside
-// FlapWindow quarantine the node, fencing it off from the prober's
+// flapWindow quarantine the node, fencing it off from the prober's
 // redial/auto-heal cycle, which ends the heal storm a flapping node drives.
 func (v *Volume) markDown(i int, gen uint64, cause error) {
 	v.meta.Lock()
@@ -207,15 +216,13 @@ func (v *Volume) markDown(i int, gen uint64, cause error) {
 	m.lastErr, m.node = cause, nil
 	v.stats.NodeFailovers++
 	m.consecFails++
-	quarantined := false
-	if v.opts.FlapThreshold > 0 {
-		now := time.Now()
-		cut := now.Add(-v.opts.FlapWindow)
-		m.failTimes = append(slices.DeleteFunc(m.failTimes, func(t time.Time) bool { return !t.After(cut) }), now)
-		if quarantined = len(m.failTimes) >= v.opts.FlapThreshold && !m.quarantined; quarantined {
-			m.quarantined, m.quarantineAt = true, now
-			v.stats.Quarantines++
-		}
+	now := time.Now()
+	cut := now.Add(-flapWindow)
+	m.failTimes = append(slices.DeleteFunc(m.failTimes, func(t time.Time) bool { return !t.After(cut) }), now)
+	quarantined := len(m.failTimes) >= FlapThreshold && !m.quarantined
+	if quarantined {
+		m.quarantined, m.quarantineAt = true, now
+		v.stats.Quarantines++
 	}
 	fails := len(m.failTimes)
 	v.meta.Unlock()
@@ -223,7 +230,7 @@ func (v *Volume) markDown(i int, gen uint64, cause error) {
 	v.logf("cluster: node %d (%s) down: %v", i, m.addr, cause)
 	if quarantined {
 		v.logf("cluster: node %d (%s) QUARANTINED: %d failures within %v; no auto-heal until cleared",
-			i, m.addr, fails, v.opts.FlapWindow)
+			i, m.addr, fails, flapWindow)
 	}
 }
 

@@ -49,13 +49,9 @@ type Options struct {
 	// derives it from the live p99 of node reads; a negative value
 	// disables hedging.
 	HedgeDelay time.Duration
-	// FlapThreshold is the flap damper: a node demoted this many times
-	// inside FlapWindow (default 1 minute) is quarantined — the prober
-	// leaves it alone until ClearQuarantine, HealNode or QuarantineDecay
-	// (default 5 minutes; negative: only an administrator). Default 3;
-	// negative disables damping.
-	FlapThreshold   int
-	FlapWindow      time.Duration
+	// QuarantineDecay is how long a node the flap damper quarantined
+	// (FlapThreshold) stays fenced off before the prober readmits it
+	// (default 5 minutes; negative: only an administrator).
 	QuarantineDecay time.Duration
 	// NV, when set, persists the marking memory (dirty map and per-node
 	// stale maps), so a restarted volume host resumes where it left off —
@@ -72,8 +68,6 @@ func (o *Options) fill() {
 	orDefault(&o.NodeTimeout, 10*time.Second)
 	orDefault(&o.DialTimeout, 5*time.Second)
 	orDefault(&o.Workers, min(runtime.GOMAXPROCS(0), 4))
-	orDefault(&o.FlapThreshold, 3)
-	orDefault(&o.FlapWindow, time.Minute)
 	orDefault(&o.QuarantineDecay, 5*time.Minute)
 }
 

@@ -9,70 +9,63 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/fault"
 	"afraid/internal/obs"
 	"afraid/internal/testutil"
 )
 
-// memNode is an in-process Node over a byte slice: the unit-test stand-
-// in for an afraidd backend. Close is a no-op so tests can hand the
-// same instance back through Member.Dial after a simulated crash.
-type memNode struct {
-	mu   sync.Mutex
-	data []byte
-	ops  atomic.Int64 // reads, writes, flushes and pings served
+// faultNode is the in-process Node of the unit tests: a core.MemDevice
+// behind a fault.Device, so a test faults a node as core's tests fault a
+// disk — Fail and Heal, and FailStop, Transient and Delay rules. Ping and
+// Flush are empty reads, which the rules see like any other op. Close
+// leaves the device as it is, so a test can hand the same node back
+// through Member.Dial after a simulated crash.
+type faultNode struct{ *fault.Device }
+
+func newMemNode(size int64) faultNode { return faultNode{fault.New(core.NewMemDevice(size), 1)} }
+
+func (n faultNode) Flush(ctx context.Context) error { return n.Ping(ctx) }
+func (n faultNode) Capacity() int64                 { return n.Size() }
+func (n faultNode) Ping(ctx context.Context) error {
+	_, err := n.ReadAtContext(ctx, nil, 0)
+	return err
 }
 
-func newMemNode(size int64) *memNode { return &memNode{data: make([]byte, size)} }
+// ops is how many operations the node has taken.
+func (n faultNode) ops() uint64 { s := n.Stats(); return s.Reads + s.Writes }
 
-func (n *memNode) ReadAtContext(_ context.Context, p []byte, off int64) (int, error) {
-	n.ops.Add(1)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > int64(len(n.data)) {
-		return 0, fmt.Errorf("memNode: read [%d,%d) outside %d", off, off+int64(len(p)), len(n.data))
-	}
-	copy(p, n.data[off:])
-	return len(p), nil
-}
-
-func (n *memNode) WriteAtContext(_ context.Context, p []byte, off int64) (int, error) {
-	n.ops.Add(1)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > int64(len(n.data)) {
-		return 0, fmt.Errorf("memNode: write [%d,%d) outside %d", off, off+int64(len(p)), len(n.data))
-	}
-	copy(n.data[off:], p)
-	return len(p), nil
-}
-
-func (n *memNode) Flush(context.Context) error { n.ops.Add(1); return nil }
-func (n *memNode) Ping(context.Context) error  { n.ops.Add(1); return nil }
-func (n *memNode) Capacity() int64             { n.mu.Lock(); defer n.mu.Unlock(); return int64(len(n.data)) }
-func (n *memNode) Close() error                { return nil }
-
-// served sums the operations the memNodes under faults have served.
-func served(faults ...*FaultNode) (n int64) {
-	for _, f := range faults {
-		n += f.inner.(*memNode).ops.Load()
+// served sums the operations the nodes have taken.
+func served(nodes ...faultNode) (n int64) {
+	for _, f := range nodes {
+		n += int64(f.ops())
 	}
 	return n
 }
 
-// testVolume builds an nNodes-member volume over FaultNode-wrapped
-// memNodes, each re-dialable (heal hands the same injector back).
-func testVolume(t *testing.T, nNodes int, nodeSize int64, opts Options) (*Volume, []*FaultNode) {
+// switchable arms r on the nodes until the returned switch is turned off.
+func switchable(r fault.Rule, nodes ...faultNode) *atomic.Bool {
+	on, when := new(atomic.Bool), r.When
+	on.Store(true)
+	r.When = func(op fault.Op, rng *rand.Rand) bool { return on.Load() && (when == nil || when(op, rng)) }
+	for _, n := range nodes {
+		n.AddRule(r)
+	}
+	return on
+}
+
+// testVolume builds an nNodes-member volume over faultNodes, each
+// re-dialable (heal hands the same node back).
+func testVolume(t *testing.T, nNodes int, nodeSize int64, opts Options) (*Volume, []faultNode) {
 	t.Helper()
-	faults := make([]*FaultNode, nNodes)
+	faults := make([]faultNode, nNodes)
 	members := make([]Member, nNodes)
 	for i := range members {
-		faults[i] = NewFaultNode(newMemNode(nodeSize))
+		faults[i] = newMemNode(nodeSize)
 		f := faults[i]
 		members[i] = Member{
 			Addr: fmt.Sprintf("mem%d", i),
@@ -257,11 +250,11 @@ func TestBackgroundDrain(t *testing.T) {
 // re-Open over the same NVRAM, then drain clean.
 func TestMarksPersistence(t *testing.T) {
 	nv := &core.MemNVRAM{}
-	nodes := make([]*memNode, 4)
+	nodes := make([]faultNode, 4)
 	mk := func() []Member {
 		ms := make([]Member, len(nodes))
 		for i := range nodes {
-			if nodes[i] == nil {
+			if nodes[i].Device == nil {
 				nodes[i] = newMemNode(16 * 4096)
 			}
 			n := nodes[i]
@@ -316,7 +309,7 @@ func TestMarksPersistence(t *testing.T) {
 // otherwise the blank disk would serve zeros as data.
 func TestDownAtOpenStaleSurvivesReopen(t *testing.T) {
 	nv := &core.MemNVRAM{}
-	nodes := make([]*memNode, 4)
+	nodes := make([]faultNode, 4)
 	for i := range nodes {
 		nodes[i] = newMemNode(16 * 4096)
 	}

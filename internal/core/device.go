@@ -12,6 +12,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"afraid/internal/nvram"
 )
 
 // BlockDevice is the backing store for one member disk.
@@ -189,15 +191,9 @@ func (d *FileDevice) Close() error { return d.f.Close() }
 // Sync flushes the backing file to stable storage.
 func (d *FileDevice) Sync() error { return d.f.Sync() }
 
-// NVRAM persists the marking memory across crashes. Implementations
-// must make Store durable before returning (the paper's marking memory
-// is battery-backed RAM; a file plus fsync is the software equivalent).
-type NVRAM interface {
-	// Load returns the last stored image, or (nil, nil) when empty.
-	Load() ([]byte, error)
-	// Store replaces the image.
-	Store([]byte) error
-}
+// NVRAM persists the marking memory across crashes: it is where the
+// store's engine keeps its image (nvram.Persister).
+type NVRAM = nvram.Persister
 
 // MemNVRAM is an in-memory NVRAM, for tests: it survives Store reopen
 // (pass the same instance) but not process exit.

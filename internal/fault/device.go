@@ -13,6 +13,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -137,8 +138,11 @@ func Transient(err error) Action {
 	return Action{kind: actTransient, err: err}
 }
 
-// Delay sleeps for d before performing the op normally. Unlike the
-// other actions, a firing Delay does not stop rule evaluation.
+// Delay sleeps for d before performing the op normally: a slow member.
+// The sleep holds no lock, so ops elsewhere on the device go on, and an
+// op whose context ends first fails with the context's error, never
+// reaching the backing device. Unlike the other actions, a firing Delay
+// does not stop rule evaluation.
 func Delay(d time.Duration) Action { return Action{kind: actDelay, delay: d} }
 
 // TornWrite persists a seeded-random strict prefix of the write (possibly
@@ -337,9 +341,12 @@ func (d *Device) Close() error {
 	return d.backing.Close()
 }
 
-// fire evaluates the rules for op, applying Delay actions inline, and
-// returns the first other firing action.
-func (d *Device) fire(op Op) (Action, bool) {
+// fire evaluates the rules for op and returns the first firing action
+// that is not a Delay. Fired Delays add up, and fire sleeps them off with
+// mu released (the caller holds it on entry and on return): an error is
+// ctx ending first.
+func (d *Device) fire(ctx context.Context, op Op) (act Action, ok bool, err error) {
+	var delay time.Duration
 	for _, r := range d.rules {
 		if r.Max > 0 && r.hits >= r.Max {
 			continue
@@ -351,18 +358,34 @@ func (d *Device) fire(op Op) (Action, bool) {
 			continue
 		}
 		r.hits++
-		if r.Do.kind == actDelay {
-			d.stats.Delays++
-			time.Sleep(r.Do.delay)
-			continue
+		if r.Do.kind != actDelay {
+			act, ok = r.Do, true
+			break
 		}
-		return r.Do, true
+		d.stats.Delays++
+		delay += r.Do.delay
 	}
-	return Action{}, false
+	if delay > 0 {
+		d.mu.Unlock()
+		t := time.NewTimer(delay)
+		select {
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-t.C:
+		}
+		t.Stop()
+		d.mu.Lock()
+	}
+	return act, ok, err
 }
 
 // ReadAt implements io.ReaderAt with fault injection.
 func (d *Device) ReadAt(p []byte, off int64) (int, error) {
+	return d.ReadAtContext(context.Background(), p, off)
+}
+
+// ReadAtContext is ReadAt under ctx, which bounds a fired Delay.
+func (d *Device) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	if d.line != nil && d.line.IsCut() {
 		d.stats.PowerRejects++
@@ -375,7 +398,11 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 	}
 	d.ops++
 	d.stats.Reads++
-	act, ok := d.fire(Op{N: d.ops, Off: off, Len: len(p), Trailer: d.csumStart >= 0 && off >= d.csumStart})
+	act, ok, err := d.fire(ctx, Op{N: d.ops, Off: off, Len: len(p), Trailer: d.csumStart >= 0 && off >= d.csumStart})
+	if err != nil {
+		d.mu.Unlock()
+		return 0, err
+	}
 	if ok {
 		switch act.kind {
 		case actFailStop:
@@ -414,6 +441,11 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 // rejects the write; the write in flight when the line's fuse blows
 // lands a torn prefix first (see PowerLine.CutAfter).
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
+	return d.WriteAtContext(context.Background(), p, off)
+}
+
+// WriteAtContext is WriteAt under ctx, which bounds a fired Delay.
+func (d *Device) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	if d.line != nil {
 		prefix, ok := d.line.admitWrite(len(p), d.rng)
@@ -436,7 +468,11 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	}
 	d.ops++
 	d.stats.Writes++
-	act, ok := d.fire(Op{N: d.ops, Write: true, Off: off, Len: len(p), Trailer: d.csumStart >= 0 && off >= d.csumStart})
+	act, ok, err := d.fire(ctx, Op{N: d.ops, Write: true, Off: off, Len: len(p), Trailer: d.csumStart >= 0 && off >= d.csumStart})
+	if err != nil {
+		d.mu.Unlock()
+		return 0, err
+	}
 	if ok {
 		switch act.kind {
 		case actFailStop:

@@ -2,10 +2,13 @@ package fault
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/testutil"
 )
 
 func TestTriggersDeterministic(t *testing.T) {
@@ -94,6 +97,43 @@ func TestFailStopAndHeal(t *testing.T) {
 	d.Heal()
 	if _, err := d.ReadAt(buf, 0); err != nil {
 		t.Fatalf("healed device errored: %v", err)
+	}
+}
+
+// A fired Delay is a slow member, not a stuck device: an op whose context
+// ends inside the delay fails with the context's error and leaves the
+// backing device as it was, and an op elsewhere on the device does not
+// wait behind another op's sleep.
+func TestDelayHonoursContextAndHoldsNoLock(t *testing.T) {
+	const slow = 5 * time.Second
+	d := New(core.NewMemDevice(4096), 1, Rule{When: InRange(0, 512), Do: Delay(slow)})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := d.WriteAtContext(ctx, bytes.Repeat([]byte{0xAB}, 512), 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("write delayed past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+	got := make([]byte, 512)
+	if _, err := d.Backing().ReadAt(got, 0); err != nil || !bytes.Equal(got, make([]byte, 512)) {
+		t.Fatalf("the cut-short write reached the backing device (err %v)", err)
+	}
+
+	held, release := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.ReadAtContext(held, make([]byte, 512), 0)
+		done <- err
+	}()
+	t0 := time.Now()
+	testutil.Eventually(t, "the read to enter its delay", func() bool { return d.Stats().Delays == 2 })
+	if _, err := d.WriteAt(make([]byte, 512), 1024); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took > slow/2 {
+		t.Fatalf("a write outside the delayed range took %v: it waited behind the delayed read", took)
+	}
+	release()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("delayed read cancelled = %v, want context.Canceled", err)
 	}
 }
 

@@ -35,7 +35,8 @@ import (
 // durable before it returns (the paper's marking memory is
 // battery-backed RAM; a file plus fsync is the software equivalent).
 type Persister interface {
-	// Load returns the last stored image, or an empty one when none was.
+	// Load returns the last stored image, or an empty one (nil, nil
+	// included) when none was.
 	Load() ([]byte, error)
 	// Store replaces the image. The slice is the engine's own buffer,
 	// rewritten for the next image: Store must not keep it.

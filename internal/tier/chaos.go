@@ -7,7 +7,6 @@ import (
 
 	"afraid/internal/core"
 	"afraid/internal/fault"
-	"afraid/internal/idle"
 	"afraid/internal/obs"
 )
 
@@ -159,7 +158,7 @@ func (s *ChaosStack) open() error {
 		MaxDirtyBytes: s.cfg.MaxDirtyBytes,
 		// An aggressive idle timer keeps the migrator demoting all
 		// through the workload, so the fuse can land mid-migration.
-		Idle: idle.NewTimer(2 * time.Millisecond),
+		IdleDelay: 2 * time.Millisecond,
 	})
 	if err != nil {
 		return fmt.Errorf("tier chaos: opening tier: %w", err)

@@ -10,7 +10,6 @@ import (
 
 	"afraid/internal/core"
 	"afraid/internal/fault"
-	"afraid/internal/idle"
 )
 
 // runEpisodes sweeps seeds through one schedule shape and fails on any
@@ -126,7 +125,7 @@ func TestConcurrentWritersDuringMigration(t *testing.T) {
 	st, err := Open(back, front, &core.MemNVRAM{}, Options{
 		ExtentSize:    extentSz,
 		MaxDirtyBytes: extentSz, // migrator under constant pressure
-		Idle:          idle.NewTimer(time.Millisecond),
+		IdleDelay:     time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -291,7 +291,7 @@ func (m *migrator) kick() {
 func (m *migrator) loop() {
 	defer m.wg.Done()
 	s := m.s
-	timer := time.NewTimer(s.opts.Idle.Delay())
+	timer := time.NewTimer(s.opts.IdleDelay)
 	defer timer.Stop()
 	for {
 		select {
@@ -310,7 +310,7 @@ func (m *migrator) loop() {
 		}
 		pressure := s.dirtyBytesNow() > s.opts.MaxDirtyBytes
 		idleFor := time.Duration(time.Now().UnixNano() - s.lastOp.Load())
-		quiet := idleFor >= s.opts.Idle.Delay()
+		quiet := idleFor >= s.opts.IdleDelay
 
 		if degraded || pressure || quiet {
 			start := time.Now()
@@ -329,14 +329,10 @@ func (m *migrator) loop() {
 							break
 						}
 					} else if s.lastOp.Load() > start.UnixNano() {
-						s.opts.Idle.Observe(true) // interrupted
-						break
+						break // interrupted
 					}
 				}
 				if !s.demoteOne(context.Background()) {
-					if demoted > 0 {
-						s.opts.Idle.Observe(false)
-					}
 					break
 				}
 				demoted++
@@ -352,6 +348,6 @@ func (m *migrator) loop() {
 			default:
 			}
 		}
-		timer.Reset(s.opts.Idle.Delay())
+		timer.Reset(s.opts.IdleDelay)
 	}
 }

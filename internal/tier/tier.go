@@ -48,8 +48,9 @@ type Options struct {
 	// demotes regardless of idleness, and above twice it the write
 	// path demotes inline. Default: half the front data capacity.
 	MaxDirtyBytes int64
-	// Idle paces demote-on-idle (default idle.NewTimer(DefaultDelay)).
-	Idle idle.Detector
+	// IdleDelay is how long the tier must be quiescent before the
+	// migrator demotes (default idle.DefaultDelay).
+	IdleDelay time.Duration
 	// DisableMigrator turns the background engine off; demotion then
 	// happens only through Flush, ParityPoint and the inline valve.
 	// Tests use it for deterministic state machines.
@@ -158,8 +159,8 @@ func Open(back *core.Store, front []core.BlockDevice, nv core.NVRAM, opts Option
 	if opts.MaxDirtyBytes <= 0 {
 		s.opts.MaxDirtyBytes = totalSlots * s.extentSize / 2
 	}
-	if opts.Idle == nil {
-		s.opts.Idle = idle.NewTimer(idle.DefaultDelay)
+	if opts.IdleDelay <= 0 {
+		s.opts.IdleDelay = idle.DefaultDelay
 	}
 	s.dirty = nvram.NewBitmap(totalSlots)
 	s.lastUse = make([]uint64, totalSlots)
