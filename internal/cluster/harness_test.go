@@ -19,7 +19,7 @@ import (
 // single-device in-memory store, restartable on a fresh port with the
 // store's contents intact (the "machine rebooted, disk survived" case).
 type harnessNode struct {
-	t     *testing.T
+	t     testing.TB
 	store *core.Store
 
 	mu   sync.Mutex
@@ -29,7 +29,7 @@ type harnessNode struct {
 	done chan error
 }
 
-func newHarnessNode(t *testing.T, size int64) *harnessNode {
+func newHarnessNode(t testing.TB, size int64) *harnessNode {
 	t.Helper()
 	st, err := core.Open(
 		[]core.BlockDevice{core.NewMemDevice(size)},

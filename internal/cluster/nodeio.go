@@ -96,7 +96,16 @@ func (m *member) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 	return m.io(ctx, p, off, true)
 }
 
-func (m *member) io(ctx context.Context, p []byte, off int64, write bool) (int, error) {
+// WriteVecAtContext writes bufs back to back at off as one node call, under
+// ctx and one node deadline: one request to a node that takes a vector
+// (server.Client), one write per buffer to any other.
+func (m *member) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error) {
+	return m.io(ctx, nil, off, true, bufs...)
+}
+
+// io moves p, or the buffers of vec back to back, between off on the node
+// and memory.
+func (m *member) io(ctx context.Context, p []byte, off int64, write bool, vec ...[]byte) (int, error) {
 	v := m.v
 	n, gen, ok := m.conn()
 	if !ok {
@@ -105,18 +114,39 @@ func (m *member) io(ctx context.Context, p []byte, off int64, write bool) (int, 
 	cctx, cancel := v.nodeCtx(ctx)
 	t0 := time.Now()
 	var err error
-	if write {
+	switch {
+	case !write:
+		_, err = n.ReadAtContext(cctx, p, off)
+	case vec == nil:
 		_, err = n.WriteAtContext(cctx, p, off)
+	default:
+		if vn, ok := n.(interface {
+			WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error)
+		}); ok {
+			_, err = vn.WriteVecAtContext(cctx, vec, off)
+			break
+		}
+		for _, b := range vec {
+			if _, err = n.WriteAtContext(cctx, b, off); err != nil {
+				break
+			}
+			off += int64(len(b))
+		}
+	}
+	if write {
 		v.ob.nodeWrite[m.idx].Observe(time.Since(t0))
 	} else {
-		_, err = n.ReadAtContext(cctx, p, off)
 		v.ob.nodeRead[m.idx].Observe(time.Since(t0))
 	}
 	cancel()
 	if err = v.classify(ctx, m.idx, gen, err); err != nil {
 		return 0, err
 	}
-	return len(p), nil
+	size := len(p)
+	for _, b := range vec {
+		size += len(b)
+	}
+	return size, nil
 }
 
 // Size is what each node contributes to the volume.

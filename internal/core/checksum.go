@@ -132,7 +132,7 @@ func (s *Store) devWriteChecksummed(i int, p []byte, off int64) error {
 	stripe := off / unit
 	if off%unit == 0 && int64(len(p)) == unit {
 		if _, err := s.devs[i].WriteAt(p, off); err != nil {
-			return s.memberErr(i, "write", off, err)
+			return s.memberErr(i, "write", off, len(p), err)
 		}
 		return s.putChecksum(i, stripe, p)
 	}
@@ -143,7 +143,7 @@ func (s *Store) devWriteChecksummed(i int, p []byte, off int64) error {
 	}
 	copy(whole[off-stripe*unit:], p)
 	if _, err := s.devs[i].WriteAt(p, off); err != nil {
-		return s.memberErr(i, "write", off, err)
+		return s.memberErr(i, "write", off, len(p), err)
 	}
 	return s.putChecksum(i, stripe, whole)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -383,6 +384,81 @@ func TestChecksumRepairDiskSalvagesCorruptSurvivor(t *testing.T) {
 	for _, l := range rep.Lost {
 		if !bytes.Equal(got[l.Offset:l.Offset+l.Length], zero[:l.Length]) {
 			t.Fatalf("lost range %+v not zeroed", l)
+		}
+	}
+}
+
+// trapDev springs act on the n-th full read of the unit at off from the
+// moment it is armed.
+type trapDev struct {
+	*MemDevice
+	off   int64
+	n     atomic.Int64
+	armed atomic.Bool
+	act   func(d *trapDev) error
+}
+
+func (d *trapDev) ReadAt(p []byte, off int64) (int, error) {
+	if d.armed.Load() && off == d.off && int64(len(p)) == testUnit && d.n.Add(-1) == 0 {
+		if err := d.act(d); err != nil {
+			return 0, err
+		}
+	}
+	return d.MemDevice.ReadAt(p, off)
+}
+
+// TestUnitErrorBesideFailStopIsNotSolvedAcross: a read-modify-write whose
+// writes meet a unit gone bad on one member — found by the verify read
+// under its partial extent — and a fail-stop on another has left the
+// parity it keeps in sync encoding data the failed member never got. The
+// bad unit must not be solved through that parity as if every other write
+// had landed: the fail-stop is absorbed first, and the write ends degraded
+// or reports the loss. Every byte of the stripe the write did not reach if
+// it failed — all of them if it succeeded — then reads back as written or
+// fails loudly, never silently wrong.
+func TestUnitErrorBesideFailStopIsNotSolvedAcross(t *testing.T) {
+	devs := make([]BlockDevice, 5)
+	traps := make([]*trapDev, 5)
+	for i := range devs {
+		traps[i] = &trapDev{MemDevice: NewMemDevice(testDisk)}
+		devs[i] = traps[i]
+	}
+	s, err := Open(devs, &MemNVRAM{}, Options{Mode: Afraid6, StripeUnit: testUnit, DisableScrubber: true, Checksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	geo := s.Geometry()
+	shadow := pattern(int(geo.StripeDataBytes()), 1)
+	if _, err := s.WriteAt(shadow, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The write below reads units 0 and 2 whole once to fold them into P,
+	// then again to verify under its partial extents: that second read
+	// finds unit 0 rotted and unit 2's member gone.
+	rot := traps[geo.DataDisk(0, 0)]
+	rot.act = func(d *trapDev) error {
+		d.MemDevice.WriteAt([]byte{shadow[7] ^ 0x10}, 7)
+		return nil
+	}
+	gone := traps[geo.DataDisk(0, 2)]
+	gone.act = func(*trapDev) error { return ErrDeviceFailed } // once: the member answers again after
+	for _, d := range []*trapDev{rot, gone} {
+		d.n.Store(2)
+		d.armed.Store(true)
+	}
+	update := pattern(2*testUnit, 9)
+	lo, hi := int64(100), int64(100+len(update)) // indeterminate if the write fails
+	if _, err := s.WriteAt(update, lo); err == nil {
+		copy(shadow[lo:], update)
+		lo = hi
+	} else if !errors.Is(err, ErrDataLoss) {
+		t.Fatalf("write: %v", err)
+	}
+	for off := int64(0); off < int64(len(shadow)); off += 100 {
+		got := make([]byte, min(100, int64(len(shadow))-off))
+		if _, err := s.ReadAt(got, off); err == nil && (off+100 <= lo || off >= hi) && !bytes.Equal(got, shadow[off:off+int64(len(got))]) {
+			t.Fatalf("bytes [%d,%d) read back wrong, silently", off, off+int64(len(got)))
 		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"afraid/internal/bufpool"
+	"afraid/internal/layout"
 )
 
 // DiskError wraps an I/O error from one member disk with the disk's
@@ -54,6 +57,12 @@ type contextDevice interface {
 	WriteAtContext(ctx context.Context, p []byte, off int64) (int, error)
 }
 
+// vecDevice is a member that takes buffers written back to back in one
+// call — a cluster node, one request. devWriteRun hands it a run's units.
+type vecDevice interface {
+	WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error)
+}
+
 // devRead reads from member disk i under ctx, sorting a failure into the
 // member error classes (memberErr). With Options.Checksums the unit's
 // contents are verified against its checksum slot and a mismatch surfaces
@@ -68,7 +77,7 @@ func (s *Store) devRead(ctx context.Context, i int, p []byte, off int64) error {
 	} else {
 		_, err = s.devs[i].ReadAt(p, off)
 	}
-	return s.memberErr(i, "read", off, err)
+	return s.memberErr(i, "read", off, len(p), err)
 }
 
 // devWrite writes to member disk i under ctx, sorting a failure into the
@@ -85,20 +94,49 @@ func (s *Store) devWrite(ctx context.Context, i int, p []byte, off int64) error 
 	} else {
 		_, err = s.devs[i].WriteAt(p, off)
 	}
-	return s.memberErr(i, "write", off, err)
+	return s.memberErr(i, "write", off, len(p), err)
 }
 
-// memberErr sorts an error member i returned for an I/O at off into the
-// store's three classes: fail-stop — anything wrapping ErrDeviceFailed — is
-// a DiskError that absorbFailure turns into the member's absence; unit lost
-// — the member's own ErrDataLoss — is a UnitError that absorbUnit repairs
-// like a checksum mismatch; anything else is a DiskError that passes
-// through.
-func (s *Store) memberErr(i int, op string, off int64, err error) error {
+// devWriteRun writes whole units of consecutive stripes back to back on
+// member i from off: in one call where the member takes a vector
+// (vecDevice), one WriteAt per unit otherwise. With Options.Checksums their
+// slots, consecutive in the trailer, follow in one write.
+func (s *Store) devWriteRun(ctx context.Context, i int, units [][]byte, off int64) error {
+	var err error
+	if d, ok := s.devs[i].(vecDevice); ok {
+		_, err = d.WriteVecAtContext(ctx, units, off)
+	} else {
+		for j := 0; j < len(units) && err == nil; j++ {
+			_, err = s.devs[i].WriteAt(units[j], off+int64(j)*s.geo.StripeUnit)
+		}
+	}
+	if err != nil || !s.opts.Checksums {
+		return s.memberErr(i, "write", off, len(units)*int(s.geo.StripeUnit), err)
+	}
+	slots := bufpool.Get(len(units) * layout.ChecksumSlotSize)
+	defer bufpool.Put(slots)
+	for j, u := range units {
+		encodeSlot(slots[j*layout.ChecksumSlotSize:], u)
+	}
+	if _, err := s.devs[i].WriteAt(slots, s.geo.ChecksumOff(off/s.geo.StripeUnit)); err != nil {
+		return &DiskError{Disk: i, Op: "write", Err: err}
+	}
+	return nil
+}
+
+// memberErr sorts an error member i returned for an I/O of n bytes at off
+// into the store's three classes: fail-stop — anything wrapping
+// ErrDeviceFailed — is a DiskError that absorbFailure turns into the
+// member's absence; unit lost — the member's own ErrDataLoss, for an I/O
+// inside one unit — is a UnitError that absorbUnit repairs like a checksum
+// mismatch; anything else is a DiskError that passes through, a loss
+// somewhere in a many-unit I/O among them: a run's caller serves its spans
+// one by one, and meets the unit alone.
+func (s *Store) memberErr(i int, op string, off int64, n int, err error) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, ErrDataLoss) {
+	if unit := s.geo.StripeUnit; errors.Is(err, ErrDataLoss) && off/unit == (off+int64(max(n, 1))-1)/unit {
 		return &UnitError{Disk: i, Stripe: off / s.geo.StripeUnit, Err: err}
 	}
 	return &DiskError{Disk: i, Op: op, Err: err}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,9 +40,11 @@ func openRuns(t testing.TB, members int, opts Options) (*Store, []*probeDev) {
 
 // TestRunsDeviceCalls counts device calls and device_read/device_write
 // histogram entries for one 64 KiB request against the same range issued
-// stripe by stripe, which is what every store did before runs. Only the
-// one-member parity-less store may differ — one call, one entry — and every
-// other row must match its stripe-by-stripe cost exactly.
+// stripe by stripe, which is what every store did before runs. The
+// one-member parity-less store folds — one call, one entry; the write of
+// whole stripes with parity is one full-stripe run — one entry, and over
+// members without a vectored write the same calls; every other cost must
+// match its stripe-by-stripe cost exactly.
 func TestRunsDeviceCalls(t *testing.T) {
 	const size = 64 << 10
 	for _, row := range []struct {
@@ -48,11 +52,12 @@ func TestRunsDeviceCalls(t *testing.T) {
 		members int
 		opts    Options
 		folds   bool
+		fullRun bool
 	}{
-		{"raid0x1", 1, Options{Mode: Raid0}, true},
-		{"raid0x1+checksums", 1, Options{Mode: Raid0, Checksums: true}, false},
-		{"raid0x3", 3, Options{Mode: Raid0}, false},
-		{"afraidx3", 3, Options{Mode: Afraid}, false},
+		{"raid0x1", 1, Options{Mode: Raid0}, true, false},
+		{"raid0x1+checksums", 1, Options{Mode: Raid0, Checksums: true}, false, false},
+		{"raid0x3", 3, Options{Mode: Raid0}, false, false},
+		{"afraidx3", 3, Options{Mode: Afraid}, false, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s, probes := openRuns(t, row.members, row.opts)
@@ -89,6 +94,9 @@ func TestRunsDeviceCalls(t *testing.T) {
 						t.Fatalf("%s stripe by stripe made %d device calls, want %d", op.name, byStripe, size/runUnit)
 					}
 					wantCalls, wantEntries = 1, 1
+				}
+				if row.fullRun && op.name == "write" {
+					wantEntries = 1
 				}
 				if whole != wantCalls || entries != wantEntries {
 					t.Errorf("64 KiB %s: %d device calls and %d histogram entries, want %d and %d (stripe by stripe: %d and %d)",
@@ -411,5 +419,264 @@ func BenchmarkNodeStore(b *testing.B) {
 				benchSink += n
 			}
 		})
+	}
+}
+
+// countDev counts the writes a member takes: WriteAt calls, and as a
+// vecCountDev WriteVecAtContext calls, which land on the backing as one
+// write. A failVec member fail-stops on its first vectored write.
+type countDev struct {
+	*MemDevice
+	failVec bool
+	writes  atomic.Int64
+}
+
+func (d *countDev) WriteAt(p []byte, off int64) (int, error) {
+	d.writes.Add(1)
+	return d.MemDevice.WriteAt(p, off)
+}
+
+// vecCountDev is a countDev that takes a run's units in one call.
+type vecCountDev struct{ *countDev }
+
+func (d vecCountDev) WriteVecAtContext(_ context.Context, bufs [][]byte, off int64) (int, error) {
+	d.writes.Add(1)
+	if d.failVec {
+		d.Fail()
+		return 0, ErrDeviceFailed
+	}
+	return d.MemDevice.WriteAt(bytes.Join(bufs, nil), off)
+}
+
+func openCounted(t *testing.T, members int, opts Options, vec bool) (*Store, []*countDev) {
+	t.Helper()
+	counted := make([]*countDev, members)
+	devs := make([]BlockDevice, members)
+	for i := range devs {
+		counted[i] = &countDev{MemDevice: NewMemDevice(512 << 10)}
+		devs[i] = counted[i]
+		if vec {
+			devs[i] = vecCountDev{counted[i]}
+		}
+	}
+	opts.StripeUnit, opts.DisableScrubber = runUnit, true
+	s, err := Open(devs, &MemNVRAM{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, counted
+}
+
+// TestFullStripeRunDeviceCalls: an aligned 1 MiB write to a healthy
+// five-member AFRAID store is one full-stripe run of 32 stripes. A member
+// that takes a vector gets one write, and with checksums one more for the
+// run's slots, which are consecutive in its trailer; any other member gets
+// one write per unit, and the same slot write. Either way every member ends
+// holding exactly what the same stripes written one request each leave
+// there, every stripe counts as a full-stripe write, nothing stays marked
+// and every parity checks.
+func TestFullStripeRunDeviceCalls(t *testing.T) {
+	const size = 1 << 20
+	for _, checksums := range []bool{false, true} {
+		for _, vec := range []bool{false, true} {
+			t.Run(fmt.Sprintf("checksums=%v/vectored=%v", checksums, vec), func(t *testing.T) {
+				opts := Options{Mode: Afraid, Checksums: checksums}
+				s, counted := openCounted(t, 5, opts, vec)
+				ref, refCounted := openCounted(t, 5, opts, vec)
+				data := pattern(size, 9)
+				sdb := s.Geometry().StripeDataBytes()
+				for off := int64(0); off < size; off += sdb {
+					if _, err := ref.WriteAt(data[off:off+sdb], off); err != nil {
+						t.Fatal(err)
+					}
+				}
+				full0 := s.ob.fullStripe.Value()
+				var writes0 []int64 // Open's: the checksum trailer's format
+				for _, d := range counted {
+					writes0 = append(writes0, d.writes.Load())
+				}
+				if _, err := s.WriteAt(data, 0); err != nil {
+					t.Fatal(err)
+				}
+				want := int64(1)
+				if !vec {
+					want = size / sdb
+				}
+				if checksums {
+					want++
+				}
+				for i, d := range counted {
+					if got := d.writes.Load() - writes0[i]; got != want {
+						t.Errorf("member %d took %d writes, want %d", i, got, want)
+					}
+					got, ref := make([]byte, d.Size()), make([]byte, d.Size())
+					d.MemDevice.ReadAt(got, 0)
+					refCounted[i].MemDevice.ReadAt(ref, 0)
+					if !bytes.Equal(got, ref) {
+						t.Errorf("member %d holds other bytes than the stripe-by-stripe writes left", i)
+					}
+				}
+				if got := s.ob.fullStripe.Value() - full0; got != uint64(size/sdb) {
+					t.Errorf("full_stripe_writes moved by %d, want %d", got, size/sdb)
+				}
+				if n := s.DirtyStripes(); n != 0 {
+					t.Errorf("%d stripes left marked", n)
+				}
+				assertParityClean(t, s)
+			})
+		}
+	}
+}
+
+// TestFullStripeRunMemberFailStops: a member that fail-stops on the run's
+// vectored write is absorbed, and the run's stripes are written again one
+// by one around it — degraded, bar those it holds parity for, which defer:
+// the write succeeds and reads back.
+func TestFullStripeRunMemberFailStops(t *testing.T) {
+	const size = 1 << 20
+	s, counted := openCounted(t, 5, Options{Mode: Afraid}, true)
+	counted[2].failVec = true
+	data := pattern(size, 4)
+	if _, err := s.WriteAt(data, 0); err != nil {
+		t.Fatalf("write over a member failing under its run: %v", err)
+	}
+	if dead := s.DeadDisks(); len(dead) != 1 || dead[0] != 2 {
+		t.Fatalf("DeadDisks = %v, want [2]", dead)
+	}
+	var want uint64
+	for st := int64(0); st < size/s.Geometry().StripeDataBytes(); st++ {
+		if s.Geometry().ParityDisk(st) != 2 {
+			want++
+		}
+	}
+	if got := s.Stats().DegradedWrites; got != want {
+		t.Errorf("%d degraded writes, want %d: one per stripe of the run with data on the failed member", got, want)
+	}
+	got := make([]byte, size)
+	if _, err := s.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back around the failed member: %v", err)
+	}
+}
+
+// lossDev is a member that reports the unit at lost as lost on every read
+// that covers it, as a cluster node whose own array lost it does.
+type lossDev struct {
+	*MemDevice
+	lost int64
+}
+
+func (d lossDev) ReadAt(p []byte, off int64) (int, error) {
+	if off < d.lost+runUnit && off+int64(len(p)) > d.lost {
+		return 0, fmt.Errorf("node: %w", ErrDataLoss)
+	}
+	return d.MemDevice.ReadAt(p, off)
+}
+
+// TestLossInsideRunIsCountedOnce: a member reporting one unit of a folded
+// run lost does not say which, so the run is served again span by span,
+// and the loss is the stripe's that holds the unit, detected once and
+// reported — exactly as a read of that unit alone.
+func TestLossInsideRunIsCountedOnce(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		off, n  int64
+		stripes string
+	}{
+		{"run", 0, 64 << 10, "stripe 3 "},
+		{"alone", 3 * runUnit, runUnit, "stripe 3 "},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dev := lossDev{NewMemDevice(1 << 20), 3 * runUnit}
+			s, err := Open([]BlockDevice{dev}, &MemNVRAM{}, Options{Mode: Raid0, StripeUnit: runUnit, DisableScrubber: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			_, err = s.ReadAt(make([]byte, row.n), row.off)
+			if !errors.Is(err, ErrDataLoss) || !strings.Contains(err.Error(), row.stripes) {
+				t.Fatalf("read over the lost unit: %v, want ErrDataLoss naming %q", err, row.stripes)
+			}
+			if st := s.Stats(); st.ChecksumDetected != 1 || st.ChecksumRepaired != 0 || st.ChecksumLost != 1 {
+				t.Fatalf("detected/repaired/lost = %d/%d/%d, want 1/0/1", st.ChecksumDetected, st.ChecksumRepaired, st.ChecksumLost)
+			}
+		})
+	}
+}
+
+// TestRunLocksAgainstRepairAndOverlap races two writers whose full-stripe
+// runs overlap — one's requests crossing the lock pool's wrap at stripe 64,
+// so each is two runs — with whole-unit writes that leave Q to the
+// scrubber, and with fail-and-repair cycles whose install takes every
+// stripe lock. Runs take their locks in pool order, so nothing deadlocks; a
+// run holds every stripe it writes, so each unit ends wholly one writer's;
+// and after Flush every parity checks.
+func TestRunLocksAgainstRepairAndOverlap(t *testing.T) {
+	const unit, devSize = 4 << 10, 128 * (4 << 10)
+	devs := make([]BlockDevice, 6)
+	for i := range devs {
+		devs[i] = NewMemDevice(devSize)
+	}
+	s, err := Open(devs, &MemNVRAM{}, Options{Mode: Afraid6, StripeUnit: unit, ScrubIdle: time.Millisecond, DirtyThreshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sdb := s.Geometry().StripeDataBytes()
+	ranges := [2][2]int64{{40, 72}, {56, 88}} // stripes [lo, hi) of each writer
+	var (
+		wg     sync.WaitGroup
+		stop   atomic.Bool
+		writes atomic.Int64
+	)
+	for w, r := range ranges {
+		wg.Add(1)
+		go func(w int, lo, hi int64) {
+			defer wg.Done()
+			buf := bytes.Repeat([]byte{byte(0xA0 + w)}, int(hi-lo))
+			rng := rand.New(rand.NewSource(int64(w)))
+			for !stop.Load() && !t.Failed() {
+				if _, err := s.WriteAt(buf, lo); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				u := lo + rng.Int63n((hi-lo)/unit)*unit
+				if _, err := s.WriteAt(buf[:unit], u); err != nil {
+					t.Errorf("writer %d, unit at %d: %v", w, u, err)
+					return
+				}
+				writes.Add(1)
+			}
+		}(w, r[0]*sdb, r[1]*sdb)
+	}
+	for cycle := 0; cycle < 12 && !t.Failed(); cycle++ {
+		for n := writes.Load(); writes.Load() < n+4 && !t.Failed(); {
+			time.Sleep(50 * time.Microsecond)
+		}
+		d := cycle % len(devs)
+		if err := s.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RepairDisk(d, NewMemDevice(devSize)); err != nil {
+			t.Fatalf("cycle %d: repair of disk %d: %v", cycle, d, err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertParityClean(t, s)
+	lo, hi := ranges[0][0]*sdb, ranges[1][1]*sdb
+	got := make([]byte, hi-lo)
+	if _, err := s.ReadAt(got, lo); err != nil {
+		t.Fatal(err)
+	}
+	for u := int64(0); u < hi-lo; u += unit {
+		at, b := lo+u, got[u]
+		owner := b == 0xA0 && at < ranges[0][1]*sdb || b == 0xA1 && at >= ranges[1][0]*sdb
+		if !owner || bytes.Count(got[u:u+unit], got[u:u+1]) != unit {
+			t.Fatalf("unit at %d is not wholly one of its writers'", at)
+		}
 	}
 }

@@ -476,12 +476,13 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 
 // request serves one client read or write: split it into stripe spans and
 // run span on each under its stripe lock, absorbing what can be absorbed.
-// A layout with no parity and no checksum slots has no per-stripe protocol
-// to run, so while every member is whole (whole) each span, once
-// locked, takes the spans that continue it into one run (foldRun) and
-// everything below is per run. A write is premarked. The lock wait and the
-// time under the lock go to the stripe_lock_wait and dev histograms per
-// span and, summed, to the op's trace event.
+// Where the layout and the members allow, one call takes several spans at
+// once (lockRun): a write's full-stripe run on a layout with parity
+// (writeRun), a fold on one with neither parity nor checksum slots
+// (foldRun). A run that fails leaves its spans to be served one by one,
+// each absorbing what it meets. A write is premarked. The lock wait and the
+// time under the locks go to the stripe_lock_wait and dev histograms per
+// span or run and, summed, to the op's trace event.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	span func(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
@@ -497,33 +498,29 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	spp := spanPool.Get().(*[]layout.StripeSpan)
 	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
 	defer func() { *spp = spans; spanPool.Put(spp) }()
-	runs := s.allPar == 0 && !s.opts.Checksums
 	if write && s.allPar != 0 && len(spans) > 1 {
 		if err = s.premark(spans); err != nil {
 			return 0, err
 		}
 	}
-	for rest := spans; len(rest) > 0; {
+	for rest, alone := spans, 0; len(rest) > 0; {
 		if err = ctx.Err(); err != nil {
 			return 0, err
 		}
-		lk := s.stripeLock(rest[0].Stripe)
 		t0 := time.Now()
-		lk.Lock()
-		t1 := time.Now()
-		n := 1
-		if runs && len(rest) > 1 && continues(rest[0], rest[1]) {
-			// Decided under the lock, which RepairDisk's install waits for:
-			// a stripe's state says nothing of the next one's while a
-			// member's units are stale on some stripes only.
-			if s.whole() {
-				n = foldRun(rest)
-			}
+		unfolded := rest[0].Extents[0].Len
+		n, full := s.lockRun(rest, write, alone > 0)
+		held := rest[:1]
+		if full {
+			held = rest[:n]
 		}
-		sp := rest[0]
-		rest = rest[n:]
+		t1 := time.Now()
 		for tries := 0; ; tries++ {
-			err = span(ctx, p, off, sp)
+			if full {
+				err = s.writeRun(ctx, p, off, rest[:n])
+			} else {
+				err = span(ctx, p, off, rest[0])
+			}
 			// A member reporting fail-stop failure mid-span moves the
 			// store to degraded mode; retry the span, now reconstructing
 			// around the dead disk (a write under the degraded protocol).
@@ -537,11 +534,17 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			// writing (a partial unit's verify, a member's loss) left every
 			// other unit written and the mark standing, and the repair solves
 			// the skipped unit through the sync parities, which already
-			// encode the new data.
+			// encode the new data. A run of several spans absorbs a failed
+			// member and leaves the rest to its spans, one by one.
 			if err == nil || tries >= s.spanRetryBudget() {
 				break
 			}
-			if s.absorbFailure(err) {
+			absorbed := s.absorbFailure(err)
+			if n > 1 {
+				break
+			}
+			if absorbed {
+				full = false
 				continue
 			}
 			var retry bool
@@ -549,15 +552,25 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 				break
 			}
 		}
-		lk.Unlock()
+		for _, sp := range held {
+			s.stripeLock(sp.Stripe).Unlock()
+		}
 		t2 := time.Now()
 		s.ob.lockWait.Observe(t1.Sub(t0))
 		devHist.Observe(t2.Sub(t1))
 		lockWait += t1.Sub(t0)
 		dev += t2.Sub(t1)
-		if err != nil {
+		switch {
+		case err != nil && n > 1:
+			// Its marks standing, the run's spans go one by one, and the
+			// span that meets the error alone absorbs it or fails with it.
+			rest[0].Extents[0].Len = unfolded
+			alone = n
+			continue
+		case err != nil:
 			return 0, err
 		}
+		rest, alone = rest[n:], max(alone-n, 0)
 	}
 	s.meta.Lock()
 	if write {
@@ -572,6 +585,44 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 		s.eng.Kick()
 	}
 	return len(p), nil
+}
+
+// lockRun takes the stripe locks of what request serves next — one span, or
+// a run of several — and returns how many spans that is and whether they
+// are a full-stripe run. A write of whole stripes on a layout with parity is
+// one (writeRun): its leading whole stripes while every member is whole,
+// holding each one's lock, taken in pool order, so a run ends at the pool's
+// wrap and two runs, RepairDisk's all-locks install and the single-lock
+// paths never wait on each other in a cycle; or the first alone, when no
+// member is missing from it. On a layout with neither parity nor checksum
+// slots the spans that continue the first are folded into it under its lock
+// (foldRun) while every member is whole. Both are decided under the locks,
+// which the install waits for: a stripe's state says nothing of the next
+// one's while a member's units are stale on some stripes only. A span served
+// alone folds nothing and starts no run.
+func (s *Store) lockRun(spans []layout.StripeSpan, write, alone bool) (n int, full bool) {
+	full, n = write && s.allPar != 0 && spans[0].FullStripe(s.geo), 1
+	if full && !alone && s.whole() {
+		for n < len(spans) && spans[n].FullStripe(s.geo) && spans[n].Stripe%int64(len(s.locks)) != 0 {
+			n++
+		}
+	}
+	for _, sp := range spans[:n] {
+		s.stripeLock(sp.Stripe).Lock()
+	}
+	if n > 1 && !s.whole() {
+		for _, sp := range spans[1:n] {
+			s.stripeLock(sp.Stripe).Unlock()
+		}
+		n = 1
+	}
+	switch {
+	case full && n == 1:
+		full = s.stripeState(spans[0].Stripe).missing == 0
+	case !alone && s.allPar == 0 && !s.opts.Checksums && len(spans) > 1 && continues(spans[0], spans[1]) && s.whole():
+		n = foldRun(spans)
+	}
+	return n, full
 }
 
 // foldRun folds into spans[0], in place, every following span that

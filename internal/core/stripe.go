@@ -57,6 +57,10 @@ func (m *members) WriteUnit(ctx context.Context, d int, p []byte, off int64) err
 	return (*Store)(m).devWrite(ctx, d, p, off)
 }
 
+func (m *members) WriteRun(ctx context.Context, d int, units [][]byte, off int64) error {
+	return (*Store)(m).devWriteRun(ctx, d, units, off)
+}
+
 // image returns a pooled image of the stripe, moved under ctx; the caller
 // releases it.
 func (s *Store) image(ctx context.Context, stripe int64) *stripe.Image {
@@ -170,11 +174,11 @@ func (s *Store) readSpan(ctx context.Context, p []byte, base int64, sp layout.St
 // writeSpan applies one stripe's worth of a write under the stripe lock,
 // by the write rule (top of file). A layout with no parity keeps no mark:
 // its extents are bare writes, and a missing member's are lost. Otherwise a
-// span that carries every data unit of a healthy stripe is a full-stripe
-// write (writeImage), and the rest read-modify-write the stripe's sync set
-// (rmwSpan) — so does a span around missing members that keeps no parity
-// in sync and loses nothing by deferring (defers). The others write over
-// the image solved around the missing members (writeImage).
+// span of a stripe missing no member — bar a full stripe, which request
+// writes as a full-stripe run (writeRun) — read-modify-writes the stripe's
+// sync set (rmwSpan), and so does a span around missing members that keeps
+// no parity in sync and loses nothing by deferring (defers). The others
+// write over the image solved around the missing members (writeImage).
 func (s *Store) writeSpan(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error {
 	st := s.stripeState(sp.Stripe)
 	switch {
@@ -188,8 +192,6 @@ func (s *Store) writeSpan(ctx context.Context, p []byte, base int64, sp layout.S
 			}
 		}
 		return nil
-	case st.missing == 0 && sp.FullStripe(s.geo):
-		// The full-stripe write: writeImage below, with nothing to load.
 	case st.missing == 0 || (st.n == 0 && s.defers(sp, st)):
 		return s.rmwSpan(ctx, p, base, sp, st)
 	case st.over:
@@ -200,14 +202,44 @@ func (s *Store) writeSpan(ctx context.Context, p []byte, base int64, sp layout.S
 	// surviving parity synchronously (and through them the contents of the
 	// missing units).
 	err := s.writeImage(ctx, st, p, base, sp)
-	if err == nil && st.missing == 0 {
-		s.ob.fullStripe.Inc()
-	} else if err == nil {
+	if err == nil {
 		s.meta.Lock()
 		s.stats.DegradedWrites++
 		s.meta.Unlock()
 	}
 	return err
+}
+
+// writeRun is the full-stripe write of every stripe of run — whole,
+// consecutive stripes missing no member, whose locks the caller holds: the
+// marks premark set are reasserted (which stores nothing while they stand),
+// each stripe's parities are encoded straight from the caller's buffer,
+// with no small-update penalty to defer, and the run is stored with one
+// write per member (stripe.Array.StoreRun). Then every parity encodes the
+// data, and the marks are cleared. A run that fails leaves its marks
+// standing.
+func (s *Store) writeRun(ctx context.Context, p []byte, base int64, run []layout.StripeSpan) error {
+	first, end := run[0].Stripe, run[len(run)-1].Stripe+1
+	if err := s.eng.MarkRange(first, end); err != nil {
+		return err
+	}
+	var ims [len(Store{}.locks)]*stripe.Image
+	for i, sp := range run {
+		ims[i] = s.image(ctx, sp.Stripe)
+		ims[i].Encode(p, base, sp)
+	}
+	err := s.arr.StoreRun(ims[:len(run)])
+	for _, im := range ims[:len(run)] {
+		im.Release()
+	}
+	if err != nil {
+		return err
+	}
+	for st := first; st < end; st++ {
+		s.eng.Clear(st)
+	}
+	s.ob.fullStripe.Add(uint64(len(run)))
+	return nil
 }
 
 // defers reports whether a span of a stripe with members missing defers
@@ -286,7 +318,7 @@ func (s *Store) rmwSpan(ctx context.Context, p []byte, base int64, sp layout.Str
 // scrub's parities, a repair's stale units, a unit repair's bad ones. A
 // span that carries every data unit whole loads nothing — on a healthy
 // stripe, the full-stripe write: its parities are encoded straight from the
-// caller's buffer, with no small-update penalty to defer. One that
+// caller's buffer. One that
 // overwrites whole every missing data unit loads only the others, and with
 // that no fresh parity: it succeeds, and heals the stripe, where the old
 // contents are already lost. Caller holds the stripe lock.

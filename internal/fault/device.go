@@ -188,13 +188,26 @@ type Device struct {
 	ops       uint64
 	csumStart int64 // device offset where the checksum trailer begins; -1 = none
 	stats     Stats
-	damaged   []int64 // bytes a flip or a cut write changed that no write has landed on since
+	damaged   [][2]int64 // byte ranges a flip or a cut write changed that no write has landed on since
 }
+
+// damage records that [off, end) changed under an injected fault. Caller
+// holds mu.
+func (d *Device) damage(off, end int64) { d.damaged = append(d.damaged, [2]int64{off, end}) }
 
 // cover drops the damage a write that landed on [off, end) replaced.
 // Caller holds mu.
 func (d *Device) cover(off, end int64) {
-	d.damaged = slices.DeleteFunc(d.damaged, func(o int64) bool { return off <= o && o < end })
+	var left [][2]int64
+	for _, r := range d.damaged {
+		if r[0] < off {
+			left = append(left, [2]int64{r[0], min(r[1], off)})
+		}
+		if r[1] > end {
+			left = append(left, [2]int64{max(r[0], end), r[1]})
+		}
+	}
+	d.damaged = left
 }
 
 // Damaged reports whether an injected fault — a flipped bit, a write the
@@ -204,7 +217,7 @@ func (d *Device) cover(off, end int64) {
 func (d *Device) Damaged(off, n int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return slices.ContainsFunc(d.damaged, func(o int64) bool { return off <= o && o < off+n })
+	return slices.ContainsFunc(d.damaged, func(r [2]int64) bool { return r[0] < off+n && off < r[1] })
 }
 
 // New wraps backing with a fault layer seeded with seed.
@@ -421,7 +434,7 @@ func (d *Device) ReadAtContext(ctx context.Context, p []byte, off int64) (int, e
 				// durable corruption every later read sees too.
 				d.stats.FlipBits++
 				bit := d.rng.Intn(len(p) * 8)
-				d.damaged = append(d.damaged, off+int64(bit/8))
+				d.damage(off+int64(bit/8), off+int64(bit/8)+1)
 				d.mu.Unlock()
 				n, err := d.backing.ReadAt(p, off)
 				if err != nil {
@@ -444,6 +457,13 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	return d.WriteAtContext(context.Background(), p, off)
 }
 
+// WriteVecAtContext writes bufs back to back at off as one op: the rules,
+// a torn write, a power cut and the damage record see one write over the
+// whole range, as a member that takes a vector in one call would.
+func (d *Device) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error) {
+	return d.WriteAtContext(ctx, slices.Concat(bufs...), off)
+}
+
 // WriteAtContext is WriteAt under ctx, which bounds a fired Delay.
 func (d *Device) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
 	d.mu.Lock()
@@ -455,8 +475,10 @@ func (d *Device) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 				d.backing.WriteAt(p[:prefix], off)
 			}
 			// A slot that missed its write no longer matches the unit that got one.
-			if prefix > 0 || d.csumStart >= 0 && off >= d.csumStart {
-				d.damaged = append(d.damaged, off)
+			if d.csumStart >= 0 && off >= d.csumStart {
+				d.damage(off, off+int64(len(p)))
+			} else if prefix > 0 {
+				d.damage(off, off+int64(prefix))
 			}
 			d.mu.Unlock()
 			return 0, ErrPowerCut
@@ -492,7 +514,7 @@ func (d *Device) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 			}
 			if n > 0 {
 				d.backing.WriteAt(p[:n], off)
-				d.damaged = append(d.damaged, off)
+				d.damage(off, off+int64(n))
 			}
 			d.mu.Unlock()
 			return 0, ErrTorn
@@ -504,7 +526,7 @@ func (d *Device) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 			if len(cp) > 0 {
 				bit := d.rng.Intn(len(cp) * 8)
 				cp[bit/8] ^= 1 << (bit % 8)
-				d.damaged = append(d.damaged, off+int64(bit/8))
+				d.damage(off+int64(bit/8), off+int64(bit/8)+1)
 			}
 			d.mu.Unlock()
 			return d.backing.WriteAt(cp, off)

@@ -163,6 +163,51 @@ func TestTornWritePersistsPrefixOnly(t *testing.T) {
 	}
 }
 
+// TestVectoredWriteIsOneOp: a vectored write is one op to the rules, and
+// the damage a power cut leaves covers what it landed, across its buffers:
+// every byte of the torn prefix until a later write covers it, and every
+// checksum slot of a slot run the cut rejected.
+func TestVectoredWriteIsOneOp(t *testing.T) {
+	mem := core.NewMemDevice(1 << 16)
+	line := NewPowerLine()
+	d := New(mem, 2).OnLine(line).SetChecksumRegion(1 << 15) // the cut lands 2530 bytes
+	unit := bytes.Repeat([]byte{0xAA}, 1024)
+	if _, err := d.WriteVecAtContext(context.Background(), [][]byte{unit, unit, unit}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Writes != 1 {
+		t.Fatalf("a vectored write of three buffers counted %d writes, want 1", st.Writes)
+	}
+	line.CutAfter(1)
+	if _, err := d.WriteVecAtContext(context.Background(), [][]byte{unit, unit, unit, unit}, 4096); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("write under the blown fuse: %v", err)
+	}
+	landed := int64(0)
+	for got := make([]byte, 1); landed < 4096; landed++ {
+		if mem.ReadAt(got, 4096+landed); got[0] != 0xAA {
+			break
+		}
+	}
+	for u := int64(0); u < 4; u++ {
+		if want := u*1024 < landed; d.Damaged(4096+u*1024, 1024) != want {
+			t.Errorf("buffer %d of the torn write: damaged %v, want %v (%d bytes landed)", u, !want, want, landed)
+		}
+	}
+	if _, err := d.WriteVecAtContext(context.Background(), [][]byte{make([]byte, 8), make([]byte, 8)}, 1<<15); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("slot run on a cut line: %v", err)
+	}
+	if !d.Damaged(1<<15+8, 8) {
+		t.Error("the second slot of a rejected slot run is not damaged")
+	}
+	line.Restore()
+	if _, err := d.WriteAt(unit, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if d.Damaged(4096, 1024) || (landed > 1024) != d.Damaged(5120, 1024) {
+		t.Error("a write over the first buffer must cover its damage, and only its damage")
+	}
+}
+
 func TestFlipBitSilentCorruption(t *testing.T) {
 	mem := core.NewMemDevice(4096)
 	d := New(mem, 9)

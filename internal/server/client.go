@@ -50,7 +50,7 @@ type Client struct {
 
 	wmu    sync.Mutex  // serializes frame writes
 	encBuf []byte      // one frame's prefix and header
-	iov    [2][]byte   // header and payload, sent as one writev
+	iov    [][]byte    // header and payload slices, sent as one writev
 	vecs   net.Buffers // iov as WriteTo consumes it
 
 	// chPool recycles completion channels across requests. A channel
@@ -241,11 +241,11 @@ func (c *Client) getCh() chan Response {
 }
 
 // start registers a fresh request ID, sends the frame — header and
-// payload as one writev, so the payload goes from the caller's slice to
-// the socket uncopied — and returns the channel the read loop will
-// complete it on. dst, for a READ, is where an OK payload is to land.
-// Callers pipeline by starting several requests before waiting on any.
-func (c *Client) start(req *Request, dst []byte) (uint64, chan Response, error) {
+// payload, a WRITE's slices, as one writev, so the payload goes from the
+// caller's slices to the socket uncopied — and returns the channel the read
+// loop will complete it on. dst, for a READ, is where an OK payload is to
+// land. Callers pipeline by starting several requests before waiting on any.
+func (c *Client) start(req *Request, dst []byte, payload ...[]byte) (uint64, chan Response, error) {
 	ch := c.getCh()
 	c.mu.Lock()
 	if c.err != nil {
@@ -260,15 +260,19 @@ func (c *Client) start(req *Request, dst []byte) (uint64, chan Response, error) 
 	req.ID = id
 
 	c.wmu.Lock()
-	c.encBuf = appendRequestHeader(c.encBuf[:0], req)
+	size := 0
+	for _, p := range payload {
+		size += len(p)
+	}
+	c.encBuf = appendRequestHeader(c.encBuf[:0], req, size)
 	var err error
-	if len(req.Data) == 0 {
+	if size == 0 {
 		_, err = c.nc.Write(c.encBuf)
 	} else {
-		c.iov = [2][]byte{c.encBuf, req.Data}
-		c.vecs = c.iov[:]
+		c.iov = append(append(c.iov[:0], c.encBuf), payload...)
+		c.vecs = c.iov
 		_, err = c.vecs.WriteTo(c.nc)
-		c.iov[1] = nil // on an error WriteTo leaves the unsent rest in place
+		clear(c.iov) // on an error WriteTo leaves the unsent rest in place
 	}
 	c.wmu.Unlock()
 	if err != nil {
@@ -298,7 +302,7 @@ func (c *Client) wait(ctx context.Context, id uint64, ch chan Response) (Respons
 
 // do sends one request and waits for its completion.
 func (c *Client) do(ctx context.Context, req *Request) (Response, error) {
-	id, ch, err := c.start(req, nil)
+	id, ch, err := c.start(req, nil, req.Data)
 	if err != nil {
 		return Response{}, err
 	}
@@ -443,6 +447,15 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 // checked before every chunk issue as well as while waiting, so a
 // cluster-level timeout abandons the remaining chunks promptly.
 func (c *Client) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
+	return c.WriteVecAtContext(ctx, [][]byte{p}, off)
+}
+
+// WriteVecAtContext writes bufs back to back at off, as WriteAtContext
+// writes their concatenation: the same frames on the wire, each one's
+// header and the slices of bufs it carries sent as one writev, so nothing
+// is copied. A cluster volume writes a node's units of a full-stripe run
+// this way, in one request.
+func (c *Client) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error) {
 	var win [pipelineWindow]chunkCall
 	head, count := 0, 0
 	defer func() {
@@ -451,17 +464,28 @@ func (c *Client) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 			c.abandon(cc.id, cc.ch)
 		}
 	}()
-	n, sent := 0, 0
-	for sent < len(p) || count > 0 {
+	size := 0
+	for _, b := range bufs {
+		size += len(b)
+	}
+	var pieceBuf [4][]byte
+	pieces := pieceBuf[:0] // one frame's payload: slices of bufs from cursor (b, at) on
+	n, sent, b, at := 0, 0, 0, 0
+	for sent < size || count > 0 {
 		if err := ctx.Err(); err != nil {
 			return n, err
 		}
-		if sent < len(p) && count < pipelineWindow {
-			chunk := len(p) - sent
-			if chunk > int(c.maxPayload) {
-				chunk = int(c.maxPayload)
+		if sent < size && count < pipelineWindow {
+			chunk := min(size-sent, int(c.maxPayload))
+			pieces = pieces[:0]
+			for left := chunk; left > 0; {
+				k := min(left, len(bufs[b])-at)
+				pieces = append(pieces, bufs[b][at:at+k])
+				if left, at = left-k, at+k; at == len(bufs[b]) {
+					b, at = b+1, 0
+				}
 			}
-			id, ch, err := c.start(&Request{Op: OpWrite, Off: off + int64(sent), Length: uint32(chunk), Data: p[sent : sent+chunk]}, nil)
+			id, ch, err := c.start(&Request{Op: OpWrite, Off: off + int64(sent), Length: uint32(chunk)}, nil, pieces...)
 			if err != nil {
 				return n, err
 			}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -377,5 +379,78 @@ func TestSlowPayloadKeepsConnection(t *testing.T) {
 	}
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("Ping after a slow payload: %v (Err %v)", err, c.Err())
+	}
+}
+
+// TestWriteVecSendsTheContiguousFrames: a vectored write whose slices cross
+// the payload limit unevenly — one of them empty, one three bytes — puts on
+// the wire exactly the frames a contiguous write of their concatenation
+// does, and lands the same bytes.
+func TestWriteVecSendsTheContiguousFrames(t *testing.T) {
+	const limit = DefaultMaxPayload
+	data := make([]byte, 2*limit+limit/2)
+	for i := range data {
+		data[i] = byte(i*131 + i>>12)
+	}
+	var bufs [][]byte
+	at := 0
+	for _, cut := range []int{1000, 1000, limit + 7, 2*limit - 3, 2 * limit, len(data)} {
+		bufs, at = append(bufs, data[at:cut]), cut
+	}
+	// sent is what reaches a peer that acknowledges every frame.
+	sent := func(write func(c *Client) (int, error)) []byte {
+		c, peer := dialScripted(t, limit)
+		done := make(chan error, 1)
+		go func() {
+			n, err := write(c)
+			if err == nil && n != len(data) {
+				err = fmt.Errorf("wrote %d bytes, want %d", n, len(data))
+			}
+			done <- err
+		}()
+		var wire []byte
+		br := bufio.NewReader(peer)
+		for got := 0; got < len(data); {
+			frame := make([]byte, 4)
+			if _, err := io.ReadFull(br, frame); err != nil {
+				t.Fatal(err)
+			}
+			frame = append(frame, make([]byte, binary.BigEndian.Uint32(frame))...)
+			if _, err := io.ReadFull(br, frame[4:]); err != nil {
+				t.Fatal(err)
+			}
+			req, err := DecodeRequest(frame[4:], limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, got = append(wire, frame...), got+len(req.Data)
+			if _, err := peer.Write(AppendResponse(nil, &Response{Op: OpWrite, ID: req.ID})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	ctx := context.Background()
+	contiguous := sent(func(c *Client) (int, error) { return c.WriteAtContext(ctx, data, 4096) })
+	vectored := sent(func(c *Client) (int, error) { return c.WriteVecAtContext(ctx, bufs, 4096) })
+	if !bytes.Equal(vectored, contiguous) {
+		t.Fatalf("the vectored write sent %d bytes of frames that differ from the contiguous write's %d", len(vectored), len(contiguous))
+	}
+
+	_, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour}, Options{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n, err := c.WriteVecAtContext(ctx, bufs, 4096); err != nil || n != len(data) {
+		t.Fatalf("WriteVecAtContext = %d, %v", n, err)
+	}
+	got := make([]byte, len(data))
+	if _, err := c.ReadAt(got, 4096); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back after the vectored write: %v", err)
 	}
 }

@@ -184,10 +184,10 @@ func (r *Response) release() {
 const readBufSize = 32 << 10
 
 // appendRequestHeader appends the frame length prefix and fixed request
-// header for r — declaring, but not appending, r.Data, which the client
-// sends as its own scatter-gather vector element.
-func appendRequestHeader(dst []byte, r *Request) []byte {
-	body := reqHeaderLen + len(r.Data)
+// header for r — declaring, but not appending, a payload of n bytes, which
+// the client sends as scatter-gather vector elements of their own.
+func appendRequestHeader(dst []byte, r *Request, n int) []byte {
+	body := reqHeaderLen + n
 	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
 	dst = append(dst, byte(r.Op))
 	dst = binary.BigEndian.AppendUint64(dst, r.ID)
@@ -198,7 +198,7 @@ func appendRequestHeader(dst []byte, r *Request) []byte {
 // AppendRequest appends the framed request (length prefix included) to
 // dst and returns the extended slice.
 func AppendRequest(dst []byte, r *Request) []byte {
-	return append(appendRequestHeader(dst, r), r.Data...)
+	return append(appendRequestHeader(dst, r, len(r.Data)), r.Data...)
 }
 
 // decodeRequestHeader parses the fixed header of a request whose body

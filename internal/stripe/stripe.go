@@ -12,7 +12,6 @@
 package stripe
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -33,6 +32,9 @@ import (
 type Members interface {
 	ReadUnit(ctx context.Context, member int, p []byte, off int64) error
 	WriteUnit(ctx context.Context, member int, p []byte, off int64) error
+	// WriteRun writes whole units of consecutive stripes back to back from
+	// off, as one write where the member takes one (StoreRun).
+	WriteRun(ctx context.Context, member int, units [][]byte, off int64) error
 }
 
 // ErrDataLoss marks bytes that are unrecoverable: they lived on a missing
@@ -105,6 +107,7 @@ type Array struct {
 	observe func(time.Duration) // receives the time of every parity computation
 
 	pool   sync.Pool    // *Image
+	runs   sync.Pool    // *[][]byte: the unit lists StoreRun hands the members
 	unitNs atomic.Int64 // what the last timed unit I/O took: decides whether hand-offs pay
 }
 
@@ -125,22 +128,26 @@ func New(geo layout.Geometry, observe func(time.Duration)) *Array {
 // AllParities is the set of every parity of the array's code.
 func (a *Array) AllParities() Parities { return Parities(1)<<a.code - 1 }
 
-// ioReq is one unit read or write. The result lands in *errp; one handed
-// to a goroutine of its own signals completion through wg, whose
-// happens-before edge makes the result visible to the waiter.
+// ioReq is one unit read or write, or a member's write of a run (run
+// set). The result lands in *errp; one handed to a goroutine of its own
+// signals completion through wg, whose happens-before edge makes the result
+// visible to the waiter.
 type ioReq struct {
 	write  bool
 	ctx    context.Context
 	m      Members
 	member int
 	buf    []byte
+	run    [][]byte
 	off    int64
 	errp   *error
 	wg     *sync.WaitGroup
 }
 
 func (req *ioReq) do() {
-	if req.write {
+	if req.run != nil {
+		*req.errp = req.m.WriteRun(req.ctx, req.member, req.run, req.off)
+	} else if req.write {
 		*req.errp = req.m.WriteUnit(req.ctx, req.member, req.buf, req.off)
 	} else {
 		*req.errp = req.m.ReadUnit(req.ctx, req.member, req.buf, req.off)
@@ -178,13 +185,13 @@ func (a *Array) async(req *ioReq) {
 	req.do()
 }
 
-// timed performs the one unit I/O of a fan-out that the calling goroutine
-// keeps for itself, and notes what it took for the next fan-out's async
+// timed performs the one I/O of a fan-out that the calling goroutine keeps
+// for itself, and notes what it took per unit for the next fan-out's async
 // calls.
 func (a *Array) timed(req *ioReq) {
 	t := time.Now()
 	req.do()
-	a.unitNs.Store(int64(time.Since(t)))
+	a.unitNs.Store(int64(time.Since(t)) / int64(max(len(req.run), 1)))
 }
 
 // Image is one stripe in memory: a unit buffer per data unit and per
@@ -296,7 +303,9 @@ func (im *Image) window(want Parities, lo, hi int64) {
 // goroutines and overlap — a whole stripe moves in about one member
 // service time; one is kept back and done inline so the calling goroutine
 // contributes instead of blocking. Every one is attempted even after one
-// fails. Returns the first error in All order. A data unit read whole
+// fails. Returns every error, joined in All order: a member that failed
+// beside a unit error is one a repair of that unit must not solve across,
+// and its caller has to learn of it too. A data unit read whole
 // into its own buffer is held from then on (a parity read need not encode
 // the data); a read forgets the other units.
 func (im *Image) io(write bool, skip Set) error {
@@ -326,14 +335,12 @@ func (im *Image) io(write bool, skip Set) error {
 		im.a.timed(&inline)
 	}
 	im.wg.Wait()
-	var first error
 	for i, err := range im.errs {
 		if err != nil {
 			im.held[i] = false
-			first = cmp.Or(first, err)
 		}
 	}
-	return first
+	return errors.Join(im.errs...)
 }
 
 // Load reads unit bytes [lo,hi) of the stripe into the image: every data
@@ -466,6 +473,41 @@ func (im *Image) Check() bool { return im.a.code.Check(im.Par, im.Data) }
 // members, except the ones on the members in skip and those held: the data
 // units read and not laid over, and the parities a solve used while none was.
 func (im *Image) Store(skip Set) error { return im.io(true, skip) }
+
+// StoreRun stores the images of consecutive stripes, each encoded over a
+// full-stripe span, with one Members.WriteRun per member: its units of the
+// run back to back, which on a member are contiguous. The members' writes
+// overlap as a stripe's units do (Overlaps), one kept back and done inline.
+// Every one is attempted even after one fails. Returns every error, joined
+// in member order.
+func (a *Array) StoreRun(ims []*Image) error {
+	im, n := ims[0], len(ims)
+	list, _ := a.runs.Get().(*[][]byte)
+	if list == nil {
+		list = new([][]byte)
+	}
+	units := slices.Grow((*list)[:0], a.geo.Disks*n)[:a.geo.Disks*n]
+	clear(im.errs)
+	inline := ioReq{member: -1}
+	for d := range a.geo.Disks {
+		run := units[d*n : (d+1)*n]
+		for j, x := range ims {
+			run[j] = x.view[x.Slot(d)]
+		}
+		req := ioReq{write: true, ctx: im.ctx, m: im.m, member: d, run: run, off: a.geo.DiskOffset(im.Stripe), errp: &im.errs[d], wg: &im.wg}
+		if inline.member < 0 {
+			inline = req
+			continue
+		}
+		a.async(&req)
+	}
+	a.timed(&inline)
+	im.wg.Wait()
+	clear(units) // the pool must not keep the caller's memory alive
+	*list = units
+	a.runs.Put(list)
+	return errors.Join(im.errs...)
+}
 
 // ReadSpan reads a span's extents into the caller's buffer, overlapped.
 // Extents on missing members are solved from the fresh parities, and it

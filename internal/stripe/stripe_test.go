@@ -59,6 +59,16 @@ func (f *fakeMembers) WriteUnit(_ context.Context, d int, p []byte, off int64) e
 	return nil
 }
 
+func (f *fakeMembers) WriteRun(ctx context.Context, d int, units [][]byte, off int64) error {
+	for _, u := range units {
+		if err := f.WriteUnit(ctx, d, u, off); err != nil {
+			return err
+		}
+		off += int64(len(u))
+	}
+	return nil
+}
+
 func (f *fakeMembers) reset() {
 	for d := range f.disks {
 		f.ops[d].Store(0)
@@ -406,8 +416,8 @@ func TestReadSpanMovesEachSurvivorOnce(t *testing.T) {
 
 // TestEveryUnitIsAttempted: a member failing in the middle of a fan-out
 // stops nothing — every other unit is still moved — and the error reported
-// is the first in unit order, whichever I/O finished first. Once through
-// the I/O workers (a fresh array assumes disks), once inline (these
+// is every error, joined in unit order, whichever I/O finished first. Once
+// through the I/O workers (a fresh array assumes disks), once inline (these
 // members answer in well under a hand-off's time).
 func TestEveryUnitIsAttempted(t *testing.T) {
 	a, f, geo, _ := array(t, 8, 2)
@@ -427,8 +437,8 @@ func TestEveryUnitIsAttempted(t *testing.T) {
 		} else {
 			err = im.Load(Set{}, a.AllParities(), 0, testUnit)
 		}
-		if err != errA {
-			t.Fatalf("write=%v overlapped=%v: err = %v, want unit 2's", write, a.Overlaps(), err)
+		if !errors.Is(err, errA) || !errors.Is(err, errB) || err.Error() != errors.Join(errA, errB).Error() {
+			t.Fatalf("write=%v overlapped=%v: err = %v, want unit 2's, then unit 6's", write, a.Overlaps(), err)
 		}
 		for d := 0; d < geo.Disks; d++ {
 			if n := f.ops[d].Load(); n != 1 {
