@@ -87,11 +87,17 @@ func (s *Store) verifyAgainstSlot(i int, stripe int64, unit []byte) error {
 	if err := s.readSlot(i, stripe, slot[:]); err != nil {
 		return err
 	}
-	if binary.BigEndian.Uint32(slot[0:4]) != csumMagic ||
-		binary.BigEndian.Uint32(slot[4:8]) != parity.CRC32C(0, unit) {
+	if !slotMatches(slot[:], unit) {
 		return &UnitError{Disk: i, Stripe: stripe, Err: ErrChecksumMismatch}
 	}
 	return nil
+}
+
+// slotMatches reports whether a checksum slot is valid and holds the
+// CRC32C of unit.
+func slotMatches(slot, unit []byte) bool {
+	return binary.BigEndian.Uint32(slot[0:4]) == csumMagic &&
+		binary.BigEndian.Uint32(slot[4:8]) == parity.CRC32C(0, unit)
 }
 
 // devReadVerified is the checksummed read path: return the requested

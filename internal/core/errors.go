@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"afraid/internal/bufpool"
 	"afraid/internal/layout"
@@ -71,6 +72,11 @@ func (s *Store) devRead(ctx context.Context, i int, p []byte, off int64) error {
 	if s.opts.Checksums {
 		return s.devReadVerified(i, p, off)
 	}
+	return s.readAt(ctx, i, p, off)
+}
+
+// readAt is devRead without the checksums.
+func (s *Store) readAt(ctx context.Context, i int, p []byte, off int64) error {
 	var err error
 	if d, ok := s.devs[i].(contextDevice); ok {
 		_, err = d.ReadAtContext(ctx, p, off)
@@ -78,6 +84,42 @@ func (s *Store) devRead(ctx context.Context, i int, p []byte, off int64) error {
 		_, err = s.devs[i].ReadAt(p, off)
 	}
 	return s.memberErr(i, "read", off, len(p), err)
+}
+
+// devReadRun reads whole units of consecutive stripes back to back on
+// member i from off, one read per unit and none for a nil one. With
+// Options.Checksums their slots, consecutive in the trailer, follow in one
+// read, each unit is verified against its own — a mismatch is the
+// UnitError devRead gives — and the member's run is one checksum_verify
+// entry.
+func (s *Store) devReadRun(ctx context.Context, i int, units [][]byte, off int64) error {
+	if s.opts.Checksums {
+		t0 := time.Now()
+		defer func() { s.ob.csumVerify.Observe(time.Since(t0)) }()
+	}
+	unit := s.geo.StripeUnit
+	for j, u := range units {
+		if u == nil {
+			continue
+		}
+		if err := s.readAt(ctx, i, u, off+int64(j)*unit); err != nil {
+			return err
+		}
+	}
+	if !s.opts.Checksums {
+		return nil
+	}
+	slots := bufpool.Get(len(units) * layout.ChecksumSlotSize)
+	defer bufpool.Put(slots)
+	if _, err := s.devs[i].ReadAt(slots, s.geo.ChecksumOff(off/unit)); err != nil {
+		return &DiskError{Disk: i, Op: "read", Err: err}
+	}
+	for j, u := range units {
+		if u != nil && !slotMatches(slots[j*layout.ChecksumSlotSize:], u) {
+			return &UnitError{Disk: i, Stripe: off/unit + int64(j), Err: ErrChecksumMismatch}
+		}
+	}
+	return nil
 }
 
 // devWrite writes to member disk i under ctx, sorting a failure into the

@@ -39,68 +39,61 @@ func openRuns(t testing.TB, members int, opts Options) (*Store, []*probeDev) {
 }
 
 // TestRunsDeviceCalls counts device calls and device_read/device_write
-// histogram entries for one 64 KiB request against the same range issued
+// histogram entries for one 64 KiB request, beside the same range issued
 // stripe by stripe, which is what every store did before runs. The
-// one-member parity-less store folds — one call, one entry; the write of
-// whole stripes with parity is one full-stripe run — one entry, and over
-// members without a vectored write the same calls; every other cost must
-// match its stripe-by-stripe cost exactly.
+// one-member parity-less store folds — one call, one entry, either way; a
+// write of whole stripes with parity is one full-stripe run — one entry,
+// and over members without a vectored write the same calls; a read's whole
+// stripes are one read run — one entry, the same unit reads, and with
+// checksums one slot read per member, not one per unit. A span a run does
+// not take (raid0x3's last, two units of three) is one entry more.
 func TestRunsDeviceCalls(t *testing.T) {
 	const size = 64 << 10
+	type cost struct{ calls, entries int64 }
 	for _, row := range []struct {
-		name    string
-		members int
-		opts    Options
-		folds   bool
-		fullRun bool
+		name        string
+		members     int
+		opts        Options
+		write, read cost
 	}{
-		{"raid0x1", 1, Options{Mode: Raid0}, true, false},
-		{"raid0x1+checksums", 1, Options{Mode: Raid0, Checksums: true}, false, false},
-		{"raid0x3", 3, Options{Mode: Raid0}, false, false},
-		{"afraidx3", 3, Options{Mode: Afraid}, false, true},
+		{"raid0x1", 1, Options{Mode: Raid0}, cost{1, 1}, cost{1, 1}},
+		{"raid0x1+checksums", 1, Options{Mode: Raid0, Checksums: true}, cost{16, 8}, cost{9, 1}},
+		{"raid0x3", 3, Options{Mode: Raid0}, cost{8, 3}, cost{8, 2}},
+		{"afraidx3", 3, Options{Mode: Afraid}, cost{12, 1}, cost{8, 1}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s, probes := openRuns(t, row.members, row.opts)
 			buf := pattern(size, 3)
-			// cost runs fn and reports the device calls and histogram
+			// measure runs fn and reports the device calls and histogram
 			// entries it made.
-			cost := func(fn func()) (calls, entries int64) {
+			measure := func(fn func()) cost {
 				r0, w0 := deviceOps(probes)
 				e0 := s.ob.devRead.Count() + s.ob.devWrite.Count()
 				fn()
 				r1, w1 := deviceOps(probes)
-				return r1 + w1 - r0 - w0, int64(s.ob.devRead.Count() + s.ob.devWrite.Count() - e0)
+				return cost{r1 + w1 - r0 - w0, int64(s.ob.devRead.Count() + s.ob.devWrite.Count() - e0)}
 			}
 			stripeBytes := s.Geometry().StripeDataBytes()
 			for _, op := range []struct {
 				name string
 				do   func(p []byte, off int64) (int, error)
-			}{{"write", s.WriteAt}, {"read", s.ReadAt}} {
-				byStripe, stripes := cost(func() {
+				want cost
+			}{{"write", s.WriteAt, row.write}, {"read", s.ReadAt, row.read}} {
+				byStripe := measure(func() {
 					for off := int64(0); off < size; off += stripeBytes {
 						if _, err := op.do(buf[off:min(off+stripeBytes, size)], off); err != nil {
 							t.Fatal(err)
 						}
 					}
 				})
-				whole, entries := cost(func() {
+				whole := measure(func() {
 					if _, err := op.do(buf, 0); err != nil {
 						t.Fatal(err)
 					}
 				})
-				wantCalls, wantEntries := byStripe, stripes
-				if row.folds {
-					if byStripe != size/runUnit {
-						t.Fatalf("%s stripe by stripe made %d device calls, want %d", op.name, byStripe, size/runUnit)
-					}
-					wantCalls, wantEntries = 1, 1
-				}
-				if row.fullRun && op.name == "write" {
-					wantEntries = 1
-				}
-				if whole != wantCalls || entries != wantEntries {
+				if whole != op.want {
 					t.Errorf("64 KiB %s: %d device calls and %d histogram entries, want %d and %d (stripe by stripe: %d and %d)",
-						op.name, whole, entries, wantCalls, wantEntries, byStripe, stripes)
+						op.name, whole.calls, whole.entries, op.want.calls, op.want.entries, byStripe.calls, byStripe.entries)
 				}
 			}
 			if st := s.Stats(); st.Reads != uint64((size+stripeBytes-1)/stripeBytes)+1 || st.Writes != st.Reads {
@@ -576,19 +569,25 @@ func (d lossDev) ReadAt(p []byte, off int64) (int, error) {
 // TestLossInsideRunIsCountedOnce: a member reporting one unit of a folded
 // run lost does not say which, so the run is served again span by span,
 // and the loss is the stripe's that holds the unit, detected once and
-// reported — exactly as a read of that unit alone.
+// reported — exactly as a read of that unit alone. A read run, which reads
+// unit by unit, learns which, and leaves it to the same span.
 func TestLossInsideRunIsCountedOnce(t *testing.T) {
 	for _, row := range []struct {
 		name    string
+		members int
 		off, n  int64
 		stripes string
 	}{
-		{"run", 0, 64 << 10, "stripe 3 "},
-		{"alone", 3 * runUnit, runUnit, "stripe 3 "},
+		{"run", 1, 0, 64 << 10, "stripe 3 "},
+		{"alone", 1, 3 * runUnit, runUnit, "stripe 3 "},
+		{"read run", 3, 0, 5 * 3 * runUnit, "stripe 3 "},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			dev := lossDev{NewMemDevice(1 << 20), 3 * runUnit}
-			s, err := Open([]BlockDevice{dev}, &MemNVRAM{}, Options{Mode: Raid0, StripeUnit: runUnit, DisableScrubber: true})
+			devs := []BlockDevice{lossDev{NewMemDevice(1 << 20), 3 * runUnit}}
+			for len(devs) < row.members {
+				devs = append(devs, NewMemDevice(1<<20))
+			}
+			s, err := Open(devs, &MemNVRAM{}, Options{Mode: Raid0, StripeUnit: runUnit, DisableScrubber: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -607,10 +606,13 @@ func TestLossInsideRunIsCountedOnce(t *testing.T) {
 // TestRunLocksAgainstRepairAndOverlap races two writers whose full-stripe
 // runs overlap — one's requests crossing the lock pool's wrap at stripe 64,
 // so each is two runs — with whole-unit writes that leave Q to the
-// scrubber, and with fail-and-repair cycles whose install takes every
-// stripe lock. Runs take their locks in pool order, so nothing deadlocks; a
-// run holds every stripe it writes, so each unit ends wholly one writer's;
-// and after Flush every parity checks.
+// scrubber, with a reader whose read runs cover both writers' stripes
+// across the wrap, healthy or around the failed member, and with
+// fail-and-repair cycles whose install takes every stripe lock. Runs take
+// their locks in pool order, so nothing deadlocks; a run holds every stripe
+// it writes or reads, so each unit the reader sees, and each unit at the
+// end, is wholly one writer's (or still blank); and after Flush every
+// parity checks.
 func TestRunLocksAgainstRepairAndOverlap(t *testing.T) {
 	const unit, devSize = 4 << 10, 128 * (4 << 10)
 	devs := make([]BlockDevice, 6)
@@ -649,6 +651,31 @@ func TestRunLocksAgainstRepairAndOverlap(t *testing.T) {
 			}
 		}(w, r[0]*sdb, r[1]*sdb)
 	}
+	// owned reports whether the unit of the read [lo, hi) at u is wholly
+	// one of the writers' that cover it, or still blank.
+	owned := func(got []byte, lo, u int64) bool {
+		at, b := lo+u, got[u]
+		owner := b == 0 || b == 0xA0 && at < ranges[0][1]*sdb || b == 0xA1 && at >= ranges[1][0]*sdb
+		return owner && bytes.Count(got[u:u+unit], got[u:u+1]) == unit
+	}
+	lo, hi := ranges[0][0]*sdb, ranges[1][1]*sdb
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got := make([]byte, hi-lo)
+		for !stop.Load() && !t.Failed() {
+			if _, err := s.ReadAt(got, lo); err != nil {
+				t.Errorf("reader: %v", err)
+				return
+			}
+			for u := int64(0); u < hi-lo; u += unit {
+				if !owned(got, lo, u) {
+					t.Errorf("reader: unit at %d is not wholly one of its writers'", lo+u)
+					return
+				}
+			}
+		}
+	}()
 	for cycle := 0; cycle < 12 && !t.Failed(); cycle++ {
 		for n := writes.Load(); writes.Load() < n+4 && !t.Failed(); {
 			time.Sleep(50 * time.Microsecond)
@@ -667,16 +694,13 @@ func TestRunLocksAgainstRepairAndOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertParityClean(t, s)
-	lo, hi := ranges[0][0]*sdb, ranges[1][1]*sdb
 	got := make([]byte, hi-lo)
 	if _, err := s.ReadAt(got, lo); err != nil {
 		t.Fatal(err)
 	}
 	for u := int64(0); u < hi-lo; u += unit {
-		at, b := lo+u, got[u]
-		owner := b == 0xA0 && at < ranges[0][1]*sdb || b == 0xA1 && at >= ranges[1][0]*sdb
-		if !owner || bytes.Count(got[u:u+unit], got[u:u+1]) != unit {
-			t.Fatalf("unit at %d is not wholly one of its writers'", at)
+		if !owned(got, lo, u) || got[u] == 0 {
+			t.Fatalf("unit at %d is not wholly one of its writers'", lo+u)
 		}
 	}
 }

@@ -453,8 +453,8 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ReadContext is ReadAt with cancellation: the context is checked
-// before each stripe span, so a network frontend's per-request deadline
-// stops a large read between stripes instead of after it completes.
+// before each stripe span or run, so a network frontend's per-request
+// deadline stops a large read between them instead of after it completes.
 // Already-read spans are not undone; a cancelled read returns 0 and the
 // context's error.
 func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, error) {
@@ -478,11 +478,12 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 // run span on each under its stripe lock, absorbing what can be absorbed.
 // Where the layout and the members allow, one call takes several spans at
 // once (lockRun): a write's full-stripe run on a layout with parity
-// (writeRun), a fold on one with neither parity nor checksum slots
-// (foldRun). A run that fails leaves its spans to be served one by one,
-// each absorbing what it meets. A write is premarked. The lock wait and the
-// time under the locks go to the stripe_lock_wait and dev histograms per
-// span or run and, summed, to the op's trace event.
+// (writeRun), a read's run of whole stripes (readRun), a fold on a layout
+// with neither parity nor checksum slots (foldRun). A run that fails leaves
+// its spans to be served one by one, each absorbing what it meets. A write
+// is premarked. The lock wait and the time under the locks go to the
+// stripe_lock_wait and dev histograms per span or run and, summed, to the
+// op's trace event.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	span func(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
@@ -503,22 +504,26 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			return 0, err
 		}
 	}
+	var rp readPlan
 	for rest, alone := spans, 0; len(rest) > 0; {
 		if err = ctx.Err(); err != nil {
 			return 0, err
 		}
 		t0 := time.Now()
 		unfolded := rest[0].Extents[0].Len
-		n, full := s.lockRun(rest, write, alone > 0)
+		n, kind := s.lockRun(rest, write, alone > 0, &rp)
 		held := rest[:1]
-		if full {
+		if kind != oneSpan {
 			held = rest[:n]
 		}
 		t1 := time.Now()
 		for tries := 0; ; tries++ {
-			if full {
+			switch kind {
+			case fullStripeRun:
 				err = s.writeRun(ctx, p, off, rest[:n])
-			} else {
+			case wholeStripeRead:
+				err = s.readRun(ctx, p, off, rest[:n], &rp)
+			default:
 				err = span(ctx, p, off, rest[0])
 			}
 			// A member reporting fail-stop failure mid-span moves the
@@ -544,7 +549,7 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 				break
 			}
 			if absorbed {
-				full = false
+				kind = oneSpan
 				continue
 			}
 			var retry bool
@@ -587,42 +592,75 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	return len(p), nil
 }
 
+// runKind is how request serves what lockRun locked.
+type runKind uint8
+
+const (
+	oneSpan         runKind = iota // span, over one span or a fold of several (foldRun)
+	fullStripeRun                  // writeRun
+	wholeStripeRead                // readRun
+)
+
 // lockRun takes the stripe locks of what request serves next — one span, or
-// a run of several — and returns how many spans that is and whether they
-// are a full-stripe run. A write of whole stripes on a layout with parity is
-// one (writeRun): its leading whole stripes while every member is whole,
-// holding each one's lock, taken in pool order, so a run ends at the pool's
-// wrap and two runs, RepairDisk's all-locks install and the single-lock
-// paths never wait on each other in a cycle; or the first alone, when no
-// member is missing from it. On a layout with neither parity nor checksum
-// slots the spans that continue the first are folded into it under its lock
-// (foldRun) while every member is whole. Both are decided under the locks,
-// which the install waits for: a stripe's state says nothing of the next
-// one's while a member's units are stale on some stripes only. A span served
-// alone folds nothing and starts no run.
-func (s *Store) lockRun(spans []layout.StripeSpan, write, alone bool) (n int, full bool) {
-	full, n = write && s.allPar != 0 && spans[0].FullStripe(s.geo), 1
-	if full && !alone && s.whole() {
-		for n < len(spans) && spans[n].FullStripe(s.geo) && spans[n].Stripe%int64(len(s.locks)) != 0 {
-			n++
-		}
+// a run of several — and returns how many spans that is and how they are
+// served. A run holds each of its stripes' locks, taken in pool order, so it
+// ends at the pool's wrap and two runs, RepairDisk's all-locks install and
+// the single-lock paths never wait on each other in a cycle:
+//
+//   - a write of whole stripes on a layout with parity is a full-stripe run
+//     (writeRun): its leading whole stripes while every member is whole, or
+//     the first alone, when no member is missing from it;
+//   - a read of several whole stripes that no fold takes is a read run
+//     (readRun): its leading whole stripes while no member is under repair,
+//     up to the first whose fresh parities do not cover the failed members
+//     (readable) — bar a stripe of one data unit on a layout with parity,
+//     which is read per span, hedged where its member asks (readSpan);
+//   - on a layout with neither parity nor checksum slots the spans that
+//     continue the first are folded into it under its lock (foldRun) while
+//     every member is whole.
+//
+// Each is decided under the locks, which the install waits for: a stripe's
+// state says nothing of the next one's while a member's units are stale on
+// some stripes only. A span served alone folds nothing and starts no run.
+func (s *Store) lockRun(spans []layout.StripeSpan, write, alone bool, rp *readPlan) (n int, kind runKind) {
+	folds := !alone && s.allPar == 0 && !s.opts.Checksums && len(spans) > 1 && continues(spans[0], spans[1])
+	var runs bool
+	switch {
+	case alone || !spans[0].FullStripe(s.geo):
+	case write:
+		runs = s.allPar != 0 && s.whole()
+	default:
+		runs = !folds && len(spans) > 1 && spans[1].FullStripe(s.geo) && (len(spans[0].Extents) > 1 || s.allPar == 0)
+	}
+	n = 1
+	for runs && n < len(spans) && spans[n].FullStripe(s.geo) && spans[n].Stripe%int64(len(s.locks)) != 0 {
+		n++
 	}
 	for _, sp := range spans[:n] {
 		s.stripeLock(sp.Stripe).Lock()
 	}
-	if n > 1 && !s.whole() {
-		for _, sp := range spans[1:n] {
+	if n > 1 {
+		keep := 1
+		switch {
+		case !write:
+			keep = max(s.readable(spans[:n], rp), 1)
+		case s.whole():
+			keep = n
+		}
+		for _, sp := range spans[keep:n] {
 			s.stripeLock(sp.Stripe).Unlock()
 		}
-		n = 1
+		n = keep
 	}
 	switch {
-	case full && n == 1:
-		full = s.stripeState(spans[0].Stripe).missing == 0
-	case !alone && s.allPar == 0 && !s.opts.Checksums && len(spans) > 1 && continues(spans[0], spans[1]) && s.whole():
-		n = foldRun(spans)
+	case write && s.allPar != 0 && spans[0].FullStripe(s.geo) && (n > 1 || s.stripeState(spans[0].Stripe).missing == 0):
+		return n, fullStripeRun
+	case n > 1:
+		return n, wholeStripeRead
+	case folds && s.whole():
+		return foldRun(spans), oneSpan
 	}
-	return n, full
+	return 1, oneSpan
 }
 
 // foldRun folds into spans[0], in place, every following span that

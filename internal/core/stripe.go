@@ -44,7 +44,7 @@ import (
 // changes is marked stale there, durably, before the unit is skipped.
 
 // members is the store as a stripe.Image moves units through it: devRead
-// and devWrite, so contexts, checksum verification, the member error
+// and devWrite, and a run's devReadRun and devWriteRun, so contexts, checksum verification, the member error
 // classes and through them fail-stop absorption apply to every unit of
 // every stripe operation.
 type members Store
@@ -59,6 +59,10 @@ func (m *members) WriteUnit(ctx context.Context, d int, p []byte, off int64) err
 
 func (m *members) WriteRun(ctx context.Context, d int, units [][]byte, off int64) error {
 	return (*Store)(m).devWriteRun(ctx, d, units, off)
+}
+
+func (m *members) ReadRun(ctx context.Context, d int, units [][]byte, off int64) error {
+	return (*Store)(m).devReadRun(ctx, d, units, off)
 }
 
 // image returns a pooled image of the stripe, moved under ctx; the caller
@@ -240,6 +244,69 @@ func (s *Store) writeRun(ctx context.Context, p []byte, base int64, run []layout
 	}
 	s.ob.fullStripe.Add(uint64(len(run)))
 	return nil
+}
+
+// readPlan is what a read run reads around, decided under its locks
+// (readable): the failed members, which every stripe of the run misses,
+// and the parities fresh on each stripe.
+type readPlan struct {
+	failed stripe.Set
+	fresh  [len(Store{}.locks)]stripe.Parities
+}
+
+// readable returns how many leading stripes of run a read run takes, and
+// fills rp for them. Every member with a stale unit must be absent — none
+// under repair — so that every stripe misses exactly the failed members;
+// the run ends before the first stripe whose fresh parities do not cover
+// them. Caller holds the run's locks.
+func (s *Store) readable(run []layout.StripeSpan, rp *readPlan) int {
+	s.meta.Lock() // eng's lock is taken after meta
+	defer s.meta.Unlock()
+	rp.failed = s.failed
+	var absent nvram.MemberSet
+	for _, d := range rp.failed.List() {
+		absent |= 1 << d
+	}
+	if s.eng.StaleMembers()&^absent != 0 {
+		return 0
+	}
+	if absent == 0 {
+		return len(run)
+	}
+	for i, sp := range run {
+		dirty, inherited, _ := s.eng.State(sp.Stripe)
+		rp.fresh[i] = s.freshParities(s.sync[sp.Stripe], dirty, inherited)
+		if !s.arr.Covers(sp.Stripe, rp.failed, rp.fresh[i]) {
+			return i
+		}
+	}
+	return len(run)
+}
+
+// readRun reads every stripe of run — whole, consecutive stripes whose
+// locks the caller holds, read around rp's failed members (readable) —
+// into the caller's buffer with one read per member (stripe.Array.LoadRun):
+// every data unit lands where the caller wants it, and a stripe with data
+// on a failed member has the parities that solve it read and is solved in
+// memory, counted in Stats.DegradedReads.
+func (s *Store) readRun(ctx context.Context, p []byte, base int64, run []layout.StripeSpan, rp *readPlan) error {
+	var ims [len(Store{}.locks)]*stripe.Image
+	for i, sp := range run {
+		ims[i] = s.image(ctx, sp.Stripe)
+		for _, e := range sp.Extents {
+			ims[i].Dst[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
+		}
+	}
+	solved, err := s.arr.LoadRun(ims[:len(run)], rp.failed, rp.fresh[:len(run)])
+	for _, im := range ims[:len(run)] {
+		im.Release()
+	}
+	if solved > 0 {
+		s.meta.Lock()
+		s.stats.DegradedReads += uint64(solved)
+		s.meta.Unlock()
+	}
+	return err
 }
 
 // defers reports whether a span of a stripe with members missing defers

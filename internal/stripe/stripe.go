@@ -35,6 +35,9 @@ type Members interface {
 	// WriteRun writes whole units of consecutive stripes back to back from
 	// off, as one write where the member takes one (StoreRun).
 	WriteRun(ctx context.Context, member int, units [][]byte, off int64) error
+	// ReadRun reads whole units of consecutive stripes back to back from
+	// off into units, skipping a nil one (LoadRun).
+	ReadRun(ctx context.Context, member int, units [][]byte, off int64) error
 }
 
 // ErrDataLoss marks bytes that are unrecoverable: they lived on a missing
@@ -107,7 +110,7 @@ type Array struct {
 	observe func(time.Duration) // receives the time of every parity computation
 
 	pool   sync.Pool    // *Image
-	runs   sync.Pool    // *[][]byte: the unit lists StoreRun hands the members
+	runs   sync.Pool    // *[][]byte: the unit lists StoreRun and LoadRun hand the members
 	unitNs atomic.Int64 // what the last timed unit I/O took: decides whether hand-offs pay
 }
 
@@ -128,8 +131,8 @@ func New(geo layout.Geometry, observe func(time.Duration)) *Array {
 // AllParities is the set of every parity of the array's code.
 func (a *Array) AllParities() Parities { return Parities(1)<<a.code - 1 }
 
-// ioReq is one unit read or write, or a member's write of a run (run
-// set). The result lands in *errp; one handed to a goroutine of its own
+// ioReq is one unit read or write, or a member's read or write of a run
+// (run set). The result lands in *errp; one handed to a goroutine of its own
 // signals completion through wg, whose happens-before edge makes the result
 // visible to the waiter.
 type ioReq struct {
@@ -145,11 +148,14 @@ type ioReq struct {
 }
 
 func (req *ioReq) do() {
-	if req.run != nil {
+	switch {
+	case req.run != nil && req.write:
 		*req.errp = req.m.WriteRun(req.ctx, req.member, req.run, req.off)
-	} else if req.write {
+	case req.run != nil:
+		*req.errp = req.m.ReadRun(req.ctx, req.member, req.run, req.off)
+	case req.write:
 		*req.errp = req.m.WriteUnit(req.ctx, req.member, req.buf, req.off)
-	} else {
+	default:
 		*req.errp = req.m.ReadUnit(req.ctx, req.member, req.buf, req.off)
 	}
 }
@@ -398,42 +404,64 @@ func (im *Image) Update(p []byte, base int64, sp layout.StripeSpan, sync Paritie
 // exactly, which no other parity of a torn stripe is known to, so the image
 // holds them as their members do.
 func (im *Image) Solve(missing Set, fresh Parities, lo, hi int64) (used Parities, err error) {
+	lost, used, ok := im.a.cover(im.Stripe, missing, fresh)
+	if !ok {
+		return 0, fmt.Errorf("%w: stripe %d", ErrDataLoss, im.Stripe)
+	}
+	if err := im.Load(missing, used, lo, hi); err != nil {
+		return 0, err
+	}
+	if lost.Len() == 0 {
+		return 0, nil
+	}
+	t := time.Now()
+	im.solve(lost)
+	im.a.observe(time.Since(t))
 	k := len(im.Data)
-	var lostBuf [len(missing.d)]int
-	lost := lostBuf[:0]
+	for j := range im.Par {
+		im.held[k+j] = used.Has(j) && hi-lo == im.a.geo.StripeUnit
+	}
+	return used, nil
+}
+
+// cover returns the data units of the stripe on the members in missing,
+// by data index, and the fewest parities of fresh not on a missing member
+// that solve them, P first; ok is false when fresh cannot cover them.
+func (a *Array) cover(stripe int64, missing Set, fresh Parities) (lost Set, used Parities, ok bool) {
 	for _, d := range missing.List() {
-		if i := im.Slot(d); i < k {
-			lost = append(lost, i)
+		if role, idx := a.geo.RoleOf(stripe, d); role == layout.Data {
+			lost.Add(idx, len(lost.d))
 		} else {
-			fresh &^= 1 << (i - k)
+			fresh &^= 1 << (role - layout.Parity)
 		}
 	}
-	// Use the fewest parities that cover the lost units, P first.
-	for j, need := 0, len(lost); need > 0; j++ {
-		if j >= len(im.Par) {
-			return 0, fmt.Errorf("%w: stripe %d", ErrDataLoss, im.Stripe)
+	for j, need := 0, lost.Len(); need > 0; j++ {
+		if j >= a.geo.Level.ParityUnits() {
+			return lost, 0, false
 		}
 		if fresh.Has(j) {
 			used |= 1 << j
 			need--
 		}
 	}
-	if err := im.Load(missing, used, lo, hi); err != nil {
-		return 0, err
-	}
-	if len(lost) == 0 {
-		return 0, nil
-	}
-	t := time.Now()
-	ok := im.a.code.Solve(im.view[:k], lost, im.view[k:])
-	im.a.observe(time.Since(t))
-	if !ok {
+	return lost, used, true
+}
+
+// Covers reports whether the fresh parities of a stripe solve what the
+// members in missing hold of its data: whether Solve and LoadRun can
+// read it around them.
+func (a *Array) Covers(stripe int64, missing Set, fresh Parities) bool {
+	_, _, ok := a.cover(stripe, missing, fresh)
+	return ok
+}
+
+// solve computes the lost data units of a loaded image from the others
+// and the parities in play.
+func (im *Image) solve(lost Set) {
+	k := len(im.Data)
+	if !im.a.code.Solve(im.view[:k], lost.List(), im.view[k:]) {
 		panic("stripe: erasure code refused a covered missing set")
 	}
-	for j := range im.Par {
-		im.held[k+j] = used.Has(j) && hi-lo == im.a.geo.StripeUnit
-	}
-	return used, nil
 }
 
 // Encode lays sp's extents over the data units, no longer held — the bytes
@@ -476,11 +504,51 @@ func (im *Image) Store(skip Set) error { return im.io(true, skip) }
 
 // StoreRun stores the images of consecutive stripes, each encoded over a
 // full-stripe span, with one Members.WriteRun per member: its units of the
-// run back to back, which on a member are contiguous. The members' writes
-// overlap as a stripe's units do (Overlaps), one kept back and done inline.
-// Every one is attempted even after one fails. Returns every error, joined
-// in member order.
-func (a *Array) StoreRun(ims []*Image) error {
+// run back to back, which on a member are contiguous. Every one is
+// attempted even after one fails. Returns every error, joined in member
+// order.
+func (a *Array) StoreRun(ims []*Image) error { return a.runIO(true, ims, Set{}) }
+
+// LoadRun loads the images of consecutive stripes whole around the members
+// in missing, which fresh[i], the parities fresh on ims[i], must cover
+// (Covers), or it returns ErrDataLoss before any I/O. Every data unit is
+// read where the image's Dst names — a whole-stripe read has the caller's
+// buffer name them all — or into the image, and only a stripe with data on
+// a missing member has parities read, the ones that solve it. Each other
+// member gets one Members.ReadRun for its units of the run; then the
+// missing units are solved in memory, stripe by stripe, with no second
+// load. It reports how many stripes were solved. Every read is attempted
+// even after one fails; an error is every one, joined in member order, and
+// nothing is solved.
+func (a *Array) LoadRun(ims []*Image, missing Set, fresh []Parities) (solved int, err error) {
+	for i, im := range ims {
+		_, used, ok := a.cover(im.Stripe, missing, fresh[i])
+		if !ok {
+			return 0, fmt.Errorf("%w: stripe %d", ErrDataLoss, im.Stripe)
+		}
+		im.window(used, 0, a.geo.StripeUnit)
+		clear(im.held)
+	}
+	if err := a.runIO(false, ims, missing); err != nil || missing.Len() == 0 {
+		return 0, err
+	}
+	t := time.Now()
+	for i, im := range ims {
+		if lost, _, _ := a.cover(im.Stripe, missing, fresh[i]); lost.Len() > 0 {
+			im.solve(lost)
+			solved++
+		}
+	}
+	a.observe(time.Since(t))
+	return solved, nil
+}
+
+// runIO moves the units in play of the images of consecutive stripes with
+// one Members.WriteRun or ReadRun per member not in skip: its units of the
+// run back to back — contiguous on the member — nil where a unit is not in
+// play. The members' calls overlap as a stripe's units do (Overlaps), one
+// kept back and done inline. Returns every error, joined in member order.
+func (a *Array) runIO(write bool, ims []*Image, skip Set) error {
 	im, n := ims[0], len(ims)
 	list, _ := a.runs.Get().(*[][]byte)
 	if list == nil {
@@ -490,18 +558,27 @@ func (a *Array) StoreRun(ims []*Image) error {
 	clear(im.errs)
 	inline := ioReq{member: -1}
 	for d := range a.geo.Disks {
-		run := units[d*n : (d+1)*n]
+		if skip.Has(d) {
+			continue
+		}
+		run, some := units[d*n:(d+1)*n], false
 		for j, x := range ims {
 			run[j] = x.view[x.Slot(d)]
+			some = some || run[j] != nil
 		}
-		req := ioReq{write: true, ctx: im.ctx, m: im.m, member: d, run: run, off: a.geo.DiskOffset(im.Stripe), errp: &im.errs[d], wg: &im.wg}
+		if !some {
+			continue
+		}
+		req := ioReq{write: write, ctx: im.ctx, m: im.m, member: d, run: run, off: a.geo.DiskOffset(im.Stripe), errp: &im.errs[d], wg: &im.wg}
 		if inline.member < 0 {
 			inline = req
 			continue
 		}
 		a.async(&req)
 	}
-	a.timed(&inline)
+	if inline.member >= 0 {
+		a.timed(&inline)
+	}
 	im.wg.Wait()
 	clear(units) // the pool must not keep the caller's memory alive
 	*list = units

@@ -22,6 +22,7 @@ const testUnit = 64
 type fakeMembers struct {
 	disks         [][]byte
 	ops           []atomic.Int64
+	runs          []atomic.Int64 // ReadRun calls
 	read, written []atomic.Int64 // bytes
 	fail          map[int]error
 }
@@ -30,6 +31,7 @@ func newFake(geo layout.Geometry) *fakeMembers {
 	f := &fakeMembers{
 		disks:   make([][]byte, geo.Disks),
 		ops:     make([]atomic.Int64, geo.Disks),
+		runs:    make([]atomic.Int64, geo.Disks),
 		read:    make([]atomic.Int64, geo.Disks),
 		written: make([]atomic.Int64, geo.Disks),
 	}
@@ -69,9 +71,23 @@ func (f *fakeMembers) WriteRun(ctx context.Context, d int, units [][]byte, off i
 	return nil
 }
 
+func (f *fakeMembers) ReadRun(ctx context.Context, d int, units [][]byte, off int64) error {
+	f.runs[d].Add(1)
+	for _, u := range units {
+		if u != nil {
+			if err := f.ReadUnit(ctx, d, u, off); err != nil {
+				return err
+			}
+		}
+		off += testUnit
+	}
+	return nil
+}
+
 func (f *fakeMembers) reset() {
 	for d := range f.disks {
 		f.ops[d].Store(0)
+		f.runs[d].Store(0)
 		f.read[d].Store(0)
 		f.written[d].Store(0)
 	}
@@ -176,13 +192,12 @@ func TestSolveMatrix(t *testing.T) {
 	}
 }
 
-func solveOne(t *testing.T, a *Array, f *fakeMembers, data [][]byte, st int64, missing Set, fresh Parities, lo, hi int64, dst bool) {
-	t.Helper()
-	f.reset()
-	im := a.Get(context.Background(), f, st)
-	defer im.Release()
+// expectSolve works out, apart from the code under test, how many data
+// units of the image's stripe are on missing members, the fewest fresh
+// parities not missing that cover them, P first, and whether they do.
+func expectSolve(im *Image, missing Set, fresh Parities) (lost int, want Parities, covered bool) {
 	k := len(im.Data)
-	lost, live := 0, Parities(0)
+	live := Parities(0)
 	for _, d := range missing.List() {
 		if im.Slot(d) < k {
 			lost++
@@ -193,14 +208,22 @@ func solveOne(t *testing.T, a *Array, f *fakeMembers, data [][]byte, st int64, m
 			live |= 1 << j
 		}
 	}
-	var want Parities // the fewest live parities that cover the lost units, P first
 	for j, need := 0, lost; need > 0 && j < len(im.Par); j++ {
 		if live.Has(j) {
 			want |= 1 << j
 			need--
 		}
 	}
-	covered := bits.OnesCount8(uint8(want)) == lost
+	return lost, want, bits.OnesCount8(uint8(want)) == lost
+}
+
+func solveOne(t *testing.T, a *Array, f *fakeMembers, data [][]byte, st int64, missing Set, fresh Parities, lo, hi int64, dst bool) {
+	t.Helper()
+	f.reset()
+	im := a.Get(context.Background(), f, st)
+	defer im.Release()
+	k := len(im.Data)
+	_, want, covered := expectSolve(im, missing, fresh)
 	own := make([][]byte, k)
 	if dst {
 		for i := range own {
@@ -246,6 +269,98 @@ func solveOne(t *testing.T, a *Array, f *fakeMembers, data [][]byte, st int64, m
 		}
 		if r, w, n := f.read[d].Load(), f.written[d].Load(), f.ops[d].Load(); r != moved || w != 0 || n != moved/(hi-lo) {
 			t.Fatalf("%s: member %d (unit %d) read %d bytes in %d ops and wrote %d, want %d read once", ctx, d, slot, r, n, w, moved)
+		}
+	}
+}
+
+// TestLoadRunMatrix drives LoadRun over all four stripes of the array
+// through m ∈ {0,1,2} × k ∈ {2,4} × every erasure pattern of at most two
+// members × fresh parities that differ from stripe to stripe, every data
+// unit named by a caller's buffer: the data comes back byte-exact, each
+// member not missing gets one ReadRun, which moves its data units and the
+// parities that solve a stripe with data on a missing member, each once,
+// and nothing else; a run with a stripe the fresh parities cannot cover is
+// ErrDataLoss before any I/O.
+func TestLoadRunMatrix(t *testing.T) {
+	for _, m := range []int{0, 1, 2} {
+		for _, k := range []int{2, 4} {
+			t.Run(fmt.Sprintf("m=%d/k=%d", m, k), func(t *testing.T) {
+				a, f, geo, data := array(t, k, m)
+				n := geo.Stripes()
+				for _, missing := range patterns(geo.Disks) {
+					for base := Parities(0); base <= a.AllParities(); base++ {
+						fresh := make([]Parities, n)
+						for i := range fresh {
+							fresh[i] = (base + Parities(i)) % (a.AllParities() + 1)
+						}
+						loadRunOne(t, a, f, geo, data, missing, fresh)
+					}
+				}
+			})
+		}
+	}
+}
+
+func loadRunOne(t *testing.T, a *Array, f *fakeMembers, geo layout.Geometry, data [][][]byte, missing Set, fresh []Parities) {
+	t.Helper()
+	f.reset()
+	ctx := fmt.Sprintf("missing %v fresh %v", missing.List(), fresh)
+	ims := make([]*Image, len(data))
+	want := make([]int64, geo.Disks) // bytes each member moves
+	covered, wantSolved := true, 0
+	for st := range ims {
+		im := a.Get(context.Background(), f, int64(st))
+		defer im.Release()
+		ims[st] = im
+		for i := range im.Dst {
+			im.Dst[i] = make([]byte, testUnit)
+		}
+		lost, used, ok := expectSolve(im, missing, fresh[st])
+		if a.Covers(int64(st), missing, fresh[st]) != ok {
+			t.Fatalf("%s: Covers(stripe %d) = %v, want %v", ctx, st, !ok, ok)
+		}
+		covered = covered && ok
+		if lost > 0 {
+			wantSolved++
+		}
+		for d := range want {
+			if slot := im.Slot(d); !missing.Has(d) && (slot < len(im.Data) || used.Has(slot-len(im.Data))) {
+				want[d] += testUnit
+			}
+		}
+	}
+	solved, err := a.LoadRun(ims, missing, fresh)
+	if !covered {
+		if !errors.Is(err, ErrDataLoss) {
+			t.Fatalf("%s: err = %v, want ErrDataLoss", ctx, err)
+		}
+		for d := range f.ops {
+			if n := f.ops[d].Load(); n != 0 {
+				t.Fatalf("%s: member %d touched %d times before the loss was reported", ctx, d, n)
+			}
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	for st, im := range ims {
+		for i := range data[st] {
+			if !bytes.Equal(im.Dst[i], data[st][i]) {
+				t.Fatalf("%s: stripe %d data unit %d differs from what was encoded", ctx, st, i)
+			}
+		}
+	}
+	if solved != wantSolved {
+		t.Fatalf("%s: %d stripes solved, want %d", ctx, solved, wantSolved)
+	}
+	for d := range want {
+		wantRuns := int64(0)
+		if want[d] > 0 {
+			wantRuns = 1
+		}
+		if r, w, runs := f.read[d].Load(), f.written[d].Load(), f.runs[d].Load(); r != want[d] || w != 0 || runs != wantRuns {
+			t.Fatalf("%s: member %d read %d bytes in %d runs and wrote %d, want %d in %d", ctx, d, r, runs, w, want[d], wantRuns)
 		}
 	}
 }

@@ -284,6 +284,12 @@ func globalSlot(pair int, slot int64, slotsPer int64) int64 { return int64(pair)
 // the front is a staging area, not extra space).
 func (s *Store) Capacity() int64 { return s.capacity }
 
+// inRange reports whether [off, off+length) lies inside the capacity,
+// without computing off+length, which overflows for off near MaxInt64.
+func (s *Store) inRange(off, length int64) bool {
+	return off >= 0 && length >= 0 && length <= s.capacity && off <= s.capacity-length
+}
+
 // Geometry returns the back tier's layout.
 func (s *Store) Geometry() layout.Geometry { return s.back.Geometry() }
 
@@ -308,8 +314,8 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	if off < 0 || off+int64(len(p)) > s.capacity {
-		return 0, fmt.Errorf("tier: read [%d,%d) outside capacity %d", off, off+int64(len(p)), s.capacity)
+	if !s.inRange(off, int64(len(p))) {
+		return 0, fmt.Errorf("tier: read of %d bytes at %d outside capacity %d", len(p), off, s.capacity)
 	}
 	done := 0
 	for done < len(p) {
@@ -367,8 +373,8 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	if off < 0 || off+int64(len(p)) > s.capacity {
-		return 0, fmt.Errorf("tier: write [%d,%d) outside capacity %d", off, off+int64(len(p)), s.capacity)
+	if !s.inRange(off, int64(len(p))) {
+		return 0, fmt.Errorf("tier: write of %d bytes at %d outside capacity %d", len(p), off, s.capacity)
 	}
 	// An op of up to two extents promotes its non-resident extents; a
 	// larger one writes around the front tier straight to the back end.
@@ -476,6 +482,9 @@ func (s *Store) ParityPoint(off, length int64) error {
 func (s *Store) ParityPointContext(ctx context.Context, off, length int64) error {
 	if s.closed.Load() {
 		return ErrClosed
+	}
+	if !s.inRange(off, length) {
+		return fmt.Errorf("tier: parity point of %d bytes at %d outside capacity %d", length, off, s.capacity)
 	}
 	lo := off / s.extentSize
 	hi := (off + length + s.extentSize - 1) / s.extentSize

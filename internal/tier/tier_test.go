@@ -3,6 +3,7 @@ package tier
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -494,5 +495,31 @@ func TestExtentMapSerializeRoundTrip(t *testing.T) {
 	img[40] ^= 0xFF // corrupt the slot table
 	if _, _, err := deserializeMap(img, 16<<10, 16, 100); err == nil {
 		t.Fatal("corrupt table accepted (bitmap cross-check failed to fire)")
+	}
+}
+
+// TestRangeChecksDoNotOverflow: a range whose end overflows int64, or that
+// starts before zero, is refused with an error by reads, writes and parity
+// points alike — never wrapped past the capacity check into a slice panic.
+func TestRangeChecksDoNotOverflow(t *testing.T) {
+	r := newRig(t, Options{DisableMigrator: true}, 8)
+	defer r.st.Close()
+	buf := make([]byte, 200)
+	for _, off := range []int64{math.MaxInt64 - 100, math.MaxInt64, -1, math.MinInt64} {
+		if _, err := r.st.ReadAt(buf, off); err == nil {
+			t.Errorf("ReadAt at %d succeeded", off)
+		}
+		if _, err := r.st.WriteAt(buf, off); err == nil {
+			t.Errorf("WriteAt at %d succeeded", off)
+		}
+		if err := r.st.ParityPoint(off, int64(len(buf))); err == nil {
+			t.Errorf("ParityPoint at %d succeeded", off)
+		}
+	}
+	if err := r.st.ParityPoint(0, math.MaxInt64); err == nil {
+		t.Error("ParityPoint of MaxInt64 bytes succeeded")
+	}
+	if _, err := r.st.ReadAt(buf, r.st.Capacity()-int64(len(buf))); err != nil {
+		t.Errorf("ReadAt of the last bytes: %v", err)
 	}
 }
