@@ -46,20 +46,22 @@ func openRuns(t testing.TB, members int, opts Options) (*Store, []*probeDev) {
 // and over members without a vectored write the same calls; a read's whole
 // stripes are one read run — one entry, the same unit reads, and with
 // checksums one slot read per member, not one per unit. A span a run does
-// not take (raid0x3's last, two units of three) is one entry more.
+// not take (raid0x3's last, two units of three) is one entry more. Every
+// request that forms no run must cost exactly its stripe-by-stripe cost.
 func TestRunsDeviceCalls(t *testing.T) {
 	const size = 64 << 10
 	type cost struct{ calls, entries int64 }
 	for _, row := range []struct {
-		name        string
-		members     int
-		opts        Options
-		write, read cost
+		name            string
+		members         int
+		opts            Options
+		folds, writeRun bool
+		write, read     cost
 	}{
-		{"raid0x1", 1, Options{Mode: Raid0}, cost{1, 1}, cost{1, 1}},
-		{"raid0x1+checksums", 1, Options{Mode: Raid0, Checksums: true}, cost{16, 8}, cost{9, 1}},
-		{"raid0x3", 3, Options{Mode: Raid0}, cost{8, 3}, cost{8, 2}},
-		{"afraidx3", 3, Options{Mode: Afraid}, cost{12, 1}, cost{8, 1}},
+		{"raid0x1", 1, Options{Mode: Raid0}, true, false, cost{1, 1}, cost{1, 1}},
+		{"raid0x1+checksums", 1, Options{Mode: Raid0, Checksums: true}, false, false, cost{16, 8}, cost{9, 1}},
+		{"raid0x3", 3, Options{Mode: Raid0}, false, false, cost{8, 3}, cost{8, 2}},
+		{"afraidx3", 3, Options{Mode: Afraid}, false, true, cost{12, 1}, cost{8, 1}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s, probes := openRuns(t, row.members, row.opts)
@@ -78,7 +80,8 @@ func TestRunsDeviceCalls(t *testing.T) {
 				name string
 				do   func(p []byte, off int64) (int, error)
 				want cost
-			}{{"write", s.WriteAt, row.write}, {"read", s.ReadAt, row.read}} {
+				run  bool
+			}{{"write", s.WriteAt, row.write, row.writeRun}, {"read", s.ReadAt, row.read, true}} {
 				byStripe := measure(func() {
 					for off := int64(0); off < size; off += stripeBytes {
 						if _, err := op.do(buf[off:min(off+stripeBytes, size)], off); err != nil {
@@ -91,6 +94,13 @@ func TestRunsDeviceCalls(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
+				if row.folds && byStripe.calls != size/runUnit {
+					t.Fatalf("%s stripe by stripe made %d device calls, want %d", op.name, byStripe.calls, size/runUnit)
+				}
+				if !row.folds && !op.run && whole != byStripe {
+					t.Errorf("64 KiB %s forms no run but costs %d device calls and %d histogram entries, stripe by stripe %d and %d",
+						op.name, whole.calls, whole.entries, byStripe.calls, byStripe.entries)
+				}
 				if whole != op.want {
 					t.Errorf("64 KiB %s: %d device calls and %d histogram entries, want %d and %d (stripe by stripe: %d and %d)",
 						op.name, whole.calls, whole.entries, op.want.calls, op.want.entries, byStripe.calls, byStripe.entries)

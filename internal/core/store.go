@@ -611,8 +611,7 @@ const (
 //     (writeRun): its leading whole stripes while every member is whole, or
 //     the first alone, when no member is missing from it;
 //   - a read of several whole stripes that no fold takes is a read run
-//     (readRun): its leading whole stripes while no member is under repair,
-//     up to the first whose fresh parities do not cover the failed members
+//     (readRun): its leading whole stripes while no member is under repair
 //     (readable) — bar a stripe of one data unit on a layout with parity,
 //     which is read per span, hedged where its member asks (readSpan);
 //   - on a layout with neither parity nor checksum slots the spans that
@@ -641,10 +640,7 @@ func (s *Store) lockRun(spans []layout.StripeSpan, write, alone bool, rp *readPl
 	}
 	if n > 1 {
 		keep := 1
-		switch {
-		case !write:
-			keep = max(s.readable(spans[:n], rp), 1)
-		case s.whole():
+		if write && s.whole() || !write && s.readable(spans[:n], rp) {
 			keep = n
 		}
 		for _, sp := range spans[keep:n] {

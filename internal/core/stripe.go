@@ -254,12 +254,13 @@ type readPlan struct {
 	fresh  [len(Store{}.locks)]stripe.Parities
 }
 
-// readable returns how many leading stripes of run a read run takes, and
-// fills rp for them. Every member with a stale unit must be absent — none
-// under repair — so that every stripe misses exactly the failed members;
-// the run ends before the first stripe whose fresh parities do not cover
-// them. Caller holds the run's locks.
-func (s *Store) readable(run []layout.StripeSpan, rp *readPlan) int {
+// readable reports whether run's stripes form a read run, and fills rp for
+// them: every member with a stale unit must be absent — none under repair —
+// so that every stripe misses exactly the failed members. A stripe whose
+// fresh parities do not cover them fails the run before any I/O
+// (stripe.Array.LoadRun), and its spans go one by one, as that stripe's
+// would anyway. Caller holds the run's locks.
+func (s *Store) readable(run []layout.StripeSpan, rp *readPlan) bool {
 	s.meta.Lock() // eng's lock is taken after meta
 	defer s.meta.Unlock()
 	rp.failed = s.failed
@@ -268,19 +269,16 @@ func (s *Store) readable(run []layout.StripeSpan, rp *readPlan) int {
 		absent |= 1 << d
 	}
 	if s.eng.StaleMembers()&^absent != 0 {
-		return 0
+		return false
 	}
 	if absent == 0 {
-		return len(run)
+		return true
 	}
 	for i, sp := range run {
 		dirty, inherited, _ := s.eng.State(sp.Stripe)
 		rp.fresh[i] = s.freshParities(s.sync[sp.Stripe], dirty, inherited)
-		if !s.arr.Covers(sp.Stripe, rp.failed, rp.fresh[i]) {
-			return i
-		}
 	}
-	return len(run)
+	return true
 }
 
 // readRun reads every stripe of run — whole, consecutive stripes whose

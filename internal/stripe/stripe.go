@@ -192,12 +192,12 @@ func (a *Array) async(req *ioReq) {
 }
 
 // timed performs the one I/O of a fan-out that the calling goroutine keeps
-// for itself, and notes what it took per unit for the next fan-out's async
-// calls.
-func (a *Array) timed(req *ioReq) {
+// for itself, which moves that many units, and notes what it took per unit
+// for the next fan-out's async calls.
+func (a *Array) timed(req *ioReq, units int) {
 	t := time.Now()
 	req.do()
-	a.unitNs.Store(int64(time.Since(t)) / int64(max(len(req.run), 1)))
+	a.unitNs.Store(int64(time.Since(t)) / int64(units))
 }
 
 // Image is one stripe in memory: a unit buffer per data unit and per
@@ -338,7 +338,7 @@ func (im *Image) io(write bool, skip Set) error {
 		im.a.async(&req)
 	}
 	if inline.member >= 0 {
-		im.a.timed(&inline)
+		im.a.timed(&inline, 1)
 	}
 	im.wg.Wait()
 	for i, err := range im.errs {
@@ -447,14 +447,6 @@ func (a *Array) cover(stripe int64, missing Set, fresh Parities) (lost Set, used
 	return lost, used, true
 }
 
-// Covers reports whether the fresh parities of a stripe solve what the
-// members in missing hold of its data: whether Solve and LoadRun can
-// read it around them.
-func (a *Array) Covers(stripe int64, missing Set, fresh Parities) bool {
-	_, _, ok := a.cover(stripe, missing, fresh)
-	return ok
-}
-
 // solve computes the lost data units of a loaded image from the others
 // and the parities in play.
 func (im *Image) solve(lost Set) {
@@ -510,8 +502,8 @@ func (im *Image) Store(skip Set) error { return im.io(true, skip) }
 func (a *Array) StoreRun(ims []*Image) error { return a.runIO(true, ims, Set{}) }
 
 // LoadRun loads the images of consecutive stripes whole around the members
-// in missing, which fresh[i], the parities fresh on ims[i], must cover
-// (Covers), or it returns ErrDataLoss before any I/O. Every data unit is
+// in missing, which fresh[i], the parities fresh on ims[i], must cover,
+// or it returns ErrDataLoss before any I/O. Every data unit is
 // read where the image's Dst names — a whole-stripe read has the caller's
 // buffer name them all — or into the image, and only a stripe with data on
 // a missing member has parities read, the ones that solve it. Each other
@@ -556,28 +548,29 @@ func (a *Array) runIO(write bool, ims []*Image, skip Set) error {
 	}
 	units := slices.Grow((*list)[:0], a.geo.Disks*n)[:a.geo.Disks*n]
 	clear(im.errs)
-	inline := ioReq{member: -1}
+	inline, inlineUnits := ioReq{member: -1}, 0
 	for d := range a.geo.Disks {
 		if skip.Has(d) {
 			continue
 		}
-		run, some := units[d*n:(d+1)*n], false
+		run, count := units[d*n:(d+1)*n], 0
 		for j, x := range ims {
-			run[j] = x.view[x.Slot(d)]
-			some = some || run[j] != nil
+			if run[j] = x.view[x.Slot(d)]; run[j] != nil {
+				count++
+			}
 		}
-		if !some {
+		if count == 0 {
 			continue
 		}
 		req := ioReq{write: write, ctx: im.ctx, m: im.m, member: d, run: run, off: a.geo.DiskOffset(im.Stripe), errp: &im.errs[d], wg: &im.wg}
 		if inline.member < 0 {
-			inline = req
+			inline, inlineUnits = req, count
 			continue
 		}
 		a.async(&req)
 	}
 	if inline.member >= 0 {
-		a.timed(&inline)
+		a.timed(&inline, inlineUnits)
 	}
 	im.wg.Wait()
 	clear(units) // the pool must not keep the caller's memory alive
