@@ -13,9 +13,10 @@ import (
 // 6) — run without heap allocation, and so do full-span reads
 // reconstructed around one failed disk (AFRAID, RAID 6) or two (RAID 6).
 // The pooled pieces this guards: span slices (SplitAppend + spanPool),
-// checksum slot buffers (slotPool), unit scratch (bufpool), and for the
-// degraded rows the stripe arena and the failed-set value the erasure
-// solve works from. A regression in any of them shows up here as a
+// checksum slots and unit scratch (bufpool), the run lists a member's I/O
+// takes — on the stack for a run of one, the image's own for a fan-out,
+// pooled for a vectored write (vecs) — and for the degraded rows the
+// stripe arena and the failed-set value the erasure solve works from. A regression in any of them shows up here as a
 // nonzero allocs/op long before it shows up as GC pressure in a
 // throughput benchmark.
 func TestIOPathAllocs(t *testing.T) {

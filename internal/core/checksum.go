@@ -13,17 +13,19 @@ import (
 	"afraid/internal/parity"
 )
 
-// End-to-end block checksums. With Options.Checksums every member disk
-// reserves a trailer (layout.ChecksumTrailerBytes) holding one 8-byte
-// slot per stripe: a magic tag plus the CRC32C (Castagnoli, from
-// parity.CRC32C's dispatched kernel) of that disk's stripe unit. devWrite
-// refreshes the slot from the in-memory buffer on every unit write —
-// so a flip on the wire or the medium can never be blessed — and
-// devRead verifies every unit it returns. A verify failure surfaces as
-// a *UnitError and is handled exactly like a fail-stop member on
-// that one unit: reconstruct from redundancy, rewrite through with a
-// fresh checksum, or report ErrDataLoss. Corruption is never served
-// silently.
+// Member I/O and end-to-end block checksums. Every data and checksum slot
+// I/O of a span goes through devReadRun and devWriteRun, under the op's
+// context, its failures sorted into the member error classes (memberErr).
+// With Options.Checksums every member disk reserves a trailer
+// (layout.ChecksumTrailerBytes) holding one 8-byte slot per stripe: a
+// magic tag plus the CRC32C (Castagnoli, from parity.CRC32C's dispatched
+// kernel) of that disk's stripe unit. devWriteRun refreshes the slot from
+// the in-memory buffer on every unit write — so a flip on the wire or the
+// medium can never be blessed — and devReadRun verifies every unit it
+// returns. A verify failure surfaces as a *UnitError and is handled
+// exactly like a unit its member reports lost: reconstruct from
+// redundancy, rewrite through with a fresh checksum, or report
+// ErrDataLoss. Corruption is never served silently.
 //
 // Slot states: a valid magic gates the CRC comparison; anything else
 // (torn slot write, scribbled trailer, all zeroes) is a mismatch and
@@ -34,13 +36,6 @@ import (
 
 // csumMagic tags a valid checksum slot ("AFC1").
 const csumMagic = 0x41464331
-
-// slotPool recycles the 8-byte slot buffers the hot paths hand to
-// device ReadAt/WriteAt. The interface call makes a stack-declared
-// slot escape, which costs one heap allocation per unit verified or
-// written — per-unit garbage that group scrubs and checksummed spans
-// generate by the thousand.
-var slotPool = sync.Pool{New: func() any { return new([layout.ChecksumSlotSize]byte) }}
 
 // ErrChecksumMismatch marks a stripe unit whose contents do not match
 // its stored checksum: silent corruption, detected.
@@ -59,40 +54,6 @@ func encodeSlot(slot []byte, unit []byte) {
 	binary.BigEndian.PutUint32(slot[4:8], parity.CRC32C(0, unit))
 }
 
-// readSlot reads disk i's checksum slot for a stripe. Device errors
-// come back as DiskErrors so fail-stop members degrade normally.
-func (s *Store) readSlot(i int, stripe int64, slot []byte) error {
-	if _, err := s.devs[i].ReadAt(slot, s.geo.ChecksumOff(stripe)); err != nil {
-		return &DiskError{Disk: i, Op: "read", Err: err}
-	}
-	return nil
-}
-
-// putChecksum writes a fresh checksum slot for disk i's unit of stripe,
-// computed from the in-memory contents the caller just wrote.
-func (s *Store) putChecksum(i int, stripe int64, unit []byte) error {
-	slot := slotPool.Get().(*[layout.ChecksumSlotSize]byte)
-	defer slotPool.Put(slot)
-	encodeSlot(slot[:], unit)
-	if _, err := s.devs[i].WriteAt(slot[:], s.geo.ChecksumOff(stripe)); err != nil {
-		return &DiskError{Disk: i, Op: "write", Err: err}
-	}
-	return nil
-}
-
-// verifyAgainstSlot checks unit contents against disk i's stored slot.
-func (s *Store) verifyAgainstSlot(i int, stripe int64, unit []byte) error {
-	slot := slotPool.Get().(*[layout.ChecksumSlotSize]byte)
-	defer slotPool.Put(slot)
-	if err := s.readSlot(i, stripe, slot[:]); err != nil {
-		return err
-	}
-	if !slotMatches(slot[:], unit) {
-		return &UnitError{Disk: i, Stripe: stripe, Err: ErrChecksumMismatch}
-	}
-	return nil
-}
-
 // slotMatches reports whether a checksum slot is valid and holds the
 // CRC32C of unit.
 func slotMatches(slot, unit []byte) bool {
@@ -100,68 +61,149 @@ func slotMatches(slot, unit []byte) bool {
 		binary.BigEndian.Uint32(slot[4:8]) == parity.CRC32C(0, unit)
 }
 
-// devReadVerified is the checksummed read path: return the requested
-// range only after the whole stripe unit it lives in checks out against
-// its slot. Partial reads verify over a pooled full-unit buffer.
-// Callers hold the stripe lock, which serializes the unit+slot pair
-// against concurrent writers of the same stripe.
-func (s *Store) devReadVerified(i int, p []byte, off int64) error {
+// contextDevice is a member whose I/O takes the request's context — a
+// cluster node behind a deadline. devReadRun and devWriteRun hand it theirs.
+type contextDevice interface {
+	ReadAtContext(ctx context.Context, p []byte, off int64) (int, error)
+	WriteAtContext(ctx context.Context, p []byte, off int64) (int, error)
+}
+
+// vecDevice is a member that takes buffers written back to back in one
+// call — a cluster node, one request. devWriteRun hands it a run's units.
+type vecDevice interface {
+	WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error)
+}
+
+// vecs recycles the unit lists devWriteRun hands a vecDevice: a list
+// handed to a device escapes to the heap, and handing it the caller's would
+// make every caller's list escape, a run of one's built on the stack too.
+var vecs = sync.Pool{New: func() any { return new([][]byte) }}
+
+// readAt is one read of member i under ctx, where the member takes one.
+func (s *Store) readAt(ctx context.Context, i int, p []byte, off int64) (err error) {
+	if d, ok := s.devs[i].(contextDevice); ok {
+		_, err = d.ReadAtContext(ctx, p, off)
+	} else {
+		_, err = s.devs[i].ReadAt(p, off)
+	}
+	return err
+}
+
+// writeAt is one write of member i under ctx, where the member takes one.
+func (s *Store) writeAt(ctx context.Context, i int, p []byte, off int64) (err error) {
+	if d, ok := s.devs[i].(contextDevice); ok {
+		_, err = d.WriteAtContext(ctx, p, off)
+	} else {
+		_, err = s.devs[i].WriteAt(p, off)
+	}
+	return err
+}
+
+// devReadRun reads a run on member i from off (stripe.Members): units of
+// consecutive stripes back to back, or a range inside one unit, one read
+// per unit and none for a nil one. With Options.Checksums the units'
+// slots, consecutive in the trailer, follow in one read, and each unit is
+// verified whole against its own — a range through a pooled copy of its
+// whole unit — a mismatch surfacing as a *UnitError; the member's run is
+// one checksum_verify entry. Callers hold the stripe locks, which
+// serialize a unit and its slot against writers of the stripe.
+func (s *Store) devReadRun(ctx context.Context, i int, units [][]byte, off int64) error {
 	unit := s.geo.StripeUnit
-	stripe := off / unit
-	t0 := time.Now()
-	defer func() { s.ob.csumVerify.Observe(time.Since(t0)) }()
-	if off%unit == 0 && int64(len(p)) == unit {
-		if _, err := s.devs[i].ReadAt(p, off); err != nil {
-			return &DiskError{Disk: i, Op: "read", Err: err}
+	dst, lo := units[0], off%unit
+	var whole [1][]byte // a range's unit, read and verified whole
+	if s.opts.Checksums {
+		t0 := time.Now()
+		defer func() { s.ob.csumVerify.Observe(time.Since(t0)) }()
+		if len(units) == 1 && int64(len(dst)) < unit {
+			whole[0] = bufpool.Get(int(unit))
+			defer bufpool.Put(whole[0])
+			units, off = whole[:], off-lo
 		}
-		return s.verifyAgainstSlot(i, stripe, p)
 	}
-	whole := bufpool.Get(int(unit))
-	defer bufpool.Put(whole)
-	if _, err := s.devs[i].ReadAt(whole, stripe*unit); err != nil {
-		return &DiskError{Disk: i, Op: "read", Err: err}
+	for j, u := range units {
+		if at := off + int64(j)*unit; u != nil {
+			if err := s.readAt(ctx, i, u, at); err != nil {
+				return s.memberErr(i, "read", at, len(u), err)
+			}
+		}
 	}
-	if err := s.verifyAgainstSlot(i, stripe, whole); err != nil {
-		return err
+	if !s.opts.Checksums {
+		return nil
 	}
-	copy(p, whole[off-stripe*unit:])
+	slots := bufpool.Get(len(units) * layout.ChecksumSlotSize)
+	defer bufpool.Put(slots)
+	if err := s.readAt(ctx, i, slots, s.geo.ChecksumOff(off/unit)); err != nil {
+		return s.memberErr(i, "read", off, len(units)*int(unit), err)
+	}
+	for j, u := range units {
+		if u != nil && !slotMatches(slots[j*layout.ChecksumSlotSize:], u) {
+			return &UnitError{Disk: i, Stripe: off/unit + int64(j), Err: ErrChecksumMismatch}
+		}
+	}
+	if whole[0] != nil {
+		copy(dst, whole[0][lo:])
+	}
 	return nil
 }
 
-// devWriteChecksummed is the checksummed write path: land the data,
-// then refresh the slot from the in-memory image. A partial write first
-// does a verified read of the old unit — corruption under the
-// untouched bytes must surface now (and be repaired by the caller's
-// retry loop), not be patched over and blessed by the new slot.
-func (s *Store) devWriteChecksummed(i int, p []byte, off int64) error {
+// devWriteRun writes a run on member i from off (stripe.Members): in one
+// call where it has several units and the member takes a vector
+// (vecDevice), one write per unit otherwise, a failure sorted into the
+// member error classes. With Options.Checksums the units' slots,
+// consecutive in the trailer, follow in one write, from the in-memory
+// contents. A range inside a unit first reads the old unit, verified:
+// corruption under the untouched bytes must surface now (and be repaired
+// by the caller's retry loop), not be patched over and blessed by the new
+// slot.
+func (s *Store) devWriteRun(ctx context.Context, i int, units [][]byte, off int64) error {
 	unit := s.geo.StripeUnit
-	stripe := off / unit
-	if off%unit == 0 && int64(len(p)) == unit {
-		if _, err := s.devs[i].WriteAt(p, off); err != nil {
-			return s.memberErr(i, "write", off, len(p), err)
+	n := len(units) * int(unit)
+	var whole [1][]byte // a range's unit, as it stands once the range lands
+	if len(units) == 1 && int64(len(units[0])) != unit {
+		n = len(units[0])
+		if s.opts.Checksums {
+			whole[0] = bufpool.Get(int(unit))
+			defer bufpool.Put(whole[0])
+			lo := off % unit
+			if err := s.devReadRun(ctx, i, whole[:], off-lo); err != nil {
+				return err
+			}
+			copy(whole[0][lo:], units[0])
 		}
-		return s.putChecksum(i, stripe, p)
 	}
-	whole := bufpool.Get(int(unit))
-	defer bufpool.Put(whole)
-	if err := s.devReadVerified(i, whole, stripe*unit); err != nil {
-		return err
+	var err error
+	if d, ok := s.devs[i].(vecDevice); ok && len(units) > 1 {
+		vec := vecs.Get().(*[][]byte)
+		*vec = append((*vec)[:0], units...)
+		_, err = d.WriteVecAtContext(ctx, *vec, off)
+		clear(*vec) // the pool must not keep the caller's memory alive
+		vecs.Put(vec)
+	} else {
+		for j := 0; j < len(units) && err == nil; j++ {
+			err = s.writeAt(ctx, i, units[j], off+int64(j)*unit)
+		}
 	}
-	copy(whole[off-stripe*unit:], p)
-	if _, err := s.devs[i].WriteAt(p, off); err != nil {
-		return s.memberErr(i, "write", off, len(p), err)
+	if err == nil && s.opts.Checksums {
+		slots := bufpool.Get(len(units) * layout.ChecksumSlotSize)
+		defer bufpool.Put(slots)
+		if whole[0] != nil {
+			units = whole[:]
+		}
+		for j, u := range units {
+			encodeSlot(slots[j*layout.ChecksumSlotSize:], u)
+		}
+		err = s.writeAt(ctx, i, slots, s.geo.ChecksumOff(off/unit))
 	}
-	return s.putChecksum(i, stripe, whole)
+	return s.memberErr(i, "write", off, n, err)
 }
 
 // verifyUnit re-reads disk i's unit of stripe: against its checksum slot
 // when the store keeps them, and in any case as the member serves it, which
 // may report it lost. Caller holds the stripe lock.
-func (s *Store) verifyUnit(i int, stripe int64) error {
-	unit := s.geo.StripeUnit
-	whole := bufpool.Get(int(unit))
+func (s *Store) verifyUnit(ctx context.Context, i int, stripe int64) error {
+	whole := bufpool.Get(int(s.geo.StripeUnit))
 	defer bufpool.Put(whole)
-	return s.devRead(context.Background(), i, whole, stripe*unit)
+	return s.devReadRun(ctx, i, [][]byte{whole}, s.geo.DiskOffset(stripe))
 }
 
 // formatChecksums installs slots for units that have none yet: at first
@@ -267,13 +309,13 @@ func (s *Store) spanRetryBudget() int { return len(s.devs) + 2 }
 // microsecond earlier. Full-unit extents need nothing (the overwrite
 // installs a fresh slot), and a write with a sync set reads — and so
 // verifies — what it folds before it marks (rmwSpan).
-func (s *Store) preflightChecksums(sp layout.StripeSpan) error {
+func (s *Store) preflightChecksums(ctx context.Context, sp layout.StripeSpan) error {
 	if !s.preflights(sp, 0) {
 		return nil
 	}
 	for _, e := range sp.Extents {
 		if e.Len < s.geo.StripeUnit {
-			if err := s.verifyUnit(e.Disk, sp.Stripe); err != nil {
+			if err := s.verifyUnit(ctx, e.Disk, sp.Stripe); err != nil {
 				return err
 			}
 		}
@@ -296,8 +338,3 @@ func (s *Store) preflights(sp layout.StripeSpan, n uint8) bool {
 	}
 	return false
 }
-
-// QuarantinedStripes returns the stripes held dirty by unrecoverable
-// checksum corruption, ascending: scrubOne put them on hold in the
-// engine. They read as ErrDataLoss until overwritten.
-func (s *Store) QuarantinedStripes() []int64 { return s.eng.Held() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -95,7 +96,7 @@ func TestChecksumRepairsCleanDataUnit(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// Repaired in place: verifying the raw unit passes again.
-	if err := s.verifyUnit(d, 0); err != nil {
+	if err := s.verifyUnit(context.Background(), d, 0); err != nil {
 		t.Fatalf("unit still corrupt after repair: %v", err)
 	}
 }
@@ -145,7 +146,7 @@ func TestChecksumTornSlotRepairs(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("read served wrong bytes")
 	}
-	if err := s.verifyUnit(d, 0); err != nil {
+	if err := s.verifyUnit(context.Background(), d, 0); err != nil {
 		t.Fatalf("slot not rewritten: %v", err)
 	}
 }
@@ -335,7 +336,7 @@ func TestChecksumRepairDiskWritesSlots(t *testing.T) {
 		t.Fatal("data mismatch after repair")
 	}
 	for st := int64(0); st < s.geo.Stripes(); st++ {
-		if err := s.verifyUnit(2, st); err != nil {
+		if err := s.verifyUnit(context.Background(), 2, st); err != nil {
 			t.Fatalf("stripe %d on replacement: %v", st, err)
 		}
 	}

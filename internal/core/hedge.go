@@ -61,7 +61,7 @@ func (s *Store) hedgedRead(ctx context.Context, dst []byte, st int64, e layout.E
 			_, err = im.Solve(missing, s.allPar, e.UnitOff, e.UnitOff+e.Len)
 			im.Release()
 		} else {
-			err = s.devRead(ctx, e.Disk, buf, e.DiskOff)
+			err = s.devReadRun(ctx, e.Disk, [][]byte{buf}, e.DiskOff)
 		}
 		ch <- res{buf, err, hedge}
 	}

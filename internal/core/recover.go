@@ -124,9 +124,10 @@ func (s *Store) repair(ctx context.Context, i int, dev BlockDevice, salvage bool
 	if dev.Size() < need {
 		return report, fmt.Errorf("core: replacement size %d smaller than member size %d", dev.Size(), need)
 	}
-	// Install under every stripe lock: devRead and devWrite read s.devs[i]
-	// holding a stripe lock but not meta, and a span that snapshotted the
-	// array before i failed may still be in one on the old device.
+	// Install under every stripe lock: devReadRun and devWriteRun read
+	// s.devs[i] holding a stripe lock but not meta, and a span that
+	// snapshotted the array before i failed may still be in one on the old
+	// device.
 	for k := range s.locks {
 		s.locks[k].Lock()
 	}
@@ -283,7 +284,7 @@ func (s *Store) rebuildStale(ctx context.Context, stripe int64, salvaging bool, 
 				continue
 			}
 			// A unit is bad beyond repair: read each to find every such unit.
-			if rerr := s.devRead(ctx, e.Disk, im.Data[e.DataIdx], e.DiskOff); rerr == nil {
+			if rerr := s.devReadRun(ctx, e.Disk, [][]byte{im.Data[e.DataIdx]}, e.DiskOff); rerr == nil {
 				continue
 			} else if !errors.As(rerr, new(*UnitError)) {
 				return rerr

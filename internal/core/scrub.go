@@ -106,6 +106,12 @@ func (s *Store) FlushContext(ctx context.Context) error {
 	return s.drainErr(res)
 }
 
+// QuarantinedStripes returns the stripes held dirty by unrecoverable unit
+// loss (a checksum mismatch or a member's reported loss), ascending:
+// scrubOne put them on hold in the engine. They read as ErrDataLoss until
+// overwritten.
+func (s *Store) QuarantinedStripes() []int64 { return s.eng.Held() }
+
 // drainErr reports the stripes a requested drain had to leave marked: in
 // quarantine, as rebuilding their parity would seal detected corruption in;
 // or skipped, as a member is stale on them. The store cannot be made fully
@@ -113,7 +119,7 @@ func (s *Store) FlushContext(ctx context.Context) error {
 func (s *Store) drainErr(res nvram.DrainResult) error {
 	switch {
 	case len(res.Held) > 0:
-		return fmt.Errorf("%w: %d stripe(s) %v held dirty by unrecoverable checksum corruption", ErrDataLoss, len(res.Held), res.Held)
+		return fmt.Errorf("%w: %d stripe(s) %v held dirty by unrecoverable unit loss (a checksum mismatch or a member's reported loss)", ErrDataLoss, len(res.Held), res.Held)
 	case res.Skipped > 0:
 		return s.errDegraded()
 	}

@@ -18,8 +18,8 @@ import (
 // the §5 "partial redundancy protection available immediately"
 // extension). Each stripe operation therefore exists once: its mechanics —
 // the units in memory, their overlapped I/O, solve and encode — are a
-// stripe.Image's (internal/stripe), moved through devRead and devWrite,
-// and three values decide everything about it here:
+// stripe.Image's (internal/stripe), moved through devReadRun and
+// devWriteRun, and three values decide everything about it here:
 //
 //   - the failed set — which members the stripe is missing: the absent
 //     ones (FailDisk) on every stripe, and one present again — a node
@@ -43,26 +43,18 @@ import (
 // rule and its twin for members: an absent member whose unit the image
 // changes is marked stale there, durably, before the unit is skipped.
 
-// members is the store as a stripe.Image moves units through it: devRead
-// and devWrite, and a run's devReadRun and devWriteRun, so contexts, checksum verification, the member error
+// members is the store as a stripe.Image moves units through it: devReadRun
+// and devWriteRun, so contexts, checksum verification, the member error
 // classes and through them fail-stop absorption apply to every unit of
 // every stripe operation.
 type members Store
 
-func (m *members) ReadUnit(ctx context.Context, d int, p []byte, off int64) error {
-	return (*Store)(m).devRead(ctx, d, p, off)
-}
-
-func (m *members) WriteUnit(ctx context.Context, d int, p []byte, off int64) error {
-	return (*Store)(m).devWrite(ctx, d, p, off)
+func (m *members) ReadRun(ctx context.Context, d int, units [][]byte, off int64) error {
+	return (*Store)(m).devReadRun(ctx, d, units, off)
 }
 
 func (m *members) WriteRun(ctx context.Context, d int, units [][]byte, off int64) error {
 	return (*Store)(m).devWriteRun(ctx, d, units, off)
-}
-
-func (m *members) ReadRun(ctx context.Context, d int, units [][]byte, off int64) error {
-	return (*Store)(m).devReadRun(ctx, d, units, off)
 }
 
 // image returns a pooled image of the stripe, moved under ctx; the caller
@@ -159,7 +151,7 @@ func (s *Store) readSpan(ctx context.Context, p []byte, base int64, sp layout.St
 		if hd := s.hedgeDelay(e.Disk); hd > 0 && st.missing == 0 && s.allPar != 0 && st.fresh == s.allPar {
 			return s.hedgedRead(ctx, dst, sp.Stripe, e, hd)
 		}
-		return s.devRead(ctx, e.Disk, dst, e.DiskOff)
+		return s.devReadRun(ctx, e.Disk, [][]byte{dst}, e.DiskOff)
 	}
 	if st.over && st.touches(sp) {
 		return tooMany(sp.Stripe)
@@ -191,7 +183,7 @@ func (s *Store) writeSpan(ctx context.Context, p []byte, base int64, sp layout.S
 			if st.missing.Has(e.Disk) {
 				return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
 			}
-			if err := s.devWrite(ctx, e.Disk, p[e.ArrOff-base:e.ArrOff-base+e.Len], e.DiskOff); err != nil {
+			if err := s.devWriteRun(ctx, e.Disk, [][]byte{p[e.ArrOff-base : e.ArrOff-base+e.Len]}, e.DiskOff); err != nil {
 				return err
 			}
 		}
@@ -340,7 +332,7 @@ func (s *Store) defers(sp layout.StripeSpan, st stripeState) bool {
 func (s *Store) rmwSpan(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
 	sync := syncSet(st.n)
 	if sync == 0 {
-		if err := s.preflightChecksums(sp); err != nil {
+		if err := s.preflightChecksums(ctx, sp); err != nil {
 			return err
 		}
 		if err := s.eng.Mark(sp.Stripe); err != nil {
@@ -348,7 +340,7 @@ func (s *Store) rmwSpan(ctx context.Context, p []byte, base int64, sp layout.Str
 		}
 		for k, e := range sp.Extents {
 			src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-			err := s.devWrite(ctx, e.Disk, src, e.DiskOff)
+			err := s.devWriteRun(ctx, e.Disk, [][]byte{src}, e.DiskOff)
 			if err != nil && k == 0 && !st.dirty && errors.As(err, new(*UnitError)) && st.failed.Add(e.Disk, s.maxFailed()) {
 				// The member lost the unit, and nothing of the stripe has
 				// changed since its parities last encoded it: store the span
@@ -514,7 +506,7 @@ func changes(im *stripe.Image, st stripeState, sp layout.StripeSpan, d int) bool
 // that lost a race with another repair (CheckParity workers drop the lock
 // between check and repair) is a no-op.
 func (s *Store) repairUnit(ctx context.Context, ue *UnitError) error {
-	if err := s.verifyUnit(ue.Disk, ue.Stripe); err == nil {
+	if err := s.verifyUnit(ctx, ue.Disk, ue.Stripe); err == nil {
 		return nil
 	} else if !errors.As(err, new(*UnitError)) {
 		return err

@@ -25,19 +25,19 @@ import (
 )
 
 // Members moves unit bytes between memory and the array's members, which
-// layout.Geometry numbers. An Array hands it every unit an Image loads or
-// stores, several at once from different goroutines, under the image's
-// context; what a member is — a checksummed disk, a node behind a deadline
-// — and what its errors cause stay behind it.
+// layout.Geometry numbers, a run at a time: one member's units of
+// consecutive stripes, back to back from off, where they are contiguous. A
+// run of several stripes moves whole units; a run of one, a stripe's unit
+// or any range inside it. An Array hands it every unit an Image loads or
+// stores, the runs of several members at once from different goroutines,
+// under the image's context; what a member is — a checksummed disk, a node
+// behind a deadline — and what its errors cause stay behind it.
 type Members interface {
-	ReadUnit(ctx context.Context, member int, p []byte, off int64) error
-	WriteUnit(ctx context.Context, member int, p []byte, off int64) error
-	// WriteRun writes whole units of consecutive stripes back to back from
-	// off, as one write where the member takes one (StoreRun).
-	WriteRun(ctx context.Context, member int, units [][]byte, off int64) error
-	// ReadRun reads whole units of consecutive stripes back to back from
-	// off into units, skipping a nil one (LoadRun).
+	// ReadRun reads the run into units, skipping a nil one.
 	ReadRun(ctx context.Context, member int, units [][]byte, off int64) error
+	// WriteRun writes the run, which has no nil unit, as one write where
+	// the member takes one.
+	WriteRun(ctx context.Context, member int, units [][]byte, off int64) error
 }
 
 // ErrDataLoss marks bytes that are unrecoverable: they lived on a missing
@@ -110,7 +110,6 @@ type Array struct {
 	observe func(time.Duration) // receives the time of every parity computation
 
 	pool   sync.Pool    // *Image
-	runs   sync.Pool    // *[][]byte: the unit lists StoreRun and LoadRun hand the members
 	unitNs atomic.Int64 // what the last timed unit I/O took: decides whether hand-offs pay
 }
 
@@ -131,16 +130,14 @@ func New(geo layout.Geometry, observe func(time.Duration)) *Array {
 // AllParities is the set of every parity of the array's code.
 func (a *Array) AllParities() Parities { return Parities(1)<<a.code - 1 }
 
-// ioReq is one unit read or write, or a member's read or write of a run
-// (run set). The result lands in *errp; one handed to a goroutine of its own
-// signals completion through wg, whose happens-before edge makes the result
-// visible to the waiter.
+// ioReq is a member's read or write of a run. The result lands in *errp;
+// one handed to a goroutine of its own signals completion through wg, whose
+// happens-before edge makes the result visible to the waiter.
 type ioReq struct {
 	write  bool
 	ctx    context.Context
 	m      Members
 	member int
-	buf    []byte
 	run    [][]byte
 	off    int64
 	errp   *error
@@ -148,15 +145,10 @@ type ioReq struct {
 }
 
 func (req *ioReq) do() {
-	switch {
-	case req.run != nil && req.write:
+	if req.write {
 		*req.errp = req.m.WriteRun(req.ctx, req.member, req.run, req.off)
-	case req.run != nil:
+	} else {
 		*req.errp = req.m.ReadRun(req.ctx, req.member, req.run, req.off)
-	case req.write:
-		*req.errp = req.m.WriteUnit(req.ctx, req.member, req.buf, req.off)
-	default:
-		*req.errp = req.m.ReadUnit(req.ctx, req.member, req.buf, req.off)
 	}
 }
 
@@ -178,10 +170,10 @@ const overlapWorth = 10 * time.Microsecond
 // pay, going by the last unit I/O timed.
 func (a *Array) Overlaps() bool { return a.unitNs.Load() >= int64(overlapWorth) }
 
-// async performs a unit read or write on a goroutine of its own, or
-// inline when the members have been serving units too fast for a hand-off
-// to pay. A stripe has at most one unit per member, so a fan-out is that
-// many goroutines for one member service time.
+// async performs a member's run on a goroutine of its own, or inline when
+// the members have been serving units too fast for a hand-off to pay. A
+// fan-out has one run per member, so it is that many goroutines for one
+// member service time per stripe of the run.
 func (a *Array) async(req *ioReq) {
 	if a.Overlaps() {
 		req.wg.Add(1)
@@ -220,14 +212,15 @@ type Image struct {
 	// the image's own buffer. It must be as long as the range moved.
 	Dst [][]byte
 
-	a    *Array
-	m    Members
-	ctx  context.Context
-	view [][]byte // indexed like All: the bytes of each unit in play, nil for a unit that is not
-	off  []int64  // indexed like All: where in its unit a view starts
-	held []bool   // indexed like All: the unit's buffer holds what its member holds
-	errs []error  // one slot per fanned-out unit I/O, indexed like All
-	wg   sync.WaitGroup
+	a     *Array
+	m     Members
+	ctx   context.Context
+	view  [][]byte // indexed like All: the bytes of each unit in play, nil for a unit that is not
+	off   []int64  // indexed like All: where in its unit a view starts
+	held  []bool   // indexed like All: the unit's buffer holds what its member holds
+	errs  []error  // one slot per member's run of a fan-out, indexed like All
+	units [][]byte // the runs a fan-out from this image hands the members, back to back
+	wg    sync.WaitGroup
 }
 
 // Get returns an image of the stripe, to be moved through m under ctx.
@@ -303,58 +296,12 @@ func (im *Image) window(want Parities, lo, hi int64) {
 	}
 }
 
-// io reads or writes the bytes every view names, except the units on the
-// members in skip and, writing, the units held as their members hold them.
-// The units live on distinct members, so the operations are fanned out to
-// goroutines and overlap — a whole stripe moves in about one member
-// service time; one is kept back and done inline so the calling goroutine
-// contributes instead of blocking. Every one is attempted even after one
-// fails. Returns every error, joined in All order: a member that failed
-// beside a unit error is one a repair of that unit must not solve across,
-// and its caller has to learn of it too. A data unit read whole
-// into its own buffer is held from then on (a parity read need not encode
-// the data); a read forgets the other units.
-func (im *Image) io(write bool, skip Set) error {
-	base := im.a.geo.DiskOffset(im.Stripe)
-	clear(im.errs)
-	inline := ioReq{member: -1}
-	for i, u := range im.view {
-		if !write {
-			im.held[i] = false
-		}
-		if u == nil || (write && im.held[i]) {
-			continue
-		}
-		d := im.Member(i)
-		if skip.Has(d) {
-			continue
-		}
-		im.held[i] = !write && i < len(im.Data) && len(u) == len(im.All[i]) && &u[0] == &im.All[i][0]
-		req := ioReq{write: write, ctx: im.ctx, m: im.m, member: d, buf: u, off: base + im.off[i], errp: &im.errs[i], wg: &im.wg}
-		if inline.member < 0 {
-			inline = req
-			continue
-		}
-		im.a.async(&req)
-	}
-	if inline.member >= 0 {
-		im.a.timed(&inline, 1)
-	}
-	im.wg.Wait()
-	for i, err := range im.errs {
-		if err != nil {
-			im.held[i] = false
-		}
-	}
-	return errors.Join(im.errs...)
-}
-
 // Load reads unit bytes [lo,hi) of the stripe into the image: every data
 // unit whose member is not in skip, and the parities in want. Skipped
 // buffers keep arbitrary contents.
 func (im *Image) Load(skip Set, want Parities, lo, hi int64) error {
 	im.window(want, lo, hi)
-	return im.io(false, skip)
+	return im.a.runIO(false, []*Image{im}, skip)
 }
 
 // Update is the read half of a span's read-modify-write: it reads, in one
@@ -377,7 +324,7 @@ func (im *Image) Update(p []byte, base int64, sp layout.StripeSpan, sync Paritie
 			im.view[k+j], im.off[k+j] = par[lo:hi], lo
 		}
 	}
-	if err := im.io(false, Set{}); err != nil {
+	if err := im.a.runIO(false, []*Image{im}, Set{}); err != nil {
 		return err
 	}
 	t := time.Now()
@@ -492,7 +439,7 @@ func (im *Image) Check() bool { return im.a.code.Check(im.Par, im.Data) }
 // Store writes the units in play — after Encode, all of them — to their
 // members, except the ones on the members in skip and those held: the data
 // units read and not laid over, and the parities a solve used while none was.
-func (im *Image) Store(skip Set) error { return im.io(true, skip) }
+func (im *Image) Store(skip Set) error { return im.a.runIO(true, []*Image{im}, skip) }
 
 // StoreRun stores the images of consecutive stripes, each encoded over a
 // full-stripe span, with one Members.WriteRun per member: its units of the
@@ -519,7 +466,6 @@ func (a *Array) LoadRun(ims []*Image, missing Set, fresh []Parities) (solved int
 			return 0, fmt.Errorf("%w: stripe %d", ErrDataLoss, im.Stripe)
 		}
 		im.window(used, 0, a.geo.StripeUnit)
-		clear(im.held)
 	}
 	if err := a.runIO(false, ims, missing); err != nil || missing.Len() == 0 {
 		return 0, err
@@ -535,34 +481,54 @@ func (a *Array) LoadRun(ims []*Image, missing Set, fresh []Parities) (solved int
 	return solved, nil
 }
 
-// runIO moves the units in play of the images of consecutive stripes with
-// one Members.WriteRun or ReadRun per member not in skip: its units of the
-// run back to back — contiguous on the member — nil where a unit is not in
-// play. The members' calls overlap as a stripe's units do (Overlaps), one
-// kept back and done inline. Returns every error, joined in member order.
+// runIO moves the units in play of the images of consecutive stripes — or
+// of one image, each unit's window — with one Members.WriteRun or ReadRun
+// per member not in skip: its units of the run back to back, contiguous on
+// the member, nil where a unit is not in play, and writing, where it is
+// held as its member holds it. The members' runs are fanned out in the
+// order of the first image's units and overlap (Overlaps) — a run moves in
+// about one member service time per stripe; one is kept back and done
+// inline so the calling goroutine contributes instead of blocking. Every
+// one is attempted even after one fails. Returns every error, joined in
+// that order: a member that failed beside a unit error is one a repair of
+// that unit must not solve across, and its caller has to learn of it too.
+// A data unit read whole into its image's own buffer is held from then on
+// (a parity read need not encode the data); a read forgets the other units,
+// and a failed run every unit it had.
 func (a *Array) runIO(write bool, ims []*Image, skip Set) error {
 	im, n := ims[0], len(ims)
-	list, _ := a.runs.Get().(*[][]byte)
-	if list == nil {
-		list = new([][]byte)
-	}
-	units := slices.Grow((*list)[:0], a.geo.Disks*n)[:a.geo.Disks*n]
+	units := slices.Grow(im.units[:0], len(im.All)*n)[:len(im.All)*n]
 	clear(im.errs)
 	inline, inlineUnits := ioReq{member: -1}, 0
-	for d := range a.geo.Disks {
+	if !write {
+		for _, x := range ims {
+			clear(x.held)
+		}
+	}
+	for i := range im.All {
+		d := im.Member(i)
 		if skip.Has(d) {
 			continue
 		}
-		run, count := units[d*n:(d+1)*n], 0
+		run, count := units[i*n:(i+1)*n], 0
 		for j, x := range ims {
-			if run[j] = x.view[x.Slot(d)]; run[j] != nil {
+			k := i // the first image's unit on d
+			if j > 0 {
+				k = x.Slot(d)
+			}
+			u := x.view[k]
+			if write && x.held[k] {
+				u = nil
+			}
+			if run[j] = u; u != nil {
 				count++
+				x.held[k] = !write && k < len(x.Data) && len(u) == len(x.All[k]) && &u[0] == &x.All[k][0]
 			}
 		}
 		if count == 0 {
 			continue
 		}
-		req := ioReq{write: write, ctx: im.ctx, m: im.m, member: d, run: run, off: a.geo.DiskOffset(im.Stripe), errp: &im.errs[d], wg: &im.wg}
+		req := ioReq{write: write, ctx: im.ctx, m: im.m, member: d, run: run, off: a.geo.DiskOffset(im.Stripe) + im.off[i], errp: &im.errs[i], wg: &im.wg}
 		if inline.member < 0 {
 			inline, inlineUnits = req, count
 			continue
@@ -573,9 +539,15 @@ func (a *Array) runIO(write bool, ims []*Image, skip Set) error {
 		a.timed(&inline, inlineUnits)
 	}
 	im.wg.Wait()
-	clear(units) // the pool must not keep the caller's memory alive
-	*list = units
-	a.runs.Put(list)
+	for i, err := range im.errs {
+		if err != nil {
+			for _, x := range ims {
+				x.held[x.Slot(im.Member(i))] = false
+			}
+		}
+	}
+	clear(units) // the image pool must not keep the caller's memory alive
+	im.units = units
 	return errors.Join(im.errs...)
 }
 
@@ -594,32 +566,28 @@ func (im *Image) ReadSpan(p []byte, base int64, sp layout.StripeSpan, missing Se
 			lo, hi = min(lo, e.UnitOff), max(hi, e.UnitOff+e.Len)
 		}
 	}
-	if lo >= hi {
-		clear(im.view)
+	if solved = lo < hi; solved {
 		for _, e := range sp.Extents {
-			im.view[e.DataIdx], im.off[e.DataIdx] = p[e.ArrOff-base:e.ArrOff-base+e.Len], e.UnitOff
+			if e.UnitOff == lo && e.UnitOff+e.Len == hi {
+				im.Dst[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
+			}
 		}
-		return false, im.io(false, Set{})
-	}
-	for _, e := range sp.Extents {
-		if e.UnitOff == lo && e.UnitOff+e.Len == hi {
-			im.Dst[e.DataIdx] = p[e.ArrOff-base : e.ArrOff-base+e.Len]
+		if _, err := im.Solve(missing, fresh, lo, hi); err != nil {
+			return false, err
 		}
 	}
-	if _, err := im.Solve(missing, fresh, lo, hi); err != nil {
-		return false, err
-	}
+	clear(im.view)
 	for _, e := range sp.Extents {
 		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
 		switch {
-		case im.Dst[e.DataIdx] != nil:
-		case lo <= e.UnitOff && e.UnitOff+e.Len <= hi:
+		case !solved || e.UnitOff < lo || e.UnitOff+e.Len > hi:
+			im.view[e.DataIdx], im.off[e.DataIdx] = dst, e.UnitOff
+		case im.Dst[e.DataIdx] == nil:
 			copy(dst, im.Data[e.DataIdx][e.UnitOff:])
-		default:
-			if err := im.m.ReadUnit(im.ctx, e.Disk, dst, e.DiskOff); err != nil {
-				return false, err
-			}
 		}
 	}
-	return true, nil
+	if err := im.a.runIO(false, []*Image{im}, Set{}); err != nil {
+		return false, err
+	}
+	return solved, nil
 }

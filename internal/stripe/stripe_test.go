@@ -41,7 +41,7 @@ func newFake(geo layout.Geometry) *fakeMembers {
 	return f
 }
 
-func (f *fakeMembers) ReadUnit(_ context.Context, d int, p []byte, off int64) error {
+func (f *fakeMembers) readUnit(d int, p []byte, off int64) error {
 	f.ops[d].Add(1)
 	if err := f.fail[d]; err != nil {
 		return err
@@ -51,7 +51,7 @@ func (f *fakeMembers) ReadUnit(_ context.Context, d int, p []byte, off int64) er
 	return nil
 }
 
-func (f *fakeMembers) WriteUnit(_ context.Context, d int, p []byte, off int64) error {
+func (f *fakeMembers) writeUnit(d int, p []byte, off int64) error {
 	f.ops[d].Add(1)
 	if err := f.fail[d]; err != nil {
 		return err
@@ -61,9 +61,9 @@ func (f *fakeMembers) WriteUnit(_ context.Context, d int, p []byte, off int64) e
 	return nil
 }
 
-func (f *fakeMembers) WriteRun(ctx context.Context, d int, units [][]byte, off int64) error {
+func (f *fakeMembers) WriteRun(_ context.Context, d int, units [][]byte, off int64) error {
 	for _, u := range units {
-		if err := f.WriteUnit(ctx, d, u, off); err != nil {
+		if err := f.writeUnit(d, u, off); err != nil {
 			return err
 		}
 		off += int64(len(u))
@@ -71,11 +71,11 @@ func (f *fakeMembers) WriteRun(ctx context.Context, d int, units [][]byte, off i
 	return nil
 }
 
-func (f *fakeMembers) ReadRun(ctx context.Context, d int, units [][]byte, off int64) error {
+func (f *fakeMembers) ReadRun(_ context.Context, d int, units [][]byte, off int64) error {
 	f.runs[d].Add(1)
 	for _, u := range units {
 		if u != nil {
-			if err := f.ReadUnit(ctx, d, u, off); err != nil {
+			if err := f.readUnit(d, u, off); err != nil {
 				return err
 			}
 		}
