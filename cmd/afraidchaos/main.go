@@ -89,7 +89,7 @@ var stacks = map[string]struct {
 	"core": {coreRows, []string{"fault.power_cycles", "fault.repair_cuts", "core.recovered_stripes", "fault.flip_bits",
 		"core.checksum_repaired", "core.checksum_lost", "core.full_stripe_writes"}, nil},
 	"tier": {tierRows, []string{"fault.power_cycles", "tier.map_recovered", "fault.failed_members", "tier.promotes",
-		"tier.demotes", "tier.front_read_hits", "tier.front_write_hits", "core.full_stripe_writes"}, nil},
+		"tier.demotes", "tier.front_read_hits", "tier.front_write_hits", "tier.mirror_failovers", "core.full_stripe_writes"}, nil},
 	"cluster": {clusterRows, clusterColumns, []string{"cluster.write.full_stripe"}},
 	"stacked": {stackedRows, append([]string{"fault.power_cycles", "fault.flip_bits", "core.checksum_repaired",
 		"tier.promotes"}, clusterColumns...), []string{"cluster.write.full_stripe"}},
@@ -301,8 +301,8 @@ func coreSchedule(epSeed int64, mode core.Mode, checksums, flips bool) fault.Con
 
 // tierRows is the one tier row: every fourth episode or so is
 // fault-free, and the rest mix power cuts (torn mid-promote, mid-demote
-// or mid-mirror-write depending on the seed), extent-map loss, and
-// front-copy fail-stops.
+// or mid-mirror-write depending on the seed), extent-map loss,
+// front-copy fail-stops and a front copy's reported loss.
 func tierRows(o options) ([]row, error) {
 	return []row{{
 		name: "tier",
@@ -321,9 +321,15 @@ func tierRows(o options) ([]row, error) {
 			if rng.Float64() < 0.3 {
 				cfg.FrontPairs = 2
 			}
+			// The last draw, so that adding it moved no episode's earlier
+			// ones. A reported loss on a copy beside a dead one is two
+			// faults on one pair, outside the contract.
+			if !cfg.FrontCopyFail {
+				cfg.FrontCopyLoss = rng.Float64() < 0.3
+			}
 			st := tier.NewChaosStack(cfg)
 			return st, st.Plan()
 		},
-		gate: []string{"core.full_stripe_writes"},
+		gate: []string{"core.full_stripe_writes", "tier.mirror_failovers"},
 	}}, nil
 }

@@ -381,11 +381,6 @@ func (a *Array) Capacity() int64 { return a.geo.Capacity() }
 // DirtyStripes returns the current number of unredundant stripes.
 func (a *Array) DirtyStripes() int64 { return a.marks.Count() }
 
-// Reverted reports whether the MTTDL_x policy (or conservative start)
-// currently holds the array's sync count at its parity count, RAID 5
-// behaviour.
-func (a *Array) Reverted() bool { return a.reverted }
-
 // issue enqueues op on disk d, serving it immediately if the disk is
 // free.
 func (a *Array) issue(d int, op diskOp) {

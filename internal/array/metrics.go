@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"afraid/internal/disk"
-	"afraid/internal/sim"
 )
 
 // Metrics summarizes a completed simulation run.
@@ -125,9 +124,6 @@ func (a *Array) Metrics(end time.Duration) Metrics {
 	}
 	return m
 }
-
-// IOTimes exposes the raw latency distribution for detailed reporting.
-func (a *Array) IOTimes() *sim.DurationStats { return &a.ioTime }
 
 // String renders a compact multi-line summary of the run.
 func (m Metrics) String() string {

@@ -27,16 +27,6 @@ func RunTrace(cfg Config, tr *trace.Trace) (Metrics, error) {
 	return a.Metrics(end), nil
 }
 
-// Replay schedules trace submissions onto an existing engine/array pair
-// (used by tests that need to co-schedule other events). The caller
-// runs the engine and finalizes metrics.
-func Replay(eng *sim.Engine, a *Array, tr *trace.Trace) {
-	for _, rec := range tr.Records {
-		rec := rec
-		eng.At(rec.Time, func() { a.Submit(rec) })
-	}
-}
-
 // RunNamed generates the named catalog workload with the given duration
 // and seed, scaled to the array's capacity, and replays it.
 func RunNamed(cfg Config, workload string, duration time.Duration, seed uint64) (Metrics, error) {

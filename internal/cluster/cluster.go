@@ -76,7 +76,7 @@ const (
 	StateHealing
 	// StateQuarantined is a down node the flap damper has fenced off: it
 	// failed FlapThreshold times inside a minute, so the prober leaves
-	// it alone until ClearQuarantine, HealNode or QuarantineDecay.
+	// it alone until HealNode or QuarantineDecay.
 	StateQuarantined
 )
 

@@ -224,8 +224,8 @@ func isNodeDownErr(err error) bool {
 }
 
 // The flap damper: a node demoted FlapThreshold times inside flapWindow is
-// quarantined — the prober leaves it alone until ClearQuarantine, HealNode
-// or Options.QuarantineDecay.
+// quarantined — the prober leaves it alone until HealNode or
+// Options.QuarantineDecay.
 const (
 	FlapThreshold = 3
 	flapWindow    = time.Minute
@@ -262,18 +262,6 @@ func (v *Volume) markDown(i int, gen uint64, cause error) {
 		v.logf("cluster: node %d (%s) QUARANTINED: %d failures within %v; no auto-heal until cleared",
 			i, m.addr, fails, flapWindow)
 	}
-}
-
-// ClearQuarantine lifts the flap damper's fence from node i — the
-// administrative "I fixed the machine" switch. HealNode implies it.
-func (v *Volume) ClearQuarantine(i int) error {
-	if i < 0 || i >= len(v.nodes) {
-		return fmt.Errorf("cluster: no node %d", i)
-	}
-	v.meta.Lock()
-	v.clearQuarantineLocked(v.nodes[i])
-	v.meta.Unlock()
-	return nil
 }
 
 func (v *Volume) clearQuarantineLocked(m *member) {

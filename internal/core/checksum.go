@@ -61,8 +61,9 @@ func slotMatches(slot, unit []byte) bool {
 		binary.BigEndian.Uint32(slot[4:8]) == parity.CRC32C(0, unit)
 }
 
-// contextDevice is a member whose I/O takes the request's context — a
-// cluster node behind a deadline. devReadRun and devWriteRun hand it theirs.
+// contextDevice is a device whose I/O takes the request's context — a
+// cluster node behind a deadline, a fault-injected device. ReadAt and
+// WriteAt hand it theirs.
 type contextDevice interface {
 	ReadAtContext(ctx context.Context, p []byte, off int64) (int, error)
 	WriteAtContext(ctx context.Context, p []byte, off int64) (int, error)
@@ -79,22 +80,23 @@ type vecDevice interface {
 // make every caller's list escape, a run of one's built on the stack too.
 var vecs = sync.Pool{New: func() any { return new([][]byte) }}
 
-// readAt is one read of member i under ctx, where the member takes one.
-func (s *Store) readAt(ctx context.Context, i int, p []byte, off int64) (err error) {
-	if d, ok := s.devs[i].(contextDevice); ok {
-		_, err = d.ReadAtContext(ctx, p, off)
+// ReadAt is one read of d under ctx, where d takes one. It is the one
+// device read of core's members and of the tier's front copies.
+func ReadAt(ctx context.Context, d BlockDevice, p []byte, off int64) (err error) {
+	if cd, ok := d.(contextDevice); ok {
+		_, err = cd.ReadAtContext(ctx, p, off)
 	} else {
-		_, err = s.devs[i].ReadAt(p, off)
+		_, err = d.ReadAt(p, off)
 	}
 	return err
 }
 
-// writeAt is one write of member i under ctx, where the member takes one.
-func (s *Store) writeAt(ctx context.Context, i int, p []byte, off int64) (err error) {
-	if d, ok := s.devs[i].(contextDevice); ok {
-		_, err = d.WriteAtContext(ctx, p, off)
+// WriteAt is one write of d under ctx, where d takes one.
+func WriteAt(ctx context.Context, d BlockDevice, p []byte, off int64) (err error) {
+	if cd, ok := d.(contextDevice); ok {
+		_, err = cd.WriteAtContext(ctx, p, off)
 	} else {
-		_, err = s.devs[i].WriteAt(p, off)
+		_, err = d.WriteAt(p, off)
 	}
 	return err
 }
@@ -122,7 +124,7 @@ func (s *Store) devReadRun(ctx context.Context, i int, units [][]byte, off int64
 	}
 	for j, u := range units {
 		if at := off + int64(j)*unit; u != nil {
-			if err := s.readAt(ctx, i, u, at); err != nil {
+			if err := ReadAt(ctx, s.devs[i], u, at); err != nil {
 				return s.memberErr(i, "read", at, len(u), err)
 			}
 		}
@@ -132,7 +134,7 @@ func (s *Store) devReadRun(ctx context.Context, i int, units [][]byte, off int64
 	}
 	slots := bufpool.Get(len(units) * layout.ChecksumSlotSize)
 	defer bufpool.Put(slots)
-	if err := s.readAt(ctx, i, slots, s.geo.ChecksumOff(off/unit)); err != nil {
+	if err := ReadAt(ctx, s.devs[i], slots, s.geo.ChecksumOff(off/unit)); err != nil {
 		return s.memberErr(i, "read", off, len(units)*int(unit), err)
 	}
 	for j, u := range units {
@@ -180,7 +182,7 @@ func (s *Store) devWriteRun(ctx context.Context, i int, units [][]byte, off int6
 		vecs.Put(vec)
 	} else {
 		for j := 0; j < len(units) && err == nil; j++ {
-			err = s.writeAt(ctx, i, units[j], off+int64(j)*unit)
+			err = WriteAt(ctx, s.devs[i], units[j], off+int64(j)*unit)
 		}
 	}
 	if err == nil && s.opts.Checksums {
@@ -192,7 +194,7 @@ func (s *Store) devWriteRun(ctx context.Context, i int, units [][]byte, off int6
 		for j, u := range units {
 			encodeSlot(slots[j*layout.ChecksumSlotSize:], u)
 		}
-		err = s.writeAt(ctx, i, slots, s.geo.ChecksumOff(off/unit))
+		err = WriteAt(ctx, s.devs[i], slots, s.geo.ChecksumOff(off/unit))
 	}
 	return s.memberErr(i, "write", off, n, err)
 }

@@ -10,9 +10,6 @@ type Counter struct {
 	n atomic.Uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
 // Add adds delta.
 func (c *Counter) Add(delta uint64) { c.n.Add(delta) }
 

@@ -382,56 +382,9 @@ type chunkCall struct {
 
 // ReadAtContext reads len(p) bytes at off, splitting requests larger
 // than the server's payload limit into chunks pipelined onto the
-// connection (up to pipelineWindow outstanding at once). Completions
-// are collected in issue order, so the returned count is always the
-// contiguous prefix of p that was filled. ctx is checked before every
-// chunk issue as well as while waiting, so a cancelled context stops a
-// large split read promptly instead of pushing the rest of the window
-// at a server that may be stalled.
+// connection (see split).
 func (c *Client) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
-	// The window is a fixed ring rather than an appended-to slice so a
-	// steady stream of split reads keeps zero per-call window state on
-	// the heap.
-	var win [pipelineWindow]chunkCall
-	head, count := 0, 0
-	defer func() {
-		for i := 0; i < count; i++ {
-			cc := win[(head+i)%pipelineWindow]
-			c.abandon(cc.id, cc.ch)
-		}
-	}()
-	n, sent := 0, 0
-	for sent < len(p) || count > 0 {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		if sent < len(p) && count < pipelineWindow {
-			chunk := len(p) - sent
-			if chunk > int(c.maxPayload) {
-				chunk = int(c.maxPayload)
-			}
-			id, ch, err := c.start(&Request{Op: OpRead, Off: off + int64(sent), Length: uint32(chunk)}, p[sent:sent+chunk])
-			if err != nil {
-				return n, err
-			}
-			win[(head+count)%pipelineWindow] = chunkCall{size: chunk, id: id, ch: ch}
-			count++
-			sent += chunk
-			continue
-		}
-		cc := win[head]
-		head, count = (head+1)%pipelineWindow, count-1
-		resp, err := c.wait(ctx, cc.id, cc.ch)
-		if err != nil {
-			return n, err
-		}
-		if len(resp.Data) != cc.size {
-			resp.release()
-			return n, fmt.Errorf("server: READ returned %d bytes, want %d", len(resp.Data), cc.size)
-		}
-		n += cc.size // the read loop landed the payload in its part of p
-	}
-	return n, nil
+	return c.split(ctx, OpRead, [][]byte{p}, off)
 }
 
 // WriteAt implements io.WriterAt against the served store.
@@ -440,12 +393,8 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAtContext writes p at off, splitting writes larger than the
-// server's payload limit into chunks pipelined onto the connection (up
-// to pipelineWindow outstanding; the server may re-coalesce adjacent
-// ones). Completions are collected in issue order, so the returned
-// count is always the contiguous prefix of p that was written. ctx is
-// checked before every chunk issue as well as while waiting, so a
-// cluster-level timeout abandons the remaining chunks promptly.
+// server's payload limit into chunks pipelined onto the connection (see
+// split; the server may re-coalesce adjacent ones).
 func (c *Client) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
 	return c.WriteVecAtContext(ctx, [][]byte{p}, off)
 }
@@ -456,6 +405,22 @@ func (c *Client) WriteAtContext(ctx context.Context, p []byte, off int64) (int, 
 // is copied. A cluster volume writes a node's units of a full-stripe run
 // this way, in one request.
 func (c *Client) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error) {
+	return c.split(ctx, OpWrite, bufs, off)
+}
+
+// split is one READ or WRITE of bufs, back to back at off, as chunks of
+// at most the server's payload limit pipelined onto the connection, up
+// to pipelineWindow outstanding at once. A READ has one buffer, and each
+// chunk's payload lands in its part of it. Completions are collected in
+// issue order, so the returned count is always the contiguous prefix of
+// bufs that was done. ctx is checked before every chunk issue as well as
+// while waiting, so a cancelled context (a cluster-level timeout) stops a
+// large split I/O promptly instead of pushing the rest of the window at
+// a server that may be stalled.
+func (c *Client) split(ctx context.Context, op Op, bufs [][]byte, off int64) (int, error) {
+	// The window is a fixed ring rather than an appended-to slice so a
+	// steady stream of split I/Os keeps zero per-call window state on
+	// the heap.
 	var win [pipelineWindow]chunkCall
 	head, count := 0, 0
 	defer func() {
@@ -469,7 +434,7 @@ func (c *Client) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64
 		size += len(b)
 	}
 	var pieceBuf [4][]byte
-	pieces := pieceBuf[:0] // one frame's payload: slices of bufs from cursor (b, at) on
+	pieces := pieceBuf[:0] // one chunk: slices of bufs from cursor (b, at) on
 	n, sent, b, at := 0, 0, 0, 0
 	for sent < size || count > 0 {
 		if err := ctx.Err(); err != nil {
@@ -485,7 +450,11 @@ func (c *Client) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64
 					b, at = b+1, 0
 				}
 			}
-			id, ch, err := c.start(&Request{Op: OpWrite, Off: off + int64(sent), Length: uint32(chunk)}, nil, pieces...)
+			var dst []byte
+			if op == OpRead {
+				dst, pieces = pieces[0], pieces[:0] // a READ's chunk lands, it is not sent
+			}
+			id, ch, err := c.start(&Request{Op: op, Off: off + int64(sent), Length: uint32(chunk)}, dst, pieces...)
 			if err != nil {
 				return n, err
 			}
@@ -500,8 +469,12 @@ func (c *Client) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64
 		if err != nil {
 			return n, err
 		}
+		got := len(resp.Data)
 		resp.release()
-		n += cc.size
+		if op == OpRead && got != cc.size {
+			return n, fmt.Errorf("server: READ returned %d bytes, want %d", got, cc.size)
+		}
+		n += cc.size // a READ's payload landed in its part of bufs[0]
 	}
 	return n, nil
 }

@@ -329,17 +329,6 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	return append(appendResponseHeader(dst, r), r.Data...)
 }
 
-// DecodeResponse parses a response body (the bytes after the length
-// prefix). The returned Data aliases body.
-func DecodeResponse(body []byte) (Response, error) {
-	if len(body) < respHeaderLen {
-		return Response{}, fmt.Errorf("%w: response body %d bytes, need %d", ErrTruncatedFrame, len(body), respHeaderLen)
-	}
-	r := decodeResponseHeader(body)
-	r.Data = body[respHeaderLen:]
-	return r, nil
-}
-
 // decodeResponseHeader parses the fixed header of a response.
 func decodeResponseHeader(hdr []byte) Response {
 	return Response{Op: Op(hdr[0]), Status: Status(hdr[1]), ID: binary.BigEndian.Uint64(hdr[2:])}

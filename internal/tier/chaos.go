@@ -42,6 +42,10 @@ type ChaosConfig struct {
 	PowerCut      bool // cut power mid-workload and reopen through recovery
 	DropTierMap   bool // the crash also destroys the tier's extent map
 	FrontCopyFail bool // fail-stop exactly one copy of a front pair mid-run
+	// FrontCopyLoss makes one copy of one pair report a range of its
+	// slots lost on every read (core.ErrDataLoss), across reboots too:
+	// the mirror must serve it.
+	FrontCopyLoss bool
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -76,6 +80,10 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 		c.PowerCut = true
 		c.FrontCopyFail = false
 	}
+	if c.FrontCopyFail {
+		// Two faults on one pair are outside the contract too.
+		c.FrontCopyLoss = false
+	}
 	return c
 }
 
@@ -87,6 +95,8 @@ type ChaosStack struct {
 	FrontBackings []core.BlockDevice // the mirror media under the injectors
 	frontDevs     []*fault.Device
 	refailed      int // stale copies recovery keeps down: not this incarnation's failures
+	lossDev       int // the copy whose slots report loss (FrontCopyLoss)
+	loss          fault.Rule
 	nv            core.NVRAM
 	st            *Store
 }
@@ -115,6 +125,17 @@ func (s *ChaosStack) Open(e *fault.Episode) error {
 	for i := 0; i < 2*s.cfg.FrontPairs; i++ {
 		s.FrontBackings = append(s.FrontBackings, core.NewMemDevice(s.cfg.SlotsPerPair*(s.cfg.ExtentSize+tagSize)))
 	}
+	if s.cfg.FrontCopyLoss {
+		// A run of one copy's slots reads as lost: the media's loss,
+		// which the copy reports rather than returning wrong bytes.
+		s.lossDev = e.Rng.Intn(2 * s.cfg.FrontPairs)
+		first := e.Rng.Int63n(s.cfg.SlotsPerPair)
+		slots := 1 + e.Rng.Int63n(s.cfg.SlotsPerPair-first)
+		s.loss = fault.Rule{
+			When: fault.All(fault.Reads(), fault.InRange(first*s.cfg.ExtentSize, slots*s.cfg.ExtentSize)),
+			Do:   fault.Transient(fmt.Errorf("tier chaos: front slots lost: %w", core.ErrDataLoss)),
+		}
+	}
 	s.wireFront(e.Seed+1, nil)
 	if s.cfg.FrontCopyFail {
 		// Scope the fail-stop to exactly one copy of one pair; which
@@ -139,7 +160,7 @@ func (s *ChaosStack) Open(e *fault.Episode) error {
 }
 
 // wireFront (re)wraps the mirror media with injectors on the shared
-// power line, keeping down the copies in dead.
+// power line, keeping down the copies in dead and the lost range lost.
 func (s *ChaosStack) wireFront(seed int64, dead []bool) {
 	s.frontDevs = fault.Wrap(s.FrontBackings, seed)
 	s.refailed = 0
@@ -149,6 +170,9 @@ func (s *ChaosStack) wireFront(seed int64, dead []bool) {
 			d.Fail()
 			s.refailed++
 		}
+	}
+	if s.cfg.FrontCopyLoss {
+		s.frontDevs[s.lossDev].AddRule(s.loss)
 	}
 }
 

@@ -94,6 +94,13 @@ func TestChaosFrontCopyFailThenCrash(t *testing.T) {
 	runEpisodes(t, ChaosConfig{FrontCopyFail: true, PowerCut: true}, 25)
 }
 
+// TestChaosFrontCopyLoss: one copy reports a range of its slots lost,
+// before and after the crash; reads, demotes and resilver take those
+// slots from the mirror, so no loss reaches the client.
+func TestChaosFrontCopyLoss(t *testing.T) {
+	runEpisodes(t, ChaosConfig{FrontCopyLoss: true, PowerCut: true}, 25)
+}
+
 // TestChaosMultiPair spreads extents over two mirror pairs to cover
 // cross-pair placement under the same schedules.
 func TestChaosMultiPair(t *testing.T) {

@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,13 +16,13 @@ import (
 //
 // The CRC covers only the tag header, not the slot content, so small
 // writes to a resident extent never touch the tag. What makes that
-// safe is strict ordering: within one front write, copy 0 is written
-// completely (data, then tag when promoting) before copy 1 is touched,
-// so at any crash point at most one copy is mid-write and the other is
-// whole. Tags are written when a slot is claimed and zeroed before it
-// is reused or freed, which is exactly what lets a map-loss recovery
-// rebuild residency from the media: a valid tag means "this slot was
-// fully claimed by this extent and never released".
+// safe is strict ordering: every mirrored write (mirrorWrite) lands on
+// copy 0 completely before copy 1 is touched, so at any crash point at
+// most one copy is mid-write and the other is whole; a promote writes
+// the data, then the tag. Tags are written when a slot is claimed and
+// zeroed before it is reused or freed, which is exactly what lets a
+// map-loss recovery rebuild residency from the media: a valid tag means
+// "this slot was fully claimed by this extent and never released".
 const tagMagic = "AFT1"
 
 func encodeTag(ext int64) []byte {
@@ -53,70 +54,58 @@ func (s *Store) devsOf(slot int64) (int, int) {
 	return 2 * pair, 2*pair + 1
 }
 
-// markCopyFailed latches a copy's failure and persists the failed-copy
-// mask in the map image before the caller acknowledges anything done
-// while degraded. The dead copy's media is stale from this moment on —
-// the survivor keeps absorbing writes — so recovery must learn the
-// asymmetry from persistent state, or a resilver after a later crash
-// could pick the dead copy as authoritative and resurrect pre-failure
-// data over acknowledged writes only the survivor holds.
-func (s *Store) markCopyFailed(dev int) {
-	if s.copyFailed[dev].CompareAndSwap(false, true) {
-		s.meta.Lock()
-		// During recovery the map may not be assembled yet; both
-		// recovery branches persist the mask themselves before any
-		// post-recovery write can be acknowledged.
-		if s.m != nil {
-			_ = s.persistMapLocked()
+// copyIO is the one per-copy step: every front read and write is one
+// call of it on one copy, under the op's context. down reports a copy
+// that is fail-stopped: this op found it so and latched it here, the
+// one place a copy's failure is latched, or it was latched already and
+// is not touched again until resilver brings it back.
+//
+// A latched copy's media is stale from then on, since its mirror keeps
+// taking writes, and only the failed-copy mask in the map image tells
+// a resilver after a crash not to trust it. So a write that meets a
+// latched copy first makes sure the stored image carries its flag, and
+// until one is stored fails with the NVRAM store's error: no degraded
+// write is acknowledged before the flag is stored. A read is served
+// from the mirror either way.
+func (s *Store) copyIO(ctx context.Context, dev int, write bool, p []byte, off int64) (down bool, err error) {
+	if !s.copyFailed[dev].Load() {
+		if write {
+			err = core.WriteAt(ctx, s.front[dev], p, off)
+		} else {
+			err = core.ReadAt(ctx, s.front[dev], p, off)
 		}
+		if err == nil || !errors.Is(err, core.ErrDeviceFailed) {
+			return false, err
+		}
+		s.copyFailed[dev].Store(true)
+	}
+	if write && s.storedFailed.Load()&(1<<uint(dev)) == 0 {
+		s.meta.Lock()
+		err = s.persistMapLocked()
 		s.meta.Unlock()
 	}
+	return true, err
 }
 
-// writeDev writes to one front device. A core.ErrDeviceFailed marks
-// the copy failed (the mirror carries on); other errors — notably a
-// power cut — propagate untouched.
-func (s *Store) writeDev(dev int, p []byte, off int64) error {
-	if s.copyFailed[dev].Load() {
-		return core.ErrDeviceFailed
-	}
-	_, err := s.front[dev].WriteAt(p, off)
-	if errors.Is(err, core.ErrDeviceFailed) {
-		s.markCopyFailed(dev)
-	}
-	return err
-}
-
-// readDev reads from one front device with the same classification.
-func (s *Store) readDev(dev int, p []byte, off int64) error {
-	if s.copyFailed[dev].Load() {
-		return core.ErrDeviceFailed
-	}
-	_, err := s.front[dev].ReadAt(p, off)
-	if errors.Is(err, core.ErrDeviceFailed) {
-		s.markCopyFailed(dev)
-	}
-	return err
-}
-
-// frontWrite lands one extent-local write on both copies of the slot's
-// pair, copy 0 strictly before copy 1. One failed copy degrades the
-// pair but the write still succeeds; both failed is an error.
-func (s *Store) frontWrite(slot, extOff int64, p []byte) error {
+// mirrorWrite lands p at device offset off on both copies of the slot's
+// pair, copy 0 strictly before copy 1. One copy down degrades the pair
+// but the write still succeeds (a data write is counted degraded, a tag
+// write is not); both down, or any other error — a power cut, the op's
+// context ending, the failed flag not stored — fails it.
+func (s *Store) mirrorWrite(ctx context.Context, slot int64, p []byte, off int64) error {
 	d0, d1 := s.devsOf(slot)
-	off := s.slotOff(slot) + extOff
-	err0 := s.writeDev(d0, p, off)
-	if err0 != nil && !errors.Is(err0, core.ErrDeviceFailed) {
-		return err0 // power cut or other whole-machine event
+	down0, err := s.copyIO(ctx, d0, true, p, off)
+	if err != nil {
+		return err
 	}
-	err1 := s.writeDev(d1, p, off)
-	if err1 != nil && !errors.Is(err1, core.ErrDeviceFailed) {
-		return err1
+	down1, err := s.copyIO(ctx, d1, true, p, off)
+	if err != nil {
+		return err
 	}
-	if err0 != nil && err1 != nil {
-		return fmt.Errorf("tier: both copies of front pair failed: %w", err0)
+	if down0 && down1 {
+		return fmt.Errorf("tier: both copies of front pair %d failed: %w", slot/s.slotsPer, core.ErrDeviceFailed)
 	}
-	if err0 != nil || err1 != nil {
+	if (down0 || down1) && off < s.tagBase {
 		s.st.degradedWrites.Add(1)
 	}
 	return nil
@@ -147,76 +136,31 @@ func (s *Store) pickCopy(d0, d1 int) int {
 	return d1
 }
 
-// frontRead serves one extent-local read from the slot's pair,
-// failing over to the mirror if the chosen copy dies mid-read. Both
-// copies gone means the dirty data is gone — reported, never silent.
-func (s *Store) frontRead(slot, extOff int64, p []byte) error {
+// mirrorRead fills p from device offset off of the slot's pair: from
+// the copy pickCopy chooses, failing over to its mirror when that copy
+// is down or reports the range lost. Both copies failing it means the
+// data is gone — reported, never silent.
+func (s *Store) mirrorRead(ctx context.Context, slot int64, p []byte, off int64) error {
 	d0, d1 := s.devsOf(slot)
-	off := s.slotOff(slot) + extOff
-	dev := s.pickCopy(d0, d1)
-	if dev < 0 {
-		return fmt.Errorf("tier: both copies of front pair %d failed: %w", slot/s.slotsPer, ErrDataLoss)
+	for i, dev := 0, s.pickCopy(d0, d1); i < 2 && dev >= 0; i, dev = i+1, d0+d1-dev {
+		if i > 0 {
+			s.st.mirrorFailovers.Add(1)
+		}
+		s.inflight[dev].Add(1)
+		down, err := s.copyIO(ctx, dev, false, p, off)
+		s.inflight[dev].Add(-1)
+		if !down && (err == nil || !errors.Is(err, core.ErrDataLoss)) {
+			return err
+		}
 	}
-	s.inflight[dev].Add(1)
-	err := s.readDev(dev, p, off)
-	s.inflight[dev].Add(-1)
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, core.ErrDeviceFailed) {
-		return err
-	}
-	// Serve from the mirror.
-	other := d0 + d1 - dev
-	s.st.mirrorFailovers.Add(1)
-	s.inflight[other].Add(1)
-	err = s.readDev(other, p, off)
-	s.inflight[other].Add(-1)
-	if errors.Is(err, core.ErrDeviceFailed) {
-		return fmt.Errorf("tier: both copies of front pair %d failed: %w", slot/s.slotsPer, ErrDataLoss)
-	}
-	return err
+	return fmt.Errorf("tier: both copies of front pair %d failed: %w", slot/s.slotsPer, ErrDataLoss)
 }
 
-// writeTags stamps the slot's tag on both copies (copy 0 first).
-func (s *Store) writeTags(slot, ext int64) error {
-	d0, d1 := s.devsOf(slot)
-	t := encodeTag(ext)
-	err0 := s.writeDev(d0, t, s.tagOff(slot))
-	if err0 != nil && !errors.Is(err0, core.ErrDeviceFailed) {
-		return err0
-	}
-	err1 := s.writeDev(d1, t, s.tagOff(slot))
-	if err1 != nil && !errors.Is(err1, core.ErrDeviceFailed) {
-		return err1
-	}
-	if err0 != nil && err1 != nil {
-		return fmt.Errorf("tier: both copies of front pair failed: %w", err0)
-	}
-	return nil
-}
-
-// invalidateTags zeroes the slot's tag on both copies; it must precede
-// any slot reuse, or a map-loss recovery could resurrect the previous
-// occupant's stale content over data the back tier has since rewritten.
-func (s *Store) invalidateTags(slot int64) error {
-	d0, d1 := s.devsOf(slot)
-	zero := make([]byte, tagSize)
-	err0 := s.writeDev(d0, zero, s.tagOff(slot))
-	if err0 != nil && !errors.Is(err0, core.ErrDeviceFailed) {
-		return err0
-	}
-	err1 := s.writeDev(d1, zero, s.tagOff(slot))
-	if err1 != nil && !errors.Is(err1, core.ErrDeviceFailed) {
-		return err1
-	}
-	return nil
-}
-
-// readTag reads and decodes one copy's tag for a slot.
+// readTag reads and decodes one copy's tag for a slot; a copy that
+// cannot serve it has none.
 func (s *Store) readTag(dev int, slot int64) (int64, bool) {
 	t := make([]byte, tagSize)
-	if err := s.readDev(dev, t, s.tagOff(slot)); err != nil {
+	if down, err := s.copyIO(context.Background(), dev, false, t, s.tagOff(slot)); down || err != nil {
 		return 0, false
 	}
 	return decodeTag(t)
@@ -225,24 +169,27 @@ func (s *Store) readTag(dev int, slot int64) (int64, bool) {
 // resilver makes the mirror copies of every resident extent identical
 // again after a reopen: an in-flight write at the crash can live on
 // one copy only, and load-balanced reads must not flicker between two
-// versions of an unacknowledged write. Copy 0 is authoritative when
-// its tag still matches the map; a slot where neither copy's tag
-// matches was mid-eviction (tags are zeroed before the map forgets the
-// slot), so the extent's clean content is safe in the back tier and
-// the slot is released.
+// versions of an unacknowledged write. The authoritative copy is the
+// first, copy 0 before copy 1, whose tag still matches the map and
+// whose data reads whole; a copy that reports its data lost is passed
+// over for its mirror. A slot where neither copy's tag matches was
+// mid-eviction (tags are zeroed before the map forgets the slot), so
+// the extent's clean content is safe in the back tier and the slot is
+// released.
 //
-// A copy carrying the persisted failed flag is never authoritative,
-// valid tag or not: its media froze at the failure while the survivor
-// kept taking acknowledged writes. Resilver instead tries to rewrite
-// the flagged copy from the survivor; only if every resident slot of
-// its pair restores cleanly is the flag cleared and the pair whole
-// again.
+// A copy carrying the persisted failed flag is latched, so it is never
+// authoritative, valid tag or not: its media froze at the failure while
+// the survivor kept taking acknowledged writes. Resilver instead
+// rewrites it from the survivor, directly, past its latch; only if
+// every resident slot of its pair restores cleanly is the flag cleared
+// and the pair whole again.
 func (s *Store) resilver() error {
+	ctx := context.Background()
 	buf := make([]byte, s.extentSize)
 	var dropped []int64
-	restored := make([]bool, len(s.front))
-	for i := range restored {
-		restored[i] = true
+	flagged, restored := make([]bool, len(s.front)), make([]bool, len(s.front))
+	for i := range s.front {
+		flagged[i], restored[i] = s.copyFailed[i].Load(), true
 	}
 	for slot, ext := range s.m.table {
 		if ext < 0 {
@@ -250,46 +197,43 @@ func (s *Store) resilver() error {
 		}
 		slot := int64(slot)
 		d0, d1 := s.devsOf(slot)
-		auth := -1
-		if !s.copyFailed[d0].Load() {
-			if e, ok := s.readTag(d0, slot); ok && e == ext {
-				auth = d0
+		n := s.extentLen(ext)
+		auth, claimed := -1, false
+		for _, d := range [2]int{d0, d1} {
+			if e, ok := s.readTag(d, slot); !ok || e != ext {
+				continue
+			}
+			claimed = true
+			down, err := s.copyIO(ctx, d, false, buf[:n], s.slotOff(slot))
+			if !down && err == nil {
+				auth = d
+				break
+			}
+			if !down && !errors.Is(err, core.ErrDataLoss) {
+				return err
 			}
 		}
-		if auth < 0 && !s.copyFailed[d1].Load() {
-			if e, ok := s.readTag(d1, slot); ok && e == ext {
-				auth = d1
-			}
-		}
-		if auth < 0 {
+		if !claimed {
 			dropped = append(dropped, slot)
 			continue
 		}
+		if auth < 0 {
+			// Claimed, but no copy reads whole: the slot stays, and its
+			// reads report the loss.
+			restored[d0], restored[d1] = false, false
+			continue
+		}
 		other := d0 + d1 - auth
-		n := s.extentLen(ext)
-		if err := s.readDev(auth, buf[:n], s.slotOff(slot)); err != nil {
-			if errors.Is(err, core.ErrDeviceFailed) {
-				restored[other] = false
-				continue // single-copy until it fails too; reads will report
-			}
-			return err
+		err := core.WriteAt(ctx, s.front[other], buf[:n], s.slotOff(slot))
+		if err == nil {
+			err = core.WriteAt(ctx, s.front[other], encodeTag(ext), s.tagOff(slot))
 		}
-		// Write the peer directly, bypassing the failed short-circuit: a
-		// flagged copy that answers again is exactly what this rewrite
-		// brings back into the mirror.
-		if _, err := s.front[other].WriteAt(buf[:n], s.slotOff(slot)); err != nil {
-			if errors.Is(err, core.ErrDeviceFailed) {
-				restored[other] = false
-				continue
+		if err != nil {
+			if !errors.Is(err, core.ErrDeviceFailed) {
+				return err
 			}
-			return err
-		}
-		if _, err := s.front[other].WriteAt(encodeTag(ext), s.tagOff(slot)); err != nil {
-			if errors.Is(err, core.ErrDeviceFailed) {
-				restored[other] = false
-				continue
-			}
-			return err
+			restored[other] = false
+			continue // single-copy until it fails too; reads will report
 		}
 		s.st.resilvered.Add(1)
 	}
@@ -299,15 +243,15 @@ func (s *Store) resilver() error {
 	zero := make([]byte, tagSize)
 	for _, slot := range dropped {
 		d0, d1 := s.devsOf(slot)
-		for _, d := range []int{d0, d1} {
-			if _, err := s.front[d].WriteAt(zero, s.tagOff(slot)); err != nil {
+		for _, d := range [2]int{d0, d1} {
+			if core.WriteAt(ctx, s.front[d], zero, s.tagOff(slot)) != nil {
 				restored[d] = false
 			}
 		}
 	}
 	changed := len(dropped) > 0
 	for i := range s.front {
-		if s.copyFailed[i].Load() && restored[i] {
+		if flagged[i] && restored[i] {
 			s.copyFailed[i].Store(false)
 			changed = true
 		}

@@ -25,8 +25,8 @@ import (
 // plausible-but-wrong placement.
 //
 // The failed-copy mask records mirror copies that fail-stopped while
-// the array ran on. It is persisted the moment a copy fails, before
-// any degraded write is acknowledged: a dead copy's media is stale —
+// the array ran on. A copy's flag is stored before any degraded write
+// to its pair is acknowledged (copyIO): a dead copy's media is stale —
 // the survivor kept absorbing writes — and recovery must never pick it
 // as the authoritative side of a resilver.
 const mapMagic = "AFTRMAP1"
@@ -161,5 +161,9 @@ func (s *Store) persistMapLocked() error {
 			mask |= 1 << uint(i)
 		}
 	}
-	return s.nv.Store(s.m.serialize(s.extentSize, mask))
+	if err := s.nv.Store(s.m.serialize(s.extentSize, mask)); err != nil {
+		return err
+	}
+	s.storedFailed.Store(mask)
+	return nil
 }

@@ -12,11 +12,11 @@ import (
 
 // promote installs an extent in the front tier and applies the write.
 // The caller holds the extent's lock. Crash-safety hangs on the order:
-// compose the full image, zero any previous occupant's tags, write
-// copy 0 (data, tag), write copy 1 (data, tag), and only then persist
-// the map and acknowledge. Before the map persist the back tier is
-// still authoritative and the write simply never happened; after it
-// the front holds a complete image on at least one whole copy.
+// compose the full image, zero any previous occupant's tags, write the
+// data, then the tag (each mirrored, copy 0 before copy 1), and only
+// then persist the map and acknowledge. Before the map persist the back
+// tier is still authoritative and the write simply never happened;
+// after it the front holds a complete image on at least one whole copy.
 func (s *Store) promote(ctx context.Context, ext, extOff int64, p []byte) error {
 	n := s.extentLen(ext)
 	buf := s.bufs.Get().([]byte)[:s.extentSize]
@@ -36,7 +36,7 @@ func (s *Store) promote(ctx context.Context, ext, extOff int64, p []byte) error 
 	copy(buf[extOff:], p)
 
 	start := time.Now()
-	slot, err := s.claimSlot(ext)
+	slot, err := s.claimSlot(ctx, ext)
 	if err != nil || slot < 0 {
 		// No slot to be had: not a failure, just a cold front. Write
 		// around and let the migrator catch up.
@@ -49,11 +49,11 @@ func (s *Store) promote(ctx context.Context, ext, extOff int64, p []byte) error 
 		}
 		return err
 	}
-	if err := s.frontWrite(slot, 0, buf[:n]); err != nil {
-		s.releaseSlot(slot)
-		return err
+	err = s.mirrorWrite(ctx, slot, buf[:n], s.slotOff(slot))
+	if err == nil {
+		err = s.mirrorWrite(ctx, slot, encodeTag(ext), s.tagOff(slot))
 	}
-	if err := s.writeTags(slot, ext); err != nil {
+	if err != nil {
 		s.releaseSlot(slot)
 		return err
 	}
@@ -83,7 +83,7 @@ func (s *Store) promote(ctx context.Context, ext, extOff int64, p []byte) error 
 // Eviction locks the victim's extent with TryLock: the caller already
 // holds the promoting extent's lock, and two promotes evicting across
 // each other could otherwise deadlock on the 64-way pool.
-func (s *Store) claimSlot(ext int64) (int64, error) {
+func (s *Store) claimSlot(ctx context.Context, ext int64) (int64, error) {
 	pair := s.pairOf(ext)
 	s.meta.Lock()
 	if slot := s.m.freeSlot(pair, s.slotsPer); slot >= 0 {
@@ -127,7 +127,7 @@ func (s *Store) claimSlot(ext int64) (int64, error) {
 		return -1, nil
 	}
 	s.meta.Unlock()
-	if err := s.invalidateTags(victimSlot); err != nil {
+	if err := s.invalidateTags(ctx, victimSlot); err != nil {
 		return -1, err
 	}
 	s.meta.Lock()
@@ -136,6 +136,13 @@ func (s *Store) claimSlot(ext int64) (int64, error) {
 	s.meta.Unlock()
 	s.st.evictions.Add(1)
 	return victimSlot, nil
+}
+
+// invalidateTags zeroes the slot's tag on both copies; it must precede any
+// slot reuse, or a map-loss recovery could resurrect the previous
+// occupant's stale content over data the back tier has since rewritten.
+func (s *Store) invalidateTags(ctx context.Context, slot int64) error {
+	return s.mirrorWrite(ctx, slot, make([]byte, tagSize), s.tagOff(slot))
 }
 
 // releaseSlot undoes a claimSlot reservation after a failed promote.
@@ -167,23 +174,15 @@ func (s *Store) demoteExtent(ctx context.Context, ext int64, evict bool) error {
 	buf := s.bufs.Get().([]byte)[:s.extentSize]
 	defer s.bufs.Put(buf[:cap(buf)])
 	if wasDirty {
-		d0, d1 := s.devsOf(slot)
-		err := s.readDev(d0, buf[:n], s.slotOff(slot))
-		if errors.Is(err, core.ErrDeviceFailed) {
-			err = s.readDev(d1, buf[:n], s.slotOff(slot))
-			if errors.Is(err, core.ErrDeviceFailed) {
-				return fmt.Errorf("tier: demoting extent %d: both front copies failed: %w", ext, ErrDataLoss)
-			}
-		}
-		if err != nil {
-			return err
+		if err := s.mirrorRead(ctx, slot, buf[:n], s.slotOff(slot)); err != nil {
+			return fmt.Errorf("tier: demoting extent %d: %w", ext, err)
 		}
 		if _, err := s.back.WriteContext(ctx, buf[:n], ext*s.extentSize); err != nil {
 			return err
 		}
 	}
 	if evict {
-		if err := s.invalidateTags(slot); err != nil {
+		if err := s.invalidateTags(ctx, slot); err != nil {
 			return err
 		}
 	}

@@ -72,15 +72,6 @@ type TierStats struct {
 	DirtyBytes              int64
 }
 
-// FrontHitRatio is the fraction of reads served by the front tier.
-func (t TierStats) FrontHitRatio() float64 {
-	total := t.FrontReadHits + t.FrontReadMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.FrontReadHits) / float64(total)
-}
-
 // TierStats snapshots the tier counters.
 func (s *Store) TierStats() TierStats {
 	t := TierStats{

@@ -82,11 +82,12 @@ type Store struct {
 
 	locks [64]sync.Mutex // extent lock pool, keyed extent % 64
 
-	copyFailed []atomic.Bool  // per front device, set on ErrDeviceFailed
-	inflight   []atomic.Int64 // per front device, reads in flight
-	rrTick     atomic.Uint64
-	lastOp     atomic.Int64 // UnixNano of the latest client op (idle detection)
-	bufs       sync.Pool    // extent-size scratch buffers
+	copyFailed   []atomic.Bool  // per front device: latched fail-stop (copyIO)
+	storedFailed atomic.Uint64  // the failed-copy mask of the last map image stored
+	inflight     []atomic.Int64 // per front device, reads in flight
+	rrTick       atomic.Uint64
+	lastOp       atomic.Int64 // UnixNano of the latest client op (idle detection)
+	bufs         sync.Pool    // extent-size scratch buffers
 
 	st  stats
 	ob  *tierObs
@@ -239,6 +240,7 @@ func (s *Store) recover() error {
 			s.copyFailed[i].Store(true)
 		}
 	}
+	s.storedFailed.Store(failedMask)
 	s.m = m
 	if err := s.resilver(); err != nil {
 		return err
@@ -277,9 +279,6 @@ func (s *Store) pairOf(ext int64) int { return int(ext % int64(s.pairs)) }
 // slotOff is the device offset of a slot's data.
 func (s *Store) slotOff(slot int64) int64 { return (slot % s.slotsPer) * s.extentSize }
 
-// globalSlot combines pair and per-pair slot into the map index.
-func globalSlot(pair int, slot int64, slotsPer int64) int64 { return int64(pair)*slotsPer + slot }
-
 // Capacity returns the client-visible byte capacity (the back tier's;
 // the front is a staging area, not extra space).
 func (s *Store) Capacity() int64 { return s.capacity }
@@ -311,11 +310,26 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 // the front mirrors (load-balanced) and everything else from the back
 // tier.
 func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, error) {
+	done, err := s.walk(ctx, "read", p, off, func(ext, extOff int64, q []byte) error {
+		return s.readExtent(ctx, ext, extOff, q)
+	})
+	if err != nil {
+		return done, err
+	}
+	s.st.reads.Add(1)
+	s.st.bytesRead.Add(int64(len(p)))
+	return done, nil
+}
+
+// walk is the one extent walk of ReadContext and WriteContext: it hands
+// op each extent-local piece of [off, off+len(p)) in order, stopping at
+// the first error or when ctx ends, and returns the bytes done.
+func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op func(ext, extOff int64, q []byte) error) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	if !s.inRange(off, int64(len(p))) {
-		return 0, fmt.Errorf("tier: read of %d bytes at %d outside capacity %d", len(p), off, s.capacity)
+		return 0, fmt.Errorf("tier: %s of %d bytes at %d outside capacity %d", verb, len(p), off, s.capacity)
 	}
 	done := 0
 	for done < len(p) {
@@ -324,17 +338,12 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 		}
 		ext := (off + int64(done)) / s.extentSize
 		extOff := (off + int64(done)) % s.extentSize
-		n := int(s.extentLen(ext) - extOff)
-		if rem := len(p) - done; n > rem {
-			n = rem
-		}
-		if err := s.readExtent(ctx, ext, extOff, p[done:done+n]); err != nil {
+		n := int(min(s.extentLen(ext)-extOff, int64(len(p)-done)))
+		if err := op(ext, extOff, p[done:done+n]); err != nil {
 			return done, err
 		}
 		done += n
 	}
-	s.st.reads.Add(1)
-	s.st.bytesRead.Add(int64(len(p)))
 	s.lastOp.Store(time.Now().UnixNano())
 	return done, nil
 }
@@ -360,7 +369,7 @@ func (s *Store) readExtent(ctx context.Context, ext, extOff int64, p []byte) err
 	}
 	s.st.frontReadHits.Add(1)
 	start := time.Now()
-	err := s.frontRead(slot, extOff, p)
+	err := s.mirrorRead(ctx, slot, p, s.slotOff(slot)+extOff)
 	s.ob.frontRead.Observe(time.Since(start))
 	return err
 }
@@ -370,34 +379,17 @@ func (s *Store) readExtent(ctx context.Context, ext, extOff int64, p []byte) err
 // absent extents promote them; large ops write around the front
 // straight to the back tier's deferred-parity path.
 func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, error) {
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	if !s.inRange(off, int64(len(p))) {
-		return 0, fmt.Errorf("tier: write of %d bytes at %d outside capacity %d", len(p), off, s.capacity)
-	}
 	// An op of up to two extents promotes its non-resident extents; a
 	// larger one writes around the front tier straight to the back end.
 	writeAround := int64(len(p)) > 2*s.extentSize
-	done := 0
-	for done < len(p) {
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		ext := (off + int64(done)) / s.extentSize
-		extOff := (off + int64(done)) % s.extentSize
-		n := int(s.extentLen(ext) - extOff)
-		if rem := len(p) - done; n > rem {
-			n = rem
-		}
-		if err := s.writeExtent(ctx, ext, extOff, p[done:done+n], writeAround); err != nil {
-			return done, err
-		}
-		done += n
+	done, err := s.walk(ctx, "write", p, off, func(ext, extOff int64, q []byte) error {
+		return s.writeExtent(ctx, ext, extOff, q, writeAround)
+	})
+	if err != nil {
+		return done, err
 	}
 	s.st.writes.Add(1)
 	s.st.bytesWritten.Add(int64(len(p)))
-	s.lastOp.Store(time.Now().UnixNano())
 	// Hard pressure: the migrator is behind; pay one demotion inline
 	// (the analogue of the back tier's nvram.Engine.Kick valve) so dirty
 	// bytes cannot grow without bound.
@@ -428,7 +420,7 @@ func (s *Store) writeExtent(ctx context.Context, ext, extOff int64, p []byte, wr
 	if resident {
 		s.st.frontWriteHits.Add(1)
 		start := time.Now()
-		if err := s.frontWrite(slot, extOff, p); err != nil {
+		if err := s.mirrorWrite(ctx, slot, p, s.slotOff(slot)+extOff); err != nil {
 			return err
 		}
 		s.ob.frontWrite.Observe(time.Since(start))

@@ -17,7 +17,7 @@ type testRig struct {
 	backDevs  []core.BlockDevice
 	backNV    *core.MemNVRAM
 	front     []core.BlockDevice
-	nv        *core.MemNVRAM
+	nv        core.NVRAM
 	st        *Store
 	extentSz  int64
 	slotsPair int64
@@ -26,13 +26,19 @@ type testRig struct {
 // newRig builds a small hybrid: a 4-disk AFRAID back end and one front
 // mirror pair with slotsPair extent slots.
 func newRig(t *testing.T, opts Options, slotsPair int64) *testRig {
+	return openRig(t, opts, slotsPair, func(d core.BlockDevice) core.BlockDevice { return d }, &core.MemNVRAM{})
+}
+
+// openRig is newRig with each front copy's media passed through wrap
+// and the extent map kept in nv.
+func openRig(t *testing.T, opts Options, slotsPair int64, wrap func(core.BlockDevice) core.BlockDevice, nv core.NVRAM) *testRig {
 	t.Helper()
 	if opts.ExtentSize == 0 {
 		opts.ExtentSize = 16 << 10
 	}
 	r := &testRig{
 		backNV:    &core.MemNVRAM{},
-		nv:        &core.MemNVRAM{},
+		nv:        nv,
 		extentSz:  opts.ExtentSize,
 		slotsPair: slotsPair,
 	}
@@ -45,7 +51,7 @@ func newRig(t *testing.T, opts Options, slotsPair int64) *testRig {
 	}
 	r.back = back
 	frontSize := slotsPair * (opts.ExtentSize + tagSize)
-	r.front = []core.BlockDevice{core.NewMemDevice(frontSize), core.NewMemDevice(frontSize)}
+	r.front = []core.BlockDevice{wrap(core.NewMemDevice(frontSize)), wrap(core.NewMemDevice(frontSize))}
 	st, err := Open(back, r.front, r.nv, opts)
 	if err != nil {
 		t.Fatal(err)
