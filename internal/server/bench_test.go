@@ -235,6 +235,41 @@ func TestWritePathAllocBytes(t *testing.T) {
 	pinAllocBytes(t, "write", (*Client).WriteAt)
 }
 
+// TestSmallOpAllocs pins what a 4 KiB round trip through Client and
+// Server costs in allocated objects, both ends together: a WRITE at most
+// 3, a READ at most 4. A handler goroutine started per request, or a
+// timer context armed per request, each costs more than the margin.
+// Gated off under -race, like pinAllocBytes.
+func TestSmallOpAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	srv, c := startBench(t, Options{MaxInflight: 1024})
+	defer srv.Close()
+	defer c.Close()
+	p := make([]byte, 4<<10)
+	for _, tc := range []struct {
+		name string
+		op   func(*Client, []byte, int64) (int, error)
+		max  float64
+	}{
+		{"write", (*Client).WriteAt, 3},
+		{"read", (*Client).ReadAt, 4},
+	} {
+		off := int64(0)
+		allocs := testing.AllocsPerRun(256, func() {
+			if _, err := tc.op(c, p, off); err != nil {
+				t.Fatal(err)
+			}
+			off = (off + 64<<10) % (c.Capacity() - int64(len(p)))
+		})
+		t.Logf("4 KiB %s: %.1f allocations per round trip", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("4 KiB %s allocates %.1f objects per round trip, want at most %v", tc.name, allocs, tc.max)
+		}
+	}
+}
+
 // pinAllocBytes bounds what both ends of the wire together allocate per
 // 64 KiB op at a sixteenth of the payload: steady state is a few
 // hundred bytes of bookkeeping, and the rounds are many enough that a

@@ -34,6 +34,17 @@ func (g *gatedBackend) WriteContext(ctx context.Context, p []byte, off int64) (i
 
 func startGated(t *testing.T, srvOpts Options) (*Server, *gatedBackend, string) {
 	t.Helper()
+	var g *gatedBackend
+	srv, addr := startWrapped(t, srvOpts, func(st *core.Store) Backend {
+		g = &gatedBackend{Store: st, gate: make(chan struct{})}
+		return g
+	})
+	return srv, g, addr
+}
+
+// startWrapped serves wrap's Backend over a fresh store.
+func startWrapped(t *testing.T, srvOpts Options, wrap func(*core.Store) Backend) (*Server, string) {
+	t.Helper()
 	devs := make([]core.BlockDevice, 5)
 	for i := range devs {
 		devs[i] = core.NewMemDevice(4 << 20)
@@ -42,8 +53,7 @@ func startGated(t *testing.T, srvOpts Options) (*Server, *gatedBackend, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &gatedBackend{Store: st, gate: make(chan struct{})}
-	srv := New(g, srvOpts)
+	srv := New(wrap(st), srvOpts)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +63,144 @@ func startGated(t *testing.T, srvOpts Options) (*Server, *gatedBackend, string) 
 		srv.Close()
 		st.Close()
 	})
-	return srv, g, lis.Addr().String()
+	return srv, lis.Addr().String()
+}
+
+// ctxBackend hands each write's context to inspect, which stands in for
+// the store call.
+type ctxBackend struct {
+	*core.Store
+	inspect func(ctx context.Context) error
+}
+
+func (b *ctxBackend) WriteContext(ctx context.Context, p []byte, off int64) (int, error) {
+	if err := b.inspect(ctx); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestRequestContext holds the store call's context to context.Context's
+// contract, one row per clause, over a store that inspects it: a
+// deadline of frame arrival + RequestTimeout, reached by polling Err or
+// by waiting on Done, inherited by a derived context; cancelled when
+// the call returns, releasing whatever the store left waiting on it;
+// and cancelled by a hard Close.
+func TestRequestContext(t *testing.T) {
+	const short, long = 50 * time.Millisecond, time.Hour
+	released := make(chan error, 1)
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		// inspect is the store call; sent precedes the frame's arrival.
+		inspect func(t *testing.T, ctx context.Context, sent time.Time) error
+		close   bool               // hard Close while the call runs
+		want    error              // what the client sees, unless close; nil: success
+		after   func(t *testing.T) // checks made once the client has its reply
+	}{
+		{"err polled to the deadline", short, func(t *testing.T, ctx context.Context, _ time.Time) error {
+			for ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case <-ctx.Done():
+			default:
+				t.Error("Err non-nil before Done is closed")
+			}
+			return ctx.Err()
+		}, false, ErrTimeout, nil},
+		{"done woken at the deadline", short, func(t *testing.T, ctx context.Context, _ time.Time) error {
+			<-ctx.Done()
+			if err := ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("Err after Done = %v, want DeadlineExceeded", err)
+			}
+			return ctx.Err()
+		}, false, ErrTimeout, nil},
+		{"deadline is arrival plus timeout", long, func(t *testing.T, ctx context.Context, sent time.Time) error {
+			dl, ok := ctx.Deadline()
+			if lo, hi := sent.Add(long), time.Now().Add(long); !ok || dl.Before(lo) || dl.After(hi) {
+				t.Errorf("Deadline() = %v, %v; want between %v and %v", dl, ok, lo, hi)
+			}
+			return nil
+		}, false, nil, nil},
+		{"child inherits the deadline", short, func(t *testing.T, ctx context.Context, _ time.Time) error {
+			child, cancel := context.WithCancel(ctx)
+			defer cancel()
+			dl, _ := ctx.Deadline()
+			if cdl, ok := child.Deadline(); !ok || !cdl.Equal(dl) {
+				t.Errorf("child Deadline() = %v, %v; want %v", cdl, ok, dl)
+			}
+			<-child.Done()
+			if err := child.Err(); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("child Err = %v, want DeadlineExceeded", err)
+			}
+			return child.Err()
+		}, false, ErrTimeout, nil},
+		{"waiter released at return", long, func(t *testing.T, ctx context.Context, _ time.Time) error {
+			go func() {
+				<-ctx.Done()
+				released <- ctx.Err()
+			}()
+			return nil
+		}, false, nil, func(t *testing.T) {
+			select {
+			case err := <-released:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("left waiter released with %v, want Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a goroutine the store left waiting on Done was never released")
+			}
+		}},
+		{"hard close", long, func(t *testing.T, ctx context.Context, _ time.Time) error {
+			<-ctx.Done()
+			if err := ctx.Err(); !errors.Is(err, context.Canceled) {
+				t.Errorf("Err after hard Close = %v, want Canceled", err)
+			}
+			return ctx.Err()
+		}, true, nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			entered := make(chan struct{}, 1)
+			sent := time.Now() // before the server: its goroutines see it
+			srv, addr := startWrapped(t, Options{RequestTimeout: tc.timeout}, func(st *core.Store) Backend {
+				return &ctxBackend{Store: st, inspect: func(ctx context.Context) error {
+					entered <- struct{}{}
+					return tc.inspect(t, ctx, sent)
+				}}
+			})
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			done := make(chan error, 1)
+			t0 := time.Now()
+			go func() {
+				_, err := c.WriteAt([]byte("inspected"), 0)
+				done <- err
+			}()
+			<-entered
+			if tc.close {
+				srv.Close()
+				<-done // the shutdown status or the dropped connection
+				if n := srv.Metrics().Responses(StatusShutdown); n != 1 {
+					t.Fatalf("%d requests answered StatusShutdown by a hard Close, want 1", n)
+				}
+				return
+			}
+			err = <-done
+			if elapsed := time.Since(t0); tc.want != nil && elapsed < tc.timeout {
+				t.Errorf("request ended after %v, before its %v deadline", elapsed, tc.timeout)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("write: got %v, want %v", err, tc.want)
+			}
+			if tc.after != nil {
+				tc.after(t)
+			}
+		})
+	}
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

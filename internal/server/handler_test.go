@@ -38,17 +38,88 @@ func TestConnGoroutines(t *testing.T) {
 	for i := 0; i < conns; i++ {
 		dialRaw(t, addr) // no Client: its read loop would be counted too
 	}
-	// A served request's handler is gone once it has replied.
+	// A connection serving one request at a time keeps one handler.
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WriteAt([]byte("handled"), 0); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 100; i++ {
+		if _, err := c.WriteAt([]byte("handled"), int64(i)<<12); err != nil {
+			t.Fatal(err)
+		}
 	}
+	waitFor(t, "the server to be down to one goroutine a connection, one handler and the accept loop",
+		func() bool { return serverGoroutines() == conns+1+1+1 })
+	// A served request's handler is gone once its connection has closed.
 	c.Close()
 	waitFor(t, "the server to be down to one goroutine a connection and the accept loop",
 		func() bool { return serverGoroutines() == conns+1 })
+}
+
+// TestHandlersOutliveTheirRequest: a connection's handler goes back to
+// waiting after each reply, so sequential requests reuse one handler, a
+// burst starts no more handlers than it has requests in flight, and
+// none outlives the connection.
+func TestHandlersOutliveTheirRequest(t *testing.T) {
+	const idle = 2
+	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour}, Options{})
+	for i := 0; i < idle; i++ {
+		dialRaw(t, addr)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stat := func(key string) int64 {
+		t.Helper()
+		st, err := c.Stat(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := st[key]
+		if !ok {
+			t.Fatalf("STAT has no %s", key)
+		}
+		return v
+	}
+	page := make([]byte, 4<<10)
+	for i := 0; i < 200; i++ {
+		if _, err := c.WriteAt(page, int64(i)*int64(len(page))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := stat("server.handler_starts"); n != 1 {
+		t.Fatalf("200 sequential writes started %d handlers, want 1", n)
+	}
+
+	const burst = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.WriteAt(page, int64(i)*(64<<10))
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := stat("server.handlers"); n < 1 || n > burst {
+		t.Fatalf("%d handlers after a burst of %d writes, want 1..%d", n, burst, burst)
+	}
+
+	c.Close()
+	waitFor(t, "the closed connection's handlers to return",
+		func() bool { return srv.Metrics().Handlers.Value() == 0 })
+	waitFor(t, "the server to be down to its readers and the accept loop",
+		func() bool { return serverGoroutines() == idle+1 })
 }
 
 // heldConn is the write side of a connection whose first write blocks

@@ -32,6 +32,8 @@ type Metrics struct {
 
 	ConnsOpen       Int
 	ConnsTotal      Int
+	Handlers        Int // handler goroutines alive, busy or idle
+	HandlerStarts   Int
 	Inflight        Int
 	BusyRejected    Int
 	CoalescedWrites Int
@@ -114,6 +116,8 @@ func (m *Metrics) Responses(st Status) int64 {
 func (m *Metrics) stat(dst Stat) {
 	dst["server.conns_open"] = m.ConnsOpen.Value()
 	dst["server.conns_total"] = m.ConnsTotal.Value()
+	dst["server.handlers"] = m.Handlers.Value()
+	dst["server.handler_starts"] = m.HandlerStarts.Value()
 	dst["server.inflight"] = m.Inflight.Value()
 	dst["server.busy_rejected"] = m.BusyRejected.Value()
 	dst["server.coalesced_writes"] = m.CoalescedWrites.Value()

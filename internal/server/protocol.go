@@ -1,10 +1,10 @@
 // Package server exposes an AFRAID store as a concurrent network block
 // service: a length-prefixed binary protocol over TCP with request IDs
-// for out-of-order completion, one goroutine per admitted request
-// calling into the store's stripe-lock pool, write coalescing,
-// per-request deadlines, backpressure, graceful drain, and a
-// self-describing STAT snapshot of every layer's counters. The matching
-// Client speaks the same protocol.
+// for out-of-order completion, per-connection handler goroutines that
+// outlive their request calling into the store's stripe-lock pool,
+// write coalescing, per-request deadlines, backpressure, graceful
+// drain, and a self-describing STAT snapshot of every layer's counters.
+// The matching Client speaks the same protocol.
 package server
 
 import (

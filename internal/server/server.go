@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"afraid/internal/bufpool"
@@ -39,15 +40,16 @@ type Backend interface {
 // Options configures a Server. The zero value picks sensible defaults.
 type Options struct {
 	// MaxInflight bounds accepted-but-unfinished requests across all
-	// connections (default 256), and so the goroutines applying them
+	// connections (default 256), and so the handlers busy applying them
 	// to the store. Beyond it the server answers ERR_BUSY instead of
 	// buffering without bound.
 	MaxInflight int
 	// MaxPayload bounds one frame's data (default DefaultMaxPayload),
 	// the STAT snapshot's few KiB included.
 	MaxPayload uint32
-	// RequestTimeout is the per-request deadline (default 30s); it
-	// cancels store work mid-request via context.
+	// RequestTimeout is the per-request deadline (default 30s), counted
+	// from the frame's arrival; it cancels store work mid-request via
+	// context.
 	RequestTimeout time.Duration
 	// WriteTimeout bounds each socket write of response frames
 	// (default 30s). A client that pipelines requests but stops
@@ -96,6 +98,7 @@ type task struct {
 	// array. handle returns it once the store call is back.
 	frame []byte
 	start time.Time
+	ctx   reqCtx // the store call's context
 }
 
 // Server serves the block protocol over accepted connections.
@@ -198,7 +201,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	if s.draining {
 		return nil
 	}
-	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
+	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, readBufSize), tasks: make(chan *task)}
 	c.room.L = &c.wmu
 	s.conns[c] = struct{}{}
 	s.connWG.Add(1)
@@ -275,15 +278,28 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handle is one request from frame to reply, on its own goroutine: the
-// store call, the response for every frame ID the task acknowledges,
-// then the in-flight token goes back.
+// handler serves the connection's tasks, starting with t, until serve
+// closes the task channel. It goes back to waiting after each reply, so
+// its stack, grown once through the store's call chain, serves the next
+// request as it is.
+func (c *conn) handler(t *task) {
+	s := c.srv
+	defer c.pending.Done()
+	defer s.metrics.Handlers.Add(-1)
+	for ok := true; ok; t, ok = <-c.tasks {
+		c.handle(t)
+	}
+}
+
+// handle is one request from frame to reply: the store call, the
+// response for every frame ID the task acknowledges, then the in-flight
+// token goes back. The handler counts itself idle before its reply can
+// reach the client, so the request the reply prompts finds it.
 func (c *conn) handle(t *task) {
 	s := c.srv
-	queued := time.Since(t.start) // dispatch -> this goroutine running
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.opts.RequestTimeout)
-	resp := s.apply(ctx, &t.req)
-	cancel()
+	queued := time.Since(t.start) // dispatch -> this handler running
+	resp := s.apply(&t.ctx, &t.req)
+	t.ctx.end(context.Canceled)
 	bufpool.Put(t.frame) // Backend does not retain it
 	d := time.Since(t.start)
 	s.metrics.task(&t.req, resp.Status, queued, d)
@@ -291,10 +307,87 @@ func (c *conn) handle(t *task) {
 		s.metrics.response(resp.Op, resp.Status, d)
 	}
 	resp.ID = t.req.ID
+	c.idle.Add(1)
 	c.reply(resp, t.merged...)
 	s.metrics.Inflight.Add(-1)
 	<-s.tokens
-	c.pending.Done()
+}
+
+// reqCtx is a request's context: the server's base context, cancelled
+// on hard close, with the deadline frame arrival + RequestTimeout, and
+// cancelled when the store call returns. It lives in the task, so it
+// allocates nothing, and it arms a timer only for a store that asks for
+// Done; Err reads the clock instead.
+type reqCtx struct {
+	base     context.Context
+	deadline time.Time
+	mu       sync.Mutex
+	done     chan struct{} // made by Done; closed once err is set
+	err      error
+	timer    *time.Timer // armed by Done
+	unhook   func() bool // Done's hook on base
+}
+
+func (c *reqCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *reqCtx) Value(key any) any { return c.base.Value(key) }
+
+func (c *reqCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err != nil {
+			close(c.done)
+		} else {
+			c.timer = time.AfterFunc(time.Until(c.deadline), func() { c.end(context.DeadlineExceeded) })
+			c.unhook = context.AfterFunc(c.base, func() { c.end(c.base.Err()) })
+		}
+	}
+	return c.done
+}
+
+// Err ends the context first if it finds the base context cancelled or
+// the deadline past, so that it is non-nil only once Done is closed.
+func (c *reqCtx) Err() error {
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	select {
+	case <-c.base.Done():
+		return c.end(c.base.Err())
+	default:
+	}
+	if !time.Now().Before(c.deadline) {
+		return c.end(context.DeadlineExceeded)
+	}
+	return nil
+}
+
+// end ends the context with err, unless it has ended already, and
+// returns the error it ended with. It closes Done, releasing whatever
+// waits on it, and disarms what Done armed.
+func (c *reqCtx) end(err error) error {
+	c.mu.Lock()
+	if c.err != nil {
+		err = c.err
+		c.mu.Unlock()
+		return err
+	}
+	c.err = err
+	if c.done != nil {
+		close(c.done)
+	}
+	timer, unhook := c.timer, c.unhook
+	c.mu.Unlock()
+	if timer != nil {
+		timer.Stop()
+		unhook()
+	}
+	return err
 }
 
 // rangeOK reports whether [off, off+length) lies within capacity,
@@ -375,13 +468,15 @@ func (s *Server) fail(resp Response, err error) Response {
 }
 
 // conn is one client connection: a reader (the serve goroutine) that
-// starts one handler goroutine per request, and a reply queue the
-// handlers write out themselves, so responses return in completion
-// order, not issue order.
+// hands each request to one of the connection's handler goroutines, and
+// a reply queue the handlers write out themselves, so responses return
+// in completion order, not issue order.
 type conn struct {
 	srv     *Server
 	nc      net.Conn
 	br      *bufio.Reader
+	tasks   chan *task     // unbuffered: readLoop to an idle handler
+	idle    atomic.Int64   // handlers past their store call and not yet handed another task
 	pending sync.WaitGroup // handlers started and not yet returned
 
 	wmu      sync.Mutex // guards queue, flushing and broken
@@ -402,9 +497,11 @@ func (c *conn) serve() {
 		return
 	}
 	c.readLoop()
-	// A reply a handler left to another goroutine's flush is on the wire
-	// before that flusher returns, and the flusher is a handler too (or
-	// readLoop, answering BUSY).
+	// Handlers return once their last reply is out. A reply a handler
+	// left to another goroutine's flush is on the wire before that
+	// flusher returns, and the flusher is a handler too (or readLoop,
+	// answering BUSY).
+	close(c.tasks)
 	c.pending.Wait()
 }
 
@@ -443,8 +540,12 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 
 // readLoop reads frames (a WRITE's payload into a pooled buffer that
 // travels with the task), applies backpressure, coalesces adjacent
-// pipelined writes, and starts a handler per task. It returns on
-// connection error, protocol error, or drain (read deadline).
+// pipelined writes, and hands each task to an idle handler, starting one
+// only when none is. An idle handler may still be writing its reply,
+// and the hand-off then waits for it; it still holds its token, so the
+// connection's handlers never outnumber the most requests it has had in
+// flight at once. It returns on connection error, protocol error, or
+// drain (read deadline).
 func (c *conn) readLoop() {
 	s := c.srv
 	for {
@@ -467,12 +568,20 @@ func (c *conn) readLoop() {
 			continue
 		}
 		t := &task{req: req, frame: req.Data, start: time.Now()}
+		t.ctx.base, t.ctx.deadline = s.baseCtx, t.start.Add(s.opts.RequestTimeout)
 		if req.Op == OpWrite && s.opts.CoalesceLimit > 0 {
 			c.coalesce(t)
 		}
-		c.pending.Add(1)
 		s.metrics.Inflight.Add(1)
-		go c.handle(t)
+		if c.idle.Add(-1) >= 0 {
+			c.tasks <- t
+			continue
+		}
+		c.idle.Add(1)
+		c.pending.Add(1)
+		s.metrics.Handlers.Add(1)
+		s.metrics.HandlerStarts.Add(1)
+		go c.handler(t)
 	}
 }
 
