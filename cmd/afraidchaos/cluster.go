@@ -38,7 +38,7 @@ const classList = "partition, refuse, slow, reset, truncate, flap" // for -class
 
 var clusterColumns = []string{"cluster.node_failovers", "cluster.hedge_wins", "cluster.retries",
 	"cluster.auto_heals", "cluster.quarantines", "proxy.resets", "proxy.truncations", "proxy.refused",
-	"cluster.write.full_stripe"}
+	"cluster.full_stripe_writes"}
 
 // classRows is one row per fault class (or the one -class pins), each
 // building its stack with build.
@@ -369,7 +369,7 @@ func (c *clusterStack) Audit() ([]int64, error) {
 // victim's proxy injected.
 func (c *clusterStack) StatMap() map[string]int64 {
 	m := c.vol.StatMap()
-	obs.Flatten(m, "proxy.", nil, c.proxies[c.victim].Stats())
+	obs.Flatten(m, "proxy.", c.proxies[c.victim].Stats())
 	return m
 }
 

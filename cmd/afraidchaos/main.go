@@ -90,9 +90,9 @@ var stacks = map[string]struct {
 		"core.checksum_repaired", "core.checksum_lost", "core.full_stripe_writes"}, nil},
 	"tier": {tierRows, []string{"fault.power_cycles", "tier.map_recovered", "fault.failed_members", "tier.promotes",
 		"tier.demotes", "tier.front_read_hits", "tier.front_write_hits", "tier.mirror_failovers", "core.full_stripe_writes"}, nil},
-	"cluster": {clusterRows, clusterColumns, []string{"cluster.write.full_stripe"}},
+	"cluster": {clusterRows, clusterColumns, []string{"cluster.full_stripe_writes"}},
 	"stacked": {stackedRows, append([]string{"fault.power_cycles", "fault.flip_bits", "core.checksum_repaired",
-		"tier.promotes"}, clusterColumns...), []string{"cluster.write.full_stripe"}},
+		"tier.promotes"}, clusterColumns...), []string{"cluster.full_stripe_writes"}},
 }
 
 func main() {

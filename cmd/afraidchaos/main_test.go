@@ -56,7 +56,7 @@ var cleanStacks = []struct {
 				flip(t, dev, 0)
 			}
 		}},
-	{"cluster", "cluster.write.full_stripe",
+	{"cluster", "cluster.full_stripe_writes",
 		func(ops int, extra ...fault.Step) (fault.Stack, fault.Plan) {
 			c := newClusterStack("", ops)
 			return c, c.plan(append([]fault.Step{fault.Workload(ops)}, extra...)...)

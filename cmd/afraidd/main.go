@@ -1,7 +1,8 @@
 // Command afraidd serves an AFRAID store as a network block service:
 // the length-prefixed binary protocol of internal/server over TCP, with
 // a JSON metrics endpoint, per-request deadlines, bounded in-flight
-// backpressure, write coalescing, and graceful drain on SIGINT/SIGTERM.
+// backpressure, and graceful drain on SIGINT/SIGTERM. Every request
+// frame is one call into the store.
 //
 // Usage:
 //
@@ -15,6 +16,11 @@
 // paper's crash recovery would. Every mode with parity — raid5 and raid6
 // too — marks a stripe while a write to it is in flight, so each needs
 // -dir for crash consistency.
+//
+// -checksums verifies what the parity store reads. With -tier-disks,
+// extents resident in the mirrored front tier are served from, and
+// demoted from, unverified front copies (DESIGN.md §8); afraidd says so
+// once at start-up.
 package main
 
 import (
@@ -49,7 +55,7 @@ func main() {
 	stripe := flag.String("stripe", "8K", "stripe unit size")
 	scrubIdle := flag.Duration("scrub-idle", 100*time.Millisecond, "idle threshold before parity rebuild")
 	dirtyThreshold := flag.Int("dirty-threshold", 0, "scrub under load past this many dirty stripes (0 = idle-only)")
-	checksums := flag.Bool("checksums", false, "per-block CRC32C: verify every read, repair silent corruption from redundancy")
+	checksums := flag.Bool("checksums", false, "per-block CRC32C on the parity store: verify its reads, repair silent corruption from redundancy (with -tier-disks, front-resident extents are served and demoted unverified)")
 	tierDisks := flag.Int("tier-disks", 0, "mirrored front-tier devices (even, 0 disables the hybrid tier)")
 	tierSize := flag.String("tier-size", "64M", "per-device front-tier size")
 	tierExtent := flag.String("tier-extent", "64K", "front-tier migration extent size (power of two)")
@@ -57,7 +63,6 @@ func main() {
 	tierIdle := flag.Duration("tier-idle", 50*time.Millisecond, "idle threshold before cold extents demote to the back tier")
 	inflight := flag.Int("inflight", 0, "max in-flight requests, one goroutine each, before ERR_BUSY (0 = default 256)")
 	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = default 30s)")
-	coalesce := flag.Int("coalesce", 0, "write coalescing byte limit (0 = default 256K, negative disables)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
@@ -129,12 +134,14 @@ func main() {
 		ts := hybrid.TierStats()
 		log.Printf("tier: %d×%s mirrored front, extent %s, %d extents recovered resident (%s dirty)",
 			*tierDisks, fmtSize(tSize), fmtSize(tExtent), ts.ResidentExtents, fmtSize(ts.DirtyBytes))
+		if *checksums {
+			log.Printf("tier: -checksums covers the parity store only; front-resident extents are served and demoted unverified")
+		}
 	}
 
 	srv := server.New(backend, server.Options{
 		MaxInflight:    *inflight,
 		RequestTimeout: *timeout,
-		CoalesceLimit:  *coalesce,
 		Logf:           log.Printf,
 	})
 

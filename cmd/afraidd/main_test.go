@@ -18,10 +18,10 @@ import (
 )
 
 // layerKeys lists the snapshot keys one layer must contribute: a key
-// per field of its stats struct and per counter of its registry. A
-// field of a kind the snapshot cannot carry is itself a failure, so a
-// new field either reaches STAT or fails here.
-func layerKeys(t *testing.T, prefix string, stats any, reg *obs.Registry) []string {
+// per field of its stats struct. A field of a kind the snapshot cannot
+// carry is itself a failure, so a new field either reaches STAT or
+// fails here.
+func layerKeys(t *testing.T, prefix string, stats any) []string {
 	t.Helper()
 	var keys []string
 	rt := reflect.TypeOf(stats)
@@ -37,9 +37,6 @@ func layerKeys(t *testing.T, prefix string, stats any, reg *obs.Registry) []stri
 			continue
 		}
 		keys = append(keys, key)
-	}
-	for name := range reg.Counters() {
-		keys = append(keys, prefix+name)
 	}
 	return keys
 }
@@ -94,9 +91,9 @@ func keySet(m map[string]int64) []string {
 }
 
 // TestStatCoversEveryCounter enforces "no hand-copied list": whatever
-// core.Stats, tier.TierStats and the two obs registries count is a key
-// of a live STAT, a layer that is not stacked contributes nothing, and
-// the /metrics endpoint shows exactly the keys STAT sends.
+// core.Stats and tier.TierStats count is a key of a live STAT, a layer
+// that is not stacked contributes nothing, and the /metrics endpoint
+// shows exactly the keys STAT sends.
 func TestStatCoversEveryCounter(t *testing.T) {
 	openBack := func() *core.Store {
 		devs := make([]core.BlockDevice, 4)
@@ -122,8 +119,8 @@ func TestStatCoversEveryCounter(t *testing.T) {
 	t.Cleanup(func() { hybrid.Close() })
 	srv, st := serveStat(t, hybrid)
 
-	coreKeys := layerKeys(t, "core.", core.Stats{}, back.Obs())
-	for _, key := range append(coreKeys, layerKeys(t, "tier.", tier.TierStats{}, hybrid.Obs())...) {
+	coreKeys := layerKeys(t, "core.", core.Stats{})
+	for _, key := range append(coreKeys, layerKeys(t, "tier.", tier.TierStats{})...) {
 		if _, ok := st[key]; !ok {
 			t.Errorf("STAT from a tier-backed server has no %q", key)
 		}

@@ -11,7 +11,7 @@ import (
 	"afraid/internal/server"
 )
 
-func fullStripeWrites(v *Volume) uint64 { return v.Obs().Counters()["write.full_stripe"] }
+func fullStripeWrites(v *Volume) uint64 { return v.Stats().FullStripeWrites }
 
 func assertRedundant(t *testing.T, v *Volume) {
 	t.Helper()
@@ -51,7 +51,7 @@ func TestFullStripeWriteLeavesStripeRedundant(t *testing.T) {
 		t.Fatalf("three full stripes cost %d node operations, want one write per node", got)
 	}
 	if got := fullStripeWrites(v); got != 3 {
-		t.Fatalf("write.full_stripe = %d, want 3", got)
+		t.Fatalf("full_stripe_writes = %d, want 3", got)
 	}
 	assertRedundant(t, v)
 	got := make([]byte, len(want))
@@ -197,7 +197,7 @@ func TestVolumeRunOneWritePerNode(t *testing.T) {
 		}
 	}
 	if got := fullStripeWrites(v) - full0; got != 5 {
-		t.Errorf("write.full_stripe moved by %d, want 5", got)
+		t.Errorf("full_stripe_writes moved by %d, want 5", got)
 	}
 	assertRedundant(t, v)
 	got := make([]byte, len(want))

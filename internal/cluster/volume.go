@@ -85,6 +85,7 @@ type Stats struct {
 	BytesRead, BytesWritten int64
 	DegradedReads           uint64 // extents reconstructed around a down node
 	DegradedWrites          uint64 // spans written under the synchronous degraded protocol
+	FullStripeWrites        uint64 // stripes written whole, one write per node, with no drain left behind
 	ParityDrains            uint64 // stripes made redundant by drains (background, flush, inline)
 	InlineDrains            uint64 // stripes drained by the write-path pressure valve
 	HealedStripes           uint64 // stripe units rebuilt onto a returned node
@@ -175,10 +176,9 @@ func Open(members []Member, opts Options) (*Volume, error) {
 	}
 	v.st, v.geo = st, st.Geometry()
 	reg := st.Obs()
-	v.ob.reg.Adopt(map[string]any{
-		"drain.stripe":      reg.Histogram("scrub_stripe"),
-		"parity.compute":    reg.Histogram("parity_compute"),
-		"write.full_stripe": reg.Counter("full_stripe_writes"),
+	v.ob.reg.Adopt(map[string]*obs.Histogram{
+		"drain.stripe":   reg.Histogram("scrub_stripe"),
+		"parity.compute": reg.Histogram("parity_compute"),
 	})
 	if st.Stats().NVRAMRecovered {
 		v.logf("cluster: marking memory unusable; recovering with full parity rebuild")
@@ -220,7 +220,7 @@ func (v *Volume) Stats() Stats {
 	st := v.stats
 	v.meta.Unlock()
 	st.Reads, st.Writes, st.BytesRead, st.BytesWritten = cs.Reads, cs.Writes, cs.BytesRead, cs.BytesWritten
-	st.DegradedReads, st.DegradedWrites = cs.DegradedReads, cs.DegradedWrites
+	st.DegradedReads, st.DegradedWrites, st.FullStripeWrites = cs.DegradedReads, cs.DegradedWrites, cs.FullStripeWrites
 	st.ParityDrains, st.InlineDrains = cs.ScrubbedStripes, cs.InlineScrubs
 	st.HealedStripes, st.LostStripes = cs.RecoveredStripes, cs.DamagedStripes
 	st.HedgedReads, st.HedgeWins = cs.HedgedReads, cs.HedgeWins
@@ -229,10 +229,10 @@ func (v *Volume) Stats() Stats {
 }
 
 // StatMap returns the volume's flat key/value snapshot under "cluster."
-// keys: every Stats field and every counter of its registry.
+// keys: every Stats field.
 func (v *Volume) StatMap() map[string]int64 {
 	m := make(map[string]int64, 32)
-	obs.Flatten(m, "cluster.", v.Obs(), v.Stats())
+	obs.Flatten(m, "cluster.", v.Stats())
 	return m
 }
 

@@ -121,7 +121,7 @@ func TestFullStripeWriteDeviceOps(t *testing.T) {
 			if r1 != r0 || w1-w0 != 2*int64(len(probes)) {
 				t.Fatalf("two full stripes cost %d reads and %d writes, want 0 and %d", r1-r0, w1-w0, 2*len(probes))
 			}
-			if got := s.ob.fullStripe.Value(); got != 2 {
+			if got := s.Stats().FullStripeWrites; got != 2 {
 				t.Fatalf("full_stripe_writes = %d, want 2", got)
 			}
 			if n := s.DirtyStripes(); n != 0 {

@@ -20,7 +20,6 @@ type storeObs struct {
 	scrubStripe  *obs.Histogram // one stripe rebuild (lock wait included)
 	scrubEpisode *obs.Histogram // one scrub episode (a run of rebuilds)
 	csumVerify   *obs.Histogram // one checksummed unit read (slot I/O + CRC)
-	fullStripe   *obs.Counter   // full-stripe writes to healthy stripes (writeImage)
 	trace        *obs.Ring
 }
 
@@ -35,7 +34,6 @@ func newStoreObs() *storeObs {
 		scrubStripe:  r.Histogram("scrub_stripe"),
 		scrubEpisode: r.Histogram("scrub_episode"),
 		csumVerify:   r.Histogram("checksum_verify"),
-		fullStripe:   r.Counter("full_stripe_writes"),
 		trace:        r.Ring("ops", 512),
 	}
 }
@@ -45,11 +43,11 @@ func newStoreObs() *storeObs {
 func (s *Store) Obs() *obs.Registry { return s.ob.reg }
 
 // StatMap returns the store's flat key/value snapshot under "core."
-// keys: every Stats field and obs counter, plus the array's identity
-// and health. It is the stats method of server.Backend.
+// keys: every Stats field, plus the array's identity and health. It is
+// the stats method of server.Backend.
 func (s *Store) StatMap() map[string]int64 {
 	m := make(map[string]int64, 48)
-	obs.Flatten(m, "core.", s.ob.reg, s.Stats(), struct {
+	obs.Flatten(m, "core.", s.Stats(), struct {
 		Mode        Mode
 		StripeUnit  int64
 		Disks       int

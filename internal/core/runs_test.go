@@ -494,7 +494,7 @@ func TestFullStripeRunDeviceCalls(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				full0 := s.ob.fullStripe.Value()
+				full0 := s.Stats().FullStripeWrites
 				var writes0 []int64 // Open's: the checksum trailer's format
 				for _, d := range counted {
 					writes0 = append(writes0, d.writes.Load())
@@ -520,7 +520,7 @@ func TestFullStripeRunDeviceCalls(t *testing.T) {
 						t.Errorf("member %d holds other bytes than the stripe-by-stripe writes left", i)
 					}
 				}
-				if got := s.ob.fullStripe.Value() - full0; got != uint64(size/sdb) {
+				if got := s.Stats().FullStripeWrites - full0; got != uint64(size/sdb) {
 					t.Errorf("full_stripe_writes moved by %d, want %d", got, size/sdb)
 				}
 				if n := s.DirtyStripes(); n != 0 {

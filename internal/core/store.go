@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"afraid/internal/layout"
@@ -142,6 +143,8 @@ type Stats struct {
 	HedgeWins   uint64 // hedges that answered before the straggler
 
 	NVRAMPersists uint64 // NVRAM writes issued (group commit batches markers)
+
+	FullStripeWrites uint64 // stripes written whole by a full-stripe run (writeRun), no pre-read, no mark left
 }
 
 // Store is the functional AFRAID array.
@@ -169,6 +172,8 @@ type Store struct {
 	stats    Stats // the scrub, exposure and NVRAM fields are filled from eng by Stats()
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
+
+	fullStripes atomic.Uint64 // Stats.FullStripeWrites, counted off meta on the write-run path
 
 	ob *storeObs
 }
@@ -374,6 +379,7 @@ func (s *Store) Stats() Stats {
 	st.ScrubbedStripes, st.ForcedScrubs, st.InlineScrubs = es.Drained, es.Forced, es.Inline
 	st.IdleEpisodes, st.ForcedEpisodes, st.ScrubPreempts = es.IdleEpisodes, es.ForcedEpisodes, es.Preempts
 	st.NVRAMPersists, st.NVRAMRecovered = es.Persists, es.Recovered
+	st.FullStripeWrites = s.fullStripes.Load()
 	return st
 }
 

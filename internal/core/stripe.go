@@ -234,7 +234,7 @@ func (s *Store) writeRun(ctx context.Context, p []byte, base int64, run []layout
 	for st := first; st < end; st++ {
 		s.eng.Clear(st)
 	}
-	s.ob.fullStripe.Add(uint64(len(run)))
+	s.fullStripes.Add(uint64(len(run)))
 	return nil
 }
 

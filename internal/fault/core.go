@@ -448,7 +448,7 @@ func (c *Core) StatMap() map[string]int64 {
 	m := c.st.StatMap()
 	ev := c.events
 	ev.FlipBits = c.flips()
-	obs.Flatten(m, "fault.", nil, ev)
+	obs.Flatten(m, "fault.", ev)
 	return m
 }
 

@@ -56,11 +56,6 @@ func After(n uint64) Trigger {
 	return func(op Op, _ *rand.Rand) bool { return op.N > n }
 }
 
-// Before fires on ops up to and including the n-th.
-func Before(n uint64) Trigger {
-	return func(op Op, _ *rand.Rand) bool { return op.N <= n }
-}
-
 // Reads fires on reads only.
 func Reads() Trigger {
 	return func(op Op, _ *rand.Rand) bool { return !op.Write }

@@ -12,18 +12,13 @@ var durationType = reflect.TypeOf(time.Duration(0))
 // Flatten is the one place a layer's counters become the flat
 // key/value snapshot that STAT, /metrics and afraidctl all read. It
 // adds to dst, under prefix (a layer name with its dot, "core."), every
-// counter of reg (nil for none) and every exported field of each struct
-// in stats, keyed by KeyName of the field: integers as they are, bools
-// as 0/1, durations as nanoseconds under key+"_ns", and integer lists
-// as their length plus a bitmask of the values under key+"_mask".
+// exported field of each struct in stats, keyed by KeyName of the
+// field: integers as they are, bools as 0/1, durations as nanoseconds
+// under key+"_ns", and integer lists as their length plus a bitmask of
+// the values under key+"_mask".
 // Fields of any other type are skipped. A layer that grows a counter or
 // a stats field therefore edits nothing else.
-func Flatten(dst map[string]int64, prefix string, reg *Registry, stats ...any) {
-	if reg != nil {
-		for name, n := range reg.Counters() {
-			dst[prefix+name] = int64(n)
-		}
-	}
+func Flatten(dst map[string]int64, prefix string, stats ...any) {
 	for _, st := range stats {
 		rv := reflect.ValueOf(st)
 		for i := 0; i < rv.NumField(); i++ {

@@ -207,10 +207,8 @@ func TestFlatten(t *testing.T) {
 		}
 	}
 
-	reg := NewRegistry()
-	reg.Counter("full_stripe_writes").Add(7)
 	got := map[string]int64{"other.kept": 1}
-	Flatten(got, "core.", reg, struct {
+	Flatten(got, "core.", struct {
 		Writes       uint64
 		DamageBytes  int64
 		Recovered    bool
@@ -224,7 +222,7 @@ func TestFlatten(t *testing.T) {
 	}{
 		Writes: 3, DamageBytes: -2, Recovered: true, ScrubIdle: time.Millisecond,
 		DeadDisks: []int{1, 4}, Ratio: 0.5, unexported: 9, Quarantined: 5, SmallCounter: 6,
-	})
+	}, struct{ FullStripeWrites uint64 }{7})
 	want := map[string]int64{
 		"other.kept": 1, "core.full_stripe_writes": 7,
 		"core.writes": 3, "core.damage_bytes": -2, "core.recovered": 1, "core.healthy": 0,

@@ -11,18 +11,16 @@ import (
 // lock guards only registration; recording goes straight to the
 // lock-free histograms.
 type Registry struct {
-	mu       sync.Mutex
-	hists    map[string]*Histogram
-	rings    map[string]*Ring
-	counters map[string]*Counter
+	mu    sync.Mutex
+	hists map[string]*Histogram
+	rings map[string]*Ring
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		hists:    make(map[string]*Histogram),
-		rings:    make(map[string]*Ring),
-		counters: make(map[string]*Counter),
+		hists: make(map[string]*Histogram),
+		rings: make(map[string]*Ring),
 	}
 }
 
@@ -36,6 +34,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// Adopt registers histograms of another registry under names of this
+// one, so a layer can publish what the layer below it times under its
+// own names.
+func (r *Registry) Adopt(named map[string]*Histogram) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, h := range named {
+		r.hists[name] = h
+	}
 }
 
 // Ring returns the named trace ring, creating it with the given size on

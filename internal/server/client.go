@@ -213,9 +213,10 @@ func (c *Client) readLoop() {
 // fail records the terminal error and releases every waiter. From here
 // the client is permanently dead: there is no reconnect path, by design
 // — request IDs, the pipeline window, and the server's per-connection
-// coalescing state are all connection-scoped, so a transparent redial
-// would silently drop in-flight requests. Routing layers detect the
-// state via errors.Is(err, ErrConnectionLost) or Err and dial afresh.
+// handlers and reply queue are all connection-scoped, so a transparent
+// redial would silently drop in-flight requests. Routing layers detect
+// the state via errors.Is(err, ErrConnectionLost) or Err and dial
+// afresh.
 func (c *Client) fail(err error) {
 	err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
 	c.mu.Lock()
@@ -394,7 +395,7 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 
 // WriteAtContext writes p at off, splitting writes larger than the
 // server's payload limit into chunks pipelined onto the connection (see
-// split; the server may re-coalesce adjacent ones).
+// split), each one store call on the server.
 func (c *Client) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
 	return c.WriteVecAtContext(ctx, [][]byte{p}, off)
 }

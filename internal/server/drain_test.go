@@ -219,7 +219,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the window recovers once requests complete.
 func TestBackpressureBusy(t *testing.T) {
 	const window = 4
-	srv, g, addr := startGated(t, Options{MaxInflight: window, CoalesceLimit: -1})
+	srv, g, addr := startGated(t, Options{MaxInflight: window})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -24,21 +24,19 @@ func (i *Int) Value() int64 { return i.v.Load() }
 // the histogram registry is mounted separately (obs.HistogramHandler)
 // as the "server" section of /debug/histograms.
 type Metrics struct {
-	// Per-op request counters (one frame = one request, even when the
-	// server coalesces adjacent writes into a single store call).
+	// Per-op request counters: one frame, one request, one store call.
 	requests [OpScrub + 1]Int
 	// Per-status response counters.
 	responses [StatusShutdown + 1]Int
 
-	ConnsOpen       Int
-	ConnsTotal      Int
-	Handlers        Int // handler goroutines alive, busy or idle
-	HandlerStarts   Int
-	Inflight        Int
-	BusyRejected    Int
-	CoalescedWrites Int
-	BytesRead       Int
-	BytesWritten    Int
+	ConnsOpen     Int
+	ConnsTotal    Int
+	Handlers      Int // handler goroutines alive, busy or idle
+	HandlerStarts Int
+	Inflight      Int
+	BusyRejected  Int
+	BytesRead     Int
+	BytesWritten  Int
 
 	reg       *obs.Registry
 	opLat     [OpScrub + 1]*obs.Histogram // end-to-end latency per op
@@ -58,30 +56,21 @@ func newMetrics() *Metrics {
 	return m
 }
 
-// request counts n received frames of a decoded (hence valid) op.
-func (m *Metrics) request(op Op, n int64) { m.requests[op].Add(n) }
+// request counts one received frame of a decoded (hence valid) op.
+func (m *Metrics) request(op Op) { m.requests[op].Add(1) }
 
-// response counts one completed frame of a decoded op and records its
-// end-to-end latency.
-func (m *Metrics) response(op Op, st Status, d time.Duration) {
-	m.responses[st].Add(1)
-	m.opLat[op].Observe(d)
-}
-
-// task records timing for one executed store call (which may have
-// completed several coalesced frames): the queue-wait/service-time
-// split and a trace-ring event.
+// task records one executed request: its response status, its
+// end-to-end latency, the queue-wait/service-time split and a
+// trace-ring event.
 func (m *Metrics) task(r *Request, st Status, queued, total time.Duration) {
+	m.responses[st].Add(1)
+	m.opLat[r.Op].Observe(total)
 	m.queueWait.Observe(queued)
 	m.service.Observe(total - queued)
-	n := int64(r.Length)
-	if r.Op == OpWrite {
-		n = int64(len(r.Data))
-	}
 	ev := obs.Event{
 		Op:    r.Op.String(),
 		Off:   r.Off,
-		Len:   n,
+		Len:   int64(r.Length),
 		Start: time.Now().Add(-total),
 		Queue: queued,
 		Total: total,
@@ -120,7 +109,6 @@ func (m *Metrics) stat(dst Stat) {
 	dst["server.handler_starts"] = m.HandlerStarts.Value()
 	dst["server.inflight"] = m.Inflight.Value()
 	dst["server.busy_rejected"] = m.BusyRejected.Value()
-	dst["server.coalesced_writes"] = m.CoalescedWrites.Value()
 	dst["server.bytes_read"] = m.BytesRead.Value()
 	dst["server.bytes_written"] = m.BytesWritten.Value()
 	for op := OpRead; op <= OpScrub; op++ {

@@ -2,8 +2,9 @@
 // service: a length-prefixed binary protocol over TCP with request IDs
 // for out-of-order completion, per-connection handler goroutines that
 // outlive their request calling into the store's stripe-lock pool,
-// write coalescing, per-request deadlines, backpressure, graceful
-// drain, and a self-describing STAT snapshot of every layer's counters.
+// per-request deadlines, backpressure, graceful drain, and a
+// self-describing STAT snapshot of every layer's counters. Every
+// request frame is one store call and one reply.
 // The matching Client speaks the same protocol.
 package server
 
@@ -33,8 +34,7 @@ type Op uint8
 const (
 	// OpRead returns Length bytes starting at Off.
 	OpRead Op = 1
-	// OpWrite stores Data at Off. Adjacent pipelined writes may be
-	// coalesced server-side; each request ID is still acknowledged.
+	// OpWrite stores Data at Off, in one store call of its own.
 	OpWrite Op = 2
 	// OpFlush makes the whole array redundant (parity point).
 	OpFlush Op = 3
@@ -177,10 +177,8 @@ func (r *Response) release() {
 // A payload read is handed what is buffered and then, while at least
 // this much is still missing, bufio reads the socket straight into the
 // destination, so only a buffer's worth at either end of a payload can
-// be copied twice. 32 KiB is the smallest size that keeps the merge
-// rate of pipelined 4 KiB writes (coalescing sees only buffered frames)
-// and the largest at which 64 KiB payloads read as fast as at 8 KiB;
-// the rows (8–64 KiB) are in CHANGES.md, PR 19.
+// be copied twice. 32 KiB is the largest size at which 64 KiB payloads
+// read as fast as at 8 KiB; the rows (8–64 KiB) are in CHANGES.md.
 const readBufSize = 32 << 10
 
 // appendRequestHeader appends the frame length prefix and fixed request

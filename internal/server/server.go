@@ -57,11 +57,6 @@ type Options struct {
 	// fill its reply queue, and park its handlers in reply, each on an
 	// in-flight token; on expiry the connection is closed instead.
 	WriteTimeout time.Duration
-	// CoalesceLimit caps the bytes merged from adjacent pipelined
-	// WRITEs into one store call (default 256 KiB; negative disables).
-	// Only frames already buffered on the connection are merged, so
-	// coalescing never adds latency.
-	CoalesceLimit int
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -79,24 +74,16 @@ func (o *Options) fill() {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 30 * time.Second
 	}
-	if o.CoalesceLimit == 0 {
-		o.CoalesceLimit = 256 << 10
-	}
 }
 
 // ErrServerClosed is returned by Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("server: closed")
 
-// task is one unit of store work: a request, which carries the first
-// frame ID it acknowledges, plus the IDs of the adjacent writes
-// coalesced onto it.
+// task is one request frame on its way to the store: a WRITE's Data is
+// the pooled buffer its payload was read into, which handle returns
+// once the store call is back.
 type task struct {
-	req    Request
-	merged []uint64
-	// frame is the pooled buffer a WRITE's payload was read into, kept
-	// apart from req.Data because coalescing may grow Data into a new
-	// array. handle returns it once the store call is back.
-	frame []byte
+	req   Request
 	start time.Time
 	ctx   reqCtx // the store call's context
 }
@@ -291,24 +278,20 @@ func (c *conn) handler(t *task) {
 	}
 }
 
-// handle is one request from frame to reply: the store call, the
-// response for every frame ID the task acknowledges, then the in-flight
-// token goes back. The handler counts itself idle before its reply can
-// reach the client, so the request the reply prompts finds it.
+// handle is one request from frame to reply: the store call, its
+// response, then the in-flight token goes back. The handler counts
+// itself idle before its reply can reach the client, so the request the
+// reply prompts finds it.
 func (c *conn) handle(t *task) {
 	s := c.srv
 	queued := time.Since(t.start) // dispatch -> this handler running
 	resp := s.apply(&t.ctx, &t.req)
 	t.ctx.end(context.Canceled)
-	bufpool.Put(t.frame) // Backend does not retain it
-	d := time.Since(t.start)
-	s.metrics.task(&t.req, resp.Status, queued, d)
-	for range 1 + len(t.merged) {
-		s.metrics.response(resp.Op, resp.Status, d)
-	}
+	bufpool.Put(t.req.Data) // Backend does not retain it
+	s.metrics.task(&t.req, resp.Status, queued, time.Since(t.start))
 	resp.ID = t.req.ID
 	c.idle.Add(1)
-	c.reply(resp, t.merged...)
+	c.reply(resp)
 	s.metrics.Inflight.Add(-1)
 	<-s.tokens
 }
@@ -539,13 +522,12 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // readLoop reads frames (a WRITE's payload into a pooled buffer that
-// travels with the task), applies backpressure, coalesces adjacent
-// pipelined writes, and hands each task to an idle handler, starting one
-// only when none is. An idle handler may still be writing its reply,
-// and the hand-off then waits for it; it still holds its token, so the
-// connection's handlers never outnumber the most requests it has had in
-// flight at once. It returns on connection error, protocol error, or
-// drain (read deadline).
+// travels with the task), applies backpressure, and hands each frame to
+// an idle handler as a task of its own, starting one only when none is.
+// An idle handler may still be writing its reply, and the hand-off then
+// waits for it; it still holds its token, so the connection's handlers
+// never outnumber the most requests it has had in flight at once. It
+// returns on connection error, protocol error, or drain (read deadline).
 func (c *conn) readLoop() {
 	s := c.srv
 	for {
@@ -556,7 +538,7 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
-		s.metrics.request(req.Op, 1)
+		s.metrics.request(req.Op)
 		select {
 		case s.tokens <- struct{}{}:
 		default:
@@ -567,11 +549,8 @@ func (c *conn) readLoop() {
 			bufpool.Put(req.Data)
 			continue
 		}
-		t := &task{req: req, frame: req.Data, start: time.Now()}
+		t := &task{req: req, start: time.Now()}
 		t.ctx.base, t.ctx.deadline = s.baseCtx, t.start.Add(s.opts.RequestTimeout)
-		if req.Op == OpWrite && s.opts.CoalesceLimit > 0 {
-			c.coalesce(t)
-		}
 		s.metrics.Inflight.Add(1)
 		if c.idle.Add(-1) >= 0 {
 			c.tasks <- t
@@ -582,47 +561,6 @@ func (c *conn) readLoop() {
 		s.metrics.Handlers.Add(1)
 		s.metrics.HandlerStarts.Add(1)
 		go c.handler(t)
-	}
-}
-
-// coalesce merges adjacent WRITE frames that the client has already
-// pipelined into the connection buffer onto t, turning back-to-back
-// sequential 4 KB writes into one store call (one stripe lock trip, one
-// parity mark). Each merged frame keeps its own request ID and gets its
-// own acknowledgement. Only buffered bytes are examined — never blocks.
-func (c *conn) coalesce(t *task) {
-	s := c.srv
-	for len(t.req.Data) < s.opts.CoalesceLimit {
-		if c.br.Buffered() < 4 {
-			return
-		}
-		pfx, err := c.br.Peek(4)
-		if err != nil {
-			return
-		}
-		n := int(uint32(pfx[0])<<24 | uint32(pfx[1])<<16 | uint32(pfx[2])<<8 | uint32(pfx[3]))
-		if c.br.Buffered() < 4+n {
-			return
-		}
-		frame, err := c.br.Peek(4 + n)
-		if err != nil {
-			return
-		}
-		next, err := DecodeRequest(frame[4:], s.opts.MaxPayload)
-		if err != nil {
-			return // leave it; the main loop will surface the error
-		}
-		if next.Op != OpWrite || next.Off != t.req.Off+int64(len(t.req.Data)) ||
-			len(t.req.Data)+len(next.Data) > s.opts.CoalesceLimit {
-			return
-		}
-		// Copy out of the bufio buffer before discarding it.
-		t.req.Data = append(t.req.Data, next.Data...)
-		t.req.Length = uint32(len(t.req.Data))
-		t.merged = append(t.merged, next.ID)
-		c.br.Discard(4 + n)
-		s.metrics.request(OpWrite, 1)
-		s.metrics.CoalescedWrites.Add(1)
 	}
 }
 
@@ -642,8 +580,7 @@ type wireSeg struct {
 const maxResponseBatch = 256
 
 // maxBatchBytes bounds the payload bytes gathered into one writev
-// batch. Beyond coalescing efficiency this bounds what one write
-// deadline covers: a multi-megabyte batch can be absorbed whole by
+// batch, and so what one write deadline covers: a multi-megabyte batch can be absorbed whole by
 // kernel buffer autotuning, letting a stalled reader soak up responses
 // that a sequence of bounded writes would have turned into a timeout.
 // One response larger than the cap still travels as a single batch.
@@ -656,19 +593,20 @@ const maxBatchBytes = 64 << 10
 // reader) instead of out of memory.
 const maxQueued = 64
 
-// reply sends resp, and a copy of it under each merged frame ID, to the
-// client. The replies join the connection's queue; a caller that finds
-// no flush in progress becomes the flusher and writes the queue out —
-// its own replies, and whatever other handlers queue while each write
-// is in flight — until the queue is empty. A lone reply thus leaves
-// from the goroutine that produced it, and a burst still leaves as one
-// gathered write per round.
-func (c *conn) reply(resp Response, merged ...uint64) {
+// reply sends resp to the client. The reply joins the connection's
+// queue, waiting for room while a flush is in progress; a caller that
+// finds none becomes the flusher and writes the queue out — its own
+// reply, and whatever other handlers queue while each write is in
+// flight — until the queue is empty. A lone reply thus leaves from the
+// goroutine that produced it, and a burst still leaves as one gathered
+// write per round.
+func (c *conn) reply(resp Response) {
 	c.wmu.Lock()
-	c.enqueue(resp)
-	for _, id := range merged {
-		resp.ID = id
-		c.enqueue(resp)
+	for c.flushing && len(c.queue) >= maxQueued && !c.broken {
+		c.room.Wait()
+	}
+	if !c.broken {
+		c.queue = append(c.queue, resp)
 	}
 	if c.flushing {
 		c.wmu.Unlock()
@@ -689,17 +627,6 @@ func (c *conn) reply(resp Response, merged ...uint64) {
 	}
 	c.flushing = false
 	c.wmu.Unlock()
-}
-
-// enqueue appends one reply to the queue, waiting for room while a
-// flush is in progress. Called with wmu held.
-func (c *conn) enqueue(resp Response) {
-	for c.flushing && len(c.queue) >= maxQueued && !c.broken {
-		c.room.Wait()
-	}
-	if !c.broken {
-		c.queue = append(c.queue, resp)
-	}
 }
 
 // batch is one scatter-gather socket write (writev on TCP) in the
@@ -729,7 +656,7 @@ func (b *batch) add(resp *Response) {
 		bufpool.Put(resp.Data) // empty payload; serialized inline
 	}
 	if n := len(b.segs); n > 0 && b.segs[n-1].data == nil && b.segs[n-1].end == start {
-		b.segs[n-1].end = len(b.arena) // coalesce adjacent arena segments
+		b.segs[n-1].end = len(b.arena) // extend the adjacent arena segment
 	} else {
 		b.segs = append(b.segs, wireSeg{start: start, end: len(b.arena)})
 	}

@@ -267,7 +267,7 @@ func (s *ChaosStack) Classify(err error) fault.Kind {
 // this incarnation.
 func (s *ChaosStack) StatMap() map[string]int64 {
 	m := s.Back.StatMap()
-	obs.Flatten(m, "tier.", s.st.ob.reg, s.st.TierStats())
+	obs.Flatten(m, "tier.", s.st.TierStats())
 	for _, d := range s.frontDevs {
 		if d.Failed() {
 			m["fault.failed_members"]++

@@ -110,10 +110,10 @@ func (s *Store) TierStats() TierStats {
 }
 
 // StatMap returns the back tier's snapshot plus the tier's own under
-// "tier." keys: every TierStats field and obs counter. It is the stats
+// "tier." keys: every TierStats field. It is the stats
 // method of server.Backend.
 func (s *Store) StatMap() map[string]int64 {
 	m := s.back.StatMap()
-	obs.Flatten(m, "tier.", s.ob.reg, s.TierStats())
+	obs.Flatten(m, "tier.", s.TierStats())
 	return m
 }
