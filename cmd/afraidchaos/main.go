@@ -239,14 +239,9 @@ func coreRows(o options) ([]row, error) {
 		if name == "" {
 			continue
 		}
-		mode := core.Mode(-1)
-		for _, m := range []core.Mode{core.Afraid, core.Raid5, core.Raid0, core.Raid6, core.Afraid6} {
-			if m.String() == name {
-				mode = m
-			}
-		}
-		if mode < 0 {
-			return nil, fmt.Errorf("unknown mode %q", name)
+		mode, err := core.ParseMode(name)
+		if err != nil {
+			return nil, err
 		}
 		r := row{
 			name: name,

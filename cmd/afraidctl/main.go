@@ -97,23 +97,21 @@ func main() {
 	}
 }
 
-// runStatus prints the volume view, a per-node table setting each
-// daemon's own STAT beside the volume's reachability state, and the
-// full key-by-node matrix of those STATs.
+// runStatus prints the volume view — its StatMap, one key a line — then a
+// per-node table setting each daemon's own STAT beside the volume's
+// reachability state, and the full key-by-node matrix of those STATs.
 func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO time.Duration) {
 	g, vs, nodes := v.Geometry(), v.Stats(), v.NodeStates()
 	fmt.Printf("volume: capacity %s, stripe unit %s, %d stripes, %d dirty",
 		fmtSize(g.Capacity()), fmtSize(g.StripeUnit), g.Stripes(), vs.DirtyStripes)
-	if vs.Recovered {
+	if vs.NVRAMRecovered {
 		fmt.Printf(" [RECOVERED: marking memory was lost, full rebuild pending]")
 	}
 	fmt.Println()
-	fmt.Printf("  drains=%d degraded_reads=%d degraded_writes=%d healed=%d lost=%d failovers=%d high_water=%d\n",
-		vs.ParityDrains, vs.DegradedReads, vs.DegradedWrites,
-		vs.HealedStripes, vs.LostStripes, vs.NodeFailovers, vs.DirtyHighWater)
-	fmt.Printf("  hedged=%d hedge_wins=%d retries=%d retries_exhausted=%d auto_heals=%d quarantines=%d\n",
-		vs.HedgedReads, vs.HedgeWins, vs.Retries,
-		vs.RetriesExhausted, vs.AutoHeals, vs.Quarantines)
+	vm := v.StatMap()
+	for _, k := range sortedKeys(vm) {
+		fmt.Printf("  %-32s %d\n", k, vm[k])
+	}
 	// Ask each daemon itself: its STAT snapshot, over the block protocol
 	// so no metrics port is needed. A key a node does not carry (no
 	// front tier, an unreachable node) renders as "-".
@@ -159,23 +157,12 @@ func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO ti
 
 	// Every key any node reported, one row each: a counter added to a
 	// layer shows up here with no edit to this command.
-	keys := map[string]bool{}
-	for _, ds := range stats {
-		for k := range ds {
-			keys[k] = true
-		}
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
 	fmt.Printf("%-32s", "KEY")
 	for i := range stats {
 		fmt.Printf(" %14s", "node"+strconv.Itoa(i))
 	}
 	fmt.Println()
-	for _, k := range sorted {
+	for _, k := range sortedKeys(stats...) {
 		fmt.Printf("%-32s", k)
 		for _, ds := range stats {
 			cell := "-"
@@ -186,6 +173,22 @@ func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO ti
 		}
 		fmt.Println()
 	}
+}
+
+// sortedKeys lists in order every key any of the snapshots has.
+func sortedKeys[M ~map[string]int64](snaps ...M) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, m := range snaps {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func runFlush(ctx context.Context, v *cluster.Volume) {

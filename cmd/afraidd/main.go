@@ -61,14 +61,14 @@ func main() {
 	tierExtent := flag.String("tier-extent", "64K", "front-tier migration extent size (power of two)")
 	tierMaxDirty := flag.String("tier-max-dirty", "0", "front-tier dirty-bytes pressure valve (0 = half the front capacity)")
 	tierIdle := flag.Duration("tier-idle", 50*time.Millisecond, "idle threshold before cold extents demote to the back tier")
-	inflight := flag.Int("inflight", 0, "max in-flight requests, one goroutine each, before ERR_BUSY (0 = default 256)")
+	inflight := flag.Int("inflight", 0, "max in-flight requests before ERR_BUSY (0 = default 256); a connection starts a handler only when none of its own is idle")
 	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = default 30s)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("afraidd: ")
 
-	m, err := parseMode(*mode)
+	m, err := core.ParseMode(*mode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func main() {
 		log.Fatalf("-stripe: %v", err)
 	}
 
-	devs, nv, err := openBacking(*dir, *disks, diskSize, *prealloc)
+	devs, nv, err := openBacking(*dir, "disk%d.img", "nvram.bin", *disks, diskSize, *prealloc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func main() {
 		if *tierMaxDirty == "0" {
 			tMaxDirty = 0
 		}
-		front, tnv, err := openTierBacking(*dir, *tierDisks, tSize, *prealloc)
+		front, tnv, err := openBacking(*dir, "tier%d.img", "tier-map.bin", *tierDisks, tSize, *prealloc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -217,23 +217,6 @@ func debugMux(srv *server.Server, st *core.Store, hybrid *tier.Store) *http.Serv
 	return mux
 }
 
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "afraid":
-		return core.Afraid, nil
-	case "raid5":
-		return core.Raid5, nil
-	case "raid0":
-		return core.Raid0, nil
-	case "raid6":
-		return core.Raid6, nil
-	case "afraid6":
-		return core.Afraid6, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
-}
-
 // parseSize reads "8K", "256M", "2G", or plain bytes.
 func parseSize(s string) (int64, error) {
 	mult := int64(1)
@@ -265,10 +248,13 @@ func fmtSize(n int64) string {
 	}
 }
 
-// openBacking builds the member devices and NVRAM: files under dir when
-// set (durable across restarts), memory otherwise.
-func openBacking(dir string, disks int, size int64, prealloc bool) ([]core.BlockDevice, core.NVRAM, error) {
-	devs := make([]core.BlockDevice, disks)
+// openBacking builds n member devices and their NVRAM: files under dir
+// when set (durable across restarts) — the devices named by the pattern
+// devName with their index, the NVRAM nvName — and memory otherwise. The
+// array's are disk%d.img and nvram.bin, the front tier's tier%d.img and
+// tier-map.bin.
+func openBacking(dir, devName, nvName string, n int, size int64, prealloc bool) ([]core.BlockDevice, core.NVRAM, error) {
+	devs := make([]core.BlockDevice, n)
 	if dir == "" {
 		for i := range devs {
 			devs[i] = core.NewMemDevice(size)
@@ -280,32 +266,11 @@ func openBacking(dir string, disks int, size int64, prealloc bool) ([]core.Block
 	}
 	fopts := core.FileDeviceOptions{Preallocate: prealloc}
 	for i := range devs {
-		d, err := core.OpenFileDeviceOpts(filepath.Join(dir, fmt.Sprintf("disk%d.img", i)), size, fopts)
+		d, err := core.OpenFileDeviceOpts(filepath.Join(dir, fmt.Sprintf(devName, i)), size, fopts)
 		if err != nil {
 			return nil, nil, err
 		}
 		devs[i] = d
 	}
-	return devs, core.NewFileNVRAM(filepath.Join(dir, "nvram.bin")), nil
-}
-
-// openTierBacking builds the front-tier mirror devices and the extent
-// map's marking memory, file-backed under dir when set.
-func openTierBacking(dir string, disks int, size int64, prealloc bool) ([]core.BlockDevice, core.NVRAM, error) {
-	devs := make([]core.BlockDevice, disks)
-	if dir == "" {
-		for i := range devs {
-			devs[i] = core.NewMemDevice(size)
-		}
-		return devs, &core.MemNVRAM{}, nil
-	}
-	fopts := core.FileDeviceOptions{Preallocate: prealloc}
-	for i := range devs {
-		d, err := core.OpenFileDeviceOpts(filepath.Join(dir, fmt.Sprintf("tier%d.img", i)), size, fopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		devs[i] = d
-	}
-	return devs, core.NewFileNVRAM(filepath.Join(dir, "tier-map.bin")), nil
+	return devs, core.NewFileNVRAM(filepath.Join(dir, nvName)), nil
 }

@@ -46,21 +46,13 @@ type Member struct {
 	Dial func() (Node, error)
 }
 
-// Errors reported by the volume.
-var (
-	// ErrNodeDown marks an operation that needed a node the volume
-	// currently considers unreachable.
-	ErrNodeDown = errors.New("cluster: node down")
-	// ErrTooManyNodes means the stripes touched need more simultaneous
-	// survivors than are up: one lost node degrades, two (data-bearing)
-	// lost nodes exceed single-parity redundancy.
-	ErrTooManyNodes = errors.New("cluster: too many nodes down")
-	// ErrClosed is returned after Close.
-	ErrClosed = errors.New("cluster: volume is closed")
-	// ErrDegraded is returned by Flush when dirty stripes could not be
-	// drained because a node they need is down; they stay marked.
-	ErrDegraded = errors.New("cluster: volume degraded, stripes left unredundant")
-)
+// ErrNodeDown marks a node operation the volume failed because it
+// considers the node unreachable: the member-level fail-stop class the
+// store works around. The volume's own errors are the store's —
+// core.ErrTooManyFailures for an operation or a drain that needs more
+// nodes than are up, core.ErrDataLoss for reported loss, core.ErrClosed
+// after Close.
+var ErrNodeDown = errors.New("cluster: node down")
 
 // NodeState is a member's reachability as the volume sees it.
 type NodeState int

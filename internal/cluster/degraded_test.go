@@ -93,8 +93,8 @@ func TestDirtyStripeLossIsReported(t *testing.T) {
 		t.Fatal("clean stripe mismatch")
 	}
 	// Flush cannot drain the stripe (its node is gone) and must say so.
-	if err := v.Flush(context.Background()); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("Flush with undrainable stripe = %v, want ErrDegraded", err)
+	if err := v.Flush(context.Background()); !errors.Is(err, core.ErrTooManyFailures) {
+		t.Fatalf("Flush with undrainable stripe = %v, want core.ErrTooManyFailures", err)
 	}
 	if got := v.DirtyList(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("dirty after degraded flush = %v, want [2] (exposure preserved)", got)
@@ -191,13 +191,21 @@ func TestTwoNodesDownExceedsParity(t *testing.T) {
 	// Stripe 0 has data on nodes 0,1,2: two of three data units gone.
 	buf := make([]byte, 4096)
 	_, err := v.ReadAt(buf, 0)
-	if !errors.Is(err, ErrTooManyNodes) {
-		t.Fatalf("read with 2 data nodes down = %v, want ErrTooManyNodes", err)
+	if !tooManyDown(err) {
+		t.Fatalf("read with 2 data nodes down = %v, want too many nodes down", err)
 	}
 	_, err = v.WriteAt(buf, 0)
-	if !errors.Is(err, ErrTooManyNodes) {
-		t.Fatalf("write with 2 data nodes down = %v, want ErrTooManyNodes", err)
+	if !tooManyDown(err) {
+		t.Fatalf("write with 2 data nodes down = %v, want too many nodes down", err)
 	}
+}
+
+// tooManyDown reports whether err says an operation needed more nodes than
+// are up: the store's ErrTooManyFailures when it knew the nodes were
+// absent, or the fail-stop error of a node it found gone mid-operation and
+// could not work around.
+func tooManyDown(err error) bool {
+	return errors.Is(err, core.ErrTooManyFailures) || errors.Is(err, core.ErrDeviceFailed)
 }
 
 // TestEveryAbsentUnitIsCounted: the health snapshot names every data unit
@@ -223,11 +231,11 @@ func TestEveryAbsentUnitIsCounted(t *testing.T) {
 	}
 	buf := make([]byte, v.geo.StripeUnit)
 	off := int64(last) * v.geo.StripeUnit
-	if _, err := v.ReadAt(buf, off); !errors.Is(err, ErrTooManyNodes) {
-		t.Fatalf("read of a stale unit beside two absent ones = %v, want ErrTooManyNodes", err)
+	if _, err := v.ReadAt(buf, off); !errors.Is(err, core.ErrTooManyFailures) {
+		t.Fatalf("read of a stale unit beside two absent ones = %v, want core.ErrTooManyFailures", err)
 	}
-	if _, err := v.WriteAt(buf[:1], off); !errors.Is(err, ErrTooManyNodes) {
-		t.Fatalf("write into a stale unit beside two absent ones = %v, want ErrTooManyNodes", err)
+	if _, err := v.WriteAt(buf[:1], off); !errors.Is(err, core.ErrTooManyFailures) {
+		t.Fatalf("write into a stale unit beside two absent ones = %v, want core.ErrTooManyFailures", err)
 	}
 }
 

@@ -185,7 +185,7 @@ func TestIdleDrainPreemptedByForegroundWrite(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	if st := v.Stats(); v.st.Engine().Stats().Preempts != 1 || st.ParityDrains != 0 || st.DirtyStripes != 2 {
+	if st := v.Stats(); v.st.Engine().Stats().Preempts != 1 || st.ScrubbedStripes != 0 || st.DirtyStripes != 2 {
 		t.Fatalf("the preempted drain consumed a fresh mark: %+v", st)
 	}
 	v.st.Engine().Poll() // with a current generation the drain proceeds
@@ -227,7 +227,7 @@ func TestLostStripeDoesNotShieldTheBacklog(t *testing.T) {
 		t.Fatalf("HealNode = %+v, %v; want stripe 0 reported lost", rep, err)
 	}
 	got := make([]byte, len(buf))
-	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, make([]byte, len(buf))) || v.DirtyStripes() != 0 || v.Stats().LostStripes != 1 {
+	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, make([]byte, len(buf))) || v.DirtyStripes() != 0 || v.Stats().DamagedStripes != 1 {
 		t.Fatalf("the lost unit reads (%v) and %d stripes are dirty; want it salvaged to zeroes and the stripe redundant", err, v.DirtyStripes())
 	}
 	if _, err := v.WriteAt(buf, 0); err != nil { // dirty again...
@@ -246,7 +246,7 @@ func TestLostStripeDoesNotShieldTheBacklog(t *testing.T) {
 		}
 	}
 	write(1, 2, 3) // 2×MaxDirty dirty: over the bound, the valve still shut
-	if got := v.Stats().InlineDrains; got != 0 {
+	if got := v.Stats().InlineScrubs; got != 0 {
 		t.Fatalf("%d inline drains at 2×MaxDirty", got)
 	}
 	v.st.Engine().Poll() // a forced episode, down to the bound
@@ -254,11 +254,11 @@ func TestLostStripeDoesNotShieldTheBacklog(t *testing.T) {
 		t.Fatalf("forced episode left %v dirty, want %v", got, want)
 	}
 	write(4, 5, 6) // the last one is past 2×MaxDirty and drains inline
-	if got, want := v.DirtyList(), []int64{0, 6}; !reflect.DeepEqual(got, want) || v.Stats().InlineDrains != 3 {
-		t.Fatalf("valve left %v dirty after %d inline drains, want %v after 3", got, v.Stats().InlineDrains, want)
+	if got, want := v.DirtyList(), []int64{0, 6}; !reflect.DeepEqual(got, want) || v.Stats().InlineScrubs != 3 {
+		t.Fatalf("valve left %v dirty after %d inline drains, want %v after 3", got, v.Stats().InlineScrubs, want)
 	}
-	if err := v.Flush(ctx); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("Flush = %v, want ErrDegraded for the lost stripe", err)
+	if err := v.Flush(ctx); !errors.Is(err, core.ErrTooManyFailures) {
+		t.Fatalf("Flush = %v, want core.ErrTooManyFailures for the lost stripe", err)
 	}
 	if got := v.DirtyList(); !reflect.DeepEqual(got, []int64{0}) {
 		t.Fatalf("Flush left %v dirty, want only the lost stripe", got)
@@ -296,7 +296,7 @@ func TestInlineValveCostIndependentOfBacklog(t *testing.T) {
 			write()
 		}
 		runtime.ReadMemStats(&m1)
-		if got := v.Stats().InlineDrains; got == 0 || v.DirtyStripes() <= 16 {
+		if got := v.Stats().InlineScrubs; got == 0 || v.DirtyStripes() <= 16 {
 			t.Fatalf("valve did not run against a standing backlog (inline=%d dirty=%d)", got, v.DirtyStripes())
 		}
 		return (m1.TotalAlloc - m0.TotalAlloc) / writes
@@ -330,8 +330,8 @@ func TestGoldenMarksImage(t *testing.T) {
 	opts := quietOpts()
 	opts.NV = nv
 	v, _ := testVolume(t, 4, 70*4096, opts)
-	if got, want := v.DirtyList(), []int64{0, 3, 63, 64, 69}; !reflect.DeepEqual(got, want) || v.Stats().Recovered {
-		t.Fatalf("dirty after load = %v (recovered=%v), want %v", got, v.Stats().Recovered, want)
+	if got, want := v.DirtyList(), []int64{0, 3, 63, 64, 69}; !reflect.DeepEqual(got, want) || v.Stats().NVRAMRecovered {
+		t.Fatalf("dirty after load = %v (recovered=%v), want %v", got, v.Stats().NVRAMRecovered, want)
 	}
 	stale := make([][]int64, len(v.nodes))
 	for i := range v.nodes {

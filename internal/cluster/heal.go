@@ -75,7 +75,7 @@ func (v *Volume) healNode(ctx context.Context, i int, full, salvage bool) (HealR
 		}
 	}
 	if err != nil {
-		return rep, v.volumeErr(err)
+		return rep, err
 	}
 	v.meta.Lock()
 	if m.node != nil {
@@ -113,7 +113,7 @@ func (v *Volume) redialNode(i int) error {
 	if closed || surplus {
 		n.Close()
 		if closed {
-			return ErrClosed
+			return core.ErrClosed
 		}
 		return nil
 	}

@@ -14,13 +14,12 @@ import (
 	"afraid/internal/server"
 )
 
-// volObs is the volume's instrumentation: per-node read and write latency
-// and whole-volume op latency. Open adopts the store's drain and parity
-// timings and its full-stripe count under the volume's names.
+// volObs is the volume's instrumentation: per-node read and write latency,
+// which the hedge policy reads. Open adopts the store's drain timing as
+// drain.stripe.
 type volObs struct {
 	reg                 *obs.Registry
 	nodeRead, nodeWrite []*obs.Histogram
-	readOp, writeOp     *obs.Histogram // whole-volume op latency (what hedging bends)
 }
 
 func newVolObs(n int) *volObs {
@@ -29,12 +28,11 @@ func newVolObs(n int) *volObs {
 		ob.nodeRead[i] = ob.reg.Histogram(fmt.Sprintf("node%d.read", i))
 		ob.nodeWrite[i] = ob.reg.Histogram(fmt.Sprintf("node%d.write", i))
 	}
-	ob.readOp, ob.writeOp = ob.reg.Histogram("read.op"), ob.reg.Histogram("write.op")
 	return ob
 }
 
 // Obs exposes the volume's metrics registry (per-node read/write
-// latency, whole-volume op latency) for status tooling.
+// latency, drain time per stripe) for status tooling.
 func (v *Volume) Obs() *obs.Registry { return v.ob.reg }
 
 // member is one node slot: the store's block device for it, and the

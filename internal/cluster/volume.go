@@ -79,27 +79,14 @@ func orDefault[T comparable](opt *T, def T) {
 	}
 }
 
-// Stats counts volume activity.
+// Stats is the volume's activity: its store's counters, under core's
+// names, and what only the volume sees — the nodes behind the members.
 type Stats struct {
-	Reads, Writes           uint64
-	BytesRead, BytesWritten int64
-	DegradedReads           uint64 // extents reconstructed around a down node
-	DegradedWrites          uint64 // spans written under the synchronous degraded protocol
-	FullStripeWrites        uint64 // stripes written whole, one write per node, with no drain left behind
-	ParityDrains            uint64 // stripes made redundant by drains (background, flush, inline)
-	InlineDrains            uint64 // stripes drained by the write-path pressure valve
-	HealedStripes           uint64 // stripe units rebuilt onto a returned node
-	LostStripes             uint64 // stripes reported unrecoverable (dirty at node loss)
-	NodeFailovers           uint64 // times a node was declared down
-	HedgedReads             uint64 // straggling unit reads re-issued to the reconstruction path
-	HedgeWins               uint64 // hedges that answered before the straggler
-	Retries                 uint64 // node operations failed over to the degraded path
-	RetriesExhausted        uint64 // operations that needed more nodes than were up
-	Quarantines             uint64 // nodes fenced off by the flap damper
-	AutoHeals               uint64 // background heals started by the prober
-	DirtyStripes            int64
-	DirtyHighWater          int64 // widest the cluster unredundancy window ever got
-	Recovered               bool  // marking memory was unusable; full parity rebuild scheduled
+	core.Stats
+	NodeFailovers uint64 // times a node was declared down
+	Retries       uint64 // node operations failed over to the degraded path
+	Quarantines   uint64 // nodes fenced off by the flap damper
+	AutoHeals     uint64 // background heals started by the prober
 }
 
 // Volume is a distributed AFRAID array: one logical block space striped
@@ -113,7 +100,7 @@ type Volume struct {
 
 	meta  sync.Mutex // guards nodes' mutable state and everything below
 	nodes []*member
-	stats Stats // the store's counters are filled in by Stats()
+	stats Stats // the node counters; the store's are filled in by Stats()
 
 	ob *volObs
 	wg sync.WaitGroup
@@ -175,11 +162,7 @@ func Open(members []Member, opts Options) (*Volume, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	v.st, v.geo = st, st.Geometry()
-	reg := st.Obs()
-	v.ob.reg.Adopt(map[string]*obs.Histogram{
-		"drain.stripe":   reg.Histogram("scrub_stripe"),
-		"parity.compute": reg.Histogram("parity_compute"),
-	})
+	v.ob.reg.Adopt(map[string]*obs.Histogram{"drain.stripe": st.Obs().Histogram("scrub_stripe")})
 	if st.Stats().NVRAMRecovered {
 		v.logf("cluster: marking memory unusable; recovering with full parity rebuild")
 	}
@@ -197,7 +180,7 @@ func Open(members []Member, opts Options) (*Volume, error) {
 func (v *Volume) Close() error {
 	v.bgCancel()
 	v.wg.Wait()
-	return v.volumeErr(v.st.Close())
+	return v.st.Close()
 }
 
 // Capacity returns the client-visible size in bytes.
@@ -219,17 +202,12 @@ func (v *Volume) Stats() Stats {
 	v.meta.Lock()
 	st := v.stats
 	v.meta.Unlock()
-	st.Reads, st.Writes, st.BytesRead, st.BytesWritten = cs.Reads, cs.Writes, cs.BytesRead, cs.BytesWritten
-	st.DegradedReads, st.DegradedWrites, st.FullStripeWrites = cs.DegradedReads, cs.DegradedWrites, cs.FullStripeWrites
-	st.ParityDrains, st.InlineDrains = cs.ScrubbedStripes, cs.InlineScrubs
-	st.HealedStripes, st.LostStripes = cs.RecoveredStripes, cs.DamagedStripes
-	st.HedgedReads, st.HedgeWins = cs.HedgedReads, cs.HedgeWins
-	st.DirtyStripes, st.DirtyHighWater, st.Recovered = cs.DirtyStripes, cs.DirtyHighWater, cs.NVRAMRecovered
+	st.Stats = cs
 	return st
 }
 
 // StatMap returns the volume's flat key/value snapshot under "cluster."
-// keys: every Stats field.
+// keys: every Stats field, the store's under core's names.
 func (v *Volume) StatMap() map[string]int64 {
 	m := make(map[string]int64, 32)
 	obs.Flatten(m, "cluster.", v.Stats())
@@ -289,13 +267,7 @@ func (v *Volume) ReadAt(p []byte, off int64) (int, error) {
 // live on a down node from the survivors. ctx reaches every node
 // operation.
 func (v *Volume) ReadContext(ctx context.Context, p []byte, off int64) (int, error) {
-	t0 := time.Now()
-	n, err := v.st.ReadContext(ctx, p, off)
-	if err != nil {
-		return 0, v.volumeErr(err)
-	}
-	v.ob.readOp.Observe(time.Since(t0))
-	return n, nil
+	return v.st.ReadContext(ctx, p, off)
 }
 
 // WriteAt implements io.WriterAt over the volume's address space.
@@ -307,64 +279,31 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // stripe is reachable (a whole stripe's parity written with it), and under
 // the store's synchronous degraded protocol with a data node down.
 func (v *Volume) WriteContext(ctx context.Context, p []byte, off int64) (int, error) {
-	t0 := time.Now()
-	n, err := v.st.WriteContext(ctx, p, off)
-	if err != nil {
-		return 0, v.volumeErr(err)
-	}
-	v.ob.writeOp.Observe(time.Since(t0))
-	return n, nil
+	return v.st.WriteContext(ctx, p, off)
 }
 
 // Flush drains every dirty stripe (Workers at a time), then flushes each
 // reachable node so its own array settles too. Stripes that need a down
-// node stay marked, and Flush returns ErrDegraded.
+// node stay marked, and Flush returns core.ErrTooManyFailures.
 func (v *Volume) Flush(ctx context.Context) error {
 	if err := v.st.FlushContext(ctx); err != nil {
-		return v.drainErr(err)
+		return err
 	}
 	return v.flushNodes(ctx)
 }
 
 // ParityPoint makes every stripe overlapping [off, off+length) redundant,
 // as core.Store.ParityPoint does; stripes that need a down node yield
-// ErrDegraded.
+// core.ErrTooManyFailures.
 func (v *Volume) ParityPoint(ctx context.Context, off, length int64) error {
-	return v.drainErr(v.st.ParityPointContext(ctx, off, length))
+	return v.st.ParityPointContext(ctx, off, length)
 }
 
 // VerifyParity audits every clean stripe with all its nodes present. It
 // returns the stripes whose parity is wrong — redundancy the marking
 // memory believes in that is not there — and how many it skipped.
 func (v *Volume) VerifyParity(ctx context.Context) (bad []int64, skipped int64, err error) {
-	bad, skipped, err = v.st.VerifyParity(ctx)
-	return bad, skipped, v.volumeErr(err)
-}
-
-// volumeErr puts the store's errors in the volume's terms: ErrClosed, and
-// ErrTooManyNodes for an operation that needed more nodes than are up.
-func (v *Volume) volumeErr(err error) error {
-	switch {
-	case err == nil, errors.Is(err, core.ErrDataLoss):
-		return err
-	case errors.Is(err, core.ErrClosed):
-		return ErrClosed
-	case errors.Is(err, core.ErrTooManyFailures), errors.Is(err, core.ErrDeviceFailed):
-		v.meta.Lock()
-		v.stats.RetriesExhausted++
-		v.meta.Unlock()
-		return fmt.Errorf("%w: %w", ErrTooManyNodes, err)
-	}
-	return err
-}
-
-// drainErr is volumeErr for a drain, which stops at a down node with
-// ErrDegraded.
-func (v *Volume) drainErr(err error) error {
-	if errors.Is(err, core.ErrTooManyFailures) {
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
-	}
-	return v.volumeErr(err)
+	return v.st.VerifyParity(ctx)
 }
 
 // flushNodes asks each reachable node to settle its own store.

@@ -219,7 +219,7 @@ func TestRoundTripAndDrain(t *testing.T) {
 		t.Fatalf("VerifyParity = (bad %v, skipped %d, err %v), want clean", bad, skipped, err)
 	}
 	st := v.Stats()
-	if st.ParityDrains == 0 || st.Writes == 0 || st.Reads == 0 {
+	if st.ScrubbedStripes == 0 || st.Writes == 0 || st.Reads == 0 {
 		t.Errorf("stats not counting: %+v", st)
 	}
 }
@@ -290,7 +290,7 @@ func TestMarksPersistence(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dirty after reopen = %v, want %v", got, want)
 	}
-	if v2.Stats().Recovered {
+	if v2.Stats().NVRAMRecovered {
 		t.Error("clean reopen flagged as recovery")
 	}
 	if err := v2.Flush(context.Background()); err != nil {
@@ -385,8 +385,8 @@ func TestMarksRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	if !v.Stats().Recovered {
-		t.Error("Recovered not flagged")
+	if !v.Stats().NVRAMRecovered {
+		t.Error("NVRAMRecovered not flagged")
 	}
 	if got, want := v.DirtyStripes(), v.Geometry().Stripes(); got != want {
 		t.Errorf("dirty after recovery = %d, want all %d", got, want)
@@ -400,34 +400,50 @@ func TestMarksRecovery(t *testing.T) {
 	}
 }
 
-// TestClosedVolume checks post-Close calls fail with ErrClosed.
+// TestClosedVolume checks post-Close calls fail with core.ErrClosed.
 func TestClosedVolume(t *testing.T) {
 	v, _ := testVolume(t, 3, 16*4096, quietOpts())
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.ReadAt(make([]byte, 4096), 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("ReadAt after Close = %v, want ErrClosed", err)
+	if _, err := v.ReadAt(make([]byte, 4096), 0); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("ReadAt after Close = %v, want core.ErrClosed", err)
 	}
-	if err := v.Flush(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Errorf("Flush after Close = %v, want ErrClosed", err)
+	if err := v.Flush(context.Background()); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("Flush after Close = %v, want core.ErrClosed", err)
 	}
-	if err := v.Close(); !errors.Is(err, ErrClosed) {
-		t.Errorf("second Close = %v, want ErrClosed", err)
+	if err := v.Close(); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("second Close = %v, want core.ErrClosed", err)
 	}
 }
 
 // TestStatMapCoversEveryCounter is the cluster row of afraidd's
-// TestStatCoversEveryCounter: whatever Stats counts is a "cluster." key
+// TestStatCoversEveryCounter: every counter of the volume's store, under
+// core's name, and every node counter the volume keeps is a "cluster." key
 // of StatMap, with live values, so a counter added where it is counted
-// shows up with no list to edit.
+// shows up with no list to edit. The node counters are the volume's own:
+// none of them is a store counter declared a second time.
 func TestStatMapCoversEveryCounter(t *testing.T) {
 	v, _ := testVolume(t, 4, 16*4096, quietOpts())
 	fillVolume(t, v, 1)
 	m := v.StatMap()
+	coreT := reflect.TypeOf(core.Stats{})
+	var fields []reflect.StructField
+	for i := 0; i < coreT.NumField(); i++ {
+		fields = append(fields, coreT.Field(i))
+	}
 	rt := reflect.TypeOf(Stats{})
 	for i := 0; i < rt.NumField(); i++ {
 		f := rt.Field(i)
+		if f.Anonymous {
+			continue
+		}
+		if _, dup := coreT.FieldByName(f.Name); dup {
+			t.Errorf("Stats.%s declares a field core.Stats has: the store's counter is the store's", f.Name)
+		}
+		fields = append(fields, f)
+	}
+	for _, f := range fields {
 		if k := f.Type.Kind(); k != reflect.Bool && (k < reflect.Int || k > reflect.Uint64) {
 			t.Errorf("Stats.%s is a %s: not something the flat snapshot carries", f.Name, f.Type)
 			continue

@@ -63,6 +63,17 @@ func (m Mode) String() string {
 	return presets[m].name
 }
 
+// ParseMode is the inverse of String over the presets: the mode a name
+// such as "raid5" names, or an error for a name no preset has.
+func ParseMode(name string) (Mode, error) {
+	for m := range presets {
+		if presets[m].name == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown mode %q", name)
+}
+
 // Options configures a Store.
 type Options struct {
 	// Mode is the redundancy preset (default Afraid).

@@ -14,6 +14,21 @@ const (
 	testDisk = 256 << 10 // 64 stripes of 4KB units on each of 5 disks
 )
 
+// TestParseMode: every preset's name parses back to its mode, and a name
+// no preset has is refused.
+func TestParseMode(t *testing.T) {
+	for m := Mode(0); int(m) < len(presets); m++ {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "raid1", "RAID5", "afraid6-pq", "Mode(5)"} {
+		if m, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", name, m)
+		}
+	}
+}
+
 func newDevs(n int) []BlockDevice {
 	devs := make([]BlockDevice, n)
 	for i := range devs {

@@ -15,7 +15,9 @@ var durationType = reflect.TypeOf(time.Duration(0))
 // exported field of each struct in stats, keyed by KeyName of the
 // field: integers as they are, bools as 0/1, durations as nanoseconds
 // under key+"_ns", and integer lists as their length plus a bitmask of
-// the values under key+"_mask".
+// the values under key+"_mask". An embedded struct's fields are keyed as
+// if they were the outer struct's own, so a layer that embeds the stats of
+// the layer beneath it publishes them under its prefix with their names.
 // Fields of any other type are skipped. A layer that grows a counter or
 // a stats field therefore edits nothing else.
 func Flatten(dst map[string]int64, prefix string, stats ...any) {
@@ -28,6 +30,8 @@ func Flatten(dst map[string]int64, prefix string, stats ...any) {
 			}
 			key, fv := prefix+KeyName(f.Name), rv.Field(i)
 			switch {
+			case f.Anonymous && fv.Kind() == reflect.Struct:
+				Flatten(dst, prefix, fv.Interface())
 			case f.Type == durationType:
 				dst[key+"_ns"] = fv.Int()
 			case fv.CanInt():

@@ -207,6 +207,7 @@ func TestFlatten(t *testing.T) {
 		}
 	}
 
+	type Inner struct{ FullStripeWrites uint64 } // an embedded struct's keys are the outer's
 	got := map[string]int64{"other.kept": 1}
 	Flatten(got, "core.", struct {
 		Writes       uint64
@@ -222,9 +223,12 @@ func TestFlatten(t *testing.T) {
 	}{
 		Writes: 3, DamageBytes: -2, Recovered: true, ScrubIdle: time.Millisecond,
 		DeadDisks: []int{1, 4}, Ratio: 0.5, unexported: 9, Quarantined: 5, SmallCounter: 6,
-	}, struct{ FullStripeWrites uint64 }{7})
+	}, struct {
+		Inner
+		Hedged uint64
+	}{Inner{7}, 8})
 	want := map[string]int64{
-		"other.kept": 1, "core.full_stripe_writes": 7,
+		"other.kept": 1, "core.full_stripe_writes": 7, "core.hedged": 8,
 		"core.writes": 3, "core.damage_bytes": -2, "core.recovered": 1, "core.healthy": 0,
 		"core.scrub_idle_ns": 1e6, "core.dead_disks": 2, "core.dead_disks_mask": 1<<1 | 1<<4,
 		"core.quarantined": 5, "core.small_counter": 6,

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"afraid/internal/bufpool"
 	"afraid/internal/core"
 )
 
@@ -19,8 +20,8 @@ import (
 // after it the front holds a complete image on at least one whole copy.
 func (s *Store) promote(ctx context.Context, ext, extOff int64, p []byte) error {
 	n := s.extentLen(ext)
-	buf := s.bufs.Get().([]byte)[:s.extentSize]
-	defer s.bufs.Put(buf[:cap(buf)])
+	buf := bufpool.Get(int(s.extentSize))
+	defer bufpool.Put(buf)
 	if extOff > 0 || int64(len(p)) < n {
 		if _, err := s.back.ReadContext(ctx, buf[:n], ext*s.extentSize); err != nil {
 			if errors.Is(err, core.ErrDataLoss) {
@@ -171,8 +172,8 @@ func (s *Store) demoteExtent(ctx context.Context, ext int64, evict bool) error {
 
 	start := time.Now()
 	n := s.extentLen(ext)
-	buf := s.bufs.Get().([]byte)[:s.extentSize]
-	defer s.bufs.Put(buf[:cap(buf)])
+	buf := bufpool.Get(int(s.extentSize))
+	defer bufpool.Put(buf)
 	if wasDirty {
 		if err := s.mirrorRead(ctx, slot, buf[:n], s.slotOff(slot)); err != nil {
 			return fmt.Errorf("tier: demoting extent %d: %w", ext, err)

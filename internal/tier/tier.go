@@ -87,7 +87,6 @@ type Store struct {
 	inflight     []atomic.Int64 // per front device, reads in flight
 	rrTick       atomic.Uint64
 	lastOp       atomic.Int64 // UnixNano of the latest client op (idle detection)
-	bufs         sync.Pool    // extent-size scratch buffers
 
 	st  stats
 	ob  *tierObs
@@ -167,7 +166,6 @@ func Open(back *core.Store, front []core.BlockDevice, nv core.NVRAM, opts Option
 	s.lastUse = make([]uint64, totalSlots)
 	s.copyFailed = make([]atomic.Bool, len(front))
 	s.inflight = make([]atomic.Int64, len(front))
-	s.bufs.New = func() any { return make([]byte, s.extentSize) }
 	s.lastOp.Store(time.Now().UnixNano())
 
 	if err := s.recover(); err != nil {
