@@ -61,11 +61,21 @@ func classRows(o options, build func(class string, ops int) (fault.Stack, fault.
 	return rows, nil
 }
 
+// clusterRows is one row per fault class over the plain cluster. The
+// brownout row also gates on the volume's read cache: its members are TCP
+// nodes, slow enough for the cache to engage, and a slow node fails
+// nothing that would drop it, while the row reads more than it writes.
 func clusterRows(o options) ([]row, error) {
-	return classRows(o, func(class string, ops int) (fault.Stack, fault.Plan) {
+	rows, err := classRows(o, func(class string, ops int) (fault.Stack, fault.Plan) {
 		c := newClusterStack(class, ops)
 		return c, c.plan(c.Inject, c.Heal)
 	})
+	for i := range rows {
+		if rows[i].name == "slow" {
+			rows[i].gate = append(rows[i].gate, "cluster.read_cache_hits")
+		}
+	}
+	return rows, err
 }
 
 // chaosNode is one afraidd in miniature: a server.Server over a backend.

@@ -17,7 +17,11 @@
 // too — marks a stripe while a write to it is in flight, so each needs
 // -dir for crash consistency.
 //
-// -checksums verifies what the parity store reads. With -tier-disks,
+// -checksums verifies what the parity store reads from its disks. A read
+// its controller read cache serves is copied from memory: bytes verified
+// on their way in, or that a client wrote (DESIGN.md §7 *Read cache*;
+// the cache engages only over disks slower than a memory copy). With
+// -tier-disks,
 // extents resident in the mirrored front tier are served from, and
 // demoted from, unverified front copies (DESIGN.md §8); afraidd says so
 // once at start-up.
@@ -55,7 +59,7 @@ func main() {
 	stripe := flag.String("stripe", "8K", "stripe unit size")
 	scrubIdle := flag.Duration("scrub-idle", 100*time.Millisecond, "idle threshold before parity rebuild")
 	dirtyThreshold := flag.Int("dirty-threshold", 0, "scrub under load past this many dirty stripes (0 = idle-only)")
-	checksums := flag.Bool("checksums", false, "per-block CRC32C on the parity store: verify its reads, repair silent corruption from redundancy (with -tier-disks, front-resident extents are served and demoted unverified)")
+	checksums := flag.Bool("checksums", false, "per-block CRC32C on the parity store: verify its disk reads, repair silent corruption from redundancy (a read cache hit is served from memory, from bytes verified on their way in or written by a client; with -tier-disks, front-resident extents are served and demoted unverified)")
 	tierDisks := flag.Int("tier-disks", 0, "mirrored front-tier devices (even, 0 disables the hybrid tier)")
 	tierSize := flag.String("tier-size", "64M", "per-device front-tier size")
 	tierExtent := flag.String("tier-extent", "64K", "front-tier migration extent size (power of two)")

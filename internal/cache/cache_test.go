@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"container/list"
 	"testing"
 	"testing/quick"
 )
@@ -157,4 +158,90 @@ func TestNewControllerValidation(t *testing.T) {
 		}
 	}()
 	NewController(Config{BlockSize: 0, ReadBytes: 1, WriteBytes: 1})
+}
+
+// TestLRUMatchesListModel drives random inserts, lookups and
+// invalidations through the LRU and through a container/list model of
+// the same order, and checks they agree on every eviction, on membership
+// and on each block keeping its index while it is held.
+func TestLRUMatchesListModel(t *testing.T) {
+	prop := func(ops []uint16, capRaw uint8) bool {
+		capacity := int(capRaw%40) + 1
+		c := NewLRU(capacity)
+		ll, at := list.New(), map[int64]*list.Element{}
+		index := map[int64]int{}
+		for _, op := range ops {
+			block := int64(op % 97) // collide often
+			switch op >> 14 {
+			case 0, 1:
+				ev, did := c.Insert(block)
+				var wantEv int64
+				wantDid := false
+				if e, ok := at[block]; ok {
+					ll.MoveToFront(e)
+				} else {
+					if ll.Len() == capacity {
+						back := ll.Back()
+						wantEv, wantDid = back.Value.(int64), true
+						ll.Remove(back)
+						delete(at, wantEv)
+					}
+					at[block] = ll.PushFront(block)
+				}
+				if ev != wantEv || did != wantDid {
+					return false
+				}
+				if did {
+					if index[block] = index[ev]; c.Index(block) != index[ev] {
+						return false
+					}
+					delete(index, ev)
+				} else if _, ok := index[block]; !ok {
+					index[block] = c.Index(block)
+				}
+			case 2:
+				if e, ok := at[block]; ok != c.Contains(block) {
+					return false
+				} else if ok {
+					ll.MoveToFront(e)
+				}
+			case 3:
+				c.Invalidate(block)
+				if e, ok := at[block]; ok {
+					ll.Remove(e)
+					delete(at, block)
+					delete(index, block)
+				}
+			}
+			if c.Len() != ll.Len() {
+				return false
+			}
+			for b, i := range index {
+				if c.Index(b) != i || i < 0 || i >= capacity {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLRUAllocatesOnlyAtBirth pins what lets the live store's read cache
+// run without garbage: inserting, evicting, promoting and invalidating at
+// capacity allocate nothing.
+func TestLRUAllocatesOnlyAtBirth(t *testing.T) {
+	c := NewLRU(32)
+	var b int64
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Insert(b)
+		c.Contains(b - 5)
+		c.Invalidate(b - 7)
+		b += 3
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state LRU operations allocate %.1f objects each", allocs)
+	}
 }

@@ -191,21 +191,13 @@ func TestTwoNodesDownExceedsParity(t *testing.T) {
 	// Stripe 0 has data on nodes 0,1,2: two of three data units gone.
 	buf := make([]byte, 4096)
 	_, err := v.ReadAt(buf, 0)
-	if !tooManyDown(err) {
-		t.Fatalf("read with 2 data nodes down = %v, want too many nodes down", err)
+	if !errors.Is(err, core.ErrTooManyFailures) {
+		t.Fatalf("read with 2 data nodes down = %v, want %v", err, core.ErrTooManyFailures)
 	}
 	_, err = v.WriteAt(buf, 0)
-	if !tooManyDown(err) {
-		t.Fatalf("write with 2 data nodes down = %v, want too many nodes down", err)
+	if !errors.Is(err, core.ErrTooManyFailures) {
+		t.Fatalf("write with 2 data nodes down = %v, want %v", err, core.ErrTooManyFailures)
 	}
-}
-
-// tooManyDown reports whether err says an operation needed more nodes than
-// are up: the store's ErrTooManyFailures when it knew the nodes were
-// absent, or the fail-stop error of a node it found gone mid-operation and
-// could not work around.
-func tooManyDown(err error) bool {
-	return errors.Is(err, core.ErrTooManyFailures) || errors.Is(err, core.ErrDeviceFailed)
 }
 
 // TestEveryAbsentUnitIsCounted: the health snapshot names every data unit

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"afraid/internal/testutil"
 )
@@ -84,5 +85,54 @@ func TestIOPathAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReadCachePathAllocs pins the read cache's share of the same
+// guarantee: over members slow enough for it to engage, reads served from
+// memory, writes that refresh cached units, and misses that admit units and
+// evict others run without heap allocation — the cache's buffers and both
+// LRUs are allocated at Open.
+func TestReadCachePathAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	probes := make([]*probeDev, 5)
+	devs := make([]BlockDevice, len(probes))
+	for i := range probes {
+		probes[i] = &probeDev{BlockDevice: NewMemDevice(64 * runUnit), service: 20 * time.Microsecond}
+		devs[i] = probes[i]
+	}
+	s, err := Open(devs, &MemNVRAM{}, Options{Mode: Afraid, StripeUnit: runUnit, DisableScrubber: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buf := make([]byte, runUnit)
+	var unit int64
+	op := func() {
+		// Unit 0 is written and read back from memory; a walk over twice the
+		// cache's units touches each twice in a row, admitting and evicting.
+		for _, do := range []func([]byte, int64) (int, error){s.WriteAt, s.ReadAt, s.ReadAt} {
+			if _, err := do(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		off := (1 + unit%64) * runUnit
+		for _, do := range []func([]byte, int64) (int, error){s.WriteAt, s.ReadAt} {
+			if _, err := do(buf[:runUnit/2], off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unit++
+	}
+	for i := 0; i < 200; i++ { // engage, and warm the pools
+		op()
+	}
+	if allocs := testing.AllocsPerRun(100, op); allocs >= 1 {
+		t.Fatalf("read cache path allocates %.1f objects per round", allocs)
+	}
+	if st := s.Stats(); st.ReadCacheHits == 0 || st.ReadCacheMisses == 0 {
+		t.Fatalf("%d hits, %d misses: the cache did not engage", st.ReadCacheHits, st.ReadCacheMisses)
 	}
 }

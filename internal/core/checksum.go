@@ -158,17 +158,27 @@ func (s *Store) devReadRun(ctx context.Context, i int, units [][]byte, off int64
 // by the caller's retry loop), not be patched over and blessed by the new
 // slot.
 func (s *Store) devWriteRun(ctx context.Context, i int, units [][]byte, off int64) error {
+	return s.devWrite(ctx, i, units, off, nil)
+}
+
+// devWrite is devWriteRun, handed in old the whole unit under a range
+// where the caller has read and verified it under the stripe lock already
+// (preflightChecksums): the range lands over that, and the unit is not read
+// again.
+func (s *Store) devWrite(ctx context.Context, i int, units [][]byte, off int64, old []byte) error {
 	unit := s.geo.StripeUnit
 	n := len(units) * int(unit)
 	var whole [1][]byte // a range's unit, as it stands once the range lands
 	if len(units) == 1 && int64(len(units[0])) != unit {
 		n = len(units[0])
 		if s.opts.Checksums {
-			whole[0] = bufpool.Get(int(unit))
-			defer bufpool.Put(whole[0])
 			lo := off % unit
-			if err := s.devReadRun(ctx, i, whole[:], off-lo); err != nil {
-				return err
+			if whole[0] = old; old == nil {
+				whole[0] = bufpool.Get(int(unit))
+				defer bufpool.Put(whole[0])
+				if err := s.devReadRun(ctx, i, whole[:], off-lo); err != nil {
+					return err
+				}
 			}
 			copy(whole[0][lo:], units[0])
 		}
@@ -276,6 +286,7 @@ func (s *Store) absorbUnit(ctx context.Context, err error) (retry bool, out erro
 		return true, nil
 	case errors.Is(rerr, ErrDataLoss):
 		s.stats.ChecksumLost++
+		s.rc.dropAll()
 	}
 	return false, rerr
 }
@@ -310,19 +321,55 @@ func (s *Store) spanRetryBudget() int { return len(s.devs) + 2 }
 // unrecoverable" even though the stripe was clean and repairable a
 // microsecond earlier. Full-unit extents need nothing (the overwrite
 // installs a fresh slot), and a write with a sync set reads — and so
-// verifies — what it folds before it marks (rmwSpan).
-func (s *Store) preflightChecksums(ctx context.Context, sp layout.StripeSpan) error {
+// verifies — what it folds before it marks (rmwSpan). The verified units
+// land in old, which the write hands to devWrite: under the same stripe
+// lock they cannot change, so each is read once.
+func (s *Store) preflightChecksums(ctx context.Context, sp layout.StripeSpan, old *oldUnits) error {
 	if !s.preflights(sp, 0) {
 		return nil
 	}
-	for _, e := range sp.Extents {
+	for k, e := range sp.Extents {
 		if e.Len < s.geo.StripeUnit {
-			if err := s.verifyUnit(ctx, e.Disk, sp.Stripe); err != nil {
+			b := bufpool.Get(int(s.geo.StripeUnit))
+			old.set(k, len(sp.Extents), b)
+			if err := s.devReadRun(ctx, e.Disk, [][]byte{b}, s.geo.DiskOffset(sp.Stripe)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// oldUnits holds the whole old units a span's partial extents verified
+// (preflightChecksums): only its first extent and its last can be partial.
+type oldUnits [2][]byte
+
+func (o *oldUnits) set(k, n int, b []byte) {
+	if k == 0 {
+		o[0] = b
+	} else if k == n-1 {
+		o[1] = b
+	}
+}
+
+// of returns extent k's verified unit, or nil.
+func (o *oldUnits) of(k, n int) []byte {
+	switch {
+	case k == 0:
+		return o[0]
+	case k == n-1:
+		return o[1]
+	}
+	return nil
+}
+
+// release returns the units to the pool.
+func (o *oldUnits) release() {
+	for _, b := range o {
+		if b != nil {
+			bufpool.Put(b)
+		}
+	}
 }
 
 // preflights reports whether a write of the span, to a stripe with sync

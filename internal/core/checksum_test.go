@@ -463,3 +463,38 @@ func TestUnitErrorBesideFailStopIsNotSolvedAcross(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialWriteVerifiesOnce counts what a checksummed AFRAID write of
+// 4 KiB into an 8 KiB unit of a clean stripe costs its member: the old unit
+// and its slot read and verified once, before the mark
+// (preflightChecksums), then the range and the new slot written, the slot
+// encoded from the verified unit with the range laid over it — four
+// member calls and one checksum_verify entry. The write used to read and
+// verify the unit a second time under the same stripe lock: six calls,
+// two entries.
+func TestPartialWriteVerifiesOnce(t *testing.T) {
+	s, probes := openRuns(t, 3, Options{Mode: Afraid, Checksums: true})
+	const off = runUnit + 2<<10 // data unit 1 of stripe 0, from byte 2 KiB
+	data := pattern(4<<10, 9)
+	r0, w0 := deviceOps(probes)
+	v0 := s.ob.csumVerify.Count()
+	if _, err := s.WriteAt(data, off); err != nil {
+		t.Fatal(err)
+	}
+	r1, w1 := deviceOps(probes)
+	if reads, writes, verifies := r1-r0, w1-w0, s.ob.csumVerify.Count()-v0; reads != 2 || writes != 2 || verifies != 1 {
+		t.Fatalf("4 KiB write into an 8 KiB unit: %d member reads, %d writes, %d verifies; want 2, 2, 1", reads, writes, verifies)
+	}
+	whole := make([]byte, runUnit)
+	if _, err := s.ReadAt(whole, runUnit); err != nil {
+		t.Fatalf("the unit no longer verifies against its new slot: %v", err)
+	}
+	want := make([]byte, runUnit)
+	copy(want[2<<10:], data)
+	if !bytes.Equal(whole, want) {
+		t.Fatal("unit read back differs from the range laid over zeroes")
+	}
+	if st := s.Stats(); st.ChecksumDetected != 0 {
+		t.Fatalf("ChecksumDetected = %d", st.ChecksumDetected)
+	}
+}

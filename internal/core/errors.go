@@ -72,9 +72,28 @@ func (s *Store) memberErr(i int, op string, off int64, n int, err error) error {
 // the span: reads reconstruct around the dead disk, writes switch to the
 // synchronous degraded protocol.
 func (s *Store) absorbFailure(err error) bool {
+	d := failStop(err)
+	return d >= 0 && s.FailDisk(d) == nil
+}
+
+// failStop returns the member whose fail-stop failure err reports, or -1.
+func failStop(err error) int {
 	var de *DiskError
 	if !errors.As(err, &de) || !errors.Is(de.Err, ErrDeviceFailed) {
-		return false
+		return -1
 	}
-	return s.FailDisk(de.Disk) == nil
+	return de.Disk
+}
+
+// opError is what a client operation returns for err. A member's fail-stop
+// failure that the store did not absorb — FailDisk refused it, as many
+// members being absent as the layout has parities — is ErrTooManyFailures,
+// wrapping err: more members gone than parities reaches the caller as one
+// class, whether the store learnt of the last one before the operation or
+// during it.
+func (s *Store) opError(err error) error {
+	if d := failStop(err); d >= 0 && !errors.Is(err, ErrTooManyFailures) && !s.Absent(d) {
+		return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
+	}
+	return err
 }

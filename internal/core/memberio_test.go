@@ -130,3 +130,37 @@ func TestMemberReportedLossIsRepaired(t *testing.T) {
 		}
 	}
 }
+
+// TestSecondMemberLostMidOpIsTooManyFailures: with one member of a RAID 5
+// store already absent, a read or a write that finds a second member
+// fail-stopped mid-span — one FailDisk refuses, the layout having one
+// parity — fails with ErrTooManyFailures, wrapping the member's fail-stop
+// error: the class it would have had if the store had known of both
+// members before it began.
+func TestSecondMemberLostMidOpIsTooManyFailures(t *testing.T) {
+	s, devs, _ := openMembers(t, false)
+	if err := s.FailDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	off := int64(-1) // a data unit on member 1
+	for o := int64(0); off < 0; o += memberUnit {
+		if s.Geometry().Split(o, memberUnit)[0].Extents[0].Disk == 1 {
+			off = o
+		}
+	}
+	devs[1].Fail() // behind the store's back: it learns of it mid-span
+	buf := make([]byte, memberUnit)
+	for _, op := range []struct {
+		name string
+		do   func([]byte, int64) (int, error)
+	}{{"read", s.ReadAt}, {"write", s.WriteAt}} {
+		_, err := op.do(buf, off)
+		if !errors.Is(err, core.ErrTooManyFailures) || !errors.Is(err, core.ErrDeviceFailed) {
+			t.Fatalf("%s with member 0 absent and member 1 failing = %v; want %v wrapping %v",
+				op.name, err, core.ErrTooManyFailures, core.ErrDeviceFailed)
+		}
+	}
+	if s.Absent(1) {
+		t.Fatal("a second member was absorbed by a one-parity store")
+	}
+}

@@ -25,6 +25,7 @@ type Failer interface {
 // in the marking memory, so that it comes back (RepairDisk) rebuilding only
 // what it missed. The store absorbs one absent member per parity unit of
 // its layout (a RAID 0 store tracks one, every unit of which is lost).
+// The read cache is dropped: a degraded array serves no cached bytes.
 func (s *Store) FailDisk(i int) error {
 	if i < 0 || i >= len(s.devs) {
 		return fmt.Errorf("core: disk %d out of range", i)
@@ -39,6 +40,7 @@ func (s *Store) FailDisk(i int) error {
 	}
 	dev := s.devs[i]
 	s.meta.Unlock()
+	s.rc.dropAll()
 	if f, ok := dev.(Failer); ok && err == nil {
 		f.Fail() // outside meta: a member's Fail may call out (a cluster node's logs)
 	}
@@ -151,6 +153,7 @@ func (s *Store) repair(ctx context.Context, i int, dev BlockDevice, salvage bool
 		s.sweeping |= 1 << i
 	}
 	s.meta.Unlock()
+	s.rc.dropAll() // whatever comes back, the cache starts again with the whole array
 	for k := range s.locks {
 		s.locks[k].Unlock()
 	}

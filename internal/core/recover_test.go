@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -329,5 +330,65 @@ func TestScrubberSkipsWhileDegraded(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if s.DirtyStripes() == 0 {
 		t.Fatal("scrubber rebuilt parity using a failed disk")
+	}
+}
+
+// TestSalvageDropsCachedUnits: a salvage's zeroes (writeBack) drop the
+// read cache's copy of the units they replace. Over members slow enough
+// for the cache to engage, a unit cached whole is corrupted behind the
+// store's back, and its stripe salvaged as a repair's sweep does
+// (rebuildStale): the unit reads back as the zeroes laid over it, not as
+// the bytes cached before.
+func TestSalvageDropsCachedUnits(t *testing.T) {
+	probes := make([]*probeDev, 5)
+	devs := make([]BlockDevice, len(probes))
+	for i := range probes {
+		probes[i] = &probeDev{BlockDevice: NewMemDevice(32 * runUnit), service: 50 * time.Microsecond}
+		devs[i] = probes[i]
+	}
+	s, err := Open(devs, &MemNVRAM{}, Options{Mode: Afraid, StripeUnit: runUnit, Checksums: true, DisableScrubber: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got := make([]byte, runUnit)
+	for _, off := range []int64{s.Capacity() - runUnit, s.Capacity() - 3*runUnit} { // two slow reads engage the cache
+		if _, err := s.ReadAt(got[:512], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := pattern(runUnit, 3)
+	for i := 0; i < 2; i++ { // the second touch admits the unit
+		if _, err := s.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r0, _ := deviceOps(probes)
+	if _, err := s.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if r1, _ := deviceOps(probes); r1 != r0 || !bytes.Equal(got, data) {
+		t.Fatalf("unit 0 not served from the cache: %d member reads", r1-r0)
+	}
+	e := s.geo.Split(0, runUnit)[0].Extents[0]
+	if _, err := probes[e.Disk].BlockDevice.WriteAt(bytes.Repeat([]byte{0xEE}, runUnit), e.DiskOff); err != nil {
+		t.Fatal(err)
+	}
+	var rep DamageReport
+	lk := s.stripeLock(0)
+	lk.Lock()
+	err = s.rebuildStale(context.Background(), 0, true, &rep)
+	lk.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Lost) != 1 || rep.Lost[0].Offset != 0 || rep.Lost[0].Length != runUnit {
+		t.Fatalf("salvage reported %+v, want unit 0 lost", rep.Lost)
+	}
+	if _, err := s.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, runUnit)) {
+		t.Fatal("a salvaged unit read back as the bytes cached before the salvage")
 	}
 }

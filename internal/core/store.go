@@ -156,6 +156,9 @@ type Stats struct {
 	NVRAMPersists uint64 // NVRAM writes issued (group commit batches markers)
 
 	FullStripeWrites uint64 // stripes written whole by a full-stripe run (writeRun), no pre-read, no mark left
+
+	ReadCacheHits   uint64 // reads served whole from the controller read cache (readcache.go)
+	ReadCacheMisses uint64 // reads that consulted it and went to the members
 }
 
 // Store is the functional AFRAID array.
@@ -185,6 +188,8 @@ type Store struct {
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
 	fullStripes atomic.Uint64 // Stats.FullStripeWrites, counted off meta on the write-run path
+
+	rc *readCache // the controller read cache; nil where a stripe unit is larger
 
 	ob *storeObs
 }
@@ -241,6 +246,7 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		opts: opts,
 		ob:   newStoreObs(),
 		sync: make([]uint8, geo.Stripes()),
+		rc:   newReadCache(opts.StripeUnit),
 	}
 	for i := range s.sync {
 		s.sync[i] = preset.sync
@@ -498,9 +504,10 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 // (writeRun), a read's run of whole stripes (readRun), a fold on a layout
 // with neither parity nor checksum slots (foldRun). A run that fails leaves
 // its spans to be served one by one, each absorbing what it meets. A write
-// is premarked. The lock wait and the time under the locks go to the
-// stripe_lock_wait and dev histograms per span or run and, summed, to the
-// op's trace event.
+// is premarked. Under the locks the read cache serves a read from memory,
+// and takes in what the member I/O of a span or run moved (readcache.go).
+// The lock wait and the time under the locks go to the stripe_lock_wait
+// and dev histograms per span or run and, summed, to the op's trace event.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	span func(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
@@ -522,6 +529,7 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 		}
 	}
 	var rp readPlan
+	co := s.cacheOp(write, len(p))
 	for rest, alone := spans, 0; len(rest) > 0; {
 		if err = ctx.Err(); err != nil {
 			return 0, err
@@ -534,11 +542,14 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			held = rest[:n]
 		}
 		t1 := time.Now()
+		hit := co.read && s.rc.serve(p, off, held)
+		co.missed = co.missed || !hit
 		for tries := 0; ; tries++ {
-			switch kind {
-			case fullStripeRun:
+			switch {
+			case hit:
+			case kind == fullStripeRun:
 				err = s.writeRun(ctx, p, off, rest[:n])
-			case wholeStripeRead:
+			case kind == wholeStripeRead:
 				err = s.readRun(ctx, p, off, rest[:n], &rp)
 			default:
 				err = span(ctx, p, off, rest[0])
@@ -574,10 +585,19 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 				break
 			}
 		}
+		switch {
+		case err == nil && !hit:
+			s.rc.fill(&co, p, off, held)
+		case err != nil && write:
+			s.rc.drop(held)
+		}
 		for _, sp := range held {
 			s.stripeLock(sp.Stripe).Unlock()
 		}
 		t2 := time.Now()
+		if !write && !hit && err == nil {
+			s.rc.timed(t2.Sub(t1), held)
+		}
 		s.ob.lockWait.Observe(t1.Sub(t0))
 		devHist.Observe(t2.Sub(t1))
 		lockWait += t1.Sub(t0)
@@ -590,7 +610,10 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 			alone = n
 			continue
 		case err != nil:
-			return 0, err
+			if errors.Is(err, ErrDataLoss) {
+				s.rc.dropAll()
+			}
+			return 0, s.opError(err)
 		}
 		rest, alone = rest[n:], max(alone-n, 0)
 	}
@@ -601,6 +624,12 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	} else {
 		s.stats.Reads++
 		s.stats.BytesRead += int64(len(p))
+	}
+	switch {
+	case co.read && co.missed:
+		s.stats.ReadCacheMisses++
+	case co.read:
+		s.stats.ReadCacheHits++
 	}
 	s.meta.Unlock()
 	if write {

@@ -320,19 +320,22 @@ func (s *Store) defers(sp layout.StripeSpan, st stripeState) bool {
 // range, the delta folded in memory (Image.Update); with none (AFRAID),
 // only the old contents under partial extents, verified where no parity
 // stays fresh across the mark (preflightChecksums) — a corruption found
-// after the write's own mark would read as loss. Then the mark, which also
-// lifts a quarantine (the write may replace the corrupt unit), then the
-// writes, every one attempted even after one fails: a member that
-// fail-stops takes only its own unit, and the survivors encode the new data
-// for the degraded retry. A mark that defers parities stands for the
-// scrubber; one a fully synchronous write set on a clean stripe is cleared
-// when the write has landed. A failed write leaves its mark standing, so
-// the scrubber re-encodes the stripe from what landed. Caller holds the
-// stripe lock.
+// after the write's own mark would read as loss — and handed to the write,
+// which lays its range over them for the new checksum slot instead of
+// reading them again. Then the mark, which also lifts a quarantine (the
+// write may replace the corrupt unit), then the writes, every one
+// attempted even after one fails: a member that fail-stops takes only its
+// own unit, and the survivors encode the new data for the degraded retry.
+// A mark that defers parities stands for the scrubber; one a fully
+// synchronous write set on a clean stripe is cleared when the write has
+// landed. A failed write leaves its mark standing, so the scrubber
+// re-encodes the stripe from what landed. Caller holds the stripe lock.
 func (s *Store) rmwSpan(ctx context.Context, p []byte, base int64, sp layout.StripeSpan, st stripeState) error {
 	sync := syncSet(st.n)
 	if sync == 0 {
-		if err := s.preflightChecksums(ctx, sp); err != nil {
+		var old oldUnits
+		defer old.release()
+		if err := s.preflightChecksums(ctx, sp, &old); err != nil {
 			return err
 		}
 		if err := s.eng.Mark(sp.Stripe); err != nil {
@@ -340,7 +343,7 @@ func (s *Store) rmwSpan(ctx context.Context, p []byte, base int64, sp layout.Str
 		}
 		for k, e := range sp.Extents {
 			src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-			err := s.devWriteRun(ctx, e.Disk, [][]byte{src}, e.DiskOff)
+			err := s.devWrite(ctx, e.Disk, [][]byte{src}, e.DiskOff, old.of(k, len(sp.Extents)))
 			if err != nil && k == 0 && !st.dirty && errors.As(err, new(*UnitError)) && st.failed.Add(e.Disk, s.maxFailed()) {
 				// The member lost the unit, and nothing of the stripe has
 				// changed since its parities last encoded it: store the span
@@ -424,6 +427,7 @@ func (s *Store) covers(sp layout.StripeSpan, missing stripe.Set) bool {
 //     stale there, durably, before the unit is skipped;
 //   - clear stale: a present member stale here received its unit (counted
 //     in Stats.RecoveredStripes unless salvaged);
+//   - salvage: zeroes laid over units drop them from the read cache;
 //   - clear the mark: every parity now encodes the data on every member not
 //     stale, so a mark found in st or set here is cleared — durably if set
 //     here around missing members, so that a mark found at Open on a
@@ -446,6 +450,9 @@ func (s *Store) writeBack(im *stripe.Image, st stripeState, p []byte, base int64
 		}
 	}
 	im.Encode(p, base, sp)
+	if overlay && p == nil {
+		s.rc.drop([]layout.StripeSpan{sp}) // a salvage's zeroes
+	}
 	absent := st.absent
 	for tries := 0; ; tries++ {
 		for _, d := range absent.List() {

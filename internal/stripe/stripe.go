@@ -122,8 +122,8 @@ func New(geo layout.Geometry, observe func(time.Duration)) *Array {
 		observe: observe,
 	}
 	// Unit I/Os overlap while the members serve units slowly enough
-	// (overlapWorth); until it has timed one the array assumes so.
-	a.unitNs.Store(int64(overlapWorth))
+	// (OverlapWorth); until it has timed one the array assumes so.
+	a.unitNs.Store(int64(OverlapWorth))
 	return a
 }
 
@@ -158,17 +158,17 @@ func (req ioReq) handedOff() {
 	req.wg.Done()
 }
 
-// overlapWorth is the unit service time from which overlapping the unit
+// OverlapWorth is the unit service time from which overlapping the unit
 // I/Os of a stripe pays. Handing one off starts a goroutine, a few
 // microseconds; a memory device (or a page-cache hit) moves a unit in
 // about one, and a stripe's units are then moved fastest one after
 // another by the goroutine that has them. A disk or a node takes a hundred
 // times the hand-off.
-const overlapWorth = 10 * time.Microsecond
+const OverlapWorth = 10 * time.Microsecond
 
 // Overlaps reports whether the members are slow enough for hand-offs to
 // pay, going by the last unit I/O timed.
-func (a *Array) Overlaps() bool { return a.unitNs.Load() >= int64(overlapWorth) }
+func (a *Array) Overlaps() bool { return a.unitNs.Load() >= int64(OverlapWorth) }
 
 // async performs a member's run on a goroutine of its own, or inline when
 // the members have been serving units too fast for a hand-off to pay. A
