@@ -65,14 +65,20 @@ func classRows(o options, build func(class string, ops int) (fault.Stack, fault.
 // brownout row also gates on the volume's read cache: its members are TCP
 // nodes, slow enough for the cache to engage, and a slow node fails
 // nothing that would drop it, while the row reads more than it writes.
+// The brownout and flap rows gate on full-stripe writes: theirs are the
+// episodes whose aligned ops find every node whole, where the other
+// classes' fault is on for most of the workload.
 func clusterRows(o options) ([]row, error) {
 	rows, err := classRows(o, func(class string, ops int) (fault.Stack, fault.Plan) {
 		c := newClusterStack(class, ops)
 		return c, c.plan(c.Inject, c.Heal)
 	})
 	for i := range rows {
-		if rows[i].name == "slow" {
-			rows[i].gate = append(rows[i].gate, "cluster.read_cache_hits")
+		switch rows[i].name {
+		case "slow":
+			rows[i].gate = append(rows[i].gate, "cluster.read_cache_hits", "cluster.full_stripe_writes")
+		case "flap":
+			rows[i].gate = append(rows[i].gate, "cluster.full_stripe_writes")
 		}
 	}
 	return rows, err

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"afraid/internal/cluster"
 	"afraid/internal/core"
 	"afraid/internal/fault"
 	"afraid/internal/layout"
@@ -147,7 +150,7 @@ func TestTableKeysAreReported(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		keys := append(append([]string{}, def.columns...), def.gate...)
+		keys := append([]string{}, def.columns...)
 		for _, r := range rows {
 			keys = append(keys, r.gate...)
 		}
@@ -167,7 +170,14 @@ func TestTableKeysAreReported(t *testing.T) {
 func TestCloseWaitsForBystanders(t *testing.T) {
 	c := newClusterStack("", 30)
 	res, err := fault.Run(3, c, c.plan(fault.Workload(30), c.Heal, func(*fault.Episode) error {
-		return c.vol.FailNode((c.victim + 1) % clusterNodes)
+		bystander := (c.victim + 1) % clusterNodes
+		c.proxies[bystander].Partition()
+		demoted := waitCond(5*time.Second, func() bool { return c.state(bystander) == cluster.StateDown })
+		c.proxies[bystander].Restore() // the prober redials it and auto-heals
+		if !demoted {
+			return errors.New("the prober never demoted the partitioned bystander")
+		}
+		return nil
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ type stackedStack struct {
 }
 
 func stackedRows(o options) ([]row, error) {
-	return classRows(o, func(class string, ops int) (fault.Stack, fault.Plan) {
+	rows, err := classRows(o, func(class string, ops int) (fault.Stack, fault.Plan) {
 		s := &stackedStack{clusterStack: newClusterStack(class, ops), gone: map[string]int64{}}
 		s.unit = 4096
 		s.newNode = func(e *fault.Episode, i int) (server.Backend, func(), error) {
@@ -47,6 +47,10 @@ func stackedRows(o options) ([]row, error) {
 		}
 		return s, s.plan(s.Arm, s.Inject, s.Heal, s.PowerCycleVictim, s.Heal)
 	})
+	for i := range rows {
+		rows[i].gate = append(rows[i].gate, "cluster.full_stripe_writes")
+	}
+	return rows, err
 }
 
 // machine is what node i's server serves: its tier, and the link dying

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"afraid"
+	"afraid/internal/avail"
 )
 
 func main() {
@@ -38,8 +39,8 @@ func main() {
 	}
 
 	if *power {
-		pw := afraid.PowerModel{MainsMTTF: 4300, WriteDuty: 0.10, LossBytes: 30e3}
-		fmt.Printf("external power (mains MTTF 4300 h, 10%% write duty):\n")
+		pw := avail.DefaultPower()
+		fmt.Printf("external power (mains MTTF %.0f h, %.0f%% write duty):\n", pw.MainsMTTF, 100*pw.WriteDuty)
 		fmt.Printf("  MTTDL %.3g h (paper: 43k)\n", pw.MTTDL())
 		fmt.Printf("  MDLR  %.2g B/h (paper: ~0.7, roughly doubling the disk MDLR)\n", pw.MDLR())
 		pw.UPSMTTF = 200e3
@@ -61,12 +62,12 @@ func main() {
 	fmt.Printf("Section 3 walkthrough (Table 1 parameters, %d-disk array):\n\n", p.Disks)
 	fmt.Printf("effective disk MTTF (coverage %.1f): %.3g h\n", p.Coverage, p.DiskMTTF())
 	fmt.Printf("eq (1) RAID5 catastrophic MTTDL:    %.3g h (~%.0f years; paper: ~4e9 h, 475,000 years)\n",
-		p.RAID5CatastrophicMTTDL(), p.RAID5CatastrophicMTTDL()/8760)
+		p.RAID5CatastrophicMTTDL(), p.RAID5CatastrophicMTTDL()/avail.HoursPerYear)
 	fmt.Printf("eq (3) RAID5 catastrophic MDLR:     %.2g B/h (paper: ~0.8)\n", p.RAID5CatastrophicMDLR())
 	fmt.Printf("RAID0 disk MTTDL:                   %.3g h\n", p.RAID0DiskMTTDL())
 	fmt.Printf("RAID0 MDLR:                         %.3g B/h\n", p.RAID0MDLR())
 	fmt.Printf("support MDLR at 2M h:               %.3g B/h (paper: 4.0 KB/h)\n", p.SupportMDLR())
-	fmt.Printf("PrestoServe NVRAM (1MB @ 15k h):    %.3g B/h (paper: 67)\n", 1e6/15e3)
+	fmt.Printf("PrestoServe NVRAM (1MB @ 15k h):    %.3g B/h (paper: 67)\n", avail.NVRAMMDLR(1e6, 15e3))
 	fmt.Printf("\nAFRAID exposure examples (eq 2, eq 4):\n")
 	for _, f := range []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.0} {
 		rep := p.AFRAIDReport(f, 1e6)

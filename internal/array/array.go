@@ -378,9 +378,6 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 // Capacity returns the client-visible capacity.
 func (a *Array) Capacity() int64 { return a.geo.Capacity() }
 
-// DirtyStripes returns the current number of unredundant stripes.
-func (a *Array) DirtyStripes() int64 { return a.marks.Count() }
-
 // issue enqueues op on disk d, serving it immediately if the disk is
 // free.
 func (a *Array) issue(d int, op diskOp) {

@@ -50,23 +50,6 @@ func Default() Params {
 	}
 }
 
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if p.DiskMTTFRaw <= 0 || p.MTTR <= 0 || p.SupportMTTDL <= 0 {
-		return fmt.Errorf("avail: non-positive time parameter")
-	}
-	if p.Coverage < 0 || p.Coverage >= 1 {
-		return fmt.Errorf("avail: coverage %g must be in [0,1)", p.Coverage)
-	}
-	if p.Disks < 2 {
-		return fmt.Errorf("avail: need at least 2 disks, have %d", p.Disks)
-	}
-	if p.DiskSize <= 0 || p.StripeUnit <= 0 {
-		return fmt.Errorf("avail: non-positive size parameter")
-	}
-	return nil
-}
-
 // DiskMTTF returns the effective disk MTTF after failure-prediction
 // coverage: MTTFdisk = MTTFdisk-raw / (1 - C).
 func (p Params) DiskMTTF() float64 { return p.DiskMTTFRaw / (1 - p.Coverage) }
@@ -181,19 +164,6 @@ func Combine(mttdls ...float64) float64 {
 // OverallMTTDL combines a disk-related MTTDL with the support hardware.
 func (p Params) OverallMTTDL(diskMTTDL float64) float64 {
 	return Combine(diskMTTDL, p.SupportMTTDL)
-}
-
-// ProbLossWithin returns the probability of at least one data loss in
-// the given number of hours for a process with the given MTTDL,
-// assuming exponentially distributed failures.
-func ProbLossWithin(hours, mttdl float64) float64 {
-	if mttdl <= 0 {
-		panic(fmt.Sprintf("avail: non-positive MTTDL %g", mttdl))
-	}
-	if math.IsInf(mttdl, 1) {
-		return 0
-	}
-	return 1 - math.Exp(-hours/mttdl)
 }
 
 // Power models external power failures (§3.5).

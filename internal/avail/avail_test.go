@@ -56,19 +56,6 @@ func TestPaperSection33SupportMDLR(t *testing.T) {
 	}
 }
 
-func TestPaperIntroLifetimeLossProbability(t *testing.T) {
-	// "An aggregate MTTDL of a million hours (114 years) translates
-	// into only a 2.6% likelihood of any data loss at all during a
-	// typical 3-year array lifetime."
-	if years := 1e6 / HoursPerYear; !within(years, 114, 0.01) {
-		t.Fatalf("1M hours = %g years, want ~114", years)
-	}
-	got := ProbLossWithin(3*HoursPerYear, 1e6)
-	if !within(got, 0.026, 0.02) {
-		t.Fatalf("3-year loss probability = %g, want ~2.6%%", got)
-	}
-}
-
 func TestPaperSection35PowerFailure(t *testing.T) {
 	// "a 10% write duty cycle on a 5-disk RAID 5 gives a MTTDL of only
 	// 43k hours due to external power failures" and a high-grade UPS
@@ -221,42 +208,5 @@ func TestTable3ShapeMDLRTiny(t *testing.T) {
 	}
 	if got := p.MDLRUnprotected(5e6); got <= 1 {
 		t.Fatalf("MDLRunprot(5MB) = %g, want > 1 B/h (ATT-like)", got)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	p := Default()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := p
-	bad.Coverage = 1.0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("coverage=1 accepted")
-	}
-	bad = p
-	bad.Disks = 1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("1 disk accepted")
-	}
-	bad = p
-	bad.MTTR = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero MTTR accepted")
-	}
-}
-
-func TestProbLossWithinProperties(t *testing.T) {
-	prop := func(rawH, rawM float64) bool {
-		h := math.Abs(rawH)
-		m := math.Abs(rawM) + 1
-		p := ProbLossWithin(h, m)
-		return p >= 0 && p <= 1
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ProbLossWithin(100, math.Inf(1)) != 0 {
-		t.Fatal("infinite MTTDL should give zero probability")
 	}
 }

@@ -8,9 +8,7 @@
 // Buffers are classed by capacity rounded up to a power of two between
 // minClass and maxClass; requests outside that range fall back to plain
 // allocation (Put drops them). Get returns a buffer of exactly the
-// requested length with arbitrary contents; GetZero returns it zeroed,
-// for callers that fold into an accumulator or publish the buffer as
-// "reconstructed zeros".
+// requested length with arbitrary contents.
 package bufpool
 
 import (
@@ -39,8 +37,8 @@ func classFor(n int) int {
 	return shift - minShift
 }
 
-// Get returns a buffer with len == n. Its contents are arbitrary —
-// callers that read before writing must use GetZero.
+// Get returns a buffer with len == n. Its contents are arbitrary:
+// callers that read before writing clear it first.
 func Get(n int) []byte {
 	if n == 0 {
 		return nil
@@ -59,20 +57,13 @@ func Get(n int) []byte {
 	return make([]byte, n, 1<<(c+minShift))
 }
 
-// GetZero returns a zeroed buffer with len == n.
-func GetZero(n int) []byte {
-	b := Get(n)
-	clear(b)
-	return b
-}
-
 // buf wraps the slice so Put stores a pointer-shaped value and the
 // sync.Pool interface conversion does not allocate.
 type buf struct{ b []byte }
 
 var wrapPool = sync.Pool{New: func() any { return new(buf) }}
 
-// Put recycles a buffer obtained from Get/GetZero. The caller must not
+// Put recycles a buffer obtained from Get. The caller must not
 // touch b afterwards. Buffers whose capacity is not an exact pooled
 // class (including foreign buffers) are dropped, so Put is always safe.
 func Put(b []byte) {

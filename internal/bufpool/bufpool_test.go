@@ -19,21 +19,6 @@ func TestGetLengthAndClass(t *testing.T) {
 	}
 }
 
-func TestGetZeroIsZeroed(t *testing.T) {
-	b := Get(4096)
-	for i := range b {
-		b[i] = 0xff
-	}
-	Put(b)
-	z := GetZero(4096)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZero: byte %d = %#x", i, v)
-		}
-	}
-	Put(z)
-}
-
 func TestGetZeroLen(t *testing.T) {
 	if b := Get(0); b != nil {
 		t.Fatalf("Get(0) = %v, want nil", b)

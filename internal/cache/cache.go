@@ -17,7 +17,7 @@ package cache
 import "fmt"
 
 // LRU is a fixed-capacity set of block numbers with least-recently-used
-// eviction. Every block it holds has an index in [0, Capacity) that stays
+// eviction. Every block it holds has an index in [0, capacity) that stays
 // its own for as long as it is held — a block Insert admits takes the
 // index of the one it evicts — so a caller can keep each block's data in a
 // slice. It allocates only in NewLRU.
@@ -55,9 +55,6 @@ func NewLRU(capacity int) *LRU {
 	c.Reset()
 	return c
 }
-
-// Capacity returns the block capacity.
-func (c *LRU) Capacity() int { return len(c.nodes) }
 
 // Len returns the number of cached blocks.
 func (c *LRU) Len() int { return c.n }
@@ -126,15 +123,6 @@ func (c *LRU) Reset() {
 
 // Stats returns (hits, misses) accumulated by Contains.
 func (c *LRU) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// HitRate returns the fraction of Contains calls that hit.
-func (c *LRU) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
 
 // home is the table slot a block's probe starts from (Fibonacci hashing).
 func (c *LRU) home(block int64) uint { return uint(uint64(block) * 0x9E3779B97F4A7C15 >> c.shift) }

@@ -63,9 +63,6 @@ func TestLRUStats(t *testing.T) {
 	if h != 1 || m != 1 {
 		t.Fatalf("stats = %d,%d", h, m)
 	}
-	if c.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %g", c.HitRate())
-	}
 }
 
 func TestLRUNeverExceedsCapacity(t *testing.T) {

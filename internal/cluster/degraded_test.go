@@ -214,9 +214,7 @@ func TestEveryAbsentUnitIsCounted(t *testing.T) {
 	}
 	last := v.geo.DataDisks() - 1
 	for idx := 0; idx < last; idx++ {
-		if err := v.FailNode(v.geo.DataDisk(0, idx)); err != nil {
-			t.Fatal(err)
-		}
+		failNode(v, v.geo.DataDisk(0, idx))
 	}
 	if err := v.st.Engine().MarkStale(v.geo.DataDisk(0, last), 0, 1); err != nil {
 		t.Fatal(err)

@@ -98,9 +98,7 @@ func TestFullStripeWriteWithNodeDownTakesTheOldPaths(t *testing.T) {
 	}
 	const victim = 1
 	faults[victim].Fail()
-	if err := v.FailNode(victim); err != nil {
-		t.Fatal(err)
-	}
+	failNode(v, victim)
 	fresh := make([]byte, sdb)
 	rng := rand.New(rand.NewSource(4))
 	degradedBefore := v.Stats().DegradedWrites
@@ -156,7 +154,7 @@ func TestNodeLostInsideFullStripeWrite(t *testing.T) {
 		if v.NodeStates()[victim].State != StateDown {
 			t.Fatalf("victim %d not demoted", victim)
 		}
-		if dirty := v.st.Engine().IsMarked(0); dirty != (v.geo.ParityDisk(0) == victim) {
+		if dirty, _, _ := v.st.Engine().State(0); dirty != (v.geo.ParityDisk(0) == victim) {
 			t.Fatalf("victim %d: stripe 0 dirty=%v after the retried write", victim, dirty)
 		}
 		got := make([]byte, len(shadow))

@@ -86,9 +86,7 @@ func TestFullHealNeverServesTheBlankNode(t *testing.T) {
 		}
 	}
 
-	if err := v.FailNode(victim); err != nil {
-		t.Fatal(err)
-	}
+	failNode(v, victim)
 	blank := &holdNode{Node: newMemNode(stripes * unit), free: 5, gate: make(chan struct{}), held: make(chan int64, stripes)}
 	current[victim] = blank
 	healed := make(chan error, 1)

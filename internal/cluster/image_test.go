@@ -60,9 +60,7 @@ func TestDegradedReadMovesEachSurvivorOnce(t *testing.T) {
 	}
 	geo := v.Geometry()
 	victim := geo.DataDisk(stripe, 1)
-	if err := v.FailNode(victim); err != nil {
-		t.Fatal(err)
-	}
+	failNode(v, victim)
 	sdb := geo.StripeDataBytes()
 	for _, rd := range []struct{ off, n, lo, hi int64 }{
 		{stripe*sdb + unit + 700, 100, 700, 800}, // inside the absent unit
@@ -132,9 +130,7 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 		}
 	})
 	const victim = 1
-	if err := v.FailNode(victim); err != nil {
-		t.Fatal(err)
-	}
+	failNode(v, victim)
 	sdb := v.Geometry().StripeDataBytes()
 	whole := stripeOn(v, victim, 0)
 	best("degraded full-stripe write", 1, func() {
@@ -153,9 +149,7 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 	}
 	// Heal: a unit a stripe, each solved from the survivors and written.
 	best("HealNode", 2*stripes, func() {
-		if err := v.FailNode(victim); err != nil {
-			t.Fatal(err)
-		}
+		failNode(v, victim)
 		rep, err := v.HealNode(ctx, victim, true)
 		if err != nil || len(rep.Lost) > 0 || rep.Remaining > 0 {
 			t.Fatalf("HealNode: %+v, %v", rep, err)
@@ -186,9 +180,7 @@ func TestHealSweepRunsWorkersWide(t *testing.T) {
 		if err := v.Flush(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := v.FailNode(victim); err != nil {
-			t.Fatal(err)
-		}
+		failNode(v, victim)
 		slow := switchable(fault.Rule{Do: fault.Delay(service)}, faults...)
 		t0 := time.Now()
 		rep, err := v.HealNode(ctx, victim, true)

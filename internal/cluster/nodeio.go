@@ -267,19 +267,6 @@ func (v *Volume) clearQuarantineLocked(m *member) {
 	m.probeBackoff, m.nextProbe = 0, time.Time{}
 }
 
-// FailNode takes node i out of service, as if its next operation had
-// failed: the store fails the member, which demotes the node — demoted all
-// the same when the redundancy cannot spare it.
-func (v *Volume) FailNode(i int) error {
-	if i < 0 || i >= len(v.nodes) {
-		return fmt.Errorf("cluster: no node %d", i)
-	}
-	if v.st.FailDisk(i) != nil {
-		v.nodes[i].Fail()
-	}
-	return nil
-}
-
 func (v *Volume) logf(format string, args ...any) {
 	if v.opts.Logf != nil {
 		v.opts.Logf(format, args...)

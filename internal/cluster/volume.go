@@ -29,7 +29,7 @@ type Options struct {
 	// background drain rebuilds parity (default 100 ms).
 	DrainIdle time.Duration
 	// DisableDrain turns the background drain off; parity is then rebuilt
-	// only by Flush, ParityPoint and the inline valve.
+	// only by Flush and the inline valve.
 	DisableDrain bool
 	// Workers bounds the stripes drained, healed or verified concurrently
 	// (default min(GOMAXPROCS, 4)).
@@ -42,7 +42,7 @@ type Options struct {
 	DialTimeout time.Duration
 	// ProbeInterval, when positive, runs a background health prober that
 	// pings up nodes, redials down ones and auto-heals them when they
-	// answer again. 0 leaves FailNode and HealNode to the caller.
+	// answer again. 0 leaves healing a down node to the caller (HealNode).
 	ProbeInterval time.Duration
 	// HedgeDelay is how long a unit read may go unanswered before it is
 	// raced against reconstruction from the other nodes. 0 (the default)
@@ -290,13 +290,6 @@ func (v *Volume) Flush(ctx context.Context) error {
 		return err
 	}
 	return v.flushNodes(ctx)
-}
-
-// ParityPoint makes every stripe overlapping [off, off+length) redundant,
-// as core.Store.ParityPoint does; stripes that need a down node yield
-// core.ErrTooManyFailures.
-func (v *Volume) ParityPoint(ctx context.Context, off, length int64) error {
-	return v.st.ParityPointContext(ctx, off, length)
 }
 
 // VerifyParity audits every clean stripe with all its nodes present. It

@@ -508,3 +508,12 @@ func TestVolumeOpAllocBytes(t *testing.T) {
 		}
 	}
 }
+
+// failNode takes node i out of service, as if its next operation had
+// failed: the store fails the member, which demotes the node, demoted all
+// the same when the redundancy cannot spare it.
+func failNode(v *Volume, i int) {
+	if v.st.FailDisk(i) != nil {
+		v.nodes[i].Fail()
+	}
+}

@@ -477,12 +477,12 @@ func TestPartialWriteVerifiesOnce(t *testing.T) {
 	const off = runUnit + 2<<10 // data unit 1 of stripe 0, from byte 2 KiB
 	data := pattern(4<<10, 9)
 	r0, w0 := deviceOps(probes)
-	v0 := s.ob.csumVerify.Count()
+	v0 := s.ob.csumVerify.Snapshot().Count
 	if _, err := s.WriteAt(data, off); err != nil {
 		t.Fatal(err)
 	}
 	r1, w1 := deviceOps(probes)
-	if reads, writes, verifies := r1-r0, w1-w0, s.ob.csumVerify.Count()-v0; reads != 2 || writes != 2 || verifies != 1 {
+	if reads, writes, verifies := r1-r0, w1-w0, s.ob.csumVerify.Snapshot().Count-v0; reads != 2 || writes != 2 || verifies != 1 {
 		t.Fatalf("4 KiB write into an 8 KiB unit: %d member reads, %d writes, %d verifies; want 2, 2, 1", reads, writes, verifies)
 	}
 	whole := make([]byte, runUnit)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"afraid/internal/nvram"
@@ -91,13 +92,6 @@ func (d *MemDevice) Fail() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.failed = true
-}
-
-// Failed reports whether the device has been failed.
-func (d *MemDevice) Failed() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.failed
 }
 
 // FileDevice is a file-backed block device.
@@ -188,9 +182,6 @@ func (d *FileDevice) Size() int64 { return d.size }
 // Close closes the backing file.
 func (d *FileDevice) Close() error { return d.f.Close() }
 
-// Sync flushes the backing file to stable storage.
-func (d *FileDevice) Sync() error { return d.f.Sync() }
-
 // NVRAM persists the marking memory across crashes: it is where the
 // store's engine keeps its image (nvram.Persister).
 type NVRAM = nvram.Persister
@@ -224,12 +215,15 @@ func (m *MemNVRAM) Store(img []byte) error {
 
 // FileNVRAM persists the marking memory in a file with fsync.
 type FileNVRAM struct {
-	path string
-	mu   sync.Mutex
+	path    string
+	mu      sync.Mutex
+	syncDir func(dir string) error // syncDirectory; a test swaps in a failing one
 }
 
 // NewFileNVRAM returns a file-backed NVRAM at path.
-func NewFileNVRAM(path string) *FileNVRAM { return &FileNVRAM{path: path} }
+func NewFileNVRAM(path string) *FileNVRAM {
+	return &FileNVRAM{path: path, syncDir: syncDirectory}
+}
 
 // Load reads the image; a missing file is an empty NVRAM.
 func (n *FileNVRAM) Load() ([]byte, error) {
@@ -242,7 +236,10 @@ func (n *FileNVRAM) Load() ([]byte, error) {
 	return img, err
 }
 
-// Store atomically replaces the image (write temp, fsync, rename).
+// Store atomically and durably replaces the image: write a temp file,
+// fsync it, rename it over the image, and fsync the directory, without
+// which the rename may not survive a power loss and the previous image
+// comes back.
 func (n *FileNVRAM) Store(img []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -262,5 +259,22 @@ func (n *FileNVRAM) Store(img []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, n.path)
+	if err := os.Rename(tmp, n.path); err != nil {
+		return err
+	}
+	return n.syncDir(filepath.Dir(n.path))
+}
+
+// syncDirectory fsyncs a directory, making the entries renamed into it
+// durable.
+func syncDirectory(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

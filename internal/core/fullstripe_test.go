@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"afraid/internal/nvram"
 	"afraid/internal/testutil"
 )
 
@@ -340,14 +341,14 @@ func TestSpanReassertsItsMark(t *testing.T) {
 	if err := s.ParityPoint(2*sdb, sdb); err != nil { // the drain wins stripe 2
 		t.Fatal(err)
 	}
-	if s.eng.IsMarked(2) {
+	if isMarked(s.eng, 2) {
 		t.Fatal("ParityPoint left stripe 2 marked")
 	}
 	release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if !s.eng.IsMarked(2) {
+	if !isMarked(s.eng, 2) {
 		t.Fatal("stripe 2 was written with its parity deferred and no mark")
 	}
 	bad, err := s.CheckParity()
@@ -355,7 +356,7 @@ func TestSpanReassertsItsMark(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range bad {
-		if !s.eng.IsMarked(st) {
+		if !isMarked(s.eng, st) {
 			t.Fatalf("stripe %d is inconsistent and unmarked", st)
 		}
 	}
@@ -419,7 +420,7 @@ func TestWriteWaitsForAStandingMarksStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range bad {
-		if !s.eng.IsMarked(st) {
+		if !isMarked(s.eng, st) {
 			t.Fatalf("stripe %d is inconsistent and unmarked", st)
 		}
 	}
@@ -583,4 +584,10 @@ func TestWriteBackDeviceOps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// isMarked reports whether the engine holds unit unredundant.
+func isMarked(e *nvram.Engine, unit int64) bool {
+	marked, _, _ := e.State(unit)
+	return marked
 }

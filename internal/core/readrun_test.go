@@ -83,7 +83,7 @@ func TestDegradedReadRun(t *testing.T) {
 			for _, p := range probes {
 				reads0 = append(reads0, p.reads.Load())
 			}
-			entries0 := s.ob.devRead.Count()
+			entries0 := s.ob.devRead.Snapshot().Count
 			got := make([]byte, len(data))
 			if _, err := s.ReadAt(got, 0); err != nil {
 				t.Fatal(err)
@@ -91,7 +91,7 @@ func TestDegradedReadRun(t *testing.T) {
 			if !bytes.Equal(got, data) {
 				t.Fatal("degraded read returned other bytes than were written")
 			}
-			if n := s.ob.devRead.Count() - entries0; n != 1 {
+			if n := s.ob.devRead.Snapshot().Count - entries0; n != 1 {
 				t.Errorf("%d device_read entries, want 1: one run", n)
 			}
 			var solved uint64
@@ -198,7 +198,7 @@ func TestReadRunsDoNotFormUnderRepair(t *testing.T) {
 	<-rep.reached
 	sdb := s.Geometry().StripeDataBytes()
 	lo, hi := 66*sdb, 76*sdb
-	entries0 := s.ob.devRead.Count()
+	entries0 := s.ob.devRead.Snapshot().Count
 	read := make(chan error, 1)
 	got := make([]byte, hi-lo)
 	go func() {
@@ -213,7 +213,7 @@ func TestReadRunsDoNotFormUnderRepair(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("read of unswept stripes waited for the sweep")
 	}
-	entries := s.ob.devRead.Count() - entries0
+	entries := s.ob.devRead.Snapshot().Count - entries0
 	close(rep.gate)
 	if err := <-repaired; err != nil {
 		t.Fatal(err)

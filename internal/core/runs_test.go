@@ -70,10 +70,10 @@ func TestRunsDeviceCalls(t *testing.T) {
 			// entries it made.
 			measure := func(fn func()) cost {
 				r0, w0 := deviceOps(probes)
-				e0 := s.ob.devRead.Count() + s.ob.devWrite.Count()
+				e0 := s.ob.devRead.Snapshot().Count + s.ob.devWrite.Snapshot().Count
 				fn()
 				r1, w1 := deviceOps(probes)
-				return cost{r1 + w1 - r0 - w0, int64(s.ob.devRead.Count() + s.ob.devWrite.Count() - e0)}
+				return cost{r1 + w1 - r0 - w0, int64(s.ob.devRead.Snapshot().Count + s.ob.devWrite.Snapshot().Count - e0)}
 			}
 			stripeBytes := s.Geometry().StripeDataBytes()
 			for _, op := range []struct {

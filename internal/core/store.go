@@ -344,9 +344,6 @@ func (s *Store) Close() error {
 // Capacity returns the client-visible size in bytes.
 func (s *Store) Capacity() int64 { return s.geo.Capacity() }
 
-// Mode returns the store's redundancy mode.
-func (s *Store) Mode() Mode { return s.opts.Mode }
-
 // Geometry returns the striping parameters.
 func (s *Store) Geometry() layout.Geometry { return s.geo }
 

@@ -216,11 +216,11 @@ func TestRepairDiskObservesParity(t *testing.T) {
 	if err := s.FailDisk(2); err != nil {
 		t.Fatal(err)
 	}
-	before := s.ob.parity.Count()
+	before := s.ob.parity.Snapshot().Count
 	if _, err := s.RepairDisk(2, NewMemDevice(testDisk)); err != nil {
 		t.Fatal(err)
 	}
-	if grew, stripes := s.ob.parity.Count()-before, uint64(s.geo.Stripes()); grew < stripes {
+	if grew, stripes := s.ob.parity.Snapshot().Count-before, uint64(s.geo.Stripes()); grew < stripes {
 		t.Fatalf("parity_compute grew by %d over a %d-stripe repair sweep", grew, stripes)
 	}
 }

@@ -61,7 +61,7 @@ func TestSetSync(t *testing.T) {
 			if _, err := s.WriteAt(pattern(100, byte(n)), int64(n)*sdb+7); err != nil {
 				t.Fatal(err)
 			}
-			if dirty, fresh := s.eng.IsMarked(int64(n)), s.FreshParities(int64(n)); dirty != (n < m) || fresh != n {
+			if dirty, fresh := isMarked(s.eng, int64(n)), s.FreshParities(int64(n)); dirty != (n < m) || fresh != n {
 				t.Fatalf("m=%d n=%d: dirty=%v with %d fresh parities", m, n, dirty, fresh)
 			}
 		}

@@ -228,7 +228,7 @@ func (ts *tortureState) maybeFlip(i int) {
 	}
 	geo := ts.s.Geometry()
 	stripe := int64(ts.rng.intn(int(geo.Stripes())))
-	if ts.s.eng.IsMarked(stripe) {
+	if isMarked(ts.s.eng, stripe) {
 		return
 	}
 	d := ts.rng.intn(len(ts.devs))

@@ -108,15 +108,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Cylinders returns the total cylinder count.
-func (p Params) Cylinders() int {
-	n := 0
-	for _, z := range p.Zones {
-		n += z.Cylinders
-	}
-	return n
-}
-
 // CapacitySectors returns the total number of sectors.
 func (p Params) CapacitySectors() int64 {
 	var n int64
@@ -149,9 +140,6 @@ func (p Params) SeekTime(d int) time.Duration {
 	base := p.SeekShortA + time.Duration(float64(p.SeekShortB)*math.Sqrt(float64(p.SeekBoundary)))
 	return base + time.Duration(d-p.SeekBoundary)*p.SeekLongSlope
 }
-
-// MaxSeek returns the full-stroke seek time.
-func (p Params) MaxSeek() time.Duration { return p.SeekTime(p.Cylinders() - 1) }
 
 // Chs is a physical sector address.
 type Chs struct {
@@ -218,9 +206,6 @@ func New(p Params, phase time.Duration) *Disk {
 	}
 	return &Disk{p: p, phase: phase}
 }
-
-// Params returns the model parameters.
-func (d *Disk) Params() Params { return d.p }
 
 // angleAt returns the rotational position at absolute time t as a sector
 // fraction in [0, 1).

@@ -41,18 +41,18 @@ func TestSeekCurveShape(t *testing.T) {
 		t.Fatalf("single-cylinder seek %v below settle %v", one, p.SeekSettle)
 	}
 	prev := time.Duration(0)
-	for d := 1; d < p.Cylinders(); d *= 2 {
+	for d := 1; d < cylinders(p); d *= 2 {
 		s := p.SeekTime(d)
 		if s < prev {
 			t.Fatalf("seek time decreased: seek(%d)=%v < %v", d, s, prev)
 		}
 		prev = s
 	}
-	max := p.MaxSeek()
+	max := p.SeekTime(cylinders(p) - 1)
 	if max < 15*time.Millisecond || max > 30*time.Millisecond {
 		t.Fatalf("full-stroke seek = %v, want 15-30ms for this class of drive", max)
 	}
-	avg := p.SeekTime(p.Cylinders() / 3)
+	avg := p.SeekTime(cylinders(p) / 3)
 	if avg < 7*time.Millisecond || avg > 14*time.Millisecond {
 		t.Fatalf("avg-distance seek = %v, want ~10ms", avg)
 	}
@@ -108,7 +108,7 @@ func TestLocateQuickInRange(t *testing.T) {
 			s += capS
 		}
 		c := p.Locate(s)
-		return c.Cyl >= 0 && c.Cyl < p.Cylinders() &&
+		return c.Cyl >= 0 && c.Cyl < cylinders(p) &&
 			c.Head >= 0 && c.Head < p.Heads &&
 			c.Sector >= 0 && c.Sector < c.Spt
 	}
@@ -120,7 +120,7 @@ func TestLocateQuickInRange(t *testing.T) {
 func TestServiceTimeBounds(t *testing.T) {
 	p := C3325()
 	d := New(p, 0)
-	maxOne := p.MaxSeek() + p.Rotation() + p.Rotation() + p.ControllerOverhead + p.WriteSettle + p.HeadSwitch
+	maxOne := p.SeekTime(cylinders(p)-1) + p.Rotation() + p.Rotation() + p.ControllerOverhead + p.WriteSettle + p.HeadSwitch
 	now := time.Duration(0)
 	rng := uint64(12345)
 	next := func() uint64 {
@@ -293,4 +293,13 @@ func TestReportTimeBelowMechanical(t *testing.T) {
 	if rt > 5*time.Millisecond {
 		t.Fatalf("report time %v implausibly large", rt)
 	}
+}
+
+// cylinders returns the model's total cylinder count.
+func cylinders(p Params) int {
+	n := 0
+	for _, z := range p.Zones {
+		n += z.Cylinders
+	}
+	return n
 }

@@ -14,10 +14,10 @@ import (
 // Where Device corrupts what a store *persists*, Proxy corrupts how a
 // client *reaches* it: partitions (accept-then-black-hole, or full
 // connection refusal), one-way or symmetric latency with seeded jitter,
-// bandwidth caps, mid-frame connection resets, and byte-truncation of
-// in-flight frames. A server.Client dialed through a Proxy therefore
-// exercises its genuine dial/read/write/redial paths under failure,
-// instead of having errors handed to it by an interface shim.
+// mid-frame connection resets, and byte-truncation of in-flight frames.
+// A server.Client dialed through a Proxy therefore exercises its genuine
+// dial/read/write/redial paths under failure, instead of having errors
+// handed to it by an interface shim.
 //
 // All switches take effect immediately on both existing and future
 // connections and are cleared together by Restore. Methods are safe for
@@ -33,7 +33,6 @@ type Proxy struct {
 	latUp     time.Duration
 	latDown   time.Duration
 	jitter    time.Duration
-	bps       int64 // bandwidth cap, bytes/sec per direction; 0 = unlimited
 	resetIn   int64 // RST all conns after this many more forwarded bytes; <0 off
 	truncNext int64 // truncate the next client->server chunk to this; <0 off
 	conns     map[*proxyPair]struct{}
@@ -102,9 +101,6 @@ func NewProxy(target string, seed int64) (*Proxy, error) {
 // Addr returns the proxy's listen address — what clients dial.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target returns the upstream address the proxy forwards to.
-func (p *Proxy) Target() string { return p.target }
-
 // Partition black-holes the link: new connections are accepted and
 // existing ones stay open, but no byte is forwarded in either direction
 // until Restore — the "switch port wedged" partition where TCP connects
@@ -134,13 +130,6 @@ func (p *Proxy) SetLatency(up, down, jitter time.Duration) {
 	p.mu.Unlock()
 }
 
-// SetBandwidth caps each direction at bytesPerSec; 0 removes the cap.
-func (p *Proxy) SetBandwidth(bytesPerSec int64) {
-	p.mu.Lock()
-	p.bps = bytesPerSec
-	p.mu.Unlock()
-}
-
 // ResetAfter arms a mid-stream reset: after n more forwarded bytes
 // (both directions pooled) every connection is killed with an abortive
 // close, so a frame in flight is cut mid-body. n<0 disarms.
@@ -165,7 +154,6 @@ func (p *Proxy) Restore() {
 	p.mu.Lock()
 	p.blackhole, p.refuse = false, false
 	p.latUp, p.latDown, p.jitter = 0, 0, 0
-	p.bps = 0
 	p.resetIn, p.truncNext = -1, -1
 	p.mu.Unlock()
 }
@@ -305,7 +293,6 @@ func (p *Proxy) forward(pp *proxyPair, dst net.Conn, chunk []byte, up bool) bool
 	if p.jitter > 0 {
 		lat += time.Duration(p.rng.Int63n(int64(p.jitter)))
 	}
-	bps := p.bps
 	trunc := int64(-1)
 	if up && p.truncNext >= 0 {
 		trunc = p.truncNext
@@ -332,9 +319,6 @@ func (p *Proxy) forward(pp *proxyPair, dst net.Conn, chunk []byte, up bool) bool
 	}
 	if lat > 0 {
 		time.Sleep(lat)
-	}
-	if bps > 0 {
-		time.Sleep(time.Duration(int64(len(chunk)) * int64(time.Second) / bps))
 	}
 	if len(chunk) > 0 {
 		// Counted before the write: the peer can act on the bytes (and a

@@ -128,9 +128,6 @@ func (p *Predictor) RecordIdlePeriod(d time.Duration) {
 	p.samples++
 }
 
-// Predicted returns the current idle-period length estimate.
-func (p *Predictor) Predicted() time.Duration { return p.ewma }
-
 // Delay returns the quiescence threshold: the base delay when idle
 // periods are predicted long enough to be useful, otherwise a raised
 // threshold that effectively skips the short idles.

@@ -134,8 +134,8 @@ func TestPredictorKeepsBaseForLongIdles(t *testing.T) {
 	if p.Delay() != 100*time.Millisecond {
 		t.Fatalf("long-idle workload delay = %v, want base", p.Delay())
 	}
-	if p.Predicted() != 2*time.Second {
-		t.Fatalf("predicted = %v, want 2s", p.Predicted())
+	if p.ewma != 2*time.Second {
+		t.Fatalf("predicted = %v, want 2s", p.ewma)
 	}
 }
 
@@ -144,10 +144,10 @@ func TestPredictorObserveInterruptedShrinksEstimate(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p.RecordIdlePeriod(time.Second)
 	}
-	before := p.Predicted()
+	before := p.ewma
 	p.Observe(true)
-	if p.Predicted() >= before {
-		t.Fatalf("interruption did not shrink estimate: %v -> %v", before, p.Predicted())
+	if p.ewma >= before {
+		t.Fatalf("interruption did not shrink estimate: %v -> %v", before, p.ewma)
 	}
 	p.Observe(false) // no-op
 	if p.Name() != "predictor" {
@@ -161,7 +161,7 @@ func TestPredictorEWMAConverges(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p.RecordIdlePeriod(100 * time.Millisecond)
 	}
-	got := p.Predicted()
+	got := p.ewma
 	if got > 120*time.Millisecond || got < 90*time.Millisecond {
 		t.Fatalf("EWMA = %v, want ~100ms", got)
 	}

@@ -1,8 +1,9 @@
-// Package iosched implements the request-queue scheduling disciplines
-// used in the experiments: CLOOK for the host device driver and FCFS for
-// the back-end per-disk queues, matching the paper's configuration
-// ("the host device driver used the clook policy, the back-end device
-// drivers inside the array used fcfs").
+// Package iosched implements the host device driver's request queue
+// used in the experiments: a CLOOK elevator behind an outstanding-request
+// limiter, matching the paper's configuration ("the host device driver
+// used the clook policy, the back-end device drivers inside the array
+// used fcfs"; the back-end FCFS queues are internal/array's per-disk
+// queues).
 package iosched
 
 import (
@@ -14,51 +15,6 @@ import (
 type Request struct {
 	Pos     int64 // position key (array or disk byte address)
 	Payload interface{}
-}
-
-// Scheduler is a queue discipline over Requests.
-type Scheduler interface {
-	// Push enqueues a request.
-	Push(Request)
-	// Pop removes and returns the next request per the discipline.
-	// It panics when empty; check Len first.
-	Pop() Request
-	// Len returns the number of queued requests.
-	Len() int
-	// Name identifies the discipline.
-	Name() string
-}
-
-// FCFS is a first-come-first-served queue.
-type FCFS struct {
-	q []Request
-}
-
-// NewFCFS returns an empty FCFS queue.
-func NewFCFS() *FCFS { return &FCFS{} }
-
-// Name returns "fcfs".
-func (f *FCFS) Name() string { return "fcfs" }
-
-// Push enqueues r at the tail.
-func (f *FCFS) Push(r Request) { f.q = append(f.q, r) }
-
-// Len returns the queue length.
-func (f *FCFS) Len() int { return len(f.q) }
-
-// Pop dequeues from the head.
-func (f *FCFS) Pop() Request {
-	if len(f.q) == 0 {
-		panic("iosched: Pop from empty FCFS queue")
-	}
-	r := f.q[0]
-	// Avoid leaking the payload reference.
-	f.q[0] = Request{}
-	f.q = f.q[1:]
-	if len(f.q) == 0 {
-		f.q = nil // let the backing array be collected
-	}
-	return r
 }
 
 // CLOOK is a circular-LOOK elevator: it serves requests in ascending
@@ -74,9 +30,6 @@ type CLOOK struct {
 
 // NewCLOOK returns an empty CLOOK queue with head position 0.
 func NewCLOOK() *CLOOK { return &CLOOK{} }
-
-// Name returns "clook".
-func (c *CLOOK) Name() string { return "clook" }
 
 // Len returns the queue length.
 func (c *CLOOK) Len() int { return len(c.q) }
@@ -119,32 +72,17 @@ func (c *CLOOK) Pop() Request {
 	return r
 }
 
-// Head returns the current sweep position (for tests/inspection).
-func (c *CLOOK) Head() int64 { return c.head }
-
-// New constructs a scheduler by name ("fcfs" or "clook").
-func New(name string) (Scheduler, error) {
-	switch name {
-	case "fcfs":
-		return NewFCFS(), nil
-	case "clook":
-		return NewCLOOK(), nil
-	default:
-		return nil, fmt.Errorf("iosched: unknown scheduler %q", name)
-	}
-}
-
 // Limiter caps the number of outstanding operations, queueing the excess
-// behind a Scheduler. The paper limits concurrently active client
+// behind a CLOOK queue. The paper limits concurrently active client
 // requests inside the array to the number of physical disks.
 type Limiter struct {
-	sched       Scheduler
+	sched       *CLOOK
 	outstanding int
 	max         int
 }
 
 // NewLimiter wraps sched with an outstanding-op cap of max (>= 1).
-func NewLimiter(sched Scheduler, max int) *Limiter {
+func NewLimiter(sched *CLOOK, max int) *Limiter {
 	if max < 1 {
 		panic(fmt.Sprintf("iosched: limiter max %d must be >= 1", max))
 	}
@@ -175,9 +113,3 @@ func (l *Limiter) Done() (Request, bool) {
 	}
 	return Request{}, false
 }
-
-// Outstanding returns the number of admitted, unfinished requests.
-func (l *Limiter) Outstanding() int { return l.outstanding }
-
-// Queued returns the number of requests waiting for a slot.
-func (l *Limiter) Queued() int { return l.sched.Len() }

@@ -6,8 +6,31 @@ import (
 	"testing/quick"
 )
 
+// queue is the discipline TestCLOOKReducesSeekDistanceVsFCFS compares:
+// CLOOK against its first-come-first-served reference.
+type queue interface {
+	Push(Request)
+	Pop() Request
+	Len() int
+}
+
+// fcfsQueue is the first-come-first-served reference: arrival order.
+type fcfsQueue struct{ q []Request }
+
+func (f *fcfsQueue) Push(r Request) { f.q = append(f.q, r) }
+func (f *fcfsQueue) Len() int       { return len(f.q) }
+
+func (f *fcfsQueue) Pop() Request {
+	if len(f.q) == 0 {
+		panic("iosched: Pop from empty FCFS queue")
+	}
+	r := f.q[0]
+	f.q = f.q[1:]
+	return r
+}
+
 func TestFCFSOrder(t *testing.T) {
-	q := NewFCFS()
+	q := &fcfsQueue{}
 	for i := 0; i < 5; i++ {
 		q.Push(Request{Pos: int64(5 - i), Payload: i})
 	}
@@ -28,7 +51,7 @@ func TestFCFSPopEmptyPanics(t *testing.T) {
 			t.Error("Pop on empty FCFS did not panic")
 		}
 	}()
-	NewFCFS().Pop()
+	(&fcfsQueue{}).Pop()
 }
 
 func TestCLOOKSweepsAscending(t *testing.T) {
@@ -132,20 +155,8 @@ func TestCLOOKConservation(t *testing.T) {
 	}
 }
 
-func TestNewByName(t *testing.T) {
-	if s, err := New("fcfs"); err != nil || s.Name() != "fcfs" {
-		t.Fatalf("New(fcfs) = %v, %v", s, err)
-	}
-	if s, err := New("clook"); err != nil || s.Name() != "clook" {
-		t.Fatalf("New(clook) = %v, %v", s, err)
-	}
-	if _, err := New("elevator"); err == nil {
-		t.Fatal("unknown scheduler accepted")
-	}
-}
-
 func TestLimiterAdmitsUpToMax(t *testing.T) {
-	l := NewLimiter(NewFCFS(), 2)
+	l := NewLimiter(NewCLOOK(), 2)
 	_, ok := l.Submit(Request{Pos: 1})
 	if !ok {
 		t.Fatal("first submit should admit")
@@ -158,8 +169,8 @@ func TestLimiterAdmitsUpToMax(t *testing.T) {
 	if ok {
 		t.Fatal("third submit should queue")
 	}
-	if l.Outstanding() != 2 || l.Queued() != 1 {
-		t.Fatalf("outstanding=%d queued=%d", l.Outstanding(), l.Queued())
+	if l.outstanding != 2 || l.sched.Len() != 1 {
+		t.Fatalf("outstanding=%d queued=%d", l.outstanding, l.sched.Len())
 	}
 	next, ok := l.Done()
 	if !ok || next.Pos != 3 {
@@ -169,8 +180,8 @@ func TestLimiterAdmitsUpToMax(t *testing.T) {
 		t.Fatal("Done with empty queue should not return a request")
 	}
 	l.Done()
-	if l.Outstanding() != 0 {
-		t.Fatalf("outstanding=%d, want 0", l.Outstanding())
+	if l.outstanding != 0 {
+		t.Fatalf("outstanding=%d, want 0", l.outstanding)
 	}
 }
 
@@ -180,7 +191,7 @@ func TestLimiterDoneUnderflowPanics(t *testing.T) {
 			t.Error("Done without outstanding did not panic")
 		}
 	}()
-	NewLimiter(NewFCFS(), 1).Done()
+	NewLimiter(NewCLOOK(), 1).Done()
 }
 
 func TestLimiterUsesSchedulerDiscipline(t *testing.T) {
@@ -219,13 +230,13 @@ func TestCLOOKReducesSeekDistanceVsFCFS(t *testing.T) {
 	for i := range positions {
 		positions[i] = next()
 	}
-	travel := func(s Scheduler) int64 {
+	travel := func(q queue) int64 {
 		for _, p := range positions {
-			s.Push(Request{Pos: p})
+			q.Push(Request{Pos: p})
 		}
 		var total, head int64
-		for s.Len() > 0 {
-			p := s.Pop().Pos
+		for q.Len() > 0 {
+			p := q.Pop().Pos
 			d := p - head
 			if d < 0 {
 				d = -d
@@ -235,7 +246,7 @@ func TestCLOOKReducesSeekDistanceVsFCFS(t *testing.T) {
 		}
 		return total
 	}
-	fcfs := travel(NewFCFS())
+	fcfs := travel(&fcfsQueue{})
 	clook := travel(NewCLOOK())
 	if clook*5 > fcfs {
 		t.Fatalf("CLOOK travel %d not well below FCFS %d", clook, fcfs)

@@ -551,13 +551,6 @@ func (e *Engine) commitTo(want uint64) error {
 	return e.storeErr
 }
 
-// IsMarked reports whether unit is unredundant.
-func (e *Engine) IsMarked(unit int64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.marks.IsMarked(unit)
-}
-
 // State reports, in one lock trip, whether unit is marked, whether the
 // mark was inherited, and which members hold a stale copy of it. A mark is
 // inherited when it was found in the image at load, or distrusted since

@@ -555,14 +555,14 @@ func TestMarkDuringCallbackKeepsTheMark(t *testing.T) {
 	if _, err := e.DrainRange(context.Background(), 0, 128); err != nil {
 		t.Fatal(err)
 	}
-	if !e.IsMarked(9) || !nv.durable(t).IsMarked(9) {
+	if !isMarked(e, 9) || !nv.durable(t).IsMarked(9) {
 		t.Fatal("the rebuild unmarked a unit that was re-marked under it")
 	}
 	if _, err := e.DrainAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if e.IsMarked(9) || nv.durable(t).IsMarked(9) || c.called(9) != 2 {
-		t.Fatalf("second drain: marked=%v calls=%d", e.IsMarked(9), c.called(9))
+	if isMarked(e, 9) || nv.durable(t).IsMarked(9) || c.called(9) != 2 {
+		t.Fatalf("second drain: marked=%v calls=%d", isMarked(e, 9), c.called(9))
 	}
 }
 
@@ -640,8 +640,8 @@ func TestHeldUnits(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(res.Held, []int64{3}) || res.Skipped != 0 {
 		t.Fatalf("DrainAll = %+v, %v; want unit 3 reported held", res, err)
 	}
-	if !e.IsMarked(3) || e.Count() != 1 || !reflect.DeepEqual(e.Held(), []int64{3}) {
-		t.Fatalf("held unit: marked=%v count=%d held=%v", e.IsMarked(3), e.Count(), e.Held())
+	if !isMarked(e, 3) || e.Count() != 1 || !reflect.DeepEqual(e.Held(), []int64{3}) {
+		t.Fatalf("held unit: marked=%v count=%d held=%v", isMarked(e, 3), e.Count(), e.Held())
 	}
 	// Every drain skips it: requested, background and inline.
 	e.Start()
@@ -683,8 +683,8 @@ func TestSkipKeepsTheMarkAndIsRetried(t *testing.T) {
 	e := newTestEngine(t, Config{NV: &fakeNV{}}, c)
 	mustMark(t, e, 7, 8)
 	res, err := e.DrainAll(context.Background())
-	if err != nil || res.Skipped != 1 || !e.IsMarked(7) || e.IsMarked(8) {
-		t.Fatalf("DrainAll = %+v, %v; 7 marked=%v 8 marked=%v", res, err, e.IsMarked(7), e.IsMarked(8))
+	if err != nil || res.Skipped != 1 || !isMarked(e, 7) || isMarked(e, 8) {
+		t.Fatalf("DrainAll = %+v, %v; 7 marked=%v 8 marked=%v", res, err, isMarked(e, 7), isMarked(e, 8))
 	}
 	first := c.called(7)
 	c.setOutcome(7, Done)
@@ -710,12 +710,12 @@ func TestIdleWorkIsPreemptedRequestedWorkIsNot(t *testing.T) {
 	e.Touch()
 	c.locks[1].Unlock()
 	<-polled
-	if st := e.Stats(); st.Preempts != 1 || st.Drained != 0 || !e.IsMarked(1) {
+	if st := e.Stats(); st.Preempts != 1 || st.Drained != 0 || !isMarked(e, 1) {
 		t.Fatalf("preempted rebuild consumed the mark: %+v", st)
 	}
 	c.setDuring(func(int64) { e.Touch() }) // a writer that never lets up
-	if _, err := e.DrainRange(context.Background(), 1, 2); err != nil || e.IsMarked(1) {
-		t.Fatalf("requested drain under foreground I/O: err=%v marked=%v", err, e.IsMarked(1))
+	if _, err := e.DrainRange(context.Background(), 1, 2); err != nil || isMarked(e, 1) {
+		t.Fatalf("requested drain under foreground I/O: err=%v marked=%v", err, isMarked(e, 1))
 	}
 }
 
@@ -809,7 +809,7 @@ func TestCallbackErrorStopsTheDrain(t *testing.T) {
 	if _, err := e.DrainAll(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("DrainAll = %v, want the callback's error", err)
 	}
-	if e.IsMarked(1) || !e.IsMarked(3) || !e.IsMarked(5) {
+	if isMarked(e, 1) || !isMarked(e, 3) || !isMarked(e, 5) {
 		t.Fatalf("marks after error: %v", e.Marked())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -878,7 +878,7 @@ func TestUnusableImagesRecoverAllMarked(t *testing.T) {
 	// A good image and an empty NVRAM are not recoveries.
 	nv := &fakeNV{img: good.Serialize()}
 	e := newTestEngine(t, Config{Units: 100, NV: nv}, newFakeClient())
-	if st := e.Stats(); st.Recovered || st.Marked != 1 || !e.IsMarked(17) || nv.stores() != 0 {
+	if st := e.Stats(); st.Recovered || st.Marked != 1 || !isMarked(e, 17) || nv.stores() != 0 {
 		t.Fatalf("good image: %+v", st)
 	}
 	e = newTestEngine(t, Config{Units: 100, NV: &fakeNV{}}, newFakeClient())
@@ -1156,4 +1156,10 @@ func TestForEach(t *testing.T) {
 	if err := ForEach(context.Background(), 4, 5, 5, func(int64) error { return errors.New("ran") }); err != nil {
 		t.Fatalf("empty range ran: %v", err)
 	}
+}
+
+// isMarked reports whether the engine holds unit unredundant.
+func isMarked(e *Engine, unit int64) bool {
+	marked, _, _ := e.State(unit)
+	return marked
 }

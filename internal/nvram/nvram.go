@@ -16,10 +16,6 @@ type Bitmap struct {
 	words   []uint64
 	stripes int64
 	count   int64
-	failed  bool
-
-	marks   uint64 // total Mark calls that changed state
-	unmarks uint64 // total Unmark calls that changed state
 }
 
 // NewBitmap creates a marking memory covering the given stripe count.
@@ -44,9 +40,6 @@ func (b *Bitmap) check(stripe int64) {
 	if stripe < 0 || stripe >= b.stripes {
 		panic(fmt.Sprintf("nvram: stripe %d out of range [0,%d)", stripe, b.stripes))
 	}
-	if b.failed {
-		panic("nvram: access to failed marking memory")
-	}
 }
 
 // Mark sets the unredundant bit for a stripe. Re-marking an
@@ -60,7 +53,6 @@ func (b *Bitmap) Mark(stripe int64) bool {
 	}
 	b.words[w] |= 1 << bit
 	b.count++
-	b.marks++
 	return true
 }
 
@@ -74,7 +66,6 @@ func (b *Bitmap) Unmark(stripe int64) bool {
 	}
 	b.words[w] &^= 1 << bit
 	b.count--
-	b.unmarks++
 	return true
 }
 
@@ -86,9 +77,6 @@ func (b *Bitmap) IsMarked(stripe int64) bool {
 
 // Count returns the number of marked stripes.
 func (b *Bitmap) Count() int64 {
-	if b.failed {
-		panic("nvram: access to failed marking memory")
-	}
 	return b.count
 }
 
@@ -97,9 +85,6 @@ func (b *Bitmap) Count() int64 {
 // cursor gives the rebuild task a cheap round-robin order that
 // naturally coalesces adjacent dirty stripes.
 func (b *Bitmap) Next(from int64) (int64, bool) {
-	if b.failed {
-		panic("nvram: access to failed marking memory")
-	}
 	if b.count == 0 {
 		return 0, false
 	}
@@ -140,9 +125,6 @@ func (b *Bitmap) scan(lo, hi int64) (int64, bool) {
 // Marked returns all marked stripes in ascending order. Intended for
 // tests and recovery scans, not hot paths.
 func (b *Bitmap) Marked() []int64 {
-	if b.failed {
-		panic("nvram: access to failed marking memory")
-	}
 	out := make([]int64, 0, b.count)
 	for wi, word := range b.words {
 		for word != 0 {
@@ -152,27 +134,6 @@ func (b *Bitmap) Marked() []int64 {
 		}
 	}
 	return out
-}
-
-// Stats returns the number of state-changing marks and unmarks.
-func (b *Bitmap) Stats() (marks, unmarks uint64) { return b.marks, b.unmarks }
-
-// Fail simulates a marking-memory failure: the contents are lost. The
-// recovery procedure (§3.1) is to rebuild parity for the whole array.
-// Subsequent accesses panic until Reset is called.
-func (b *Bitmap) Fail() { b.failed = true }
-
-// Failed reports whether the memory has failed.
-func (b *Bitmap) Failed() bool { return b.failed }
-
-// Reset clears the failure flag and all marks, modeling replacement of
-// the memory (after which a full-array parity rebuild is required).
-func (b *Bitmap) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-	b.count = 0
-	b.failed = false
 }
 
 // Serialize encodes the bitmap for persistence (used by the functional
@@ -185,9 +146,6 @@ func (b *Bitmap) Serialize() []byte {
 // AppendTo appends the Serialize encoding to dst, so a caller that
 // stores an image per change can reuse one buffer for all of them.
 func (b *Bitmap) AppendTo(dst []byte) []byte {
-	if b.failed {
-		panic("nvram: serializing failed marking memory")
-	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(b.stripes))
 	for _, w := range b.words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)

@@ -147,30 +147,6 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFailAndReset(t *testing.T) {
-	b := NewBitmap(64)
-	b.Mark(3)
-	b.Fail()
-	if !b.Failed() {
-		t.Fatal("Failed() false after Fail()")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("access to failed memory did not panic")
-			}
-		}()
-		b.IsMarked(3)
-	}()
-	b.Reset()
-	if b.Failed() || b.Count() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-	if b.IsMarked(3) {
-		t.Fatal("mark survived Reset; recovery must rebuild the whole array")
-	}
-}
-
 func TestSizeBytesMatchesPaperScale(t *testing.T) {
 	// Paper: ~3 KB of marking memory per 1 GB stored, for a 5-wide
 	// array with 8 KB stripe units. 1 GB data / (4 data disks * 8 KB)

@@ -88,9 +88,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snapshot copies the histogram's counters at one (approximate) moment.
 // Concurrent Observes may straddle the copy; each observation is still
 // counted exactly once across successive snapshots.

@@ -51,16 +51,6 @@ func (r *Ring) Record(e Event) {
 	r.mu.Unlock()
 }
 
-// Len returns the number of events currently held.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seq < uint64(len(r.buf)) {
-		return int(r.seq)
-	}
-	return len(r.buf)
-}
-
 // Events returns the retained events, oldest first.
 func (r *Ring) Events() []Event {
 	r.mu.Lock()

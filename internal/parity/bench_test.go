@@ -33,7 +33,7 @@ func BenchmarkXORKernel(b *testing.B) {
 		b.Run("word/"+name, func(b *testing.B) {
 			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
-				XOR(dst, srcs[0])
+				XORInto(dst, srcs[0])
 			}
 		})
 		b.Run("gather4/"+name, func(b *testing.B) {
@@ -46,7 +46,7 @@ func BenchmarkXORKernel(b *testing.B) {
 			b.SetBytes(int64(4 * size))
 			for i := 0; i < b.N; i++ {
 				for _, s := range srcs {
-					XOR(dst, s)
+					XORInto(dst, s)
 				}
 			}
 		})

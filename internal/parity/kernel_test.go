@@ -149,8 +149,8 @@ func TestUpdateMatchesTwoXORs(t *testing.T) {
 		}
 		p, old, new = pad(p), pad(old), pad(new)
 		want := append([]byte(nil), p...)
-		XOR(want, old)
-		XOR(want, new)
+		XORInto(want, old)
+		XORInto(want, new)
 		Update(p, old, new)
 		return bytes.Equal(p, want)
 	}
@@ -184,7 +184,7 @@ func TestFoldPQMatchesSeparateCalls(t *testing.T) {
 		fill(q1, 5)
 		copy(p2, p1)
 		copy(q2, q1)
-		XOR(p1, src)
+		XORInto(p1, src)
 		mulInto(q1, src, c)
 		foldPQ(p2, q2, src, c)
 		if !bytes.Equal(p1, p2) || !bytes.Equal(q1, q2) {
@@ -204,7 +204,7 @@ func TestUpdateQMatchesDeltaForm(t *testing.T) {
 	q2 := append([]byte(nil), q1...)
 	// Reference: materialize the delta, then mulInto.
 	delta := append([]byte(nil), old...)
-	XOR(delta, new)
+	XORInto(delta, new)
 	mulInto(q1, delta, gfPow(5))
 	UpdateQ(q2, old, new, 5)
 	if !bytes.Equal(q1, q2) {

@@ -21,15 +21,6 @@ import (
 // wordSize is the lane width of the folding kernels.
 const wordSize = 8
 
-// XOR computes dst ^= src for equal-length blocks. It panics on length
-// mismatch: block sizes are fixed per array and a mismatch is a bug.
-func XOR(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("parity: XOR length mismatch %d != %d", len(dst), len(src)))
-	}
-	xorKernel(dst, src)
-}
-
 func xorGeneric(dst, src []byte) {
 	n := len(dst)
 	i := 0
@@ -59,7 +50,7 @@ func xorGeneric(dst, src []byte) {
 
 // XORInto folds every source into dst in a single pass: for each word
 // of dst it loads the corresponding word of all k sources, xors them
-// together, and stores once. Compared to k sequential XOR calls this
+// together, and stores once. Compared to k sequential one-source folds this
 // halves the memory traffic on dst (one load + one store total instead
 // of k of each), which is where the rebuild path's time goes once the
 // per-byte arithmetic is gone. All sources must match dst's length.
@@ -96,7 +87,7 @@ func foldRange(dst []byte, srcs [][]byte, lo, hi int) {
 	}
 }
 
-// The arity-specialized folds mirror XOR's shape: four uint64 lanes
+// The arity-specialized folds mirror xorGeneric's shape: four uint64 lanes
 // per iteration, with capped per-iteration subslices so every bounds
 // check hoists out of the lane loads.
 

@@ -14,8 +14,8 @@ func TestXORInvolution(t *testing.T) {
 			b = b[:len(a)]
 		}
 		orig := append([]byte(nil), a...)
-		XOR(a, b)
-		XOR(a, b)
+		XORInto(a, b)
+		XORInto(a, b)
 		return bytes.Equal(a, orig)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -29,7 +29,7 @@ func TestXORMismatchPanics(t *testing.T) {
 			t.Error("length mismatch did not panic")
 		}
 	}()
-	XOR(make([]byte, 3), make([]byte, 4))
+	XORInto(make([]byte, 3), make([]byte, 4))
 }
 
 func TestComputeAndCheck(t *testing.T) {

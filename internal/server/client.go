@@ -487,17 +487,6 @@ func (c *Client) Flush(ctx context.Context) error {
 	return err
 }
 
-// Scrub asks the server to make the stripes covering [off, off+length)
-// redundant (a parity point).
-func (c *Client) Scrub(ctx context.Context, off, length int64) error {
-	if length < 0 || length > int64(^uint32(0)) {
-		return fmt.Errorf("%w: scrub length %d does not fit the wire's u32", ErrBadRequest, length)
-	}
-	resp, err := c.do(ctx, &Request{Op: OpScrub, Off: off, Length: uint32(length)})
-	resp.release()
-	return err
-}
-
 // Ping performs a minimal health-check round trip: a STAT whose payload
 // is discarded. It is the cheapest request the protocol offers (no
 // store I/O, a few KiB back), so a cluster layer can probe node

@@ -419,7 +419,7 @@ func TestWriteVecSendsTheContiguousFrames(t *testing.T) {
 			if _, err := io.ReadFull(br, frame[4:]); err != nil {
 				t.Fatal(err)
 			}
-			req, err := DecodeRequest(frame[4:], limit)
+			req, err := decodeRequest(frame[4:], limit)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -184,7 +184,7 @@ func TestRequestContext(t *testing.T) {
 			if tc.close {
 				srv.Close()
 				<-done // the shutdown status or the dropped connection
-				if n := srv.Metrics().Responses(StatusShutdown); n != 1 {
+				if n := srv.Metrics().responses[StatusShutdown].Value(); n != 1 {
 					t.Fatalf("%d requests answered StatusShutdown by a hard Close, want 1", n)
 				}
 				return
@@ -388,7 +388,7 @@ func TestStalledReaderDisconnected(t *testing.T) {
 	// buffers can absorb, then read nothing.
 	var buf []byte
 	for i := 0; i < 128; i++ {
-		buf = AppendRequest(buf[:0], &Request{Op: OpRead, ID: uint64(i + 1), Length: 256 << 10})
+		buf = appendRequest(buf[:0], &Request{Op: OpRead, ID: uint64(i + 1), Length: 256 << 10})
 		if _, err := nc.Write(buf); err != nil {
 			break // the server may already have cut us off
 		}

@@ -268,7 +268,7 @@ func TestStalledReaderHoldsOnlyItsOwnHandlers(t *testing.T) {
 	// 128 × 64 KiB of responses: twice what the socket buffers take.
 	var buf []byte
 	for i := 0; i < 128; i++ {
-		buf = AppendRequest(buf, &Request{Op: OpRead, ID: uint64(i + 1), Length: 64 << 10})
+		buf = appendRequest(buf, &Request{Op: OpRead, ID: uint64(i + 1), Length: 64 << 10})
 	}
 	if _, err := nc.Write(buf); err != nil {
 		t.Fatal(err)

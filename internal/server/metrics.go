@@ -85,22 +85,6 @@ func (m *Metrics) task(r *Request, st Status, queued, total time.Duration) {
 // debug endpoint.
 func (m *Metrics) Obs() *obs.Registry { return m.reg }
 
-// Requests returns the request counter for one op.
-func (m *Metrics) Requests(op Op) int64 {
-	if op.valid() {
-		return m.requests[op].Value()
-	}
-	return 0
-}
-
-// Responses returns the response counter for one status.
-func (m *Metrics) Responses(st Status) int64 {
-	if int(st) < len(m.responses) {
-		return m.responses[st].Value()
-	}
-	return 0
-}
-
 // stat adds the server's own entries to a STAT snapshot.
 func (m *Metrics) stat(dst Stat) {
 	dst["server.conns_open"] = m.ConnsOpen.Value()

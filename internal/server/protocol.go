@@ -193,12 +193,6 @@ func appendRequestHeader(dst []byte, r *Request, n int) []byte {
 	return binary.BigEndian.AppendUint32(dst, r.Length)
 }
 
-// AppendRequest appends the framed request (length prefix included) to
-// dst and returns the extended slice.
-func AppendRequest(dst []byte, r *Request) []byte {
-	return append(appendRequestHeader(dst, r, len(r.Data)), r.Data...)
-}
-
 // decodeRequestHeader parses the fixed header of a request whose body
 // carries dataLen bytes after it, and is the one place a request is
 // validated: unknown ops, offsets that overflow int64, oversized
@@ -230,20 +224,6 @@ func decodeRequestHeader(hdr []byte, dataLen int, maxPayload uint32) (Request, e
 		return r, fmt.Errorf("server: %v carries %d unexpected data bytes", r.Op, dataLen)
 	}
 	return r, nil
-}
-
-// DecodeRequest parses a request body (the bytes after the length
-// prefix) already in memory: decodeRequestHeader's checks on a body
-// long enough to hold a header. The returned Data aliases body.
-func DecodeRequest(body []byte, maxPayload uint32) (Request, error) {
-	if len(body) < reqHeaderLen {
-		return Request{}, fmt.Errorf("%w: request body %d bytes, need %d", ErrTruncatedFrame, len(body), reqHeaderLen)
-	}
-	r, err := decodeRequestHeader(body, len(body)-reqHeaderLen, maxPayload)
-	if err == nil && r.Op == OpWrite {
-		r.Data = body[reqHeaderLen:]
-	}
-	return r, err
 }
 
 // peekFrame returns the first hdrLen bytes of the next frame's body,
@@ -287,10 +267,11 @@ func truncated(err error) error {
 	return err
 }
 
-// ReadRequest reads and decodes one request frame. Every DecodeRequest
-// check is made on the header before the payload is touched; a WRITE's
-// payload is then read straight into a bufpool buffer of the declared
-// length, which the caller may bufpool.Put once done with Data.
+// ReadRequest reads and decodes one request frame. Every
+// decodeRequestHeader check is made on the header before the payload is
+// touched; a WRITE's payload is then read straight into a bufpool buffer
+// of the declared length, which the caller may bufpool.Put once done
+// with Data.
 func ReadRequest(br *bufio.Reader, maxPayload uint32) (Request, error) {
 	hdr, n, err := peekFrame(br, reqHeaderLen, maxPayload)
 	if err != nil {

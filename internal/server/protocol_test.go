@@ -28,7 +28,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		t.Run(want.Op.String(), func(t *testing.T) {
-			frame := AppendRequest(nil, &want)
+			frame := appendRequest(nil, &want)
 			got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxPayload)
 			if err != nil {
 				t.Fatalf("ReadRequest: %v", err)
@@ -129,7 +129,7 @@ func TestStatRoundTrip(t *testing.T) {
 
 func TestDecodeRequestRejects(t *testing.T) {
 	write := func(length uint32, data []byte) []byte {
-		body := AppendRequest(nil, &Request{Op: OpWrite, ID: 1, Off: 0, Length: length, Data: data})[4:]
+		body := appendRequest(nil, &Request{Op: OpWrite, ID: 1, Off: 0, Length: length, Data: data})[4:]
 		return body
 	}
 	cases := []struct {
@@ -139,35 +139,35 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"empty", nil},
 		{"short header", make([]byte, reqHeaderLen-1)},
 		{"unknown op", func() []byte {
-			b := AppendRequest(nil, &Request{Op: OpRead, ID: 1})[4:]
+			b := appendRequest(nil, &Request{Op: OpRead, ID: 1})[4:]
 			b[0] = 99
 			return b
 		}()},
 		{"zero op", func() []byte {
-			b := AppendRequest(nil, &Request{Op: OpRead, ID: 1})[4:]
+			b := appendRequest(nil, &Request{Op: OpRead, ID: 1})[4:]
 			b[0] = 0
 			return b
 		}()},
 		{"offset overflows int64", func() []byte {
-			b := AppendRequest(nil, &Request{Op: OpRead, ID: 1, Length: 16})[4:]
+			b := appendRequest(nil, &Request{Op: OpRead, ID: 1, Length: 16})[4:]
 			for i := 9; i < 17; i++ {
 				b[i] = 0xff
 			}
 			return b
 		}()},
 		{"read length over limit", func() []byte {
-			b := AppendRequest(nil, &Request{Op: OpRead, ID: 1, Length: DefaultMaxPayload + 1})[4:]
+			b := appendRequest(nil, &Request{Op: OpRead, ID: 1, Length: DefaultMaxPayload + 1})[4:]
 			return b
 		}()},
 		{"write data shorter than declared", write(100, make([]byte, 50))},
 		{"write data longer than declared", write(50, make([]byte, 100))},
-		{"trailing data on READ", append(AppendRequest(nil, &Request{Op: OpRead, ID: 1, Length: 8})[4:], 1, 2, 3)},
-		{"trailing data on FLUSH", append(AppendRequest(nil, &Request{Op: OpFlush, ID: 1})[4:], 9)},
+		{"trailing data on READ", append(appendRequest(nil, &Request{Op: OpRead, ID: 1, Length: 8})[4:], 1, 2, 3)},
+		{"trailing data on FLUSH", append(appendRequest(nil, &Request{Op: OpFlush, ID: 1})[4:], 9)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeRequest(tc.body, DefaultMaxPayload); err == nil {
-				t.Fatalf("DecodeRequest accepted %q body", tc.name)
+			if _, err := decodeRequest(tc.body, DefaultMaxPayload); err == nil {
+				t.Fatalf("decodeRequest accepted %q body", tc.name)
 			}
 		})
 	}
@@ -180,7 +180,7 @@ func TestReadRequestRejectsOversizedAndTruncatedFrames(t *testing.T) {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 	// Frame cut off mid-body.
-	frame := AppendRequest(nil, &Request{Op: OpWrite, ID: 1, Length: 64, Data: make([]byte, 64)})
+	frame := appendRequest(nil, &Request{Op: OpWrite, ID: 1, Length: 64, Data: make([]byte, 64)})
 	cut := frame[:len(frame)-10]
 	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(cut)), DefaultMaxPayload); !errors.Is(err, ErrTruncatedFrame) {
 		t.Fatalf("truncated frame: got %v, want ErrTruncatedFrame", err)
@@ -195,7 +195,7 @@ func TestReadRequestRejectsOversizedAndTruncatedFrames(t *testing.T) {
 	// would begin, and must be refused for what its header says, not for
 	// being short.
 	const limit = 4096
-	frame = AppendRequest(nil, &Request{Op: OpWrite, ID: 1, Length: 64, Data: make([]byte, 64)})
+	frame = appendRequest(nil, &Request{Op: OpWrite, ID: 1, Length: 64, Data: make([]byte, 64)})
 	headerOnly := func(edit func(hdr []byte)) *bufio.Reader {
 		b := bytes.Clone(frame[:4+reqHeaderLen])
 		edit(b[4:])
@@ -237,20 +237,20 @@ func outcome(r Request, err error) string {
 
 // FuzzReadRequest holds the streaming reader a connection uses to the
 // in-memory decoder: arbitrary bytes, delivered whole and one byte at a
-// time, must yield what DecodeRequest yields on the same body — the
+// time, must yield what decodeRequest yields on the same body — the
 // same request or the same class of error — and a refused header must
 // be refused before its payload is read, so no buffer is ever taken
 // that the declared, limit-checked length does not cover.
 func FuzzReadRequest(f *testing.F) {
-	f.Add(AppendRequest(nil, &Request{Op: OpRead, ID: 1, Off: 4096, Length: 512}))
-	write := AppendRequest(nil, &Request{Op: OpWrite, ID: 2, Off: 0, Length: 5, Data: []byte("hello")})
+	f.Add(appendRequest(nil, &Request{Op: OpRead, ID: 1, Off: 4096, Length: 512}))
+	write := appendRequest(nil, &Request{Op: OpWrite, ID: 2, Off: 0, Length: 5, Data: []byte("hello")})
 	f.Add(write)
 	f.Add(write[:len(write)-2])                      // payload cut short
 	f.Add(append(bytes.Clone(write), write...))      // a second frame behind it
 	f.Add(append([]byte{0, 0, 0, 30}, write[4:]...)) // prefix longer than header + declared data
-	f.Add(AppendRequest(nil, &Request{Op: OpWrite, ID: 3, Length: 5000, Data: make([]byte, 64)}))
-	f.Add(AppendRequest(nil, &Request{Op: OpFlush, ID: 3, Data: []byte{9}}))
-	f.Add(AppendRequest(nil, &Request{Op: OpScrub, ID: 4, Off: 0, Length: 1 << 30}))
+	f.Add(appendRequest(nil, &Request{Op: OpWrite, ID: 3, Length: 5000, Data: make([]byte, 64)}))
+	f.Add(appendRequest(nil, &Request{Op: OpFlush, ID: 3, Data: []byte{9}}))
+	f.Add(appendRequest(nil, &Request{Op: OpScrub, ID: 4, Off: 0, Length: 1 << 30}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 5, 1, 2, 3, 4, 5})
 	f.Add([]byte{0, 0})
@@ -293,9 +293,9 @@ func FuzzReadRequest(f *testing.F) {
 			}
 			return
 		}
-		want, err := DecodeRequest(frame[4:4+n], limit)
+		want, err := decodeRequest(frame[4:4+n], limit)
 		if o := outcome(want, err); o != got {
-			t.Fatalf("ReadRequest: %s; DecodeRequest on the same body: %s", got, o)
+			t.Fatalf("ReadRequest: %s; decodeRequest on the same body: %s", got, o)
 		}
 		if err != nil {
 			// Refused from the header alone, payload unread.
@@ -312,10 +312,10 @@ func FuzzReadRequest(f *testing.F) {
 // body decoder: malformed input must error, never panic, and accepted
 // requests must re-encode to a decodable frame.
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add(AppendRequest(nil, &Request{Op: OpRead, ID: 1, Off: 4096, Length: 512}))
-	f.Add(AppendRequest(nil, &Request{Op: OpWrite, ID: 2, Off: 0, Length: 5, Data: []byte("hello")}))
-	f.Add(AppendRequest(nil, &Request{Op: OpFlush, ID: 3}))
-	f.Add(AppendRequest(nil, &Request{Op: OpScrub, ID: 4, Off: 0, Length: 1 << 30}))
+	f.Add(appendRequest(nil, &Request{Op: OpRead, ID: 1, Off: 4096, Length: 512}))
+	f.Add(appendRequest(nil, &Request{Op: OpWrite, ID: 2, Off: 0, Length: 5, Data: []byte("hello")}))
+	f.Add(appendRequest(nil, &Request{Op: OpFlush, ID: 3}))
+	f.Add(appendRequest(nil, &Request{Op: OpScrub, ID: 4, Off: 0, Length: 1 << 30}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -331,7 +331,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("decoder admitted negative offset %d", req.Off)
 		}
 		// Accepted requests must survive a re-encode round trip.
-		again, err := DecodeRequest(AppendRequest(nil, &req)[4:], limit)
+		again, err := decodeRequest(appendRequest(nil, &req)[4:], limit)
 		if err != nil {
 			t.Fatalf("re-encode of accepted request failed: %v", err)
 		}
@@ -398,4 +398,24 @@ func FuzzDecodeStat(f *testing.F) {
 			t.Fatalf("re-encode changed snapshot: %v vs %v", again, st)
 		}
 	})
+}
+
+// appendRequest appends the framed request (length prefix included) to
+// dst and returns the extended slice.
+func appendRequest(dst []byte, r *Request) []byte {
+	return append(appendRequestHeader(dst, r, len(r.Data)), r.Data...)
+}
+
+// decodeRequest parses a request body (the bytes after the length
+// prefix) already in memory: decodeRequestHeader's checks on a body
+// long enough to hold a header. The returned Data aliases body.
+func decodeRequest(body []byte, maxPayload uint32) (Request, error) {
+	if len(body) < reqHeaderLen {
+		return Request{}, fmt.Errorf("%w: request body %d bytes, need %d", ErrTruncatedFrame, len(body), reqHeaderLen)
+	}
+	r, err := decodeRequestHeader(body, len(body)-reqHeaderLen, maxPayload)
+	if err == nil && r.Op == OpWrite {
+		r.Data = body[reqHeaderLen:]
+	}
+	return r, err
 }

@@ -375,7 +375,7 @@ func (c *reqCtx) end(err error) error {
 
 // rangeOK reports whether [off, off+length) lies within capacity,
 // without computing off+length (which overflows for off near MaxInt64
-// — DecodeRequest admits any offset up to MaxInt64).
+// — decodeRequestHeader admits any offset up to MaxInt64).
 func rangeOK(off, length, capacity int64) bool {
 	return off >= 0 && length >= 0 && length <= capacity && off <= capacity-length
 }

@@ -101,7 +101,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Scrub a specific range (trivially clean after the flush).
-	if err := c.Scrub(ctx, 0, 32<<10); err != nil {
+	if _, err := c.do(ctx, &Request{Op: OpScrub, Length: 32 << 10}); err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
 	// Bad range → ERR_BAD_REQUEST, connection stays usable.
@@ -111,13 +111,13 @@ func TestServerEndToEnd(t *testing.T) {
 	if _, err := c.ReadAt(got, 4096); err != nil {
 		t.Fatalf("ReadAt after rejected request: %v", err)
 	}
-	if n := srv.Metrics().Requests(OpRead); n == 0 {
+	if n := srv.Metrics().requests[OpRead].Value(); n == 0 {
 		t.Fatal("metrics recorded no READ requests")
 	}
 }
 
 // TestOverflowingOffsetsRejected covers offsets near MaxInt64 (which
-// DecodeRequest admits): a naive off+length capacity check wraps
+// decodeRequest admits): a naive off+length capacity check wraps
 // negative, passes, and panics in layout.Split inside a handler. Every
 // ranged op must answer ERR_BAD_REQUEST and the connection must stay
 // usable.
@@ -137,12 +137,12 @@ func TestOverflowingOffsetsRejected(t *testing.T) {
 	if _, err := c.do(ctx, &Request{Op: OpWrite, Off: huge, Length: 4, Data: []byte("boom")}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("WRITE at %d: got %v, want ErrBadRequest", huge, err)
 	}
-	if err := c.Scrub(ctx, huge, 4096); !errors.Is(err, ErrBadRequest) {
+	if _, err := c.do(ctx, &Request{Op: OpScrub, Off: huge, Length: 4096}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("SCRUB at %d: got %v, want ErrBadRequest", huge, err)
 	}
 	// A length exceeding capacity on its own must bounce too (SCRUB
 	// lengths are not bounded by the payload limit).
-	if err := c.Scrub(ctx, 0, int64(^uint32(0))); !errors.Is(err, ErrBadRequest) {
+	if _, err := c.do(ctx, &Request{Op: OpScrub, Length: ^uint32(0)}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("SCRUB longer than capacity: got %v, want ErrBadRequest", err)
 	}
 	// The server survived: a normal round trip still works.
@@ -259,13 +259,13 @@ func TestServerConcurrency(t *testing.T) {
 
 	// Metrics on the endpoint must match what the clients issued.
 	m := srv.Metrics()
-	if got := m.Requests(OpRead); got != wantReads {
+	if got := m.requests[OpRead].Value(); got != wantReads {
 		t.Fatalf("metrics READ requests = %d, clients issued %d", got, wantReads)
 	}
-	if got := m.Requests(OpWrite); got != wantWrites {
+	if got := m.requests[OpWrite].Value(); got != wantWrites {
 		t.Fatalf("metrics WRITE requests = %d, clients issued %d", got, wantWrites)
 	}
-	if got := m.Responses(StatusOK); got != wantReads+wantWrites {
+	if got := m.responses[StatusOK].Value(); got != wantReads+wantWrites {
 		t.Fatalf("metrics OK responses = %d, want %d", got, wantReads+wantWrites)
 	}
 	if busy := m.BusyRejected.Value(); busy != 0 {
@@ -392,7 +392,7 @@ func TestPipelinedWritesAreServedOneByOne(t *testing.T) {
 			for j := range chunk {
 				chunk[j] = byte(attempt + i + j)
 			}
-			frames = AppendRequest(frames, &Request{
+			frames = appendRequest(frames, &Request{
 				Op: OpWrite, ID: uint64(attempt*100 + i),
 				Off: base + int64(i*ioSize), Length: ioSize, Data: chunk,
 			})
@@ -422,7 +422,7 @@ func TestPipelinedWritesAreServedOneByOne(t *testing.T) {
 			t.Fatalf("attempt %d: pipelined writes read back wrong", attempt)
 		}
 	}
-	if calls, frames := int64(st.Stats().Writes), srv.Metrics().Requests(OpWrite); calls != frames {
+	if calls, frames := int64(st.Stats().Writes), srv.Metrics().requests[OpWrite].Value(); calls != frames {
 		t.Fatalf("%d store writes for %d WRITE frames, want one each", calls, frames)
 	}
 }

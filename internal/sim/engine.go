@@ -66,9 +66,6 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// When returns the virtual time at which the timer will fire.
-func (t *Timer) When() time.Duration { return t.e.at }
-
 // Engine is a discrete-event simulator. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
@@ -88,20 +85,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Pending returns the number of events that are scheduled and not cancelled.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.pending {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (t < Now) panics: it always indicates a model bug.
@@ -153,36 +136,4 @@ func (e *Engine) Run() time.Duration {
 		}
 	}
 	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline, then sets the
-// virtual clock to deadline. Events beyond the deadline remain pending.
-func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
-	for {
-		next, ok := e.peek()
-		if !ok || next > deadline {
-			break
-		}
-		e.Step()
-		if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
-			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v", e.MaxSteps, e.now))
-		}
-	}
-	if deadline > e.now {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// peek returns the timestamp of the earliest live pending event.
-func (e *Engine) peek() (time.Duration, bool) {
-	for e.pending.Len() > 0 {
-		ev := e.pending[0]
-		if ev.dead {
-			heap.Pop(&e.pending)
-			continue
-		}
-		return ev.at, true
-	}
-	return 0, false
 }

@@ -80,36 +80,6 @@ func TestTimerStopCancelsEvent(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntilLeavesLaterEvents(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10*time.Millisecond, func() { ran++ })
-	e.At(20*time.Millisecond, func() { ran++ })
-	e.At(30*time.Millisecond, func() { ran++ })
-	e.RunUntil(20 * time.Millisecond)
-	if ran != 2 {
-		t.Fatalf("ran %d events by 20ms, want 2", ran)
-	}
-	if e.Now() != 20*time.Millisecond {
-		t.Fatalf("now = %v, want 20ms", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if ran != 3 {
-		t.Fatalf("ran %d total, want 3", ran)
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(42 * time.Millisecond)
-	if e.Now() != 42*time.Millisecond {
-		t.Fatalf("now = %v, want 42ms", e.Now())
-	}
-}
-
 func TestEngineStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {
@@ -124,23 +94,13 @@ func TestEngineStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestEnginePendingIgnoresCancelled(t *testing.T) {
-	e := NewEngine()
-	tm := e.At(time.Millisecond, func() {})
-	e.At(2*time.Millisecond, func() {})
-	tm.Stop()
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
-	}
-}
-
 func TestEngineStepsCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
 		e.At(time.Duration(i)*time.Millisecond, func() {})
 	}
 	e.Run()
-	if e.Steps() != 5 {
-		t.Fatalf("Steps = %d, want 5", e.Steps())
+	if e.steps != 5 {
+		t.Fatalf("steps = %d, want 5", e.steps)
 	}
 }

@@ -43,24 +43,9 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Fork returns a new generator whose stream is independent of r's
-// subsequent output, suitable for giving each simulation component its
-// own stream.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("sim: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
 }
 
 // Int63n returns a uniform int64 in [0, n). It panics if n <= 0.

@@ -7,31 +7,20 @@ import (
 	"time"
 )
 
-// Mean accumulates a running mean and variance (Welford's algorithm).
+// Mean accumulates a running mean and maximum.
 type Mean struct {
 	n    uint64
 	mean float64
-	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add records one observation.
 func (m *Mean) Add(x float64) {
 	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
+	if m.n == 1 || x > m.max {
+		m.max = x
 	}
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // N returns the number of observations.
@@ -39,20 +28,6 @@ func (m *Mean) N() uint64 { return m.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (m *Mean) Mean() float64 { return m.mean }
-
-// Var returns the sample variance (n-1 denominator).
-func (m *Mean) Var() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (m *Mean) Stddev() float64 { return math.Sqrt(m.Var()) }
-
-// Min returns the smallest observation (0 if none).
-func (m *Mean) Min() float64 { return m.min }
 
 // Max returns the largest observation (0 if none).
 func (m *Mean) Max() float64 { return m.max }
@@ -81,12 +56,6 @@ func (d *DurationStats) Mean() time.Duration { return time.Duration(d.mean.Mean(
 
 // Max returns the maximum duration.
 func (d *DurationStats) Max() time.Duration { return time.Duration(d.mean.Max()) }
-
-// Min returns the minimum duration.
-func (d *DurationStats) Min() time.Duration { return time.Duration(d.mean.Min()) }
-
-// Stddev returns the standard deviation of the durations.
-func (d *DurationStats) Stddev() time.Duration { return time.Duration(d.mean.Stddev()) }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of the observations,
 // or 0 with no observations.
@@ -158,17 +127,6 @@ func (t *TimeWeighted) Add(now time.Duration, delta float64) {
 // Value returns the current tracked value.
 func (t *TimeWeighted) Value() float64 { return t.value }
 
-// Finish closes the integration at virtual time end and returns the
-// time-average of the value from the first Set to end.
-func (t *TimeWeighted) Finish(end time.Duration) float64 {
-	t.Set(end, t.value)
-	total := t.last.Seconds()
-	if total == 0 {
-		return 0
-	}
-	return t.integral / total
-}
-
 // Average returns the time-average up to virtual time now without
 // terminating the accumulator.
 func (t *TimeWeighted) Average(now time.Duration) float64 {
@@ -178,10 +136,6 @@ func (t *TimeWeighted) Average(now time.Duration) float64 {
 	integral := t.integral + t.value*(now-t.last).Seconds()
 	return integral / now.Seconds()
 }
-
-// NonZeroTime returns the total virtual time during which the tracked
-// value was positive, up to the last Set/Add call.
-func (t *TimeWeighted) NonZeroTime() time.Duration { return t.nonZero }
 
 // NonZeroTimeAt returns total positive-valued time including the open
 // interval ending at now.
@@ -208,36 +162,3 @@ func GeometricMean(xs []float64) float64 {
 	}
 	return math.Exp(sum / float64(len(xs)))
 }
-
-// Histogram is a fixed-bucket histogram over durations, used for
-// reporting latency distributions.
-type Histogram struct {
-	Bounds []time.Duration // ascending upper bounds; implicit +inf final bucket
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram with the given ascending bucket upper
-// bounds.
-func NewHistogram(bounds ...time.Duration) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("sim: histogram bounds must be ascending")
-		}
-	}
-	return &Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(v time.Duration) {
-	i := sort.Search(len(h.Bounds), func(i int) bool { return v <= h.Bounds[i] })
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns the count for bucket i (the final bucket catches
-// overflow values).
-func (h *Histogram) Bucket(i int) uint64 { return h.Counts[i] }

@@ -30,7 +30,6 @@ import (
 
 	"afraid/internal/core"
 	"afraid/internal/idle"
-	"afraid/internal/layout"
 	"afraid/internal/nvram"
 )
 
@@ -52,7 +51,7 @@ type Options struct {
 	// migrator demotes (default idle.DefaultDelay).
 	IdleDelay time.Duration
 	// DisableMigrator turns the background engine off; demotion then
-	// happens only through Flush, ParityPoint and the inline valve.
+	// happens only through Flush, ParityPointContext and the inline valve.
 	// Tests use it for deterministic state machines.
 	DisableMigrator bool
 }
@@ -287,13 +286,6 @@ func (s *Store) inRange(off, length int64) bool {
 	return off >= 0 && length >= 0 && length <= s.capacity && off <= s.capacity-length
 }
 
-// Geometry returns the back tier's layout.
-func (s *Store) Geometry() layout.Geometry { return s.back.Geometry() }
-
-// Back returns the underlying back-tier store (for repair and
-// parity-check plumbing in tests and the daemon).
-func (s *Store) Back() *core.Store { return s.back }
-
 // ReadAt implements io.ReaderAt over the composed address space.
 func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 	return s.ReadContext(context.Background(), p, off)
@@ -462,13 +454,9 @@ func (s *Store) FlushContext(ctx context.Context) error {
 	return s.back.FlushContext(ctx)
 }
 
-// ParityPoint makes the stripes covering [off, off+length) redundant,
-// demoting any dirty front extents overlapping the range first.
-func (s *Store) ParityPoint(off, length int64) error {
-	return s.ParityPointContext(context.Background(), off, length)
-}
-
-// ParityPointContext is ParityPoint with cancellation.
+// ParityPointContext makes the stripes covering [off, off+length)
+// redundant, demoting any dirty front extents overlapping the range
+// first.
 func (s *Store) ParityPointContext(ctx context.Context, off, length int64) error {
 	if s.closed.Load() {
 		return ErrClosed

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -442,7 +443,7 @@ func TestTierParityPointDemotesRange(t *testing.T) {
 	if _, err := r.st.WriteAt(data, 3*r.extentSz); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.st.ParityPoint(0, 4096); err != nil {
+	if err := r.st.ParityPointContext(context.Background(), 0, 4096); err != nil {
 		t.Fatal(err)
 	}
 	ts := r.st.TierStats()
@@ -518,11 +519,11 @@ func TestRangeChecksDoNotOverflow(t *testing.T) {
 		if _, err := r.st.WriteAt(buf, off); err == nil {
 			t.Errorf("WriteAt at %d succeeded", off)
 		}
-		if err := r.st.ParityPoint(off, int64(len(buf))); err == nil {
+		if err := r.st.ParityPointContext(context.Background(), off, int64(len(buf))); err == nil {
 			t.Errorf("ParityPoint at %d succeeded", off)
 		}
 	}
-	if err := r.st.ParityPoint(0, math.MaxInt64); err == nil {
+	if err := r.st.ParityPointContext(context.Background(), 0, math.MaxInt64); err == nil {
 		t.Error("ParityPoint of MaxInt64 bytes succeeded")
 	}
 	if _, err := r.st.ReadAt(buf, r.st.Capacity()-int64(len(buf))); err != nil {

@@ -43,25 +43,6 @@ func (t *Trace) Duration() time.Duration {
 	return t.Records[len(t.Records)-1].Time
 }
 
-// Validate checks time ordering and bounds against a capacity.
-func (t *Trace) Validate(capacity int64) error {
-	var prev time.Duration
-	for i, r := range t.Records {
-		if r.Time < prev {
-			return fmt.Errorf("trace %s: record %d time %v before %v", t.Name, i, r.Time, prev)
-		}
-		if r.Length <= 0 {
-			return fmt.Errorf("trace %s: record %d non-positive length %d", t.Name, i, r.Length)
-		}
-		if r.Offset < 0 || r.Offset+r.Length > capacity {
-			return fmt.Errorf("trace %s: record %d range [%d,%d) outside capacity %d",
-				t.Name, i, r.Offset, r.Offset+r.Length, capacity)
-		}
-		prev = r.Time
-	}
-	return nil
-}
-
 // Stats summarizes a trace.
 type Stats struct {
 	Requests      int
