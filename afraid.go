@@ -161,7 +161,7 @@ func NewMemDevice(size int64) *MemDevice { return core.NewMemDevice(size) }
 // OpenFileDevice creates or opens a file-backed device of exactly size
 // bytes.
 func OpenFileDevice(path string, size int64) (*FileDevice, error) {
-	return core.OpenFileDevice(path, size)
+	return core.OpenFileDevice(path, size, false)
 }
 
 // NewFileNVRAM returns a file-backed NVRAM at path.

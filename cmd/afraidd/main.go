@@ -268,9 +268,8 @@ func openBacking(dir, devName, nvName string, n int, size int64, prealloc bool) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	fopts := core.FileDeviceOptions{Preallocate: prealloc}
 	for i := range devs {
-		d, err := core.OpenFileDeviceOpts(filepath.Join(dir, fmt.Sprintf(devName, i)), size, fopts)
+		d, err := core.OpenFileDevice(filepath.Join(dir, fmt.Sprintf(devName, i)), size, prealloc)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -112,7 +112,9 @@ func TestStatCoversEveryCounter(t *testing.T) {
 	const extentSize = 16 << 10
 	frontSize := int64(8 * (extentSize + 16))
 	front := []core.BlockDevice{core.NewMemDevice(frontSize), core.NewMemDevice(frontSize)}
-	hybrid, err := tier.Open(back, front, &core.MemNVRAM{}, tier.Options{ExtentSize: extentSize, DisableMigrator: true})
+	// A migrator that waits an hour for idleness, under a valve above the
+	// front, never runs.
+	hybrid, err := tier.Open(back, front, &core.MemNVRAM{}, tier.Options{ExtentSize: extentSize, IdleDelay: time.Hour, MaxDirtyBytes: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package afraid
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"afraid/internal/testutil"
@@ -33,14 +35,124 @@ var exportsExempt = map[string]bool{
 // naming it. Such a name is surface only a test reaches; move it into a
 // _test.go file or delete it.
 func TestEveryExportHasAShippedCaller(t *testing.T) {
+	s := scanModule(t)
+	ifaceMethods := s.interfaceMethodNames()
+	var dead []string
+	for path, p := range s.pkgs {
+		if p == nil || !strings.HasPrefix(path, "afraid/internal/") || exportsExempt[path] {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !s.shipped[obj] {
+				dead = append(dead, path[len("afraid/internal/"):]+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				fn := named.Method(i)
+				if fn.Exported() && !s.shipped[fn] && !ifaceMethods[fn.Name()] {
+					dead = append(dead, path[len("afraid/internal/"):]+"."+name+"."+fn.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, name := range dead {
+		t.Errorf("%s: exported, but only tests reference it", name)
+	}
+}
+
+// TestEveryOptionHasAShippedCaller fails on every exported field of an
+// exported struct type under internal/ whose name ends in Options, Config
+// or Policy that no non-test file outside the field's own package names.
+// Such a field is a knob whose every shipped run takes its default: make
+// it that constant, or delete it. A test that needs another value sets
+// an unexported field or variable of its own package.
+func TestEveryOptionHasAShippedCaller(t *testing.T) {
+	s := scanModule(t)
+	var dead []string
+	total := 0
+	for path, p := range s.pkgs {
+		if p == nil || !strings.HasPrefix(path, "afraid/internal/") || exportsExempt[path] {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !isKnobType(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				total++
+				if !s.named[f] {
+					dead = append(dead, path[len("afraid/internal/"):]+"."+name+"."+f.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, name := range dead {
+		t.Errorf("%s: an option only tests and defaults set", name)
+	}
+	t.Logf("%d exported option fields, %d without a shipped caller", total, len(dead))
+}
+
+// isKnobType reports whether a struct type's name marks it as a set of
+// options.
+func isKnobType(name string) bool {
+	return strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Policy")
+}
+
+// moduleScan is the module type-checked once, with every object its
+// non-test files reference: shipped holds those referenced outside
+// their own declaration, named those referenced from another package.
+type moduleScan struct {
+	*moduleChecker
+	shipped map[types.Object]bool
+	named   map[types.Object]bool
+}
+
+var (
+	scanOnce sync.Once
+	scanned  *moduleScan
+	scanErr  error
+)
+
+// scanModule type-checks the module the first time a test asks, and
+// skips the test under -short and -race.
+func scanModule(t *testing.T) *moduleScan {
 	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("type-checks the module and the standard library from source")
 	}
+	scanOnce.Do(func() { scanned, scanErr = loadModule() })
+	if scanErr != nil {
+		t.Fatal(scanErr)
+	}
+	return scanned
+}
+
+func loadModule() (*moduleScan, error) {
 	root, err := os.Getwd()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	m := newModuleChecker(t, root)
+	m := newModuleChecker(root)
 
 	var dirs []string
 	seen := map[string]bool{}
@@ -62,10 +174,10 @@ func TestEveryExportHasAShippedCaller(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
-	shipped := map[types.Object]bool{}
+	s := &moduleScan{moduleChecker: m, shipped: map[types.Object]bool{}, named: map[types.Object]bool{}}
 	for _, dir := range dirs {
 		rel, _ := filepath.Rel(root, dir)
 		path := "afraid"
@@ -75,7 +187,10 @@ func TestEveryExportHasAShippedCaller(t *testing.T) {
 		if path == "afraid/internal/testutil" {
 			continue // imported by tests alone: its references ship nothing
 		}
-		p := m.load(path)
+		p, err := m.load(path)
+		if err != nil {
+			return nil, err
+		}
 		if p == nil {
 			continue // a directory whose files all carry other build tags
 		}
@@ -84,8 +199,13 @@ func TestEveryExportHasAShippedCaller(t *testing.T) {
 				own := ownedBy(p.info, decl)
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
-						if obj := origin(p.info.Uses[id]); obj != nil && !own[obj] {
-							shipped[obj] = true
+						if obj := origin(p.info.Uses[id]); obj != nil {
+							if !own[obj] {
+								s.shipped[obj] = true
+							}
+							if obj.Pkg() != p.types {
+								s.named[obj] = true
+							}
 						}
 					}
 					return true
@@ -93,39 +213,7 @@ func TestEveryExportHasAShippedCaller(t *testing.T) {
 			}
 		}
 	}
-
-	ifaceMethods := m.interfaceMethodNames()
-	var dead []string
-	for path, p := range m.pkgs {
-		if p == nil || !strings.HasPrefix(path, "afraid/internal/") || exportsExempt[path] {
-			continue
-		}
-		scope := p.types.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if obj.Exported() && !shipped[obj] {
-				dead = append(dead, path[len("afraid/internal/"):]+"."+name)
-			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				fn := named.Method(i)
-				if fn.Exported() && !shipped[fn] && !ifaceMethods[fn.Name()] {
-					dead = append(dead, path[len("afraid/internal/"):]+"."+name+"."+fn.Name())
-				}
-			}
-		}
-	}
-	sort.Strings(dead)
-	for _, name := range dead {
-		t.Errorf("%s: exported, but only tests reference it", name)
-	}
+	return s, nil
 }
 
 // ownedBy returns the objects a top-level declaration declares, and for
@@ -166,11 +254,14 @@ func ownedBy(info *types.Info, decl ast.Decl) map[types.Object]bool {
 	return own
 }
 
-// origin maps an instantiated generic function or method to its
+// origin maps an instantiated generic function, method or field to its
 // declaration.
 func origin(obj types.Object) types.Object {
-	if fn, ok := obj.(*types.Func); ok {
-		return fn.Origin()
+	switch x := obj.(type) {
+	case *types.Func:
+		return x.Origin()
+	case *types.Var:
+		return x.Origin()
 	}
 	return obj
 }
@@ -179,7 +270,6 @@ func origin(obj types.Object) types.Object {
 // their function bodies and uses recorded, the standard library's
 // without bodies. Cgo is off, so each package is its pure-Go files.
 type moduleChecker struct {
-	t    *testing.T
 	root string
 	ctx  build.Context
 	fset *token.FileSet
@@ -192,10 +282,10 @@ type checkedPkg struct {
 	info  *types.Info
 }
 
-func newModuleChecker(t *testing.T, root string) *moduleChecker {
+func newModuleChecker(root string) *moduleChecker {
 	ctx := build.Default
 	ctx.CgoEnabled = false
-	return &moduleChecker{t: t, root: root, ctx: ctx, fset: token.NewFileSet(), pkgs: map[string]*checkedPkg{}}
+	return &moduleChecker{root: root, ctx: ctx, fset: token.NewFileSet(), pkgs: map[string]*checkedPkg{}}
 }
 
 func (m *moduleChecker) Import(path string) (*types.Package, error) {
@@ -213,18 +303,21 @@ func (m *moduleChecker) ImportFrom(path, dir string, _ types.ImportMode) (*types
 		}
 		path = bp.ImportPath // resolves the standard library's vendored paths
 	}
-	p := m.load(path)
+	p, err := m.load(path)
+	if err != nil {
+		return nil, err
+	}
 	if p == nil {
-		m.t.Fatalf("%s: no buildable Go files", path)
+		return nil, fmt.Errorf("%s: no buildable Go files", path)
 	}
 	return p.types, nil
 }
 
 // load type-checks the non-test files of the package at import path,
 // once; it returns nil for a directory with no file for this platform.
-func (m *moduleChecker) load(path string) *checkedPkg {
+func (m *moduleChecker) load(path string) (*checkedPkg, error) {
 	if p, ok := m.pkgs[path]; ok {
-		return p
+		return p, nil
 	}
 	module := path == "afraid" || strings.HasPrefix(path, "afraid/")
 	var bp *build.Package
@@ -236,10 +329,10 @@ func (m *moduleChecker) load(path string) *checkedPkg {
 	}
 	if _, ok := err.(*build.NoGoError); ok {
 		m.pkgs[path] = nil
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		m.t.Fatalf("%s: %v", path, err)
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	p := &checkedPkg{}
 	if module {
@@ -252,17 +345,17 @@ func (m *moduleChecker) load(path string) *checkedPkg {
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(m.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			m.t.Fatal(err)
+			return nil, err
 		}
 		p.files = append(p.files, f)
 	}
 	conf := types.Config{Importer: m, IgnoreFuncBodies: !module}
 	p.types, err = conf.Check(path, m.fset, p.files, p.info)
 	if err != nil {
-		m.t.Fatalf("type-checking %s: %v", path, err)
+		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
 	m.pkgs[path] = p
-	return p
+	return p, nil
 }
 
 // interfaceMethodNames returns the name of every method of every

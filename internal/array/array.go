@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"time"
 
-	"afraid/internal/avail"
 	"afraid/internal/cache"
 	"afraid/internal/disk"
 	"afraid/internal/idle"
@@ -131,53 +130,46 @@ type Policy struct {
 	MarkGranularity int
 	// ConservativeStart is the §5 refinement: begin in RAID 5 mode and
 	// switch into AFRAID behaviour only once the observed idle fraction
-	// shows the workload leaves room to rebuild parity.
+	// (conservativeIdleFrac, over at least one second) shows the
+	// workload leaves room to rebuild parity.
 	ConservativeStart bool
-	// ConservativeIdleFrac is the idle fraction that triggers the
-	// switch (default 0.25), observed over at least one second.
-	ConservativeIdleFrac float64
 }
+
+const conservativeIdleFrac = 0.25 // the idle fraction that ends a conservative start
 
 // PLogConfig parameterizes the parity-logging baseline.
 type PLogConfig struct {
 	// LogBytes is the per-disk log region (reserved past the striped
 	// space). Zero selects 2 MB.
 	LogBytes int64
-	// BufferBytes is the NVRAM staging buffer flushed sequentially to
+	// bufferBytes is the NVRAM staging buffer flushed sequentially to
 	// the log region. Zero selects 64 KB.
-	BufferBytes int64
+	bufferBytes int64
 }
 
 func (p *PLogConfig) fill() {
 	if p.LogBytes == 0 {
 		p.LogBytes = 2 << 20
 	}
-	if p.BufferBytes == 0 {
-		p.BufferBytes = 64 << 10
+	if p.bufferBytes == 0 {
+		p.bufferBytes = 64 << 10
 	}
 }
 
-// Config describes a simulated array.
+// Config describes a simulated array: spin-synchronized disks, as the
+// paper considers, admitting as many client requests at once as there
+// are disks, the paper's choice. DefaultConfig builds one and fixes its
+// mode.
 type Config struct {
 	Geometry layout.Geometry
 	Disk     disk.Params
-	// SpinSync gives every disk the same rotational phase (the paper
-	// considers spin-synchronized arrays).
-	SpinSync bool
-	Mode     Mode
+	mode     Mode
 	Cache    cache.Config
-	// MaxOutstanding limits concurrently active client requests inside
-	// the array; zero selects the paper's choice (number of disks).
-	MaxOutstanding int
-	Policy         Policy
-	// Avail parameterizes the MTTDL_x policy arithmetic.
-	Avail avail.Params
+	Policy   Policy
 	// PLog parameterizes the PARITYLOG baseline (ignored otherwise).
 	PLog PLogConfig
 	// Fault optionally injects a disk failure (degraded-mode study).
 	Fault Fault
-	// Seed desynchronizes rotational phases when SpinSync is false.
-	Seed uint64
 }
 
 // DefaultConfig returns the paper's experimental setup: five
@@ -190,10 +182,8 @@ func DefaultConfig(mode Mode) Config {
 	cfg := Config{
 		Geometry: layout.Geometry{Disks: 5, StripeUnit: unit, DiskSize: diskSize, Level: presets[mode].level},
 		Disk:     p,
-		SpinSync: true,
-		Mode:     mode,
+		mode:     mode,
 		Cache:    cache.Config{BlockSize: unit, ReadBytes: 256 << 10, WriteBytes: 256 << 10},
-		Avail:    avail.Default(),
 	}
 	if mode == PARITYLOG {
 		// Reserve the per-disk log region past the striped space.
@@ -290,7 +280,7 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		return nil, err
 	}
 	physical := cfg.Geometry.DiskSize
-	if cfg.Mode == PARITYLOG {
+	if cfg.mode == PARITYLOG {
 		cfg.PLog.fill()
 		physical += cfg.PLog.LogBytes
 	}
@@ -298,16 +288,9 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		return nil, fmt.Errorf("array: per-disk footprint %d exceeds disk capacity %d",
 			physical, cfg.Disk.CapacityBytes())
 	}
-	if !cfg.Mode.valid() {
-		return nil, fmt.Errorf("array: unknown mode %v", cfg.Mode)
-	}
-	if wantLevel := presets[cfg.Mode].level; cfg.Geometry.Level != wantLevel {
+	if wantLevel := presets[cfg.mode].level; cfg.Geometry.Level != wantLevel {
 		return nil, fmt.Errorf("array: %v mode requires a %v layout, have %v",
-			cfg.Mode, wantLevel, cfg.Geometry.Level)
-	}
-	max := cfg.MaxOutstanding
-	if max == 0 {
-		max = cfg.Geometry.Disks
+			cfg.mode, wantLevel, cfg.Geometry.Level)
 	}
 	var det idle.Detector
 	switch {
@@ -329,8 +312,8 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		gran = 1
 	}
 	if gran > 1 {
-		if cfg.Mode != AFRAID {
-			return nil, fmt.Errorf("array: sub-stripe marking requires AFRAID mode, have %v", cfg.Mode)
+		if cfg.mode != AFRAID {
+			return nil, fmt.Errorf("array: sub-stripe marking requires AFRAID mode, have %v", cfg.mode)
 		}
 		if cfg.Geometry.StripeUnit%int64(gran) != 0 {
 			return nil, fmt.Errorf("array: marking granularity %d does not divide stripe unit %d",
@@ -344,7 +327,7 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		disks:         make([]*disk.Disk, cfg.Geometry.Disks),
 		busy:          make([]bool, cfg.Geometry.Disks),
 		queue:         make([][]diskOp, cfg.Geometry.Disks),
-		limiter:       iosched.NewLimiter(iosched.NewCLOOK(), max),
+		limiter:       iosched.NewLimiter(iosched.NewCLOOK(), cfg.Geometry.Disks),
 		cache:         cache.NewController(cfg.Cache),
 		marks:         nvram.NewBitmap(cfg.Geometry.Stripes() * int64(gran)),
 		detect:        det,
@@ -352,8 +335,8 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		activeWrites:  make(map[int64]int),
 		gran:          gran,
 	}
-	a.parities, a.sync = cfg.Mode.Parities()
-	if cfg.Policy.ConservativeStart && cfg.Mode == AFRAID {
+	a.parities, a.sync = cfg.mode.Parities()
+	if cfg.Policy.ConservativeStart && cfg.mode == AFRAID {
 		// §5: begin conservatively in RAID 5 mode; switch to AFRAID
 		// once the observed idle fraction shows headroom for rebuilds.
 		a.reverted = true
@@ -361,13 +344,8 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 	}
 	a.busyTW.Set(0, 0)
 	a.physical = physical
-	rng := sim.NewRNG(cfg.Seed ^ 0xafa1d)
 	for i := range a.disks {
-		var phase time.Duration
-		if !cfg.SpinSync {
-			phase = time.Duration(rng.Int63n(int64(cfg.Disk.Rotation())))
-		}
-		a.disks[i] = disk.New(cfg.Disk, phase)
+		a.disks[i] = disk.New(cfg.Disk)
 	}
 	a.lag.Set(0, 0)
 	a.deg.failed = -1

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"afraid/internal/avail"
 	"afraid/internal/sim"
 	"afraid/internal/trace"
 )
@@ -166,7 +167,7 @@ func TestMTTDLTargetPolicyMeetsGoal(t *testing.T) {
 	cfg.Policy.DirtyThreshold = 20
 	tr := smallWriteTrace(600, 8*time.Millisecond, 30*time.Second, cfg.Geometry.Capacity())
 	m := mustRun(t, cfg, tr)
-	achieved := cfg.Avail.AFRAIDDiskMTTDL(m.FracUnprotected)
+	achieved := avail.Default().AFRAIDDiskMTTDL(m.FracUnprotected)
 	if achieved < 0.95*cfg.Policy.TargetMTTDL {
 		t.Fatalf("achieved disk MTTDL %.3g more than 5%% below target %.3g (frac=%g)",
 			achieved, cfg.Policy.TargetMTTDL, m.FracUnprotected)

@@ -1,6 +1,10 @@
 package array
 
-import "time"
+import (
+	"time"
+
+	"afraid/internal/avail"
+)
 
 // maybeArmIdleTimer schedules the idle-detection check after the array
 // becomes quiescent with unredundant stripes outstanding. Only a preset
@@ -222,11 +226,7 @@ func (a *Array) updateConservative() {
 	if now < time.Second {
 		return // too little evidence either way
 	}
-	goal := a.cfg.Policy.ConservativeIdleFrac
-	if goal <= 0 {
-		goal = 0.25
-	}
-	if 1-a.busyTW.Average(now) >= goal {
+	if 1-a.busyTW.Average(now) >= conservativeIdleFrac {
 		a.conserving = false
 		a.reverted = false
 		a.revertedTime += now - a.revertedAt
@@ -273,7 +273,7 @@ const (
 // comfortably met again.
 func (a *Array) updateMTTDLPolicy() {
 	target := a.cfg.Policy.TargetMTTDL
-	if a.cfg.Mode != AFRAID || target <= 0 || a.conserving {
+	if a.cfg.mode != AFRAID || target <= 0 || a.conserving {
 		return
 	}
 	now := a.eng.Now()
@@ -284,7 +284,7 @@ func (a *Array) updateMTTDLPolicy() {
 	if frac > 1 {
 		frac = 1
 	}
-	achieved := a.cfg.Avail.AFRAIDDiskMTTDL(frac)
+	achieved := avail.Default().AFRAIDDiskMTTDL(frac)
 	if !a.reverted {
 		if achieved < target*revertMargin {
 			a.reverted = true

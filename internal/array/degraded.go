@@ -84,8 +84,7 @@ func (a *Array) injectFault() {
 	if f.SpareRebuild {
 		// Replace the failed member's slot with a fresh spare drive;
 		// reads keep reconstructing until the sweep passes each stripe.
-		var phase time.Duration
-		a.disks[f.Disk] = disk.New(a.cfg.Disk, phase)
+		a.disks[f.Disk] = disk.New(a.cfg.Disk)
 		a.rebuildSweepNext()
 	}
 }

@@ -112,7 +112,6 @@ func TestConservativeStartSwitchesOnIdleWorkload(t *testing.T) {
 func TestConservativeStartStaysRAID5UnderSaturation(t *testing.T) {
 	cfg := DefaultConfig(AFRAID)
 	cfg.Policy.ConservativeStart = true
-	cfg.Policy.ConservativeIdleFrac = 0.5
 	// Back-to-back writes, never idle.
 	tr := smallWriteTrace(400, 5*time.Millisecond, 0, cfg.Geometry.Capacity())
 	m := mustRun(t, cfg, tr)

@@ -166,7 +166,7 @@ func (a *Array) writeSpan(r *request, sp layout.StripeSpan) {
 		n = a.parities
 	}
 	switch {
-	case a.cfg.Mode == PARITYLOG && a.deg.failed < 0:
+	case a.cfg.mode == PARITYLOG && a.deg.failed < 0:
 		a.writeSpanPLog(r, sp)
 	case n < a.parities:
 		// The AFRAID fast path: mark the stripe unredundant in NVRAM

@@ -86,7 +86,7 @@ func (a *Array) Metrics(end time.Duration) Metrics {
 	}
 	hits, misses := a.cache.ReadStats()
 	m := Metrics{
-		Mode:               a.cfg.Mode,
+		Mode:               a.cfg.mode,
 		Submitted:          a.submitted,
 		Completed:          a.completed,
 		Reads:              a.reads,

@@ -98,7 +98,7 @@ func (a *Array) writeSpanPLog(r *request, sp layout.StripeSpan) {
 	// Log append: NVRAM-speed, then batched sequential flush.
 	st.buffered += imageBytes
 	st.pending[sp.Stripe] = true
-	if st.buffered >= a.cfg.PLog.BufferBytes {
+	if st.buffered >= a.cfg.PLog.bufferBytes {
 		a.flushLogBuffer(pDisk)
 	}
 	if st.logged+st.buffered >= a.cfg.PLog.LogBytes*9/10 {

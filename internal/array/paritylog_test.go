@@ -51,7 +51,7 @@ func TestParityLogFillStallsWrites(t *testing.T) {
 	// failure mode AFRAID does not have.
 	cfg := DefaultConfig(PARITYLOG)
 	cfg.PLog.LogBytes = 64 << 10 // absurdly small: ~8 images
-	cfg.PLog.BufferBytes = 16 << 10
+	cfg.PLog.bufferBytes = 16 << 10
 	cfg.Geometry.DiskSize = (cfg.Disk.CapacityBytes() - cfg.PLog.LogBytes) / cfg.Geometry.StripeUnit * cfg.Geometry.StripeUnit
 	tr := smallWriteTrace(300, 5*time.Millisecond, 0, cfg.Geometry.Capacity())
 	m := mustRun(t, cfg, tr)

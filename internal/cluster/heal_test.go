@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -44,8 +45,10 @@ func (n *holdNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int
 func TestFullHealNeverServesTheBlankNode(t *testing.T) {
 	const unit, stripes, victim = 4096, 16, 1
 	nv := &core.MemNVRAM{}
+	// One stripe healed at a time, so the heal holds exactly one write.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := quietOpts()
-	opts.NV, opts.Workers, opts.HedgeDelay = nv, 1, -1
+	opts.NV, opts.HedgeDelay = nv, -1
 	current := make([]Node, 4)
 	for i := range current {
 		current[i] = newMemNode(stripes * unit)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,17 +165,17 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 }
 
 // A heal is two node round trips a stripe — load the survivors, store the
-// unit — and the sweep is the volume's MTTR, so it runs Workers stripes at
-// a time: on nodes that take 2 ms an operation, four workers finish a
-// 64-stripe heal in under half the time one does.
+// unit — and the sweep is the volume's MTTR, so it runs min(GOMAXPROCS,
+// data nodes) stripes at a time: on nodes that take 2 ms an operation,
+// three workers finish a 64-stripe heal in under half the time one does.
 func TestHealSweepRunsWorkersWide(t *testing.T) {
 	const service = 2 * time.Millisecond
 	const unit, stripes, victim = 4096, 64, 1
 	ctx := context.Background()
 	heal := func(workers int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		opts := quietOpts()
 		opts.HedgeDelay = -1
-		opts.Workers = workers
 		v, faults := testVolume(t, 4, stripes*unit, opts)
 		shadow := fillVolume(t, v, 13)
 		if err := v.Flush(ctx); err != nil {
@@ -196,9 +197,9 @@ func TestHealSweepRunsWorkersWide(t *testing.T) {
 		assertRedundant(t, v)
 		return took
 	}
-	serial, wide := heal(1), heal(4)
+	serial, wide := heal(1), heal(3)
 	if wide >= serial/2 {
-		t.Fatalf("64-stripe heal on %v nodes: %v with 4 workers, %v with 1; want under half", service, wide, serial)
+		t.Fatalf("64-stripe heal on %v nodes: %v with 3 workers, %v with 1; want under half", service, wide, serial)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +14,9 @@ import (
 	"afraid/internal/server"
 )
 
-// Options configures a Volume. The first five are the store's: its stripe
-// unit, DirtyThreshold, ScrubIdle, DisableScrubber and ScrubWorkers.
+// Options configures a Volume. The first four are the store's: its stripe
+// unit, DirtyThreshold, ScrubIdle and DisableScrubber. The store drains,
+// heals and verifies min(GOMAXPROCS, data nodes) stripes at a time.
 type Options struct {
 	// StripeUnit is the bytes each node contributes to one stripe (default
 	// 64 KiB: network round trips want fatter units than disks).
@@ -31,9 +31,6 @@ type Options struct {
 	// DisableDrain turns the background drain off; parity is then rebuilt
 	// only by Flush and the inline valve.
 	DisableDrain bool
-	// Workers bounds the stripes drained, healed or verified concurrently
-	// (default min(GOMAXPROCS, 4)).
-	Workers int
 	// NodeTimeout is the per-node operation deadline (default 10 s): how a
 	// slow or wedged node is declared down instead of stalling the volume.
 	NodeTimeout time.Duration
@@ -67,7 +64,6 @@ func (o *Options) fill() {
 	orDefault(&o.DrainIdle, 100*time.Millisecond)
 	orDefault(&o.NodeTimeout, 10*time.Second)
 	orDefault(&o.DialTimeout, 5*time.Second)
-	orDefault(&o.Workers, min(runtime.GOMAXPROCS(0), 4))
 	orDefault(&o.QuarantineDecay, 5*time.Minute)
 }
 
@@ -156,7 +152,6 @@ func Open(members []Member, opts Options) (*Volume, error) {
 		ScrubIdle:       opts.DrainIdle,
 		DirtyThreshold:  int(opts.MaxDirty),
 		DisableScrubber: opts.DisableDrain,
-		ScrubWorkers:    opts.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -282,9 +277,9 @@ func (v *Volume) WriteContext(ctx context.Context, p []byte, off int64) (int, er
 	return v.st.WriteContext(ctx, p, off)
 }
 
-// Flush drains every dirty stripe (Workers at a time), then flushes each
-// reachable node so its own array settles too. Stripes that need a down
-// node stay marked, and Flush returns core.ErrTooManyFailures.
+// Flush drains every dirty stripe, then flushes each reachable node so
+// its own array settles too. Stripes that need a down node stay marked,
+// and Flush returns core.ErrTooManyFailures.
 func (v *Volume) Flush(ctx context.Context) error {
 	if err := v.st.FlushContext(ctx); err != nil {
 		return err

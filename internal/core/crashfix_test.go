@@ -143,7 +143,7 @@ type sweptArray struct {
 // first unit, when disk 1 fails.
 func newSweptArray(t *testing.T, opts Options, dirty ...int64) *sweptArray {
 	t.Helper()
-	opts.StripeUnit, opts.DisableScrubber, opts.ScrubWorkers = sweptUnit, true, 1
+	opts.StripeUnit, opts.DisableScrubber, opts.workers = sweptUnit, true, 1
 	size, blockAt := int64(sweptStripes*sweptUnit), 101
 	if opts.Checksums {
 		size += layout.Geometry{StripeUnit: sweptUnit, DiskSize: size}.ChecksumTrailerBytes()

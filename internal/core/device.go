@@ -100,26 +100,15 @@ type FileDevice struct {
 	size int64
 }
 
-// FileDeviceOptions configures OpenFileDeviceOpts.
-type FileDeviceOptions struct {
-	// Preallocate reserves the device's blocks at open time instead of
-	// leaving the image sparse. Without it, the first write to each
-	// filesystem block pays an allocation (and on a filling disk may
-	// fail with ENOSPC mid-workload); with it, the space is committed
-	// up front and steady-state writes never stall on the allocator.
-	// Uses fallocate where the platform and filesystem support it,
-	// falling back to zero-filling the file's unwritten tail.
-	Preallocate bool
-}
-
 // OpenFileDevice creates (or opens) path and ensures it is exactly size
-// bytes long.
-func OpenFileDevice(path string, size int64) (*FileDevice, error) {
-	return OpenFileDeviceOpts(path, size, FileDeviceOptions{})
-}
-
-// OpenFileDeviceOpts is OpenFileDevice with explicit options.
-func OpenFileDeviceOpts(path string, size int64, opts FileDeviceOptions) (*FileDevice, error) {
+// bytes long. With prealloc it reserves the device's blocks at open time
+// instead of leaving the image sparse: without it, the first write to
+// each filesystem block pays an allocation (and on a filling disk may
+// fail with ENOSPC mid-workload); with it, the space is committed up
+// front and steady-state writes never stall on the allocator. It uses
+// fallocate where the platform and filesystem support it, falling back
+// to zero-filling the file's unwritten tail.
+func OpenFileDevice(path string, size int64, prealloc bool) (*FileDevice, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: device size %d must be positive", size)
 	}
@@ -137,7 +126,7 @@ func OpenFileDeviceOpts(path string, size int64, opts FileDeviceOptions) (*FileD
 		f.Close()
 		return nil, err
 	}
-	if opts.Preallocate {
+	if prealloc {
 		if err := preallocFile(f, oldSize, size); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("core: preallocating %s: %w", path, err)

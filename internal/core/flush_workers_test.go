@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// The tests here cover the parallel drain machinery: the ScrubWorkers
-// knob, concurrent Flush under live writers, the claim set that keeps
-// workers off each other's stripes, and the ordering guarantees of the
-// parallel RepairDisk sweep.
+// The tests here cover the parallel drain machinery: the drain width
+// (scrubWorkers), concurrent Flush under live writers, the claim set
+// that keeps workers off each other's stripes, and the ordering
+// guarantees of the parallel RepairDisk sweep.
 
 func TestScrubWorkersDefault(t *testing.T) {
 	s, _ := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit, DisableScrubber: true})
@@ -24,7 +24,7 @@ func TestScrubWorkersDefault(t *testing.T) {
 		t.Fatalf("default scrubWorkers = %d, want min(GOMAXPROCS, data disks) = %d", got, want)
 	}
 
-	s2, _ := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit, DisableScrubber: true, ScrubWorkers: 3})
+	s2, _ := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit, DisableScrubber: true, workers: 3})
 	if got := s2.scrubWorkers(); got != 3 {
 		t.Fatalf("scrubWorkers with override = %d, want 3", got)
 	}
@@ -37,7 +37,7 @@ func TestScrubWorkersDefault(t *testing.T) {
 // the pooled stripe arenas all cross goroutines here.
 func TestFlushUnderConcurrentWrites(t *testing.T) {
 	opts := Options{Mode: Afraid, StripeUnit: testUnit, ScrubIdle: 2 * time.Millisecond,
-		DirtyThreshold: 8, ScrubWorkers: 4}
+		DirtyThreshold: 8, workers: 4}
 	devs := newDevs(5)
 	s, err := Open(devs, &MemNVRAM{}, opts)
 	if err != nil {
@@ -145,7 +145,7 @@ func TestParallelFlushDoesNotUnmarkReDirtiedStripe(t *testing.T) {
 	devs := newDevs(5)
 	devs[0] = gated
 	s, err := Open(devs, &MemNVRAM{}, Options{Mode: Afraid, StripeUnit: testUnit,
-		DisableScrubber: true, ScrubWorkers: 4})
+		DisableScrubber: true, workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestParallelFlushDoesNotUnmarkReDirtiedStripe(t *testing.T) {
 // multi-stripe ParityPoint clears exactly its span.
 func TestParallelParityPointAndCheckParity(t *testing.T) {
 	s, _ := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit,
-		DisableScrubber: true, ScrubWorkers: 4})
+		DisableScrubber: true, workers: 4})
 	span := s.geo.StripeDataBytes()
 
 	dirty := []int64{2, 3, 5, 9, 17, 33}
@@ -253,7 +253,7 @@ func TestParallelParityPointAndCheckParity(t *testing.T) {
 // that were dirty at failure time.
 func TestRepairReportSorted(t *testing.T) {
 	s, _ := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit,
-		DisableScrubber: true, ScrubWorkers: 4})
+		DisableScrubber: true, workers: 4})
 	span := s.geo.StripeDataBytes()
 
 	dirty := []int64{1, 4, 7, 19, 23, 40, 41, 42, 60}
@@ -304,7 +304,7 @@ func TestRepairReportSorted(t *testing.T) {
 // the disk and reports the degraded array as Flush does, and each
 // stripe it makes redundant is timed into scrub_stripe.
 func TestParityPointSharesTheScrubPath(t *testing.T) {
-	s, devs := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit, DisableScrubber: true, ScrubWorkers: 2})
+	s, devs := openTest(t, Options{Mode: Afraid, StripeUnit: testUnit, DisableScrubber: true, workers: 2})
 	defer s.Close()
 	span := s.geo.StripeDataBytes()
 	const k = 6

@@ -181,7 +181,7 @@ func TestReadRunBeyondRedundancy(t *testing.T) {
 // the replacement's blank units as data — in ten device_read entries, and
 // without waiting for the sweep.
 func TestReadRunsDoNotFormUnderRepair(t *testing.T) {
-	s, _ := openRuns(t, 3, Options{Mode: Raid5, ScrubWorkers: 1})
+	s, _ := openRuns(t, 3, Options{Mode: Raid5, workers: 1})
 	data := pattern(int(s.Capacity()), 3)
 	if _, err := s.WriteAt(data, 0); err != nil {
 		t.Fatal(err)

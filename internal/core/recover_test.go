@@ -177,7 +177,7 @@ func TestRepairReportsDirtyStripeDamage(t *testing.T) {
 // counts it in Stats. The salvaged unit reads back zeroes with no error
 // from then on, so a report dropped with the error would make it silent.
 func TestFailedRepairReportsSalvagedLoss(t *testing.T) {
-	s, _ := openTest(t, Options{Mode: Afraid, DisableScrubber: true, ScrubWorkers: 1})
+	s, _ := openTest(t, Options{Mode: Afraid, DisableScrubber: true, workers: 1})
 	defer s.Close()
 	fillStore(t, s)
 	if err := s.Flush(); err != nil {

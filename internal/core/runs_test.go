@@ -315,7 +315,7 @@ func TestRepairSwapDrainsRuns(t *testing.T) {
 // 70–79 must wait for that stripe's lock, and would otherwise, as one run
 // under stripe 70's lock, return the replacement's blank units as data.
 func TestRunsDoNotFoldUnderRepair(t *testing.T) {
-	s, _ := openRuns(t, 1, Options{Mode: Raid0, ScrubWorkers: 1})
+	s, _ := openRuns(t, 1, Options{Mode: Raid0, workers: 1})
 	if err := s.FailDisk(0); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func (s *Store) ParityPoint(off, length int64) error {
 
 // ParityPointContext is ParityPoint with cancellation, checked between
 // stripes. Multi-stripe ranges are drained by a pool of scrub workers; a
-// single-stripe range (or ScrubWorkers=1) runs inline on the caller's
+// single-stripe range (or a width of 1) runs inline on the caller's
 // goroutine, so the common "commit this record" case spawns nothing.
 func (s *Store) ParityPointContext(ctx context.Context, off, length int64) error {
 	if err := s.checkRange(off, length); err != nil {

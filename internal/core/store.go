@@ -90,10 +90,6 @@ type Options struct {
 	// DisableScrubber turns the background goroutine off; parity is
 	// then rebuilt only by Flush/ParityPoint.
 	DisableScrubber bool
-	// ScrubWorkers bounds the stripes rebuilt concurrently by Flush,
-	// ParityPoint, CheckParity, and the RepairDisk sweep (default
-	// min(GOMAXPROCS, data disks)). 1 drains serially.
-	ScrubWorkers int
 	// Checksums enables per-unit CRC32C verification: every member
 	// reserves a checksum trailer, writes refresh it, reads and scrubs
 	// verify against it, and a mismatch is repaired from redundancy or
@@ -101,6 +97,10 @@ type Options struct {
 	// trailer claims a little of each device, so a store must keep the
 	// setting it was created with.
 	Checksums bool
+
+	// workers, when positive, replaces scrubWorkers' width; a test sets
+	// 1 to drain serially.
+	workers int
 }
 
 func (o *Options) fill() {
@@ -416,21 +416,15 @@ func (s *Store) stripeLock(stripe int64) *sync.Mutex {
 	return &s.locks[stripe%int64(len(s.locks))]
 }
 
-// scrubWorkers resolves the drain concurrency: Options.ScrubWorkers,
-// or min(GOMAXPROCS, data disks) — wider gains nothing once every
-// spindle has a read in flight, narrower wastes idle devices.
+// scrubWorkers is how many stripes Flush, ParityPoint, CheckParity and
+// the RepairDisk sweep rebuild at once: min(GOMAXPROCS, data disks) —
+// wider gains nothing once every spindle has a read in flight, narrower
+// wastes idle devices.
 func (s *Store) scrubWorkers() int {
-	w := s.opts.ScrubWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if dd := s.geo.DataDisks(); w > dd {
-			w = dd
-		}
+	if s.opts.workers > 0 {
+		return s.opts.workers
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(runtime.GOMAXPROCS(0), s.geo.DataDisks()))
 }
 
 // SetSync sets the sync count of the stripes of [off, off+length): how

@@ -184,7 +184,6 @@ type Op struct {
 // concurrent use; the simulator serializes access per disk.
 type Disk struct {
 	p       Params
-	phase   time.Duration // rotational phase offset (0 for spin-synced sets)
 	curCyl  int
 	curHead int
 
@@ -198,25 +197,20 @@ type Disk struct {
 	bytesWrit int64
 }
 
-// New creates a disk with the given rotational phase. Spin-synchronized
-// arrays give every disk the same phase (zero).
-func New(p Params, phase time.Duration) *Disk {
+// New creates a disk at rotational phase zero: the arrays built from it
+// are spin-synchronized, every disk at the same phase.
+func New(p Params) *Disk {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Disk{p: p, phase: phase}
+	return &Disk{p: p}
 }
 
-// angleAt returns the rotational position at absolute time t as a sector
-// fraction in [0, 1).
-func (d *Disk) angleAt(t time.Duration, spt int) float64 {
+// angleAt returns the rotational position at time t (never negative) as
+// a fraction of a revolution in [0, 1).
+func (d *Disk) angleAt(t time.Duration) float64 {
 	rot := d.p.Rotation()
-	pos := (t + d.phase) % rot
-	if pos < 0 {
-		pos += rot
-	}
-	_ = spt
-	return float64(pos) / float64(rot)
+	return float64(t%rot) / float64(rot)
 }
 
 // rotWait returns the delay from time t until sector sec (of spt) passes
@@ -224,7 +218,7 @@ func (d *Disk) angleAt(t time.Duration, spt int) float64 {
 func (d *Disk) rotWait(t time.Duration, sec, spt int) time.Duration {
 	rot := d.p.Rotation()
 	target := float64(sec) / float64(spt)
-	cur := d.angleAt(t, spt)
+	cur := d.angleAt(t)
 	frac := target - cur
 	if frac < 0 {
 		frac += 1

@@ -119,7 +119,7 @@ func TestLocateQuickInRange(t *testing.T) {
 
 func TestServiceTimeBounds(t *testing.T) {
 	p := C3325()
-	d := New(p, 0)
+	d := New(p)
 	maxOne := p.SeekTime(cylinders(p)-1) + p.Rotation() + p.Rotation() + p.ControllerOverhead + p.WriteSettle + p.HeadSwitch
 	now := time.Duration(0)
 	rng := uint64(12345)
@@ -153,14 +153,14 @@ func TestServiceTimeBounds(t *testing.T) {
 func TestSequentialFasterThanRandom(t *testing.T) {
 	p := C3325()
 
-	seq := New(p, 0)
+	seq := New(p)
 	now := time.Duration(0)
 	for i := 0; i < 500; i++ {
 		now += seq.ServiceTime(now, Op{Offset: int64(i) * 8 << 10, Length: 8 << 10})
 	}
 	seqTotal := now
 
-	rnd := New(p, 0)
+	rnd := New(p)
 	now = 0
 	rng := uint64(999)
 	for i := 0; i < 500; i++ {
@@ -185,7 +185,7 @@ func TestRandomSmallIOAveragePlausible(t *testing.T) {
 	// roughly seek (~10ms) + half rotation (~5.6ms) + transfer (<1ms)
 	// + overhead => 15-22ms.
 	p := C3325()
-	d := New(p, 0)
+	d := New(p)
 	now := time.Duration(0)
 	rng := uint64(777)
 	n := 2000
@@ -204,7 +204,7 @@ func TestRandomSmallIOAveragePlausible(t *testing.T) {
 
 func TestSameSectorRereadCostsFullRotation(t *testing.T) {
 	p := C3325()
-	d := New(p, 0)
+	d := New(p)
 	op := Op{Offset: 1 << 20, Length: 4 << 10}
 	t0 := d.ServiceTime(0, op)
 	// Immediately re-reading the same sectors requires ~a full rotation
@@ -218,21 +218,9 @@ func TestSameSectorRereadCostsFullRotation(t *testing.T) {
 	}
 }
 
-func TestSpinSyncPhaseAffectsLatency(t *testing.T) {
-	p := C3325()
-	a := New(p, 0)
-	b := New(p, p.Rotation()/2)
-	// Same op at the same instant should see different rotational waits.
-	ta := a.ServiceTime(0, Op{Offset: 0, Length: 4 << 10})
-	tb := b.ServiceTime(0, Op{Offset: 0, Length: 4 << 10})
-	if ta == tb {
-		t.Fatal("phase offset had no effect on service time")
-	}
-}
-
 func TestTrackCrossingTransfer(t *testing.T) {
 	p := C3325()
-	d := New(p, 0)
+	d := New(p)
 	spt := p.Zones[0].SectorsPerTrack
 	trackBytes := int64(spt) * SectorSize
 	// A transfer of three tracks must cost at least three rotations of
@@ -247,7 +235,7 @@ func TestTrackCrossingTransfer(t *testing.T) {
 }
 
 func TestZeroLengthPanics(t *testing.T) {
-	d := New(C3325(), 0)
+	d := New(C3325())
 	defer func() {
 		if recover() == nil {
 			t.Error("zero-length op did not panic")
@@ -268,8 +256,8 @@ func TestWriteSettleCostsItsMeanOverPhases(t *testing.T) {
 	var sumR, sumW time.Duration
 	for i := 0; i < n; i++ {
 		start := rot * time.Duration(i) / time.Duration(n)
-		a := New(p, 0)
-		b := New(p, 0)
+		a := New(p)
+		b := New(p)
 		sumR += a.ServiceTime(start, Op{Offset: 4 << 20, Length: 8 << 10})
 		sumW += b.ServiceTime(start, Op{Write: true, Offset: 4 << 20, Length: 8 << 10})
 	}
@@ -282,7 +270,7 @@ func TestWriteSettleCostsItsMeanOverPhases(t *testing.T) {
 
 func TestReportTimeBelowMechanical(t *testing.T) {
 	p := C3325()
-	d := New(p, 0)
+	d := New(p)
 	op := Op{Write: true, Offset: 4 << 20, Length: 8 << 10}
 	rt := d.ReportTime(op)
 	st := d.ServiceTime(0, op)

@@ -33,7 +33,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 
 func benchmarkPipelinedWrites(b *testing.B) {
 	const frame, window = 4 << 10, 16
-	srv, c := startBench(b, Options{MaxInflight: 1024, MaxPayload: frame})
+	srv, c := startBench(b, Options{MaxInflight: 1024, maxPayload: frame})
 	defer srv.Close()
 	defer c.Close()
 	buf := make([]byte, frame*window)

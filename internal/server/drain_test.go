@@ -364,7 +364,7 @@ func TestHardShutdownCancelsStoreWork(t *testing.T) {
 // one stalled client wedge the shared pool for everyone else.
 func TestStalledReaderDisconnected(t *testing.T) {
 	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
-		Options{MaxInflight: 512, WriteTimeout: 200 * time.Millisecond})
+		Options{MaxInflight: 512, writeTimeout: 200 * time.Millisecond})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

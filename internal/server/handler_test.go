@@ -242,7 +242,7 @@ func TestReplyQueueIsBounded(t *testing.T) {
 // connection waits on them: there is no shared goroutine for it to wedge.
 func TestStalledReaderHoldsOnlyItsOwnHandlers(t *testing.T) {
 	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
-		Options{WriteTimeout: 200 * time.Millisecond})
+		Options{writeTimeout: 200 * time.Millisecond})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

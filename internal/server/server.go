@@ -37,42 +37,46 @@ type Backend interface {
 	StatMap() map[string]int64
 }
 
-// Options configures a Server. The zero value picks sensible defaults.
+// Options configures a Server. The zero value picks sensible defaults;
+// a frame's payload limit (DefaultMaxPayload) and the 30 s deadline on
+// each response write are fixed.
 type Options struct {
 	// MaxInflight bounds accepted-but-unfinished requests across all
 	// connections (default 256), and so the handlers busy applying them
 	// to the store. Beyond it the server answers ERR_BUSY instead of
 	// buffering without bound.
 	MaxInflight int
-	// MaxPayload bounds one frame's data (default DefaultMaxPayload),
-	// the STAT snapshot's few KiB included.
-	MaxPayload uint32
 	// RequestTimeout is the per-request deadline (default 30s), counted
 	// from the frame's arrival; it cancels store work mid-request via
 	// context.
 	RequestTimeout time.Duration
-	// WriteTimeout bounds each socket write of response frames
+	// Logf, when set, receives connection-level diagnostics.
+	Logf func(format string, args ...any)
+
+	// maxPayload bounds one frame's data (default DefaultMaxPayload),
+	// the STAT snapshot's few KiB included; the handshake tells the
+	// client.
+	maxPayload uint32
+	// writeTimeout bounds each socket write of response frames
 	// (default 30s). A client that pipelines requests but stops
 	// reading responses would otherwise block the connection's flusher,
 	// fill its reply queue, and park its handlers in reply, each on an
 	// in-flight token; on expiry the connection is closed instead.
-	WriteTimeout time.Duration
-	// Logf, when set, receives connection-level diagnostics.
-	Logf func(format string, args ...any)
+	writeTimeout time.Duration
 }
 
 func (o *Options) fill() {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
-	if o.MaxPayload == 0 {
-		o.MaxPayload = DefaultMaxPayload
+	if o.maxPayload == 0 {
+		o.maxPayload = DefaultMaxPayload
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
+	if o.writeTimeout <= 0 {
+		o.writeTimeout = 30 * time.Second
 	}
 }
 
@@ -503,13 +507,13 @@ func (c *conn) handshake() error {
 	reply := make([]byte, 0, handshakeReplyLen)
 	reply = append(reply, Magic...)
 	reply = appendUint64(reply, uint64(c.srv.store.Capacity()))
-	reply = appendUint32(reply, c.srv.opts.MaxPayload)
-	_, err := deadlineWriter{c.nc, c.srv.opts.WriteTimeout}.Write(reply)
+	reply = appendUint32(reply, c.srv.opts.maxPayload)
+	_, err := deadlineWriter{c.nc, c.srv.opts.writeTimeout}.Write(reply)
 	return err
 }
 
 // deadlineWriter arms a fresh write deadline before every socket write
-// so a stalled client bounds the write at WriteTimeout instead of
+// so a stalled client bounds the write at writeTimeout instead of
 // blocking it forever.
 type deadlineWriter struct {
 	nc      net.Conn
@@ -531,7 +535,7 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 func (c *conn) readLoop() {
 	s := c.srv
 	for {
-		req, err := ReadRequest(c.br, s.opts.MaxPayload)
+		req, err := ReadRequest(c.br, s.opts.maxPayload)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !isClosing(err) {
 				s.logf("server: %s read: %v", c.nc.RemoteAddr(), err)
@@ -692,7 +696,7 @@ func (c *conn) write(rs []Response) bool {
 	for i := range rs {
 		b.add(&rs[i])
 		if len(b.segs) >= maxResponseBatch || b.bytes >= maxBatchBytes || i == len(rs)-1 {
-			if err := b.writeTo(c.nc, c.srv.opts.WriteTimeout); err != nil {
+			if err := b.writeTo(c.nc, c.srv.opts.writeTimeout); err != nil {
 				return false
 			}
 		}

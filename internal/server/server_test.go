@@ -161,7 +161,7 @@ func TestOverflowingOffsetsRejected(t *testing.T) {
 
 func TestServerLargeTransfersChunk(t *testing.T) {
 	_, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
-		Options{MaxPayload: 8 << 10})
+		Options{maxPayload: 8 << 10})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -24,20 +24,24 @@ import (
 // touching an acknowledged byte is a violation, and any silent mismatch
 // is the cardinal one.
 
+// An episode's front and workload shape.
+const (
+	chaosSlotsPerPair  = 6                   // extent slots per pair
+	chaosExtentSize    = 4096                // migration unit
+	chaosWriteFrac     = 0.65                // fraction of ops that write
+	chaosMaxIO         = 3 * chaosExtentSize // max bytes per op
+	chaosMaxDirtyBytes = 2 * chaosExtentSize // pressure valve
+)
+
 // ChaosConfig selects one episode's build and failure schedule. The
 // zero value is a plain crash-free workload.
 type ChaosConfig struct {
 	// Back is the back store's build (default: 4-disk AFRAID, 512-byte
 	// units, 48 stripes per disk) and whatever a composed schedule arms
 	// inside it.
-	Back          fault.Config
-	FrontPairs    int     // front mirror pairs (default 1)
-	SlotsPerPair  int64   // extent slots per pair (default 6)
-	ExtentSize    int64   // migration unit (default 4096)
-	Ops           int     // workload operations (default 150)
-	WriteFrac     float64 // fraction of ops that write (default 0.65)
-	MaxIO         int64   // max bytes per op (default 3×ExtentSize)
-	MaxDirtyBytes int64   // pressure valve (default 2×ExtentSize)
+	Back       fault.Config
+	FrontPairs int // front mirror pairs (default 1)
+	Ops        int // workload operations (default 150)
 
 	PowerCut      bool // cut power mid-workload and reopen through recovery
 	DropTierMap   bool // the crash also destroys the tier's extent map
@@ -55,23 +59,8 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.FrontPairs == 0 {
 		c.FrontPairs = 1
 	}
-	if c.SlotsPerPair == 0 {
-		c.SlotsPerPair = 6
-	}
-	if c.ExtentSize == 0 {
-		c.ExtentSize = 4096
-	}
 	if c.Ops == 0 {
 		c.Ops = 150
-	}
-	if c.WriteFrac == 0 {
-		c.WriteFrac = 0.65
-	}
-	if c.MaxIO == 0 {
-		c.MaxIO = 3 * c.ExtentSize
-	}
-	if c.MaxDirtyBytes == 0 {
-		c.MaxDirtyBytes = 2 * c.ExtentSize
 	}
 	if c.DropTierMap {
 		// Map loss is only observable through a crash, and losing the
@@ -110,7 +99,7 @@ func NewChaosStack(cfg ChaosConfig) *ChaosStack {
 // Plan is the tier schedule: workload (over a hot prefix, so extents
 // stay resident long enough to take front hits), then the power cycle.
 func (s *ChaosStack) Plan() fault.Plan {
-	return fault.Plan{WriteFrac: s.cfg.WriteFrac, MaxIO: s.cfg.MaxIO, HotSpan: 4 * s.cfg.ExtentSize, Steps: []fault.Step{
+	return fault.Plan{WriteFrac: chaosWriteFrac, MaxIO: chaosMaxIO, HotSpan: 4 * chaosExtentSize, Steps: []fault.Step{
 		fault.Workload(s.cfg.Ops), s.PowerCycle, fault.Sweep("post-recovery"),
 	}}
 }
@@ -123,16 +112,16 @@ func (s *ChaosStack) Open(e *fault.Episode) error {
 		return fmt.Errorf("tier chaos: opening back store: %w", err)
 	}
 	for i := 0; i < 2*s.cfg.FrontPairs; i++ {
-		s.FrontBackings = append(s.FrontBackings, core.NewMemDevice(s.cfg.SlotsPerPair*(s.cfg.ExtentSize+tagSize)))
+		s.FrontBackings = append(s.FrontBackings, core.NewMemDevice(chaosSlotsPerPair*(chaosExtentSize+tagSize)))
 	}
 	if s.cfg.FrontCopyLoss {
 		// A run of one copy's slots reads as lost: the media's loss,
 		// which the copy reports rather than returning wrong bytes.
 		s.lossDev = e.Rng.Intn(2 * s.cfg.FrontPairs)
-		first := e.Rng.Int63n(s.cfg.SlotsPerPair)
-		slots := 1 + e.Rng.Int63n(s.cfg.SlotsPerPair-first)
+		first := e.Rng.Int63n(chaosSlotsPerPair)
+		slots := 1 + e.Rng.Int63n(chaosSlotsPerPair-first)
 		s.loss = fault.Rule{
-			When: fault.All(fault.Reads(), fault.InRange(first*s.cfg.ExtentSize, slots*s.cfg.ExtentSize)),
+			When: fault.All(fault.Reads(), fault.InRange(first*chaosExtentSize, slots*chaosExtentSize)),
 			Do:   fault.Transient(fmt.Errorf("tier chaos: front slots lost: %w", core.ErrDataLoss)),
 		}
 	}
@@ -178,8 +167,8 @@ func (s *ChaosStack) wireFront(seed int64, dead []bool) {
 
 func (s *ChaosStack) open() error {
 	st, err := Open(s.Back.Store(), fault.Devices(s.frontDevs), s.nv, Options{
-		ExtentSize:    s.cfg.ExtentSize,
-		MaxDirtyBytes: s.cfg.MaxDirtyBytes,
+		ExtentSize:    chaosExtentSize,
+		MaxDirtyBytes: chaosMaxDirtyBytes,
 		// An aggressive idle timer keeps the migrator demoting all
 		// through the workload, so the fuse can land mid-migration.
 		IdleDelay: 2 * time.Millisecond,
@@ -211,9 +200,7 @@ func (s *ChaosStack) Reboot(seed int64) error {
 	// The crash kills the process: no Close, no Flush. The migrator
 	// goroutine is stopped only because the harness process lives on.
 	s.st.closed.Store(true)
-	if s.st.mig != nil {
-		s.st.mig.stop()
-	}
+	s.st.mig.stop()
 	if err := s.Back.Reopen(seed + 100); err != nil {
 		return err
 	}
@@ -244,7 +231,7 @@ func (s *ChaosStack) Audit() ([]int64, error) { return s.Back.Store().CheckParit
 // Grains are what the tiers move whole: stripes of the back store, and
 // extents.
 func (s *ChaosStack) Grains() []fault.Grain {
-	return []fault.Grain{{Bytes: s.Back.Store().Geometry().StripeDataBytes(), Most: 3}, {Bytes: s.cfg.ExtentSize, Most: 2}}
+	return []fault.Grain{{Bytes: s.Back.Store().Geometry().StripeDataBytes(), Most: 3}, {Bytes: chaosExtentSize, Most: 2}}
 }
 
 func (s *ChaosStack) LossGrain() int64 { return 0 }

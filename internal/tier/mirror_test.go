@@ -20,7 +20,7 @@ func newFaultRig(t *testing.T) (*testRig, []*fault.Device, *switchNVRAM) {
 	t.Helper()
 	var copies []*fault.Device
 	nv := &switchNVRAM{}
-	r := openRig(t, Options{DisableMigrator: true}, 8, func(d core.BlockDevice) core.BlockDevice {
+	r := openRig(t, still, 8, func(d core.BlockDevice) core.BlockDevice {
 		f := fault.New(d, int64(len(copies)))
 		copies = append(copies, f)
 		return f
@@ -130,7 +130,7 @@ func TestDegradedWriteWaitsForFailedFlag(t *testing.T) {
 	crash := func() {
 		t.Helper()
 		copies[0].Heal() // the copy answers again after the crash
-		r.reopen(t, Options{DisableMigrator: true})
+		r.reopen(t, still)
 		got := make([]byte, len(want))
 		if _, err := r.st.ReadAt(got, 0); err != nil {
 			t.Fatal(err)

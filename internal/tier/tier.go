@@ -38,7 +38,10 @@ import (
 // that promoting a 4 KiB write does not drag megabytes up with it.
 const DefaultExtentSize = 64 << 10
 
-// Options configures a tier Store. The zero value picks defaults.
+// Options configures a tier Store. The zero value picks defaults. The
+// migrator always runs: a tier whose IdleDelay outlasts its run and whose
+// MaxDirtyBytes is above its front never wakes it, and demotes only
+// through Flush and ParityPointContext.
 type Options struct {
 	// ExtentSize is the migration unit in bytes (default
 	// DefaultExtentSize). Must be a power-of-two multiple of 512.
@@ -50,10 +53,6 @@ type Options struct {
 	// IdleDelay is how long the tier must be quiescent before the
 	// migrator demotes (default idle.DefaultDelay).
 	IdleDelay time.Duration
-	// DisableMigrator turns the background engine off; demotion then
-	// happens only through Flush, ParityPointContext and the inline valve.
-	// Tests use it for deterministic state machines.
-	DisableMigrator bool
 }
 
 // Store is a two-tier array: a mirrored write-back front absorbing hot
@@ -171,10 +170,8 @@ func Open(back *core.Store, front []core.BlockDevice, nv core.NVRAM, opts Option
 		return nil, err
 	}
 
-	if !s.opts.DisableMigrator {
-		s.mig = newMigrator(s)
-		s.mig.start()
-	}
+	s.mig = newMigrator(s)
+	s.mig.start()
 	return s, nil
 }
 
@@ -385,7 +382,7 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	// bytes cannot grow without bound.
 	if s.dirtyBytesNow() > 2*s.opts.MaxDirtyBytes {
 		s.demoteOne(ctx)
-	} else if s.mig != nil && s.dirtyBytesNow() > s.opts.MaxDirtyBytes {
+	} else if s.dirtyBytesNow() > s.opts.MaxDirtyBytes {
 		s.mig.kick()
 	}
 	return done, nil
@@ -489,9 +486,7 @@ func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	if s.mig != nil {
-		s.mig.stop()
-	}
+	s.mig.stop()
 	s.meta.Lock()
 	err := s.persistMapLocked()
 	s.meta.Unlock()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"afraid/internal/core"
 )
@@ -23,6 +24,10 @@ type testRig struct {
 	extentSz  int64
 	slotsPair int64
 }
+
+// still is a tier whose migrator never demotes: it waits an hour for
+// idleness, and its pressure valve is above any front a test builds.
+var still = Options{IdleDelay: time.Hour, MaxDirtyBytes: 1 << 40}
 
 // newRig builds a small hybrid: a 4-disk AFRAID back end and one front
 // mirror pair with slotsPair extent slots.
@@ -66,9 +71,7 @@ func openRig(t *testing.T, opts Options, slotsPair int64, wrap func(core.BlockDe
 func (r *testRig) reopen(t *testing.T, opts Options) {
 	t.Helper()
 	r.st.closed.Store(true)
-	if r.st.mig != nil {
-		r.st.mig.stop()
-	}
+	r.st.mig.stop()
 	back, err := core.Open(r.backDevs, r.backNV, core.Options{StripeUnit: 4096, DisableScrubber: true})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,7 @@ func (r *testRig) reopen(t *testing.T, opts Options) {
 }
 
 func TestTierWriteReadPromote(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 	defer r.st.Close()
 
 	data := make([]byte, 4096)
@@ -117,7 +120,7 @@ func TestTierWriteReadPromote(t *testing.T) {
 }
 
 func TestTierLargeWriteGoesAround(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 	defer r.st.Close()
 
 	big := make([]byte, 128<<10) // > 2 × the 16 KiB extent: writes around
@@ -142,7 +145,7 @@ func TestTierLargeWriteGoesAround(t *testing.T) {
 }
 
 func TestTierFlushDemotesAndBackHoldsData(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 	defer r.st.Close()
 
 	data := make([]byte, 4096)
@@ -180,14 +183,14 @@ func TestTierFlushDemotesAndBackHoldsData(t *testing.T) {
 }
 
 func TestTierCrashRecoversDirtyData(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 
 	data := make([]byte, 8192)
 	rand.New(rand.NewSource(4)).Read(data)
 	if _, err := r.st.WriteAt(data, 40960); err != nil {
 		t.Fatal(err)
 	}
-	r.reopen(t, Options{DisableMigrator: true})
+	r.reopen(t, still)
 
 	ts := r.st.TierStats()
 	if ts.ResidentExtents == 0 {
@@ -216,7 +219,7 @@ func TestTierCrashRecoversDirtyData(t *testing.T) {
 }
 
 func TestTierMapLossFullDemote(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(5)).Read(data)
@@ -227,7 +230,7 @@ func TestTierMapLossFullDemote(t *testing.T) {
 	if err := r.nv.Store([]byte("corrupt extent map")); err != nil {
 		t.Fatal(err)
 	}
-	r.reopen(t, Options{DisableMigrator: true})
+	r.reopen(t, still)
 
 	ts := r.st.TierStats()
 	if !ts.MapRecovered {
@@ -251,7 +254,7 @@ func TestTierMapLossFullDemote(t *testing.T) {
 // tags must disambiguate, or dirty front data would be silently
 // stranded behind an empty map.
 func TestTierDeletedMapRecoversFromTags(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(6)).Read(data)
@@ -264,7 +267,7 @@ func TestTierDeletedMapRecoversFromTags(t *testing.T) {
 	if err := r.nv.Store(nil); err != nil {
 		t.Fatal(err)
 	}
-	r.reopen(t, Options{DisableMigrator: true})
+	r.reopen(t, still)
 
 	ts := r.st.TierStats()
 	if !ts.MapRecovered {
@@ -281,7 +284,7 @@ func TestTierDeletedMapRecoversFromTags(t *testing.T) {
 
 	// A genuinely fresh store (blank fronts, empty NVRAM) must still
 	// open as a first boot, not as a loss.
-	r2 := newRig(t, Options{DisableMigrator: true}, 8)
+	r2 := newRig(t, still, 8)
 	if r2.st.TierStats().MapRecovered {
 		t.Fatal("fresh store misdiagnosed as map loss")
 	}
@@ -289,7 +292,7 @@ func TestTierDeletedMapRecoversFromTags(t *testing.T) {
 }
 
 func TestTierResilverPicksCopyZero(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 
 	data := bytes.Repeat([]byte{0xAA}, int(r.extentSz))
 	if _, err := r.st.WriteAt(data, 0); err != nil {
@@ -300,7 +303,7 @@ func TestTierResilverPicksCopyZero(t *testing.T) {
 	if _, err := r.front[1].WriteAt(torn, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.reopen(t, Options{DisableMigrator: true})
+	r.reopen(t, still)
 
 	if r.st.TierStats().Resilvered == 0 {
 		t.Fatal("reopen did not resilver the divergent pair")
@@ -319,7 +322,7 @@ func TestTierResilverPicksCopyZero(t *testing.T) {
 }
 
 func TestTierFrontCopyFailureServesFromMirror(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 	defer r.st.Close()
 
 	data := make([]byte, 4096)
@@ -349,7 +352,7 @@ func TestTierFrontCopyFailureServesFromMirror(t *testing.T) {
 }
 
 func TestTierBothCopiesFailedReportsLoss(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 	defer r.st.Close()
 
 	data := make([]byte, 4096)
@@ -366,7 +369,7 @@ func TestTierBothCopiesFailedReportsLoss(t *testing.T) {
 }
 
 func TestTierEvictionReclaimsCleanSlots(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 2)
+	r := newRig(t, still, 2)
 	defer r.st.Close()
 
 	buf := make([]byte, 4096)
@@ -405,7 +408,7 @@ func TestTierEvictionReclaimsCleanSlots(t *testing.T) {
 }
 
 func TestTierAllSlotsDirtyWritesAround(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 2)
+	r := newRig(t, still, 2)
 	defer r.st.Close()
 
 	buf := make([]byte, 4096)
@@ -432,7 +435,7 @@ func TestTierAllSlotsDirtyWritesAround(t *testing.T) {
 }
 
 func TestTierParityPointDemotesRange(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 	defer r.st.Close()
 
 	data := make([]byte, 4096)
@@ -509,7 +512,7 @@ func TestExtentMapSerializeRoundTrip(t *testing.T) {
 // starts before zero, is refused with an error by reads, writes and parity
 // points alike — never wrapped past the capacity check into a slice panic.
 func TestRangeChecksDoNotOverflow(t *testing.T) {
-	r := newRig(t, Options{DisableMigrator: true}, 8)
+	r := newRig(t, still, 8)
 	defer r.st.Close()
 	buf := make([]byte, 200)
 	for _, off := range []int64{math.MaxInt64 - 100, math.MaxInt64, -1, math.MinInt64} {
