@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"afraid/internal/bufpool"
 	"afraid/internal/layout"
@@ -114,8 +113,8 @@ func (s *Store) devReadRun(ctx context.Context, i int, units [][]byte, off int64
 	dst, lo := units[0], off%unit
 	var whole [1][]byte // a range's unit, read and verified whole
 	if s.opts.Checksums {
-		t0 := time.Now()
-		defer func() { s.ob.csumVerify.Observe(time.Since(t0)) }()
+		t0 := s.opts.now()
+		defer func() { s.ob.csumVerify.Observe(s.opts.now().Sub(t0)) }()
 		if len(units) == 1 && int64(len(dst)) < unit {
 			whole[0] = bufpool.Get(int(unit))
 			defer bufpool.Put(whole[0])

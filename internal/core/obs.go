@@ -57,8 +57,9 @@ func (s *Store) StatMap() map[string]int64 {
 	return m
 }
 
-// traceOp records one completed client operation in the trace ring.
-func (s *Store) traceOp(op string, off, n int64, start time.Time, lockWait, dev time.Duration, err error) {
+// traceOp records one completed client operation, from start to end, in
+// the trace ring.
+func (s *Store) traceOp(op string, off, n int64, start, end time.Time, lockWait, dev time.Duration, err error) {
 	ev := obs.Event{
 		Op:    op,
 		Off:   off,
@@ -66,7 +67,7 @@ func (s *Store) traceOp(op string, off, n int64, start time.Time, lockWait, dev 
 		Start: start,
 		Lock:  lockWait,
 		Dev:   dev,
-		Total: time.Since(start),
+		Total: end.Sub(start),
 	}
 	if err != nil {
 		ev.Err = err.Error()

@@ -249,9 +249,9 @@ func TestAfraid6DegradedWriteMaintainsParity(t *testing.T) {
 }
 
 func TestAfraid6ScrubberDrains(t *testing.T) {
-	opts := Options{Mode: Afraid6, ScrubIdle: 20 * time.Millisecond, StripeUnit: testUnit}
-	devs := newDevs(6)
-	s, err := Open(devs, &MemNVRAM{}, opts)
+	var clock Clock
+	opts := WithClock(Options{Mode: Afraid6, ScrubIdle: 20 * time.Millisecond, StripeUnit: testUnit, DisableScrubber: true}, &clock)
+	s, err := Open(newDevs(6), &MemNVRAM{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +259,10 @@ func TestAfraid6ScrubberDrains(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.WriteAt(pattern(100, byte(i)), int64(i)*s.Geometry().StripeDataBytes())
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.DirtyStripes() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber stuck with %d dirty", s.DirtyStripes())
-		}
-		time.Sleep(5 * time.Millisecond)
+	clock.Advance(opts.ScrubIdle)
+	s.Engine().Poll()
+	if s.DirtyStripes() != 0 {
+		t.Fatalf("scrubber stuck with %d dirty", s.DirtyStripes())
 	}
 	bad, _ := s.CheckParity()
 	if len(bad) != 0 {

@@ -11,7 +11,6 @@ import (
 
 	"afraid/internal/core"
 	"afraid/internal/fault"
-	"afraid/internal/testutil"
 )
 
 // The read cache (readcache.go) over members slower than a memory copy:
@@ -126,9 +125,9 @@ func TestReadCacheServesWhatWasWritten(t *testing.T) {
 // TestReadCacheEngagesOnlyOverSlowMembers: over members as fast as memory
 // no unit is admitted — the cache is never consulted, and every read goes
 // to the members — while the same requests over members that take
-// cacheDelay per read are served from memory. Under the race detector a
-// memory device copies a unit in more than stripe.OverlapWorth, so there
-// it is a slow member too, and only the second half is checked.
+// cacheDelay per read are served from memory. The fast store runs on a
+// held clock, on which its memory members take no time at all, with or
+// without the race detector.
 func TestReadCacheEngagesOnlyOverSlowMembers(t *testing.T) {
 	run := func(s *core.Store) core.Stats {
 		p := bytes.Repeat([]byte{7}, cacheUnit)
@@ -148,12 +147,12 @@ func TestReadCacheEngagesOnlyOverSlowMembers(t *testing.T) {
 	for i := range devs {
 		devs[i] = core.NewMemDevice(32 * cacheUnit)
 	}
-	fast, err := core.Open(devs, &core.MemNVRAM{}, core.Options{Mode: core.Afraid, StripeUnit: cacheUnit, DisableScrubber: true})
+	fast, err := core.Open(devs, &core.MemNVRAM{}, core.WithClock(core.Options{Mode: core.Afraid, StripeUnit: cacheUnit, DisableScrubber: true}, &core.Clock{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	if st := run(fast); !testutil.RaceEnabled && (st.ReadCacheHits != 0 || st.ReadCacheMisses != 0) {
+	if st := run(fast); st.ReadCacheHits != 0 || st.ReadCacheMisses != 0 {
 		t.Fatalf("over memory members: %d hits, %d misses; want the cache never consulted", st.ReadCacheHits, st.ReadCacheMisses)
 	}
 	slow, _ := openSlow(t)

@@ -318,16 +318,17 @@ func TestRaid0RepairLosesEverythingOnThatDisk(t *testing.T) {
 }
 
 func TestScrubberSkipsWhileDegraded(t *testing.T) {
-	opts := Options{Mode: Afraid, ScrubIdle: 10 * time.Millisecond, StripeUnit: testUnit}
-	devs := newDevs(5)
-	s, err := Open(devs, &MemNVRAM{}, opts)
+	var clock Clock
+	opts := WithClock(Options{Mode: Afraid, ScrubIdle: 10 * time.Millisecond, StripeUnit: testUnit, DisableScrubber: true}, &clock)
+	s, err := Open(newDevs(5), &MemNVRAM{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.WriteAt(pattern(100, 1), 0)
 	s.FailDisk(1)
-	time.Sleep(100 * time.Millisecond)
+	clock.Advance(opts.ScrubIdle)
+	s.Engine().Poll()
 	if s.DirtyStripes() == 0 {
 		t.Fatal("scrubber rebuilt parity using a failed disk")
 	}

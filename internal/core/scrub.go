@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"afraid/internal/layout"
 	"afraid/internal/nvram"
@@ -36,7 +35,7 @@ func (s *Store) scrubOne(ctx context.Context, c nvram.Claim) (nvram.Outcome, err
 	if degraded {
 		return nvram.Skip, s.errDegraded()
 	}
-	start := time.Now()
+	start := s.opts.now()
 	lk := s.stripeLock(c.Unit)
 	lk.Lock()
 	defer lk.Unlock()
@@ -50,7 +49,7 @@ func (s *Store) scrubOne(ctx context.Context, c nvram.Claim) (nvram.Outcome, err
 	err := s.repairing(ctx, func() error { return s.writeImage(ctx, stripeState{}, nil, 0, layout.StripeSpan{Stripe: c.Unit}) })
 	switch {
 	case err == nil:
-		s.ob.scrubStripe.Observe(time.Since(start))
+		s.ob.scrubStripe.Observe(s.opts.now().Sub(start))
 		return nvram.Done, nil
 	case s.absorbFailure(err):
 		// A member failed under the reads: the store is now degraded. The

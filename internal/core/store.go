@@ -101,6 +101,9 @@ type Options struct {
 	// workers, when positive, replaces scrubWorkers' width; a test sets
 	// 1 to drain serially.
 	workers int
+	// now is the store's clock (default time.Now), the one time source of
+	// the store, its stripe array and its engine; a test holds it.
+	now func() time.Time
 }
 
 func (o *Options) fill() {
@@ -109,6 +112,9 @@ func (o *Options) fill() {
 	}
 	if o.ScrubIdle == 0 {
 		o.ScrubIdle = 100 * time.Millisecond
+	}
+	if o.now == nil {
+		o.now = time.Now
 	}
 }
 
@@ -251,7 +257,7 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	for i := range s.sync {
 		s.sync[i] = preset.sync
 	}
-	s.arr = stripe.New(geo, s.ob.parity.Observe)
+	s.arr = stripe.New(geo, opts.now, s.ob.parity.Observe)
 	s.allPar = s.arr.AllParities()
 	// Probe the members: a disk that failed before a crash is still
 	// failed after reopen, and the store must know before issuing I/O.
@@ -279,6 +285,7 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		Workers:       s.scrubWorkers(),
 		MakeRedundant: s.scrubOne,
 		Episode:       s.ob.scrubEpisode.Observe,
+		Now:           opts.now,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -497,8 +504,11 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 // its spans to be served one by one, each absorbing what it meets. A write
 // is premarked. Under the locks the read cache serves a read from memory,
 // and takes in what the member I/O of a span or run moved (readcache.go).
-// The lock wait and the time under the locks go to the stripe_lock_wait
-// and dev histograms per span or run and, summed, to the op's trace event.
+// The store's clock is read on entry — the engine's Touch and the trace
+// event's start — after a premark, and after each lock and each unlock. The
+// lock wait and the time under the locks go to the stripe_lock_wait and dev
+// histograms per span or run and, summed, to the op's trace event, which the
+// last stamp ends.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	span func(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
@@ -507,15 +517,18 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	if len(p) == 0 {
 		return 0, nil
 	}
-	s.eng.Touch()
-	start := time.Now()
+	start := s.opts.now()
+	s.eng.Touch(start)
+	now := start
 	var lockWait, dev time.Duration
-	defer func() { s.traceOp(label, off, int64(len(p)), start, lockWait, dev, err) }()
+	defer func() { s.traceOp(label, off, int64(len(p)), start, now, lockWait, dev, err) }()
 	spp := spanPool.Get().(*[]layout.StripeSpan)
 	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
 	defer func() { *spp = spans; spanPool.Put(spp) }()
 	if write && s.allPar != 0 && len(spans) > 1 {
-		if err = s.premark(spans); err != nil {
+		err = s.premark(spans)
+		now = s.opts.now() // the premark's NVRAM store is not lock wait
+		if err != nil {
 			return 0, err
 		}
 	}
@@ -525,14 +538,13 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 		if err = ctx.Err(); err != nil {
 			return 0, err
 		}
-		t0 := time.Now()
 		unfolded := rest[0].Extents[0].Len
 		n, kind := s.lockRun(rest, write, alone > 0, &rp)
 		held := rest[:1]
 		if kind != oneSpan {
 			held = rest[:n]
 		}
-		t1 := time.Now()
+		locked := s.opts.now()
 		hit := co.read && s.rc.serve(p, off, held)
 		co.missed = co.missed || !hit
 		for tries := 0; ; tries++ {
@@ -585,14 +597,15 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 		for _, sp := range held {
 			s.stripeLock(sp.Stripe).Unlock()
 		}
-		t2 := time.Now()
+		unlocked := s.opts.now()
 		if !write && !hit && err == nil {
-			s.rc.timed(t2.Sub(t1), held)
+			s.rc.timed(unlocked.Sub(locked), held)
 		}
-		s.ob.lockWait.Observe(t1.Sub(t0))
-		devHist.Observe(t2.Sub(t1))
-		lockWait += t1.Sub(t0)
-		dev += t2.Sub(t1)
+		s.ob.lockWait.Observe(locked.Sub(now))
+		devHist.Observe(unlocked.Sub(locked))
+		lockWait += locked.Sub(now)
+		dev += unlocked.Sub(locked)
+		now = unlocked
 		switch {
 		case err != nil && n > 1:
 			// Its marks standing, the run's spans go one by one, and the

@@ -150,11 +150,13 @@ func TestRaid5AlwaysConsistent(t *testing.T) {
 	}
 }
 
+// TestScrubberRebuildsInIdle: once the store's clock has stood ScrubIdle
+// past the last write, a scrub episode drains every dirty stripe — and
+// not a moment before.
 func TestScrubberRebuildsInIdle(t *testing.T) {
-	opts := Options{Mode: Afraid, ScrubIdle: 20 * time.Millisecond}
-	opts.StripeUnit = testUnit
-	devs := newDevs(5)
-	s, err := Open(devs, &MemNVRAM{}, opts)
+	var clock Clock
+	opts := WithClock(Options{Mode: Afraid, ScrubIdle: 20 * time.Millisecond, StripeUnit: testUnit, DisableScrubber: true}, &clock)
+	s, err := Open(newDevs(5), &MemNVRAM{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +164,15 @@ func TestScrubberRebuildsInIdle(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.WriteAt(pattern(testUnit, byte(i)), int64(i)*s.Geometry().StripeDataBytes())
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.DirtyStripes() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber did not drain: %d dirty", s.DirtyStripes())
-		}
-		time.Sleep(5 * time.Millisecond)
+	clock.Advance(opts.ScrubIdle - 1)
+	s.Engine().Poll()
+	if s.DirtyStripes() != 10 {
+		t.Fatalf("scrubbed before the store was idle: %d dirty, want 10", s.DirtyStripes())
+	}
+	clock.Advance(1)
+	s.Engine().Poll()
+	if s.DirtyStripes() != 0 {
+		t.Fatalf("scrubber did not drain: %d dirty", s.DirtyStripes())
 	}
 	bad, err := s.CheckParity()
 	if err != nil {

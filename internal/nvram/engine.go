@@ -76,6 +76,9 @@ type Config struct {
 	// Episode, when set, is told how long each background episode (a run
 	// of units made redundant back to back) lasted.
 	Episode func(time.Duration)
+	// Now is the client's clock, which the idle rule and Episode time on
+	// (default time.Now). Touch takes its stamps from the same clock.
+	Now func() time.Time
 }
 
 // MaxInline bounds how many units one foreground write is ever held
@@ -166,13 +169,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Members < 0 || cfg.Members > maxMembers {
 		return nil, fmt.Errorf("nvram: %d members, want at most %d", cfg.Members, maxMembers)
 	}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	e := &Engine{
 		cfg:    cfg,
 		marks:  NewBitmap(cfg.Units),
 		stale:  make([]*Bitmap, cfg.Members),
 		hold:   make(map[int64]bool),
 		claims: make(map[int64]claimState),
-		lastIO: time.Now(),
+		lastIO: cfg.Now(),
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
@@ -362,11 +368,12 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 }
 
-// Touch records foreground I/O: it restarts the idle clock and preempts
-// idle work that has not yet passed Proceed.
-func (e *Engine) Touch() {
+// Touch records foreground I/O begun at now, a stamp of Config.Now: it
+// restarts the idle clock and preempts idle work that has not yet passed
+// Proceed.
+func (e *Engine) Touch(now time.Time) {
 	e.mu.Lock()
-	e.lastIO = time.Now()
+	e.lastIO = now
 	e.gen++
 	e.mu.Unlock()
 }
@@ -730,7 +737,7 @@ func (e *Engine) Poll() {
 		n := e.backlog()
 		forced := e.cfg.Threshold > 0 && n > e.cfg.Threshold
 		c := Claim{e: e, idle: !forced, gen: e.gen, forced: forced}
-		ok := n > 0 && (forced || time.Since(e.lastIO) >= e.cfg.Idle)
+		ok := n > 0 && (forced || e.cfg.Now().Sub(e.lastIO) >= e.cfg.Idle)
 		if ok {
 			if c.Unit, ok = e.claimNext(from, e.cfg.Units); !ok && progressed {
 				progressed = false
@@ -738,7 +745,7 @@ func (e *Engine) Poll() {
 			}
 		}
 		if ok && started.IsZero() {
-			started = time.Now()
+			started = e.cfg.Now()
 			if forced {
 				e.stats.ForcedEpisodes++
 			} else {
@@ -760,7 +767,7 @@ func (e *Engine) Poll() {
 		}
 	}
 	if built > 0 && e.cfg.Episode != nil {
-		e.cfg.Episode(time.Since(started))
+		e.cfg.Episode(e.cfg.Now().Sub(started))
 	}
 }
 

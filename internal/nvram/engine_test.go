@@ -181,7 +181,7 @@ func TestMarkIsDurableBeforeItReturns(t *testing.T) {
 	if nv.stores() != before {
 		t.Fatal("re-marking a marked unit stored an image")
 	}
-	if a := testing.AllocsPerRun(100, func() { e.Mark(77); e.Touch(); e.Kick() }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { e.Mark(77); e.Touch(time.Now()); e.Kick() }); a != 0 {
 		t.Fatalf("the already-marked fast path allocates (%.1f allocs)", a)
 	}
 }
@@ -506,7 +506,7 @@ func TestDrainsNeverShareAUnit(t *testing.T) {
 		go func(w int64) {
 			defer wg.Done()
 			for i := int64(0); i < 200; i++ {
-				e.Touch()
+				e.Touch(time.Now())
 				if err := e.Mark(w*32 + i%32); err != nil {
 					t.Error(err)
 					return
@@ -707,13 +707,13 @@ func TestIdleWorkIsPreemptedRequestedWorkIsNot(t *testing.T) {
 	polled := make(chan struct{})
 	go func() { e.Poll(); close(polled) }()
 	testutil.Eventually(t, "the idle episode to claim the unit", func() bool { return e.Stats().IdleEpisodes == 1 })
-	e.Touch()
+	e.Touch(time.Now())
 	c.locks[1].Unlock()
 	<-polled
 	if st := e.Stats(); st.Preempts != 1 || st.Drained != 0 || !isMarked(e, 1) {
 		t.Fatalf("preempted rebuild consumed the mark: %+v", st)
 	}
-	c.setDuring(func(int64) { e.Touch() }) // a writer that never lets up
+	c.setDuring(func(int64) { e.Touch(time.Now()) }) // a writer that never lets up
 	if _, err := e.DrainRange(context.Background(), 1, 2); err != nil || isMarked(e, 1) {
 		t.Fatalf("requested drain under foreground I/O: err=%v marked=%v", err, isMarked(e, 1))
 	}

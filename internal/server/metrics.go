@@ -25,7 +25,7 @@ func (i *Int) Value() int64 { return i.v.Load() }
 // as the "server" section of /debug/histograms.
 type Metrics struct {
 	// Per-op request counters: one frame, one request, one store call.
-	requests [OpScrub + 1]Int
+	requests [OpStat + 1]Int
 	// Per-status response counters.
 	responses [StatusShutdown + 1]Int
 
@@ -39,15 +39,15 @@ type Metrics struct {
 	BytesWritten  Int
 
 	reg       *obs.Registry
-	opLat     [OpScrub + 1]*obs.Histogram // end-to-end latency per op
-	queueWait *obs.Histogram              // dispatch -> handler running
-	service   *obs.Histogram              // handler running -> completion
+	opLat     [OpStat + 1]*obs.Histogram // end-to-end latency per op
+	queueWait *obs.Histogram             // dispatch -> handler running
+	service   *obs.Histogram             // handler running -> completion
 	trace     *obs.Ring
 }
 
 func newMetrics() *Metrics {
 	m := &Metrics{reg: obs.NewRegistry()}
-	for op := OpRead; op <= OpScrub; op++ {
+	for op := OpRead; op <= OpStat; op++ {
 		m.opLat[op] = m.reg.Histogram(op.String())
 	}
 	m.queueWait = m.reg.Histogram("queue_wait")
@@ -59,10 +59,10 @@ func newMetrics() *Metrics {
 // request counts one received frame of a decoded (hence valid) op.
 func (m *Metrics) request(op Op) { m.requests[op].Add(1) }
 
-// task records one executed request: its response status, its
-// end-to-end latency, the queue-wait/service-time split and a
+// task records one executed request that arrived at start: its response
+// status, its end-to-end latency, the queue-wait/service-time split and a
 // trace-ring event.
-func (m *Metrics) task(r *Request, st Status, queued, total time.Duration) {
+func (m *Metrics) task(r *Request, st Status, start time.Time, queued, total time.Duration) {
 	m.responses[st].Add(1)
 	m.opLat[r.Op].Observe(total)
 	m.queueWait.Observe(queued)
@@ -71,7 +71,7 @@ func (m *Metrics) task(r *Request, st Status, queued, total time.Duration) {
 		Op:    r.Op.String(),
 		Off:   r.Off,
 		Len:   int64(r.Length),
-		Start: time.Now().Add(-total),
+		Start: start,
 		Queue: queued,
 		Total: total,
 	}
@@ -95,7 +95,7 @@ func (m *Metrics) stat(dst Stat) {
 	dst["server.busy_rejected"] = m.BusyRejected.Value()
 	dst["server.bytes_read"] = m.BytesRead.Value()
 	dst["server.bytes_written"] = m.BytesWritten.Value()
-	for op := OpRead; op <= OpScrub; op++ {
+	for op := OpRead; op <= OpStat; op++ {
 		dst["server.requests."+strings.ToLower(op.String())] = m.requests[op].Value()
 	}
 	for st := range m.responses {

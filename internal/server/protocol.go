@@ -40,11 +40,9 @@ const (
 	OpFlush Op = 3
 	// OpStat returns an encoded Stat snapshot; Off and Length are unused.
 	OpStat Op = 4
-	// OpScrub makes the stripes covering [Off, Off+Length) redundant.
-	OpScrub Op = 5
 )
 
-func (o Op) valid() bool { return o >= OpRead && o <= OpScrub }
+func (o Op) valid() bool { return o >= OpRead && o <= OpStat }
 
 // String returns the op mnemonic.
 func (o Op) String() string {
@@ -57,8 +55,6 @@ func (o Op) String() string {
 		return "FLUSH"
 	case OpStat:
 		return "STAT"
-	case OpScrub:
-		return "SCRUB"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -142,7 +138,7 @@ type Request struct {
 	Op     Op
 	ID     uint64
 	Off    int64
-	Length uint32 // READ: bytes wanted; WRITE: len(Data); SCRUB: range length
+	Length uint32 // READ: bytes wanted; WRITE: len(Data)
 	Data   []byte // WRITE payload
 }
 
@@ -211,8 +207,8 @@ func decodeRequestHeader(hdr []byte, dataLen int, maxPayload uint32) (Request, e
 		return r, fmt.Errorf("server: offset %d overflows int64", off)
 	}
 	r.Off = int64(off)
-	// Length bounds an allocation for READ/WRITE; for SCRUB it is only
-	// a range length and may cover gigabytes.
+	// Length bounds an allocation for READ/WRITE; FLUSH and STAT ignore
+	// it.
 	if (r.Op == OpRead || r.Op == OpWrite) && r.Length > maxPayload {
 		return r, fmt.Errorf("%w: length %d > limit %d", ErrFrameTooLarge, r.Length, maxPayload)
 	}

@@ -24,7 +24,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpWrite, ID: 3, Off: 0, Length: 0, Data: []byte{}},
 		{Op: OpFlush, ID: 4},
 		{Op: OpStat, ID: 5},
-		{Op: OpScrub, ID: 6, Off: 1 << 20, Length: 64 << 20}, // range, not payload
 	}
 	for _, want := range cases {
 		t.Run(want.Op.String(), func(t *testing.T) {
@@ -143,6 +142,11 @@ func TestDecodeRequestRejects(t *testing.T) {
 			b[0] = 99
 			return b
 		}()},
+		{"retired op 5", func() []byte { // SCRUB's byte: no op has it
+			b := appendRequest(nil, &Request{Op: OpRead, ID: 6, Off: 1 << 20, Length: 64 << 20})[4:]
+			b[0] = 5
+			return b
+		}()},
 		{"zero op", func() []byte {
 			b := appendRequest(nil, &Request{Op: OpRead, ID: 1})[4:]
 			b[0] = 0
@@ -250,7 +254,7 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add(append([]byte{0, 0, 0, 30}, write[4:]...)) // prefix longer than header + declared data
 	f.Add(appendRequest(nil, &Request{Op: OpWrite, ID: 3, Length: 5000, Data: make([]byte, 64)}))
 	f.Add(appendRequest(nil, &Request{Op: OpFlush, ID: 3, Data: []byte{9}}))
-	f.Add(appendRequest(nil, &Request{Op: OpScrub, ID: 4, Off: 0, Length: 1 << 30}))
+	f.Add(appendRequest(nil, &Request{Op: Op(5), ID: 4, Off: 0, Length: 1 << 30})) // a retired op: refused
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 5, 1, 2, 3, 4, 5})
 	f.Add([]byte{0, 0})
@@ -315,7 +319,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(appendRequest(nil, &Request{Op: OpRead, ID: 1, Off: 4096, Length: 512}))
 	f.Add(appendRequest(nil, &Request{Op: OpWrite, ID: 2, Off: 0, Length: 5, Data: []byte("hello")}))
 	f.Add(appendRequest(nil, &Request{Op: OpFlush, ID: 3}))
-	f.Add(appendRequest(nil, &Request{Op: OpScrub, ID: 4, Off: 0, Length: 1 << 30}))
+	f.Add(appendRequest(nil, &Request{Op: Op(5), ID: 4, Off: 0, Length: 1 << 30})) // a retired op: refused
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, frame []byte) {

@@ -15,7 +15,7 @@ import (
 	"afraid/internal/core"
 )
 
-// Backend is what the service needs from a store: the four data-path
+// Backend is what the service needs from a store: the three data-path
 // calls, the capacity, and one stats method. *core.Store and
 // *tier.Store satisfy it; tests substitute gated fakes to force
 // timeouts and backpressure.
@@ -27,7 +27,6 @@ type Backend interface {
 	ReadContext(ctx context.Context, p []byte, off int64) (int, error)
 	WriteContext(ctx context.Context, p []byte, off int64) (int, error)
 	FlushContext(ctx context.Context) error
-	ParityPointContext(ctx context.Context, off, length int64) error
 	Capacity() int64
 	// StatMap returns a fresh flat snapshot of the store's counters
 	// under dotted keys prefixed by the layer that counts them
@@ -292,7 +291,7 @@ func (c *conn) handle(t *task) {
 	resp := s.apply(&t.ctx, &t.req)
 	t.ctx.end(context.Canceled)
 	bufpool.Put(t.req.Data) // Backend does not retain it
-	s.metrics.task(&t.req, resp.Status, queued, time.Since(t.start))
+	s.metrics.task(&t.req, resp.Status, t.start, queued, time.Since(t.start))
 	resp.ID = t.req.ID
 	c.idle.Add(1)
 	c.reply(resp)
@@ -414,13 +413,6 @@ func (s *Server) apply(ctx context.Context, r *Request) Response {
 		s.metrics.BytesWritten.Add(int64(len(r.Data)))
 	case OpFlush:
 		if err := s.store.FlushContext(ctx); err != nil {
-			return s.fail(resp, err)
-		}
-	case OpScrub:
-		if !rangeOK(r.Off, int64(r.Length), cap) {
-			return s.reject(resp, cap, r)
-		}
-		if err := s.store.ParityPointContext(ctx, r.Off, int64(r.Length)); err != nil {
 			return s.fail(resp, err)
 		}
 	case OpStat:

@@ -100,10 +100,6 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("STAT capacity %d, handshake said %d", st["server.capacity"], c.Capacity())
 	}
 
-	// Scrub a specific range (trivially clean after the flush).
-	if _, err := c.do(ctx, &Request{Op: OpScrub, Length: 32 << 10}); err != nil {
-		t.Fatalf("Scrub: %v", err)
-	}
 	// Bad range → ERR_BAD_REQUEST, connection stays usable.
 	if _, err := c.ReadAt(make([]byte, 16), c.Capacity()); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("out-of-range read: got %v, want ErrBadRequest", err)
@@ -113,6 +109,14 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if n := srv.Metrics().requests[OpRead].Value(); n == 0 {
 		t.Fatal("metrics recorded no READ requests")
+	}
+	// Op 5, the retired SCRUB, is an unknown op: the server closes the
+	// connection.
+	if _, err := c.do(ctx, &Request{Op: Op(5), Length: 32 << 10}); err == nil {
+		t.Fatal("op 5 was served")
+	}
+	if _, err := c.ReadAt(got, 4096); err == nil {
+		t.Fatal("the connection outlived an unknown op")
 	}
 }
 
@@ -136,14 +140,6 @@ func TestOverflowingOffsetsRejected(t *testing.T) {
 	}
 	if _, err := c.do(ctx, &Request{Op: OpWrite, Off: huge, Length: 4, Data: []byte("boom")}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("WRITE at %d: got %v, want ErrBadRequest", huge, err)
-	}
-	if _, err := c.do(ctx, &Request{Op: OpScrub, Off: huge, Length: 4096}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("SCRUB at %d: got %v, want ErrBadRequest", huge, err)
-	}
-	// A length exceeding capacity on its own must bounce too (SCRUB
-	// lengths are not bounded by the payload limit).
-	if _, err := c.do(ctx, &Request{Op: OpScrub, Length: ^uint32(0)}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("SCRUB longer than capacity: got %v, want ErrBadRequest", err)
 	}
 	// The server survived: a normal round trip still works.
 	data := []byte("still serving")

@@ -102,23 +102,26 @@ func (f *Set) Remove(d int) {
 // Array is what the stripe images of one array share: its geometry and
 // erasure code (m = the level's parity units), the pool images are
 // recycled through — so steady-state scrubbing, parity points, synchronous
-// writes and degraded reads allocate nothing — and the unit service time
-// that decides whether the unit I/Os of a stripe overlap.
+// writes and degraded reads allocate nothing — the client's clock, and the
+// unit service time on it that decides whether the unit I/Os of a stripe
+// overlap.
 type Array struct {
 	geo     layout.Geometry
 	code    parity.Code
+	now     func() time.Time    // the client's clock, the array's only time source
 	observe func(time.Duration) // receives the time of every parity computation
 
 	pool   sync.Pool    // *Image
 	unitNs atomic.Int64 // what the last timed unit I/O took: decides whether hand-offs pay
 }
 
-// New returns an Array for the geometry. Every parity computation's
-// duration goes to observe.
-func New(geo layout.Geometry, observe func(time.Duration)) *Array {
+// New returns an Array for the geometry that times on now. Every parity
+// computation's duration goes to observe.
+func New(geo layout.Geometry, now func() time.Time, observe func(time.Duration)) *Array {
 	a := &Array{
 		geo:     geo,
 		code:    parity.Code(geo.Level.ParityUnits()),
+		now:     now,
 		observe: observe,
 	}
 	// Unit I/Os overlap while the members serve units slowly enough
@@ -187,9 +190,9 @@ func (a *Array) async(req *ioReq) {
 // for itself, which moves that many units, and notes what it took per unit
 // for the next fan-out's async calls.
 func (a *Array) timed(req *ioReq, units int) {
-	t := time.Now()
+	t := a.now()
 	req.do()
-	a.unitNs.Store(int64(time.Since(t)) / int64(units))
+	a.unitNs.Store(int64(a.now().Sub(t)) / int64(units))
 }
 
 // Image is one stripe in memory: a unit buffer per data unit and per
@@ -327,7 +330,7 @@ func (im *Image) Update(p []byte, base int64, sp layout.StripeSpan, sync Paritie
 	if err := im.a.runIO(false, []*Image{im}, Set{}); err != nil {
 		return err
 	}
-	t := time.Now()
+	t := im.a.now()
 	for _, e := range sp.Extents {
 		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
 		for j, par := range im.Par {
@@ -337,7 +340,7 @@ func (im *Image) Update(p []byte, base int64, sp layout.StripeSpan, sync Paritie
 		}
 		im.view[e.DataIdx], im.held[e.DataIdx] = src, false
 	}
-	im.a.observe(time.Since(t))
+	im.a.observe(im.a.now().Sub(t))
 	return nil
 }
 
@@ -361,9 +364,9 @@ func (im *Image) Solve(missing Set, fresh Parities, lo, hi int64) (used Parities
 	if lost.Len() == 0 {
 		return 0, nil
 	}
-	t := time.Now()
+	t := im.a.now()
 	im.solve(lost)
-	im.a.observe(time.Since(t))
+	im.a.observe(im.a.now().Sub(t))
 	k := len(im.Data)
 	for j := range im.Par {
 		im.held[k+j] = used.Has(j) && hi-lo == im.a.geo.StripeUnit
@@ -427,9 +430,9 @@ func (im *Image) Encode(p []byte, base int64, sp layout.StripeSpan) {
 	if !slices.Contains(im.held[k:], false) {
 		return // every parity is one the solve used: it encodes the image already
 	}
-	t := time.Now()
+	t := im.a.now()
 	im.a.code.Encode(im.view[k:], im.view[:k])
-	im.a.observe(time.Since(t))
+	im.a.observe(im.a.now().Sub(t))
 }
 
 // Check reports whether every parity of a wholly loaded image matches its
@@ -470,14 +473,14 @@ func (a *Array) LoadRun(ims []*Image, missing Set, fresh []Parities) (solved int
 	if err := a.runIO(false, ims, missing); err != nil || missing.Len() == 0 {
 		return 0, err
 	}
-	t := time.Now()
+	t := a.now()
 	for i, im := range ims {
 		if lost, _, _ := a.cover(im.Stripe, missing, fresh[i]); lost.Len() > 0 {
 			im.solve(lost)
 			solved++
 		}
 	}
-	a.observe(time.Since(t))
+	a.observe(a.now().Sub(t))
 	return solved, nil
 }
 

@@ -148,7 +148,7 @@ func array(t *testing.T, k, m int) (*Array, *fakeMembers, layout.Geometry, [][][
 			copy(f.disks[geo.QDisk(int64(st))][geo.DiskOffset(int64(st)):], pq[1])
 		}
 	}
-	a := New(geo, func(time.Duration) {})
+	a := New(geo, time.Now, func(time.Duration) {})
 	return a, f, geo, data
 }
 

@@ -41,7 +41,7 @@ const DefaultExtentSize = 64 << 10
 // Options configures a tier Store. The zero value picks defaults. The
 // migrator always runs: a tier whose IdleDelay outlasts its run and whose
 // MaxDirtyBytes is above its front never wakes it, and demotes only
-// through Flush and ParityPointContext.
+// through Flush.
 type Options struct {
 	// ExtentSize is the migration unit in bytes (default
 	// DefaultExtentSize). Must be a power-of-two multiple of 512.
@@ -297,7 +297,7 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 // the front mirrors (load-balanced) and everything else from the back
 // tier.
 func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, error) {
-	done, err := s.walk(ctx, "read", p, off, func(ext, extOff int64, q []byte) error {
+	done, err := s.walk(ctx, "read", p, off, func(ext, extOff int64, q []byte) (time.Time, error) {
 		return s.readExtent(ctx, ext, extOff, q)
 	})
 	if err != nil {
@@ -310,8 +310,10 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 
 // walk is the one extent walk of ReadContext and WriteContext: it hands
 // op each extent-local piece of [off, off+len(p)) in order, stopping at
-// the first error or when ctx ends, and returns the bytes done.
-func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op func(ext, extOff int64, q []byte) error) (int, error) {
+// the first error or when ctx ends, and returns the bytes done. The clock
+// reading that ends the last piece, where op took one, stamps the op's
+// end for idle detection.
+func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op func(ext, extOff int64, q []byte) (time.Time, error)) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -319,6 +321,7 @@ func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op f
 		return 0, fmt.Errorf("tier: %s of %d bytes at %d outside capacity %d", verb, len(p), off, s.capacity)
 	}
 	done := 0
+	var end time.Time
 	for done < len(p) {
 		if err := ctx.Err(); err != nil {
 			return done, err
@@ -326,17 +329,22 @@ func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op f
 		ext := (off + int64(done)) / s.extentSize
 		extOff := (off + int64(done)) % s.extentSize
 		n := int(min(s.extentLen(ext)-extOff, int64(len(p)-done)))
-		if err := op(ext, extOff, p[done:done+n]); err != nil {
+		var err error
+		if end, err = op(ext, extOff, p[done:done+n]); err != nil {
 			return done, err
 		}
 		done += n
 	}
-	s.lastOp.Store(time.Now().UnixNano())
+	if end.IsZero() {
+		end = time.Now()
+	}
+	s.lastOp.Store(end.UnixNano())
 	return done, nil
 }
 
-// readExtent reads one extent-local range from whichever tier owns it.
-func (s *Store) readExtent(ctx context.Context, ext, extOff int64, p []byte) error {
+// readExtent reads one extent-local range from whichever tier owns it,
+// and returns the clock reading that ended a front read.
+func (s *Store) readExtent(ctx context.Context, ext, extOff int64, p []byte) (time.Time, error) {
 	lk := &s.locks[ext%64]
 	lk.Lock()
 	defer lk.Unlock()
@@ -352,13 +360,14 @@ func (s *Store) readExtent(ctx context.Context, ext, extOff int64, p []byte) err
 	if !resident {
 		s.st.frontReadMisses.Add(1)
 		_, err := s.back.ReadContext(ctx, p, ext*s.extentSize+extOff)
-		return err
+		return time.Time{}, err
 	}
 	s.st.frontReadHits.Add(1)
 	start := time.Now()
 	err := s.mirrorRead(ctx, slot, p, s.slotOff(slot)+extOff)
-	s.ob.frontRead.Observe(time.Since(start))
-	return err
+	end := time.Now()
+	s.ob.frontRead.Observe(end.Sub(start))
+	return end, err
 }
 
 // WriteContext writes len(p) bytes at off. Resident extents take the
@@ -369,7 +378,7 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 	// An op of up to two extents promotes its non-resident extents; a
 	// larger one writes around the front tier straight to the back end.
 	writeAround := int64(len(p)) > 2*s.extentSize
-	done, err := s.walk(ctx, "write", p, off, func(ext, extOff int64, q []byte) error {
+	done, err := s.walk(ctx, "write", p, off, func(ext, extOff int64, q []byte) (time.Time, error) {
 		return s.writeExtent(ctx, ext, extOff, q, writeAround)
 	})
 	if err != nil {
@@ -394,8 +403,9 @@ func (s *Store) dirtyBytesNow() int64 {
 	return s.dirtyBytes
 }
 
-// writeExtent routes one extent-local write.
-func (s *Store) writeExtent(ctx context.Context, ext, extOff int64, p []byte, writeAround bool) error {
+// writeExtent routes one extent-local write, and returns the clock
+// reading that ended a front write.
+func (s *Store) writeExtent(ctx context.Context, ext, extOff int64, p []byte, writeAround bool) (time.Time, error) {
 	lk := &s.locks[ext%64]
 	lk.Lock()
 	defer lk.Unlock()
@@ -408,9 +418,10 @@ func (s *Store) writeExtent(ctx context.Context, ext, extOff int64, p []byte, wr
 		s.st.frontWriteHits.Add(1)
 		start := time.Now()
 		if err := s.mirrorWrite(ctx, slot, p, s.slotOff(slot)+extOff); err != nil {
-			return err
+			return time.Time{}, err
 		}
-		s.ob.frontWrite.Observe(time.Since(start))
+		end := time.Now()
+		s.ob.frontWrite.Observe(end.Sub(start))
 		s.meta.Lock()
 		if s.dirty.Mark(slot) {
 			s.dirtyBytes += s.extentLen(ext)
@@ -418,15 +429,15 @@ func (s *Store) writeExtent(ctx context.Context, ext, extOff int64, p []byte, wr
 		s.useClock++
 		s.lastUse[slot] = s.useClock
 		s.meta.Unlock()
-		return nil
+		return end, nil
 	}
 
 	if writeAround || s.pairDegraded(s.pairOf(ext)) {
 		s.st.writeArounds.Add(1)
 		_, err := s.back.WriteContext(ctx, p, ext*s.extentSize+extOff)
-		return err
+		return time.Time{}, err
 	}
-	return s.promote(ctx, ext, extOff, p)
+	return time.Time{}, s.promote(ctx, ext, extOff, p)
 }
 
 // pairDegraded reports whether either copy of a pair has failed; new
@@ -449,34 +460,6 @@ func (s *Store) FlushContext(ctx context.Context) error {
 		return err
 	}
 	return s.back.FlushContext(ctx)
-}
-
-// ParityPointContext makes the stripes covering [off, off+length)
-// redundant, demoting any dirty front extents overlapping the range
-// first.
-func (s *Store) ParityPointContext(ctx context.Context, off, length int64) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if !s.inRange(off, length) {
-		return fmt.Errorf("tier: parity point of %d bytes at %d outside capacity %d", length, off, s.capacity)
-	}
-	lo := off / s.extentSize
-	hi := (off + length + s.extentSize - 1) / s.extentSize
-	s.meta.Lock()
-	var victims []int64
-	for ext := lo; ext < hi && ext < s.extents; ext++ {
-		if slot, ok := s.m.byExtent[ext]; ok && s.dirty.IsMarked(slot) {
-			victims = append(victims, ext)
-		}
-	}
-	s.meta.Unlock()
-	for _, ext := range victims {
-		if err := s.demoteExtent(ctx, ext, false); err != nil {
-			return err
-		}
-	}
-	return s.back.ParityPointContext(ctx, off, length)
 }
 
 // Close stops the migrator and persists the extent map. Dirty data

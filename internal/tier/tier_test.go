@@ -2,7 +2,7 @@ package tier
 
 import (
 	"bytes"
-	"context"
+
 	"errors"
 	"math"
 	"math/rand"
@@ -434,34 +434,6 @@ func TestTierAllSlotsDirtyWritesAround(t *testing.T) {
 	}
 }
 
-func TestTierParityPointDemotesRange(t *testing.T) {
-	r := newRig(t, still, 8)
-	defer r.st.Close()
-
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(7)).Read(data)
-	if _, err := r.st.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.st.WriteAt(data, 3*r.extentSz); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.st.ParityPointContext(context.Background(), 0, 4096); err != nil {
-		t.Fatal(err)
-	}
-	ts := r.st.TierStats()
-	if ts.Demotes != 1 {
-		t.Fatalf("parity point demoted %d extents, want 1 (only the covered one)", ts.Demotes)
-	}
-	got := make([]byte, 4096)
-	if _, err := r.back.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("parity point did not demote covered extent")
-	}
-}
-
 func TestTagRoundTrip(t *testing.T) {
 	for _, ext := range []int64{0, 1, 12345, 1 << 40} {
 		tag := encodeTag(ext)
@@ -509,8 +481,8 @@ func TestExtentMapSerializeRoundTrip(t *testing.T) {
 }
 
 // TestRangeChecksDoNotOverflow: a range whose end overflows int64, or that
-// starts before zero, is refused with an error by reads, writes and parity
-// points alike — never wrapped past the capacity check into a slice panic.
+// starts before zero, is refused with an error by reads and writes alike —
+// never wrapped past the capacity check into a slice panic.
 func TestRangeChecksDoNotOverflow(t *testing.T) {
 	r := newRig(t, still, 8)
 	defer r.st.Close()
@@ -522,12 +494,6 @@ func TestRangeChecksDoNotOverflow(t *testing.T) {
 		if _, err := r.st.WriteAt(buf, off); err == nil {
 			t.Errorf("WriteAt at %d succeeded", off)
 		}
-		if err := r.st.ParityPointContext(context.Background(), off, int64(len(buf))); err == nil {
-			t.Errorf("ParityPoint at %d succeeded", off)
-		}
-	}
-	if err := r.st.ParityPointContext(context.Background(), 0, math.MaxInt64); err == nil {
-		t.Error("ParityPoint of MaxInt64 bytes succeeded")
 	}
 	if _, err := r.st.ReadAt(buf, r.st.Capacity()-int64(len(buf))); err != nil {
 		t.Errorf("ReadAt of the last bytes: %v", err)
