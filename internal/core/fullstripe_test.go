@@ -18,6 +18,7 @@ type probeDev struct {
 	BlockDevice
 	reads, writes atomic.Int64
 	service       time.Duration
+	clock         *Clock // when set, moved on by service as each I/O sleeps it
 
 	mu      sync.Mutex
 	gate    chan struct{} // armed: the next write waits here
@@ -26,7 +27,7 @@ type probeDev struct {
 
 func (d *probeDev) ReadAt(p []byte, off int64) (int, error) {
 	d.reads.Add(1)
-	time.Sleep(d.service)
+	d.serve()
 	return d.BlockDevice.ReadAt(p, off)
 }
 
@@ -40,8 +41,17 @@ func (d *probeDev) WriteAt(p []byte, off int64) (int, error) {
 		close(reached)
 		<-gate
 	}
-	time.Sleep(d.service)
+	d.serve()
 	return d.BlockDevice.WriteAt(p, off)
+}
+
+// serve takes the device's service time, on the wall clock and on the
+// store's clock if the test holds it.
+func (d *probeDev) serve() {
+	time.Sleep(d.service)
+	if d.clock != nil {
+		d.clock.Advance(d.service)
+	}
 }
 
 // arm makes the next write wait; it returns when-reached and release.
@@ -172,9 +182,15 @@ func TestFullStripeWriteOverlapsItsUnits(t *testing.T) {
 // Members that serve a unit faster than a hand-off to another goroutine costs
 // are not handed anything: the goroutine that has the stripe's units
 // moves them one after another. A store assumes disks until it has timed
-// a unit, and goes by the last one it timed.
+// a unit, and goes by the last one it timed. The store's clock is held,
+// and moves only by the probes' service time, so memory members read as
+// fast under the race detector too.
 func TestFastMembersAreNotHandedOff(t *testing.T) {
-	s, probes := openProbed(t, &MemNVRAM{}, Options{Mode: Raid5})
+	clock := &Clock{}
+	s, probes := openProbed(t, &MemNVRAM{}, WithClock(Options{Mode: Raid5}, clock))
+	for _, d := range probes {
+		d.clock = clock
+	}
 	sdb := s.geo.StripeDataBytes()
 	if !s.arr.Overlaps() {
 		t.Fatal("a fresh store does not assume its members are disks")
@@ -194,26 +210,19 @@ func TestFastMembersAreNotHandedOff(t *testing.T) {
 		}
 		return time.Since(t0) < time.Duration(len(probes))*time.Millisecond
 	}
-	// Under the race detector a memory device does not serve a unit in
-	// under a hand-off's time, so the fast halves run without it.
-	if !testutil.RaceEnabled {
-		// Memory devices: the best of a few units timed is far under the bar
-		// (one can meet a stolen processor).
-		for try := 0; try < 20 && s.arr.Overlaps(); try++ {
-			if _, err := s.WriteAt(pattern(int(sdb), 7), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if s.arr.Overlaps() {
-			t.Fatal("memory devices still get hand-offs")
-		}
-		if handedOff() {
-			t.Fatal("units were overlapped though the members had been serving them in under a hand-off's time")
-		}
-		// That write timed a millisecond unit: the members are disks again.
-		if !s.arr.Overlaps() {
-			t.Fatal("slow members are not handed off to after fast ones were seen")
-		}
+	// Memory devices: one unit timed is under the bar.
+	if _, err := s.WriteAt(pattern(int(sdb), 7), 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.arr.Overlaps() {
+		t.Fatal("memory devices still get hand-offs")
+	}
+	if handedOff() {
+		t.Fatal("units were overlapped though the members had been serving them in under a hand-off's time")
+	}
+	// That write timed a millisecond unit: the members are disks again.
+	if !s.arr.Overlaps() {
+		t.Fatal("slow members are not handed off to after fast ones were seen")
 	}
 	for try := 0; !handedOff(); try++ { // a worker may not be parked at the hand-off yet
 		if try == 3 {
@@ -222,15 +231,11 @@ func TestFastMembersAreNotHandedOff(t *testing.T) {
 	}
 	// A store that only reads notices its members turning slow as well.
 	buf := make([]byte, sdb)
-	if !testutil.RaceEnabled {
-		for try := 0; try < 20 && s.arr.Overlaps(); try++ {
-			if _, err := s.ReadAt(buf, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if s.arr.Overlaps() {
-			t.Fatal("memory devices still get hand-offs")
-		}
+	if _, err := s.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.arr.Overlaps() {
+		t.Fatal("memory devices still get hand-offs")
 	}
 	for _, d := range probes {
 		d.service = time.Millisecond

@@ -213,7 +213,7 @@ func (c *Client) readLoop() {
 // fail records the terminal error and releases every waiter. From here
 // the client is permanently dead: there is no reconnect path, by design
 // — request IDs, the pipeline window, and the server's per-connection
-// handlers and reply queue are all connection-scoped, so a transparent
+// handlers and its write lock are all connection-scoped, so a transparent
 // redial would silently drop in-flight requests. Routing layers detect
 // the state via errors.Is(err, ErrConnectionLost) or Err and dial
 // afresh.

@@ -358,10 +358,10 @@ func TestHardShutdownCancelsStoreWork(t *testing.T) {
 }
 
 // TestStalledReaderDisconnected pipelines reads on a connection that
-// never reads its responses. The response queue and socket buffers
-// fill, the writer's deadline expires, and the server must drop that
-// connection — releasing the workers parked in send — rather than let
-// one stalled client wedge the shared pool for everyone else.
+// never reads its responses. The socket buffers fill, the reply's write
+// deadline expires, and the server must drop that connection — releasing
+// the handlers parked on its write lock — rather than let one stalled
+// client wedge the shared in-flight window for everyone else.
 func TestStalledReaderDisconnected(t *testing.T) {
 	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
 		Options{MaxInflight: 512, writeTimeout: 200 * time.Millisecond})

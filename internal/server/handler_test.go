@@ -4,29 +4,40 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"afraid/internal/bufpool"
 	"afraid/internal/core"
 )
 
-// serverGoroutines counts the goroutines running this package's server
-// side: anything with a Server or conn method on its stack.
-func serverGoroutines() int {
+// countGoroutines counts the goroutines whose stack dump, header line
+// first, match accepts.
+func countGoroutines(match func(g string) bool) int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "internal/server.(*Server).") || strings.Contains(g, "internal/server.(*conn).") {
+		if match(g) {
 			n++
 		}
 	}
 	return n
+}
+
+// serverGoroutines counts the goroutines running this package's server
+// side: anything with a Server or conn method on its stack.
+func serverGoroutines() int {
+	return countGoroutines(func(g string) bool {
+		return strings.Contains(g, "internal/server.(*Server).") || strings.Contains(g, "internal/server.(*conn).")
+	})
 }
 
 // TestConnGoroutines: an idle connection is one goroutine, its reader,
@@ -159,86 +170,86 @@ func newHeldConn(t *testing.T) (*conn, *heldConn) {
 	return c, h
 }
 
-// TestRepliesGatherWhileFlushing: a reply that finds the connection idle
-// is written by the goroutine that made it; replies made while that
-// write is in flight return at once and leave together in the next one,
-// framed as they always were. (Replies without a pooled payload are one
-// vector element a batch, so on a conn that is not TCP a batch is one
-// Write.)
-func TestRepliesGatherWhileFlushing(t *testing.T) {
-	c, h := newHeldConn(t)
-
-	resps := []Response{{Op: OpWrite, Status: StatusOK, ID: 1}}
-	for id := uint64(2); id <= 9; id++ {
-		r := Response{Op: OpWrite, Status: StatusOK, ID: id}
-		if id%3 == 0 {
-			r = Response{Op: OpRead, Status: StatusIO, ID: id, Data: []byte("disk 3: medium error")}
-		}
-		resps = append(resps, r)
-	}
-	first := make(chan struct{})
-	go func() {
-		defer close(first)
-		c.reply(resps[0])
-	}()
-	<-h.entered
-	// 2..9 complete while the first write is held.
-	var want []byte
-	for _, r := range resps[1:] {
-		c.reply(r)
-		want = AppendResponse(want, &r)
-	}
-	close(h.release)
-	<-first
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.writes) != 2 {
-		t.Fatalf("%d socket writes for one reply and eight made behind it, want 2", len(h.writes))
-	}
-	if !bytes.Equal(h.writes[0], AppendResponse(nil, &resps[0])) {
-		t.Fatalf("first write is not the first reply's frame: %x", h.writes[0])
-	}
-	if !bytes.Equal(h.writes[1], want) {
-		t.Fatalf("second write is not the eight replies' frames in completion order:\n got %x\nwant %x", h.writes[1], want)
-	}
+// parkedInReply counts the goroutines asleep on a connection's write
+// lock in reply.
+func parkedInReply() int {
+	return countGoroutines(func(g string) bool {
+		head, _, _ := strings.Cut(g, "\n")
+		asleep := strings.Contains(head, "[sync.Mutex.Lock") || strings.Contains(head, "[semacquire")
+		return asleep && strings.Contains(g, "internal/server.(*conn).reply")
+	})
 }
 
-// TestReplyQueueIsBounded: behind a write that does not finish, maxQueued
-// replies queue and the next one waits — holding its handler, and so its
-// in-flight token — until the flusher takes the queue.
-func TestReplyQueueIsBounded(t *testing.T) {
-	c, h := newHeldConn(t)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.reply(Response{Op: OpWrite, ID: 1})
-	}()
-	<-h.entered
-	for id := uint64(2); id < 2+maxQueued; id++ {
-		c.reply(Response{Op: OpWrite, ID: id})
-	}
-	over := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.reply(Response{Op: OpWrite, ID: 2 + maxQueued})
-		close(over)
-	}()
-	select {
-	case <-over:
-		t.Fatalf("reply %d returned with %d queued behind a held write", 2+maxQueued, maxQueued)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(h.release)
-	<-over
+// TestOneReplyIsOneWrite: a reply is written by the goroutine that made
+// it, as its frame and nothing more — a pooled READ payload as its own
+// vector element, so on a conn that is not TCP a second Write — and a
+// reply made while another's write is in flight waits for it, then goes
+// out whole, in the order the replies were made.
+func TestOneReplyIsOneWrite(t *testing.T) {
+	t.Run("lone", func(t *testing.T) {
+		c, h := newHeldConn(t)
+		close(h.release)
+		data := bufpool.Get(4 << 10)
+		for i := range data {
+			data[i] = byte(i * 7)
+		}
+		resp := Response{Op: OpRead, Status: StatusOK, ID: 1, Data: data, pooled: true}
+		want := [][]byte{appendResponseHeader(nil, &resp), bytes.Clone(data)}
+		c.reply(resp)
+		if len(h.writes) != len(want) || !bytes.Equal(h.writes[0], want[0]) || !bytes.Equal(h.writes[1], want[1]) {
+			t.Fatalf("a lone READ reply reached the socket as %d writes, want its header, then its payload", len(h.writes))
+		}
+	})
+
+	t.Run("behind a held write", func(t *testing.T) {
+		c, h := newHeldConn(t)
+		resps := []Response{{Op: OpWrite, Status: StatusOK, ID: 1}}
+		for id := uint64(2); id <= 9; id++ {
+			r := Response{Op: OpWrite, Status: StatusOK, ID: id}
+			if id%3 == 0 {
+				r = Response{Op: OpRead, Status: StatusIO, ID: id, Data: []byte("disk 3: medium error")}
+			}
+			resps = append(resps, r)
+		}
+		var wg sync.WaitGroup
+		var returned atomic.Int32
+		send := func(r Response) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.reply(r)
+				returned.Add(1)
+			}()
+		}
+		send(resps[0])
+		<-h.entered
+		// 2..9 complete while the first write is held, each one once the
+		// one before it waits for the lock.
+		for i, r := range resps[1:] {
+			send(r)
+			waitFor(t, fmt.Sprintf("reply %d to wait behind the held write", r.ID),
+				func() bool { return parkedInReply() == i+1 })
+		}
+		if n := returned.Load(); n != 0 {
+			t.Fatalf("%d replies returned while the first write was held", n)
+		}
+		close(h.release)
+		wg.Wait()
+
+		if len(h.writes) != len(resps) {
+			t.Fatalf("%d socket writes for %d replies, want one each", len(h.writes), len(resps))
+		}
+		for i := range resps {
+			if want := AppendResponse(nil, &resps[i]); !bytes.Equal(h.writes[i], want) {
+				t.Fatalf("write %d is not reply %d's frame:\n got %x\nwant %x", i, resps[i].ID, h.writes[i], want)
+			}
+		}
+	})
 }
 
 // TestStalledReaderHoldsOnlyItsOwnHandlers: a client that pipelines
 // reads and never reads the responses parks its own handlers behind its
-// own reply queue until the write deadline severs it. No other
+// own write lock until the write deadline severs it. No other
 // connection waits on them: there is no shared goroutine for it to wedge.
 func TestStalledReaderHoldsOnlyItsOwnHandlers(t *testing.T) {
 	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},

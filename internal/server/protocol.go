@@ -149,8 +149,8 @@ type Response struct {
 	ID     uint64
 	Data   []byte // READ data, STAT payload, or an error message
 
-	// pooled marks Data as borrowed from bufpool: the connection's
-	// flusher returns it after the frame is serialized. Set only for OpRead
+	// pooled marks Data as borrowed from bufpool: the server's reply
+	// returns it once the frame is written. Set only for OpRead
 	// responses, which are never shared between frame IDs.
 	pooled bool
 

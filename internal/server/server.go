@@ -56,10 +56,10 @@ type Options struct {
 	// the STAT snapshot's few KiB included; the handshake tells the
 	// client.
 	maxPayload uint32
-	// writeTimeout bounds each socket write of response frames
-	// (default 30s). A client that pipelines requests but stops
-	// reading responses would otherwise block the connection's flusher,
-	// fill its reply queue, and park its handlers in reply, each on an
+	// writeTimeout bounds each socket write of a response frame
+	// (default 30s). A client that pipelines requests but stops reading
+	// responses would otherwise block the reply holding its connection's
+	// write lock, and park its other handlers behind it, each on an
 	// in-flight token; on expiry the connection is closed instead.
 	writeTimeout time.Duration
 }
@@ -192,7 +192,6 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		return nil
 	}
 	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, readBufSize), tasks: make(chan *task)}
-	c.room.L = &c.wmu
 	s.conns[c] = struct{}{}
 	s.connWG.Add(1)
 	s.metrics.ConnsOpen.Add(1)
@@ -393,8 +392,8 @@ func (s *Server) apply(ctx context.Context, r *Request) Response {
 			return s.reject(resp, cap, r)
 		}
 		// Read payloads are the server's hottest allocation; borrow the
-		// buffer from the pool and let the connection's flusher return it
-		// once the response frame is on the wire.
+		// buffer from the pool, and reply returns it once the response
+		// frame is on the wire.
 		buf := bufpool.Get(int(r.Length))
 		if _, err := s.store.ReadContext(ctx, buf, r.Off); err != nil {
 			bufpool.Put(buf)
@@ -447,9 +446,9 @@ func (s *Server) fail(resp Response, err error) Response {
 }
 
 // conn is one client connection: a reader (the serve goroutine) that
-// hands each request to one of the connection's handler goroutines, and
-// a reply queue the handlers write out themselves, so responses return
-// in completion order, not issue order.
+// hands each request to one of the connection's handler goroutines,
+// each of which writes its own reply under the connection's write lock,
+// so responses return in completion order, not issue order.
 type conn struct {
 	srv     *Server
 	nc      net.Conn
@@ -458,13 +457,11 @@ type conn struct {
 	idle    atomic.Int64   // handlers past their store call and not yet handed another task
 	pending sync.WaitGroup // handlers started and not yet returned
 
-	wmu      sync.Mutex // guards queue, flushing and broken
-	room     sync.Cond  // on wmu: the flusher took the queue, or the connection broke
-	queue    []Response // replies waiting for the flusher
-	flushing bool       // some goroutine in reply is writing to the socket
-	broken   bool       // a write failed; replies are dropped
-	taken    []Response // the flusher's alone: the queue it is writing out,
-	batch    batch      // and the socket write it is building from it
+	wmu    sync.Mutex  // held across one reply's socket write; guards what follows
+	broken bool        // a write failed; replies are dropped
+	hdr    []byte      // the frame header, and a payload that is not pooled
+	vecs   [2][]byte   // hdr, then a pooled payload
+	out    net.Buffers // what of vecs is still to be written
 }
 
 func (c *conn) serve() {
@@ -476,10 +473,8 @@ func (c *conn) serve() {
 		return
 	}
 	c.readLoop()
-	// Handlers return once their last reply is out. A reply a handler
-	// left to another goroutine's flush is on the wire before that
-	// flusher returns, and the flusher is a handler too (or readLoop,
-	// answering BUSY).
+	// Each handler writes its own reply, so once the last one returns
+	// every response is out.
 	close(c.tasks)
 	c.pending.Wait()
 }
@@ -560,140 +555,36 @@ func (c *conn) readLoop() {
 	}
 }
 
-// wireSeg is one vector element of a response batch: either a range of
-// the batch's header arena (frame headers and inline payloads) or a
-// direct reference to a pooled read payload that travels to the socket
-// without being recopied. Arena segments are stored as offsets, not
-// slices, because the arena may be reallocated by later appends; the
-// slices are materialized only when the batch is sealed.
-type wireSeg struct {
-	start, end int    // arena range; meaningful when data == nil
-	data       []byte // pooled payload, written zero-copy
-}
-
-// maxResponseBatch bounds the vector elements gathered into one writev
-// batch, keeping the arena finite when the queue never goes empty.
-const maxResponseBatch = 256
-
-// maxBatchBytes bounds the payload bytes gathered into one writev
-// batch, and so what one write deadline covers: a multi-megabyte batch can be absorbed whole by
-// kernel buffer autotuning, letting a stalled reader soak up responses
-// that a sequence of bounded writes would have turned into a timeout.
-// One response larger than the cap still travels as a single batch.
-const maxBatchBytes = 64 << 10
-
-// maxQueued bounds the replies waiting behind a flush in progress.
-// Past it a handler waits in reply, still holding its in-flight token,
-// so a client that pipelines requests and reads nothing runs the server
-// out of tokens for it (then ERR_BUSY, then TCP backpressure on the
-// reader) instead of out of memory.
-const maxQueued = 64
-
-// reply sends resp to the client. The reply joins the connection's
-// queue, waiting for room while a flush is in progress; a caller that
-// finds none becomes the flusher and writes the queue out — its own
-// reply, and whatever other handlers queue while each write is in
-// flight — until the queue is empty. A lone reply thus leaves from the
-// goroutine that produced it, and a burst still leaves as one gathered
-// write per round.
+// reply writes resp to the client as one frame, under the connection's
+// write lock, so frames leave whole and in the order their replies take
+// the lock: completion order. The header, and a small payload (STAT,
+// error text) copied in beside it, go out with a pooled READ payload as
+// one scatter-gather write (writev on TCP), the payload never recopied.
+// A write that fails or outlasts writeTimeout breaks the connection:
+// the socket is closed, which unblocks the reader, and later replies are
+// dropped. Either way a pooled payload goes back to bufpool.
 func (c *conn) reply(resp Response) {
 	c.wmu.Lock()
-	for c.flushing && len(c.queue) >= maxQueued && !c.broken {
-		c.room.Wait()
-	}
 	if !c.broken {
-		c.queue = append(c.queue, resp)
-	}
-	if c.flushing {
-		c.wmu.Unlock()
-		return
-	}
-	c.flushing = true
-	for len(c.queue) > 0 && !c.broken {
-		c.queue, c.taken = c.taken[:0], c.queue
-		c.room.Broadcast()
-		c.wmu.Unlock()
-		ok := c.write(c.taken)
-		c.wmu.Lock()
-		if !ok {
-			c.broken, c.queue = true, nil
-			c.room.Broadcast()
-			c.nc.Close() // unblock the reader
-		}
-	}
-	c.flushing = false
-	c.wmu.Unlock()
-}
-
-// batch is one scatter-gather socket write (writev on TCP) in the
-// making: frame headers and small payloads are serialized into a
-// reusable arena, while pooled READ payloads become their own vector
-// elements — the hot read path never copies payload bytes into a frame
-// buffer.
-type batch struct {
-	arena  []byte
-	segs   []wireSeg
-	vecs   net.Buffers
-	pooled [][]byte
-	bytes  int
-}
-
-func (b *batch) add(resp *Response) {
-	b.bytes += respHeaderLen + 4 + len(resp.Data)
-	start := len(b.arena)
-	if resp.pooled && len(resp.Data) > 0 {
-		b.arena = appendResponseHeader(b.arena, resp)
-		b.segs = append(b.segs, wireSeg{start: start, end: len(b.arena)}, wireSeg{data: resp.Data})
-		b.pooled = append(b.pooled, resp.Data)
-		return
-	}
-	b.arena = AppendResponse(b.arena, resp)
-	if resp.pooled {
-		bufpool.Put(resp.Data) // empty payload; serialized inline
-	}
-	if n := len(b.segs); n > 0 && b.segs[n-1].data == nil && b.segs[n-1].end == start {
-		b.segs[n-1].end = len(b.arena) // extend the adjacent arena segment
-	} else {
-		b.segs = append(b.segs, wireSeg{start: start, end: len(b.arena)})
-	}
-}
-
-// writeTo seals and writes the batch. net.Buffers.WriteTo consumes the
-// vector and must see the connection itself (not a wrapper) to take the
-// writev path, so the deadline is armed on the conn directly: if the
-// client stops reading, the write times out and the caller tears the
-// connection down rather than hold its handlers behind the full queue.
-func (b *batch) writeTo(nc net.Conn, timeout time.Duration) error {
-	b.vecs = b.vecs[:0]
-	for _, sg := range b.segs {
-		if sg.data != nil {
-			b.vecs = append(b.vecs, sg.data)
+		if resp.pooled && len(resp.Data) > 0 {
+			c.hdr = appendResponseHeader(c.hdr[:0], &resp)
+			c.out = append(c.vecs[:0], c.hdr, resp.Data)
 		} else {
-			b.vecs = append(b.vecs, b.arena[sg.start:sg.end])
+			c.hdr = AppendResponse(c.hdr[:0], &resp)
+			c.out = append(c.vecs[:0], c.hdr)
+		}
+		// WriteTo consumes c.out, and must see the conn itself, not a
+		// wrapper, to take the writev path.
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.writeTimeout))
+		if _, err := c.out.WriteTo(c.nc); err != nil {
+			c.broken = true
+			c.nc.Close()
 		}
 	}
-	nc.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := b.vecs.WriteTo(nc)
-	for _, p := range b.pooled {
-		bufpool.Put(p) // on the wire (or the conn is dead); done with it
+	c.wmu.Unlock()
+	if resp.pooled {
+		bufpool.Put(resp.Data)
 	}
-	b.arena, b.segs, b.pooled, b.bytes = b.arena[:0], b.segs[:0], b.pooled[:0], 0
-	return err
-}
-
-// write puts rs on the wire, as one batch unless they outgrow a batch's
-// bounds. Only the flusher calls it.
-func (c *conn) write(rs []Response) bool {
-	b := &c.batch
-	for i := range rs {
-		b.add(&rs[i])
-		if len(b.segs) >= maxResponseBatch || b.bytes >= maxBatchBytes || i == len(rs)-1 {
-			if err := b.writeTo(c.nc, c.srv.opts.writeTimeout); err != nil {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // isClosing reports errors expected at teardown: closed sockets and the
