@@ -10,6 +10,7 @@ import (
 
 	"afraid/internal/core"
 	"afraid/internal/fault"
+	"afraid/internal/testutil"
 )
 
 // fillVolume writes seeded data over the whole volume and returns the
@@ -287,14 +288,7 @@ func TestSlowNodeTimesOutAndFailsOver(t *testing.T) {
 	// hit NodeTimeout, so the demotion lands asynchronously — but it
 	// must land: hedging hides the latency, the timeout still cuts a
 	// wedged node loose.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if states := v.NodeStates(); states[2].State != StateUp {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("slow node still considered up after timeout")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testutil.Eventually(t, "the slow node to be demoted after its timeout", func() bool {
+		return v.NodeStates()[2].State != StateUp
+	})
 }

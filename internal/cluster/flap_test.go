@@ -11,6 +11,7 @@ import (
 
 	"afraid/internal/core"
 	"afraid/internal/fault"
+	"afraid/internal/testutil"
 )
 
 // flapOpts builds options for a prober-driven flap test: tight probe
@@ -30,18 +31,6 @@ func flapOpts() Options {
 func flap(n faultNode) *atomic.Bool {
 	base := n.ops()
 	return switchable(fault.Rule{When: func(op fault.Op, _ *rand.Rand) bool { return (op.N-base-1)%19 >= 15 }, Do: fault.Transient(nil)}, n)
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // TestFlapDampingQuarantinesFlappingNode is the ISSUE 10 heal-storm
@@ -104,11 +93,14 @@ func TestFlapDampingQuarantinesFlappingNode(t *testing.T) {
 		t.Error("quarantined node reports zero consecutive failures")
 	}
 
-	// Quarantined means left alone: with the foreground quiet, the
-	// prober must not send the node another operation.
-	time.Sleep(10 * opts.ProbeInterval)
+	// Quarantined means left alone: with the foreground quiet and the
+	// heal in flight at the flap point done, no prober tick sends the node
+	// another operation.
+	probeStep(t, v)
 	before := served(faults[2])
-	time.Sleep(20 * opts.ProbeInterval)
+	for k := 0; k < 20; k++ {
+		probeStep(t, v)
+	}
 	if after := served(faults[2]); after != before {
 		t.Errorf("quarantined node still probed: ops %d -> %d", before, after)
 	}
@@ -130,7 +122,7 @@ func TestFlapDampingQuarantinesFlappingNode(t *testing.T) {
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "node 2 back up", func() bool {
+	testutil.Eventually(t, "node 2 back up", func() bool {
 		s := v.NodeStates()
 		return s[2].State == StateUp && s[2].StaleStripes == 0
 	})
@@ -182,7 +174,7 @@ func TestQuarantineDecayReadmitsNode(t *testing.T) {
 	// Readmitted = reachable again: StateUp, or StateHealing when the
 	// auto-heal honestly reported lost stripes (they stay stale until a
 	// client rewrites them, and the node reports as healing meanwhile).
-	waitFor(t, 10*time.Second, "quarantine decay readmission", func() bool {
+	testutil.Eventually(t, "quarantine decay readmission", func() bool {
 		s := v.NodeStates()[2].State
 		return s == StateUp || s == StateHealing
 	})
@@ -196,7 +188,7 @@ func TestQuarantineDecayReadmitsNode(t *testing.T) {
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "stale units cleared by the rewrite", func() bool {
+	testutil.Eventually(t, "stale units cleared by the rewrite", func() bool {
 		s := v.NodeStates()
 		return s[2].State == StateUp && s[2].StaleStripes == 0
 	})
@@ -224,7 +216,10 @@ func TestProbeConcurrency(t *testing.T) {
 	faults[1].Fail()                                                // dead: its ping fails instantly
 	// A sequential prober would spend 500 ms on node 0 before looking at
 	// node 1; the concurrent prober demotes node 1 within a few ticks.
-	waitFor(t, 300*time.Millisecond, "dead node demoted while another is wedged", func() bool {
-		return v.NodeStates()[1].State == StateDown
-	})
+	for deadline := time.Now().Add(300 * time.Millisecond); v.NodeStates()[1].State != StateDown; {
+		if time.Now().After(deadline) {
+			t.Fatal("dead node not demoted within 300 ms while another is wedged")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

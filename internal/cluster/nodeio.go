@@ -59,6 +59,7 @@ type member struct {
 	quarantineAt time.Time     // when the fence went up (for QuarantineDecay)
 	probeBackoff time.Duration // current redial backoff (0 = ProbeInterval)
 	nextProbe    time.Time     // earliest next redial attempt
+	healAt       time.Time     // when the auto-heal may start (zero: none due)
 	probing      bool          // a probe of this node is in flight
 	healing      bool          // a background heal of this node is in flight
 }
@@ -110,7 +111,7 @@ func (m *member) io(ctx context.Context, p []byte, off int64, write bool, vec ..
 		return 0, v.failStop(m.idx, fmt.Errorf("%w: node %d (%s)", ErrNodeDown, m.idx, m.addr))
 	}
 	cctx, cancel := v.nodeCtx(ctx)
-	t0 := time.Now()
+	t0 := v.opts.now()
 	var err error
 	switch {
 	case !write:
@@ -131,11 +132,11 @@ func (m *member) io(ctx context.Context, p []byte, off int64, write bool, vec ..
 			off += int64(len(b))
 		}
 	}
+	h := v.ob.nodeRead[m.idx]
 	if write {
-		v.ob.nodeWrite[m.idx].Observe(time.Since(t0))
-	} else {
-		v.ob.nodeRead[m.idx].Observe(time.Since(t0))
+		h = v.ob.nodeWrite[m.idx]
 	}
+	h.Observe(v.opts.now().Sub(t0))
 	cancel()
 	if err = v.classify(ctx, m.idx, gen, err); err != nil {
 		return 0, err
@@ -241,10 +242,10 @@ func (v *Volume) markDown(i int, gen uint64, cause error) {
 		v.meta.Unlock()
 		return
 	}
-	m.lastErr, m.node = cause, nil
+	m.lastErr, m.node, m.healAt = cause, nil, time.Time{}
 	v.stats.NodeFailovers++
 	m.consecFails++
-	now := time.Now()
+	now := v.opts.now()
 	cut := now.Add(-flapWindow)
 	m.failTimes = append(slices.DeleteFunc(m.failTimes, func(t time.Time) bool { return !t.After(cut) }), now)
 	quarantined := len(m.failTimes) >= FlapThreshold && !m.quarantined
@@ -273,10 +274,8 @@ func (v *Volume) logf(format string, args ...any) {
 	}
 }
 
-// probeLoop is the optional health prober: it pings up nodes so a
-// silently dead one is demoted before a write trips over it, and redials
-// down ones, handing them to an auto-heal. Nodes are probed concurrently,
-// one probe in flight each, so a wedged node delays no other.
+// probeLoop is the optional health prober: each ProbeInterval it wakes
+// for one probe.
 func (v *Volume) probeLoop() {
 	defer v.wg.Done()
 	t := time.NewTicker(v.opts.ProbeInterval)
@@ -287,44 +286,62 @@ func (v *Volume) probeLoop() {
 			return
 		case <-t.C:
 		}
-		for i := range v.nodes {
-			if v.beginProbe(i) {
-				v.wg.Add(1)
-				go v.probeNode(i)
-			}
-		}
+		v.probe()
 	}
 }
 
-// beginProbe claims node i's probe slot for this tick, unless a redial
-// backoff or a quarantine holds a down node back. A quarantine past its
-// decay is lifted here.
-func (v *Volume) beginProbe(i int) bool {
+// probe is one prober tick, on one reading of the volume's clock.
+func (v *Volume) probe() {
+	now := v.opts.now()
+	for i := range v.nodes {
+		v.probeOne(i, now)
+	}
+}
+
+// probeOne is node i's part of a probe at now. It starts the node's
+// auto-heal once its settle has passed. It pings an up node, so a silently
+// dead one is demoted before a write trips over it, and redials a down one
+// unless a redial backoff or a quarantine holds it back; a quarantine past
+// its decay is lifted here. One probe of a node is in flight at a time, so
+// a wedged node delays no other.
+func (v *Volume) probeOne(i int, now time.Time) {
 	v.meta.Lock()
 	defer v.meta.Unlock()
 	m := v.nodes[i]
-	if v.bgCtx.Err() != nil || m.probing {
-		return false
+	if v.bgCtx.Err() != nil {
+		return
+	}
+	if !m.healing && !m.healAt.IsZero() && !now.Before(m.healAt) {
+		m.healing, m.healAt = true, time.Time{}
+		v.stats.AutoHeals++
+		v.wg.Add(1)
+		go v.autoHeal(i)
+	}
+	if m.probing {
+		return
 	}
 	if m.node == nil {
 		if m.quarantined {
-			if v.opts.QuarantineDecay < 0 || time.Since(m.quarantineAt) < v.opts.QuarantineDecay {
-				return false
+			if v.opts.QuarantineDecay < 0 || now.Sub(m.quarantineAt) < v.opts.QuarantineDecay {
+				return
 			}
 			v.clearQuarantineLocked(m)
 			v.logf("cluster: node %d (%s) quarantine decayed, probing again", i, m.addr)
 		}
-		if m.dial == nil || time.Now().Before(m.nextProbe) {
-			return false
+		if m.dial == nil || now.Before(m.nextProbe) {
+			return
 		}
 	}
 	m.probing = true
-	return true
+	v.wg.Add(1)
+	go v.probeNode(i)
 }
 
 // probeNode pings an up node, failing it if it is gone, or redials a down
-// one and starts its auto-heal. A node still unreachable backs off: from
-// ProbeInterval, doubling up to 8 of them or a second.
+// one. A node still unreachable backs off: from ProbeInterval, doubling up
+// to 8 of them or a second. A redialed node's auto-heal waits out a settle
+// of NodeTimeout, capped at 500 ms, so that the writes in flight when its
+// link failed land before the rebuild's (DESIGN.md §10).
 func (v *Volume) probeNode(i int) {
 	defer v.wg.Done()
 	m := v.nodes[i]
@@ -340,64 +357,39 @@ func (v *Volume) probeNode(i int) {
 		cancel()
 	} else {
 		err := v.redialNode(i)
+		now := v.opts.now()
 		v.meta.Lock()
 		if err != nil {
 			m.probeBackoff = min(max(2*m.probeBackoff, v.opts.ProbeInterval), max(8*v.opts.ProbeInterval, time.Second))
 		} else {
 			m.probeBackoff = 0
+			if m.node != nil { // not demoted again since the redial
+				m.healAt = now.Add(min(v.opts.NodeTimeout, 500*time.Millisecond))
+			}
 		}
-		m.nextProbe = time.Now().Add(m.probeBackoff)
+		m.nextProbe = now.Add(m.probeBackoff)
 		v.meta.Unlock()
-		if err == nil {
-			v.startAutoHeal(i)
-		}
 	}
 	v.meta.Lock()
 	m.probing = false
 	v.meta.Unlock()
 }
 
-// startAutoHeal launches one background heal of node i, if none is in
-// flight, under the volume's background context: Close ends it, no probe
-// tick does.
-//
-// It quiesces first: the wire protocol has no write fencing, so a request
-// in flight when the link failed may still land now that it is back. The
-// store works around the node until the heal hands it back, so letting
-// such zombie writes land first has every later write, the rebuild's
-// included, reach the node after them. The redial proves the link
-// forwards again, so NodeTimeout (capped) is generous.
-func (v *Volume) startAutoHeal(i int) {
-	v.meta.Lock()
+// autoHeal heals node i under the volume's background context: Close
+// ends it, no probe tick does.
+func (v *Volume) autoHeal(i int) {
+	defer v.wg.Done()
 	m := v.nodes[i]
-	if v.bgCtx.Err() != nil || m.healing {
-		v.meta.Unlock()
-		return
-	}
-	m.healing = true
-	v.stats.AutoHeals++
-	v.wg.Add(1)
-	v.meta.Unlock()
 	v.logf("cluster: node %d (%s) back up, auto-heal started", i, m.addr)
-	go func() {
-		defer v.wg.Done()
-		t := time.NewTimer(min(v.opts.NodeTimeout, 500*time.Millisecond))
-		defer t.Stop()
-		select {
-		case <-v.bgCtx.Done():
-		case <-t.C:
-			rep, err := v.healNode(v.bgCtx, i, false, false)
-			if err != nil {
-				v.logf("cluster: auto-heal node %d: %v", i, err)
-			} else {
-				v.logf("cluster: auto-heal node %d done: healed=%d lost=%d remaining=%d",
-					i, rep.Healed, len(rep.Lost), rep.Remaining)
-			}
-		}
-		v.meta.Lock()
-		m.healing = false
-		v.meta.Unlock()
-	}()
+	if rep, err := v.healNode(v.bgCtx, i, false, false); err != nil {
+		v.logf("cluster: auto-heal node %d: %v", i, err)
+	} else {
+		v.logf("cluster: auto-heal node %d done: healed=%d lost=%d remaining=%d",
+			i, rep.Healed, len(rep.Lost), rep.Remaining)
+	}
+	v.meta.Lock()
+	m.healing = false
+	v.meta.Unlock()
 }
 
 // The hedge race itself is the store's (core.Store hedges a node's read
@@ -430,7 +422,7 @@ func (v *Volume) hedgeDelay() time.Duration {
 		}
 		return hd
 	}
-	now := time.Now().UnixNano()
+	now := v.opts.now().UnixNano()
 	if at := v.hedgeEval.Load(); at != 0 && now-at < int64(hedgeEvalEvery) {
 		return time.Duration(v.hedgeNS.Load())
 	}

@@ -8,6 +8,7 @@ import (
 
 	"afraid/internal/fault"
 	"afraid/internal/server"
+	"afraid/internal/testutil"
 )
 
 // proxiedCluster is a 4-node volume over real TCP: each member is an
@@ -99,7 +100,7 @@ func TestProxyClusterPartitionDegradesAndSelfHeals(t *testing.T) {
 
 	// Partition lifts; the prober redials and auto-heals on its own.
 	pc.proxies[1].Restore()
-	waitFor(t, 15*time.Second, "partitioned node healed", func() bool {
+	testutil.Eventually(t, "partitioned node healed", func() bool {
 		s := v.NodeStates()
 		return s[1].State == StateUp && s[1].StaleStripes == 0
 	})
@@ -158,7 +159,7 @@ func TestProxyClusterMidFrameReset(t *testing.T) {
 
 	// The proxy path is healthy again (ResetAfter disarms after firing):
 	// the prober redials and heals whatever the cut write left stale.
-	waitFor(t, 15*time.Second, "reset node healed", func() bool {
+	testutil.Eventually(t, "reset node healed", func() bool {
 		s := v.NodeStates()
 		return s[2].State == StateUp && s[2].StaleStripes == 0
 	})

@@ -56,6 +56,10 @@ type Options struct {
 	NV core.NVRAM
 	// Logf, when set, receives node up/down and heal diagnostics.
 	Logf func(format string, args ...any)
+	// now is the volume's clock (default time.Now): node I/O timing, the
+	// hedge-delay cache, the flap damper and the prober read it; a test
+	// holds it.
+	now func() time.Time
 }
 
 func (o *Options) fill() {
@@ -65,6 +69,9 @@ func (o *Options) fill() {
 	orDefault(&o.NodeTimeout, 10*time.Second)
 	orDefault(&o.DialTimeout, 5*time.Second)
 	orDefault(&o.QuarantineDecay, 5*time.Minute)
+	if o.now == nil {
+		o.now = time.Now
+	}
 }
 
 // orDefault sets an unset option to its default.

@@ -236,13 +236,7 @@ func TestBackgroundDrain(t *testing.T) {
 	if _, err := v.WriteAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for v.DirtyStripes() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background drain left %d stripes dirty", v.DirtyStripes())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testutil.Eventually(t, "the background drain to clean every stripe", func() bool { return v.DirtyStripes() == 0 })
 }
 
 // TestMarksPersistence checks the marking memory survives a volume-host

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"afraid/internal/testutil"
 )
 
 // TestClockReadsPerOp pins how often one single-stripe request reads the
@@ -13,9 +15,9 @@ import (
 // read, so every member reads as slow and the read cache engages.
 func TestClockReadsPerOp(t *testing.T) {
 	const unit = 8 << 10
-	open := func(opts Options) (*Store, *Clock) {
+	open := func(opts Options) (*Store, *testutil.Clock) {
 		t.Helper()
-		clock := &Clock{Step: time.Millisecond}
+		clock := &testutil.Clock{Step: time.Millisecond}
 		devs := make([]BlockDevice, 5)
 		for i := range devs {
 			devs[i] = NewMemDevice(64 * unit)
@@ -28,7 +30,7 @@ func TestClockReadsPerOp(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s, clock
 	}
-	reads := func(name string, clock *Clock, want int64, op func() (int, error)) {
+	reads := func(name string, clock *testutil.Clock, want int64, op func() (int, error)) {
 		t.Helper()
 		r0 := clock.Reads()
 		if _, err := op(); err != nil {

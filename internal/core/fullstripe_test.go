@@ -18,7 +18,7 @@ type probeDev struct {
 	BlockDevice
 	reads, writes atomic.Int64
 	service       time.Duration
-	clock         *Clock // when set, moved on by service as each I/O sleeps it
+	clock         *testutil.Clock // when set, moved on by service as each I/O sleeps it
 
 	mu      sync.Mutex
 	gate    chan struct{} // armed: the next write waits here
@@ -186,7 +186,7 @@ func TestFullStripeWriteOverlapsItsUnits(t *testing.T) {
 // and moves only by the probes' service time, so memory members read as
 // fast under the race detector too.
 func TestFastMembersAreNotHandedOff(t *testing.T) {
-	clock := &Clock{}
+	clock := &testutil.Clock{}
 	s, probes := openProbed(t, &MemNVRAM{}, WithClock(Options{Mode: Raid5}, clock))
 	for _, d := range probes {
 		d.clock = clock

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"afraid/internal/testutil"
 )
 
 func openTest6(t *testing.T, opts Options) (*Store, []BlockDevice) {
@@ -249,7 +251,7 @@ func TestAfraid6DegradedWriteMaintainsParity(t *testing.T) {
 }
 
 func TestAfraid6ScrubberDrains(t *testing.T) {
-	var clock Clock
+	var clock testutil.Clock
 	opts := WithClock(Options{Mode: Afraid6, ScrubIdle: 20 * time.Millisecond, StripeUnit: testUnit, DisableScrubber: true}, &clock)
 	s, err := Open(newDevs(6), &MemNVRAM{}, opts)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"afraid/internal/core"
 	"afraid/internal/fault"
+	"afraid/internal/testutil"
 )
 
 // The read cache (readcache.go) over members slower than a memory copy:
@@ -147,7 +148,7 @@ func TestReadCacheEngagesOnlyOverSlowMembers(t *testing.T) {
 	for i := range devs {
 		devs[i] = core.NewMemDevice(32 * cacheUnit)
 	}
-	fast, err := core.Open(devs, &core.MemNVRAM{}, core.WithClock(core.Options{Mode: core.Afraid, StripeUnit: cacheUnit, DisableScrubber: true}, &core.Clock{}))
+	fast, err := core.Open(devs, &core.MemNVRAM{}, core.WithClock(core.Options{Mode: core.Afraid, StripeUnit: cacheUnit, DisableScrubber: true}, &testutil.Clock{}))
 	if err != nil {
 		t.Fatal(err)
 	}

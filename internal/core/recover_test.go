@@ -6,6 +6,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"afraid/internal/testutil"
 )
 
 // fillStore writes a distinct pattern across the whole client space and
@@ -318,7 +320,7 @@ func TestRaid0RepairLosesEverythingOnThatDisk(t *testing.T) {
 }
 
 func TestScrubberSkipsWhileDegraded(t *testing.T) {
-	var clock Clock
+	var clock testutil.Clock
 	opts := WithClock(Options{Mode: Afraid, ScrubIdle: 10 * time.Millisecond, StripeUnit: testUnit, DisableScrubber: true}, &clock)
 	s, err := Open(newDevs(5), &MemNVRAM{}, opts)
 	if err != nil {

@@ -109,13 +109,7 @@ func TestKickScrubHandsBacklogToScrubber(t *testing.T) {
 	if _, err := s.WriteAt(make([]byte, 512), 0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.DirtyStripes() > th {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog stuck at %d dirty stripes: kick did not reach the scrubber", s.DirtyStripes())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	testutil.Eventually(t, "the kick to bring the backlog down to the threshold", func() bool { return s.DirtyStripes() <= th })
 	if st := s.Stats(); st.ForcedEpisodes == 0 {
 		t.Fatalf("stats = %+v, want at least one forced episode", st)
 	}

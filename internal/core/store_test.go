@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"afraid/internal/testutil"
 )
 
 const (
@@ -154,7 +156,7 @@ func TestRaid5AlwaysConsistent(t *testing.T) {
 // past the last write, a scrub episode drains every dirty stripe — and
 // not a moment before.
 func TestScrubberRebuildsInIdle(t *testing.T) {
-	var clock Clock
+	var clock testutil.Clock
 	opts := WithClock(Options{Mode: Afraid, ScrubIdle: 20 * time.Millisecond, StripeUnit: testUnit, DisableScrubber: true}, &clock)
 	s, err := Open(newDevs(5), &MemNVRAM{}, opts)
 	if err != nil {

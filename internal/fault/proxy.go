@@ -27,9 +27,10 @@ type Proxy struct {
 	ln     net.Listener
 
 	mu        sync.Mutex
-	rng       *rand.Rand // jitter; seeded so schedules replay
-	blackhole bool       // accept, then forward nothing (stall)
-	refuse    bool       // close new connections on accept
+	rng       *rand.Rand    // jitter; seeded so schedules replay
+	blackhole bool          // accept, then forward nothing (stall)
+	restored  chan struct{} // closed by Restore: wakes the stalled forwards
+	refuse    bool          // close new connections on accept
 	latUp     time.Duration
 	latDown   time.Duration
 	jitter    time.Duration
@@ -58,6 +59,7 @@ type proxyPair struct {
 	client net.Conn
 	server net.Conn
 	once   sync.Once
+	dead   chan struct{} // closed by kill: wakes the pair's stalled forwards
 }
 
 // kill tears the pair down. rst requests an abortive close (RST) on the
@@ -74,6 +76,7 @@ func (pp *proxyPair) kill(rst bool) {
 		}
 		pp.client.Close()
 		pp.server.Close()
+		close(pp.dead)
 	})
 }
 
@@ -89,6 +92,7 @@ func NewProxy(target string, seed int64) (*Proxy, error) {
 		target:    target,
 		ln:        ln,
 		rng:       rand.New(rand.NewSource(seed)),
+		restored:  make(chan struct{}),
 		resetIn:   -1,
 		truncNext: -1,
 		conns:     make(map[*proxyPair]struct{}),
@@ -152,6 +156,10 @@ func (p *Proxy) TruncateNext(n int64) {
 // forwarding; stalled requests complete if the client is still waiting.
 func (p *Proxy) Restore() {
 	p.mu.Lock()
+	if p.blackhole {
+		close(p.restored)
+		p.restored = make(chan struct{})
+	}
 	p.blackhole, p.refuse = false, false
 	p.latUp, p.latDown, p.jitter = 0, 0, 0
 	p.resetIn, p.truncNext = -1, -1
@@ -224,7 +232,7 @@ func (p *Proxy) acceptLoop() {
 			c.Close()
 			continue
 		}
-		pp := &proxyPair{client: c, server: s}
+		pp := &proxyPair{client: c, server: s, dead: make(chan struct{})}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -269,23 +277,19 @@ func (p *Proxy) pump(pp *proxyPair, src, dst net.Conn, up bool) {
 // when the connection was killed (reset, truncation) or the write
 // failed.
 func (p *Proxy) forward(pp *proxyPair, dst net.Conn, chunk []byte, up bool) bool {
-	// Black hole: stall until restored or the pair dies. Polling keeps
-	// the gate lock-free for the common path; 2 ms is far below any
-	// timeout a test would assert on.
-	for {
-		p.mu.Lock()
-		stalled := p.blackhole
+	// Black hole: stall until Restore, or until the pair dies (Close
+	// kills every pair).
+	p.mu.Lock()
+	for p.blackhole {
+		restored := p.restored
 		p.mu.Unlock()
-		if !stalled {
-			break
-		}
-		if !alive(dst) {
+		select {
+		case <-restored:
+		case <-pp.dead:
 			return false
 		}
-		time.Sleep(2 * time.Millisecond)
+		p.mu.Lock()
 	}
-
-	p.mu.Lock()
 	lat := p.latDown
 	if up {
 		lat = p.latUp
@@ -339,15 +343,6 @@ func (p *Proxy) forward(pp *proxyPair, dst net.Conn, chunk []byte, up bool) bool
 		p.stats.Resets++
 		p.mu.Unlock()
 		pp.kill(true)
-		return false
-	}
-	return true
-}
-
-// alive reports whether the connection can still take a write — used to
-// break the black-hole stall loop once the pair has been killed.
-func alive(c net.Conn) bool {
-	if err := c.SetWriteDeadline(time.Time{}); err != nil {
 		return false
 	}
 	return true

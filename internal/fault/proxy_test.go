@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"afraid/internal/testutil"
 )
 
 // echoServer accepts connections and echoes every byte back, recording
@@ -214,13 +216,7 @@ func TestProxyResetAfterCutsMidStream(t *testing.T) {
 	if err == nil {
 		t.Fatalf("read %d bytes through a reset connection", n)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(s.received()) >= 4 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testutil.Eventually(t, "the server to receive what crossed", func() bool { return len(s.received()) >= 4 })
 	if got := s.received(); len(got) != 4 || string(got) != "0123" {
 		t.Fatalf("server received %q, want exactly %q", got, "0123")
 	}
@@ -241,13 +237,7 @@ func TestProxyTruncateNext(t *testing.T) {
 	if _, err := io.ReadFull(c, make([]byte, 8)); err == nil {
 		t.Fatal("full echo came back through a truncated frame")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(s.received()) >= 3 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testutil.Eventually(t, "the server to receive what crossed", func() bool { return len(s.received()) >= 3 })
 	if got := s.received(); string(got) != "abc" {
 		t.Fatalf("server received %q, want truncated %q", got, "abc")
 	}

@@ -7,9 +7,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/testutil"
 )
 
 // TestRaid6DoubleFailureUnderConcurrentIO drives a RAID 6 store with
@@ -53,7 +53,6 @@ func TestRaid6DoubleFailureUnderConcurrentIO(t *testing.T) {
 	ws := make([]*worker, workers)
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
-	stopRepair := make(chan struct{})
 
 	for w := 0; w < workers; w++ {
 		ws[w] = &worker{base: int64(w) * region, ref: make([]byte, region)}
@@ -90,51 +89,42 @@ func TestRaid6DoubleFailureUnderConcurrentIO(t *testing.T) {
 		}(ws[w], int64(1000+w))
 	}
 
-	// Repair goroutine: as soon as both victims are absorbed, rebuild
-	// them onto fresh devices while the writers are still running.
-	repairErr := make(chan error, 1)
+	// As soon as both victims are absorbed, rebuild them onto fresh
+	// devices while the writers are still running, unless they are done.
+	writersDone := make(chan struct{})
 	go func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			select {
-			case <-stopRepair:
-				repairErr <- nil
-				return
-			default:
-			}
-			dead := st.DeadDisks()
-			if len(dead) == 2 {
-				for _, i := range dead {
-					rep := core.NewMemDevice(stripes * unit)
-					report, err := st.RepairDisk(i, rep)
-					if err != nil {
-						repairErr <- fmt.Errorf("repair disk %d: %w", i, err)
-						return
-					}
-					if len(report.Lost) != 0 {
-						repairErr <- fmt.Errorf("RAID 6 repair of disk %d reported loss: %+v", i, report.Lost)
-						return
-					}
-				}
-				repairErr <- nil
-				return
-			}
-			if time.Now().After(deadline) {
-				repairErr <- fmt.Errorf("victims never absorbed; dead=%v", st.DeadDisks())
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
+		wg.Wait()
+		close(writersDone)
 	}()
+	testutil.Eventually(t, "both victims absorbed, or the writers done", func() bool {
+		select {
+		case <-writersDone:
+			return true
+		default:
+			return len(st.DeadDisks()) == 2
+		}
+	})
+	var repairErr error
+	if dead := st.DeadDisks(); len(dead) == 2 {
+		for _, i := range dead {
+			report, err := st.RepairDisk(i, core.NewMemDevice(stripes*unit))
+			if err == nil && len(report.Lost) != 0 {
+				err = fmt.Errorf("RAID 6 repair reported loss: %+v", report.Lost)
+			}
+			if err != nil {
+				repairErr = fmt.Errorf("repair disk %d: %w", i, err)
+				break
+			}
+		}
+	}
 
-	wg.Wait()
+	<-writersDone
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	close(stopRepair)
-	if err := <-repairErr; err != nil {
-		t.Fatal(err)
+	if repairErr != nil {
+		t.Fatal(repairErr)
 	}
 
 	// If the workload finished before both transients tripped (or the

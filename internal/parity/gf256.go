@@ -51,20 +51,6 @@ func init() {
 	}
 }
 
-// gfMul multiplies two field elements.
-func gfMul(a, b byte) byte { return gfMulTab[a][b] }
-
-// gfDiv divides a by b (b != 0).
-func gfDiv(a, b byte) byte {
-	if b == 0 {
-		panic("parity: GF division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
-}
-
 // gfPow returns g^n for the generator g=2.
 func gfPow(n int) byte {
 	n %= 255

@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// gfMul multiplies two field elements; the kernels and the codec index
+// gfMulTab rows directly, so only the tests multiply one pair at a time.
+func gfMul(a, b byte) byte { return gfMulTab[a][b] }
+
+// gfDiv divides a by b (b != 0).
+func gfDiv(a, b byte) byte {
+	if b == 0 {
+		panic("parity: GF division by zero")
+	}
+	if a == 0 {
+		return 0
+	}
+	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
+}
+
 func TestGFMulProperties(t *testing.T) {
 	// Identity, zero, commutativity, and distributivity over a sample.
 	for a := 0; a < 256; a++ {

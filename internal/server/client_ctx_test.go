@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/testutil"
 )
 
 // startStalledServer speaks just enough protocol to complete the
@@ -150,17 +151,7 @@ func TestPingAndConnectionLost(t *testing.T) {
 		t.Fatalf("Ping: %v", err)
 	}
 	srv.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := c.Ping(ctx)
-		if errors.Is(err, ErrConnectionLost) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("Ping after server close = %v, want ErrConnectionLost", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	testutil.Eventually(t, "Ping after server close to fail with ErrConnectionLost", func() bool { return errors.Is(c.Ping(ctx), ErrConnectionLost) })
 	if err := c.Err(); !errors.Is(err, ErrConnectionLost) {
 		t.Fatalf("Err = %v, want ErrConnectionLost", err)
 	}

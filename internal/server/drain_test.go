@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"afraid/internal/core"
+	"afraid/internal/testutil"
 )
 
 // gatedBackend wraps a real store but parks writes on a gate so tests
@@ -203,17 +204,6 @@ func TestRequestContext(t *testing.T) {
 	}
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestBackpressureBusy fills the in-flight window and checks that the
 // next request is rejected with ERR_BUSY instead of queueing, and that
 // the window recovers once requests complete.
@@ -235,7 +225,7 @@ func TestBackpressureBusy(t *testing.T) {
 			done <- err
 		}()
 	}
-	waitFor(t, "window to fill", func() bool { return g.blocked.Load() == window })
+	testutil.Eventually(t, "window to fill", func() bool { return g.blocked.Load() == window })
 
 	// The next request must bounce immediately.
 	if _, err := c.WriteAt([]byte("overflow"), 1<<20); !errors.Is(err, ErrBusy) {
@@ -293,7 +283,7 @@ func TestGracefulDrainDeliversInflightResponses(t *testing.T) {
 		_, err := c.WriteAt([]byte("in flight during drain"), 8192)
 		writeDone <- err
 	}()
-	waitFor(t, "write to reach the store", func() bool { return g.blocked.Load() == 1 })
+	testutil.Eventually(t, "write to reach the store", func() bool { return g.blocked.Load() == 1 })
 
 	shutDone := make(chan error, 1)
 	go func() {
@@ -343,7 +333,7 @@ func TestHardShutdownCancelsStoreWork(t *testing.T) {
 		_, err := c.WriteAt([]byte("doomed"), 0)
 		writeDone <- err
 	}()
-	waitFor(t, "write to reach the store", func() bool { return g.blocked.Load() == 1 })
+	testutil.Eventually(t, "write to reach the store", func() bool { return g.blocked.Load() == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -420,12 +410,7 @@ func TestStalledReaderDisconnected(t *testing.T) {
 	// writer's deadline does, so wait for that rather than start reading
 	// and un-stall it), and draining it hits EOF/reset, not the read
 	// deadline.
-	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().ConnsOpen.Value() > 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("stalled connection still open long after the write timeout")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	testutil.Eventually(t, "the stalled connection to close after its write timeout", func() bool { return srv.Metrics().ConnsOpen.Value() <= 1 })
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, err = io.Copy(io.Discard, nc)
 	var ne net.Error

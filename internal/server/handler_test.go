@@ -16,6 +16,7 @@ import (
 
 	"afraid/internal/bufpool"
 	"afraid/internal/core"
+	"afraid/internal/testutil"
 )
 
 // countGoroutines counts the goroutines whose stack dump, header line
@@ -59,11 +60,11 @@ func TestConnGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "the server to be down to one goroutine a connection, one handler and the accept loop",
+	testutil.Eventually(t, "the server to be down to one goroutine a connection, one handler and the accept loop",
 		func() bool { return serverGoroutines() == conns+1+1+1 })
 	// A served request's handler is gone once its connection has closed.
 	c.Close()
-	waitFor(t, "the server to be down to one goroutine a connection and the accept loop",
+	testutil.Eventually(t, "the server to be down to one goroutine a connection and the accept loop",
 		func() bool { return serverGoroutines() == conns+1 })
 }
 
@@ -127,9 +128,9 @@ func TestHandlersOutliveTheirRequest(t *testing.T) {
 	}
 
 	c.Close()
-	waitFor(t, "the closed connection's handlers to return",
+	testutil.Eventually(t, "the closed connection's handlers to return",
 		func() bool { return srv.Metrics().Handlers.Value() == 0 })
-	waitFor(t, "the server to be down to its readers and the accept loop",
+	testutil.Eventually(t, "the server to be down to its readers and the accept loop",
 		func() bool { return serverGoroutines() == idle+1 })
 }
 
@@ -227,7 +228,7 @@ func TestOneReplyIsOneWrite(t *testing.T) {
 		// one before it waits for the lock.
 		for i, r := range resps[1:] {
 			send(r)
-			waitFor(t, fmt.Sprintf("reply %d to wait behind the held write", r.ID),
+			testutil.Eventually(t, fmt.Sprintf("reply %d to wait behind the held write", r.ID),
 				func() bool { return parkedInReply() == i+1 })
 		}
 		if n := returned.Load(); n != 0 {
@@ -303,7 +304,7 @@ func TestStalledReaderHoldsOnlyItsOwnHandlers(t *testing.T) {
 		t.Fatal("no round trip made while the stalled connection was open")
 	}
 	// Severed, and its handlers with it.
-	waitFor(t, "the stalled connection's handlers to return", func() bool { return srv.Metrics().Inflight.Value() == 0 })
+	testutil.Eventually(t, "the stalled connection's handlers to return", func() bool { return srv.Metrics().Inflight.Value() == 0 })
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, err = io.Copy(io.Discard, nc)
 	var ne net.Error

@@ -36,7 +36,7 @@ func (s *Store) promote(ctx context.Context, ext, extOff int64, p []byte) error 
 	}
 	copy(buf[extOff:], p)
 
-	start := time.Now()
+	start := s.opts.now()
 	slot, err := s.claimSlot(ctx, ext)
 	if err != nil || slot < 0 {
 		// No slot to be had: not a failure, just a cold front. Write
@@ -71,7 +71,7 @@ func (s *Store) promote(ctx context.Context, ext, extOff int64, p []byte) error 
 	}
 	s.st.promotes.Add(1)
 	s.st.promotedBytes.Add(n)
-	s.ob.promote.Observe(time.Since(start))
+	s.ob.promote.Observe(s.opts.now().Sub(start))
 	return nil
 }
 
@@ -170,7 +170,7 @@ func (s *Store) demoteExtent(ctx context.Context, ext int64, evict bool) error {
 		return nil // raced with a concurrent demote or eviction
 	}
 
-	start := time.Now()
+	start := s.opts.now()
 	n := s.extentLen(ext)
 	buf := bufpool.Get(int(s.extentSize))
 	defer bufpool.Put(buf)
@@ -203,7 +203,7 @@ func (s *Store) demoteExtent(ctx context.Context, ext int64, evict bool) error {
 	if wasDirty {
 		s.st.demotes.Add(1)
 		s.st.demotedBytes.Add(n)
-		s.ob.demote.Observe(time.Since(start))
+		s.ob.demote.Observe(s.opts.now().Sub(start))
 	}
 	return nil
 }
@@ -266,13 +266,12 @@ type migrator struct {
 	wg    sync.WaitGroup
 }
 
-func newMigrator(s *Store) *migrator {
-	return &migrator{s: s, kickC: make(chan struct{}, 1), stopC: make(chan struct{})}
-}
-
-func (m *migrator) start() {
+// startMigrator starts s's migrator.
+func startMigrator(s *Store) *migrator {
+	m := &migrator{s: s, kickC: make(chan struct{}, 1), stopC: make(chan struct{})}
 	m.wg.Add(1)
 	go m.loop()
+	return m
 }
 
 func (m *migrator) stop() {
@@ -290,64 +289,57 @@ func (m *migrator) kick() {
 
 func (m *migrator) loop() {
 	defer m.wg.Done()
-	s := m.s
-	timer := time.NewTimer(s.opts.IdleDelay)
-	defer timer.Stop()
+	t := time.NewTicker(m.s.opts.IdleDelay)
+	defer t.Stop()
 	for {
 		select {
 		case <-m.stopC:
 			return
 		case <-m.kickC:
-		case <-timer.C:
+		case <-t.C:
 		}
+		m.step()
+	}
+}
 
-		degraded := false
-		for i := range s.copyFailed {
-			if s.copyFailed[i].Load() {
-				degraded = true
-				break
-			}
+// step is what the migrator wakes for, on one reading of the tier's
+// clock: with a front copy failed, dirty bytes past the valve or the tier
+// idle for IdleDelay, it demotes, until stop.
+func (m *migrator) step() {
+	s := m.s
+	degraded := false
+	for i := range s.copyFailed {
+		degraded = degraded || s.copyFailed[i].Load()
+	}
+	pressure := s.dirtyBytesNow() > s.opts.MaxDirtyBytes
+	start := s.opts.now()
+	if quiet := start.Sub(time.Unix(0, s.lastOp.Load())) >= s.opts.IdleDelay; !degraded && !pressure && !quiet {
+		return
+	}
+	demoted := 0
+	for {
+		select {
+		case <-m.stopC:
+			return
+		default:
 		}
-		pressure := s.dirtyBytesNow() > s.opts.MaxDirtyBytes
-		idleFor := time.Duration(time.Now().UnixNano() - s.lastOp.Load())
-		quiet := idleFor >= s.opts.IdleDelay
-
-		if degraded || pressure || quiet {
-			start := time.Now()
-			demoted := 0
-			for {
-				select {
-				case <-m.stopC:
-					return
-				default:
-				}
-				// Under pressure drain to half the valve; when merely
-				// idle, demote until a client op interrupts.
-				if !degraded {
-					if pressure {
-						if s.dirtyBytesNow() <= s.opts.MaxDirtyBytes/2 {
-							break
-						}
-					} else if s.lastOp.Load() > start.UnixNano() {
-						break // interrupted
-					}
-				}
-				if !s.demoteOne(context.Background()) {
+		// Under pressure drain to half the valve; when merely idle,
+		// demote until a client op interrupts.
+		if !degraded {
+			if pressure {
+				if s.dirtyBytesNow() <= s.opts.MaxDirtyBytes/2 {
 					break
 				}
-				demoted++
-			}
-			if demoted > 0 {
-				s.ob.migrate.Observe(time.Since(start))
+			} else if s.lastOp.Load() > start.UnixNano() {
+				break // interrupted
 			}
 		}
-
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+		if !s.demoteOne(context.Background()) {
+			break
 		}
-		timer.Reset(s.opts.IdleDelay)
+		demoted++
+	}
+	if demoted > 0 {
+		s.ob.migrate.Observe(s.opts.now().Sub(start))
 	}
 }

@@ -53,6 +53,9 @@ type Options struct {
 	// IdleDelay is how long the tier must be quiescent before the
 	// migrator demotes (default idle.DefaultDelay).
 	IdleDelay time.Duration
+	// now is the tier's clock (default time.Now), the one time source of
+	// its histograms, its idle stamp and its migrator; a test holds it.
+	now func() time.Time
 }
 
 // Store is a two-tier array: a mirrored write-back front absorbing hot
@@ -127,6 +130,9 @@ func Open(back *core.Store, front []core.BlockDevice, nv core.NVRAM, opts Option
 	if opts.ExtentSize == 0 {
 		opts.ExtentSize = DefaultExtentSize
 	}
+	if opts.now == nil {
+		opts.now = time.Now
+	}
 	if opts.ExtentSize < 512 || opts.ExtentSize&(opts.ExtentSize-1) != 0 {
 		return nil, fmt.Errorf("tier: extent size %d must be a power-of-two >= 512", opts.ExtentSize)
 	}
@@ -164,14 +170,13 @@ func Open(back *core.Store, front []core.BlockDevice, nv core.NVRAM, opts Option
 	s.lastUse = make([]uint64, totalSlots)
 	s.copyFailed = make([]atomic.Bool, len(front))
 	s.inflight = make([]atomic.Int64, len(front))
-	s.lastOp.Store(time.Now().UnixNano())
+	s.lastOp.Store(opts.now().UnixNano())
 
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
 
-	s.mig = newMigrator(s)
-	s.mig.start()
+	s.mig = startMigrator(s)
 	return s, nil
 }
 
@@ -336,7 +341,7 @@ func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op f
 		done += n
 	}
 	if end.IsZero() {
-		end = time.Now()
+		end = s.opts.now()
 	}
 	s.lastOp.Store(end.UnixNano())
 	return done, nil
@@ -363,9 +368,9 @@ func (s *Store) readExtent(ctx context.Context, ext, extOff int64, p []byte) (ti
 		return time.Time{}, err
 	}
 	s.st.frontReadHits.Add(1)
-	start := time.Now()
+	start := s.opts.now()
 	err := s.mirrorRead(ctx, slot, p, s.slotOff(slot)+extOff)
-	end := time.Now()
+	end := s.opts.now()
 	s.ob.frontRead.Observe(end.Sub(start))
 	return end, err
 }
@@ -416,11 +421,11 @@ func (s *Store) writeExtent(ctx context.Context, ext, extOff int64, p []byte, wr
 
 	if resident {
 		s.st.frontWriteHits.Add(1)
-		start := time.Now()
+		start := s.opts.now()
 		if err := s.mirrorWrite(ctx, slot, p, s.slotOff(slot)+extOff); err != nil {
 			return time.Time{}, err
 		}
-		end := time.Now()
+		end := s.opts.now()
 		s.ob.frontWrite.Observe(end.Sub(start))
 		s.meta.Lock()
 		if s.dirty.Mark(slot) {
