@@ -101,12 +101,6 @@ func runAblations(w io.Writer, dur time.Duration, seed uint64) error {
 	}
 	fmt.Fprintln(w, exp.RenderAblation("Ablation: adjacent-stripe rebuild coalescing (netware)", co))
 
-	ad, err := exp.AdaptiveIdleSweep("cello-usr", dur, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, exp.RenderAblation("Ablation: idle detector (cello-usr)", ad))
-
 	width, err := exp.WidthSweep("cello-usr", dur, seed)
 	if err != nil {
 		return err

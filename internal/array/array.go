@@ -99,16 +99,10 @@ func (m Mode) Parities() (int, int) {
 
 // Policy carries the AFRAID availability knobs.
 type Policy struct {
-	// IdleDelay is the quiescence threshold before background parity
-	// rebuilding starts. Zero selects the paper's 100 ms default.
+	// IdleDelay is how long the array must have been completely idle
+	// before background parity rebuilding starts (idle.New). Zero
+	// selects the paper's 100 ms default.
 	IdleDelay time.Duration
-	// AdaptiveIdle replaces the fixed timer with the backoff detector.
-	AdaptiveIdle bool
-	// PredictiveIdle replaces the fixed timer with the Golding-style
-	// moving-average idle-period predictor. The paper ran one but
-	// ignored its output ("the output from the idle-period predictor
-	// was ignored"); enabling it here is an ablation.
-	PredictiveIdle bool
 	// DirtyThreshold, when positive, starts a parity rebuild as soon
 	// as more than this many stripes are unprotected, even if the
 	// array is busy (the paper found 20 effective).
@@ -220,8 +214,7 @@ type Array struct {
 	limiter *iosched.Limiter
 	cache   *cache.Controller
 	marks   *nvram.Bitmap
-	tracker idle.Tracker
-	detect  idle.Detector
+	tracker *idle.Tracker // on the sim's clock: onIdleClock
 
 	// stripe concurrency control
 	rebuildLocked map[int64][]func() // stripe -> waiters (non-nil while locked)
@@ -292,21 +285,6 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		return nil, fmt.Errorf("array: %v mode requires a %v layout, have %v",
 			cfg.mode, wantLevel, cfg.Geometry.Level)
 	}
-	var det idle.Detector
-	switch {
-	case cfg.Policy.AdaptiveIdle && cfg.Policy.PredictiveIdle:
-		return nil, fmt.Errorf("array: AdaptiveIdle and PredictiveIdle are mutually exclusive")
-	case cfg.Policy.AdaptiveIdle:
-		base := cfg.Policy.IdleDelay
-		if base <= 0 {
-			base = idle.DefaultDelay
-		}
-		det = idle.NewAdaptive(base/8, base, base*8)
-	case cfg.Policy.PredictiveIdle:
-		det = idle.NewPredictor(cfg.Policy.IdleDelay)
-	default:
-		det = idle.NewTimer(cfg.Policy.IdleDelay)
-	}
 	gran := cfg.Policy.MarkGranularity
 	if gran < 1 {
 		gran = 1
@@ -330,7 +308,7 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		limiter:       iosched.NewLimiter(iosched.NewCLOOK(), cfg.Geometry.Disks),
 		cache:         cache.NewController(cfg.Cache),
 		marks:         nvram.NewBitmap(cfg.Geometry.Stripes() * int64(gran)),
-		detect:        det,
+		tracker:       idle.New(cfg.Policy.IdleDelay, onIdleClock(0)),
 		rebuildLocked: make(map[int64][]func()),
 		activeWrites:  make(map[int64]int),
 		gran:          gran,

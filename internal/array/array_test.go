@@ -289,16 +289,6 @@ func TestRAID0ModeRequiresRAID0Layout(t *testing.T) {
 	}
 }
 
-func TestAdaptiveIdleDetectorRuns(t *testing.T) {
-	cfg := DefaultConfig(AFRAID)
-	cfg.Policy.AdaptiveIdle = true
-	tr := smallWriteTrace(200, 12*time.Millisecond, time.Second, cfg.Geometry.Capacity())
-	m := mustRun(t, cfg, tr)
-	if m.DirtyAtEnd != 0 {
-		t.Fatalf("adaptive detector left %d dirty stripes", m.DirtyAtEnd)
-	}
-}
-
 func TestCoalesceAdjacentReducesEpisodes(t *testing.T) {
 	// Sequential writes dirty adjacent stripes; with coalescing the
 	// rebuilder should finish runs in fewer episodes.

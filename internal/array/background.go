@@ -6,6 +6,10 @@ import (
 	"afraid/internal/avail"
 )
 
+// onIdleClock is the simulator's virtual time d on the idle rule's clock,
+// which starts at the zero time.Time.
+func onIdleClock(d time.Duration) time.Time { return time.Time{}.Add(d) }
+
 // maybeArmIdleTimer schedules the idle-detection check after the array
 // becomes quiescent with unredundant stripes outstanding. Only a preset
 // that defers a parity (n < m) relies on the background rebuilder.
@@ -16,10 +20,11 @@ func (a *Array) maybeArmIdleTimer() {
 	if a.deg.failed >= 0 {
 		return // parity cannot be rebuilt around a missing member
 	}
-	at, ok := a.tracker.EligibleAt(a.detect)
+	due, ok := a.tracker.Due()
 	if !ok {
 		return
 	}
+	at := due.Sub(onIdleClock(0))
 	if a.idleTimer != nil {
 		a.idleTimer.Stop()
 	}
@@ -46,7 +51,7 @@ func (a *Array) idleFired(gen uint64) {
 	if a.rebuilding || a.marks.Count() == 0 {
 		return
 	}
-	if _, ok := a.tracker.Idle(a.eng.Now()); !ok {
+	if _, idle := a.tracker.Due(); !idle {
 		return // a request slipped in; its completion will re-arm
 	}
 	a.beginEpisode(false)
@@ -88,7 +93,6 @@ func (a *Array) endEpisode(interruptedByFg bool) {
 	if interruptedByFg {
 		a.interrupted++
 	}
-	a.detect.Observe(interruptedByFg)
 	a.maybeArmIdleTimer()
 }
 

@@ -120,28 +120,6 @@ func TestConservativeStartStaysRAID5UnderSaturation(t *testing.T) {
 	}
 }
 
-func TestPredictiveIdleDetectorRuns(t *testing.T) {
-	cfg := DefaultConfig(AFRAID)
-	cfg.Policy.PredictiveIdle = true
-	tr := smallWriteTrace(200, 12*time.Millisecond, 2*time.Second, cfg.Geometry.Capacity())
-	m := mustRun(t, cfg, tr)
-	if m.DirtyAtEnd != 0 {
-		t.Fatalf("predictive detector left %d dirty stripes", m.DirtyAtEnd)
-	}
-	if m.Completed != uint64(201) {
-		t.Fatalf("completed %d", m.Completed)
-	}
-}
-
-func TestAdaptiveAndPredictiveExclusive(t *testing.T) {
-	cfg := DefaultConfig(AFRAID)
-	cfg.Policy.AdaptiveIdle = true
-	cfg.Policy.PredictiveIdle = true
-	if _, err := New(sim.NewEngine(), cfg); err == nil {
-		t.Fatal("mutually exclusive detectors accepted")
-	}
-}
-
 func TestImmediateReportingSpeedsUpWrites(t *testing.T) {
 	// §4.1: the traced systems disabled immediate reporting; enabling
 	// it lets writes complete at buffer speed. It must speed up both

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"afraid/internal/idle"
 	"afraid/internal/iosched"
 	"afraid/internal/layout"
 	"afraid/internal/trace"
@@ -41,17 +40,10 @@ func (a *Array) Submit(rec trace.Record) {
 // start begins an admitted request.
 func (a *Array) start(r *request) {
 	a.fgArrived = true
-	if rec, ok := a.detect.(idle.IdleRecorder); ok && a.completed > 0 {
-		// A busy edge closes an idle period; feed its length to
-		// predictive detectors.
-		if d, wasIdle := a.tracker.Idle(a.eng.Now()); wasIdle {
-			rec.RecordIdlePeriod(d)
-		}
-	}
-	a.tracker.Start(a.eng.Now())
-	if a.tracker.Outstanding() == 1 {
+	if _, wasIdle := a.tracker.Due(); wasIdle {
 		a.busyTW.Set(a.eng.Now(), 1)
 	}
+	a.tracker.Start()
 	if a.idleTimer != nil {
 		a.idleTimer.Stop()
 		a.idleTimer = nil
@@ -89,8 +81,8 @@ func (a *Array) finishOne(r *request) {
 		a.readTime.Add(lat)
 	}
 	a.completed++
-	a.tracker.End(now)
-	if a.tracker.Outstanding() == 0 {
+	a.tracker.End(onIdleClock(now))
+	if _, idle := a.tracker.Due(); idle {
 		a.busyTW.Set(now, 0)
 	}
 	a.maybeArmIdleTimer()

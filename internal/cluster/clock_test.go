@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +100,44 @@ func TestQuarantineDecayDefault(t *testing.T) {
 	if _, _, up := v.nodes[2].conn(); !up {
 		t.Fatal("the decayed node was not redialed")
 	}
+}
+
+// TestQuarantineDecayLogsUnlocked: the prober logs a quarantine's decay
+// after unlocking the volume, so a Logf that reads the volume (here
+// NodeStates) returns and the probe step with it.
+func TestQuarantineDecayLogsUnlocked(t *testing.T) {
+	clock := &testutil.Clock{}
+	var vol atomic.Pointer[Volume]
+	logged := make(chan []NodeInfo, 1)
+	opts := quietOpts()
+	opts.ProbeInterval = time.Hour
+	opts.now = clock.Now
+	opts.Logf = func(format string, _ ...any) {
+		if v := vol.Load(); v != nil && strings.Contains(format, "decayed") {
+			logged <- v.NodeStates()
+		}
+	}
+	v, _ := testVolume(t, 4, 16*4096, opts)
+	vol.Store(v)
+	flapOnce(t, v, 2)
+	flapOnce(t, v, 2)
+	failNode(v, 2)
+	if s := v.NodeStates()[2].State; s != StateQuarantined {
+		t.Fatalf("node 2 is %v, want quarantined", s)
+	}
+	clock.Advance(v.opts.QuarantineDecay)
+	probed := make(chan struct{})
+	go func() { v.probe(); close(probed) }()
+	select {
+	case states := <-logged:
+		if len(states) != 4 {
+			t.Fatalf("NodeStates from Logf: %d nodes, want 4", len(states))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Logf reading the volume during a quarantine decay never returned")
+	}
+	<-probed
+	probeStep(t, v)
 }
 
 // TestRedialBackoffDoubles: a down node that will not answer is redialed

@@ -117,7 +117,7 @@ func TestSlowMarkingMemoryDoesNotStallTheVolume(t *testing.T) {
 	}
 }
 
-// gateNode holds the first write it sees after arm, and says so.
+// gateNode holds the first read it sees after arm, and says so.
 type gateNode struct {
 	Node
 	mu      sync.Mutex
@@ -131,7 +131,7 @@ func (n *gateNode) arm() {
 	n.mu.Unlock()
 }
 
-func (n *gateNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
+func (n *gateNode) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
 	n.mu.Lock()
 	gate := n.gate
 	n.gate = nil
@@ -140,16 +140,17 @@ func (n *gateNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int
 		close(n.entered)
 		<-gate
 	}
-	return n.Node.WriteAtContext(ctx, p, off)
+	return n.Node.ReadAtContext(ctx, p, off)
 }
 
 // TestIdleDrainPreemptedByForegroundWrite ports core's idle-sample
 // regression to the volume, which inherits the fix from the engine. There
-// is no drain goroutine: the test runs the episodes itself. A write to
-// stripe 0 is held inside its node, stripe lock taken, while an idle
-// episode claims stripe 0 and queues on that lock; then another write
-// lands. The drain, decided on when the volume was idle, must notice it
-// no longer is and leave the stripe marked.
+// is no drain goroutine: the test runs the episodes itself. Stripe 0 is
+// dirty and the volume completely idle. A parity check holds stripe 0's
+// lock, its read held inside a node, while an idle episode claims stripe
+// 0 and queues on that lock; then a write lands. The drain, decided on
+// when the volume was idle, must notice it no longer is and leave the
+// stripe marked.
 func TestIdleDrainPreemptedByForegroundWrite(t *testing.T) {
 	nodes := make([]*gateNode, 4)
 	members := make([]Member, len(nodes))
@@ -163,15 +164,18 @@ func TestIdleDrainPreemptedByForegroundWrite(t *testing.T) {
 	}
 	defer v.Close()
 	buf := make([]byte, 4096)
+	if _, err := v.WriteAt(buf, 0); err != nil { // dirties stripe 0
+		t.Fatal(err)
+	}
 	held := nodes[v.geo.DataDisk(0, 0)]
 	held.arm()
 	release := held.gate
-	first := make(chan error, 1)
+	checked := make(chan error, 1)
 	go func() {
-		_, err := v.WriteAt(buf, 0)
-		first <- err
+		_, err := v.st.CheckParity()
+		checked <- err
 	}()
-	<-held.entered // stripe 0: marked, locked, its data write in the node
+	<-held.entered // stripe 0: locked, its read in the node
 
 	polled := make(chan struct{})
 	go func() { v.st.Engine().Poll(); close(polled) }()
@@ -182,7 +186,7 @@ func TestIdleDrainPreemptedByForegroundWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-first; err != nil {
+	if err := <-checked; err != nil {
 		t.Fatal(err)
 	}
 	if st := v.Stats(); v.st.Engine().Stats().Preempts != 1 || st.ScrubbedStripes != 0 || st.DirtyStripes != 2 {

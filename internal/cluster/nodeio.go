@@ -302,12 +302,19 @@ func (v *Volume) probe() {
 // auto-heal once its settle has passed. It pings an up node, so a silently
 // dead one is demoted before a write trips over it, and redials a down one
 // unless a redial backoff or a quarantine holds it back; a quarantine past
-// its decay is lifted here. One probe of a node is in flight at a time, so
-// a wedged node delays no other.
+// its decay is lifted here, and logged once the volume is unlocked, as
+// markDown logs. One probe of a node is in flight at a time, so a wedged
+// node delays no other.
 func (v *Volume) probeOne(i int, now time.Time) {
-	v.meta.Lock()
-	defer v.meta.Unlock()
 	m := v.nodes[i]
+	decayed := false
+	v.meta.Lock()
+	defer func() {
+		v.meta.Unlock()
+		if decayed {
+			v.logf("cluster: node %d (%s) quarantine decayed, probing again", i, m.addr)
+		}
+	}()
 	if v.bgCtx.Err() != nil {
 		return
 	}
@@ -326,7 +333,7 @@ func (v *Volume) probeOne(i int, now time.Time) {
 				return
 			}
 			v.clearQuarantineLocked(m)
-			v.logf("cluster: node %d (%s) quarantine decayed, probing again", i, m.addr)
+			decayed = true
 		}
 		if m.dial == nil || now.Before(m.nextProbe) {
 			return

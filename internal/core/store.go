@@ -80,9 +80,10 @@ type Options struct {
 	Mode Mode
 	// StripeUnit is the per-disk stripe unit size (default 8 KB).
 	StripeUnit int64
-	// ScrubIdle is how long the store must be quiescent before the
-	// background scrubber rebuilds parity (default 100 ms, the paper's
-	// idle threshold).
+	// ScrubIdle is how long the store must have been completely idle —
+	// no request in flight since the last one completed — before the
+	// background scrubber rebuilds parity (default idle.DefaultDelay, the
+	// paper's 100 ms).
 	ScrubIdle time.Duration
 	// DirtyThreshold, when positive, lets the scrubber run even under
 	// load once more than this many stripes are unredundant.
@@ -109,9 +110,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.StripeUnit == 0 {
 		o.StripeUnit = 8 << 10
-	}
-	if o.ScrubIdle == 0 {
-		o.ScrubIdle = 100 * time.Millisecond
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -504,11 +502,11 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 // its spans to be served one by one, each absorbing what it meets. A write
 // is premarked. Under the locks the read cache serves a read from memory,
 // and takes in what the member I/O of a span or run moved (readcache.go).
-// The store's clock is read on entry — the engine's Touch and the trace
-// event's start — after a premark, and after each lock and each unlock. The
-// lock wait and the time under the locks go to the stripe_lock_wait and dev
-// histograms per span or run and, summed, to the op's trace event, which the
-// last stamp ends.
+// The store's clock is read on entry — the trace event's start — after a
+// premark, and after each lock and each unlock. The lock wait and the time
+// under the locks go to the stripe_lock_wait and dev histograms per span or
+// run and, summed, to the op's trace event. The last stamp ends the event
+// and, for the engine's idle rule, the request, which Touch began.
 func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 	span func(ctx context.Context, p []byte, base int64, sp layout.StripeSpan) error, write bool, devHist *obs.Histogram) (n int, err error) {
 	if err := s.checkRange(off, int64(len(p))); err != nil {
@@ -518,10 +516,13 @@ func (s *Store) request(ctx context.Context, label string, p []byte, off int64,
 		return 0, nil
 	}
 	start := s.opts.now()
-	s.eng.Touch(start)
+	s.eng.Touch()
 	now := start
 	var lockWait, dev time.Duration
-	defer func() { s.traceOp(label, off, int64(len(p)), start, now, lockWait, dev, err) }()
+	defer func() {
+		s.eng.End(now)
+		s.traceOp(label, off, int64(len(p)), start, now, lockWait, dev, err)
+	}()
 	spp := spanPool.Get().(*[]layout.StripeSpan)
 	spans := s.geo.SplitAppend((*spp)[:0], off, int64(len(p)))
 	defer func() { *spp = spans; spanPool.Put(spp) }()

@@ -150,29 +150,6 @@ func WidthSweep(workload string, d time.Duration, seed uint64) ([]WidthResult, e
 	return out, nil
 }
 
-// AdaptiveIdleSweep compares the fixed 100 ms detector with the
-// adaptive backoff detector and the Golding-style idle-period
-// predictor (the paper ran a predictor but ignored its output; this is
-// the ablation that measures what ignoring it cost).
-func AdaptiveIdleSweep(workload string, d time.Duration, seed uint64) ([]AblationResult, error) {
-	var out []AblationResult
-	for _, variant := range []string{"timer-100ms", "adaptive", "predictor"} {
-		cfg := array.DefaultConfig(array.AFRAID)
-		switch variant {
-		case "adaptive":
-			cfg.Policy.AdaptiveIdle = true
-		case "predictor":
-			cfg.Policy.PredictiveIdle = true
-		}
-		m, err := runOn(cfg, workload, d, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationResult{Label: variant, Metrics: m})
-	}
-	return out, nil
-}
-
 // RenderAblation renders a generic ablation table.
 func RenderAblation(title string, rows []AblationResult) string {
 	var b strings.Builder

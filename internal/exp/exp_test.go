@@ -153,20 +153,13 @@ func TestWidthSweepRuns(t *testing.T) {
 	}
 }
 
-func TestCoalesceAndAdaptiveSweepsRun(t *testing.T) {
+func TestCoalesceSweepRuns(t *testing.T) {
 	co, err := CoalesceSweep("netware", 15*time.Second, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(co) != 2 {
 		t.Fatalf("coalesce rows = %d", len(co))
-	}
-	ad, err := AdaptiveIdleSweep("cello-usr", 15*time.Second, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ad) != 3 {
-		t.Fatalf("detector rows = %d, want timer/adaptive/predictor", len(ad))
 	}
 	if out := RenderAblation("x", co); !strings.Contains(out, "coalesce=on") {
 		t.Error("render missing variant label")

@@ -5,164 +5,106 @@ import (
 	"time"
 )
 
+var t0 = time.Unix(1000, 0)
+
 func TestTimerDefault(t *testing.T) {
-	if NewTimer(0).Delay() != DefaultDelay {
-		t.Fatal("zero delay should select the paper's 100ms default")
+	if due, ok := New(0, t0).Due(); !ok || !due.Equal(t0.Add(DefaultDelay)) {
+		t.Fatalf("zero delay: due %v,%v; want the paper's 100ms default", due, ok)
 	}
-	if NewTimer(50*time.Millisecond).Delay() != 50*time.Millisecond {
-		t.Fatal("explicit delay ignored")
+	if due, _ := New(50*time.Millisecond, t0).Due(); !due.Equal(t0.Add(50 * time.Millisecond)) {
+		t.Fatalf("explicit delay ignored: due %v", due)
 	}
-	d := NewTimer(0)
-	d.Observe(true) // must be a no-op
-	if d.Delay() != DefaultDelay {
-		t.Fatal("timer detector adapted")
-	}
-}
-
-func TestAdaptiveBackoff(t *testing.T) {
-	a := NewAdaptive(10*time.Millisecond, 100*time.Millisecond, time.Second)
-	a.Observe(true)
-	if a.Delay() != 200*time.Millisecond {
-		t.Fatalf("after interrupt delay = %v, want 200ms", a.Delay())
-	}
-	a.Observe(false)
-	a.Observe(false)
-	if a.Delay() != 50*time.Millisecond {
-		t.Fatalf("after two successes delay = %v, want 50ms", a.Delay())
-	}
-}
-
-func TestAdaptiveBounds(t *testing.T) {
-	a := NewAdaptive(10*time.Millisecond, 100*time.Millisecond, time.Second)
-	for i := 0; i < 20; i++ {
-		a.Observe(true)
-	}
-	if a.Delay() != time.Second {
-		t.Fatalf("delay %v exceeded max", a.Delay())
-	}
-	for i := 0; i < 20; i++ {
-		a.Observe(false)
-	}
-	if a.Delay() != 10*time.Millisecond {
-		t.Fatalf("delay %v below min", a.Delay())
-	}
-}
-
-func TestAdaptiveInvalidBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid bounds did not panic")
-		}
-	}()
-	NewAdaptive(100*time.Millisecond, 10*time.Millisecond, time.Second)
 }
 
 func TestTrackerIdleTransitions(t *testing.T) {
-	var tr Tracker
-	tr.Start(10 * time.Millisecond)
-	if _, ok := tr.Idle(20 * time.Millisecond); ok {
+	tr := New(10*time.Millisecond, t0)
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	tr.Start()
+	if tr.Idle(at(time.Hour)) {
 		t.Fatal("idle while a request is outstanding")
 	}
-	tr.Start(15 * time.Millisecond)
-	tr.End(30 * time.Millisecond)
-	if _, ok := tr.Idle(40 * time.Millisecond); ok {
+	tr.Start()
+	tr.End(at(30 * time.Millisecond))
+	if tr.Idle(at(time.Hour)) {
 		t.Fatal("idle while one of two requests is outstanding")
 	}
-	tr.End(50 * time.Millisecond)
-	d, ok := tr.Idle(80 * time.Millisecond)
-	if !ok || d != 30*time.Millisecond {
-		t.Fatalf("idle = %v,%v, want 30ms,true", d, ok)
+	tr.End(at(50 * time.Millisecond))
+	if tr.Idle(at(60*time.Millisecond - 1)) {
+		t.Fatal("idle 1ns before the delay had passed since the last completion")
+	}
+	if !tr.Idle(at(60 * time.Millisecond)) {
+		t.Fatal("not idle once the delay had passed since the last completion")
 	}
 }
 
+// The array is idle from its last completion, not its last start: a
+// request that began long ago and is still in flight keeps it busy, and
+// its completion restarts the delay.
 func TestTrackerEligibleAt(t *testing.T) {
-	var tr Tracker
-	det := NewTimer(100 * time.Millisecond)
-	tr.Start(0)
-	if _, ok := tr.EligibleAt(det); ok {
-		t.Fatal("eligible while busy")
+	tr := New(100*time.Millisecond, t0)
+	tr.Start()
+	if _, ok := tr.Due(); ok {
+		t.Fatal("due while busy")
 	}
-	tr.End(25 * time.Millisecond)
-	at, ok := tr.EligibleAt(det)
-	if !ok || at != 125*time.Millisecond {
-		t.Fatalf("eligible at %v,%v, want 125ms,true", at, ok)
+	tr.End(t0.Add(25 * time.Millisecond))
+	due, ok := tr.Due()
+	if !ok || !due.Equal(t0.Add(125*time.Millisecond)) {
+		t.Fatalf("due = %v,%v, want 125ms after t0", due, ok)
+	}
+	// A completion stamped before the last one does not move it back.
+	tr.Start()
+	tr.End(t0.Add(20 * time.Millisecond))
+	if d, _ := tr.Due(); !d.Equal(due) {
+		t.Fatalf("an out-of-order stamp moved due to %v", d)
 	}
 }
 
 func TestTrackerEndWithoutStartPanics(t *testing.T) {
-	var tr Tracker
+	tr := New(0, t0)
 	defer func() {
 		if recover() == nil {
 			t.Error("End without Start did not panic")
 		}
 	}()
-	tr.End(0)
+	tr.End(t0)
 }
 
-func TestPredictorWarmupUsesBase(t *testing.T) {
-	p := NewPredictor(100 * time.Millisecond)
-	if p.Delay() != 100*time.Millisecond {
-		t.Fatalf("cold predictor delay = %v, want base", p.Delay())
+// Run steps on a wake without waiting for the rule, and returns once stop
+// closes.
+func TestRunStepsOnWakeUntilStop(t *testing.T) {
+	tr := New(time.Hour, time.Now())
+	stop, wake, stepped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		tr.Run(time.Now, stop, wake, func() { stepped <- struct{}{} })
+		close(done)
+	}()
+	for i := 0; i < 2; i++ {
+		wake <- struct{}{}
+		<-stepped
 	}
-	// Fewer than 4 samples: still base.
-	p.RecordIdlePeriod(5 * time.Millisecond)
-	p.RecordIdlePeriod(5 * time.Millisecond)
-	if p.Delay() != 100*time.Millisecond {
-		t.Fatalf("warming predictor delay = %v, want base", p.Delay())
-	}
+	close(stop)
+	<-done
 }
 
-func TestPredictorRaisesThresholdForShortIdles(t *testing.T) {
-	p := NewPredictor(100 * time.Millisecond)
-	for i := 0; i < 10; i++ {
-		p.RecordIdlePeriod(150 * time.Millisecond) // short: below MinUseful (300ms)
-	}
-	d := p.Delay()
-	if d <= 100*time.Millisecond {
-		t.Fatalf("short-idle workload delay = %v, want above base", d)
-	}
-	if d > p.Max {
-		t.Fatalf("delay %v exceeds max %v", d, p.Max)
-	}
-}
-
-func TestPredictorKeepsBaseForLongIdles(t *testing.T) {
-	p := NewPredictor(100 * time.Millisecond)
-	for i := 0; i < 10; i++ {
-		p.RecordIdlePeriod(2 * time.Second)
-	}
-	if p.Delay() != 100*time.Millisecond {
-		t.Fatalf("long-idle workload delay = %v, want base", p.Delay())
-	}
-	if p.ewma != 2*time.Second {
-		t.Fatalf("predicted = %v, want 2s", p.ewma)
-	}
-}
-
-func TestPredictorObserveInterruptedShrinksEstimate(t *testing.T) {
-	p := NewPredictor(100 * time.Millisecond)
-	for i := 0; i < 6; i++ {
-		p.RecordIdlePeriod(time.Second)
-	}
-	before := p.ewma
-	p.Observe(true)
-	if p.ewma >= before {
-		t.Fatalf("interruption did not shrink estimate: %v -> %v", before, p.ewma)
-	}
-	p.Observe(false) // no-op
-	if p.Name() != "predictor" {
-		t.Fatal("name wrong")
-	}
-}
-
-func TestPredictorEWMAConverges(t *testing.T) {
-	p := NewPredictor(100 * time.Millisecond)
-	p.RecordIdlePeriod(time.Second)
-	for i := 0; i < 40; i++ {
-		p.RecordIdlePeriod(100 * time.Millisecond)
-	}
-	got := p.ewma
-	if got > 120*time.Millisecond || got < 90*time.Millisecond {
-		t.Fatalf("EWMA = %v, want ~100ms", got)
+// Run steps when the rule comes due, without a wake.
+func TestRunStepsAtDue(t *testing.T) {
+	tr := New(time.Millisecond, time.Now())
+	stop, stepped := make(chan struct{}), make(chan time.Time, 1)
+	go tr.Run(time.Now, stop, nil, func() {
+		select {
+		case stepped <- time.Now():
+		default:
+		}
+	})
+	defer close(stop)
+	due, _ := tr.Due()
+	select {
+	case at := <-stepped:
+		if at.Before(due) {
+			t.Fatalf("stepped %v before the rule came due", due.Sub(at))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run never stepped at Due")
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"afraid/internal/idle"
 )
 
 // The deferred-redundancy engine is the paper's mechanism, once, for
@@ -65,7 +67,7 @@ type Config struct {
 	Members int       // members a unit spans, whose stale units the image carries; at most 64
 	NV      Persister // nil keeps the marks in memory only
 
-	Idle      time.Duration // quiet time before background work starts
+	Idle      time.Duration // quiet time after the last request before background work starts (idle.New)
 	Threshold int64         // backlog that forces work under load; 0 = never
 	Workers   int           // drain-all / drain-range concurrency
 
@@ -77,7 +79,7 @@ type Config struct {
 	// of units made redundant back to back) lasted.
 	Episode func(time.Duration)
 	// Now is the client's clock, which the idle rule and Episode time on
-	// (default time.Now). Touch takes its stamps from the same clock.
+	// (default time.Now). End takes its stamps from the same clock.
 	Now func() time.Time
 }
 
@@ -129,6 +131,8 @@ const (
 type Engine struct {
 	cfg Config
 
+	rule *idle.Tracker // foreground requests in flight, and when background work is due
+
 	mu       sync.Mutex // guards everything below; never held across a client call or a Store
 	marks    *Bitmap
 	stale    []*Bitmap            // per member, its stale units
@@ -137,8 +141,7 @@ type Engine struct {
 	hold     map[int64]bool       // Invariant: hold ⊆ marked; any mark/unmark drops the entry
 	claims   map[int64]claimState // units inside (or on their way into) a callback
 	released *sync.Cond           // a claim was dropped
-	lastIO   time.Time
-	gen      uint64 // bumped on foreground I/O to preempt idle work
+	gen      uint64               // bumped on foreground I/O to preempt idle work
 	stats    EngineStats
 
 	// Group commit. A store in flight releases mu, so concurrent markers
@@ -178,7 +181,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		stale:  make([]*Bitmap, cfg.Members),
 		hold:   make(map[int64]bool),
 		claims: make(map[int64]claimState),
-		lastIO: cfg.Now(),
+		rule:   idle.New(cfg.Idle, cfg.Now()),
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
@@ -341,23 +344,14 @@ func (e *Engine) Distrust(unit int64) {
 	e.found.Mark(unit)
 }
 
-// Start launches the background loop: every Idle/4, and whenever woken,
-// it makes units redundant while the client is idle or over Threshold.
+// Start launches the background loop: when the idle rule comes due, and
+// whenever woken, it makes units redundant while the client is idle or
+// over Threshold.
 func (e *Engine) Start() {
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		t := time.NewTicker(max(e.cfg.Idle/4, time.Millisecond))
-		defer t.Stop()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case <-t.C:
-			case <-e.wake:
-			}
-			e.Poll()
-		}
+		e.rule.Run(e.cfg.Now, e.stop, e.wake, e.Poll)
 	}()
 }
 
@@ -368,15 +362,19 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 }
 
-// Touch records foreground I/O begun at now, a stamp of Config.Now: it
-// restarts the idle clock and preempts idle work that has not yet passed
-// Proceed.
-func (e *Engine) Touch(now time.Time) {
+// Touch records a foreground request beginning: the client is not idle
+// until End, and idle work that has not yet passed Proceed is preempted.
+func (e *Engine) Touch() {
+	e.rule.Start()
 	e.mu.Lock()
-	e.lastIO = now
 	e.gen++
 	e.mu.Unlock()
 }
+
+// End records a foreground request that Touch began completing at now, a
+// stamp of Config.Now. The client is idle from the last End with no
+// request in flight, and background work is due Idle after it.
+func (e *Engine) End(now time.Time) { e.rule.End(now) }
 
 // Mark records that unit is about to lose its redundancy and returns
 // once an image showing the mark is in NVRAM — the caller's data write
@@ -716,11 +714,12 @@ func (e *Engine) run(ctx context.Context, c Claim) (settled, error) {
 	return moved, e.commit()
 }
 
-// Poll runs one background episode, as the loop does on every tick and
-// wake: make units redundant, lowest first, while the client stays idle
-// or over Threshold. A unit whose callback says Skip is walked past — its
-// trouble is its own (a node its stripe needs is gone) and must not
-// shield the marked units above it from the drain. The walk goes round
+// Poll runs one background episode, as the loop does whenever the idle
+// rule may have come due and on every wake: make units redundant, lowest
+// first, while the client stays idle or over Threshold. A unit whose
+// callback says Skip is walked past — its trouble is its own (a node its
+// stripe needs is gone) and must not shield the marked units above it
+// from the drain. The walk goes round
 // again for units marked behind it, and the episode ends when a whole
 // walk settles nothing, the idle window closes, foreground I/O preempts
 // an idle rebuild, or the callback fails.
@@ -737,7 +736,7 @@ func (e *Engine) Poll() {
 		n := e.backlog()
 		forced := e.cfg.Threshold > 0 && n > e.cfg.Threshold
 		c := Claim{e: e, idle: !forced, gen: e.gen, forced: forced}
-		ok := n > 0 && (forced || e.cfg.Now().Sub(e.lastIO) >= e.cfg.Idle)
+		ok := n > 0 && (forced || e.rule.Idle(e.cfg.Now()))
 		if ok {
 			if c.Unit, ok = e.claimNext(from, e.cfg.Units); !ok && progressed {
 				progressed = false

@@ -181,7 +181,7 @@ func TestMarkIsDurableBeforeItReturns(t *testing.T) {
 	if nv.stores() != before {
 		t.Fatal("re-marking a marked unit stored an image")
 	}
-	if a := testing.AllocsPerRun(100, func() { e.Mark(77); e.Touch(time.Now()); e.Kick() }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { e.Mark(77); e.Touch(); e.End(time.Now()); e.Kick() }); a != 0 {
 		t.Fatalf("the already-marked fast path allocates (%.1f allocs)", a)
 	}
 }
@@ -506,11 +506,12 @@ func TestDrainsNeverShareAUnit(t *testing.T) {
 		go func(w int64) {
 			defer wg.Done()
 			for i := int64(0); i < 200; i++ {
-				e.Touch(time.Now())
+				e.Touch()
 				if err := e.Mark(w*32 + i%32); err != nil {
 					t.Error(err)
 					return
 				}
+				e.End(time.Now())
 				e.Kick()
 				if i%50 == 0 {
 					if _, err := e.DrainRange(context.Background(), w*32, w*32+32); err != nil {
@@ -615,17 +616,17 @@ func TestPressureWakesBackgroundLoop(t *testing.T) {
 	c := newFakeClient()
 	e := newTestEngine(t, Config{Threshold: 8, Idle: time.Hour}, c)
 	e.Start()
-	defer e.Stop()
 	for u := int64(0); u < 14; u++ {
 		mustMark(t, e, u)
 	}
 	e.Kick() // 14 ≤ 2×8: no inline work, just the wake
 	testutil.Eventually(t, "the backlog to fall to the bound", func() bool { return e.Count() <= 8 })
+	e.Stop() // the loop's episode is over: it ran no further
 	st := e.Stats()
 	if st.ForcedEpisodes == 0 || st.Inline != 0 || st.Forced != st.Drained {
 		t.Fatalf("stats = %+v", st)
 	}
-	time.Sleep(5 * time.Millisecond)
+	e.Poll() // and another episode, an hour short of idle, has nothing to do
 	if e.Count() != 8 {
 		t.Fatalf("loop drained to %d; it should stop at the threshold without an idle window", e.Count())
 	}
@@ -634,7 +635,8 @@ func TestPressureWakesBackgroundLoop(t *testing.T) {
 func TestHeldUnits(t *testing.T) {
 	c := newFakeClient()
 	c.outcome[3] = Hold
-	e := newTestEngine(t, Config{NV: &fakeNV{}, Idle: time.Millisecond, Threshold: 1}, c)
+	clock := &testutil.Clock{}
+	e := newTestEngine(t, Config{NV: &fakeNV{}, Idle: time.Millisecond, Threshold: 1, Now: clock.Now}, c)
 	mustMark(t, e, 3, 4, 5, 6)
 	res, err := e.DrainAll(context.Background())
 	if err != nil || !reflect.DeepEqual(res.Held, []int64{3}) || res.Skipped != 0 {
@@ -643,8 +645,8 @@ func TestHeldUnits(t *testing.T) {
 	if !isMarked(e, 3) || e.Count() != 1 || !reflect.DeepEqual(e.Held(), []int64{3}) {
 		t.Fatalf("held unit: marked=%v count=%d held=%v", isMarked(e, 3), e.Count(), e.Held())
 	}
-	// Every drain skips it: requested, background and inline.
-	e.Start()
+	// Every drain skips it: requested, inline and background, where an
+	// idle episode walks past it to a unit marked above it.
 	for i := 0; i < 3; i++ {
 		if res, _ = e.DrainAll(context.Background()); !reflect.DeepEqual(res.Held, []int64{3}) {
 			t.Fatalf("DrainAll = %+v", res)
@@ -653,9 +655,13 @@ func TestHeldUnits(t *testing.T) {
 			t.Fatalf("DrainRange = %+v", res)
 		}
 		e.Kick()
-		time.Sleep(3 * time.Millisecond) // several polls of an idle loop
+		mustMark(t, e, 4)
+		clock.Advance(time.Millisecond)
+		e.Poll()
+		if e.Count() != 1 {
+			t.Fatalf("after an idle episode, %v marked; want only the held unit", e.Marked())
+		}
 	}
-	e.Stop()
 	if c.called(3) != 1 {
 		t.Fatalf("held unit was handed to the callback %d times", c.called(3))
 	}
@@ -707,13 +713,14 @@ func TestIdleWorkIsPreemptedRequestedWorkIsNot(t *testing.T) {
 	polled := make(chan struct{})
 	go func() { e.Poll(); close(polled) }()
 	testutil.Eventually(t, "the idle episode to claim the unit", func() bool { return e.Stats().IdleEpisodes == 1 })
-	e.Touch(time.Now())
+	e.Touch()
+	e.End(time.Now())
 	c.locks[1].Unlock()
 	<-polled
 	if st := e.Stats(); st.Preempts != 1 || st.Drained != 0 || !isMarked(e, 1) {
 		t.Fatalf("preempted rebuild consumed the mark: %+v", st)
 	}
-	c.setDuring(func(int64) { e.Touch(time.Now()) }) // a writer that never lets up
+	c.setDuring(func(int64) { e.Touch(); e.End(time.Now()) }) // a writer that never lets up
 	if _, err := e.DrainRange(context.Background(), 1, 2); err != nil || isMarked(e, 1) {
 		t.Fatalf("requested drain under foreground I/O: err=%v marked=%v", err, isMarked(e, 1))
 	}

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"afraid/internal/core"
@@ -123,5 +124,62 @@ func TestClockReadsPerFrontHit(t *testing.T) {
 	}
 	if ts := r.st.TierStats(); ts.FrontReadHits != 1 || ts.FrontWriteHits != 1 {
 		t.Fatalf("%+v: want one front read hit and one front write hit", ts)
+	}
+}
+
+// writeGate holds the first front write after it is armed, on whichever
+// copy takes it, until release closes.
+type writeGate struct {
+	core.BlockDevice
+	armed            *atomic.Bool
+	reached, release chan struct{}
+}
+
+func (d writeGate) WriteAt(p []byte, off int64) (int, error) {
+	if d.armed.CompareAndSwap(true, false) {
+		close(d.reached)
+		<-d.release
+	}
+	return d.BlockDevice.WriteAt(p, off)
+}
+
+// TestMigratorWaitsForCompletion: the migrator's idle rule is the paper's
+// "completely idle". A client write that began more than IdleDelay ago and
+// is still in flight keeps the tier busy, and demotion starts exactly
+// IdleDelay after the write completes, not 1 ns before.
+func TestMigratorWaitsForCompletion(t *testing.T) {
+	armed := &atomic.Bool{}
+	reached, release := make(chan struct{}), make(chan struct{})
+	r, clock := heldRig(t, func(d core.BlockDevice) core.BlockDevice {
+		return writeGate{d, armed, reached, release}
+	})
+	promoteTwo(t, r)
+
+	armed.Store(true)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := r.st.WriteAt(make([]byte, 4096), 2*r.extentSz) // a third extent, promoted
+		wrote <- err
+	}()
+	<-reached
+	clock.Advance(2 * still.IdleDelay)
+	r.st.mig.step()
+	if d := r.st.TierStats().Demotes; d != 0 {
+		t.Fatalf("%d demotes while a write begun 2×IdleDelay ago was in flight, want 0", d)
+	}
+
+	close(release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(still.IdleDelay - 1)
+	r.st.mig.step()
+	if d := r.st.TierStats().Demotes; d != 0 {
+		t.Fatalf("%d demotes 1 ns before IdleDelay after the write completed, want 0", d)
+	}
+	clock.Advance(1)
+	r.st.mig.step()
+	if ts := r.st.TierStats(); ts.Demotes != 3 || ts.DirtyExtents != 0 {
+		t.Fatalf("IdleDelay after the write completed: %d demotes, %d dirty extents; want all 3 demoted", ts.Demotes, ts.DirtyExtents)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"afraid/internal/bufpool"
 	"afraid/internal/core"
@@ -256,7 +255,7 @@ func (s *Store) demoteAll(ctx context.Context, evict bool) error {
 }
 
 // migrator is the background engine: demote-on-idle paced by the idle
-// detector, plus a dirty-bytes pressure valve that ignores idleness,
+// rule, plus a dirty-bytes pressure valve that ignores idleness,
 // plus an urgent drain whenever a front copy has failed (single-copy
 // dirty data belongs in the parity tier, fast).
 type migrator struct {
@@ -287,24 +286,15 @@ func (m *migrator) kick() {
 	}
 }
 
+// loop steps when the idle rule may have come due and on every kick.
 func (m *migrator) loop() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.s.opts.IdleDelay)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopC:
-			return
-		case <-m.kickC:
-		case <-t.C:
-		}
-		m.step()
-	}
+	m.s.rule.Run(m.s.opts.now, m.stopC, m.kickC, m.step)
 }
 
 // step is what the migrator wakes for, on one reading of the tier's
 // clock: with a front copy failed, dirty bytes past the valve or the tier
-// idle for IdleDelay, it demotes, until stop.
+// completely idle for IdleDelay, it demotes, until stop.
 func (m *migrator) step() {
 	s := m.s
 	degraded := false
@@ -313,7 +303,7 @@ func (m *migrator) step() {
 	}
 	pressure := s.dirtyBytesNow() > s.opts.MaxDirtyBytes
 	start := s.opts.now()
-	if quiet := start.Sub(time.Unix(0, s.lastOp.Load())) >= s.opts.IdleDelay; !degraded && !pressure && !quiet {
+	if !degraded && !pressure && !s.rule.Idle(start) {
 		return
 	}
 	demoted := 0
@@ -324,13 +314,14 @@ func (m *migrator) step() {
 		default:
 		}
 		// Under pressure drain to half the valve; when merely idle,
-		// demote until a client op interrupts.
+		// demote until a client op interrupts: the tier is no longer
+		// idle at the episode's start.
 		if !degraded {
 			if pressure {
 				if s.dirtyBytesNow() <= s.opts.MaxDirtyBytes/2 {
 					break
 				}
-			} else if s.lastOp.Load() > start.UnixNano() {
+			} else if !s.rule.Idle(start) {
 				break // interrupted
 			}
 		}

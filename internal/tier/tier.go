@@ -50,11 +50,12 @@ type Options struct {
 	// demotes regardless of idleness, and above twice it the write
 	// path demotes inline. Default: half the front data capacity.
 	MaxDirtyBytes int64
-	// IdleDelay is how long the tier must be quiescent before the
+	// IdleDelay is how long the tier must have been completely idle —
+	// no client op in flight since the last one ended — before the
 	// migrator demotes (default idle.DefaultDelay).
 	IdleDelay time.Duration
 	// now is the tier's clock (default time.Now), the one time source of
-	// its histograms, its idle stamp and its migrator; a test holds it.
+	// its histograms, its idle rule and its migrator; a test holds it.
 	now func() time.Time
 }
 
@@ -87,7 +88,7 @@ type Store struct {
 	storedFailed atomic.Uint64  // the failed-copy mask of the last map image stored
 	inflight     []atomic.Int64 // per front device, reads in flight
 	rrTick       atomic.Uint64
-	lastOp       atomic.Int64 // UnixNano of the latest client op (idle detection)
+	rule         *idle.Tracker // client ops in flight, and when the migrator may demote
 
 	st  stats
 	ob  *tierObs
@@ -163,14 +164,11 @@ func Open(back *core.Store, front []core.BlockDevice, nv core.NVRAM, opts Option
 	if opts.MaxDirtyBytes <= 0 {
 		s.opts.MaxDirtyBytes = totalSlots * s.extentSize / 2
 	}
-	if opts.IdleDelay <= 0 {
-		s.opts.IdleDelay = idle.DefaultDelay
-	}
 	s.dirty = nvram.NewBitmap(totalSlots)
 	s.lastUse = make([]uint64, totalSlots)
 	s.copyFailed = make([]atomic.Bool, len(front))
 	s.inflight = make([]atomic.Int64, len(front))
-	s.lastOp.Store(opts.now().UnixNano())
+	s.rule = idle.New(opts.IdleDelay, opts.now())
 
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -315,9 +313,9 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 
 // walk is the one extent walk of ReadContext and WriteContext: it hands
 // op each extent-local piece of [off, off+len(p)) in order, stopping at
-// the first error or when ctx ends, and returns the bytes done. The clock
-// reading that ends the last piece, where op took one, stamps the op's
-// end for idle detection.
+// the first error or when ctx ends, and returns the bytes done. The walk
+// is one client op of the idle rule, which it ends at the clock reading
+// that ended the last piece, where op took one.
 func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op func(ext, extOff int64, q []byte) (time.Time, error)) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
@@ -325,26 +323,27 @@ func (s *Store) walk(ctx context.Context, verb string, p []byte, off int64, op f
 	if !s.inRange(off, int64(len(p))) {
 		return 0, fmt.Errorf("tier: %s of %d bytes at %d outside capacity %d", verb, len(p), off, s.capacity)
 	}
+	s.rule.Start()
 	done := 0
 	var end time.Time
+	var err error
 	for done < len(p) {
-		if err := ctx.Err(); err != nil {
-			return done, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		ext := (off + int64(done)) / s.extentSize
 		extOff := (off + int64(done)) % s.extentSize
 		n := int(min(s.extentLen(ext)-extOff, int64(len(p)-done)))
-		var err error
 		if end, err = op(ext, extOff, p[done:done+n]); err != nil {
-			return done, err
+			break
 		}
 		done += n
 	}
 	if end.IsZero() {
 		end = s.opts.now()
 	}
-	s.lastOp.Store(end.UnixNano())
-	return done, nil
+	s.rule.End(end)
+	return done, err
 }
 
 // readExtent reads one extent-local range from whichever tier owns it,
