@@ -15,29 +15,29 @@ import (
 )
 
 // The cluster stack is the network layer's adapter to fault.Run: a real
-// multi-node volume (each member a server over TCP) driven through a
-// fault.Proxy per node. A schedule injects one network fault class on
-// one victim, runs the workload through it, then clears the fault and
-// heals; the shared close rewrites what was reported lost, flushes, and
-// audits. Loss must be reported (core.ErrDataLoss), confined to stripes
-// that were unredundant when the volume declared a node down, and
-// repairable by rewriting — never silent.
+// multi-node volume (each member a server over TCP) whose connections to
+// each node cross that node's fault.Link. A schedule injects one network
+// fault class on one victim, runs the workload through it, then clears the
+// fault and heals; the shared close rewrites what was reported lost,
+// flushes, and audits. Loss must be reported (core.ErrDataLoss), confined
+// to stripes that were unredundant when the volume declared a node down,
+// and repairable by rewriting — never silent.
 
 // Fault classes, round-robin over episodes (or pinned with -class), each
 // with the stat key its episodes must move — the mechanism it targets.
 var classes = []struct{ name, gate string }{
-	{"partition", "cluster.node_failovers"}, // accept-then-black-hole: TCP up, every request stalls
+	{"partition", "cluster.node_failovers"}, // TCP up, every byte held: every request stalls
 	{"refuse", "cluster.node_failovers"},    // hard partition: conns reset, dials fail fast
 	{"slow", "cluster.hedge_wins"},          // brownout: victim answers at ~20x loopback latency
-	{"reset", "proxy.resets"},               // mid-frame RST after a byte budget
-	{"truncate", "proxy.truncations"},       // next request frame cut short, then RST
+	{"reset", "link.resets"},                // mid-frame RST after a byte budget
+	{"truncate", "link.truncations"},        // next request frame cut short, then RST
 	{"flap", "cluster.quarantines"},         // partition/restore cycles until the damper fences the node
 }
 
 const classList = "partition, refuse, slow, reset, truncate, flap" // for -class's usage and errors
 
 var clusterColumns = []string{"cluster.node_failovers", "cluster.hedge_wins", "cluster.retries",
-	"cluster.auto_heals", "cluster.quarantines", "proxy.resets", "proxy.truncations", "proxy.refused",
+	"cluster.auto_heals", "cluster.quarantines", "link.resets", "link.truncations", "link.refused",
 	"cluster.full_stripe_writes"}
 
 // classRows is one row per fault class (or the one -class pins), each
@@ -112,7 +112,7 @@ func (n *chaosNode) close() {
 
 const clusterNodes = 4
 
-// clusterStack is the fault.Stack over a proxied TCP volume.
+// clusterStack is the fault.Stack over a TCP volume behind fault links.
 type clusterStack struct {
 	class string
 	ops   int
@@ -122,13 +122,13 @@ type clusterStack struct {
 	// tier over a fault-wrapped array.
 	newNode func(e *fault.Episode, i int) (server.Backend, func(), error)
 
-	served  []server.Backend // what each node serves, for a test to tamper behind the volume
-	stores  []func()
-	nodes   []*chaosNode
-	proxies []*fault.Proxy
-	vol     *cluster.Volume
-	opts    cluster.Options
-	victim  int
+	served []server.Backend // what each node serves, for a test to tamper behind the volume
+	stores []func()
+	nodes  []*chaosNode
+	links  []*fault.Link
+	vol    *cluster.Volume
+	opts   cluster.Options
+	victim int
 }
 
 func newClusterStack(class string, ops int) *clusterStack {
@@ -174,15 +174,17 @@ func (c *clusterStack) Open(e *fault.Episode) error {
 			return err
 		}
 		c.nodes = append(c.nodes, n)
-		p, err := fault.NewProxy(n.lis.Addr().String(), e.Seed*clusterNodes+int64(i))
-		if err != nil {
-			return err
-		}
-		c.proxies = append(c.proxies, p)
-		members[i] = cluster.Member{
-			Addr: p.Addr(),
-			Dial: func() (cluster.Node, error) { return server.DialTimeout(p.Addr(), 500*time.Millisecond) },
-		}
+		addr := n.lis.Addr().String()
+		l := fault.NewLink(addr, e.Seed*clusterNodes+int64(i))
+		c.links = append(c.links, l)
+		members[i] = cluster.Member{Addr: addr, Dial: func() (cluster.Node, error) {
+			nc, err := l.Dial(500 * time.Millisecond)
+			if err != nil {
+				return nil, err
+			}
+			nc.SetDeadline(time.Now().Add(500 * time.Millisecond)) // the handshake's bound, as server.DialTimeout arms
+			return server.NewClient(nc)
+		}}
 	}
 	c.opts = cluster.Options{
 		StripeUnit:      c.unit,
@@ -208,8 +210,8 @@ func (c *clusterStack) Close() {
 	if c.vol != nil {
 		c.vol.Close()
 	}
-	for _, p := range c.proxies {
-		p.Close()
+	for _, l := range c.links {
+		l.KillConns()
 	}
 	for _, n := range c.nodes {
 		n.close()
@@ -233,25 +235,25 @@ func waitCond(d time.Duration, cond func() bool) bool {
 // Inject is the fault step that puts the episode's network fault class
 // on the victim and runs the workload through it.
 func (c *clusterStack) Inject(e *fault.Episode) error {
-	px := c.proxies[c.victim]
+	l := c.links[c.victim]
 	switch c.class {
 	case "partition":
-		px.Partition()
+		l.Partition()
 	case "refuse":
-		px.Refuse()
+		l.Refuse()
 	case "slow":
 		// Victim answers everything, just slowly; hedged reads must hide
 		// the tail without a demotion.
-		px.SetLatency(8*time.Millisecond, 8*time.Millisecond, 4*time.Millisecond)
+		l.SetLatency(8*time.Millisecond, 8*time.Millisecond, 4*time.Millisecond)
 	case "reset":
-		px.ResetAfter(int64(2000 + e.Rng.Intn(6000)))
+		l.ResetAfter(int64(2000 + e.Rng.Intn(6000)))
 	case "truncate":
-		px.TruncateNext(int64(4 + e.Rng.Intn(60)))
+		l.TruncateNext(int64(4 + e.Rng.Intn(60)))
 	case "flap":
 		// Partition/restore cycles; the prober redials and auto-heals each
 		// time until the flap damper quarantines the node.
 		for cycle := 0; cycle < 8; cycle++ {
-			px.Partition()
+			l.Partition()
 			if !waitCond(5*time.Second, func() bool {
 				s := c.state(c.victim)
 				return s == cluster.StateDown || s == cluster.StateQuarantined
@@ -260,7 +262,9 @@ func (c *clusterStack) Inject(e *fault.Episode) error {
 				break
 			}
 			e.Sample() // the prober, not an op of ours, declared it down
-			px.Restore()
+			if err := l.Restore(); err != nil {
+				e.Violatef("flap cycle %d: %v", cycle, err)
+			}
 			if !waitCond(5*time.Second, func() bool {
 				// Healing counts as back up: the node is reachable but
 				// still carries stale marks from the previous cycle.
@@ -288,21 +292,21 @@ func (c *clusterStack) Inject(e *fault.Episode) error {
 // administrator heals every node that is not in clean service (also
 // lifting any quarantine), reporting what the volume calls lost.
 //
-// Quiesce before the heal: requests that were in flight when the link
-// failed — black-holed mid-stream, for instance — are delivered once it
-// is restored (there is no write fencing on the wire). The volume works
-// around the node until its heal hands it back, so letting them land first
-// means every later write, the rebuild's included, lands after them. The
-// prober's auto-heal applies the same settle.
+// Requests a partition held — a write the volume gave up on among them,
+// with no write fencing on the wire — have landed by the time the links'
+// Restore returns, so every later write, the rebuild's included, lands
+// after them. A held connection Restore had to cut may have lost one: a
+// violation, never a wait run out in silence.
 func (c *clusterStack) Heal(e *fault.Episode) error {
-	for _, px := range c.proxies {
-		px.Restore()
+	for i, l := range c.links {
+		if err := l.Restore(); err != nil {
+			e.Violatef("node %d: %v", i, err)
+		}
 	}
-	time.Sleep(250 * time.Millisecond)
 	ctx := context.Background()
 	stripe := c.LossGrain()
 	lost := map[int64]bool{}
-	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+	for deadline := time.Now().Add(15 * time.Second); ; {
 		var pending error
 		for i, info := range c.vol.NodeStates() {
 			if info.State == cluster.StateUp {
@@ -326,6 +330,7 @@ func (c *clusterStack) Heal(e *fault.Episode) error {
 			e.Violatef("heal never converged: %v", pending)
 			break
 		}
+		time.Sleep(20 * time.Millisecond)
 	}
 	var losses []fault.Loss
 	for st := range lost {
@@ -381,11 +386,11 @@ func (c *clusterStack) Audit() ([]int64, error) {
 	return bad, err
 }
 
-// StatMap is the volume's snapshot plus, under "proxy.", what the
-// victim's proxy injected.
+// StatMap is the volume's snapshot plus, under "link.", what the
+// victim's link injected.
 func (c *clusterStack) StatMap() map[string]int64 {
 	m := c.vol.StatMap()
-	obs.Flatten(m, "proxy.", c.proxies[c.victim].Stats())
+	obs.Flatten(m, "link.", c.links[c.victim].Stats())
 	return m
 }
 

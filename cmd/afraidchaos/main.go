@@ -21,9 +21,9 @@
 //	tier     the hybrid (internal/tier): a mirrored write-back front over
 //	         an AFRAID back end, with power cuts torn mid-promote and
 //	         mid-demote, extent-map loss, and front-copy fail-stops
-//	cluster  a cluster.Volume over four servers on TCP, each behind a
-//	         fault.Proxy, round-robin over the network fault classes (or
-//	         -class): black-hole and refused partitions, brownouts
+//	cluster  a cluster.Volume over four servers on TCP, its connections to
+//	         each behind a fault.Link, round-robin over the network fault
+//	         classes (or -class): held and refused partitions, brownouts
 //	         absorbed by hedged reads, mid-frame resets, frame
 //	         truncations, and flap storms that must end in quarantine
 //	stacked  the cluster volume again, each node now a tier over a

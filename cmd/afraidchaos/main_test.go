@@ -171,9 +171,11 @@ func TestCloseWaitsForBystanders(t *testing.T) {
 	c := newClusterStack("", 30)
 	res, err := fault.Run(3, c, c.plan(fault.Workload(30), c.Heal, func(*fault.Episode) error {
 		bystander := (c.victim + 1) % clusterNodes
-		c.proxies[bystander].Partition()
+		c.links[bystander].Partition()
 		demoted := waitCond(5*time.Second, func() bool { return c.state(bystander) == cluster.StateDown })
-		c.proxies[bystander].Restore() // the prober redials it and auto-heals
+		if err := c.links[bystander].Restore(); err != nil { // the prober redials it and auto-heals
+			return err
+		}
 		if !demoted {
 			return errors.New("the prober never demoted the partitioned bystander")
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"time"
 
 	"afraid/internal/cluster"
 	"afraid/internal/fault"
@@ -62,7 +63,7 @@ type machine struct {
 }
 
 func (s *stackedStack) machine(i int) machine {
-	return machine{s.tiers[i].Store(), func() { s.proxies[i].Refuse() }}
+	return machine{s.tiers[i].Store(), func() { s.links[i].Refuse() }}
 }
 
 func (m machine) died(err error) error {
@@ -100,7 +101,7 @@ func (s *stackedStack) PowerCycleVictim(e *fault.Episode) error {
 	ts.Back.Line.CutAfter(1 + e.Rng.Int63n(int64(s.ops)*4))
 	e.Workload(s.ops)
 	ts.Back.Line.Cut()
-	s.proxies[s.victim].Refuse()
+	s.links[s.victim].Refuse()
 	for k, v := range ts.StatMap() {
 		s.gone[k] += v
 	}
@@ -115,6 +116,11 @@ func (s *stackedStack) PowerCycleVictim(e *fault.Episode) error {
 		return err
 	}
 	s.nodes[s.victim] = n
+	// Heal goes by what the volume knows, so it waits for a failed request
+	// or the prober's ping to tell the volume; the link keeps the node down.
+	if !waitCond(5*time.Second, func() bool { return s.state(s.victim) != cluster.StateUp }) {
+		e.Violatef("the volume never noticed node %d lose power", s.victim)
+	}
 	return nil
 }
 

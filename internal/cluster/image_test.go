@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -164,42 +165,98 @@ func TestStripeOpsOverlapTheirUnits(t *testing.T) {
 	assertRedundant(t, v)
 }
 
+// peakNode counts a node's I/Os in flight, and the most it has had at
+// once.
+type peakNode struct {
+	faultNode
+	mu        sync.Mutex
+	cur, peak int
+}
+
+func (n *peakNode) io(f func() (int, error)) (int, error) {
+	n.mu.Lock()
+	n.cur++
+	n.peak = max(n.peak, n.cur)
+	n.mu.Unlock()
+	defer func() {
+		n.mu.Lock()
+		n.cur--
+		n.mu.Unlock()
+	}()
+	return f()
+}
+
+func (n *peakNode) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
+	return n.io(func() (int, error) { return n.faultNode.ReadAtContext(ctx, p, off) })
+}
+
+func (n *peakNode) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
+	return n.io(func() (int, error) { return n.faultNode.WriteAtContext(ctx, p, off) })
+}
+
+func (n *peakNode) WriteVecAtContext(ctx context.Context, bufs [][]byte, off int64) (int, error) {
+	return n.io(func() (int, error) { return n.faultNode.WriteVecAtContext(ctx, bufs, off) })
+}
+
 // A heal is two node round trips a stripe — load the survivors, store the
 // unit — and the sweep is the volume's MTTR, so it runs min(GOMAXPROCS,
-// data nodes) stripes at a time: on nodes that take 2 ms an operation,
-// three workers finish a 64-stripe heal in under half the time one does.
+// data nodes) stripes at a time: one at a time under GOMAXPROCS(1), and
+// three at once, three I/Os in flight on a node, with three workers.
 func TestHealSweepRunsWorkersWide(t *testing.T) {
-	const service = 2 * time.Millisecond
 	const unit, stripes, victim = 4096, 64, 1
 	ctx := context.Background()
-	heal := func(workers int) time.Duration {
+	heal := func(workers int) (peak int) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		nodes := make([]*peakNode, 4)
+		faults := make([]faultNode, len(nodes))
+		members := make([]Member, len(nodes))
+		for i := range members {
+			n := &peakNode{faultNode: newMemNode(stripes * unit)}
+			nodes[i], faults[i] = n, n.faultNode
+			members[i] = Member{Addr: fmt.Sprintf("peak%d", i), Node: n, Dial: func() (Node, error) { return n, nil }}
+		}
 		opts := quietOpts()
 		opts.HedgeDelay = -1
-		v, faults := testVolume(t, 4, stripes*unit, opts)
+		v, err := Open(members, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
 		shadow := fillVolume(t, v, 13)
 		if err := v.Flush(ctx); err != nil {
 			t.Fatal(err)
 		}
 		failNode(v, victim)
-		slow := switchable(fault.Rule{Do: fault.Delay(service)}, faults...)
-		t0 := time.Now()
+		for _, n := range nodes {
+			n.mu.Lock()
+			n.peak = 0
+			n.mu.Unlock()
+		}
+		// Node I/Os that take a while overlap whenever the sweep issues
+		// them together.
+		slow := switchable(fault.Rule{Do: fault.Delay(2 * time.Millisecond)}, faults...)
 		rep, err := v.HealNode(ctx, victim, true)
-		took := time.Since(t0)
 		slow.Store(false)
 		if err != nil || len(rep.Lost) > 0 || rep.Remaining > 0 {
 			t.Fatalf("HealNode with %d workers: %+v, %v", workers, rep, err)
+		}
+		for _, n := range nodes {
+			n.mu.Lock()
+			peak = max(peak, n.peak)
+			n.mu.Unlock()
 		}
 		got := make([]byte, len(shadow))
 		if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, shadow) {
 			t.Fatalf("volume differs from its shadow after a %d-worker heal (err %v)", workers, err)
 		}
 		assertRedundant(t, v)
-		return took
+		return peak
 	}
-	serial, wide := heal(1), heal(3)
-	if wide >= serial/2 {
-		t.Fatalf("64-stripe heal on %v nodes: %v with 3 workers, %v with 1; want under half", service, wide, serial)
+	if peak := heal(1); peak != 1 {
+		t.Errorf("heal under GOMAXPROCS(1): %d I/Os in flight on a node at once, want 1", peak)
+	}
+	if peak := heal(3); peak < 3 {
+		t.Errorf("heal with 3 workers: at most %d I/Os in flight on a node at once, want 3", peak)
 	}
 }
 
@@ -263,5 +320,4 @@ func TestHedgeLoserKeepsItsImage(t *testing.T) {
 	if st := v.Stats(); st.HedgedReads < 4 || st.HedgeWins != 0 {
 		t.Fatalf("hedged=%d wins=%d: the hedges were to fire and lose", st.HedgedReads, st.HedgeWins)
 	}
-	time.Sleep(2 * others) // let the last loser finish before the volume closes under it
 }

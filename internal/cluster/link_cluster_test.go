@@ -11,35 +11,42 @@ import (
 	"afraid/internal/testutil"
 )
 
-// proxiedCluster is a 4-node volume over real TCP: each member is an
-// afraidd in miniature (harnessNode) reached through a fault.Proxy, so
-// network faults exercise the genuine dial/read/write/redial paths.
-type proxiedCluster struct {
-	nodes   []*harnessNode
-	proxies []*fault.Proxy
-	v       *Volume
+// linkedCluster is a 4-node volume over real TCP: each member is an
+// afraidd in miniature (harnessNode) reached over its own connections
+// behind a fault.Link, so network faults exercise the genuine
+// dial/read/write/redial paths.
+type linkedCluster struct {
+	nodes []*harnessNode
+	links []*fault.Link
+	v     *Volume
 }
 
-func newProxiedCluster(t *testing.T, nNodes int, nodeSize int64, opts Options) *proxiedCluster {
+// dialLink opens a client over the link within d, handshake included, as
+// server.DialTimeout does over a plain connection.
+func dialLink(l *fault.Link, d time.Duration) (Node, error) {
+	nc, err := l.Dial(d)
+	if err != nil {
+		return nil, err
+	}
+	nc.SetDeadline(time.Now().Add(d))
+	return server.NewClient(nc)
+}
+
+func newLinkedCluster(t *testing.T, nNodes int, nodeSize int64, opts Options) *linkedCluster {
 	t.Helper()
-	pc := &proxiedCluster{
-		nodes:   make([]*harnessNode, nNodes),
-		proxies: make([]*fault.Proxy, nNodes),
+	pc := &linkedCluster{
+		nodes: make([]*harnessNode, nNodes),
+		links: make([]*fault.Link, nNodes),
 	}
 	members := make([]Member, nNodes)
 	for i := range members {
 		pc.nodes[i] = newHarnessNode(t, nodeSize)
-		p, err := fault.NewProxy(pc.nodes[i].Addr(), int64(9000+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		pc.proxies[i] = p
+		l := fault.NewLink(pc.nodes[i].Addr(), int64(9000+i))
+		t.Cleanup(l.KillConns)
+		pc.links[i] = l
 		members[i] = Member{
-			Addr: p.Addr(),
-			Dial: func() (Node, error) {
-				return server.DialTimeout(p.Addr(), 500*time.Millisecond)
-			},
+			Addr: pc.nodes[i].Addr(),
+			Dial: func() (Node, error) { return dialLink(l, 500*time.Millisecond) },
 		}
 	}
 	v, err := Open(members, opts)
@@ -51,7 +58,7 @@ func newProxiedCluster(t *testing.T, nNodes int, nodeSize int64, opts Options) *
 	return pc
 }
 
-func proxyOpts() Options {
+func linkOpts() Options {
 	return Options{
 		StripeUnit:    8 << 10,
 		NodeTimeout:   300 * time.Millisecond,
@@ -62,20 +69,20 @@ func proxyOpts() Options {
 	}
 }
 
-// TestProxyClusterPartitionDegradesAndSelfHeals: a black-holed node
-// (TCP up, nothing forwarded) must be cut loose by NodeTimeout, served
+// TestLinkClusterPartitionDegradesAndSelfHeals: a partitioned node
+// (TCP up, every byte held) must be cut loose by NodeTimeout, served
 // around degraded, and — once the partition lifts — redialed and healed
 // by the prober with no administrator involved.
-func TestProxyClusterPartitionDegradesAndSelfHeals(t *testing.T) {
+func TestLinkClusterPartitionDegradesAndSelfHeals(t *testing.T) {
 	const unit = 8 << 10
-	pc := newProxiedCluster(t, 4, 256<<10, proxyOpts())
+	pc := newLinkedCluster(t, 4, 256<<10, linkOpts())
 	v := pc.v
 	shadow := fillVolume(t, v, 51)
 	if err := v.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	pc.proxies[1].Partition()
+	pc.links[1].Partition()
 	// Reads keep working: the first touch pays NodeTimeout, the demotion
 	// moves the volume to reconstruction.
 	got := make([]byte, v.Capacity())
@@ -99,7 +106,9 @@ func TestProxyClusterPartitionDegradesAndSelfHeals(t *testing.T) {
 	}
 
 	// Partition lifts; the prober redials and auto-heals on its own.
-	pc.proxies[1].Restore()
+	if err := pc.links[1].Restore(); err != nil {
+		t.Fatal(err)
+	}
 	testutil.Eventually(t, "partitioned node healed", func() bool {
 		s := v.NodeStates()
 		return s[1].State == StateUp && s[1].StaleStripes == 0
@@ -121,13 +130,13 @@ func TestProxyClusterPartitionDegradesAndSelfHeals(t *testing.T) {
 	}
 }
 
-// TestProxyClusterMidFrameReset: a connection reset in the middle of a
+// TestLinkClusterMidFrameReset: a connection reset in the middle of a
 // request frame must surface as a node failure (the write is marked
 // stale, the node demoted, the span rerouted) — never as silent
 // corruption or a wedged volume.
-func TestProxyClusterMidFrameReset(t *testing.T) {
+func TestLinkClusterMidFrameReset(t *testing.T) {
 	const unit = 8 << 10
-	pc := newProxiedCluster(t, 4, 256<<10, proxyOpts())
+	pc := newLinkedCluster(t, 4, 256<<10, linkOpts())
 	v := pc.v
 	shadow := fillVolume(t, v, 52)
 	if err := v.Flush(context.Background()); err != nil {
@@ -136,7 +145,7 @@ func TestProxyClusterMidFrameReset(t *testing.T) {
 
 	// Arm a reset a little into the next traffic; full-unit writes keep
 	// every degraded retry on the covers-the-absent-unit path.
-	pc.proxies[2].ResetAfter(3000)
+	pc.links[2].ResetAfter(3000)
 	buf := make([]byte, unit)
 	for st := int64(0); st < 8; st++ {
 		for u := int64(0); u < 3; u++ {
@@ -150,14 +159,14 @@ func TestProxyClusterMidFrameReset(t *testing.T) {
 			copy(shadow[off:], buf)
 		}
 	}
-	if ps := pc.proxies[2].Stats(); ps.Resets == 0 {
+	if ls := pc.links[2].Stats(); ls.Resets == 0 {
 		t.Fatal("armed reset never fired")
 	}
 	if st := v.Stats(); st.NodeFailovers == 0 {
 		t.Error("mid-frame reset did not demote the node")
 	}
 
-	// The proxy path is healthy again (ResetAfter disarms after firing):
+	// The link is healthy again (ResetAfter disarms after firing):
 	// the prober redials and heals whatever the cut write left stale.
 	testutil.Eventually(t, "reset node healed", func() bool {
 		s := v.NodeStates()

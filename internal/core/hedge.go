@@ -17,7 +17,8 @@ import (
 // members and the parities that serves degraded reads — and the first
 // success wins. A browned-out member then costs one hedge delay, not its
 // own latency, without being failed: the straggling primary keeps running
-// to whatever deadline the member applies, and only that fails it.
+// to whatever deadline the member applies, and only that fails it — or
+// Close, which closes the members and then waits for every branch.
 
 // hedger is a member that asks for hedged reads.
 type hedger interface {
@@ -51,6 +52,7 @@ func (s *Store) hedgedRead(ctx context.Context, dst []byte, st int64, e layout.E
 	}
 	ch := make(chan res, 2) // both branches always deliver; sends never block
 	read := func(hedge bool) {
+		defer s.hedges.Done()
 		buf := bufpool.Get(int(e.Len))
 		var err error
 		if hedge { // the straggler counts as missing: solve its bytes from the others
@@ -65,6 +67,7 @@ func (s *Store) hedgedRead(ctx context.Context, dst []byte, st int64, e layout.E
 		}
 		ch <- res{buf, err, hedge}
 	}
+	s.hedges.Add(1)
 	go read(false)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -95,6 +98,7 @@ func (s *Store) hedgedRead(ctx context.Context, dst []byte, st int64, e layout.E
 			}
 		case <-timer.C:
 			inflight++
+			s.hedges.Add(1)
 			go read(true)
 			s.meta.Lock()
 			s.stats.HedgedReads++

@@ -195,6 +195,8 @@ type Store struct {
 
 	rc *readCache // the controller read cache; nil where a stripe unit is larger
 
+	hedges sync.WaitGroup // the branches of hedged reads, the losers included; Close waits for them
+
 	ob *storeObs
 }
 
@@ -312,9 +314,10 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Close stops the scrubber and closes the devices. Dirty stripes stay
-// recorded in NVRAM; the next Open resumes their rebuild (crash-safe by
-// construction). Use Flush first for a clean shutdown.
+// Close stops the scrubber, closes the devices and waits for the reads a
+// hedge left running, so no member I/O starts after it returns. Dirty
+// stripes stay recorded in NVRAM; the next Open resumes their rebuild
+// (crash-safe by construction). Use Flush first for a clean shutdown.
 func (s *Store) Close() error {
 	s.meta.Lock()
 	if s.closed {
@@ -343,6 +346,9 @@ func (s *Store) Close() error {
 			first = err
 		}
 	}
+	// A hedge's loser may still be reading; one on a wedged member ends
+	// now that the member is closed.
+	s.hedges.Wait()
 	return first
 }
 

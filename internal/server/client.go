@@ -92,12 +92,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewClient(nc)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return c, nil
+	return NewClient(nc)
 }
 
 // DialTimeout is Dial with a bound covering both the TCP connect and
@@ -113,19 +108,24 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 	if d > 0 {
 		nc.SetDeadline(time.Now().Add(d))
 	}
-	c, err := NewClient(nc)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return c, nil
+	return NewClient(nc)
 }
 
 // NewClient performs the handshake over an established connection and
-// starts the response reader. The client owns nc from here on. Any
-// deadline the caller armed on nc (see DialTimeout) is cleared once the
-// handshake completes, so it bounds only the setup.
+// starts the response reader. The client owns nc from here on, and closes
+// it if the handshake fails. Any deadline the caller armed on nc (see
+// DialTimeout) is cleared once the handshake completes, so it bounds only
+// the setup.
 func NewClient(nc net.Conn) (*Client, error) {
+	c, err := handshake(nc)
+	if err != nil {
+		nc.Close()
+	}
+	return c, err
+}
+
+// handshake is NewClient up to closing nc when it fails.
+func handshake(nc net.Conn) (*Client, error) {
 	if _, err := nc.Write([]byte(Magic)); err != nil {
 		return nil, fmt.Errorf("server: handshake write: %w", err)
 	}
